@@ -175,9 +175,8 @@ let parallel_overhead_tests =
                (fun ~worker:_ _ -> ())));
     ]
 
-(* The fast-path engine: write-through step vs the legacy zero+accumulate
-   step, and the specialized taps sweep vs the retained generic closure
-   walker it replaced. *)
+(* The fast-path engine: a write-through step, and the specialized taps
+   sweep vs the retained generic closure walker it replaced. *)
 let fastpath_tests =
   let _, st = small_stencil "3d7pt_star" in
   let kernel = Msc.Suite.kernel_of st in
@@ -191,13 +190,7 @@ let fastpath_tests =
     [
       Test.make ~name:"step_write_through"
         (Staged.stage (fun () ->
-             let rt = Msc.Runtime.create ~engine:Msc.Runtime.Write_through st in
-             Msc.Runtime.step rt));
-      Test.make ~name:"step_zero_accumulate"
-        (Staged.stage (fun () ->
-             let rt =
-               Msc.Runtime.create ~engine:Msc.Runtime.Zero_accumulate st
-             in
+             let rt = Msc.Runtime.create st in
              Msc.Runtime.step rt));
       Test.make ~name:"sweep_specialized"
         (Staged.stage (fun () ->
@@ -498,7 +491,6 @@ let kernel_backend_points_per_sec (b : Msc.Suite.bench) =
     let no_bc = Array.make b.Msc.Suite.ndim false in
     let per_step =
       time_per_run (fun () ->
-          Msc.Runtime.begin_step rt;
           Msc.Runtime.sweep_tasks rt tiles;
           Msc.Runtime.finish_step ~low:no_bc ~high:no_bc rt;
           Msc.Bc.apply_reference (Msc.Bc.Dirichlet 0.0) (Msc.Runtime.current rt))
@@ -1329,9 +1321,21 @@ let report_trace_overhead rows =
         ((enabled -. base) /. base *. 100.0)
   | _ -> ()
 
+(* The byte size of a suite kernel's fused C sweep at the benchmark's
+   sizes (256^2, 48^3). *)
+let sweep_source_bytes (b : Msc.Suite.bench) =
+  let dims = match b.Msc.Suite.ndim with 2 -> [| 256; 256 |] | _ -> [| 48; 48; 48 |] in
+  Option.map String.length (Msc.Codegen.fused_sweep_source (Msc.Suite.stencil ~dims b))
+
+(* Unrolling every tap of every term into each row lane made 2d169pt_box
+   emit 135 KB of C (~24 s of gcc); tap-group passes keep every suite
+   kernel far below this, so crossing it means the unrolling came back. *)
+let max_sweep_source_bytes = 32 * 1024
+
 (* [--backend <name>] coverage audit: with a compiled backend requested,
    every Suite kernel must run the fused whole-sweep kernel with all its
-   terms compiled and no interpreter fallback. A regression in the fused
+   terms compiled and no interpreter fallback, and its C sweep source must
+   stay under [max_sweep_source_bytes]. A regression in the fused
    emitter's coverage fails the job instead of silently benchmarking the
    interpreter. Skipped (with a notice) when the toolchain itself is
    missing — an environment problem, not an emitter one. *)
@@ -1404,13 +1408,33 @@ let audit_fused_coverage backend =
                     (Msc.Reduction.fallback red))))
         Msc.Suite.all
     in
-    match bad @ red_bad with
+    let sizes =
+      List.map (fun b -> (b.Msc.Suite.name, sweep_source_bytes b)) Msc.Suite.all
+    in
+    let size_bad =
+      List.filter_map
+        (fun (name, size) ->
+          match size with
+          | Some n when n <= max_sweep_source_bytes -> None
+          | Some n ->
+              Some
+                (Printf.sprintf "[audit] %s: C sweep source is %d bytes (> %d)"
+                   name n max_sweep_source_bytes)
+          | None -> Some (Printf.sprintf "[audit] %s: C sweep not emitted" name))
+        sizes
+    in
+    match bad @ red_bad @ size_bad with
     | [] ->
         Printf.printf
           "[audit] %s: all %d suite kernels ran the fused sweep and the \
-           compiled reduction, no fallback\n"
+           compiled reduction, no fallback; C sweep sources %s bytes\n"
           (Msc.Backend.to_string backend)
           (List.length reports)
+          (String.concat ", "
+             (List.map
+                (fun (name, size) ->
+                  Printf.sprintf "%s %d" name (Option.value size ~default:0))
+                sizes))
     | bad ->
         List.iter prerr_endline bad;
         prerr_endline "[audit] fused-coverage audit FAILED";

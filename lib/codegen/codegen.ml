@@ -22,6 +22,8 @@ let machine_of_target = function
   | Openmp -> Machine.matrix_node
   | Athread -> Machine.sunway_cg
 
+let fused_sweep_source = Emit_cpu.fused_sweep_source
+
 let default_spm_capacity_bytes = 64 * 1024
 
 let generate ?steps ?(bc = Msc_exec.Bc.Dirichlet 0.0) ?config (st : Stencil.t)

@@ -42,6 +42,11 @@ val generate :
     boundary condition with the [Athread] target (the MPE-side BC pass is not
     emitted yet). *)
 
+val fused_sweep_source : Msc_ir.Stencil.t -> string option
+(** The fused whole-sweep C function the [Cpu] and [Openmp] targets embed
+    under a compiled config — the source the [Compiled_c] runtime JITs.
+    [None] when they fall back to the per-point path. *)
+
 val write_files : dir:string -> file list -> unit
 (** Creates [dir] if needed and writes each file. *)
 

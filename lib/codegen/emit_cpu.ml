@@ -39,10 +39,12 @@ let fused_sweep_of (st : Stencil.t) =
           in
           Some (terms, src, aux_slots)
 
+let fused_sweep_source st = Option.map (fun (_, src, _) -> src) (fused_sweep_of st)
+
 (* msc_step as the fused runtime executes it: one call per plan tile task
-   into the shared fused sweep function, write-through writeback, the task
-   loop carrying the parallel pragma. Task (lo, hi) boxes are baked from
-   the same [plan.tasks] array the native runtime dispatches on the pool. *)
+   into the shared write-through sweep function, the task loop carrying the
+   parallel pragma. Task (lo, hi) boxes are baked from the same
+   [plan.tasks] array the native runtime dispatches on the pool. *)
 let emit_fused_step w (st : Stencil.t) ~(plan : Plan.t) ~omp ~terms ~aux_slots =
   let nd = Array.length st.Stencil.grid.Tensor.shape in
   let tasks = plan.Plan.tasks in
@@ -85,7 +87,7 @@ let emit_fused_step w (st : Stencil.t) ~(plan : Plan.t) ~omp ~terms ~aux_slots =
       end;
       C_writer.block w (Printf.sprintf "for (int t = 0; t < %d; ++t)" nt)
         (fun () ->
-          C_writer.line w "msc_sweep(0, msc_srcs, out, %s, msc_task_lo[t], msc_task_hi[t]);"
+          C_writer.line w "msc_sweep(msc_srcs, out, %s, msc_task_lo[t], msc_task_hi[t]);"
             (if aux_slots = [] then "NULL" else "msc_aux")))
 
 let generate ?(steps = 10) ?(bc = Msc_exec.Bc.Dirichlet 0.0)

@@ -22,3 +22,9 @@ val generate :
     pragma. With the default [Interp] backend (or [fuse] off, a
     non-double grid, or a form the fused emitter rejects), [msc_step] is
     the per-point assignment whose loop nest walks [plan.loops]. *)
+
+val fused_sweep_source : Msc_ir.Stencil.t -> string option
+(** The fused whole-sweep C function {!generate} embeds under a compiled
+    config, i.e. what {!Msc_exec.Jit.emit_c_sweep} emits for the stencil's
+    terms. [None] when {!generate} would fall back to the per-point path
+    (no kernel term, a non-double grid, or a form the emitter rejects). *)

@@ -458,7 +458,7 @@ let reduce t ~op =
         let rs =
           Array.map
             (fun rt ->
-              Msc_exec.Reduction.create ~config:t.rank_config
+              Msc_exec.Reduction.create ~config:t.rank_config ~trace:t.trace
                 ~tasks:(Runtime.tiles rt) (Runtime.current rt))
             t.runtimes
         in
@@ -516,7 +516,6 @@ let overlapped_step t =
   Msc_util.Domain_pool.parallel_chunks t.pool ~lo:0 ~hi:n
     (fun ~worker:_ rank ->
       let rt = t.runtimes.(rank) in
-      Runtime.begin_step rt;
       let interior, _ = t.phases.(rank) in
       let ts = Msc_trace.begin_span t.trace in
       Runtime.sweep_tasks rt interior;
@@ -589,7 +588,6 @@ let temporal_step t =
     Msc_util.Domain_pool.parallel_chunks t.pool ~lo:0 ~hi:n
       (fun ~worker:_ rank ->
         let rt = t.runtimes.(rank) in
-        Runtime.begin_step rt;
         let interior, _ = t.phases.(rank) in
         let ts = Msc_trace.begin_span t.trace in
         Runtime.sweep_tasks rt interior;
@@ -618,7 +616,6 @@ let temporal_step t =
     Msc_util.Domain_pool.parallel_chunks t.pool ~lo:0 ~hi:n
       (fun ~worker:_ rank ->
         let rt = t.runtimes.(rank) in
-        Runtime.begin_step rt;
         let ts = Msc_trace.begin_span t.trace in
         Runtime.sweep_tasks rt t.sub_tasks.(rank).(s);
         Msc_trace.end_span ~tid:rank t.trace "halo.substep" ts;
@@ -655,7 +652,6 @@ let graph_overlapped_step t =
   Msc_util.Domain_pool.parallel_chunks t.pool ~lo:0 ~hi:n
     (fun ~worker:_ rank ->
       let rt = t.runtimes.(rank) in
-      Runtime.begin_step rt;
       let interior, _ = t.phases.(rank) in
       let ts = Msc_trace.begin_span t.trace in
       Runtime.sweep_graph_stage rt 0 interior;

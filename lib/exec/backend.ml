@@ -42,7 +42,6 @@ type kernel_fn =
   unit
 
 type sweep_fn =
-  int ->
   float array array ->
   float array ->
   float array array ->

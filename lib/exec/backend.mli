@@ -63,19 +63,19 @@ type kernel_fn =
     compiled geometry (enforced by {!Runtime} via [Interp.check_grids]). *)
 
 type sweep_fn =
-  int ->
   float array array ->
   float array ->
   float array array ->
   int array ->
   int array ->
   unit
-(** [fn wb srcs dst aux lo hi]: a {e fused} whole-sweep kernel covering
-    every term of a stencil update in one pass over the range — scales and
-    per-term accumulation are baked in, so only two writeback codes apply:
-    {!wb_apply} (write-through: the first term overwrites, later terms fold
-    into a register accumulator) and {!wb_accumulate} (all terms accumulate
-    on top of [dst]'s prior contents — the zero-accumulate engine).
+(** [fn srcs dst aux lo hi]: a {e fused} whole-sweep kernel covering every
+    term of a stencil update over the range, write-through only: the first
+    term seeds a per-point accumulator, later terms fold into it with
+    their scales baked in, and [dst] is written once per point (its prior
+    contents are never read). Long sweeps run as several passes over
+    column strips inside the call; the per-point operation sequence is the
+    interpreter's either way.
 
     [srcs] holds one padded source array {e per term}, in stencil term
     order (terms reading the same past state repeat the array); [aux] is

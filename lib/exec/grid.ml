@@ -72,27 +72,6 @@ let fill_random t rng = fill t (fun _ -> Msc_util.Prng.uniform rng)
 
 let fill_all t v = Array.fill t.data 0 (Array.length t.data) v
 
-(* Walk the interior one contiguous innermost row at a time ([base] is the
-   flat index of the row's first element; rows have length [shape.(nd-1)]
-   because the innermost stride is 1 by construction). *)
-let iter_interior_rows t fn =
-  let nd = ndim t in
-  let last = nd - 1 in
-  let coord = Array.make nd 0 in
-  let rec go d =
-    if d = last then fn (flat_index t coord)
-    else
-      for k = 0 to t.shape.(d) - 1 do
-        coord.(d) <- k;
-        go (d + 1)
-      done
-  in
-  go 0
-
-let fill_interior t v =
-  let len = t.shape.(ndim t - 1) in
-  iter_interior_rows t (fun base -> Array.fill t.data base len v)
-
 let in_interior t coord =
   let ok = ref true in
   Array.iteri (fun d c -> if c < 0 || c >= t.shape.(d) then ok := false) coord;

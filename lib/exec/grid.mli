@@ -45,11 +45,6 @@ val fill_random : t -> Msc_util.Prng.t -> unit
 val fill_all : t -> float -> unit
 (** Every cell, halo included. *)
 
-val fill_interior : t -> float -> unit
-(** Every interior cell (halo untouched), as one [Array.fill] per contiguous
-    innermost row — the cheap zero pass for sweeps that only accumulate into
-    the interior. *)
-
 val clear_halo : t -> unit
 (** Zero all halo cells, keeping the interior. *)
 

@@ -20,10 +20,15 @@
    - tree-mode kernels render Expr.eval's exact operation set: libm calls
      on both sides, and Float.min/Float.max ported to C by hand (fmin/fmax
      differ on NaN and signed zero);
-   - fused sweeps chain the per-term writebacks through one register
-     accumulator: [let acc = t0 in let acc = acc +. (s1 *. t1) in ...] is
+   - fused sweeps are write-through only and chain the per-term writebacks
+     through one accumulator: [acc = t0; acc = acc + (s1 * t1); ...] is
      bit-identical to the interpreter's store-then-read-modify-write pass
-     sequence because a store/load roundtrip of a float is exact. *)
+     sequence because a store/load roundtrip of a float is exact;
+   - the same fact lets a long C sweep run as a sequence of passes of at
+     most 16 fold units (one tap or bilinear product, or one whole tree or
+     State term) over strips of at most 512 columns, parking each point's
+     accumulator and current term partial in stack rows between passes:
+     every point still performs the same operations in the same order. *)
 
 open Msc_ir
 
@@ -43,7 +48,6 @@ external c_call :
 
 external c_call_sweep :
   nativeint ->
-  int ->
   float array array ->
   float array ->
   float array array ->
@@ -70,8 +74,9 @@ external named_value : string -> Obj.t = "msc_jit_named_value"
    same specs, or $MSC_KERNEL_CACHE keeps serving the old code shape.
    History: v2 = sweep row blocking + host-arch flags (fused sweeps only
    — the per-term gap this constant closes); v3 = uniform salting of all
-   emitters + reduction kernels. *)
-let emitter_version = "v3"
+   emitters + reduction kernels; v4 = write-through-only sweeps, long C
+   sweeps cut into tap-group passes. *)
+let emitter_version = "v4"
 
 (* Force the Callback unit into the host image: Dynlink-loaded kernels
    hand their closure back through [Callback.register], so the module must
@@ -278,19 +283,19 @@ let ocaml_sum ~src ~aux_of (spec : Interp.spec) =
       "0.0 +. " ^ String.concat " +. " (List.init (Array.length b.bil_coeffs) term)
   | Spec_tree -> assert false
 
-let c_sum ~src ~aux_of (spec : Interp.spec) =
+(* The products of a taps or bilinear sum in chain order, and whether the
+   chain leads with [0.0 +]. *)
+let c_products ~src ~aux_of (spec : Interp.spec) =
   match spec with
   | Spec_taps { taps_coeffs; taps_deltas } ->
       let term k c =
         Printf.sprintf "%s * %s[%s]" (flit_checked c) src (idx taps_deltas.(k))
       in
-      let s =
-        String.concat " + " (Array.to_list (Array.mapi term taps_coeffs))
-      in
-      if unrolled_taps (Array.length taps_coeffs) then s else "0.0 + " ^ s
+      ( Array.mapi term taps_coeffs,
+        not (unrolled_taps (Array.length taps_coeffs)) )
   | Spec_bilinear b ->
-      let term k =
-        let c = flit_checked b.bil_coeffs.(k) in
+      let term k c =
+        let c = flit_checked c in
         match b.bil_kinds.(k) with
         | 0 ->
             Printf.sprintf "%s * %s[%s] * %s[%s]" c (aux_of k)
@@ -300,8 +305,13 @@ let c_sum ~src ~aux_of (spec : Interp.spec) =
         | 1 -> Printf.sprintf "%s * %s[%s]" c src (idx b.bil_in_deltas.(k))
         | _ -> Printf.sprintf "%s * %s[%s]" c (aux_of k) (idx b.bil_aux_deltas.(k))
       in
-      "0.0 + " ^ String.concat " + " (List.init (Array.length b.bil_coeffs) term)
+      (Array.mapi term b.bil_coeffs, true)
   | Spec_tree -> assert false
+
+let c_sum ~src ~aux_of spec =
+  let products, lead = c_products ~src ~aux_of spec in
+  (if lead then "0.0 + " else "")
+  ^ String.concat " + " (Array.to_list products)
 
 (* {3 Tree expressions}
 
@@ -611,15 +621,14 @@ let emit_c ~base ~halo ~strides interp =
 
 (* {2 Fused whole-sweep emission}
 
-   One function per plan covering every stencil term in a single pass:
-   per-point register accumulator chaining replaces the interpreter's one
-   full-grid pass per term. For instruction-level parallelism the C
-   emitter blocks the second-innermost dimension by 4 (four adjacent rows
-   per inner iteration — independent accumulator chains, innermost loop
-   left contiguous for the auto-vectorizer); the OCaml emitter unrolls the
-   innermost row by 4 instead (flambda-less ocamlopt does not vectorize,
-   so lane independence only needs to beat loop overhead there). Neither
-   reassociates, so bit-identity is preserved. *)
+   One write-through function per plan covering every stencil term: the
+   first term seeds a per-point accumulator, later terms fold into it, and
+   [dst] is written once — replacing the interpreter's one full-grid pass
+   per term. The OCaml emitter unrolls the innermost row by 4
+   (flambda-less ocamlopt does not vectorize, so lane independence only
+   needs to beat loop overhead there); the C emitter's loop shapes are
+   described at [emit_c_sweep_src]. Neither reassociates, so bit-identity
+   is preserved. *)
 
 (* Per-term (slot offset, aux names) in the concatenated aux layout. *)
 let sweep_slots terms =
@@ -695,7 +704,7 @@ let emit_ocaml_sweep ~base ~halo ~strides terms =
   let buf = Buffer.create 8192 in
   let pr fmt = Printf.bprintf buf fmt in
   pr "(* Fused sweep %s -- generated by Msc_exec.Jit; do not edit. *)\n" base;
-  pr "let sweep (_wb : int) (_srcs : float array array) (_dst : float array)\n";
+  pr "let sweep (_srcs : float array array) (_dst : float array)\n";
   pr "    (_aux : float array array) (_lo : int array) (_hi : int array)\n";
   pr "    : unit =\n";
   List.iteri
@@ -744,7 +753,7 @@ let emit_ocaml_sweep ~base ~halo ~strides terms =
         Printf.sprintf "acc +. (%s *. Array.unsafe_get _s%d i)"
           (flit_checked scale) t
   in
-  let lane_wt c_str =
+  let lane c_str =
     let b = Buffer.create 512 in
     Printf.bprintf b "(let i = %s in\n" (iexpr c_str);
     List.iteri
@@ -756,41 +765,116 @@ let emit_ocaml_sweep ~base ~halo ~strides terms =
     Printf.bprintf b "       Array.unsafe_set _dst i acc)";
     Buffer.contents b
   in
-  let lane_acc c_str =
-    let b = Buffer.create 512 in
-    Printf.bprintf b "(let i = %s in\n" (iexpr c_str);
-    Printf.bprintf b "       let acc = Array.unsafe_get _dst i in\n";
-    List.iteri
-      (fun t term ->
-        Printf.bprintf b "       let acc = %s in\n" (fold_value c_str t term))
-      terms;
-    Printf.bprintf b "       Array.unsafe_set _dst i acc)";
-    Buffer.contents b
-  in
-  let unrolled lane =
-    pr "    let c = ref 0 in\n";
-    pr "    while !c + 3 < len do\n";
-    pr "      %s;\n" (lane "!c");
-    pr "      %s;\n" (lane "!c + 1");
-    pr "      %s;\n" (lane "!c + 2");
-    pr "      %s;\n" (lane "!c + 3");
-    pr "      c := !c + 4\n";
-    pr "    done;\n";
-    pr "    while !c < len do\n";
-    pr "      %s;\n" (lane "!c");
-    pr "      c := !c + 1\n";
-    pr "    done\n"
-  in
-  pr "  (if _wb = 0 then begin\n";
-  unrolled lane_wt;
-  pr "  end else begin\n";
-  unrolled lane_acc;
-  pr "  end)\n";
+  pr "    let c = ref 0 in\n";
+  pr "    while !c + 3 < len do\n";
+  pr "      %s;\n" (lane "!c");
+  pr "      %s;\n" (lane "!c + 1");
+  pr "      %s;\n" (lane "!c + 2");
+  pr "      %s;\n" (lane "!c + 3");
+  pr "      c := !c + 4\n";
+  pr "    done;\n";
+  pr "    while !c < len do\n";
+  pr "      %s;\n" (lane "!c");
+  pr "      c := !c + 1\n";
+  pr "    done;\n";
   for _ = 0 to last - 1 do
     pr "  done\n"
   done;
   pr "  end\n";
   pr "\nlet () = Callback.register %S sweep\n" ("msc_jit_" ^ base);
+  Buffer.contents buf
+
+(* {3 Fold units and passes}
+
+   Per point, a fused sweep performs one chain of operations. Each taps or
+   bilinear term sums its products left to right into a partial [p] (led
+   by [0.0 +] where the interpreter does not unroll), and a finished term
+   folds into the accumulator: the first term seeds it (unscaled when its
+   scale is 1.0), later terms add [scale * term]. A {e fold unit} is one
+   step of that chain: one product of a taps or bilinear term, or one whole
+   tree or State term.
+
+   Every sweep runs over strips of at most [strip_cols] columns. A sweep
+   of at most [single_pass_units] units is one pass with a 4-row block;
+   a longer one is cut into passes of at most [pass_units] units without
+   one. Unrolling all of 2d169pt_box's 338 units into every lane of the
+   block made 135 KB of C that took gcc ~24 s and swept at about half the
+   rate of the passes; cutting the short sweeps into unblocked passes
+   made tree-mode pipeline steps ~1.5x slower. *)
+
+let single_pass_units = 32
+let pass_units = 16
+let strip_cols = 512
+
+let term_units = function
+  | Sweep_state _ -> 1
+  | Sweep_kernel { interp; _ } -> (
+      match Interp.spec interp with
+      | Interp.Spec_taps { taps_coeffs; _ } -> Array.length taps_coeffs
+      | Interp.Spec_bilinear b -> Array.length b.bil_coeffs
+      | Interp.Spec_tree -> 1)
+
+(* (term, unit within the term) of every fold unit, in chain order. *)
+let sweep_units terms =
+  Array.of_list
+    (List.concat
+       (List.mapi
+          (fun t term -> List.init (term_units term) (fun k -> (t, k)))
+          terms))
+
+(* One term rendered at a lane: a product chain (with its [0.0 +] lead
+   flag) or one whole expression. *)
+type c_term = Chain of string array * bool | Whole of string
+
+let c_term_value ~src ~aux_of ~slot ~coord interp =
+  match Interp.spec interp with
+  | Interp.Spec_tree -> Whole (c_tree ~src ~slot ~coord interp)
+  | spec ->
+      let products, lead = c_products ~src ~aux_of spec in
+      Chain (products, lead)
+
+(* The statements of fold units [a, b) at one lane, as a C block binding
+   [i] to [index]. A pass that starts inside the chain resumes [acc] (once
+   the first term has finished) and [p] (when it starts inside a term)
+   from the stack rows [msc_acc]/[msc_part]; one that ends inside the chain
+   parks what the next pass resumes; the last pass writes [dst]. *)
+let c_lane ~units ~terms ~values ~index a b =
+  let buf = Buffer.create 1024 in
+  let pr fmt = Printf.bprintf buf fmt in
+  let acc_live u = fst units.(u) > 0 and part_live u = snd units.(u) > 0 in
+  let has_acc = ref (acc_live a) and has_p = ref (part_live a) in
+  pr "{ const long i = %s;\n" index;
+  if !has_acc then pr "        double acc = msc_acc[c];\n";
+  if !has_p then pr "        double p = msc_part[c];\n";
+  let set var defined rhs =
+    pr "        %s%s = %s;\n" (if !defined then "" else "double ") var rhs;
+    defined := true
+  in
+  for u = a to b - 1 do
+    let t, k = units.(u) in
+    let scale =
+      match terms.(t) with Sweep_state { scale } | Sweep_kernel { scale; _ } -> scale
+    in
+    let finish v =
+      if t > 0 then
+        set "acc" has_acc (Printf.sprintf "acc + (%s * %s)" (flit_checked scale) v)
+      else if scale = 1.0 then set "acc" has_acc v
+      else set "acc" has_acc (Printf.sprintf "%s * %s" (flit_checked scale) v)
+    in
+    match values.(t) with
+    | Whole v -> finish ("(" ^ v ^ ")")
+    | Chain (products, lead) ->
+        if k = 0 then
+          set "p" has_p ((if lead then "0.0 + " else "") ^ products.(0))
+        else pr "        p = p + %s;\n" products.(k);
+        if k = Array.length products - 1 then finish "p"
+  done;
+  if b = Array.length units then pr "        dst[i] = acc; }"
+  else begin
+    if acc_live b then pr "        msc_acc[c] = acc;\n";
+    if part_live b then pr "        msc_part[c] = p;\n";
+    pr "      }"
+  end;
   Buffer.contents buf
 
 let emit_c_sweep_src ~fn_name ~halo ~strides terms =
@@ -802,7 +886,7 @@ let emit_c_sweep_src ~fn_name ~halo ~strides terms =
   let pr fmt = Printf.bprintf buf fmt in
   pr "/* Fused sweep %s -- generated by Msc_exec.Jit; do not edit. */\n" fn_name;
   if sweep_has_tree terms then pr "%s" c_tree_prelude;
-  pr "void %s(long wb, const double **srcs, double *restrict dst,\n" fn_name;
+  pr "void %s(const double **srcs, double *restrict dst,\n" fn_name;
   pr "%s const double **aux, const long *restrict lo,\n"
     (String.make (String.length fn_name + 5) ' ');
   pr "%s const long *restrict hi)\n" (String.make (String.length fn_name + 5) ' ');
@@ -819,111 +903,84 @@ let emit_c_sweep_src ~fn_name ~halo ~strides terms =
   done;
   pr "  long len = h%d - l%d;\n" last last;
   pr "  if (len <= 0) return;\n";
-  (* The flat index of the row-0 lane at column [c_str]; lanes for rows
+  let units = sweep_units terms in
+  let n = Array.length units in
+  let terms_arr = Array.of_list terms in
+  let npasses =
+    if n <= single_pass_units then 1 else (n + pass_units - 1) / pass_units
+  in
+  let cut j = j * n / npasses in
+  (* The flat index of the row-0 lane at strip column [c]; lanes for rows
      1..3 derive theirs as [icol + row * row_stride]. Deriving from one
      shared column index matters: when every lane recomputes
      [base + off + c] from scratch, gcc's CSE drowns in the wide-radius
      tap expressions — 7x compile time and ~4x slower code on 2d169pt. *)
-  let icol_expr c_str =
+  let c_str = "cs + c" in
+  let icol =
     if strides.(last) = 1 then Printf.sprintf "base + (%s)" c_str
     else Printf.sprintf "base + ((%s) * %d)" c_str strides.(last)
   in
-  let lane_index ~row =
-    if row = 0 then "icol"
-    else Printf.sprintf "icol + %d" (row * strides.(last - 1))
+  let lane ~row a b =
+    let values =
+      Array.mapi
+        (fun t -> function
+          | Sweep_state _ -> Whole (Printf.sprintf "s%d[i]" t)
+          | Sweep_kernel { interp; _ } ->
+              sweep_kernel_value ~value:c_term_value ~pre:"" ~layout ~last ~row
+                ~c_str t interp)
+        terms_arr
+    in
+    let index =
+      if row = 0 then "icol"
+      else Printf.sprintf "icol + %d" (row * strides.(last - 1))
+    in
+    c_lane ~units ~terms:terms_arr ~values ~index a b
   in
-  let kernel_value ~row c_str t interp =
-    sweep_kernel_value ~value:c_value ~pre:"" ~layout ~last ~row ~c_str t interp
-  in
-  let first_value ~row c_str t term =
-    match term with
-    | Sweep_kernel { scale; interp } ->
-        let v = kernel_value ~row c_str t interp in
-        if scale = 1.0 then Printf.sprintf "(%s)" v
-        else Printf.sprintf "%s * (%s)" (flit_checked scale) v
-    | Sweep_state { scale } ->
-        if scale = 1.0 then Printf.sprintf "s%d[i]" t
-        else Printf.sprintf "%s * s%d[i]" (flit_checked scale) t
-  in
-  let fold_value ~row c_str t term =
-    match term with
-    | Sweep_kernel { scale; interp } ->
-        let v = kernel_value ~row c_str t interp in
-        Printf.sprintf "acc + (%s * (%s))" (flit_checked scale) v
-    | Sweep_state { scale } ->
-        Printf.sprintf "acc + (%s * s%d[i])" (flit_checked scale) t
-  in
-  let lane_wt ~row c_str =
-    let b = Buffer.create 512 in
-    Printf.bprintf b "{ const long i = %s;\n" (lane_index ~row);
-    List.iteri
-      (fun t term ->
-        if t = 0 then
-          Printf.bprintf b "        double acc = %s;\n"
-            (first_value ~row c_str t term)
-        else Printf.bprintf b "        acc = %s;\n" (fold_value ~row c_str t term))
-      terms;
-    Printf.bprintf b "        dst[i] = acc; }";
-    Buffer.contents b
-  in
-  let lane_acc ~row c_str =
-    let b = Buffer.create 512 in
-    Printf.bprintf b "{ const long i = %s;\n" (lane_index ~row);
-    Printf.bprintf b "        double acc = dst[i];\n";
-    List.iteri
-      (fun t term ->
-        Printf.bprintf b "        acc = %s;\n" (fold_value ~row c_str t term))
-      terms;
-    Printf.bprintf b "        dst[i] = acc; }";
-    Buffer.contents b
-  in
-  (* One full loop nest per writeback mode. Rows (the second-innermost
-     dimension) are blocked by 4: each inner iteration computes the same
-     column of 4 adjacent rows — four independent accumulator chains, so
-     the compiler can keep the FP ports busy while still auto-vectorizing
-     the contiguous innermost loop. Manually unrolling the innermost row
-     instead defeats loop vectorization (SLP rarely digests wide-radius
-     tap chains) and measured ~2x slower on the dense box kernels. *)
-  let emit_nest lane =
-    for d = 0 to last - 2 do
-      pr "  for (long i%d = l%d; i%d < h%d; i%d++) {\n" d d d d d
-    done;
-    if nd >= 2 then begin
-      let r = last - 1 in
-      pr "  long i%d = l%d;\n" r r;
-      pr "  for (; i%d + 3 < h%d; i%d += 4) {\n" r r r;
-      pr "  long base = %s;\n" (base_expr ~nd ~halo ~strides);
-      pr "    for (long c = 0; c < len; c++) {\n";
-      pr "      const long icol = %s;\n" (icol_expr "c");
-      for row = 0 to 3 do
-        pr "      %s\n" (lane ~row "c")
+  (* [rows] adjacent rows (the second-innermost dimension) from the current
+     one, strip by strip; each pass is one contiguous column loop, which
+     the compiler auto-vectorizes, and the stack rows stay in L1. *)
+  let rows_body rows =
+    pr "  long base = %s;\n" (base_expr ~nd ~halo ~strides);
+    pr "  for (long cs = 0; cs < len; cs += %d) {\n" strip_cols;
+    pr "    const long cn = len - cs < %d ? len - cs : %d;\n" strip_cols strip_cols;
+    for j = 0 to npasses - 1 do
+      pr "    for (long c = 0; c < cn; c++) {\n";
+      pr "      const long icol = %s;\n" icol;
+      for row = 0 to rows - 1 do
+        pr "      %s\n" (lane ~row (cut j) (cut (j + 1)))
       done;
-      pr "    }\n";
-      pr "  }\n";
-      pr "  for (; i%d < h%d; i%d++) {\n" r r r;
-      pr "  long base = %s;\n" (base_expr ~nd ~halo ~strides);
-      pr "    for (long c = 0; c < len; c++) {\n";
-      pr "      const long icol = %s;\n" (icol_expr "c");
-      pr "      %s\n" (lane ~row:0 "c");
-      pr "    }\n";
-      pr "  }\n"
-    end
-    else begin
-      pr "  long base = %s;\n" (base_expr ~nd ~halo ~strides);
-      pr "  for (long c = 0; c < len; c++) {\n";
-      pr "    const long icol = %s;\n" (icol_expr "c");
-      pr "    %s\n" (lane ~row:0 "c");
+      pr "    }\n"
+    done;
+    pr "  }\n"
+  in
+  if npasses > 1 then
+    pr "  double msc_acc[%d], msc_part[%d];\n" strip_cols strip_cols;
+  for d = 0 to last - 2 do
+    pr "  for (long i%d = l%d; i%d < h%d; i%d++) {\n" d d d d d
+  done;
+  if nd >= 2 then begin
+    let r = last - 1 in
+    pr "  long i%d = l%d;\n" r r;
+    (* A single pass blocks rows by 4: each column iteration runs four
+       independent accumulator chains while the column loop stays
+       contiguous and auto-vectorizable (a manual column unroll defeats
+       vectorization and measured ~2x slower). Without the block, tree-mode
+       pipeline steps measured ~1.5x slower. Passes stay unblocked: each
+       has up to 16 independent products, and a block would quadruple the
+       source of a long sweep. *)
+    if npasses = 1 then begin
+      pr "  for (; i%d + 3 < h%d; i%d += 4) {\n" r r r;
+      rows_body 4;
       pr "  }\n"
     end;
-    for _ = 0 to last - 2 do
-      pr "  }\n"
-    done
-  in
-  pr "  if (wb == 0) {\n";
-  emit_nest lane_wt;
-  pr "  } else {\n";
-  emit_nest lane_acc;
-  pr "  }\n";
+    pr "  for (; i%d < h%d; i%d++) {\n" r r r;
+    rows_body 1;
+    pr "  }\n"
+  end
+  else rows_body 1;
+  for _ = 0 to last - 2 do
+    pr "  }\n"
+  done;
   pr "}\n";
   Buffer.contents buf
 
@@ -966,9 +1023,10 @@ let c_sweep_cmd ~tc ~dir ~src ~out ~log =
     (Filename.quote log) (flags "") (Filename.quote log)
 
 (* Shared build skeleton: serve the artifact from disk when present, else
-   emit the source, run the toolchain and atomically install the result.
-   [emit] may raise [Unsupported]; the toolchain paths return [Error]. *)
-let build_shared ~dir ~base ~art_ext ~src_ext ~tool ~cmd ~emit ~load =
+   emit the source, run the toolchain and atomically install the result
+   inside a ["jit.compile"] span. [emit] may raise [Unsupported]; the
+   toolchain paths return [Error]. *)
+let build_shared ~trace ~dir ~base ~art_ext ~src_ext ~tool ~cmd ~emit ~load =
   let art = Filename.concat dir (base ^ art_ext) in
   if Sys.file_exists art then begin
     incr disk_hits;
@@ -978,82 +1036,59 @@ let build_shared ~dir ~base ~art_ext ~src_ext ~tool ~cmd ~emit ~load =
     match tool () with
     | Error msg -> Error msg
     | Ok tc ->
-        let src = base ^ src_ext in
-        write_atomic ~dir ~dst:(Filename.concat dir src) (emit ());
-        let tmp = Filename.temp_file ~temp_dir:dir base art_ext in
-        let log = base ^ ".log" in
-        if Sys.command (cmd ~tc ~dir ~src ~out:(Filename.basename tmp) ~log) <> 0
-        then begin
-          (try Sys.remove tmp with Sys_error _ -> ());
-          Error (tc ^ " failed: " ^ read_log (Filename.concat dir log))
-        end
-        else begin
-          Sys.rename tmp art;
-          incr compiles;
-          load art
-        end
+        let built =
+          Msc_trace.span trace "jit.compile" (fun () ->
+              let src = base ^ src_ext in
+              write_atomic ~dir ~dst:(Filename.concat dir src) (emit ());
+              let tmp = Filename.temp_file ~temp_dir:dir base art_ext in
+              let log = base ^ ".log" in
+              if
+                Sys.command (cmd ~tc ~dir ~src ~out:(Filename.basename tmp) ~log)
+                <> 0
+              then begin
+                (try Sys.remove tmp with Sys_error _ -> ());
+                Error (tc ^ " failed: " ^ read_log (Filename.concat dir log))
+              end
+              else begin
+                Sys.rename tmp art;
+                incr compiles;
+                Ok ()
+              end)
+        in
+        Result.bind built (fun () -> load art)
 
-let load_native ~base art =
-  try
-    Dynlink.loadfile_private art;
-    Ok (Obj.obj (named_value ("msc_jit_" ^ base)))
-  with
-  | Dynlink.Error e -> Error ("dynlink: " ^ Dynlink.error_message e)
-  | Not_found -> Error "loaded kernel did not register itself"
-  | Failure m -> Error m
-
-let build_native ~dir ~base ~halo ~strides interp :
-    (Backend.kernel_fn, string) result =
-  build_shared ~dir ~base ~art_ext:".cmxs" ~src_ext:".ml" ~tool:ocaml_tool
-    ~cmd:ocaml_cmd
-    ~emit:(fun () -> emit_ocaml ~base ~halo ~strides interp)
-    ~load:(fun art -> load_native ~base art)
-
-let build_c ~dir ~base ~halo ~strides interp :
-    (Backend.kernel_fn, string) result =
-  build_shared ~dir ~base ~art_ext:".so" ~src_ext:".c" ~tool:c_tool ~cmd:c_cmd
-    ~emit:(fun () -> emit_c ~base ~halo ~strides interp)
-    ~load:(fun art ->
+let build_ocaml ~trace ~dir ~base emit =
+  build_shared ~trace ~dir ~base ~art_ext:".cmxs" ~src_ext:".ml"
+    ~tool:ocaml_tool ~cmd:ocaml_cmd ~emit ~load:(fun art ->
       try
-        let fn = dlopen_sym art "msc_kernel" in
-        Ok
-          (fun wb scale src dst aux lo hi ->
-            c_call fn wb scale src dst aux lo hi)
-      with Failure m -> Error ("dlopen: " ^ m))
+        Dynlink.loadfile_private art;
+        Ok (Obj.obj (named_value ("msc_jit_" ^ base)))
+      with
+      | Dynlink.Error e -> Error ("dynlink: " ^ Dynlink.error_message e)
+      | Not_found -> Error "loaded kernel did not register itself"
+      | Failure m -> Error m)
 
-let build_native_sweep ~dir ~base ~halo ~strides terms :
-    (Backend.sweep_fn, string) result =
-  build_shared ~dir ~base ~art_ext:".cmxs" ~src_ext:".ml" ~tool:ocaml_tool
-    ~cmd:ocaml_cmd
-    ~emit:(fun () -> emit_ocaml_sweep ~base ~halo ~strides terms)
-    ~load:(fun art -> load_native ~base art)
-
-let build_c_sweep ~dir ~base ~halo ~strides terms :
-    (Backend.sweep_fn, string) result =
-  build_shared ~dir ~base ~art_ext:".so" ~src_ext:".c" ~tool:c_tool
-    ~cmd:c_sweep_cmd
-    ~emit:(fun () ->
-      emit_c_sweep_src ~fn_name:"msc_sweep" ~halo ~strides terms)
-    ~load:(fun art ->
-      try
-        let fn = dlopen_sym art "msc_sweep" in
-        Ok
-          (fun wb srcs dst aux lo hi -> c_call_sweep fn wb srcs dst aux lo hi)
-      with Failure m -> Error ("dlopen: " ^ m))
+(* [wrap] turns the resolved entry point [sym] into the OCaml-side
+   function. *)
+let build_cc ~trace ~dir ~base ~cmd ~sym emit wrap =
+  build_shared ~trace ~dir ~base ~art_ext:".so" ~src_ext:".c" ~tool:c_tool ~cmd
+    ~emit ~load:(fun art ->
+      try Ok (wrap (dlopen_sym art sym)) with Failure m -> Error ("dlopen: " ^ m))
 
 (* {2 Compilation driver} *)
 
 (* Forms the emitters reject up front (tree kernels are validated during
    emission instead — their unsupported constructs surface as
-   [Unsupported] from the expression renderers). *)
-let check_spec (spec : Interp.spec) =
+   [Unsupported] from the expression renderers). Only the per-term ABI
+   spends an aux slot per bilinear subterm. *)
+let check_spec ~per_term (spec : Interp.spec) =
   match spec with
   | Spec_tree -> ()
   | Spec_taps { taps_coeffs; _ } ->
       if not (Array.for_all Float.is_finite taps_coeffs) then
         unsupported "non-finite tap coefficient"
   | Spec_bilinear b ->
-      if Array.length b.bil_coeffs > max_aux then
+      if per_term && Array.length b.bil_coeffs > max_aux then
         unsupported "too many bilinear terms for the C calling convention";
       if not (Array.for_all Float.is_finite b.bil_coeffs) then
         unsupported "non-finite bilinear coefficient"
@@ -1088,7 +1123,27 @@ let classified f =
       incr failures_toolchain;
       Error (Printexc.to_string e)
 
-let compile_term ~backend ~plan_digest ~term_index interp =
+(* The memo-then-disk-then-build lookup every compile entry point shares,
+   inside one ["jit.lookup"] span. [build ~dir] may raise [Unsupported]. *)
+let cached ~trace table ~backend ~base build =
+  let memo_key = Backend.to_string backend ^ ":" ^ base in
+  Msc_trace.span trace "jit.lookup" (fun () ->
+      with_lock (fun () ->
+          match Hashtbl.find_opt table memo_key with
+          | Some fn ->
+              incr memo_hits;
+              Ok fn
+          | None ->
+              let dir = cache_dir () in
+              (try mkdir_p dir with _ -> ());
+              let result = classified (fun () -> build ~dir) in
+              Result.iter (Hashtbl.replace table memo_key) result;
+              result))
+
+let digest parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
+
+let compile_term ?(trace = Msc_trace.disabled) ~backend ~plan_digest
+    ~term_index interp =
   match (backend : Backend.t) with
   | Interp -> Error "interpreter backend compiles nothing"
   | (Native_ocaml | Compiled_c) as b ->
@@ -1098,49 +1153,30 @@ let compile_term ~backend ~plan_digest ~term_index interp =
          plan digest alone is not enough because distributed ranks
          compile per-rank geometries under related plans. *)
       let key =
-        Digest.to_hex
-          (Digest.string
-             (String.concat "\x00"
-                [
-                  plan_digest;
-                  emitter_version;
-                  string_of_int term_index;
-                  Marshal.to_string
-                    ( Interp.shape interp,
-                      halo,
-                      strides,
-                      spec,
-                      term_extra interp )
-                    [];
-                ]))
+        digest
+          [
+            plan_digest;
+            emitter_version;
+            string_of_int term_index;
+            Marshal.to_string
+              (Interp.shape interp, halo, strides, spec, term_extra interp)
+              [];
+          ]
       in
       let base =
         Printf.sprintf "msc_kern_%s_%s_t%d" emitter_version key term_index
       in
-      let memo_key = Backend.to_string b ^ ":" ^ base in
-      with_lock (fun () ->
-          match Hashtbl.find_opt memo memo_key with
-          | Some fn ->
-              incr memo_hits;
-              Ok fn
-          | None -> (
-              let dir = cache_dir () in
-              (try mkdir_p dir with _ -> ());
-              let result =
-                classified (fun () ->
-                    check_spec spec;
-                    match b with
-                    | Backend.Native_ocaml ->
-                        build_native ~dir ~base ~halo ~strides interp
-                    | Backend.Compiled_c ->
-                        build_c ~dir ~base ~halo ~strides interp
-                    | Backend.Interp -> assert false)
-              in
-              match result with
-              | Ok fn ->
-                  Hashtbl.replace memo memo_key fn;
-                  result
-              | Error _ -> result))
+      cached ~trace memo ~backend:b ~base (fun ~dir ->
+          check_spec ~per_term:true spec;
+          match b with
+          | Backend.Native_ocaml ->
+              build_ocaml ~trace ~dir ~base (fun () ->
+                  emit_ocaml ~base ~halo ~strides interp)
+          | _ ->
+              build_cc ~trace ~dir ~base ~cmd:c_cmd ~sym:"msc_kernel"
+                (fun () -> emit_c ~base ~halo ~strides interp)
+                (fun fn wb scale src dst aux lo hi ->
+                  c_call fn wb scale src dst aux lo hi))
 
 let check_sweep terms =
   let nterms = List.length terms in
@@ -1153,7 +1189,9 @@ let check_sweep terms =
   List.iter
     (function
       | Sweep_state _ -> ()
-      | Sweep_kernel { interp; _ } -> check_spec (Interp.spec interp))
+      | Sweep_kernel { interp; _ } as term ->
+          check_spec ~per_term:false (Interp.spec interp);
+          if term_units term = 0 then unsupported "kernel term with no taps")
     terms
 
 let sweep_sig = function
@@ -1161,7 +1199,7 @@ let sweep_sig = function
   | Sweep_kernel { scale; interp } ->
       `Kernel (scale, Interp.spec interp, term_extra interp)
 
-let compile_sweep ~backend ~plan_digest terms =
+let compile_sweep ?(trace = Msc_trace.disabled) ~backend ~plan_digest terms =
   match (backend : Backend.t) with
   | Interp -> Error "interpreter backend compiles nothing"
   | (Native_ocaml | Compiled_c) as b -> (
@@ -1171,42 +1209,28 @@ let compile_sweep ~backend ~plan_digest terms =
           Error msg
       | Ok (shape, halo, strides) ->
           let key =
-            Digest.to_hex
-              (Digest.string
-                 (String.concat "\x00"
-                    [
-                      plan_digest;
-                      emitter_version;
-                      Marshal.to_string
-                        (shape, halo, strides, List.map sweep_sig terms)
-                        [];
-                    ]))
+            digest
+              [
+                plan_digest;
+                emitter_version;
+                Marshal.to_string
+                  (shape, halo, strides, List.map sweep_sig terms)
+                  [];
+              ]
           in
           let base = Printf.sprintf "msc_sweep_%s_%s" emitter_version key in
-          let memo_key = Backend.to_string b ^ ":" ^ base in
-          with_lock (fun () ->
-              match Hashtbl.find_opt sweep_memo memo_key with
-              | Some fn ->
-                  incr memo_hits;
-                  Ok fn
-              | None -> (
-                  let dir = cache_dir () in
-                  (try mkdir_p dir with _ -> ());
-                  let result =
-                    classified (fun () ->
-                        check_sweep terms;
-                        match b with
-                        | Backend.Native_ocaml ->
-                            build_native_sweep ~dir ~base ~halo ~strides terms
-                        | Backend.Compiled_c ->
-                            build_c_sweep ~dir ~base ~halo ~strides terms
-                        | Backend.Interp -> assert false)
-                  in
-                  match result with
-                  | Ok fn ->
-                      Hashtbl.replace sweep_memo memo_key fn;
-                      result
-                  | Error _ -> result)))
+          cached ~trace sweep_memo ~backend:b ~base (fun ~dir ->
+              check_sweep terms;
+              match b with
+              | Backend.Native_ocaml ->
+                  build_ocaml ~trace ~dir ~base (fun () ->
+                      emit_ocaml_sweep ~base ~halo ~strides terms)
+              | _ ->
+                  build_cc ~trace ~dir ~base ~cmd:c_sweep_cmd ~sym:"msc_sweep"
+                    (fun () ->
+                      emit_c_sweep_src ~fn_name:"msc_sweep" ~halo ~strides terms)
+                    (fun fn srcs dst aux lo hi ->
+                      c_call_sweep fn srcs dst aux lo hi)))
 
 let emit_c_sweep ~fn_name terms =
   match sweep_geometry terms with
@@ -1320,58 +1344,22 @@ let emit_c_reduce ~base ~halo ~strides =
   pr "}\n";
   Buffer.contents buf
 
-let build_native_reduce ~dir ~base ~halo ~strides :
-    (Backend.reduce_fn, string) result =
-  build_shared ~dir ~base ~art_ext:".cmxs" ~src_ext:".ml" ~tool:ocaml_tool
-    ~cmd:ocaml_cmd
-    ~emit:(fun () -> emit_ocaml_reduce ~base ~halo ~strides)
-    ~load:(fun art -> load_native ~base art)
-
-let build_c_reduce ~dir ~base ~halo ~strides :
-    (Backend.reduce_fn, string) result =
-  build_shared ~dir ~base ~art_ext:".so" ~src_ext:".c" ~tool:c_tool ~cmd:c_cmd
-    ~emit:(fun () -> emit_c_reduce ~base ~halo ~strides)
-    ~load:(fun art ->
-      try
-        let fn = dlopen_sym art "msc_reduce" in
-        Ok (fun op a b lo hi -> c_call_reduce fn op a b lo hi)
-      with Failure m -> Error ("dlopen: " ^ m))
-
-let compile_reduce ~backend ~shape ~halo ~strides =
+let compile_reduce ?(trace = Msc_trace.disabled) ~backend (g : Grid.t) =
   match (backend : Backend.t) with
   | Interp -> Error "interpreter backend compiles nothing"
   | (Native_ocaml | Compiled_c) as b ->
+      let shape = g.Grid.shape and halo = g.Grid.halo and strides = g.Grid.strides in
       let key =
-        Digest.to_hex
-          (Digest.string
-             (String.concat "\x00"
-                [
-                  "reduce";
-                  emitter_version;
-                  Marshal.to_string (shape, halo, strides) [];
-                ]))
+        digest
+          [ "reduce"; emitter_version; Marshal.to_string (shape, halo, strides) [] ]
       in
       let base = Printf.sprintf "msc_reduce_%s_%s" emitter_version key in
-      let memo_key = Backend.to_string b ^ ":" ^ base in
-      with_lock (fun () ->
-          match Hashtbl.find_opt reduce_memo memo_key with
-          | Some fn ->
-              incr memo_hits;
-              Ok fn
-          | None -> (
-              let dir = cache_dir () in
-              (try mkdir_p dir with _ -> ());
-              let result =
-                classified (fun () ->
-                    match b with
-                    | Backend.Native_ocaml ->
-                        build_native_reduce ~dir ~base ~halo ~strides
-                    | Backend.Compiled_c ->
-                        build_c_reduce ~dir ~base ~halo ~strides
-                    | Backend.Interp -> assert false)
-              in
-              match result with
-              | Ok fn ->
-                  Hashtbl.replace reduce_memo memo_key fn;
-                  result
-              | Error _ -> result))
+      cached ~trace reduce_memo ~backend:b ~base (fun ~dir ->
+          match b with
+          | Backend.Native_ocaml ->
+              build_ocaml ~trace ~dir ~base (fun () ->
+                  emit_ocaml_reduce ~base ~halo ~strides)
+          | _ ->
+              build_cc ~trace ~dir ~base ~cmd:c_cmd ~sym:"msc_reduce"
+                (fun () -> emit_c_reduce ~base ~halo ~strides)
+                (fun fn op a b lo hi -> c_call_reduce fn op a b lo hi))

@@ -6,15 +6,21 @@
     - [compile_term] emits a specialized kernel for one stencil term —
       flat-array loads/stores, per-radius unrolled taps, geometry
       constants baked in — loaded back as a {!Backend.kernel_fn};
-    - [compile_sweep] emits one {e fused} kernel for the whole sweep: every
-      term of the stencil update accumulated in a single pass over the
-      range through a per-point register accumulator, scales and writeback
-      folded in. The C emitter blocks the second-innermost loop by 4 rows
-      (independent accumulator chains for ILP while the contiguous
-      innermost loop stays auto-vectorizable) and compiles with the host's
-      native ISA when the compiler accepts it; the OCaml emitter unrolls
-      the innermost row by 4 instead. Loaded back as a {!Backend.sweep_fn}
-      and dispatched tile-task-at-a-time by {!Runtime.sweep}.
+    - [compile_sweep] emits one {e fused} write-through kernel for the
+      whole sweep: every term of the stencil update folded into a per-point
+      accumulator, scales baked in, [dst] written once. The C emitter
+      walks each row in strips of at most 512 columns and counts fold
+      units (one tap or bilinear product, or one whole tree or State
+      term): a sweep of at most 32 units is one pass with the
+      second-innermost loop blocked by 4 rows (independent accumulator
+      chains while the contiguous innermost loop stays auto-vectorizable);
+      a longer one runs as passes of at most 16 units, each one vectorized
+      column loop over the strip that resumes every point's accumulator
+      and current term partial from stack rows. It
+      compiles with the host's native ISA when the compiler accepts it; the
+      OCaml emitter unrolls the innermost row by 4 instead. Loaded back as
+      a {!Backend.sweep_fn} and dispatched tile-task-at-a-time by
+      {!Runtime.sweep_tasks}.
 
     Both are emitted from the same precompiled representation the
     interpreter executes ({!Interp.spec}, plus the kernel expression tree
@@ -38,6 +44,10 @@
     payloads). A process memo table short-circuits repeat compiles;
     artifacts are written with atomic renames so concurrent processes can
     share a cache directory.
+
+    Every compile entry point takes an optional [trace]: the whole lookup
+    is a ["jit.lookup"] span, and emitting plus running the toolchain for
+    an artifact not yet on disk is a nested ["jit.compile"] span.
 
     All failure modes return [Error reason]; callers fall back to the
     interpreter. {!stats} separates forms the emitters cannot express
@@ -94,6 +104,7 @@ val sweep_term_aux_names : Interp.t -> string list
 (** {1 Per-term kernels} *)
 
 val compile_term :
+  ?trace:Msc_trace.t ->
   backend:Backend.t ->
   plan_digest:string ->
   term_index:int ->
@@ -114,6 +125,7 @@ type sweep_term =
       (** a kernel term: [scale * K(src)] *)
 
 val compile_sweep :
+  ?trace:Msc_trace.t ->
   backend:Backend.t ->
   plan_digest:string ->
   sweep_term list ->
@@ -132,12 +144,12 @@ val emit_c_sweep : fn_name:string -> sweep_term list -> (string, string) result
 (** {1 Reduction kernels} *)
 
 val compile_reduce :
+  ?trace:Msc_trace.t ->
   backend:Backend.t ->
-  shape:int array ->
-  halo:int array ->
-  strides:int array ->
+  Grid.t ->
   (Backend.reduce_fn, string) result
-(** Emit + compile + load one reduction kernel for a grid geometry,
+(** Emit + compile + load one reduction kernel for the grid's geometry
+    (shape, halo, strides; its data is not read),
     covering all four {!Msc_ir.Reduce} operators (dispatched on
     {!Msc_ir.Reduce.code}). The accumulator chain is strictly sequential
     row-major — bit-identical to the interpreter reference in

@@ -6,7 +6,7 @@
  *   convention of Backend.kernel_fn. Grid data arrays are OCaml flat float
  *   arrays passed as double*; lo/hi/aux are unpacked into C locals before
  *   the call, so the kernel only ever sees raw C data.
- * - msc_jit_call_sweep: invoke a loaded fused whole-sweep kernel
+ * - msc_jit_call_sweep: invoke a loaded fused write-through sweep kernel
  *   (Backend.sweep_fn) — one source array per stencil term plus the
  *   concatenated aux slots, unpacked the same way.
  * - msc_jit_named_value: fetch the closure a Dynlink-loaded OCaml kernel
@@ -77,13 +77,12 @@ CAMLprim value msc_jit_call_bytecode(value *argv, int argn)
                              argv[5], argv[6], argv[7]);
 }
 
-typedef void (*msc_sweep_t)(long wb, const double **srcs, double *dst,
+typedef void (*msc_sweep_t)(const double **srcs, double *dst,
                             const double **aux, const long *lo,
                             const long *hi);
 
-CAMLprim value msc_jit_call_sweep_native(value fn, value wb, value srcs,
-                                         value dst, value aux, value lo,
-                                         value hi)
+CAMLprim value msc_jit_call_sweep_native(value fn, value srcs, value dst,
+                                         value aux, value lo, value hi)
 {
   const double *srcp[MSC_JIT_MAX];
   const double *auxp[MSC_JIT_MAX];
@@ -103,8 +102,8 @@ CAMLprim value msc_jit_call_sweep_native(value fn, value wb, value srcs,
     lov[i] = Long_val(Field(lo, i));
     hiv[i] = Long_val(Field(hi, i));
   }
-  ((msc_sweep_t)Nativeint_val(fn))(Long_val(wb), srcp,
-                                   (double *)Op_val(dst), auxp, lov, hiv);
+  ((msc_sweep_t)Nativeint_val(fn))(srcp, (double *)Op_val(dst), auxp, lov,
+                                   hiv);
   return Val_unit;
 }
 
@@ -112,7 +111,7 @@ CAMLprim value msc_jit_call_sweep_bytecode(value *argv, int argn)
 {
   (void)argn;
   return msc_jit_call_sweep_native(argv[0], argv[1], argv[2], argv[3],
-                                   argv[4], argv[5], argv[6]);
+                                   argv[4], argv[5]);
 }
 
 typedef double (*msc_reduce_t)(long op, const double *a, const double *b,

@@ -79,7 +79,8 @@ let partial ~op ?with_ (a : Grid.t) ~lo ~hi =
   end;
   !acc
 
-let create ?(config = Exec.Config.default) ?tasks (g : Grid.t) =
+let create ?(config = Exec.Config.default) ?(trace = Msc_trace.disabled) ?tasks
+    (g : Grid.t) =
   let shape = Array.copy g.Grid.shape in
   let halo = Array.copy g.Grid.halo in
   let strides = Array.copy g.Grid.strides in
@@ -102,7 +103,7 @@ let create ?(config = Exec.Config.default) ?tasks (g : Grid.t) =
     match config.Exec.Config.backend with
     | Backend.Interp -> (None, None)
     | (Backend.Native_ocaml | Backend.Compiled_c) as b -> (
-        match Jit.compile_reduce ~backend:b ~shape ~halo ~strides with
+        match Jit.compile_reduce ~trace ~backend:b g with
         | Ok fn -> (Some fn, None)
         | Error msg -> (None, Some msg))
   in

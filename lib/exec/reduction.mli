@@ -17,6 +17,7 @@ type t
 
 val create :
   ?config:Exec.Config.t ->
+  ?trace:Msc_trace.t ->
   ?tasks:(int array * int array) array ->
   Grid.t ->
   t
@@ -28,7 +29,8 @@ val create :
     usual operator semantics, though any box list inside the interior is
     accepted (e.g. for partial-domain norms). [config] supplies the
     backend (compiled backends fall back to the interpreter per the usual
-    rules) and the pool that fills partials.
+    rules) and the pool that fills partials. [trace] receives the kernel
+    compiler's ["jit.lookup"]/["jit.compile"] spans.
     @raise Invalid_argument when a task box exceeds the interior. *)
 
 val run : t -> op:Msc_ir.Reduce.op -> ?with_:Grid.t -> Grid.t -> float

@@ -17,8 +17,6 @@ type kernel_exec = {
 type term = { scale : float; source : source; dt : int }
 and source = From_kernel of kernel_exec | From_state
 
-type engine = Write_through | Zero_accumulate
-
 (* ------------------------------------------------------------------ *)
 (* Pipeline graph execution state. A graph runtime reuses the window /
    BC / rotation machinery of [t] (the stepped source grid behaves
@@ -154,11 +152,11 @@ type t = {
   tiles : (int array * int array) array;
   par : [ `Seq | `Block | `Round_robin ];
   pool : Msc_util.Domain_pool.t;
-  engine : engine;
-  (* The fused whole-sweep kernel, when the backend compiled one: a single
-     pass accumulating every term. [fused_srcs] holds one source array per
-     term and is refreshed per dispatch (the window rotates between steps);
-     [fused_aux] concatenates every term's aux slots and is static. *)
+  (* The fused whole-sweep kernel, when the backend compiled one: every
+     term folded into one write-through call per task. [fused_srcs] holds
+     one source array per term and is refreshed per dispatch (the window
+     rotates between steps); [fused_aux] concatenates every term's aux
+     slots and is static. *)
   fused : Backend.sweep_fn option;
   fused_srcs : float array array;
   fused_aux : float array array;
@@ -216,8 +214,8 @@ let default_init _dt coord =
 
 let create ?plan ?schedule ?(config = Exec.Config.default)
     ?(init = default_init) ?(aux_init = default_aux_init)
-    ?(bc = Bc.Dirichlet 0.0) ?(engine = Write_through)
-    ?(trace = Msc_trace.disabled) ?(tid = 0) (st : Stencil.t) =
+    ?(bc = Bc.Dirichlet 0.0) ?(trace = Msc_trace.disabled) ?(tid = 0)
+    (st : Stencil.t) =
   let geometry = Grid.of_tensor st.Stencil.grid in
   let w = Stencil.time_window st in
   let window = Array.init (w + 1) (fun _ -> Grid.like geometry) in
@@ -299,7 +297,8 @@ let create ?plan ?schedule ?(config = Exec.Config.default)
     then None
     else
       match
-        Jit.compile_sweep ~backend ~plan_digest:plan.Plan.digest sweep_terms
+        Jit.compile_sweep ~trace ~backend ~plan_digest:plan.Plan.digest
+          sweep_terms
       with
       | Ok fn -> Some fn
       | Error _ -> None
@@ -338,8 +337,8 @@ let create ?plan ?schedule ?(config = Exec.Config.default)
               end
               else
                 match
-                  Jit.compile_term ~backend ~plan_digest:plan.Plan.digest
-                    ~term_index:i interp
+                  Jit.compile_term ~trace ~backend
+                    ~plan_digest:plan.Plan.digest ~term_index:i interp
                 with
                 | Ok fn ->
                     incr compiled_terms;
@@ -417,7 +416,6 @@ let create ?plan ?schedule ?(config = Exec.Config.default)
     tiles;
     par;
     pool = config.Exec.Config.pool;
-    engine;
     fused;
     fused_srcs;
     fused_aux;
@@ -562,8 +560,8 @@ let create_graph ?graph_plan ?schedule ?(config = Exec.Config.default)
       then None
       else
         match
-          Jit.compile_sweep ~backend ~plan_digest:sp.Plan.gs_plan.Plan.digest
-            sweep_terms
+          Jit.compile_sweep ~trace ~backend
+            ~plan_digest:sp.Plan.gs_plan.Plan.digest sweep_terms
         with
         | Ok fn ->
             incr fused_stages;
@@ -647,7 +645,6 @@ let create_graph ?graph_plan ?schedule ?(config = Exec.Config.default)
     tiles = stages.(Array.length stages - 1).sx_tasks;
     par;
     pool = config.Exec.Config.pool;
-    engine = Write_through;
     fused = None;
     fused_srcs = [||];
     fused_aux = [||];
@@ -729,18 +726,14 @@ let term_write t ~dst ~lo ~hi term =
       Interp.apply_scaled_range ~aux:t.aux interp ~scale:term.scale ~src ~dst ~lo ~hi
   | From_state -> Interp.identity_apply_range ~scale:term.scale ~src ~dst ~lo ~hi
 
+(* The first term overwrites the range, so a step needs no zero pass;
+   later terms accumulate. *)
 let compute_range_terms t ~dst ~lo ~hi =
-  match (t.engine, t.terms) with
-  | Write_through, first :: rest ->
-      (* The first term overwrites the range, so [step] needs no zero pass —
-         that pass plus the first term's read-modify-write were a full extra
-         round trip over the output grid per step. Later terms accumulate as
-         before; agreement with the zero-accumulate engine is bit-exact
-         ([0.0 +. x = x]). *)
+  match t.terms with
+  | first :: rest ->
       term_write t ~dst ~lo ~hi first;
       List.iter (term_accumulate t ~dst ~lo ~hi) rest
-  | Write_through, [] | Zero_accumulate, _ ->
-      List.iter (term_accumulate t ~dst ~lo ~hi) t.terms
+  | [] -> ()
 
 let compute_range t ~dst ~lo ~hi =
   match t.fused with
@@ -756,12 +749,7 @@ let compute_range t ~dst ~lo ~hi =
               Interp.check_range interp ~lo ~hi
           | From_state -> ())
         t.terms;
-      let wb =
-        match t.engine with
-        | Write_through -> Backend.wb_apply
-        | Zero_accumulate -> Backend.wb_accumulate
-      in
-      fn wb t.fused_srcs dst.Grid.data t.fused_aux lo hi
+      fn t.fused_srcs dst.Grid.data t.fused_aux lo hi
   | None -> compute_range_terms t ~dst ~lo ~hi
 
 let sweep_memo t tasks =
@@ -829,16 +817,8 @@ let sweep_tasks_into t ~dst tasks =
       Msc_util.Domain_pool.parallel_chunks ?on_worker:t.on_worker t.pool ~lo:0
         ~hi:ntiles (fun ~worker:_ id -> sweep_one t ~dst tasks.(id))
 
-let begin_step t =
-  (* The zero pass only exists for the zero-accumulate engine, and only the
-     interior needs it: every halo cell of [dst] is rewritten by [Bc.apply]
-     in [finish_step] before the grid is ever read as an input state (the
-     distributed runtime additionally overwrites exchanged faces). Zeroing
-     the whole interior up front keeps later [sweep_tasks] phases free to
-     accumulate into any sub-range. *)
-  match t.engine with
-  | Write_through -> ()
-  | Zero_accumulate -> Grid.fill_interior (output_slot t) 0.0
+(* Sweeps write through, so the output slot needs no preparation. *)
+let begin_step (_ : t) = ()
 
 let sweep_tasks t tasks = sweep_tasks_into t ~dst:(output_slot t) tasks
 
@@ -915,7 +895,7 @@ let stage_compute_range t gx sx ~dst ~lo ~hi =
               Interp.check_range interp ~lo ~hi
           | None -> ())
         sx.sx_terms;
-      fn Backend.wb_apply sx.sx_fused_srcs dst.Grid.data sx.sx_fused_aux lo hi
+      fn sx.sx_fused_srcs dst.Grid.data sx.sx_fused_aux lo hi
   | None -> (
       let aux = stage_aux t sx in
       match sx.sx_terms with
@@ -982,7 +962,6 @@ let sweep_graph_stage t i tasks =
 
 let step_graph t =
   let gx = graph_exec t in
-  begin_step t;
   Array.iter (fun sx -> sweep_stage_tasks t sx sx.sx_tasks) gx.gx_stages;
   finish_step t
 
@@ -990,7 +969,6 @@ let step t =
   match t.graph with
   | Some _ -> step_graph t
   | None ->
-      begin_step t;
       sweep_tasks t t.tiles;
       finish_step t
 

@@ -7,15 +7,6 @@
 
 type t
 
-type engine = Write_through | Zero_accumulate
-(** How a step materialises the output grid. [Write_through] (the default)
-    has the first stencil term overwrite each tile directly
-    ({!Interp.apply_scaled_range}) and later terms accumulate — no zero
-    pass, one full memory round trip over the output grid saved per step.
-    [Zero_accumulate] is the legacy engine: zero the interior
-    ({!Grid.fill_interior}), then accumulate every term. The two agree
-    bit-exactly; the legacy engine is retained for parity tests. *)
-
 val default_init : int -> int array -> float
 (** The default initial condition: a deterministic smooth field, identical
     for every past state ([dt] is ignored). *)
@@ -69,7 +60,6 @@ val create :
   ?init:(int -> int array -> float) ->
   ?aux_init:(string -> int array -> float) ->
   ?bc:Bc.t ->
-  ?engine:engine ->
   ?trace:Msc_trace.t ->
   ?tid:int ->
   Msc_ir.Stencil.t -> t
@@ -95,7 +85,9 @@ val create :
     ["sweep.points"] counter; parallel sweeps propagate a per-worker sink
     through the pool's [on_worker] hook, so worker spans carry their worker
     id as [tid]. Sequential spans carry [tid] (default 0 — the distributed
-    runtime labels each rank's runtime with its rank). An enabled trace is
+    runtime labels each rank's runtime with its rank). Kernel compilation
+    records ["jit.lookup"] spans, with a nested ["jit.compile"] span for
+    each artifact the toolchain actually builds. An enabled trace is
     additionally tagged with the plan's metadata ([plan.tiles],
     [plan.working_set_bytes], [plan.reuse_factor] counters).
     @raise Invalid_argument if the schedule is illegal for the stencil's
@@ -130,20 +122,21 @@ val steps_done : t -> int
 
 val step : t -> unit
 (** Advance one timestep: compute the new state from the window, slide the
-    window. Equivalent to [begin_step t; sweep_tasks t (tiles t);
-    finish_step t]. *)
+    window. Equivalent to [sweep_tasks t (tiles t); finish_step t]. *)
 
 (** {1 Split stepping}
 
     A step decomposed into phases, for callers that interleave other work
     (the distributed runtime hides its halo exchange behind an interior
-    sub-sweep). One step = [begin_step], then [sweep_tasks] calls whose task
+    sub-sweep). One step = [sweep_tasks] calls whose task
     arrays together cover {!tiles} exactly once (in any order and split —
     every cell depends only on the input window, so the result is
     bit-identical to {!step}), then [finish_step]. *)
 
 val begin_step : t -> unit
-(** Prepare the output slot (the zero pass, when the engine needs one). *)
+(** Does nothing. Sweeps write through (the first term overwrites, later
+    terms accumulate), so a step needs no preparation; this stays only for
+    callers written against an earlier begin / sweep / finish protocol. *)
 
 val sweep_tasks : t -> (int array * int array) array -> unit
 (** Sweep the given (lo, hi) task ranges into the output slot under the
@@ -207,7 +200,7 @@ val graph_plan : t -> Msc_schedule.Plan.graph_plan option
 (** The lowered graph plan, when this is a graph runtime. *)
 
 val step_graph : t -> unit
-(** One pipeline step: [begin_step]; sweep every stage in topological
+(** One pipeline step: sweep every stage in topological
     order over its extended tasks; [finish_step]. {!step} delegates here
     on graph runtimes.
     @raise Invalid_argument on a non-graph runtime. *)
@@ -216,7 +209,7 @@ val graph_stage_count : t -> int
 
 val graph_stage_tasks : t -> int -> (int array * int array) array
 (** Stage [i]'s extended task array (topological index). Sweeping any
-    partition of these between {!begin_step} and {!finish_step}, stages
+    partition of these before {!finish_step}, stages
     in order, reproduces {!step_graph} bit-exactly — the distributed
     runtime splits stage 0 against its radius to overlap the exchange. *)
 

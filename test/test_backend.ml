@@ -260,10 +260,9 @@ let jit_fn_matches_interp =
 (* --- Direct fused-sweep parity (qcheck) ---
 
    A two-term sweep (identity + kernel) compiled as one fused function,
-   exercised over random subranges and both writeback modes against the
-   interpreter's equivalent pass sequence: the identity writeback done by
-   hand exactly as [Runtime]'s engines do it, the kernel term through
-   [Interp.accumulate_range]. *)
+   exercised over random subranges against the interpreter's write-through
+   pass sequence: the identity term written as [Runtime] writes it, the
+   kernel term through [Interp.accumulate_range]. *)
 
 let fused_sweep_matches_interp =
   let k, st = stencil_2d9pt_box ~m:10 ~n:12 () in
@@ -292,22 +291,9 @@ let fused_sweep_matches_interp =
                    (Backend.to_string backend) msg)
          compiled_backends)
   in
-  let iter_range ~lo ~hi f =
-    let c = Array.copy lo in
-    let rec go d =
-      if d = Array.length lo then f c
-      else
-        for v = lo.(d) to hi.(d) - 1 do
-          c.(d) <- v;
-          go (d + 1)
-        done
-    in
-    go 0
-  in
-  qc ~count:60 "fused sweep == interp sequence on random ranges/writeback"
-    QCheck.(
-      triple (int_range 0 1) (int_range 0 1000) (pair small_int small_int))
-    (fun (wb_sel, seed, (a, b)) ->
+  qc ~count:60 "fused sweep == interp sequence on random ranges"
+    QCheck.(pair (int_range 0 1000) (pair small_int small_int))
+    (fun (seed, (a, b)) ->
       let lo = Array.map (fun n -> (a * 7) mod n) shape in
       let hi =
         Array.mapi (fun d n -> lo.(d) + 1 + ((b * 5) + d) mod (n - lo.(d))) shape
@@ -326,25 +312,158 @@ let fused_sweep_matches_interp =
         g
       in
       let expected = mk () in
-      (* The identity term, written exactly as the engines do. *)
-      (if wb_sel = 0 then
-         iter_range ~lo ~hi (fun c ->
-             Grid.set expected c (0.5 *. Grid.get state_src c))
-       else
-         iter_range ~lo ~hi (fun c ->
-             Grid.set expected c
-               (Grid.get expected c +. (0.5 *. Grid.get state_src c))));
+      Interp.identity_apply_range ~scale:0.5 ~src:state_src ~dst:expected ~lo ~hi;
       Interp.accumulate_range ~aux:[] interp ~scale:0.75 ~src:kernel_src
         ~dst:expected ~lo ~hi;
       List.for_all
         (fun (_, fn) ->
           let got = mk () in
-          let wb = if wb_sel = 0 then Backend.wb_apply else Backend.wb_accumulate in
-          fn wb
+          fn
             [| state_src.Grid.data; kernel_src.Grid.data |]
             got.Grid.data [||] lo hi;
           got.Grid.data = expected.Grid.data)
         (Lazy.force fns))
+
+(* --- Tap-group passes (qcheck) ---
+
+   Random sweeps of two taps or bilinear kernel terms, sometimes with a
+   State term between them, of 2 to 401 fold units: long sweeps run as
+   passes, cut both inside terms and on term boundaries. Arities the
+   interpreter unrolls (3/5/7/9/13) alternate with [0.0 +]-led ones, the
+   first term's scale is often exactly 1.0, and ranges run wider than one
+   strip, shorter than the 4-row block, and into the halo. A quarter of
+   the cases read grids of -0.0 through positive coefficients, where only
+   the exact lead and fold order give the interpreter's signed zeros. The
+   compiled C sweep must match the interpreter's write-through sequence
+   bit for bit. *)
+
+let passes_match_interp =
+  let rows = 7 and cols = 1100 in
+  let grid = Builder.def_tensor_2d ~time_window:2 ~halo:8 "B" Msc_ir.Dtype.F64 rows cols in
+  let coeff = Builder.coefficient_grid ~grid "C" in
+  let geometry = Grid.of_tensor grid in
+  (* Radius-7 offsets inside a halo of 8: ranges may start at -1. *)
+  let offsets = Array.init 225 (fun k -> [| (k / 15) - 7; (k mod 15) - 7 |]) in
+  let random_kernel rs ~zeros name =
+    let arity =
+      match Random.State.int rs 3 with
+      | 0 -> [| 3; 5; 7; 9; 13 |].(Random.State.int rs 5)
+      | 1 -> 1 + Random.State.int rs 12
+      | _ -> 1 + Random.State.int rs 200
+    in
+    let c () =
+      Msc_ir.Expr.f
+        (if zeros then 0.125 +. Random.State.float rs 1.0
+         else Random.State.float rs 2.0 -. 1.0)
+    in
+    let pick () = offsets.(Random.State.int rs 225) in
+    let taps = Random.State.bool rs in
+    let products =
+      if taps then begin
+        (* Distinct offsets, so no two taps merge. *)
+        let perm = Array.copy offsets in
+        for k = Array.length perm - 1 downto 1 do
+          let j = Random.State.int rs (k + 1) in
+          let x = perm.(k) in
+          perm.(k) <- perm.(j);
+          perm.(j) <- x
+        done;
+        List.init arity (fun k -> Msc_ir.Expr.(c () * read "B" perm.(k)))
+      end
+      else
+        List.init arity (fun k ->
+            Msc_ir.Expr.(
+              match if k = 0 then 0 else Random.State.int rs 3 with
+              | 0 -> c () * read "C" (pick ()) * read "B" (pick ())
+              | 1 -> c () * read "B" (pick ())
+              | _ -> c () * read "C" (pick ())))
+    in
+    let expr =
+      List.fold_left Msc_ir.Expr.( + ) (List.hd products) (List.tl products)
+    in
+    let aux = if taps then [] else [ coeff ] in
+    Interp.compile ~geometry
+      (Msc_ir.Kernel.make ~aux ~name ~input:grid
+         ~index_vars:(Builder.default_index_vars 2) expr)
+  in
+  let random_grid rs ~zeros ~halo_too =
+    let g = Grid.of_tensor grid in
+    let v _ =
+      match if zeros then 1 else Random.State.int rs 8 with
+      | 0 -> 0.0
+      | 1 -> -0.0
+      | _ -> Random.State.float rs 4.0 -. 2.0
+    in
+    if halo_too then Grid.fill_extended g v else Grid.fill g v;
+    g
+  in
+  qc ~count:24 "tap-group passes == interp on random long sweeps"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      if not (toolchain_for Backend.Compiled_c) then true
+      else begin
+        let rs = Random.State.make [| seed |] in
+        let scale () =
+          if Random.State.bool rs then 1.0 else Random.State.float rs 3.0 -. 1.5
+        in
+        let zeros = Random.State.int rs 4 = 0 in
+        let k0 = random_kernel rs ~zeros "P0" in
+        let k1 = random_kernel rs ~zeros "P1" in
+        let random_grid = random_grid rs ~zeros in
+        let with_state = Random.State.int rs 3 = 0 in
+        (* (term, its source grid) in stencil term order *)
+        let terms =
+          [ (Jit.Sweep_kernel { scale = scale (); interp = k0 }, random_grid ~halo_too:true) ]
+          @ (if with_state then
+               [ (Jit.Sweep_state { scale = scale () }, random_grid ~halo_too:false) ]
+             else [])
+          @ [ (Jit.Sweep_kernel { scale = scale (); interp = k1 }, random_grid ~halo_too:true) ]
+        in
+        let cgrid = random_grid ~halo_too:true in
+        let aux = [ ("C", cgrid) ] in
+        let shape = [| rows; cols |] in
+        let lo = Array.map (fun n -> Random.State.int rs (n + 1) - 1) shape in
+        let hi =
+          Array.mapi (fun d n -> lo.(d) + 1 + Random.State.int rs (n + 1 - lo.(d))) shape
+        in
+        let dst () =
+          let g = Grid.of_tensor grid in
+          Grid.fill_all g 3.0;
+          g
+        in
+        let expected = dst () in
+        List.iteri
+          (fun t (term, src) ->
+            match (term, t) with
+            | Jit.Sweep_kernel { scale; interp }, 0 ->
+                Interp.apply_scaled_range ~aux interp ~scale ~src ~dst:expected ~lo ~hi
+            | Jit.Sweep_kernel { scale; interp }, _ ->
+                Interp.accumulate_range ~aux interp ~scale ~src ~dst:expected ~lo ~hi
+            | Jit.Sweep_state { scale }, _ ->
+                Interp.identity_accumulate_range ~scale ~src ~dst:expected ~lo ~hi)
+          terms;
+        match
+          Jit.compile_sweep ~backend:Backend.Compiled_c ~plan_digest:"test-passes"
+            (List.map fst terms)
+        with
+        | Error msg -> QCheck.Test.fail_reportf "compile_sweep: %s" msg
+        | Ok fn ->
+            let got = dst () in
+            let aux_data =
+              List.concat_map
+                (function
+                  | Jit.Sweep_kernel { interp; _ }, _ ->
+                      List.map (fun _ -> cgrid.Grid.data) (Jit.sweep_term_aux_names interp)
+                  | Jit.Sweep_state _, _ -> [])
+                terms
+            in
+            fn
+              (Array.of_list (List.map (fun (_, g) -> g.Grid.data) terms))
+              got.Grid.data (Array.of_list aux_data) lo hi;
+            Array.for_all2
+              (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+              got.Grid.data expected.Grid.data
+      end)
 
 (* --- Forms beyond taps: tree mode and unnamed-aux bilinear ---
 
@@ -366,7 +485,8 @@ let stencil_tree_2d ?(n = 12) () =
   Builder.two_step ~name:"tree2d" k
 
 (* Tree mode reading a coefficient grid: aux slots flow through the tree
-   ABI (C * B * B is not bilinear -- two input factors). *)
+   ABI (C * B * B is not bilinear -- two input factors). The row index [j]
+   term pins each lane of the C sweep's 4-row block to its own row. *)
 let stencil_tree_aux_2d ?(n = 10) () =
   let grid = Builder.def_tensor_2d ~time_window:2 ~halo:1 "B" Msc_ir.Dtype.F64 n n in
   let coeff = Builder.coefficient_grid ~grid "C" in
@@ -375,7 +495,8 @@ let stencil_tree_aux_2d ?(n = 10) () =
       ~index_vars:[ "j"; "i" ]
       Msc_ir.Expr.(
         (read "C" [| 0; 0 |] * read "B" [| 0; 0 |] * read "B" [| 0; 0 |])
-        + (f 0.2 * read "B" [| 0; 1 |]))
+        + (f 0.2 * read "B" [| 0; 1 |])
+        + (f 0.01 * Var "j"))
   in
   Builder.two_step ~name:"treeaux2d" k
 
@@ -554,6 +675,40 @@ let cache_compiles_once () =
         check_bool "served from the on-disk cache" true
           (s3.Jit.disk_hits > s2.Jit.disk_hits))
 
+(* --- JIT spans: a cold create compiles once, a warm one only looks up --- *)
+
+let jit_spans_cold_then_warm () =
+  if not (toolchain_for Backend.Compiled_c) then ()
+  else
+    let dir =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "msc-test-kernels-spans-%d" (Unix.getpid ()))
+    in
+    with_cache_dir dir (fun () ->
+        let _, st = stencil_3d7pt ~n:8 () in
+        let create () =
+          let trace = Msc_trace.create () in
+          ignore
+            (Runtime.create ~trace
+               ~config:(Exec.Config.make ~backend:Backend.Compiled_c ())
+               st);
+          trace
+        in
+        let spans trace name =
+          List.length
+            (List.filter
+               (function
+                 | Msc_trace.Span { name = n; _ } -> String.equal n name
+                 | Msc_trace.Counter _ -> false)
+               (Msc_trace.events trace))
+        in
+        let cold = create () in
+        check_int "cold create: one jit.compile span" 1 (spans cold "jit.compile");
+        check_int "cold create: one jit.lookup span" 1 (spans cold "jit.lookup");
+        let warm = create () in
+        check_int "warm re-create: no jit.compile span" 0 (spans warm "jit.compile");
+        check_int "warm re-create: one jit.lookup span" 1 (spans warm "jit.lookup"))
+
 (* --- No toolchain: automatic interpreter fallback --- *)
 
 let no_toolchain_falls_back () =
@@ -695,6 +850,7 @@ let suites =
     ( "backend.fused",
       [
         fused_sweep_matches_interp;
+        passes_match_interp;
         tc "tree + unnamed-aux forms compile" former_fallback_forms_compile;
         slow "pool-parallel fused dispatch" fused_pool_stress;
         tc "unsupported form counted" unsupported_form_counted;
@@ -708,6 +864,7 @@ let suites =
     ( "backend.cache",
       [
         tc "compile once, memo, disk" cache_compiles_once;
+        tc "traced create: jit spans cold and warm" jit_spans_cold_then_warm;
         tc "no toolchain -> interp fallback" no_toolchain_falls_back;
         tc "emitter salt in every artifact" emitter_salt_in_artifacts;
       ] );

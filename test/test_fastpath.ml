@@ -1,5 +1,4 @@
-(* Parity and stress tests for the fast-path execution engine: the
-   write-through runtime vs the legacy zero-accumulate engine, specialized
+(* Parity and stress tests for the fast-path execution engine: specialized
    vs generic interpreter sweeps, schedule-independence across the whole
    benchmark suite, and the persistent domain pool. *)
 
@@ -16,25 +15,11 @@ open Msc_frontend
 let small_dims (b : Suite.bench) =
   match b.Suite.ndim with 2 -> [| 18; 18 |] | _ -> [| 12; 12; 12 |]
 
-let final_state ?schedule ?pool ?engine ~steps st =
+let final_state ?schedule ?pool ~steps st =
   let config = Msc_exec.Exec.Config.make ?pool () in
-  let rt = Runtime.create ?schedule ~config ?engine st in
+  let rt = Runtime.create ?schedule ~config st in
   Runtime.run rt steps;
   Runtime.current rt
-
-(* --- Write-through vs legacy engine, whole suite --- *)
-
-let engine_parity_suite () =
-  List.iter
-    (fun (b : Suite.bench) ->
-      let st = Suite.stencil ~dims:(small_dims b) b in
-      let fast = final_state ~engine:Runtime.Write_through ~steps:4 st in
-      let legacy = final_state ~engine:Runtime.Zero_accumulate ~steps:4 st in
-      let err = Grid.max_rel_error ~reference:legacy fast in
-      check_bool
-        (Printf.sprintf "%s within 1e-12 (err %g)" b.Suite.name err)
-        true (err <= 1e-12))
-    Suite.all
 
 (* --- Seq / Block / Round_robin schedules agree on every suite kernel --- *)
 
@@ -154,16 +139,6 @@ let interp_identity_apply () =
   check_float "scaled identity parity" 0.0
     (Grid.max_rel_error ~reference:dst_a dst_s)
 
-let grid_fill_interior () =
-  let g = Grid.create ~shape:[| 3; 4 |] ~halo:[| 1; 2 |] in
-  Grid.fill_all g 7.0;
-  Grid.fill_interior g 0.0;
-  check_float "interior zeroed" 0.0 (Grid.get g [| 1; 1 |]);
-  check_float "halo kept" 7.0 (Grid.get g [| -1; 0 |]);
-  check_float "far halo kept" 7.0 (Grid.get g [| 2; 5 |]);
-  Grid.fill_interior g 2.0;
-  check_float "refill" 2.0 (Grid.get g [| 0; 3 |])
-
 (* --- Persistent pool: reuse, stress, exceptions --- *)
 
 let pool_spawns_once_across_steps () =
@@ -234,12 +209,10 @@ let suites =
   [
     ( "fastpath.parity",
       [
-        slow "engine parity over Suite.all" engine_parity_suite;
         slow "schedule parity over Suite.all" schedule_parity_suite;
         tc "taps unrolls == generic" interp_taps_parity;
         tc "bilinear == generic" interp_bilinear_parity;
         tc "identity apply" interp_identity_apply;
-        tc "fill_interior" grid_fill_interior;
       ] );
     ( "fastpath.pool",
       [
