@@ -272,7 +272,7 @@ let comm_tests =
         (Staged.stage (fun () -> Msc.Distributed.step temporal));
     ]
 
-(* Tentpole of the compiled-backend PR: the same timestep through all three
+(* Tentpole of the compiled-backend PR: the same timestep through both
    kernel backends. The compiled runtimes are created outside the probe so
    the one-time emit+compile (or kernel-cache hit) is not measured — steady
    state is what the paper's generated code competes on. *)
@@ -297,26 +297,20 @@ let kernel_backend_tests =
       Test.make_grouped ~name:"2d9pt_box" (backends "2d9pt_box");
     ]
 
-(* Tentpole of the fused-sweep PR: the same compiled_c timestep with one
-   fused whole-sweep kernel vs one kernel per stencil term, plus the fused
-   kernel dispatched tile-task-at-a-time across a 4-worker pool. The
-   multi-term two_step suite stencils write the output grid once per term
-   under per-term kernels; the fused kernel touches it once total. *)
+(* The fused compiled_c timestep on the dense-box headliners, plus the
+   fused kernel dispatched tile-task-at-a-time across a 4-worker pool. *)
 let fused_tests =
   let single name =
     let _, st = small_stencil name in
-    let rt fuse =
+    let rt =
       Msc.Runtime.create
-        ~config:(Msc.Exec.Config.make ~backend:Msc.Backend.Compiled_c ~fuse ())
+        ~config:(Msc.Exec.Config.make ~backend:Msc.Backend.Compiled_c ())
         st
     in
-    let fused = rt true and per_term = rt false in
     Test.make_grouped ~name
       [
         Test.make ~name:"compiled_c_fused"
-          (Staged.stage (fun () -> Msc.Runtime.step fused));
-        Test.make ~name:"compiled_c_per_term"
-          (Staged.stage (fun () -> Msc.Runtime.step per_term));
+          (Staged.stage (fun () -> Msc.Runtime.step rt));
       ]
   in
   let pool_leg =
@@ -470,15 +464,24 @@ let fused_pool_times ?reps ?quota (b : Msc.Suite.bench) =
      against — the interpreter sweep plus the per-cell boundary walker the
      fast segment-blit [Bc.apply] replaced (reconstructed through the split
      stepping API with the BC pass masked off, then [Bc.apply_reference]).
-   - [interp] / [native_ocaml] / [compiled_c]: [Runtime.step] under each
-     backend with [fuse:false], i.e. one compiled kernel per stencil term —
-     the pre-fusion meaning these columns have carried since they were
-     introduced (which includes today's fast BC pass).
-   - [fused_c]: the default config's whole-sweep fused [Compiled_c] kernel.
+   - [interp]: [Runtime.step] on the interpreter (with today's fast BC
+     pass).
+   - [fused_c]: the whole-sweep fused [Compiled_c] kernel; [fused_ran]
+     records the backend it actually ran on.
    - [fused_c_pool]: the same fused kernel dispatched tile-task-at-a-time
      over a 4-worker pool under a tiled matrix-canonical schedule.
    The compiled runtimes are created outside the probe, so emit+compile
    (or a kernel-cache hit) is not in the measured path. *)
+type kernel_row = {
+  bench : Msc.Suite.bench;
+  dims : int array;
+  legacy : float;
+  interp : float;
+  fused_ran : Msc.Backend.t;
+  fused_c : float;
+  fused_c_pool : float;
+}
+
 let kernel_backend_points_per_sec (b : Msc.Suite.bench) =
   let dims =
     match b.Msc.Suite.ndim with 2 -> [| 64; 64 |] | _ -> [| 24; 24; 24 |]
@@ -497,23 +500,28 @@ let kernel_backend_points_per_sec (b : Msc.Suite.bench) =
     in
     points /. per_step
   in
-  let backend_legs =
-    List.map
-      (fun backend ->
-        let rt =
-          Msc.Runtime.create
-            ~config:(Msc.Exec.Config.make ~backend ~fuse:false ())
-            st
-        in
-        let effective =
-          (Msc.Runtime.backend_report rt).Msc.Runtime.effective
-        in
-        let per_step = time_per_run (fun () -> Msc.Runtime.step rt) in
-        (backend, effective, points /. per_step))
-      Msc.Backend.all
+  let interp =
+    let rt = Msc.Runtime.create st in
+    points /. time_per_run (fun () -> Msc.Runtime.step rt)
+  in
+  let fused_ran =
+    let rt =
+      Msc.Runtime.create
+        ~config:(Msc.Exec.Config.make ~backend:Msc.Backend.Compiled_c ())
+        st
+    in
+    (Msc.Runtime.backend_report rt).Msc.Runtime.effective
   in
   let t_fused, t_pool = fused_pool_times ~quota:0.03 b in
-  (dims, legacy, backend_legs, points /. t_fused, points /. t_pool)
+  {
+    bench = b;
+    dims;
+    legacy;
+    interp;
+    fused_ran;
+    fused_c = points /. t_fused;
+    fused_c_pool = points /. t_pool;
+  }
 
 let fastpath_speedup () =
   let b = Msc.Suite.find "3d7pt_star" in
@@ -983,88 +991,28 @@ let residual_curve_json residuals =
     (List.map (fun i -> Printf.sprintf "[%d, %.6e]" i residuals.(i)) idxs)
 
 let emit_runtime_json ~comm ~temporal ~solver ~scaling path =
-  let kernel_rows =
-    List.map
-      (fun (b : Msc.Suite.bench) ->
-        let dims, legacy, legs, fused_c, fused_c_pool =
-          kernel_backend_points_per_sec b
-        in
-        (b, dims, legacy, legs, fused_c, fused_c_pool))
-      Msc.Suite.all
-  in
+  let kernel_rows = List.map kernel_backend_points_per_sec Msc.Suite.all in
   let kernels =
     List.map
-      (fun ((b : Msc.Suite.bench), dims, legacy, legs, fused_c, fused_c_pool) ->
-        let leg_json =
-          String.concat ", "
-            ((Printf.sprintf "\"interp_legacy_bc\": %.6e" legacy
-             :: List.map
-                  (fun (backend, _, pps) ->
-                    Printf.sprintf "%S: %.6e"
-                      (Msc.Backend.to_string backend)
-                      pps)
-                  legs)
-            @ [
-                Printf.sprintf "\"fused_c\": %.6e" fused_c;
-                Printf.sprintf "\"fused_c_pool\": %.6e" fused_c_pool;
-              ])
-        in
-        let ran_json =
-          String.concat ", "
-            (List.filter_map
-               (fun (backend, effective, _) ->
-                 if backend = Msc.Backend.Interp then None
-                 else
-                   Some
-                     (Printf.sprintf "%S: %S"
-                        (Msc.Backend.to_string backend)
-                        (Msc.Backend.to_string effective)))
-               legs)
-        in
-        let compiled_pps =
-          List.assoc Msc.Backend.Compiled_c
-            (List.map (fun (b', _, pps) -> (b', pps)) legs)
-        in
+      (fun r ->
         Printf.sprintf
           "    { \"name\": %S, \"dims\": [%s],\n\
-          \      \"points_per_sec\": { %s },\n\
-          \      \"ran\": { %s },\n\
-          \      \"compiled_c_over_interp_legacy_bc\": %.3f,\n\
-          \      \"fused_c_over_compiled_c\": %.3f,\n\
+          \      \"points_per_sec\": { \"interp_legacy_bc\": %.6e, \"interp\": %.6e, \
+           \"fused_c\": %.6e, \"fused_c_pool\": %.6e },\n\
+          \      \"ran\": { \"fused_c\": %S },\n\
+          \      \"fused_c_over_interp_legacy_bc\": %.3f,\n\
           \      \"fused_c_pool_over_fused_c\": %.3f }"
-          b.Msc.Suite.name
-          (String.concat ", " (Array.to_list (Array.map string_of_int dims)))
-          leg_json ran_json (compiled_pps /. legacy)
-          (fused_c /. compiled_pps)
-          (fused_c_pool /. fused_c))
-      kernel_rows
-  in
-  let kernel_row name =
-    List.find_opt
-      (fun ((b : Msc.Suite.bench), _, _, _, _, _) -> b.Msc.Suite.name = name)
+          r.bench.Msc.Suite.name
+          (String.concat ", " (Array.to_list (Array.map string_of_int r.dims)))
+          r.legacy r.interp r.fused_c r.fused_c_pool
+          (Msc.Backend.to_string r.fused_ran)
+          (r.fused_c /. r.legacy)
+          (r.fused_c_pool /. r.fused_c))
       kernel_rows
   in
   let kernel_speedup name =
-    match kernel_row name with
-    | Some (_, _, legacy, legs, _, _) ->
-        let compiled =
-          List.assoc Msc.Backend.Compiled_c
-            (List.map (fun (b', _, pps) -> (b', pps)) legs)
-        in
-        compiled /. legacy
-    | None -> Float.nan
-  in
-  (* The two acceptance ratios of the fused-sweep PR: fused over per-term
-     compiled_c on the dense-box headliners, and 4-worker pool scaling of
-     the fused kernel on 3d7pt_star. *)
-  let fused_over_per_term name =
-    match kernel_row name with
-    | Some (_, _, _, legs, fused_c, _) ->
-        let compiled =
-          List.assoc Msc.Backend.Compiled_c
-            (List.map (fun (b', _, pps) -> (b', pps)) legs)
-        in
-        fused_c /. compiled
+    match List.find_opt (fun r -> r.bench.Msc.Suite.name = name) kernel_rows with
+    | Some r -> r.fused_c /. r.legacy
     | None -> Float.nan
   in
   let pf_rows = pipeline_fusion_rows () in
@@ -1209,8 +1157,9 @@ let emit_runtime_json ~comm ~temporal ~solver ~scaling path =
   (if Domain.recommended_domain_count () = 1 then
      let bad =
        List.filter_map
-         (fun ((b : Msc.Suite.bench), _, _, _, fused_c, fused_c_pool) ->
-           let ratio = fused_c_pool /. fused_c in
+         (fun r ->
+           let b = r.bench in
+           let ratio = r.fused_c_pool /. r.fused_c in
            if ratio >= 0.95 then None
            else
              (* Confirm before failing: a preemption spike during the long
@@ -1250,14 +1199,12 @@ let emit_runtime_json ~comm ~temporal ~solver ~scaling path =
     | None -> (0, Float.nan)
   in
   Printf.printf
-    "wrote %s (compiled_c step over the seed interp+per-cell-BC baseline: \
-     %.1fx on 3d7pt_star, %.1fx on 2d9pt_box; fastpath 3d7pt_star step \
-     body: %.2fx over legacy fill+generic-accumulate; plan traversal \
+    "wrote %s (fused compiled_c step over the seed interp+per-cell-BC \
+     baseline: %.1fx on 3d7pt_star, %.1fx on 2d9pt_box; fastpath 3d7pt_star \
+     step body: %.2fx over legacy fill+generic-accumulate; plan traversal \
      canonical/reversed: %.2fx; overlapped halo exchange: %.2fx over \
      bulk-synchronous under simulated latency; temporal blocking best depth \
-     %d: %.2fx over overlapped on a latency-bound grid; fused sweep over \
-     per-term compiled_c: %.2fx on 2d121pt_box, %.2fx on 2d169pt_box; \
-     4-worker pool over single-core fused on 3d7pt_star at 48^3: %.2fx \
+     %d: %.2fx over overlapped on a latency-bound grid; 4-worker pool over single-core fused on 3d7pt_star at 48^3: %.2fx \
      with %d host cores; pipeline fusion on unsharp_mask: %d->%d stages, \
      %d->%d exchanges/step, %.2fx; cg on %s at 2x2 ranks: %d iterations, \
      %.0f iters/s)\n"
@@ -1269,8 +1216,6 @@ let emit_runtime_json ~comm ~temporal ~solver ~scaling path =
     (bulk_s /. overlapped_s)
     best_depth
     (t_overlapped_s /. best_s)
-    (fused_over_per_term "2d121pt_box")
-    (fused_over_per_term "2d169pt_box")
     (pool_pooled /. pool_single)
     (Domain.recommended_domain_count ())
     um_s0 um_s1 um_ex0 um_ex1 um_speedup

@@ -52,10 +52,10 @@ let backend_arg =
     & opt backend_conv Msc.Backend.Interp
     & info [ "backend" ] ~docv:"B"
         ~doc:
-          "Kernel backend: interp | native_ocaml | compiled_c. The compiled \
-           backends emit and compile one fused whole-sweep kernel per plan at \
-           runtime (per-term kernels when fusion is off or unavailable) and \
-           fall back to the interpreter when no toolchain is found.")
+          "Kernel backend: interp | compiled_c. compiled_c emits and \
+           compiles one fused whole-sweep C kernel per plan at runtime and \
+           falls back to the interpreter when no toolchain is found or the \
+           kernel cannot be emitted.")
 
 let pp_backend_report ppf (r : Msc.Runtime.backend_report) =
   Format.fprintf ppf
@@ -63,32 +63,23 @@ let pp_backend_report ppf (r : Msc.Runtime.backend_report) =
      dispatches, %d sweeps inlined below the %d-point pool cutoff)"
     Msc.Backend.pp r.Msc.Runtime.requested Msc.Backend.pp r.Msc.Runtime.effective
     r.Msc.Runtime.compiled_terms r.Msc.Runtime.kernel_terms
-    (if r.Msc.Runtime.fused_sweeps > 0 then "fused sweep" else "per-term")
+    (if r.Msc.Runtime.fused_sweeps > 0 then "fused sweep" else "interpreted")
     r.Msc.Runtime.tile_dispatches r.Msc.Runtime.inline_dispatches
     r.Msc.Runtime.pool_inline_cutoff;
   match r.Msc.Runtime.fallback with
   | Some reason -> Format.fprintf ppf "@.backend fallback: %s" reason
   | None -> ()
 
-let no_fuse_arg =
-  Arg.(
-    value & flag
-    & info [ "no-fuse" ]
-        ~doc:
-          "Compile one kernel per stencil term (the pre-fusion behaviour) \
-           instead of one fused whole-sweep kernel. Only meaningful with a \
-           compiled backend.")
-
 (* The pool is caller-owned under [Exec.Config]; shut it down when the
    command finishes rather than leaving parked domains to the GC backstop. *)
-let with_config ?backend ?engine ?fuse ~workers f =
+let with_config ?backend ?engine ~workers f =
   let pool =
     if workers < 2 then Msc.Domain_pool.sequential
     else Msc.Domain_pool.create workers
   in
   Fun.protect
     ~finally:(fun () -> Msc.Domain_pool.shutdown pool)
-    (fun () -> f (Msc.Exec.Config.make ?backend ?engine ?fuse ~pool ()))
+    (fun () -> f (Msc.Exec.Config.make ?backend ?engine ~pool ()))
 
 let small_arg =
   Arg.(
@@ -150,7 +141,7 @@ let run_cmd =
   let workers =
     Arg.(value & opt int 1 & info [ "w"; "workers" ] ~docv:"W" ~doc:"Worker domains.")
   in
-  let run b steps workers backend small no_fuse =
+  let run b steps workers backend small =
     let st = Msc.Suite.stencil ~dims:(dims_of b small) b in
     let kernel = Msc.Suite.kernel_of st in
     let tile =
@@ -159,7 +150,7 @@ let run_cmd =
         (Msc.Schedule.default_tile kernel)
     in
     let schedule = Msc.Schedule.cpu_canonical ~tile ~threads:workers kernel in
-    with_config ~backend ~fuse:(not no_fuse) ~workers (fun config ->
+    with_config ~backend ~workers (fun config ->
         let p = Msc.Pipeline.make ~stencil:st ~schedule ~config () in
         let t0 = Sys.time () in
         let final, report = Msc.Pipeline.run_report ~steps p in
@@ -170,8 +161,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Execute a benchmark natively.")
     Term.(
-      const run $ bench_arg $ steps_arg 10 $ workers $ backend_arg $ small_arg
-      $ no_fuse_arg)
+      const run $ bench_arg $ steps_arg 10 $ workers $ backend_arg $ small_arg)
 
 (* ---- Matrix-free solvers ---- *)
 
@@ -471,10 +461,10 @@ let profile_cmd =
   let workers =
     Arg.(value & opt int 2 & info [ "w"; "workers" ] ~docv:"W" ~doc:"Worker domains.")
   in
-  let run b steps workers backend out no_fuse =
+  let run b steps workers backend out =
     let trace = Msc.Trace.create () in
     let st = Msc.Suite.stencil ~dims:(dims_of b true) b in
-    with_config ~backend ~fuse:(not no_fuse) ~workers (fun config ->
+    with_config ~backend ~workers (fun config ->
     let p = Msc.Pipeline.make ~stencil:st ~config ~trace () in
     (* Native run: sweep / bc / window phases, per-worker spans; report
        which kernel backend actually executed. *)
@@ -528,8 +518,7 @@ let profile_cmd =
           pipeline stages with tracing on; write a chrome trace and print \
           the per-phase summary.")
     Term.(
-      const run $ bench_pos $ steps_arg 5 $ workers $ backend_arg $ out
-      $ no_fuse_arg)
+      const run $ bench_pos $ steps_arg 5 $ workers $ backend_arg $ out)
 
 (* ---- Pipeline graphs ---- *)
 

@@ -29,13 +29,13 @@ val generate :
 (** Source file(s) plus a Makefile. The schedule is lowered to a
     {!Msc_schedule.Plan.t} against the target's machine descriptor and the
     emitters walk [plan.loops]. For the [Cpu] and [Openmp] targets,
-    [config] with a compiled backend (and [fuse] on, the default) makes the
-    generated [msc_step] call the same fused whole-sweep body the runtime
-    JIT emits, dispatched over the plan's baked tile tasks — see
+    [config] with the [Compiled_c] backend makes the generated [msc_step]
+    call the same fused whole-sweep body the runtime JIT emits,
+    dispatched over the plan's baked tile tasks — see
     {!Emit_cpu.generate}. For [Athread], [config] picks the slave's
-    per-point compute shape — one fused summed expression under a compiled
-    backend with [fuse] on, per-term [=]/[+=] accumulation (the
-    interpreter's float addition order) otherwise; see
+    per-point compute shape — one fused summed expression under
+    [Compiled_c], per-term [=]/[+=] accumulation (the interpreter's float
+    addition order) otherwise; see
     {!Emit_athread.generate_slave}. The plan's [working_set_bytes] is
     checked against the machine's SPM capacity.
     @raise Invalid_argument on an illegal schedule, or on a non-default

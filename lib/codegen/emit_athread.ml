@@ -101,19 +101,16 @@ let generate_master ?(steps = 10) (plan : Plan.t) =
   C_writer.contents w
 
 let generate_slave ?config (plan : Plan.t) =
-  (* Mirror the host runtime's kernel dispatch: a compiled backend with
-     fusion on executes one fused whole-sweep body, so the slave computes
-     each point as a single summed expression; the interpreter (and a
-     compiled backend with fusion off) dispatches one kernel per stencil
+  (* Mirror the host runtime's kernel dispatch: [Compiled_c] executes one
+     fused whole-sweep body, so the slave computes each point as a single
+     summed expression; the interpreter dispatches one kernel per stencil
      term, accumulating into the output — the slave writes the first term
      and [+=]s the rest in the same order, keeping the float addition
      order identical to the host run being cross-checked. *)
   let fused =
     match (config : Msc_exec.Exec.Config.t option) with
-    | Some c ->
-        c.Msc_exec.Exec.Config.fuse
-        && c.Msc_exec.Exec.Config.backend <> Msc_exec.Backend.Interp
-    | None -> false
+    | Some { Msc_exec.Exec.Config.backend = Msc_exec.Backend.Compiled_c; _ } -> true
+    | Some _ | None -> false
   in
   let st : Stencil.t = plan.Plan.stencil in
   let w = C_writer.create () in

@@ -15,9 +15,9 @@ val generate_master : ?steps:int -> Msc_schedule.Plan.t -> string
 val generate_slave :
   ?config:Msc_exec.Exec.Config.t -> Msc_schedule.Plan.t -> string
 (** [config] selects the shape of the per-point compute, mirroring the host
-    runtime's kernel dispatch: a compiled backend with [fuse] on writes each
-    output point as one fused summed expression (the whole-sweep kernel);
-    the default [Interp] backend — or [fuse] off — writes the first term
+    runtime's kernel dispatch: [Compiled_c] writes each output point as
+    one fused summed expression (the whole-sweep kernel); the default
+    [Interp] backend writes the first term
     then [+=]s the remaining terms in declaration order, matching the
     interpreter's per-term accumulation (and its float addition order)
     exactly. *)

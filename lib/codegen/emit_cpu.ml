@@ -94,10 +94,9 @@ let generate ?(steps = 10) ?(bc = Msc_exec.Bc.Dirichlet 0.0)
     ?(config = Exec.Config.default) ~omp (plan : Plan.t) =
   let st : Stencil.t = plan.Plan.stencil in
   let fused =
-    if Backend.equal config.Exec.Config.backend Backend.Interp
-       || not config.Exec.Config.fuse
-    then None
-    else fused_sweep_of st
+    match config.Exec.Config.backend with
+    | Backend.Interp -> None
+    | Backend.Compiled_c -> fused_sweep_of st
   in
   let w = C_writer.create () in
   Emit_common.emit_prelude w st;

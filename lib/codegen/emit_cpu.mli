@@ -14,14 +14,14 @@ val generate :
     [steps] is the default timestep count (overridable by [argv\[1\]];
     default 10).
 
-    [config] selects the [msc_step] body. With a compiled backend and
-    [fuse] on, the unit embeds the {e same} fused whole-sweep function the
-    [Compiled_c] backend JITs at runtime ({!Msc_exec.Jit.emit_c_sweep}):
-    [msc_step] bakes the plan's tile task boxes as static arrays and calls
-    the fused kernel once per task, the task loop carrying the OpenMP
-    pragma. With the default [Interp] backend (or [fuse] off, a
-    non-double grid, or a form the fused emitter rejects), [msc_step] is
-    the per-point assignment whose loop nest walks [plan.loops]. *)
+    [config] selects the [msc_step] body. With [Compiled_c], the unit
+    embeds the {e same} fused whole-sweep function the backend JITs at
+    runtime ({!Msc_exec.Jit.emit_c_sweep}): [msc_step] bakes the plan's
+    tile task boxes as static arrays and calls the fused kernel once per
+    task, the task loop carrying the OpenMP pragma. With the default
+    [Interp] backend (or a non-double grid, or a form the fused emitter
+    rejects), [msc_step] is the per-point assignment whose loop nest walks
+    [plan.loops]. *)
 
 val fused_sweep_source : Msc_ir.Stencil.t -> string option
 (** The fused whole-sweep C function {!generate} embeds under a compiled

@@ -477,19 +477,25 @@ let reduce t ~op =
   in
   Reduce.finalize op combined
 
-(* The parity reference: every rank sweeps its full tile set, then the
-   freshly produced state is exchanged — no compute hides the messages. *)
+(* The parity reference: every rank runs its whole step (every stage, for
+   a graph), then the freshly produced state is exchanged — no compute
+   hides the messages. For a graph, that one deep (merged) exchange of the
+   new source state refreshes the halos every stage of the next step
+   reads. *)
 let bulk_step t =
   Array.iter Runtime.step t.runtimes;
   exchange_state t ~dt:1
 
 (* The overlapped step re-splits the exchange around the interior sub-sweep.
    The state entering the step (dt = 1) already has consistent halos from
-   the previous step's phase B (or from [create]'s initial exchanges), and
+   the previous step's phase C (or from [create]'s initial exchanges), and
    re-exchanging it moves bit-identical data: packing reads interior slabs,
-   which no phase mutates. Interior cells read no halo data at all, so
-   phase A's sub-sweep is correct regardless of message progress; the
-   boundary shell waits for the completed exchange in phase B.
+   which no phase mutates. Interior cells of stage 0 read no halo data at
+   all, so phase B's sub-sweep is correct regardless of message progress;
+   the boundary shell waits for the completed exchange in phase C. So do
+   a graph's later stages: every one reads an intermediate buffer stage 0
+   is still producing, and stage 0's ghost-extension boxes (which land in
+   the shell by construction) read the in-flight halo.
 
    Three pool dispatches with barriers between them keep the protocol
    deadlock-free even when the pool has fewer workers than ranks: every
@@ -512,16 +518,18 @@ let overlapped_step t =
       recvs.(rank) <-
         Halo.post_recvs ~periodic t.mpi t.decomp ~rank
           ~faces_only:t.faces_only);
-  (* Phase B: hide the interior sub-sweep behind the in-flight messages. *)
+  (* Phase B: hide stage 0's interior sub-sweep behind the in-flight
+     messages. *)
   Msc_util.Domain_pool.parallel_chunks t.pool ~lo:0 ~hi:n
     (fun ~worker:_ rank ->
       let rt = t.runtimes.(rank) in
       let interior, _ = t.phases.(rank) in
       let ts = Msc_trace.begin_span t.trace in
-      Runtime.sweep_tasks rt interior;
+      Runtime.sweep_graph_stage rt 0 interior;
       Msc_trace.end_span ~tid:rank t.trace "halo.overlap" ts);
-  (* Phase C: complete the receives, refresh the physical faces, sweep the
-     boundary shell, commit the step. *)
+  (* Phase C: complete the receives, refresh the physical faces, sweep
+     stage 0's boundary shell and then every later stage, commit the
+     step. *)
   Msc_util.Domain_pool.parallel_chunks t.pool ~lo:0 ~hi:n
     (fun ~worker:_ rank ->
       let rt = t.runtimes.(rank) in
@@ -534,7 +542,10 @@ let overlapped_step t =
       end;
       let _, shell = t.phases.(rank) in
       let ts = Msc_trace.begin_span t.trace in
-      Runtime.sweep_tasks rt shell;
+      Runtime.sweep_graph_stage rt 0 shell;
+      for i = 1 to Runtime.graph_stage_count rt - 1 do
+        Runtime.sweep_graph_stage rt i (Runtime.graph_stage_tasks rt i)
+      done;
       Msc_trace.end_span ~tid:rank t.trace "halo.shell" ts;
       Runtime.finish_step rt)
 
@@ -622,75 +633,15 @@ let temporal_step t =
         finish_masked rank);
   t.block_pos <- (s + 1) mod t.depth
 
-(* Graph bulk step: every rank runs its whole staged schedule, then one
-   deep (merged) exchange of the new source state refreshes the halos
-   every stage of the next step reads. *)
-let graph_bulk_step t =
-  Array.iter Runtime.step_graph t.runtimes;
-  exchange_state t ~dt:1
-
-(* Graph overlapped step: the deep exchange of the {e incoming} state
-   (dt = 1, identical bits to what the previous step exchanged — packing
-   reads interior slabs no phase mutates) hides behind stage 0's
-   halo-free core. Only stage 0 can run in phase B: every later stage
-   reads an intermediate buffer stage 0 is still producing, and stage 0's
-   ghost-extension boxes read the in-flight halo, so the shell, the
-   extensions, and stages 1.. all wait for phase C. *)
-let graph_overlapped_step t =
-  let periodic = Bc.equal t.bc Bc.Periodic in
-  let n = Array.length t.runtimes in
-  let recvs = Array.make n [] in
-  Msc_util.Domain_pool.parallel_chunks t.pool ~lo:0 ~hi:n
-    (fun ~worker:_ rank ->
-      let rt = t.runtimes.(rank) in
-      let grid = Runtime.state rt ~dt:1 in
-      Halo.post_sends ~periodic ~trace:t.trace t.mpi t.decomp ~rank ~grid
-        ~width:t.width ~faces_only:t.faces_only;
-      recvs.(rank) <-
-        Halo.post_recvs ~periodic t.mpi t.decomp ~rank
-          ~faces_only:t.faces_only);
-  Msc_util.Domain_pool.parallel_chunks t.pool ~lo:0 ~hi:n
-    (fun ~worker:_ rank ->
-      let rt = t.runtimes.(rank) in
-      let interior, _ = t.phases.(rank) in
-      let ts = Msc_trace.begin_span t.trace in
-      Runtime.sweep_graph_stage rt 0 interior;
-      Msc_trace.end_span ~tid:rank t.trace "halo.overlap" ts);
-  Msc_util.Domain_pool.parallel_chunks t.pool ~lo:0 ~hi:n
-    (fun ~worker:_ rank ->
-      let rt = t.runtimes.(rank) in
-      let grid = Runtime.state rt ~dt:1 in
-      Halo.complete_recvs ~trace:t.trace t.mpi ~rank ~grid ~width:t.width
-        recvs.(rank);
-      if not periodic then begin
-        let low, high = physical_masks t ~rank in
-        Bc.apply ~low ~high t.bc grid
-      end;
-      let _, shell = t.phases.(rank) in
-      let ts = Msc_trace.begin_span t.trace in
-      Runtime.sweep_graph_stage rt 0 shell;
-      for i = 1 to Runtime.graph_stage_count rt - 1 do
-        Runtime.sweep_graph_stage rt i (Runtime.graph_stage_tasks rt i)
-      done;
-      Msc_trace.end_span ~tid:rank t.trace "halo.shell" ts;
-      Runtime.finish_step rt)
-
+(* Graphs record [Temporal_blocked] (depth 1 at most — deeper requests
+   are rejected at creation) as [Bulk_synchronous] in [effective_engine]:
+   a depth-k block would need k recomputable source steps, but
+   intermediates are recomputed per step, not stepped. *)
 let step t =
-  (match t.graph with
-  | Some _ -> (
-      match t.engine with
-      | Overlapped -> graph_overlapped_step t
-      | Bulk_synchronous | Temporal_blocked _ ->
-          (* Temporal blocking is depth-1 for graphs (a depth-k block
-             would need k recomputable source steps, but intermediates
-             are recomputed per step, not stepped) — it degrades to the
-             bulk schedule. *)
-          graph_bulk_step t)
-  | None -> (
-      match t.engine with
-      | Bulk_synchronous -> bulk_step t
-      | Overlapped -> overlapped_step t
-      | Temporal_blocked _ -> temporal_step t));
+  (match t.effective_engine with
+  | Bulk_synchronous -> bulk_step t
+  | Overlapped -> overlapped_step t
+  | Temporal_blocked _ -> temporal_step t);
   t.steps_done <- t.steps_done + 1
 
 let run t n =

@@ -180,7 +180,7 @@ val create_graph :
     bulk schedule — only at [depth = 1], recorded as [Bulk_synchronous]
     in {!effective_engine} (intermediates are recomputed per step, not
     stepped, so there is no block to deepen). All engines are
-    bit-identical to {!Msc_exec.Runtime.step_graph} on one grid.
+    bit-identical to {!Msc_exec.Runtime.step} on one grid.
     @raise Invalid_argument if the graph is multi-stage but not merged
     (run {!Msc_graph.Pass.merge_halos}), any rank's extent is thinner
     than the graph's required halo, or [config.engine] is

@@ -59,13 +59,13 @@ module Exec = Msc_exec.Exec
     shares. *)
 
 module Backend = Msc_exec.Backend
-(** Kernel execution backends: the tree-walking interpreter, the
-    runtime-compiled OCaml backend and the runtime-compiled C backend. *)
+(** Kernel execution backends: the tree-walking interpreter and the
+    runtime-compiled fused C sweep. *)
 
 module Jit = Msc_exec.Jit
-(** The compiled-kernel cache behind {!Backend.Native_ocaml} and
-    {!Backend.Compiled_c}: on-disk artifacts keyed by plan digest, in-process
-    memoization, and compile/fallback statistics. *)
+(** The compiled-kernel cache behind {!Backend.Compiled_c}: on-disk
+    artifacts keyed by plan digest, in-process memoization, and
+    compile/fallback statistics. *)
 
 module Reduce = Msc_ir.Reduce
 (** Grid-reduction operators ([sum], [dot], [norm2], [max_abs]) with the

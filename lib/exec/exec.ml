@@ -10,7 +10,6 @@ module Config = struct
     backend : Backend.t;
     engine : engine;
     pool : Msc_util.Domain_pool.t;
-    fuse : bool;
   }
 
   let default =
@@ -18,10 +17,9 @@ module Config = struct
       backend = Backend.Interp;
       engine = Overlapped;
       pool = Msc_util.Domain_pool.sequential;
-      fuse = true;
     }
 
   let make ?(backend = Backend.Interp) ?(engine = Overlapped)
-      ?(pool = Msc_util.Domain_pool.sequential) ?(fuse = true) () =
-    { backend; engine; pool; fuse }
+      ?(pool = Msc_util.Domain_pool.sequential) () =
+    { backend; engine; pool }
 end

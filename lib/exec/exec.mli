@@ -30,22 +30,15 @@ module Config : sig
     pool : Msc_util.Domain_pool.t;
         (** worker pool for parallel sweeps; callers keep ownership
             (create/shutdown), entry points only dispatch on it *)
-    fuse : bool;
-        (** compile one fused whole-sweep kernel per plan instead of one
-            kernel per term (compiled backends only; ignored by [Interp]).
-            On by default — [false] restores the PR 6 per-term kernels,
-            mainly for benchmarking the fusion win *)
   }
 
   val default : t
-  (** [Interp] backend, [Overlapped] engine, the sequential pool, fused
-      sweeps enabled. *)
+  (** [Interp] backend, [Overlapped] engine, the sequential pool. *)
 
   val make :
     ?backend:Backend.t ->
     ?engine:engine ->
     ?pool:Msc_util.Domain_pool.t ->
-    ?fuse:bool ->
     unit ->
     t
   (** {!default} with overrides. *)

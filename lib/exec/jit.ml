@@ -1,6 +1,6 @@
-(* Runtime kernel compilation: emit a specialized kernel per (plan, term)
-   — or one fused kernel for the whole sweep — compile it with the host
-   toolchain, and load it back as a Backend.kernel_fn / Backend.sweep_fn.
+(* Runtime kernel compilation: emit one fused C kernel for a whole sweep
+   (or a reduction kernel for a grid geometry), compile it with the host
+   toolchain, and load it back as a Backend.sweep_fn / Backend.reduce_fn.
    See jit.mli for the cache layout and backend.mli for the calling
    conventions.
 
@@ -13,8 +13,7 @@
    - every other taps arity, and all bilinear kernels, lead the chain with
      [0.0 +.] because the interpreter's generic paths start their
      accumulator at 0.0 (observable through the sign of a -0.0 result);
-   - coefficients are printed as hex float literals (exact round-trip,
-     valid in both OCaml and C99);
+   - coefficients are printed as hex float literals (exact round-trip);
    - C kernels are compiled with -ffp-contract=off (GCC defaults to
      contraction, and a fused multiply-add rounds differently);
    - tree-mode kernels render Expr.eval's exact operation set: libm calls
@@ -33,18 +32,6 @@
 open Msc_ir
 
 external dlopen_sym : string -> string -> nativeint = "msc_jit_dlopen"
-
-external c_call :
-  nativeint ->
-  int ->
-  float ->
-  float array ->
-  float array ->
-  float array array ->
-  int array ->
-  int array ->
-  unit = "msc_jit_call_bytecode" "msc_jit_call_native"
-[@@noalloc]
 
 external c_call_sweep :
   nativeint ->
@@ -66,22 +53,14 @@ external c_call_reduce :
   float = "msc_jit_call_reduce_bytecode" "msc_jit_call_reduce_native"
 (* not [@@noalloc]: the float result is boxed on return *)
 
-external named_value : string -> Obj.t = "msc_jit_named_value"
-
-(* Emitter-version salt, folded into *every* artifact key (per-term
-   kernels, fused sweeps, reductions) and embedded in the artifact file
-   names: bump whenever any emitter changes the generated code for the
-   same specs, or $MSC_KERNEL_CACHE keeps serving the old code shape.
-   History: v2 = sweep row blocking + host-arch flags (fused sweeps only
-   — the per-term gap this constant closes); v3 = uniform salting of all
-   emitters + reduction kernels; v4 = write-through-only sweeps, long C
-   sweeps cut into tap-group passes. *)
+(* Emitter-version salt, folded into *every* artifact key (fused sweeps,
+   reductions) and embedded in the artifact file names: bump whenever an
+   emitter changes the generated code for the same specs, or
+   $MSC_KERNEL_CACHE keeps serving the old code shape. History: v2 = sweep
+   row blocking + host-arch flags; v3 = uniform salting of all emitters +
+   reduction kernels; v4 = write-through-only sweeps, long C sweeps cut
+   into tap-group passes. *)
 let emitter_version = "v4"
-
-(* Force the Callback unit into the host image: Dynlink-loaded kernels
-   hand their closure back through [Callback.register], so the module must
-   be linked even when nothing else in the program uses it. *)
-let () = Callback.register "msc_jit_host_alive" ()
 
 type stats = {
   memo_hits : int;
@@ -96,7 +75,6 @@ type sweep_term =
   | Sweep_kernel of { scale : float; interp : Interp.t }
 
 let lock = Mutex.create ()
-let memo : (string, Backend.kernel_fn) Hashtbl.t = Hashtbl.create 16
 let sweep_memo : (string, Backend.sweep_fn) Hashtbl.t = Hashtbl.create 16
 let reduce_memo : (string, Backend.reduce_fn) Hashtbl.t = Hashtbl.create 16
 let memo_hits = ref 0
@@ -121,7 +99,6 @@ let stats () =
 
 let clear_memo () =
   with_lock (fun () ->
-      Hashtbl.reset memo;
       Hashtbl.reset sweep_memo;
       Hashtbl.reset reduce_memo)
 
@@ -164,7 +141,7 @@ let write_atomic ~dir ~dst content =
 
 (* {2 Emission} *)
 
-(* A form the emitters cannot express; distinguished from toolchain
+(* A form the emitter cannot express; distinguished from toolchain
    failures in [stats]. *)
 exception Unsupported of string
 
@@ -173,19 +150,18 @@ let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 (* The stub unpacks srcs/aux/lo/hi into fixed C buffers of this size. *)
 let max_aux = 64
 
-(* Hex float literals round-trip exactly and parse in OCaml and C99 alike;
-   always parenthesized so a leading minus never fuses with the
-   surrounding expression. *)
+(* Hex float literals round-trip exactly in C99; always parenthesized so
+   a leading minus never fuses with the surrounding expression. *)
 let flit f = Printf.sprintf "(%h)" f
 
 let flit_checked f =
   if Float.is_finite f then flit f
   else unsupported "non-finite constant has no exact literal"
 
-let idx ?(v = "i") d =
-  if d = 0 then v
-  else if d > 0 then Printf.sprintf "%s + %d" v d
-  else Printf.sprintf "%s - %d" v (-d)
+let idx d =
+  if d = 0 then "i"
+  else if d > 0 then Printf.sprintf "i + %d" d
+  else Printf.sprintf "i - %d" (-d)
 
 let flat_delta strides offsets =
   let acc = ref 0 in
@@ -195,14 +171,10 @@ let flat_delta strides offsets =
 (* The arities interp.ml unrolls by hand (whose sums do NOT start at 0.0). *)
 let unrolled_taps n = n = 3 || n = 5 || n = 7 || n = 9 || n = 13
 
-(* {3 Aux slot layouts}
+(* {3 Aux slot layout}
 
-   Three layouts coexist:
-   - per-term bilinear kernels keep one slot per bilinear subterm (matching
-     bil_aux_names verbatim; input-only and unnamed subterms get [[||]]
-     placeholders) — the PR 6 ABI, unchanged;
-   - per-term tree kernels and every term of a fused sweep use a compact
-     layout: one slot per distinct aux tensor, in first-use order. *)
+   Every term of a fused sweep uses a compact layout: one slot per distinct
+   aux tensor the term reads, in first-use order. *)
 
 let tree_aux_names interp =
   let k = Interp.kernel interp in
@@ -228,63 +200,12 @@ let sweep_term_aux_names interp =
       !acc
   | Interp.Spec_tree -> tree_aux_names interp
 
-let per_term_aux_names interp =
-  match Interp.spec interp with
-  | Interp.Spec_taps _ -> [||]
-  | Interp.Spec_bilinear b -> Array.copy b.bil_aux_names
-  | Interp.Spec_tree ->
-      Array.of_list (List.map Option.some (tree_aux_names interp))
-
-(* Bilinear subterms that read a *named* aux tensor (and therefore get a
-   bound slot in the per-term ABI). Unnamed aux reads fall back to the
-   input grid, exactly like Interp.resolve_bilinear_arrays. *)
-let aux_terms (spec : Interp.spec) =
-  match spec with
-  | Spec_bilinear b ->
-      List.filter
-        (fun k -> b.bil_kinds.(k) <> 1 && b.bil_aux_names.(k) <> None)
-        (List.init (Array.length b.bil_kinds) Fun.id)
-  | _ -> []
-
 (* {3 Taps / bilinear sums}
 
    [src] names the input array in scope; [aux_of k] resolves bilinear
-   subterm [k]'s aux array. The point index variable is always [i]. *)
-
-let ocaml_sum ~src ~aux_of (spec : Interp.spec) =
-  match spec with
-  | Spec_taps { taps_coeffs; taps_deltas } ->
-      let term k c =
-        Printf.sprintf "%s *. Array.unsafe_get %s (%s)" (flit_checked c) src
-          (idx taps_deltas.(k))
-      in
-      let s =
-        String.concat " +. " (Array.to_list (Array.mapi term taps_coeffs))
-      in
-      if unrolled_taps (Array.length taps_coeffs) then s else "0.0 +. " ^ s
-  | Spec_bilinear b ->
-      let term k =
-        let c = flit_checked b.bil_coeffs.(k) in
-        match b.bil_kinds.(k) with
-        | 0 ->
-            Printf.sprintf
-              "%s *. Array.unsafe_get %s (%s) *. Array.unsafe_get %s (%s)" c
-              (aux_of k)
-              (idx b.bil_aux_deltas.(k))
-              src
-              (idx b.bil_in_deltas.(k))
-        | 1 ->
-            Printf.sprintf "%s *. Array.unsafe_get %s (%s)" c src
-              (idx b.bil_in_deltas.(k))
-        | _ ->
-            Printf.sprintf "%s *. Array.unsafe_get %s (%s)" c (aux_of k)
-              (idx b.bil_aux_deltas.(k))
-      in
-      "0.0 +. " ^ String.concat " +. " (List.init (Array.length b.bil_coeffs) term)
-  | Spec_tree -> assert false
-
-(* The products of a taps or bilinear sum in chain order, and whether the
-   chain leads with [0.0 +]. *)
+   subterm [k]'s aux array. The point index variable is always [i]. The
+   products of a taps or bilinear sum come back in chain order, with
+   whether the chain leads with [0.0 +]. *)
 let c_products ~src ~aux_of (spec : Interp.spec) =
   match spec with
   | Spec_taps { taps_coeffs; taps_deltas } ->
@@ -308,11 +229,6 @@ let c_products ~src ~aux_of (spec : Interp.spec) =
       (Array.mapi term b.bil_coeffs, true)
   | Spec_tree -> assert false
 
-let c_sum ~src ~aux_of spec =
-  let products, lead = c_products ~src ~aux_of spec in
-  (if lead then "0.0 + " else "")
-  ^ String.concat " + " (Array.to_list products)
-
 (* {3 Tree expressions}
 
    Renders Expr.eval's exact operation set. [slot] resolves an aux tensor
@@ -321,61 +237,6 @@ let c_sum ~src ~aux_of spec =
    [coord] array); the flat point index in scope is [i], which already
    includes the halo offsets — an access only adds its constant flat
    delta. *)
-
-let ocaml_tree ~src ~slot ~coord interp =
-  let k = Interp.kernel interp in
-  let input = k.Kernel.input.Tensor.name in
-  let strides = Interp.strides interp in
-  let var_coord name =
-    let rec find d = function
-      | [] -> unsupported "unknown loop var %s" name
-      | v :: rest -> if String.equal v name then coord d else find (d + 1) rest
-    in
-    find 0 k.Kernel.index_vars
-  in
-  let rec go (e : Expr.t) =
-    match e with
-    | Fconst x -> flit_checked x
-    | Iconst n -> flit (float_of_int n)
-    | Param name -> (
-        match List.assoc_opt name k.Kernel.bindings with
-        | Some v -> flit_checked v
-        | None -> unsupported "unbound parameter %s" name)
-    | Var name -> Printf.sprintf "(Stdlib.float_of_int %s)" (var_coord name)
-    | Access a ->
-        let arr = if String.equal a.Expr.tensor input then src else slot a.Expr.tensor in
-        Printf.sprintf "(Array.unsafe_get %s (%s))" arr
-          (idx (flat_delta strides a.Expr.offsets))
-    | Unop (op, a) ->
-        let f =
-          match op with
-          | Expr.Neg -> "-."
-          | Abs -> "Float.abs"
-          | Sqrt -> "sqrt"
-          | Exp -> "exp"
-          | Sin -> "sin"
-          | Cos -> "cos"
-        in
-        Printf.sprintf "(%s %s)" f (go a)
-    | Binop (op, a, b) -> (
-        match op with
-        | Expr.Add -> Printf.sprintf "(%s +. %s)" (go a) (go b)
-        | Sub -> Printf.sprintf "(%s -. %s)" (go a) (go b)
-        | Mul -> Printf.sprintf "(%s *. %s)" (go a) (go b)
-        | Div -> Printf.sprintf "(%s /. %s)" (go a) (go b)
-        | Min -> Printf.sprintf "(Float.min %s %s)" (go a) (go b)
-        | Max -> Printf.sprintf "(Float.max %s %s)" (go a) (go b))
-    | Call (name, args) -> (
-        match (name, List.map go args) with
-        | "pow", [ a; b ] -> Printf.sprintf "(Float.pow %s %s)" a b
-        | "hypot", [ a; b ] -> Printf.sprintf "(Float.hypot %s %s)" a b
-        | "fma", [ a; b; c ] -> Printf.sprintf "(Float.fma %s %s %s)" a b c
-        | (("sqrt" | "exp" | "log" | "sin" | "cos" | "tanh") as f), [ a ] ->
-            Printf.sprintf "(%s %s)" f a
-        | "fabs", [ a ] -> Printf.sprintf "(Float.abs %s)" a
-        | _ -> unsupported "unknown call %s/%d" name (List.length args))
-  in
-  go k.Kernel.expr
 
 let c_tree ~src ~slot ~coord interp =
   let k = Interp.kernel interp in
@@ -444,17 +305,6 @@ let c_tree_prelude =
   \  return (y != y) ? y : x;\n\
    }\n\n"
 
-(* One kernel term's value expression at point [i]. *)
-let ocaml_value ~src ~aux_of ~slot ~coord interp =
-  match Interp.spec interp with
-  | Interp.Spec_tree -> ocaml_tree ~src ~slot ~coord interp
-  | spec -> ocaml_sum ~src ~aux_of spec
-
-let c_value ~src ~aux_of ~slot ~coord interp =
-  match Interp.spec interp with
-  | Interp.Spec_tree -> c_tree ~src ~slot ~coord interp
-  | spec -> c_sum ~src ~aux_of spec
-
 let is_tree interp =
   match Interp.spec interp with Interp.Spec_tree -> true | _ -> false
 
@@ -474,161 +324,13 @@ let base_expr ~nd ~halo ~strides =
          if strides.(d) = 1 then shifted
          else Printf.sprintf "%s * %d" shifted strides.(d)))
 
-(* Compact tree-slot resolver for the per-term layout. *)
-let per_term_slot interp n =
-  let rec go j = function
-    | [] -> unsupported "kernel reads unknown tensor %s" n
-    | m :: rest -> if String.equal m n then Printf.sprintf "_a%d" j else go (j + 1) rest
-  in
-  go 0 (tree_aux_names interp)
-
-let emit_ocaml ~base ~halo ~strides interp =
-  let spec = Interp.spec interp in
-  let nd = Array.length strides in
-  let last = nd - 1 in
-  let buf = Buffer.create 4096 in
-  let pr fmt = Printf.bprintf buf fmt in
-  pr "(* Kernel %s -- generated by Msc_exec.Jit; do not edit. *)\n" base;
-  pr "let kernel (_wb : int) (_scale : float) (_src : float array)\n";
-  pr "    (_dst : float array) (_aux : float array array) (_lo : int array)\n";
-  pr "    (_hi : int array) : unit =\n";
-  (match spec with
-  | Spec_bilinear _ ->
-      List.iter
-        (fun k -> pr "  let _a%d = Array.unsafe_get _aux %d in\n" k k)
-        (aux_terms spec)
-  | Spec_tree ->
-      List.iteri
-        (fun s _ -> pr "  let _a%d = Array.unsafe_get _aux %d in\n" s s)
-        (tree_aux_names interp)
-  | Spec_taps _ -> ());
-  for d = 0 to last do
-    pr "  let l%d = Array.unsafe_get _lo %d in\n" d d;
-    pr "  let h%d = Array.unsafe_get _hi %d in\n" d d
-  done;
-  pr "  let len = h%d - l%d in\n" last last;
-  pr "  if len > 0 then begin\n";
-  for d = 0 to last - 1 do
-    pr "  for i%d = l%d to h%d - 1 do\n" d d d
-  done;
-  pr "  let base = %s in\n" (base_expr ~nd ~halo ~strides);
-  let iexpr =
-    if strides.(last) = 1 then "base + c"
-    else Printf.sprintf "base + c * %d" strides.(last)
-  in
-  let aux_of =
-    match spec with
-    | Spec_bilinear b ->
-        fun k -> (
-          match b.bil_aux_names.(k) with
-          | Some _ -> Printf.sprintf "_a%d" k
-          | None -> "_src")
-    | _ -> fun _ -> "_src"
-  in
-  let coord d =
-    if d = last then Printf.sprintf "(l%d + c)" last else Printf.sprintf "i%d" d
-  in
-  let sum =
-    ocaml_value ~src:"_src" ~aux_of ~slot:(per_term_slot interp) ~coord interp
-  in
-  let loop body =
-    pr "  for c = 0 to len - 1 do\n";
-    pr "    let i = %s in\n" iexpr;
-    pr "    Array.unsafe_set _dst i (%s)\n" body;
-    pr "  done\n"
-  in
-  pr "  (if _wb = 0 then begin\n";
-  loop sum;
-  pr "  end\n";
-  pr "  else if _wb = 1 then begin\n";
-  loop (Printf.sprintf "_scale *. (%s)" sum);
-  pr "  end\n";
-  pr "  else begin\n";
-  loop (Printf.sprintf "Array.unsafe_get _dst i +. (_scale *. (%s))" sum);
-  pr "  end)\n";
-  for _ = 0 to last - 1 do
-    pr "  done\n"
-  done;
-  pr "  end\n";
-  pr "\nlet () = Callback.register %S kernel\n" ("msc_jit_" ^ base);
-  Buffer.contents buf
-
-let emit_c ~base ~halo ~strides interp =
-  let spec = Interp.spec interp in
-  let nd = Array.length strides in
-  let last = nd - 1 in
-  let buf = Buffer.create 4096 in
-  let pr fmt = Printf.bprintf buf fmt in
-  pr "/* Kernel %s -- generated by Msc_exec.Jit; do not edit. */\n" base;
-  if is_tree interp then pr "%s" c_tree_prelude;
-  pr "void msc_kernel(long wb, double scale, const double *src, double *dst,\n";
-  pr "                const double **aux, const long *lo, const long *hi)\n";
-  pr "{\n";
-  (match spec with
-  | Spec_bilinear _ ->
-      let auxl = aux_terms spec in
-      if auxl = [] then pr "  (void)aux;\n";
-      List.iter (fun k -> pr "  const double *_a%d = aux[%d];\n" k k) auxl
-  | Spec_tree ->
-      let names = tree_aux_names interp in
-      if names = [] then pr "  (void)aux;\n";
-      List.iteri (fun s _ -> pr "  const double *_a%d = aux[%d];\n" s s) names
-  | Spec_taps _ -> pr "  (void)aux;\n");
-  for d = 0 to last do
-    pr "  long l%d = lo[%d]; long h%d = hi[%d];\n" d d d d
-  done;
-  pr "  long len = h%d - l%d;\n" last last;
-  pr "  if (len <= 0) return;\n";
-  for d = 0 to last - 1 do
-    pr "  for (long i%d = l%d; i%d < h%d; i%d++) {\n" d d d d d
-  done;
-  pr "  long base = %s;\n" (base_expr ~nd ~halo ~strides);
-  let iexpr =
-    if strides.(last) = 1 then "base + c"
-    else Printf.sprintf "base + c * %d" strides.(last)
-  in
-  let aux_of =
-    match spec with
-    | Spec_bilinear b ->
-        fun k -> (
-          match b.bil_aux_names.(k) with
-          | Some _ -> Printf.sprintf "_a%d" k
-          | None -> "src")
-    | _ -> fun _ -> "src"
-  in
-  let coord d =
-    if d = last then Printf.sprintf "(l%d + c)" last else Printf.sprintf "i%d" d
-  in
-  let sum = c_value ~src:"src" ~aux_of ~slot:(per_term_slot interp) ~coord interp in
-  let loop body =
-    pr "    for (long c = 0; c < len; c++) {\n";
-    pr "      long i = %s;\n" iexpr;
-    pr "      dst[i] = %s;\n" body;
-    pr "    }\n"
-  in
-  pr "  if (wb == 0) {\n";
-  loop sum;
-  pr "  } else if (wb == 1) {\n";
-  loop (Printf.sprintf "scale * (%s)" sum);
-  pr "  } else {\n";
-  loop (Printf.sprintf "dst[i] + (scale * (%s))" sum);
-  pr "  }\n";
-  for _ = 0 to last - 1 do
-    pr "  }\n"
-  done;
-  pr "}\n";
-  Buffer.contents buf
-
 (* {2 Fused whole-sweep emission}
 
    One write-through function per plan covering every stencil term: the
    first term seeds a per-point accumulator, later terms fold into it, and
    [dst] is written once — replacing the interpreter's one full-grid pass
-   per term. The OCaml emitter unrolls the innermost row by 4
-   (flambda-less ocamlopt does not vectorize, so lane independence only
-   needs to beat loop overhead there); the C emitter's loop shapes are
-   described at [emit_c_sweep_src]. Neither reassociates, so bit-identity
-   is preserved. *)
+   per term. The loop shapes are described at [emit_c_sweep_src]; nothing
+   reassociates, so bit-identity is preserved. *)
 
 (* Per-term (slot offset, aux names) in the concatenated aux layout. *)
 let sweep_slots terms =
@@ -665,20 +367,29 @@ let sweep_has_tree terms =
     (function Sweep_kernel { interp; _ } -> is_tree interp | Sweep_state _ -> false)
     terms
 
-(* The value expression of kernel term [t] at lane offset [c_str] (a
-   last-dimension offset expression; the lane binds [i] to the matching
-   flat index). [row] shifts the second-innermost coordinate — the C
-   emitter computes a block of [row = 0..3] adjacent rows per inner
-   iteration. [pre] is the per-emitter variable-name prefix ("_" on the
-   OCaml side, "" in C). *)
-let sweep_kernel_value ~value ~pre ~layout ~last ?(row = 0) ~c_str t interp =
+(* One term rendered at a lane: a product chain (with its [0.0 +] lead
+   flag) or one whole expression. *)
+type c_term = Chain of string array * bool | Whole of string
+
+let c_term_value ~src ~aux_of ~slot ~coord interp =
+  match Interp.spec interp with
+  | Interp.Spec_tree -> Whole (c_tree ~src ~slot ~coord interp)
+  | spec ->
+      let products, lead = c_products ~src ~aux_of spec in
+      Chain (products, lead)
+
+(* The value of kernel term [t] at lane offset [c_str] (a last-dimension
+   offset expression; the lane binds [i] to the matching flat index).
+   [row] shifts the second-innermost coordinate — a single-pass sweep
+   computes a block of [row = 0..3] adjacent rows per inner iteration. *)
+let sweep_kernel_value ~layout ~last ~row ~c_str t interp =
   let off, names = List.nth layout t in
-  let src = Printf.sprintf "%ss%d" pre t in
+  let src = Printf.sprintf "s%d" t in
   let slot n =
     let rec go j = function
       | [] -> unsupported "aux tensor %s has no fused slot" n
       | m :: rest ->
-          if String.equal m n then Printf.sprintf "%sa%d" pre (off + j)
+          if String.equal m n then Printf.sprintf "a%d" (off + j)
           else go (j + 1) rest
     in
     go 0 names
@@ -695,94 +406,7 @@ let sweep_kernel_value ~value ~pre ~layout ~last ?(row = 0) ~c_str t interp =
     else if d = last - 1 && row > 0 then Printf.sprintf "(i%d + %d)" d row
     else Printf.sprintf "i%d" d
   in
-  value ~src ~aux_of ~slot ~coord interp
-
-let emit_ocaml_sweep ~base ~halo ~strides terms =
-  let nd = Array.length strides in
-  let last = nd - 1 in
-  let layout, nslots = sweep_slots terms in
-  let buf = Buffer.create 8192 in
-  let pr fmt = Printf.bprintf buf fmt in
-  pr "(* Fused sweep %s -- generated by Msc_exec.Jit; do not edit. *)\n" base;
-  pr "let sweep (_srcs : float array array) (_dst : float array)\n";
-  pr "    (_aux : float array array) (_lo : int array) (_hi : int array)\n";
-  pr "    : unit =\n";
-  List.iteri
-    (fun t _ -> pr "  let _s%d = Array.unsafe_get _srcs %d in\n" t t)
-    terms;
-  for s = 0 to nslots - 1 do
-    pr "  let _a%d = Array.unsafe_get _aux %d in\n" s s
-  done;
-  for d = 0 to last do
-    pr "  let l%d = Array.unsafe_get _lo %d in\n" d d;
-    pr "  let h%d = Array.unsafe_get _hi %d in\n" d d
-  done;
-  pr "  let len = h%d - l%d in\n" last last;
-  pr "  if len > 0 then begin\n";
-  for d = 0 to last - 1 do
-    pr "  for i%d = l%d to h%d - 1 do\n" d d d
-  done;
-  pr "  let base = %s in\n" (base_expr ~nd ~halo ~strides);
-  let iexpr c_str =
-    if strides.(last) = 1 then Printf.sprintf "base + (%s)" c_str
-    else Printf.sprintf "base + ((%s) * %d)" c_str strides.(last)
-  in
-  (* Write-through: the first term seeds the accumulator (overwrite
-     semantics), later terms fold in — matching Runtime's term_write +
-     term_accumulate pass sequence. *)
-  let kernel_value c_str t interp =
-    sweep_kernel_value ~value:ocaml_value ~pre:"_" ~layout ~last ~c_str t interp
-  in
-  let first_value c_str t term =
-    match term with
-    | Sweep_kernel { scale; interp } ->
-        let v = kernel_value c_str t interp in
-        if scale = 1.0 then Printf.sprintf "(%s)" v
-        else Printf.sprintf "%s *. (%s)" (flit_checked scale) v
-    | Sweep_state { scale } ->
-        if scale = 1.0 then Printf.sprintf "Array.unsafe_get _s%d i" t
-        else
-          Printf.sprintf "%s *. Array.unsafe_get _s%d i" (flit_checked scale) t
-  in
-  let fold_value c_str t term =
-    match term with
-    | Sweep_kernel { scale; interp } ->
-        let v = kernel_value c_str t interp in
-        Printf.sprintf "acc +. (%s *. (%s))" (flit_checked scale) v
-    | Sweep_state { scale } ->
-        Printf.sprintf "acc +. (%s *. Array.unsafe_get _s%d i)"
-          (flit_checked scale) t
-  in
-  let lane c_str =
-    let b = Buffer.create 512 in
-    Printf.bprintf b "(let i = %s in\n" (iexpr c_str);
-    List.iteri
-      (fun t term ->
-        if t = 0 then
-          Printf.bprintf b "       let acc = %s in\n" (first_value c_str t term)
-        else Printf.bprintf b "       let acc = %s in\n" (fold_value c_str t term))
-      terms;
-    Printf.bprintf b "       Array.unsafe_set _dst i acc)";
-    Buffer.contents b
-  in
-  pr "    let c = ref 0 in\n";
-  pr "    while !c + 3 < len do\n";
-  pr "      %s;\n" (lane "!c");
-  pr "      %s;\n" (lane "!c + 1");
-  pr "      %s;\n" (lane "!c + 2");
-  pr "      %s;\n" (lane "!c + 3");
-  pr "      c := !c + 4\n";
-  pr "    done;\n";
-  pr "    while !c < len do\n";
-  pr "      %s;\n" (lane "!c");
-  pr "      c := !c + 1\n";
-  pr "    done;\n";
-  for _ = 0 to last - 1 do
-    pr "  done\n"
-  done;
-  pr "  end\n";
-  pr "\nlet () = Callback.register %S sweep\n" ("msc_jit_" ^ base);
-  Buffer.contents buf
+  c_term_value ~src ~aux_of ~slot ~coord interp
 
 (* {3 Fold units and passes}
 
@@ -821,17 +445,6 @@ let sweep_units terms =
        (List.mapi
           (fun t term -> List.init (term_units term) (fun k -> (t, k)))
           terms))
-
-(* One term rendered at a lane: a product chain (with its [0.0 +] lead
-   flag) or one whole expression. *)
-type c_term = Chain of string array * bool | Whole of string
-
-let c_term_value ~src ~aux_of ~slot ~coord interp =
-  match Interp.spec interp with
-  | Interp.Spec_tree -> Whole (c_tree ~src ~slot ~coord interp)
-  | spec ->
-      let products, lead = c_products ~src ~aux_of spec in
-      Chain (products, lead)
 
 (* The statements of fold units [a, b) at one lane, as a C block binding
    [i] to [index]. A pass that starts inside the chain resumes [acc] (once
@@ -926,8 +539,7 @@ let emit_c_sweep_src ~fn_name ~halo ~strides terms =
         (fun t -> function
           | Sweep_state _ -> Whole (Printf.sprintf "s%d[i]" t)
           | Sweep_kernel { interp; _ } ->
-              sweep_kernel_value ~value:c_term_value ~pre:"" ~layout ~last ~row
-                ~c_str t interp)
+              sweep_kernel_value ~layout ~last ~row ~c_str t interp)
         terms_arr
     in
     let index =
@@ -986,18 +598,10 @@ let emit_c_sweep_src ~fn_name ~halo ~strides terms =
 
 (* {2 Build + load} *)
 
-let ocaml_tool () =
-  if have_tool "ocamlopt" then Ok "ocamlopt"
-  else Error "ocamlopt not found on PATH"
-
 let c_tool () =
   if have_tool "cc" then Ok "cc"
   else if have_tool "gcc" then Ok "gcc"
   else Error "no C compiler (cc/gcc) found on PATH"
-
-let ocaml_cmd ~tc ~dir ~src ~out ~log =
-  Printf.sprintf "cd %s && %s -shared -o %s %s > %s 2>&1" (Filename.quote dir)
-    tc (Filename.quote out) (Filename.quote src) (Filename.quote log)
 
 let c_cmd ~tc ~dir ~src ~out ~log =
   (* -ffp-contract=off: contraction would fuse mul+add and change rounding,
@@ -1009,7 +613,7 @@ let c_cmd ~tc ~dir ~src ~out ~log =
 
 (* Fused sweeps are the hot artifact, and a JIT compiles for the machine it
    runs on: ask for the host microarchitecture first and fall back to the
-   portable per-term flags when the compiler does not know [-march=native].
+   portable flags of [c_cmd] when the compiler does not know [-march=native].
    Wider vector codegen does not change per-element rounding, and
    [-ffp-contract=off] still bans the fused multiply-adds that would. *)
 let c_sweep_cmd ~tc ~dir ~src ~out ~log =
@@ -1057,17 +661,6 @@ let build_shared ~trace ~dir ~base ~art_ext ~src_ext ~tool ~cmd ~emit ~load =
         in
         Result.bind built (fun () -> load art)
 
-let build_ocaml ~trace ~dir ~base emit =
-  build_shared ~trace ~dir ~base ~art_ext:".cmxs" ~src_ext:".ml"
-    ~tool:ocaml_tool ~cmd:ocaml_cmd ~emit ~load:(fun art ->
-      try
-        Dynlink.loadfile_private art;
-        Ok (Obj.obj (named_value ("msc_jit_" ^ base)))
-      with
-      | Dynlink.Error e -> Error ("dynlink: " ^ Dynlink.error_message e)
-      | Not_found -> Error "loaded kernel did not register itself"
-      | Failure m -> Error m)
-
 (* [wrap] turns the resolved entry point [sym] into the OCaml-side
    function. *)
 let build_cc ~trace ~dir ~base ~cmd ~sym emit wrap =
@@ -1077,19 +670,16 @@ let build_cc ~trace ~dir ~base ~cmd ~sym emit wrap =
 
 (* {2 Compilation driver} *)
 
-(* Forms the emitters reject up front (tree kernels are validated during
+(* Forms the emitter rejects up front (tree kernels are validated during
    emission instead — their unsupported constructs surface as
-   [Unsupported] from the expression renderers). Only the per-term ABI
-   spends an aux slot per bilinear subterm. *)
-let check_spec ~per_term (spec : Interp.spec) =
+   [Unsupported] from the expression renderer). *)
+let check_spec (spec : Interp.spec) =
   match spec with
   | Spec_tree -> ()
   | Spec_taps { taps_coeffs; _ } ->
       if not (Array.for_all Float.is_finite taps_coeffs) then
         unsupported "non-finite tap coefficient"
   | Spec_bilinear b ->
-      if per_term && Array.length b.bil_coeffs > max_aux then
-        unsupported "too many bilinear terms for the C calling convention";
       if not (Array.for_all Float.is_finite b.bil_coeffs) then
         unsupported "non-finite bilinear coefficient"
 
@@ -1107,7 +697,7 @@ let term_extra interp =
   | _ -> None
 
 (* Classify a build outcome into the two failure counters: [Unsupported]
-   is a form the emitters cannot express; everything else (missing
+   is a form the emitter cannot express; everything else (missing
    toolchain, compile error, load error) is a toolchain failure. Counters
    are touched under the caller's lock. *)
 let classified f =
@@ -1125,11 +715,10 @@ let classified f =
 
 (* The memo-then-disk-then-build lookup every compile entry point shares,
    inside one ["jit.lookup"] span. [build ~dir] may raise [Unsupported]. *)
-let cached ~trace table ~backend ~base build =
-  let memo_key = Backend.to_string backend ^ ":" ^ base in
+let cached ~trace table ~base build =
   Msc_trace.span trace "jit.lookup" (fun () ->
       with_lock (fun () ->
-          match Hashtbl.find_opt table memo_key with
+          match Hashtbl.find_opt table base with
           | Some fn ->
               incr memo_hits;
               Ok fn
@@ -1137,46 +726,10 @@ let cached ~trace table ~backend ~base build =
               let dir = cache_dir () in
               (try mkdir_p dir with _ -> ());
               let result = classified (fun () -> build ~dir) in
-              Result.iter (Hashtbl.replace table memo_key) result;
+              Result.iter (Hashtbl.replace table base) result;
               result))
 
 let digest parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
-
-let compile_term ?(trace = Msc_trace.disabled) ~backend ~plan_digest
-    ~term_index interp =
-  match (backend : Backend.t) with
-  | Interp -> Error "interpreter backend compiles nothing"
-  | (Native_ocaml | Compiled_c) as b ->
-      let spec = Interp.spec interp in
-      let halo = Interp.halo interp and strides = Interp.strides interp in
-      (* The key digests everything baked into the generated code; the
-         plan digest alone is not enough because distributed ranks
-         compile per-rank geometries under related plans. *)
-      let key =
-        digest
-          [
-            plan_digest;
-            emitter_version;
-            string_of_int term_index;
-            Marshal.to_string
-              (Interp.shape interp, halo, strides, spec, term_extra interp)
-              [];
-          ]
-      in
-      let base =
-        Printf.sprintf "msc_kern_%s_%s_t%d" emitter_version key term_index
-      in
-      cached ~trace memo ~backend:b ~base (fun ~dir ->
-          check_spec ~per_term:true spec;
-          match b with
-          | Backend.Native_ocaml ->
-              build_ocaml ~trace ~dir ~base (fun () ->
-                  emit_ocaml ~base ~halo ~strides interp)
-          | _ ->
-              build_cc ~trace ~dir ~base ~cmd:c_cmd ~sym:"msc_kernel"
-                (fun () -> emit_c ~base ~halo ~strides interp)
-                (fun fn wb scale src dst aux lo hi ->
-                  c_call fn wb scale src dst aux lo hi))
 
 let check_sweep terms =
   let nterms = List.length terms in
@@ -1190,7 +743,7 @@ let check_sweep terms =
     (function
       | Sweep_state _ -> ()
       | Sweep_kernel { interp; _ } as term ->
-          check_spec ~per_term:false (Interp.spec interp);
+          check_spec (Interp.spec interp);
           if term_units term = 0 then unsupported "kernel term with no taps")
     terms
 
@@ -1199,38 +752,29 @@ let sweep_sig = function
   | Sweep_kernel { scale; interp } ->
       `Kernel (scale, Interp.spec interp, term_extra interp)
 
-let compile_sweep ?(trace = Msc_trace.disabled) ~backend ~plan_digest terms =
-  match (backend : Backend.t) with
-  | Interp -> Error "interpreter backend compiles nothing"
-  | (Native_ocaml | Compiled_c) as b -> (
-      match sweep_geometry terms with
-      | Error msg ->
-          with_lock (fun () -> incr failures_unsupported);
-          Error msg
-      | Ok (shape, halo, strides) ->
-          let key =
-            digest
-              [
-                plan_digest;
-                emitter_version;
-                Marshal.to_string
-                  (shape, halo, strides, List.map sweep_sig terms)
-                  [];
-              ]
-          in
-          let base = Printf.sprintf "msc_sweep_%s_%s" emitter_version key in
-          cached ~trace sweep_memo ~backend:b ~base (fun ~dir ->
-              check_sweep terms;
-              match b with
-              | Backend.Native_ocaml ->
-                  build_ocaml ~trace ~dir ~base (fun () ->
-                      emit_ocaml_sweep ~base ~halo ~strides terms)
-              | _ ->
-                  build_cc ~trace ~dir ~base ~cmd:c_sweep_cmd ~sym:"msc_sweep"
-                    (fun () ->
-                      emit_c_sweep_src ~fn_name:"msc_sweep" ~halo ~strides terms)
-                    (fun fn srcs dst aux lo hi ->
-                      c_call_sweep fn srcs dst aux lo hi)))
+let compile_sweep ?(trace = Msc_trace.disabled) ~plan_digest terms =
+  match sweep_geometry terms with
+  | Error msg ->
+      with_lock (fun () -> incr failures_unsupported);
+      Error msg
+  | Ok (shape, halo, strides) ->
+      (* The key digests everything baked into the generated code; the
+         plan digest alone is not enough because distributed ranks
+         compile per-rank geometries under related plans. *)
+      let key =
+        digest
+          [
+            plan_digest;
+            emitter_version;
+            Marshal.to_string (shape, halo, strides, List.map sweep_sig terms) [];
+          ]
+      in
+      let base = Printf.sprintf "msc_sweep_%s_%s" emitter_version key in
+      cached ~trace sweep_memo ~base (fun ~dir ->
+          check_sweep terms;
+          build_cc ~trace ~dir ~base ~cmd:c_sweep_cmd ~sym:"msc_sweep"
+            (fun () -> emit_c_sweep_src ~fn_name:"msc_sweep" ~halo ~strides terms)
+            (fun fn srcs dst aux lo hi -> c_call_sweep fn srcs dst aux lo hi))
 
 let emit_c_sweep ~fn_name terms =
   match sweep_geometry terms with
@@ -1244,58 +788,11 @@ let emit_c_sweep ~fn_name terms =
 (* {2 Reduction kernels}
 
    One artifact per geometry covering all four operators (dispatched on
-   the op code, like the writeback codes). Bit-identity discipline: the
-   accumulator chain is strictly sequential in row-major order — the same
-   fold Reduction's interpreter reference performs — and neither compiler
-   may reassociate it (FP reassociation needs -ffast-math, which we never
-   pass), so per-tile partials agree bitwise across all three backends. *)
-
-let emit_ocaml_reduce ~base ~halo ~strides =
-  let nd = Array.length strides in
-  let last = nd - 1 in
-  let buf = Buffer.create 2048 in
-  let pr fmt = Printf.bprintf buf fmt in
-  pr "(* Reduction %s -- generated by Msc_exec.Jit; do not edit. *)\n" base;
-  pr "let reduce (_op : int) (_a : float array) (_b : float array)\n";
-  pr "    (_lo : int array) (_hi : int array) : float =\n";
-  for d = 0 to last do
-    pr "  let l%d = Array.unsafe_get _lo %d in\n" d d;
-    pr "  let h%d = Array.unsafe_get _hi %d in\n" d d
-  done;
-  pr "  let len = h%d - l%d in\n" last last;
-  pr "  let acc = ref 0.0 in\n";
-  pr "  if len > 0 then begin\n";
-  let iexpr =
-    if strides.(last) = 1 then "base + c"
-    else Printf.sprintf "base + c * %d" strides.(last)
-  in
-  let nest body =
-    for d = 0 to last - 1 do
-      pr "  for i%d = l%d to h%d - 1 do\n" d d d
-    done;
-    pr "  let base = %s in\n" (base_expr ~nd ~halo ~strides);
-    pr "  for c = 0 to len - 1 do\n";
-    pr "    let i = %s in\n" iexpr;
-    pr "    %s\n" body;
-    pr "  done\n";
-    for _ = 0 to last - 1 do
-      pr "  done\n"
-    done
-  in
-  pr "  (if _op = 0 then begin\n";
-  nest "acc := !acc +. Array.unsafe_get _a i";
-  pr "  end\n  else if _op = 1 then begin\n";
-  nest "acc := !acc +. (Array.unsafe_get _a i *. Array.unsafe_get _b i)";
-  pr "  end\n  else if _op = 2 then begin\n";
-  nest "(let v = Array.unsafe_get _a i in acc := !acc +. (v *. v))";
-  pr "  end\n  else begin\n";
-  nest
-    "(let v = Float.abs (Array.unsafe_get _a i) in if v > !acc then acc := v)";
-  pr "  end)\n";
-  pr "  end;\n";
-  pr "  !acc\n";
-  pr "\nlet () = Callback.register %S reduce\n" ("msc_jit_" ^ base);
-  Buffer.contents buf
+   the op code). Bit-identity discipline: the accumulator chain is
+   strictly sequential in row-major order — the same fold Reduction's
+   interpreter reference performs — and the compiler may not reassociate
+   it (FP reassociation needs -ffast-math, which we never pass), so
+   per-tile partials agree bitwise with the interpreter's. *)
 
 let emit_c_reduce ~base ~halo ~strides =
   let nd = Array.length strides in
@@ -1344,22 +841,13 @@ let emit_c_reduce ~base ~halo ~strides =
   pr "}\n";
   Buffer.contents buf
 
-let compile_reduce ?(trace = Msc_trace.disabled) ~backend (g : Grid.t) =
-  match (backend : Backend.t) with
-  | Interp -> Error "interpreter backend compiles nothing"
-  | (Native_ocaml | Compiled_c) as b ->
-      let shape = g.Grid.shape and halo = g.Grid.halo and strides = g.Grid.strides in
-      let key =
-        digest
-          [ "reduce"; emitter_version; Marshal.to_string (shape, halo, strides) [] ]
-      in
-      let base = Printf.sprintf "msc_reduce_%s_%s" emitter_version key in
-      cached ~trace reduce_memo ~backend:b ~base (fun ~dir ->
-          match b with
-          | Backend.Native_ocaml ->
-              build_ocaml ~trace ~dir ~base (fun () ->
-                  emit_ocaml_reduce ~base ~halo ~strides)
-          | _ ->
-              build_cc ~trace ~dir ~base ~cmd:c_cmd ~sym:"msc_reduce"
-                (fun () -> emit_c_reduce ~base ~halo ~strides)
-                (fun fn op a b lo hi -> c_call_reduce fn op a b lo hi))
+let compile_reduce ?(trace = Msc_trace.disabled) (g : Grid.t) =
+  let shape = g.Grid.shape and halo = g.Grid.halo and strides = g.Grid.strides in
+  let key =
+    digest [ "reduce"; emitter_version; Marshal.to_string (shape, halo, strides) [] ]
+  in
+  let base = Printf.sprintf "msc_reduce_%s_%s" emitter_version key in
+  cached ~trace reduce_memo ~base (fun ~dir ->
+      build_cc ~trace ~dir ~base ~cmd:c_cmd ~sym:"msc_reduce"
+        (fun () -> emit_c_reduce ~base ~halo ~strides)
+        (fun fn op a b lo hi -> c_call_reduce fn op a b lo hi))

@@ -1,42 +1,30 @@
-(** Runtime kernel compiler behind the {!Backend.Native_ocaml} and
-    {!Backend.Compiled_c} backends.
+(** Runtime kernel compiler behind the {!Backend.Compiled_c} backend.
 
-    Two granularities of generated code:
+    [compile_sweep] emits one {e fused} write-through C kernel for a whole
+    sweep: every term of the stencil update folded into a per-point
+    accumulator, scales baked in, [dst] written once. The emitter walks
+    each row in strips of at most 512 columns and counts fold units (one
+    tap or bilinear product, or one whole tree or State term): a sweep of
+    at most 32 units is one pass with the second-innermost loop blocked by
+    4 rows (independent accumulator chains while the contiguous innermost
+    loop stays auto-vectorizable); a longer one runs as passes of at most
+    16 units, each one vectorized column loop over the strip that resumes
+    every point's accumulator and current term partial from stack rows. It
+    compiles with the host's native ISA when the compiler accepts it, and
+    is loaded back as a {!Backend.sweep_fn} and dispatched
+    tile-task-at-a-time by {!Runtime}.
 
-    - [compile_term] emits a specialized kernel for one stencil term —
-      flat-array loads/stores, per-radius unrolled taps, geometry
-      constants baked in — loaded back as a {!Backend.kernel_fn};
-    - [compile_sweep] emits one {e fused} write-through kernel for the
-      whole sweep: every term of the stencil update folded into a per-point
-      accumulator, scales baked in, [dst] written once. The C emitter
-      walks each row in strips of at most 512 columns and counts fold
-      units (one tap or bilinear product, or one whole tree or State
-      term): a sweep of at most 32 units is one pass with the
-      second-innermost loop blocked by 4 rows (independent accumulator
-      chains while the contiguous innermost loop stays auto-vectorizable);
-      a longer one runs as passes of at most 16 units, each one vectorized
-      column loop over the strip that resumes every point's accumulator
-      and current term partial from stack rows. It
-      compiles with the host's native ISA when the compiler accepts it; the
-      OCaml emitter unrolls the innermost row by 4 instead. Loaded back as
-      a {!Backend.sweep_fn} and dispatched tile-task-at-a-time by
-      {!Runtime.sweep_tasks}.
-
-    Both are emitted from the same precompiled representation the
+    The kernel is emitted from the same precompiled representation the
     interpreter executes ({!Interp.spec}, plus the kernel expression tree
     for tree-mode kernels), so compiled sweeps agree with the interpreter
-    bit-exactly by construction:
-
-    - [Native_ocaml]: a [.ml] file compiled with [ocamlopt -shared] and
-      loaded through [Dynlink]; the plugin hands its closure back via
-      [Callback.register].
-    - [Compiled_c]: a [.c] file compiled with [cc -O3 -ffp-contract=off
-      -fPIC -shared] and loaded through [dlopen]. Contraction is disabled
-      because fused multiply-adds would change the rounding and break the
-      bit-identity contract with the interpreter. Tree-mode kernels call
-      the same libm the OCaml runtime links, and [Float.min]/[Float.max]
-      are ported to C by hand ([fmin]/[fmax] differ on NaN and signed
-      zeros).
+    bit-exactly by construction. The [.c] file is compiled with [cc -O3
+    -ffp-contract=off -fPIC -shared] and loaded through [dlopen].
+    Contraction is disabled because fused multiply-adds would change the
+    rounding and break the bit-identity contract with the interpreter.
+    Tree-mode kernels call the same libm the OCaml runtime links, and
+    [Float.min]/[Float.max] are ported to C by hand ([fmin]/[fmax] differ
+    on NaN and signed zeros). [compile_reduce] builds the reduction
+    kernels the same way.
 
     Artifacts live in a persistent on-disk cache — [$MSC_KERNEL_CACHE] when
     set, else [<tmpdir>/msc-kernels] — keyed by a digest of everything baked
@@ -50,7 +38,7 @@
     an artifact not yet on disk is a nested ["jit.compile"] span.
 
     All failure modes return [Error reason]; callers fall back to the
-    interpreter. {!stats} separates forms the emitters cannot express
+    interpreter. {!stats} separates forms the emitter cannot express
     ([failures_unsupported]: non-finite constants, unknown calls or loop
     variables, term/aux counts past the stub limit) from toolchain
     problems ([failures_toolchain]: no compiler on [PATH], compile or load
@@ -61,7 +49,7 @@ type stats = {
   disk_hits : int;  (** artifact already on disk, only re-loaded *)
   compiles : int;  (** toolchain actually invoked *)
   failures_unsupported : int;
-      (** forms the emitters cannot express (the caller's fallback is
+      (** forms the emitter cannot express (the caller's fallback is
           expected and deterministic) *)
   failures_toolchain : int;
       (** missing toolchain, compile errors, load errors *)
@@ -80,43 +68,19 @@ val cache_dir : unit -> string
 
 val emitter_version : string
 (** The emitter-version salt, folded into {e every} artifact cache key
-    (per-term kernels, fused sweeps, reductions) and embedded in every
-    artifact file name ([msc_kern_<v>_...], [msc_sweep_<v>_...],
-    [msc_reduce_<v>_...]). Bumped whenever an emitter changes the code it
-    generates for the same specs, so a shared [$MSC_KERNEL_CACHE] can
-    never serve artifacts of an older code shape. *)
+    (fused sweeps, reductions) and embedded in every artifact file name
+    ([msc_sweep_<v>_...], [msc_reduce_<v>_...]). Bumped whenever an
+    emitter changes the code it generates for the same specs, so a shared
+    [$MSC_KERNEL_CACHE] can never serve artifacts of an older code
+    shape. *)
 
-(** {1 Aux slot layouts} *)
-
-val per_term_aux_names : Interp.t -> string option array
-(** The aux layout a per-term compiled kernel expects in its [aux]
-    argument: bilinear kernels keep one slot per bilinear subterm
-    (matching [bil_aux_names]; [None] slots take [[||]] placeholders),
-    tree kernels one slot per distinct aux tensor in first-use order,
-    taps kernels none. *)
+(** {1 Fused whole-sweep kernels} *)
 
 val sweep_term_aux_names : Interp.t -> string list
 (** The compact aux slots one term contributes to a fused sweep: the
     distinct aux tensor names the term reads, in first-use order. A
     {!Backend.sweep_fn}'s [aux] argument is the concatenation of these
     per kernel term, in stencil term order. *)
-
-(** {1 Per-term kernels} *)
-
-val compile_term :
-  ?trace:Msc_trace.t ->
-  backend:Backend.t ->
-  plan_digest:string ->
-  term_index:int ->
-  Interp.t ->
-  (Backend.kernel_fn, string) result
-(** Emit + compile + load the kernel for one stencil term. The returned
-    function performs {e no} validation — callers must guard each
-    invocation with {!Interp.check_grids} / {!Interp.check_range} exactly
-    as the interpreter does. [backend = Interp] is an [Error] (the caller
-    should not be asking). *)
-
-(** {1 Fused whole-sweep kernels} *)
 
 type sweep_term =
   | Sweep_state of { scale : float }
@@ -126,7 +90,6 @@ type sweep_term =
 
 val compile_sweep :
   ?trace:Msc_trace.t ->
-  backend:Backend.t ->
   plan_digest:string ->
   sweep_term list ->
   (Backend.sweep_fn, string) result
@@ -145,7 +108,6 @@ val emit_c_sweep : fn_name:string -> sweep_term list -> (string, string) result
 
 val compile_reduce :
   ?trace:Msc_trace.t ->
-  backend:Backend.t ->
   Grid.t ->
   (Backend.reduce_fn, string) result
 (** Emit + compile + load one reduction kernel for the grid's geometry

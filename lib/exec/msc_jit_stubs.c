@@ -1,30 +1,23 @@
-/* Stubs behind the compiled-kernel backends (lib/exec/jit.ml):
+/* Stubs behind the compiled-kernel backend (lib/exec/jit.ml):
  *
  * - msc_jit_dlopen: load a kernel shared object produced by the C backend
  *   and resolve its entry point, returned as a nativeint function pointer.
- * - msc_jit_call: invoke a loaded C kernel with the uniform calling
- *   convention of Backend.kernel_fn. Grid data arrays are OCaml flat float
- *   arrays passed as double*; lo/hi/aux are unpacked into C locals before
- *   the call, so the kernel only ever sees raw C data.
  * - msc_jit_call_sweep: invoke a loaded fused write-through sweep kernel
  *   (Backend.sweep_fn) — one source array per stencil term plus the
- *   concatenated aux slots, unpacked the same way.
- * - msc_jit_named_value: fetch the closure a Dynlink-loaded OCaml kernel
- *   registered through Callback.register.
+ *   concatenated aux slots. Grid data arrays are OCaml flat float arrays
+ *   passed as double*; srcs/aux/lo/hi are unpacked into C locals before
+ *   the call, so the kernel only ever sees raw C data.
+ * - msc_jit_call_reduce: invoke a loaded reduction kernel
+ *   (Backend.reduce_fn), unpacked the same way.
  */
 
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
 #include <caml/memory.h>
 #include <caml/fail.h>
-#include <caml/callback.h>
 
 #include <dlfcn.h>
 #include <string.h>
-
-typedef void (*msc_kernel_t)(long wb, double scale, const double *src,
-                             double *dst, const double **aux, const long *lo,
-                             const long *hi);
 
 CAMLprim value msc_jit_dlopen(value path, value sym)
 {
@@ -47,35 +40,6 @@ CAMLprim value msc_jit_dlopen(value path, value sym)
 }
 
 #define MSC_JIT_MAX 64
-
-CAMLprim value msc_jit_call_native(value fn, value wb, value scale, value src,
-                                   value dst, value aux, value lo, value hi)
-{
-  const double *auxp[MSC_JIT_MAX];
-  long lov[MSC_JIT_MAX], hiv[MSC_JIT_MAX];
-  mlsize_t naux = Wosize_val(aux);
-  mlsize_t nd = Wosize_val(lo);
-  mlsize_t i;
-  if (naux > MSC_JIT_MAX || nd > MSC_JIT_MAX || Wosize_val(hi) != nd)
-    caml_invalid_argument("msc_jit_call: rank or aux count out of range");
-  for (i = 0; i < naux; i++)
-    auxp[i] = (const double *)Op_val(Field(aux, i));
-  for (i = 0; i < nd; i++) {
-    lov[i] = Long_val(Field(lo, i));
-    hiv[i] = Long_val(Field(hi, i));
-  }
-  ((msc_kernel_t)Nativeint_val(fn))(Long_val(wb), Double_val(scale),
-                                    (const double *)Op_val(src),
-                                    (double *)Op_val(dst), auxp, lov, hiv);
-  return Val_unit;
-}
-
-CAMLprim value msc_jit_call_bytecode(value *argv, int argn)
-{
-  (void)argn;
-  return msc_jit_call_native(argv[0], argv[1], argv[2], argv[3], argv[4],
-                             argv[5], argv[6], argv[7]);
-}
 
 typedef void (*msc_sweep_t)(const double **srcs, double *dst,
                             const double **aux, const long *lo,
@@ -141,11 +105,4 @@ CAMLprim value msc_jit_call_reduce_bytecode(value *argv, int argn)
   (void)argn;
   return msc_jit_call_reduce_native(argv[0], argv[1], argv[2], argv[3],
                                     argv[4], argv[5]);
-}
-
-CAMLprim value msc_jit_named_value(value name)
-{
-  const value *v = caml_named_value(String_val(name));
-  if (v == NULL) caml_raise_not_found();
-  return *v;
 }

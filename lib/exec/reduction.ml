@@ -102,8 +102,8 @@ let create ?(config = Exec.Config.default) ?(trace = Msc_trace.disabled) ?tasks
   let compiled_fn, fallback =
     match config.Exec.Config.backend with
     | Backend.Interp -> (None, None)
-    | (Backend.Native_ocaml | Backend.Compiled_c) as b -> (
-        match Jit.compile_reduce ~trace ~backend:b g with
+    | Backend.Compiled_c -> (
+        match Jit.compile_reduce ~trace g with
         | Ok fn -> (Some fn, None)
         | Error msg -> (None, Some msg))
   in

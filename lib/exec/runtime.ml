@@ -3,64 +3,41 @@ module Schedule = Msc_schedule.Schedule
 module Plan = Msc_schedule.Plan
 module G = Msc_graph.Graph
 
-(* One stencil term's execution state: the interpreter compilation is
-   always present (the semantic reference and the fallback); [compiled]
-   holds the backend's loaded kernel when the JIT produced one; [jit_aux]
-   is the per-bilinear-term aux data resolved once at creation (the aux
-   grids are static), [||] for taps kernels. *)
-type kernel_exec = {
-  interp : Interp.t;
-  compiled : Backend.kernel_fn option;
-  jit_aux : float array array;
+(* A runtime steps a pipeline of stages over one stepped source grid: each
+   stage sweeps its tasks into a scratch buffer, the last one into the
+   window's spare slot, and the window rotates. A single stencil is the
+   one-stage pipeline whose only stage writes the output slot.
+
+   Where a term's input grid comes from: a past state of the stepped
+   source, or an intermediate stage's scratch buffer (always the current
+   step — intermediates are recomputed, never stepped). *)
+type source = Past of int | Buffer of int
+
+type term = {
+  scale : float;
+  src : source;
+  kernel : Interp.t option;  (* [None] = identity (State) term *)
 }
 
-type term = { scale : float; source : source; dt : int }
-and source = From_kernel of kernel_exec | From_state
-
-(* ------------------------------------------------------------------ *)
-(* Pipeline graph execution state. A graph runtime reuses the window /
-   BC / rotation machinery of [t] (the stepped source grid behaves
-   exactly as a single stencil's would) and adds per-stage sweeps into
-   scratch buffers. Stage kernels are interpreted in forced tree mode:
-   the taps/bilinear fast paths merge duplicate taps and fold/distribute
-   coefficients, which is bit-equal for a kernel on its own but not for
-   a fused compound kernel versus its unfused reference — literal tree
-   evaluation is the one mode where substitution preserves every bit. *)
-
-(* Where a stage term's input grid comes from: a past state of the
-   stepped source, or an intermediate stage's scratch buffer (always the
-   current step — intermediates are recomputed, never stepped). *)
-type gsource = G_state of int | G_buffer of int
-
-type gterm = {
-  g_scale : float;
-  g_src : gsource;
-  g_kernel : Interp.t option;  (* [None] = identity (State) term *)
-}
-
-type stage_exec = {
-  sx_name : string;
-  sx_terms : gterm list;
-  sx_aux_static : (string * Grid.t) list;
+type stage = {
+  terms : term list;
+  aux_static : (string * Grid.t) list;
       (* coefficient grids + predecessor buffers, resolved once: buffer
          slot assignment is static, grid identities never change *)
-  sx_aux_source : string option;
+  aux_source : string option;
       (* the source tensor's name when a kernel reads it as aux (bound
          per sweep to [state ~dt:1]: the window rotates) *)
-  sx_dst : [ `Buffer of int | `Output ];
-  sx_tasks : (int array * int array) array;
-      (* plan tasks grown by the stage's ghost-zone extension *)
-  sx_fused : Backend.sweep_fn option;  (* per-stage fused JIT sweep *)
-  sx_fused_srcs : float array array;
-  sx_fused_aux : float array array;
-  sx_aux_refresh : int list;
-      (* [sx_fused_aux] slots bound to the source, refilled per sweep *)
-}
-
-type graph_exec = {
-  gx_plan : Plan.graph_plan;
-  gx_buffers : Grid.t array;
-  gx_stages : stage_exec array;
+  dst : [ `Buffer of int | `Output ];
+  tasks : (int array * int array) array;
+  (* The fused whole-sweep kernel, when the backend compiled one: every
+     term folded into one write-through call per task. [fused_srcs] holds
+     one source array per term and is refreshed per dispatch (the window
+     rotates between steps); [fused_aux] concatenates every term's aux
+     slots, static except the [aux_refresh] slots bound to the source. *)
+  fused : Backend.sweep_fn option;
+  fused_srcs : float array array;
+  fused_aux : float array array;
+  aux_refresh : int list;
 }
 
 type backend_report = {
@@ -80,14 +57,8 @@ type backend_report = {
    thousand points sweep in less — the BENCH_runtime regression that had
    [fused_c_pool] at 0.25-0.88x of [fused_c] across the whole suite. Below
    this many total points, a parallel-scheduled task array runs inline on
-   the calling domain instead. Override with MSC_POOL_INLINE_CUTOFF=<n>
-   (read once at startup; 0 disables inlining). *)
-let pool_inline_cutoff =
-  match
-    Option.bind (Sys.getenv_opt "MSC_POOL_INLINE_CUTOFF") int_of_string_opt
-  with
-  | Some n when n >= 0 -> n
-  | _ -> 32768
+   the calling domain instead. *)
+let pool_inline_cutoff = 32768
 
 let task_points tasks =
   Array.fold_left
@@ -130,7 +101,7 @@ let coalesce_tasks tasks =
   end
 
 (* Cutoff decision for one task array, memoised by the array's identity:
-   [t.tiles] and per-stage task arrays are built once per runtime, so after
+   every stage's task array is built once per runtime, so after
    the first sweep the per-step cost is a pointer compare instead of a
    rescan — which matters when the sweep itself is only microseconds.
    Bounded so transient arrays (distributed interior/shell splits built per
@@ -142,24 +113,17 @@ type sweep_memo = {
 }
 
 type t = {
-  stencil : Stencil.t;
-  terms : term list;
+  stencil : Stencil.t;  (* the output stage's *)
   window : Grid.t array;  (* length W+1 *)
   aux : (string * Grid.t) list;  (* static coefficient grids *)
   bc : Bc.t;
   mutable cur : int;  (* index of the newest state (t-1) *)
   mutable steps_done : int;
-  tiles : (int array * int array) array;
+  buffers : Grid.t array;  (* intermediate stage outputs *)
+  stages : stage array;  (* topological order; the last writes the output *)
+  graph_plan : Plan.graph_plan option;  (* present iff built by [create_graph] *)
   par : [ `Seq | `Block | `Round_robin ];
   pool : Msc_util.Domain_pool.t;
-  (* The fused whole-sweep kernel, when the backend compiled one: every
-     term folded into one write-through call per task. [fused_srcs] holds
-     one source array per term and is refreshed per dispatch (the window
-     rotates between steps); [fused_aux] concatenates every term's aux
-     slots and is static. *)
-  fused : Backend.sweep_fn option;
-  fused_srcs : float array array;
-  fused_aux : float array array;
   mutable tile_dispatches : int;  (* tile tasks swept, cumulative *)
   mutable inline_dispatches : int;  (* parallel sweeps run inline, cumulative *)
   mutable sweep_memos : sweep_memo list;  (* cutoff decisions, MRU-bounded *)
@@ -168,7 +132,6 @@ type t = {
   tid : int;  (* label for this runtime's spans (the rank, when distributed) *)
   on_worker : (int -> unit) option;  (* attaches worker domains to [trace] *)
   points_per_step : float;  (* interior points swept per step *)
-  graph : graph_exec option;  (* present iff built by [create_graph] *)
 }
 
 let rec flatten scale (e : Stencil.expr) =
@@ -212,12 +175,21 @@ let default_init _dt coord =
       coord;
     !acc
 
-let create ?plan ?schedule ?(config = Exec.Config.default)
-    ?(init = default_init) ?(aux_init = default_aux_init)
-    ?(bc = Bc.Dirichlet 0.0) ?(trace = Msc_trace.disabled) ?(tid = 0)
-    (st : Stencil.t) =
-  let geometry = Grid.of_tensor st.Stencil.grid in
-  let w = Stencil.time_window st in
+(* The stage builder both constructors share. [stages] lists, in
+   topological order, each stage's stencil, the digest of the plan its
+   fused kernel is keyed under, its task array and its destination.
+   [slot_of] maps an intermediate tensor to its scratch buffer.
+
+   [force_tree] is the one difference between a single stencil and a
+   graph: graph stages interpret in forced tree mode. The taps/bilinear
+   fast paths merge duplicate taps and fold/distribute coefficients, which
+   is bit-equal for a kernel on its own but not for a fused compound
+   kernel versus its unfused reference — literal tree evaluation is the
+   one mode where substitution preserves every bit. *)
+let build ~config ~init ~aux_init ~bc ~trace ~tid ~force_tree ~source
+    ~time_window:w ~aux_tensors ~n_buffers ~slot_of ~parallel ~graph_plan
+    ~stencil stages =
+  let geometry = Grid.of_tensor source in
   let window = Array.init (w + 1) (fun _ -> Grid.like geometry) in
   (* Slot w holds the spare; slots 0..w-1 hold states t-1 .. t-w. *)
   for dt = 1 to w do
@@ -230,13 +202,180 @@ let create ?plan ?schedule ?(config = Exec.Config.default)
         let g = Grid.of_tensor tensor in
         Grid.fill_extended g (aux_init tensor.Tensor.name);
         (tensor.Tensor.name, g))
-      (aux_tensors_of st)
+      aux_tensors
   in
-  let shape = st.Stencil.grid.Tensor.shape in
+  let buffers = Array.init n_buffers (fun _ -> Grid.like geometry) in
+  let fallback = ref None in
+  let kernel_terms = ref 0 in
+  let compiled_terms = ref 0 in
+  let fused_sweeps = ref 0 in
+  let build_stage (st, plan_digest, tasks, dst) =
+    let input_name = st.Stencil.grid.Tensor.name in
+    let src_of dt =
+      if String.equal input_name source.Tensor.name then Past dt
+      else
+        match slot_of input_name with
+        | Some b -> Buffer b
+        | None ->
+            invalid_arg
+              (Printf.sprintf "Runtime: stage %s reads %S which has no buffer"
+                 st.Stencil.name input_name)
+    in
+    (* Interpreter compilations first: they are the semantic reference for
+       the fused kernel and the fallback when it does not compile. *)
+    let terms =
+      List.map
+        (fun (scale, src, dt) ->
+          match src with
+          | `Kernel k ->
+              incr kernel_terms;
+              {
+                scale;
+                src = src_of dt;
+                kernel = Some (Interp.compile ~trace ~force_tree k ~geometry);
+              }
+          | `State -> { scale; src = src_of dt; kernel = None })
+        (flatten 1.0 st.Stencil.expr)
+    in
+    let aux_names =
+      List.sort_uniq String.compare
+        (List.concat_map
+           (fun (k : Kernel.t) ->
+             List.map (fun (x : Tensor.t) -> x.Tensor.name) k.Kernel.aux)
+           (Stencil.kernels st))
+    in
+    let aux_source = ref None in
+    let aux_grid n =
+      match slot_of n with
+      | Some b -> buffers.(b)
+      | None -> (
+          match List.assoc_opt n aux with
+          | Some g -> g
+          | None ->
+              invalid_arg
+                (Printf.sprintf "Runtime: stage %s reads unbound tensor %S"
+                   st.Stencil.name n))
+    in
+    let aux_static =
+      List.filter_map
+        (fun n ->
+          if String.equal n source.Tensor.name then begin
+            aux_source := Some n;
+            None
+          end
+          else Some (n, aux_grid n))
+        aux_names
+    in
+    let sweep_terms =
+      List.map
+        (fun tm ->
+          match tm.kernel with
+          | Some interp -> Jit.Sweep_kernel { scale = tm.scale; interp }
+          | None -> Jit.Sweep_state { scale = tm.scale })
+        terms
+    in
+    let stage_kernel_terms =
+      List.length (List.filter (fun tm -> tm.kernel <> None) terms)
+    in
+    (* A failed compile falls back to the interpreter for the whole
+       stage. *)
+    let fused =
+      match config.Exec.Config.backend with
+      | Backend.Interp -> None
+      | Backend.Compiled_c when stage_kernel_terms = 0 -> None
+      | Backend.Compiled_c -> (
+          match Jit.compile_sweep ~trace ~plan_digest sweep_terms with
+          | Ok fn ->
+              incr fused_sweeps;
+              compiled_terms := !compiled_terms + stage_kernel_terms;
+              Some fn
+          | Error msg ->
+              if !fallback = None then fallback := Some msg;
+              None)
+    in
+    let fused_aux, aux_refresh =
+      if fused = None then ([||], [])
+      else begin
+        let names =
+          List.concat_map
+            (function
+              | Jit.Sweep_state _ -> []
+              | Jit.Sweep_kernel { interp; _ } -> Jit.sweep_term_aux_names interp)
+            sweep_terms
+        in
+        let arr = Array.make (List.length names) [||] in
+        let refresh = ref [] in
+        List.iteri
+          (fun i n ->
+            if String.equal n source.Tensor.name then refresh := i :: !refresh
+            else arr.(i) <- (aux_grid n).Grid.data)
+          names;
+        (arr, !refresh)
+      end
+    in
+    {
+      terms;
+      aux_static;
+      aux_source = !aux_source;
+      dst;
+      tasks;
+      fused;
+      fused_srcs =
+        (if fused = None then [||] else Array.make (List.length terms) [||]);
+      fused_aux;
+      aux_refresh;
+    }
+  in
+  let stages = Array.of_list (List.map build_stage stages) in
+  let backend = config.Exec.Config.backend in
+  {
+    stencil;
+    window;
+    aux;
+    bc;
+    cur = w - 1;
+    steps_done = 0;
+    buffers;
+    stages;
+    graph_plan;
+    par =
+      (match parallel with
+      | Plan.Seq -> `Seq
+      | Plan.Block _ -> `Block
+      | Plan.Round_robin _ -> `Round_robin);
+    pool = config.Exec.Config.pool;
+    tile_dispatches = 0;
+    inline_dispatches = 0;
+    sweep_memos = [];
+    backend_report =
+      {
+        requested = backend;
+        effective = (if !compiled_terms > 0 then backend else Backend.Interp);
+        kernel_terms = !kernel_terms;
+        compiled_terms = !compiled_terms;
+        fused_sweeps = !fused_sweeps;
+        tile_dispatches = 0;
+        pool_inline_cutoff;
+        inline_dispatches = 0;
+        fallback = !fallback;
+      };
+    trace;
+    tid;
+    on_worker =
+      (if Msc_trace.enabled trace then
+         Some (fun w -> Msc_trace.attach_worker trace ~tid:w)
+       else None);
+    points_per_step =
+      float_of_int (Array.fold_left ( * ) 1 source.Tensor.shape);
+  }
+
+let create ?plan ?schedule ?(config = Exec.Config.default)
+    ?(init = default_init) ?(aux_init = default_aux_init)
+    ?(bc = Bc.Dirichlet 0.0) ?(trace = Msc_trace.disabled) ?(tid = 0)
+    (st : Stencil.t) =
   (* All schedule interpretation lives in the plan layer: [?schedule] is
      sugar that lowers here, [?plan] shares a precompiled plan (the
-     distributed runtime passes one per distinct rank extent). The plan is
-     resolved before the terms because its digest keys the kernel cache. *)
+     distributed runtime passes one per distinct rank extent). *)
   let plan =
     match plan with
     | Some p -> p
@@ -246,151 +385,13 @@ let create ?plan ?schedule ?(config = Exec.Config.default)
         | Ok p -> p
         | Error msg -> invalid_arg ("Runtime.create: " ^ msg))
   in
-  let backend = config.Exec.Config.backend in
-  let fallback = ref None in
-  (* Interpreter compilations first: they are the semantic reference for
-     both the fused and the per-term compiled paths. *)
-  let pre_terms =
-    List.map
-      (fun (scale, src, dt) ->
-        match src with
-        | `Kernel k -> (scale, `Kernel (Interp.compile ~trace k ~geometry), dt)
-        | `State -> (scale, `State, dt))
-      (flatten 1.0 st.Stencil.expr)
-  in
-  let kernel_terms =
-    List.length
-      (List.filter (fun (_, s, _) -> match s with `Kernel _ -> true | `State -> false) pre_terms)
-  in
-  let aux_data_of name =
-    Option.map (fun (g : Grid.t) -> g.Grid.data) (List.assoc_opt name aux)
-  in
-  (* Tentpole path: one fused kernel for the whole sweep. Attempted first;
-     per-term kernels are only compiled when fusion is off or failed. *)
-  let sweep_terms =
-    List.map
-      (fun (scale, src, _) ->
-        match src with
-        | `Kernel interp -> Jit.Sweep_kernel { scale; interp }
-        | `State -> Jit.Sweep_state { scale })
-      pre_terms
-  in
-  let fused_aux_resolved =
-    (* Every named aux slot must have a grid, or the fused kernel cannot be
-       given its arrays (defensive: Stencil kernels always register their
-       aux tensors, so this only trips on hand-built runtimes). *)
-    List.for_all
-      (function
-        | Jit.Sweep_state _ -> true
-        | Jit.Sweep_kernel { interp; _ } ->
-            List.for_all
-              (fun n -> aux_data_of n <> None)
-              (Jit.sweep_term_aux_names interp))
-      sweep_terms
-  in
-  let fused =
-    if
-      backend = Backend.Interp
-      || (not config.Exec.Config.fuse)
-      || kernel_terms = 0
-      || not fused_aux_resolved
-    then None
-    else
-      match
-        Jit.compile_sweep ~trace ~backend ~plan_digest:plan.Plan.digest
-          sweep_terms
-      with
-      | Ok fn -> Some fn
-      | Error _ -> None
-  in
-  let compiled_terms = ref (if fused <> None then kernel_terms else 0) in
-  let term_ix = ref 0 in
-  let jit_aux_of interp =
-    Array.map
-      (function
-        | Some name -> (
-            match aux_data_of name with Some data -> data | None -> [||])
-        | None -> [||])
-      (Jit.per_term_aux_names interp)
-  in
-  let terms =
-    List.map
-      (fun (scale, src, dt) ->
-        match src with
-        | `Kernel interp ->
-            let i = !term_ix in
-            incr term_ix;
-            let compiled =
-              if backend = Backend.Interp || fused <> None then None
-              else if
-                (* A named aux tensor with no grid cannot be resolved into
-                   the compiled ABI; keep that term on the interpreter. *)
-                not
-                  (Array.for_all
-                     (function
-                       | Some n -> aux_data_of n <> None | None -> true)
-                     (Jit.per_term_aux_names interp))
-              then begin
-                if !fallback = None then
-                  fallback := Some "kernel reads an aux tensor with no grid";
-                None
-              end
-              else
-                match
-                  Jit.compile_term ~trace ~backend
-                    ~plan_digest:plan.Plan.digest ~term_index:i interp
-                with
-                | Ok fn ->
-                    incr compiled_terms;
-                    Some fn
-                | Error msg ->
-                    if !fallback = None then fallback := Some msg;
-                    None
-            in
-            {
-              scale;
-              source = From_kernel { interp; compiled; jit_aux = jit_aux_of interp };
-              dt;
-            }
-        | `State -> { scale; source = From_state; dt })
-      pre_terms
-  in
-  let fused_srcs =
-    if fused = None then [||]
-    else Array.make (List.length terms) [||]
-  in
-  let fused_aux =
-    if fused = None then [||]
-    else
-      Array.of_list
-        (List.concat_map
-           (function
-             | Jit.Sweep_state _ -> []
-             | Jit.Sweep_kernel { interp; _ } ->
-                 List.map
-                   (fun n -> Option.get (aux_data_of n))
-                   (Jit.sweep_term_aux_names interp))
-           sweep_terms)
-  in
-  let backend_report =
-    {
-      requested = backend;
-      effective = (if !compiled_terms > 0 then backend else Backend.Interp);
-      kernel_terms;
-      compiled_terms = !compiled_terms;
-      fused_sweeps = (if fused = None then 0 else 1);
-      tile_dispatches = 0;
-      pool_inline_cutoff;
-      inline_dispatches = 0;
-      fallback = !fallback;
-    }
-  in
-  let tiles = plan.Plan.tasks in
-  let par =
-    match plan.Plan.parallel with
-    | Plan.Seq -> `Seq
-    | Plan.Block _ -> `Block
-    | Plan.Round_robin _ -> `Round_robin
+  let t =
+    build ~config ~init ~aux_init ~bc ~trace ~tid
+      ~force_tree:false ~source:st.Stencil.grid
+      ~time_window:(Stencil.time_window st) ~aux_tensors:(aux_tensors_of st)
+      ~n_buffers:0 ~slot_of:(fun _ -> None) ~parallel:plan.Plan.parallel
+      ~graph_plan:None ~stencil:st
+      [ (st, plan.Plan.digest, plan.Plan.tasks, `Output) ]
   in
   if Msc_trace.enabled trace then begin
     (* Tag the execution trace with the plan's metadata so profiles can be
@@ -400,35 +401,7 @@ let create ?plan ?schedule ?(config = Exec.Config.default)
       (float_of_int plan.Plan.working_set_bytes);
     Msc_trace.add ~tid trace "plan.reuse_factor" plan.Plan.reuse_factor
   end;
-  let on_worker =
-    if Msc_trace.enabled trace then
-      Some (fun w -> Msc_trace.attach_worker trace ~tid:w)
-    else None
-  in
-  {
-    stencil = st;
-    terms;
-    window;
-    aux;
-    bc;
-    cur = w - 1;
-    steps_done = 0;
-    tiles;
-    par;
-    pool = config.Exec.Config.pool;
-    fused;
-    fused_srcs;
-    fused_aux;
-    tile_dispatches = 0;
-    inline_dispatches = 0;
-    sweep_memos = [];
-    backend_report;
-    trace;
-    tid;
-    on_worker;
-    points_per_step = float_of_int (Array.fold_left ( * ) 1 shape);
-    graph = None;
-  }
+  t
 
 let create_graph ?graph_plan ?schedule ?(config = Exec.Config.default)
     ?(init = default_init) ?(aux_init = default_aux_init)
@@ -445,230 +418,39 @@ let create_graph ?graph_plan ?schedule ?(config = Exec.Config.default)
   in
   let g = gp.Plan.gp_graph in
   let source = g.G.source in
-  let geometry = Grid.of_tensor source in
-  let w = gp.Plan.gp_time_window in
-  let window = Array.init (w + 1) (fun _ -> Grid.like geometry) in
-  for dt = 1 to w do
-    Grid.fill window.(w - dt) (init dt);
-    Bc.apply bc window.(w - dt)
-  done;
-  let aux =
-    List.map
-      (fun (tensor : Tensor.t) ->
-        let gr = Grid.of_tensor tensor in
-        Grid.fill_extended gr (aux_init tensor.Tensor.name);
-        (tensor.Tensor.name, gr))
-      (G.coefficient_tensors g)
-  in
-  let buffers = Array.init gp.Plan.gp_n_buffers (fun _ -> Grid.like geometry) in
   let slot_of name =
     List.find_map
       (fun (sp : Plan.graph_stage_plan) ->
         if String.equal sp.Plan.gs_name name then sp.Plan.gs_buffer else None)
       gp.Plan.gp_stages
   in
-  let backend = config.Exec.Config.backend in
-  let fallback = ref None in
-  let kernel_terms_total = ref 0 in
-  let compiled_terms = ref 0 in
-  let fused_stages = ref 0 in
-  let shape = source.Tensor.shape in
   let all_true = Array.make (Tensor.ndim source) true in
-  let build_stage (sp : Plan.graph_stage_plan) =
-    let st = sp.Plan.gs_stencil in
-    let input_name = st.Stencil.grid.Tensor.name in
-    let input_is_source = String.equal input_name source.Tensor.name in
-    let src_of dt =
-      if input_is_source then G_state dt
-      else
-        match slot_of input_name with
-        | Some b -> G_buffer b
-        | None ->
-            invalid_arg
-              (Printf.sprintf
-                 "Runtime.create_graph: stage %s reads %S which has no buffer"
-                 sp.Plan.gs_name input_name)
-    in
-    (* Graph stages always interpret in tree mode — see the comment on
-       [gsource] above. *)
-    let pre_terms =
-      List.map
-        (fun (scale, src, dt) ->
-          match src with
-          | `Kernel k ->
-              incr kernel_terms_total;
-              (scale, `Kernel (Interp.compile ~trace ~force_tree:true k ~geometry), dt)
-          | `State -> (scale, `State, dt))
-        (flatten 1.0 st.Stencil.expr)
-    in
-    let aux_names =
-      List.sort_uniq String.compare
-        (List.concat_map
-           (fun (k : Kernel.t) ->
-             List.map (fun (x : Tensor.t) -> x.Tensor.name) k.Kernel.aux)
-           (Stencil.kernels st))
-    in
-    let aux_source = ref None in
-    let aux_static =
-      List.filter_map
-        (fun n ->
-          if String.equal n source.Tensor.name then begin
-            aux_source := Some n;
-            None
-          end
-          else
-            match slot_of n with
-            | Some b -> Some (n, buffers.(b))
-            | None -> (
-                match List.assoc_opt n aux with
-                | Some gr -> Some (n, gr)
-                | None ->
-                    invalid_arg
-                      (Printf.sprintf
-                         "Runtime.create_graph: stage %s reads unbound tensor %S"
-                         sp.Plan.gs_name n)))
-        aux_names
-    in
-    let terms =
-      List.map
-        (fun (scale, src, dt) ->
-          match src with
-          | `Kernel interp ->
-              { g_scale = scale; g_src = src_of dt; g_kernel = Some interp }
-          | `State -> { g_scale = scale; g_src = src_of dt; g_kernel = None })
-        pre_terms
-    in
-    let sweep_terms =
-      List.map
-        (fun (scale, src, _) ->
-          match src with
-          | `Kernel interp -> Jit.Sweep_kernel { scale; interp }
-          | `State -> Jit.Sweep_state { scale })
-        pre_terms
-    in
-    let stage_kernel_terms =
-      List.length
-        (List.filter
-           (function Jit.Sweep_kernel _ -> true | Jit.Sweep_state _ -> false)
-           sweep_terms)
-    in
-    let fused =
-      if
-        backend = Backend.Interp
-        || (not config.Exec.Config.fuse)
-        || stage_kernel_terms = 0
-      then None
-      else
-        match
-          Jit.compile_sweep ~trace ~backend
-            ~plan_digest:sp.Plan.gs_plan.Plan.digest sweep_terms
-        with
-        | Ok fn ->
-            incr fused_stages;
-            compiled_terms := !compiled_terms + stage_kernel_terms;
-            Some fn
-        | Error msg ->
-            if !fallback = None then fallback := Some msg;
-            None
-    in
-    let sx_fused_aux, sx_aux_refresh =
-      if fused = None then ([||], [])
-      else begin
-        let names =
-          List.concat_map
-            (function
-              | Jit.Sweep_state _ -> []
-              | Jit.Sweep_kernel { interp; _ } -> Jit.sweep_term_aux_names interp)
-            sweep_terms
-        in
-        let arr = Array.make (List.length names) [||] in
-        let refresh = ref [] in
-        List.iteri
-          (fun i n ->
-            if String.equal n source.Tensor.name then refresh := i :: !refresh
-            else
-              match slot_of n with
-              | Some b -> arr.(i) <- buffers.(b).Grid.data
-              | None -> arr.(i) <- (List.assoc n aux).Grid.data)
-          names;
-        (arr, !refresh)
-      end
-    in
-    {
-      sx_name = sp.Plan.gs_name;
-      sx_terms = terms;
-      sx_aux_static = aux_static;
-      sx_aux_source = !aux_source;
-      sx_dst =
-        (match sp.Plan.gs_buffer with Some b -> `Buffer b | None -> `Output);
-      sx_tasks =
-        Plan.extend_tasks ~shape ~ext:sp.Plan.gs_ext ~grow_low:all_true
-          ~grow_high:all_true sp.Plan.gs_plan.Plan.tasks;
-      sx_fused = fused;
-      sx_fused_srcs =
-        (if fused = None then [||] else Array.make (List.length terms) [||]);
-      sx_fused_aux;
-      sx_aux_refresh;
-    }
-  in
-  let stages = Array.of_list (List.map build_stage gp.Plan.gp_stages) in
-  let first_plan =
+  let parallel =
     match gp.Plan.gp_stages with
-    | sp :: _ -> sp.Plan.gs_plan
+    | sp :: _ -> sp.Plan.gs_plan.Plan.parallel
     | [] -> assert false
   in
-  let par =
-    match first_plan.Plan.parallel with
-    | Plan.Seq -> `Seq
-    | Plan.Block _ -> `Block
-    | Plan.Round_robin _ -> `Round_robin
+  let t =
+    build ~config ~init ~aux_init ~bc ~trace ~tid
+      ~force_tree:true ~source ~time_window:gp.Plan.gp_time_window
+      ~aux_tensors:(G.coefficient_tensors g) ~n_buffers:gp.Plan.gp_n_buffers
+      ~slot_of ~parallel ~graph_plan:(Some gp)
+      ~stencil:(G.output_stage g).G.stencil
+      (List.map
+         (fun (sp : Plan.graph_stage_plan) ->
+           ( sp.Plan.gs_stencil,
+             sp.Plan.gs_plan.Plan.digest,
+             (* plan tasks grown by the stage's ghost-zone extension *)
+             Plan.extend_tasks ~shape:source.Tensor.shape ~ext:sp.Plan.gs_ext
+               ~grow_low:all_true ~grow_high:all_true sp.Plan.gs_plan.Plan.tasks,
+             match sp.Plan.gs_buffer with Some b -> `Buffer b | None -> `Output ))
+         gp.Plan.gp_stages)
   in
   if Msc_trace.enabled trace then begin
-    Msc_trace.add ~tid trace "graph.stages"
-      (float_of_int (Array.length stages));
-    Msc_trace.add ~tid trace "graph.buffers"
-      (float_of_int gp.Plan.gp_n_buffers)
+    Msc_trace.add ~tid trace "graph.stages" (float_of_int (Array.length t.stages));
+    Msc_trace.add ~tid trace "graph.buffers" (float_of_int gp.Plan.gp_n_buffers)
   end;
-  let on_worker =
-    if Msc_trace.enabled trace then
-      Some (fun w -> Msc_trace.attach_worker trace ~tid:w)
-    else None
-  in
-  {
-    stencil = (G.output_stage g).G.stencil;
-    terms = [];
-    window;
-    aux;
-    bc;
-    cur = w - 1;
-    steps_done = 0;
-    tiles = stages.(Array.length stages - 1).sx_tasks;
-    par;
-    pool = config.Exec.Config.pool;
-    fused = None;
-    fused_srcs = [||];
-    fused_aux = [||];
-    tile_dispatches = 0;
-    inline_dispatches = 0;
-    sweep_memos = [];
-    backend_report =
-      {
-        requested = backend;
-        effective = (if !compiled_terms > 0 then backend else Backend.Interp);
-        kernel_terms = !kernel_terms_total;
-        compiled_terms = !compiled_terms;
-        fused_sweeps = !fused_stages;
-        tile_dispatches = 0;
-        pool_inline_cutoff;
-        inline_dispatches = 0;
-        fallback = !fallback;
-      };
-    trace;
-    tid;
-    on_worker;
-    points_per_step = float_of_int (Array.fold_left ( * ) 1 shape);
-    graph = Some { gx_plan = gp; gx_buffers = buffers; gx_stages = stages };
-  }
+  t
 
 let stencil t = t.stencil
 let time_window t = Array.length t.window - 1
@@ -692,65 +474,58 @@ let output_slot t =
   let len = Array.length t.window in
   t.window.((t.cur + 1) mod len)
 
-let tiles t = t.tiles
+let output_stage t = t.stages.(Array.length t.stages - 1)
+let tiles t = (output_stage t).tasks
 let aux_grids t = t.aux
 
-(* Compiled kernels skip nothing the interpreter checks: every call is
-   guarded by the same geometry/aliasing/range validation; only the sweep
-   itself is the loaded code. *)
-let term_accumulate t ~dst ~lo ~hi term =
-  let src = state t ~dt:term.dt in
-  match term.source with
-  | From_kernel { interp; compiled = Some fn; jit_aux } ->
-      Interp.check_grids interp ~src ~dst;
-      Interp.check_range interp ~lo ~hi;
-      fn Backend.wb_accumulate term.scale src.Grid.data dst.Grid.data jit_aux
-        lo hi
-  | From_kernel { interp; compiled = None; _ } ->
-      Interp.accumulate_range ~aux:t.aux interp ~scale:term.scale ~src ~dst ~lo ~hi
-  | From_state -> Interp.identity_accumulate_range ~scale:term.scale ~src ~dst ~lo ~hi
+let term_src t tm =
+  match tm.src with Past dt -> state t ~dt | Buffer i -> t.buffers.(i)
 
-let term_write t ~dst ~lo ~hi term =
-  let src = state t ~dt:term.dt in
-  match term.source with
-  | From_kernel { interp; compiled = Some fn; jit_aux } ->
-      Interp.check_grids interp ~src ~dst;
-      Interp.check_range interp ~lo ~hi;
-      (* Mirror [Interp.apply_scaled_range]'s scale = 1 degrade to a plain
-         overwrite. *)
-      let wb =
-        if term.scale = 1.0 then Backend.wb_apply else Backend.wb_apply_scaled
-      in
-      fn wb term.scale src.Grid.data dst.Grid.data jit_aux lo hi
-  | From_kernel { interp; compiled = None; _ } ->
-      Interp.apply_scaled_range ~aux:t.aux interp ~scale:term.scale ~src ~dst ~lo ~hi
-  | From_state -> Interp.identity_apply_range ~scale:term.scale ~src ~dst ~lo ~hi
+let stage_dst t stage =
+  match stage.dst with `Buffer i -> t.buffers.(i) | `Output -> output_slot t
 
-(* The first term overwrites the range, so a step needs no zero pass;
-   later terms accumulate. *)
-let compute_range_terms t ~dst ~lo ~hi =
-  match t.terms with
-  | first :: rest ->
-      term_write t ~dst ~lo ~hi first;
-      List.iter (term_accumulate t ~dst ~lo ~hi) rest
-  | [] -> ()
+let stage_aux t stage =
+  match stage.aux_source with
+  | None -> stage.aux_static
+  | Some n -> (n, current t) :: stage.aux_static
 
-let compute_range t ~dst ~lo ~hi =
-  match t.fused with
+let term_write t ~aux ~dst ~lo ~hi tm =
+  let src = term_src t tm in
+  match tm.kernel with
+  | Some interp -> Interp.apply_scaled_range ~aux interp ~scale:tm.scale ~src ~dst ~lo ~hi
+  | None -> Interp.identity_apply_range ~scale:tm.scale ~src ~dst ~lo ~hi
+
+let term_accumulate t ~aux ~dst ~lo ~hi tm =
+  let src = term_src t tm in
+  match tm.kernel with
+  | Some interp -> Interp.accumulate_range ~aux interp ~scale:tm.scale ~src ~dst ~lo ~hi
+  | None -> Interp.identity_accumulate_range ~scale:tm.scale ~src ~dst ~lo ~hi
+
+let compute_range t stage ~dst ~lo ~hi =
+  match stage.fused with
   | Some fn ->
       (* The fused kernel performs no validation; guard every kernel term
-         with the interpreter's own checks, exactly as the per-term path
-         does. [fused_srcs] was refreshed by the dispatching sweep. *)
+         with the interpreter's own checks, so compiled sweeps skip nothing
+         the interpreter checks. [fused_srcs] and the refresh slots were
+         refilled by the dispatching sweep. *)
       List.iter
-        (fun term ->
-          match term.source with
-          | From_kernel { interp; _ } ->
-              Interp.check_grids interp ~src:(state t ~dt:term.dt) ~dst;
+        (fun tm ->
+          match tm.kernel with
+          | Some interp ->
+              Interp.check_grids interp ~src:(term_src t tm) ~dst;
               Interp.check_range interp ~lo ~hi
-          | From_state -> ())
-        t.terms;
-      fn t.fused_srcs dst.Grid.data t.fused_aux lo hi
-  | None -> compute_range_terms t ~dst ~lo ~hi
+          | None -> ())
+        stage.terms;
+      fn stage.fused_srcs dst.Grid.data stage.fused_aux lo hi
+  | None -> (
+      (* The first term overwrites the range, so a step needs no zero pass;
+         later terms accumulate. *)
+      let aux = stage_aux t stage in
+      match stage.terms with
+      | first :: rest ->
+          term_write t ~aux ~dst ~lo ~hi first;
+          List.iter (term_accumulate t ~aux ~dst ~lo ~hi) rest
+      | [] -> ())
 
 let sweep_memo t tasks =
   match List.find_opt (fun m -> m.sm_tasks == tasks) t.sweep_memos with
@@ -767,24 +542,26 @@ let sweep_memo t tasks =
 (* [compute_range] wrapped in a per-tile "sweep" span. On parallel paths the
    worker's attachment supplies the tid; sequential sweeps carry the
    runtime's own label (the rank, when distributed). *)
-let sweep_one ?tid t ~dst (lo, hi) =
+let sweep_one ?tid t stage ~dst (lo, hi) =
   let ts0 = Msc_trace.begin_span t.trace in
-  compute_range t ~dst ~lo ~hi;
+  compute_range t stage ~dst ~lo ~hi;
   Msc_trace.end_span ?tid t.trace "sweep" ts0
 
-(* Sweep an explicit task array into [dst] under the plan's parallel
-   dispatch. Every cell's value depends only on the input window, so any
-   partition of the interior into tasks — the plan's tiles, or their
-   interior/shell split — produces bit-identical output in any order. *)
-let sweep_tasks_into t ~dst tasks =
+(* Sweep an explicit task array of one stage into its destination under
+   the plan's parallel dispatch. Every cell's value depends only on the
+   stage's inputs, so any partition of its tasks — the plan's tiles, or
+   their interior/shell split — produces bit-identical output in any
+   order. *)
+let sweep_stage t stage tasks =
+  let dst = stage_dst t stage in
   let ntiles = Array.length tasks in
   t.tile_dispatches <- t.tile_dispatches + ntiles;
   (* Re-resolve each term's source array: the window rotated since the
-     last sweep. Workers only read the refreshed array. *)
-  if t.fused <> None then
-    List.iteri
-      (fun i term -> t.fused_srcs.(i) <- (state t ~dt:term.dt).Grid.data)
-      t.terms;
+     last sweep. Workers only read the refreshed arrays. *)
+  if stage.fused <> None then begin
+    List.iteri (fun i tm -> stage.fused_srcs.(i) <- (term_src t tm).Grid.data) stage.terms;
+    List.iter (fun i -> stage.fused_aux.(i) <- (current t).Grid.data) stage.aux_refresh
+  end;
   (* Inline cutoff: a sweep too small to amortise the pool's wake+barrier
      runs on the calling domain regardless of the plan's parallel mode.
      Bit-identity is free — tasks are independent, so dispatch shape never
@@ -801,26 +578,22 @@ let sweep_tasks_into t ~dst tasks =
         else p
   in
   match par with
-  | `Inline (Some task) -> sweep_one ~tid:t.tid t ~dst task
-  | `Inline None ->
+  | `Inline (Some task) -> sweep_one ~tid:t.tid t stage ~dst task
+  | `Inline None | `Seq ->
       for id = 0 to ntiles - 1 do
-        sweep_one ~tid:t.tid t ~dst tasks.(id)
-      done
-  | `Seq ->
-      for id = 0 to ntiles - 1 do
-        sweep_one ~tid:t.tid t ~dst tasks.(id)
+        sweep_one ~tid:t.tid t stage ~dst tasks.(id)
       done
   | `Block ->
       Msc_util.Domain_pool.parallel_for ?on_worker:t.on_worker t.pool ~lo:0
-        ~hi:ntiles (fun id -> sweep_one t ~dst tasks.(id))
+        ~hi:ntiles (fun id -> sweep_one t stage ~dst tasks.(id))
   | `Round_robin ->
       Msc_util.Domain_pool.parallel_chunks ?on_worker:t.on_worker t.pool ~lo:0
-        ~hi:ntiles (fun ~worker:_ id -> sweep_one t ~dst tasks.(id))
+        ~hi:ntiles (fun ~worker:_ id -> sweep_one t stage ~dst tasks.(id))
 
 (* Sweeps write through, so the output slot needs no preparation. *)
 let begin_step (_ : t) = ()
 
-let sweep_tasks t tasks = sweep_tasks_into t ~dst:(output_slot t) tasks
+let sweep_tasks t tasks = sweep_stage t (output_stage t) tasks
 
 let finish_step ?low ?high t =
   let dst = output_slot t in
@@ -839,138 +612,17 @@ let finish_step ?low ?high t =
   t.steps_done <- t.steps_done + 1;
   Msc_trace.end_span ~tid:t.tid t.trace "window.rotate" ts_rot
 
-(* ------------------------------------------------------------------ *)
-(* Graph stepping: sweep each stage in topological order over its
-   extended tasks into its buffer (or the output slot), then finish the
-   step exactly as the single-stencil path does — intermediates carry no
-   BC, the output slot gets the full BC pass. *)
+let graph_plan t = t.graph_plan
+let graph_stage_count t = Array.length t.stages
+let graph_stage_tasks t i = t.stages.(i).tasks
+let sweep_graph_stage t i tasks = sweep_stage t t.stages.(i) tasks
 
-let graph_exec t =
-  match t.graph with
-  | Some gx -> gx
-  | None -> invalid_arg "Runtime: not a graph runtime (use create_graph)"
-
-let is_graph t = t.graph <> None
-
-let stage_src t gx = function
-  | G_state dt -> state t ~dt
-  | G_buffer i -> gx.gx_buffers.(i)
-
-let stage_dst t gx sx =
-  match sx.sx_dst with
-  | `Buffer i -> gx.gx_buffers.(i)
-  | `Output -> output_slot t
-
-let stage_aux t sx =
-  match sx.sx_aux_source with
-  | None -> sx.sx_aux_static
-  | Some n -> (n, current t) :: sx.sx_aux_static
-
-let gterm_write t gx ~aux ~dst ~lo ~hi gt =
-  let src = stage_src t gx gt.g_src in
-  match gt.g_kernel with
-  | Some interp ->
-      Interp.apply_scaled_range ~aux interp ~scale:gt.g_scale ~src ~dst ~lo ~hi
-  | None -> Interp.identity_apply_range ~scale:gt.g_scale ~src ~dst ~lo ~hi
-
-let gterm_accumulate t gx ~aux ~dst ~lo ~hi gt =
-  let src = stage_src t gx gt.g_src in
-  match gt.g_kernel with
-  | Some interp ->
-      Interp.accumulate_range ~aux interp ~scale:gt.g_scale ~src ~dst ~lo ~hi
-  | None -> Interp.identity_accumulate_range ~scale:gt.g_scale ~src ~dst ~lo ~hi
-
-let stage_compute_range t gx sx ~dst ~lo ~hi =
-  match sx.sx_fused with
-  | Some fn ->
-      (* The fused kernel performs no validation; guard with the
-         interpreter's own checks exactly as the single-stencil fused
-         path does. [sx_fused_srcs]/refresh slots were refilled by the
-         dispatching sweep. *)
-      List.iter
-        (fun gt ->
-          match gt.g_kernel with
-          | Some interp ->
-              Interp.check_grids interp ~src:(stage_src t gx gt.g_src) ~dst;
-              Interp.check_range interp ~lo ~hi
-          | None -> ())
-        sx.sx_terms;
-      fn sx.sx_fused_srcs dst.Grid.data sx.sx_fused_aux lo hi
-  | None -> (
-      let aux = stage_aux t sx in
-      match sx.sx_terms with
-      | first :: rest ->
-          gterm_write t gx ~aux ~dst ~lo ~hi first;
-          List.iter (gterm_accumulate t gx ~aux ~dst ~lo ~hi) rest
-      | [] -> ())
-
-let stage_sweep_one ?tid t gx sx ~dst (lo, hi) =
-  let ts0 = Msc_trace.begin_span t.trace in
-  stage_compute_range t gx sx ~dst ~lo ~hi;
-  Msc_trace.end_span ?tid t.trace "sweep" ts0
-
-let sweep_stage_tasks t sx tasks =
-  let gx = graph_exec t in
-  let dst = stage_dst t gx sx in
-  let ntiles = Array.length tasks in
-  t.tile_dispatches <- t.tile_dispatches + ntiles;
-  if sx.sx_fused <> None then begin
-    List.iteri
-      (fun i gt -> sx.sx_fused_srcs.(i) <- (stage_src t gx gt.g_src).Grid.data)
-      sx.sx_terms;
-    List.iter
-      (fun i -> sx.sx_fused_aux.(i) <- (current t).Grid.data)
-      sx.sx_aux_refresh
-  end;
-  (* Same inline cutoff as [sweep_tasks_into]: per-stage task arrays are
-     often tiny (intermediates of a fused pipeline), so the pool overhead
-     bites graph stepping hardest. *)
-  let par =
-    match t.par with
-    | `Seq -> `Seq
-    | (`Block | `Round_robin) as p ->
-        let m = sweep_memo t tasks in
-        if m.sm_points < pool_inline_cutoff then begin
-          t.inline_dispatches <- t.inline_dispatches + 1;
-          `Inline m.sm_coalesced
-        end
-        else p
-  in
-  match par with
-  | `Inline (Some task) -> stage_sweep_one ~tid:t.tid t gx sx ~dst task
-  | `Inline None ->
-      for id = 0 to ntiles - 1 do
-        stage_sweep_one ~tid:t.tid t gx sx ~dst tasks.(id)
-      done
-  | `Seq ->
-      for id = 0 to ntiles - 1 do
-        stage_sweep_one ~tid:t.tid t gx sx ~dst tasks.(id)
-      done
-  | `Block ->
-      Msc_util.Domain_pool.parallel_for ?on_worker:t.on_worker t.pool ~lo:0
-        ~hi:ntiles (fun id -> stage_sweep_one t gx sx ~dst tasks.(id))
-  | `Round_robin ->
-      Msc_util.Domain_pool.parallel_chunks ?on_worker:t.on_worker t.pool ~lo:0
-        ~hi:ntiles (fun ~worker:_ id -> stage_sweep_one t gx sx ~dst tasks.(id))
-
-let graph_plan t = Option.map (fun gx -> gx.gx_plan) t.graph
-let graph_stage_count t = Array.length (graph_exec t).gx_stages
-let graph_stage_tasks t i = (graph_exec t).gx_stages.(i).sx_tasks
-
-let sweep_graph_stage t i tasks =
-  sweep_stage_tasks t (graph_exec t).gx_stages.(i) tasks
-
-let step_graph t =
-  let gx = graph_exec t in
-  Array.iter (fun sx -> sweep_stage_tasks t sx sx.sx_tasks) gx.gx_stages;
-  finish_step t
-
+(* Sweep every stage in topological order over its own tasks into its
+   buffer (or the output slot), then finish the step: intermediates carry
+   no BC, the output slot gets the full BC pass. *)
 let step t =
-  match t.graph with
-  | Some _ -> step_graph t
-  | None ->
-      sweep_tasks t t.tiles;
-      finish_step t
+  Array.iter (fun stage -> sweep_stage t stage stage.tasks) t.stages;
+  finish_step t
 
 let run t n =
   for _ = 1 to n do

@@ -3,7 +3,12 @@
 
     The window keeps [W + 1] grids for a stencil of time depth [W] (the
     paper's "width three" for two time dependencies): the [W] most recent
-    states plus one spare slot the next output is written into. *)
+    states plus one spare slot the next output is written into.
+
+    Every runtime steps a pipeline of {e stages} in topological order: a
+    single stencil ({!create}) is the one-stage pipeline whose only stage
+    writes the output slot; a graph ({!create_graph}) sweeps intermediate
+    stages into scratch buffers first. Both share one stepping path. *)
 
 type t
 
@@ -24,13 +29,13 @@ type backend_report = {
   requested : Backend.t;  (** what the config asked for *)
   effective : Backend.t;
       (** what kernel terms actually run on: [requested] when at least one
-          term compiled, [Interp] when everything fell back *)
-  kernel_terms : int;  (** stencil terms that sweep a kernel *)
-  compiled_terms : int;  (** of those, how many run loaded code *)
+          stage compiled, [Interp] when everything fell back *)
+  kernel_terms : int;  (** stencil terms that sweep a kernel, all stages *)
+  compiled_terms : int;
+      (** of those, how many run inside a fused compiled kernel *)
   fused_sweeps : int;
-      (** [1] when the whole sweep runs as one fused compiled kernel (in
-          which case [compiled_terms = kernel_terms] and no per-term
-          kernels were built), [0] otherwise *)
+      (** stages whose whole sweep runs as one fused compiled kernel
+          ([1] for a compiled single stencil, [0] when it fell back) *)
   tile_dispatches : int;
       (** cumulative count of tile tasks swept so far — each is one
           dispatch unit on the worker pool (interior/shell splits and
@@ -39,19 +44,18 @@ type backend_report = {
       (** the inline-execution threshold in effect: a parallel-scheduled
           sweep whose task array covers fewer total points than this runs
           inline on the calling domain instead of the pool — tiny sweeps
-          cost more to dispatch than to compute. Settable once at startup
-          via [MSC_POOL_INLINE_CUTOFF] (0 disables inlining). *)
+          cost more to dispatch than to compute. A constant 32768. *)
   inline_dispatches : int;
       (** cumulative count of parallel-scheduled sweeps the cutoff ran
           inline *)
   fallback : string option;
-      (** first reason a term fell back to the interpreter, if any *)
+      (** first reason a stage's fused compile failed and the stage fell
+          back to the interpreter, if any *)
 }
-(** How the configured {!Backend} materialised for this runtime. With
-    [fuse] on (the default), compiled backends run one fused whole-sweep
-    kernel dispatched tile-task-at-a-time across the pool; when fusion is
-    off or the fused compile failed, kernels compile per term, and
-    fallback is per term. *)
+(** How the configured {!Backend} materialised for this runtime.
+    [Compiled_c] runs one fused whole-sweep kernel per stage, dispatched
+    tile-task-at-a-time across the pool; a stage whose fused compile
+    fails runs on the interpreter instead. *)
 
 val create :
   ?plan:Msc_schedule.Plan.t ->
@@ -72,8 +76,8 @@ val create :
     plan here (ignored when [plan] is given; when neither is given the
     runtime runs the untiled sequential plan of {!Msc_schedule.Schedule.empty}).
     Results are plan-independent. [config] (default {!Exec.Config.default})
-    supplies the kernel {!Backend} — compiled backends JIT each kernel term
-    against the plan, falling back per term to the interpreter (see
+    supplies the kernel {!Backend} — [Compiled_c] JITs one fused sweep
+    against the plan, falling back to the interpreter (see
     {!backend_report}) — and the worker pool, which the caller owns; its
     [engine] field concerns halo exchange and is ignored here (single
     node). [bc] is applied to every initial state and to each
@@ -121,8 +125,9 @@ val output_slot : t -> Grid.t
 val steps_done : t -> int
 
 val step : t -> unit
-(** Advance one timestep: compute the new state from the window, slide the
-    window. Equivalent to [sweep_tasks t (tiles t); finish_step t]. *)
+(** Advance one timestep: sweep every stage in order over its own tasks,
+    then [finish_step]. For a single stencil this is
+    [sweep_tasks t (tiles t); finish_step t]. *)
 
 (** {1 Split stepping}
 
@@ -139,8 +144,10 @@ val begin_step : t -> unit
     callers written against an earlier begin / sweep / finish protocol. *)
 
 val sweep_tasks : t -> (int array * int array) array -> unit
-(** Sweep the given (lo, hi) task ranges into the output slot under the
-    plan's parallel dispatch, recording a ["sweep"] span per task. *)
+(** Sweep the given (lo, hi) task ranges of the output stage into the
+    output slot under the plan's parallel dispatch, recording a ["sweep"]
+    span per task. On a graph runtime the earlier stages must have been
+    swept first ({!sweep_graph_stage}). *)
 
 val finish_step : ?low:bool array -> ?high:bool array -> t -> unit
 (** Record ["sweep.points"], apply the boundary condition to the new state,
@@ -154,7 +161,7 @@ val run : t -> int -> unit
 (** [run t n] performs [n] steps. *)
 
 val tiles : t -> (int array * int array) array
-(** The (lo, hi) interior ranges of each tile in the plan's traversal order
+(** The output stage's (lo, hi) task ranges in the plan's traversal order
     (a single full-range tile when untiled). *)
 
 (** {1 Pipeline graphs}
@@ -166,12 +173,15 @@ val tiles : t -> (int array * int array) array
     stepped state, and the window rotates exactly as a single stencil's
     would. Stage kernels are interpreted in {e forced tree mode}
     ({!Interp.compile}'s [force_tree]) so that fused compound stages stay
-    bit-identical to their unfused stage-at-a-time reference; compiled
-    backends JIT one fused sweep per stage against the stage's plan
+    bit-identical to their unfused stage-at-a-time reference; [Compiled_c]
+    JITs one fused sweep per stage against the stage's plan
     digest (interpreter fallback per stage). Intermediate buffers carry
     no boundary condition: extended stage sweeps read the source's
     BC-filled (or exchanged) deep halo, sized by the graph's
-    {!Msc_graph.Graph.required_halo}. *)
+    {!Msc_graph.Graph.required_halo}.
+
+    The stage entry points below also work on a single-stencil runtime,
+    which has one stage (index 0, the output stage). *)
 
 val create_graph :
   ?graph_plan:Msc_schedule.Plan.graph_plan ->
@@ -189,28 +199,20 @@ val create_graph :
     per rank extent); otherwise [schedule] (default
     {!Msc_schedule.Schedule.empty}) is lowered against every stage here.
     [init]/[aux_init]/[bc]/[trace]/[tid] behave as in {!create}. The
-    non-graph split-stepping entry points ({!sweep_tasks}, {!tiles})
-    still refer to the output stage; use {!sweep_graph_stage} for
-    per-stage phase control.
+    split-stepping entry points ({!sweep_tasks}, {!tiles}) refer to the
+    output stage; use {!sweep_graph_stage} for per-stage phase control.
     @raise Invalid_argument if any stage rejects the schedule. *)
-
-val is_graph : t -> bool
 
 val graph_plan : t -> Msc_schedule.Plan.graph_plan option
 (** The lowered graph plan, when this is a graph runtime. *)
 
-val step_graph : t -> unit
-(** One pipeline step: sweep every stage in topological
-    order over its extended tasks; [finish_step]. {!step} delegates here
-    on graph runtimes.
-    @raise Invalid_argument on a non-graph runtime. *)
-
 val graph_stage_count : t -> int
+(** Stages per step ([1] for a single stencil). *)
 
 val graph_stage_tasks : t -> int -> (int array * int array) array
 (** Stage [i]'s extended task array (topological index). Sweeping any
     partition of these before {!finish_step}, stages
-    in order, reproduces {!step_graph} bit-exactly — the distributed
+    in order, reproduces {!step} bit-exactly — the distributed
     runtime splits stage 0 against its radius to overlap the exchange. *)
 
 val sweep_graph_stage : t -> int -> (int array * int array) array -> unit

@@ -1,7 +1,7 @@
-(* Tests for the compiled-kernel execution backends: bit-identity of the
-   Native_ocaml and Compiled_c backends against the interpreter over the
-   whole benchmark suite (single node and every distributed engine), direct
-   qcheck parity of a compiled kernel function against the interpreter's
+(* Tests for the compiled-kernel execution backend: bit-identity of
+   Compiled_c's fused sweeps against the interpreter over the whole
+   benchmark suite (single node and every distributed engine), direct
+   qcheck parity of compiled sweep functions against the interpreter's
    range calls, the on-disk/memo kernel cache, and the interpreter fallback
    when no toolchain can be found on PATH. *)
 
@@ -43,29 +43,32 @@ let with_cache_dir dir f =
       Jit.clear_memo ())
     f
 
+let contains s needle =
+  let n = String.length needle in
+  let rec scan i =
+    i + n <= String.length s && (String.equal (String.sub s i n) needle || scan (i + 1))
+  in
+  scan 0
+
 let have_tool t = Sys.command (Printf.sprintf "command -v %s > /dev/null 2>&1" t) = 0
 
 let toolchain_for = function
   | Backend.Interp -> true
-  | Backend.Native_ocaml -> have_tool "ocamlopt"
   | Backend.Compiled_c -> have_tool "cc" || have_tool "gcc"
 
-let compiled_backends = [ Backend.Native_ocaml; Backend.Compiled_c ]
+let compiled_backends = [ Backend.Compiled_c ]
 
-let final ?bc ?fuse ?pool ?schedule ~backend ~steps st =
+let final ?bc ?pool ?schedule ~backend ~steps st =
   let rt =
-    Runtime.create
-      ~config:(Exec.Config.make ~backend ?fuse ?pool ())
-      ?bc ?schedule st
+    Runtime.create ~config:(Exec.Config.make ~backend ?pool ()) ?bc ?schedule st
   in
   Runtime.run rt steps;
   (Runtime.current rt, Runtime.backend_report rt)
 
 (* --- Single-node bit-identity over the whole suite ---
 
-   Three-way per benchmark and backend: the interpreter, the fused
-   whole-sweep kernel (the default), and the per-term kernels ([fuse:false])
-   must agree bit-for-bit. *)
+   Per benchmark: the interpreter and the fused whole-sweep kernel must
+   agree bit-for-bit. *)
 
 let suite_parity_bit_identical () =
   List.iter
@@ -78,32 +81,20 @@ let suite_parity_bit_identical () =
             Printf.sprintf "%s/%s" b.Suite.name (Backend.to_string backend)
           in
           let got_fused, report = final ~backend ~steps:3 st in
-          let got_terms, report_terms =
-            final ~fuse:false ~backend ~steps:3 st
-          in
           if toolchain_for backend then begin
             check_bool (name ^ ": requested backend ran") true
               (Backend.equal report.Runtime.effective backend);
             check_int
-              (name ^ ": every kernel term compiled (fused)")
+              (name ^ ": every kernel term compiled")
               report.Runtime.kernel_terms report.Runtime.compiled_terms;
             check_int (name ^ ": sweep is fused") 1 report.Runtime.fused_sweeps;
-            check_int
-              (name ^ ": per-term leg not fused")
-              0 report_terms.Runtime.fused_sweeps;
-            check_int
-              (name ^ ": every kernel term compiled (per-term)")
-              report_terms.Runtime.kernel_terms
-              report_terms.Runtime.compiled_terms;
             check_bool
               (name ^ ": tile dispatches counted")
               true
               (report.Runtime.tile_dispatches > 0)
           end;
           check_bool (name ^ ": fused bit-identical to interp") true
-            (got_fused.Grid.data = interp.Grid.data);
-          check_bool (name ^ ": per-term bit-identical to interp") true
-            (got_terms.Grid.data = interp.Grid.data))
+            (got_fused.Grid.data = interp.Grid.data))
         compiled_backends)
     Suite.all
 
@@ -146,17 +137,13 @@ let distributed_matrix_exact () =
         (fun backend ->
           List.iter
             (fun (ename, engine) ->
-              List.iter
-                (fun fuse ->
-                  check_float
-                    (Printf.sprintf "%s/%s/%s/%s" b.Suite.name
-                       (Backend.to_string backend) ename
-                       (if fuse then "fused" else "per-term"))
-                    0.0
-                    (Distributed.validate
-                       ~config:(Exec.Config.make ~backend ~engine ~fuse ())
-                       ~steps:3 ~ranks_shape st))
-                [ true; false ])
+              check_float
+                (Printf.sprintf "%s/%s/%s" b.Suite.name
+                   (Backend.to_string backend) ename)
+                0.0
+                (Distributed.validate
+                   ~config:(Exec.Config.make ~backend ~engine ())
+                   ~steps:3 ~ranks_shape st))
             engines)
         compiled_backends)
     Suite.all
@@ -167,95 +154,19 @@ let distributed_deep_uneven_periodic_exact () =
   let _, st = stencil_2d9pt_box ~m:13 ~n:17 () in
   List.iter
     (fun backend ->
-      List.iter
-        (fun fuse ->
-          let name =
-            Printf.sprintf "%s/%s" (Backend.to_string backend)
-              (if fuse then "fused" else "per-term")
-          in
-          check_float (name ^ ": depth 4 on uneven 3x2 ranks") 0.0
-            (Distributed.validate
-               ~config:
-                 (Exec.Config.make ~backend ~fuse
-                    ~engine:(Exec.Temporal_blocked { depth = 4 })
-                    ())
-               ~steps:5 ~ranks_shape:[| 3; 2 |] st);
-          check_float (name ^ ": periodic wrap, overlapped") 0.0
-            (Distributed.validate
-               ~config:
-                 (Exec.Config.make ~backend ~fuse ~engine:Exec.Overlapped ())
-               ~bc:Bc.Periodic ~steps:4 ~ranks_shape:[| 2; 2 |] st))
-        [ true; false ])
+      let name = Backend.to_string backend in
+      check_float (name ^ ": depth 4 on uneven 3x2 ranks") 0.0
+        (Distributed.validate
+           ~config:
+             (Exec.Config.make ~backend
+                ~engine:(Exec.Temporal_blocked { depth = 4 })
+                ())
+           ~steps:5 ~ranks_shape:[| 3; 2 |] st);
+      check_float (name ^ ": periodic wrap, overlapped") 0.0
+        (Distributed.validate
+           ~config:(Exec.Config.make ~backend ~engine:Exec.Overlapped ())
+           ~bc:Bc.Periodic ~steps:4 ~ranks_shape:[| 2; 2 |] st))
     compiled_backends
-
-(* --- Direct kernel-function parity (qcheck) --- *)
-
-(* One compiled function per backend, shared by all property iterations
-   (compile_term memoizes; the property then exercises random subranges,
-   writeback modes and scales against the interpreter's range calls). *)
-let jit_fn_matches_interp =
-  let k, st = stencil_2d9pt_box ~m:10 ~n:12 () in
-  let geometry = Grid.of_tensor st.Msc_ir.Stencil.grid in
-  let interp = Interp.compile k ~geometry in
-  let shape = Interp.shape interp in
-  let fns =
-    (* Deferred so a compile failure surfaces as a failing property, not a
-       crash at test-collection time; compile_term memoizes, so the work
-       happens once. *)
-    lazy
-      (List.filter_map
-         (fun backend ->
-           if not (toolchain_for backend) then None
-           else
-             match
-               Jit.compile_term ~backend ~plan_digest:"test-backend-prop"
-                 ~term_index:0 interp
-             with
-             | Ok fn -> Some (backend, fn)
-             | Error msg ->
-                 QCheck.Test.fail_reportf "compile_term (%s): %s"
-                   (Backend.to_string backend) msg)
-         compiled_backends)
-  in
-  qc ~count:60 "compiled fn == interp on random ranges/writeback/scale"
-    QCheck.(
-      triple (int_range 0 2) (int_range 0 1000) (pair small_int small_int))
-    (fun (wb_sel, seed, (a, b)) ->
-      let lo = Array.map (fun n -> (a * 7) mod n) shape in
-      let hi =
-        Array.mapi (fun d n -> lo.(d) + 1 + ((b * 5) + d) mod (n - lo.(d))) shape
-      in
-      let scale = 0.25 +. (float_of_int (seed mod 17) *. 0.375) in
-      let src = Grid.of_tensor st.Msc_ir.Stencil.grid in
-      Grid.fill_all src 0.0;
-      Grid.fill src (fun c ->
-          float_of_int (Array.fold_left ( + ) seed c) *. 0.0625);
-      let mk () =
-        let g = Grid.like src in
-        Grid.fill g (fun c -> float_of_int (c.(0) - c.(1)) *. 0.5);
-        g
-      in
-      let expected = mk () in
-      (match wb_sel with
-      | 0 -> Interp.apply_range ~aux:[] interp ~src ~dst:expected ~lo ~hi
-      | 1 ->
-          Interp.apply_scaled_range ~aux:[] interp ~scale ~src ~dst:expected
-            ~lo ~hi
-      | _ ->
-          Interp.accumulate_range ~aux:[] interp ~scale ~src ~dst:expected ~lo
-            ~hi);
-      List.for_all
-        (fun (_, fn) ->
-          let got = mk () in
-          let wb =
-            match wb_sel with
-            | 0 -> Backend.wb_apply
-            | 1 -> Backend.wb_apply_scaled
-            | _ -> Backend.wb_accumulate
-          in
-          fn wb scale src.Grid.data got.Grid.data [||] lo hi;
-          got.Grid.data = expected.Grid.data)
-        (Lazy.force fns))
 
 (* --- Direct fused-sweep parity (qcheck) ---
 
@@ -282,8 +193,7 @@ let fused_sweep_matches_interp =
            if not (toolchain_for backend) then None
            else
              match
-               Jit.compile_sweep ~backend ~plan_digest:"test-backend-sweep-prop"
-                 terms
+               Jit.compile_sweep ~plan_digest:"test-backend-sweep-prop" terms
              with
              | Ok fn -> Some (backend, fn)
              | Error msg ->
@@ -443,8 +353,7 @@ let passes_match_interp =
                 Interp.identity_accumulate_range ~scale ~src ~dst:expected ~lo ~hi)
           terms;
         match
-          Jit.compile_sweep ~backend:Backend.Compiled_c ~plan_digest:"test-passes"
-            (List.map fst terms)
+          Jit.compile_sweep ~plan_digest:"test-passes" (List.map fst terms)
         with
         | Error msg -> QCheck.Test.fail_reportf "compile_sweep: %s" msg
         | Ok fn ->
@@ -467,8 +376,7 @@ let passes_match_interp =
 
 (* --- Forms beyond taps: tree mode and unnamed-aux bilinear ---
 
-   These fell back to the interpreter under the per-term JIT of PR 6; both
-   granularities must now compile them and stay bit-identical. *)
+   The fused sweep must compile these and stay bit-identical. *)
 
 (* Nonlinear kernel (tree mode): sqrt/mul force the expression-tree path,
    Max exercises the hand-ported Float.max semantics in C. *)
@@ -524,24 +432,13 @@ let former_fallback_forms_compile () =
         (fun backend ->
           let name = Printf.sprintf "%s/%s" fname (Backend.to_string backend) in
           let got_fused, report = final ~backend ~steps:3 st in
-          let got_terms, report_terms =
-            final ~fuse:false ~backend ~steps:3 st
-          in
           if toolchain_for backend then begin
-            check_bool (name ^ ": no fallback (fused)") true
+            check_bool (name ^ ": no fallback") true
               (report.Runtime.fallback = None);
-            check_int (name ^ ": compiled fused") 1 report.Runtime.fused_sweeps;
-            check_bool (name ^ ": no fallback (per-term)") true
-              (report_terms.Runtime.fallback = None);
-            check_int
-              (name ^ ": every term compiled per-term")
-              report_terms.Runtime.kernel_terms
-              report_terms.Runtime.compiled_terms
+            check_int (name ^ ": compiled fused") 1 report.Runtime.fused_sweeps
           end;
           check_bool (name ^ ": fused bit-identical") true
-            (got_fused.Grid.data = interp.Grid.data);
-          check_bool (name ^ ": per-term bit-identical") true
-            (got_terms.Grid.data = interp.Grid.data))
+            (got_fused.Grid.data = interp.Grid.data))
         compiled_backends)
     [
       ("tree2d", stencil_tree_2d ());
@@ -584,9 +481,7 @@ let unsupported_form_counted () =
      toolchain problem. *)
   let terms = List.init 65 (fun _ -> Jit.Sweep_kernel { scale = 1.0; interp }) in
   let s0 = Jit.stats () in
-  (match
-     Jit.compile_sweep ~backend:Backend.Compiled_c ~plan_digest:"too-many" terms
-   with
+  (match Jit.compile_sweep ~plan_digest:"too-many" terms with
   | Ok _ -> Alcotest.fail "expected compile_sweep to reject 65 terms"
   | Error _ -> ());
   let s1 = Jit.stats () in
@@ -595,6 +490,53 @@ let unsupported_form_counted () =
     s1.Jit.failures_unsupported;
   check_int "toolchain count unchanged" s0.Jit.failures_toolchain
     s1.Jit.failures_toolchain
+
+(* A form the emitter rejects (an infinite tap coefficient has no exact
+   literal) falls back to the interpreter for the whole sweep, reports why,
+   and still produces the interpreter's bits. Independent of the
+   toolchain: the form is rejected before any compiler runs. *)
+let rejected_form_falls_back () =
+  let grid = Builder.def_tensor_2d ~time_window:2 ~halo:1 "B" Msc_ir.Dtype.F64 8 9 in
+  let k =
+    Builder.kernel ~name:"InfK" ~grid
+      Msc_ir.Expr.(
+        (f Float.infinity * read "B" [| 0; 1 |]) + (f 0.5 * read "B" [| 0; 0 |]))
+  in
+  let st = Builder.two_step ~name:"inf2d" k in
+  let interp, _ = final ~backend:Backend.Interp ~steps:2 st in
+  let got, report = final ~backend:Backend.Compiled_c ~steps:2 st in
+  check_bool "degraded to interp" true
+    (Backend.equal report.Runtime.effective Backend.Interp);
+  check_int "no fused sweep" 0 report.Runtime.fused_sweeps;
+  check_int "nothing compiled" 0 report.Runtime.compiled_terms;
+  (match report.Runtime.fallback with
+  | Some reason ->
+      check_bool ("reason names the form: " ^ reason) true
+        (contains reason "non-finite")
+  | None -> Alcotest.fail "fallback reason missing");
+  check_bool "interpreter bits" true
+    (Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       got.Grid.data interp.Grid.data)
+
+(* --- Backend names --- *)
+
+let backend_names_round_trip () =
+  List.iter
+    (fun b ->
+      match Backend.of_string (Backend.to_string b) with
+      | Ok b' ->
+          check_bool (Backend.to_string b ^ " round-trips") true (Backend.equal b b')
+      | Error msg -> Alcotest.fail msg)
+    Backend.all;
+  List.iter
+    (fun name ->
+      match Backend.of_string name with
+      | Ok _ -> Alcotest.failf "%S must be rejected" name
+      | Error msg ->
+          check_bool (name ^ ": " ^ msg) true
+            (contains msg "(expected interp|compiled_c)"))
+    [ "native"; "native_ocaml" ]
 
 (* --- AOT: generated standalone C shares the fused sweep body --- *)
 
@@ -609,14 +551,6 @@ let aot_fused_matches_legacy () =
       Codegen.generate ~steps:3
         ~config:(Exec.Config.make ~backend:Backend.Compiled_c ())
         st sched Codegen.Cpu
-    in
-    let contains s needle =
-      let n = String.length needle in
-      let rec scan i =
-        i + n <= String.length s
-        && (String.equal (String.sub s i n) needle || scan (i + 1))
-      in
-      scan 0
     in
     let has_sweep files =
       List.exists
@@ -763,10 +697,9 @@ let emitter_salt_in_artifacts () =
     in
     with_cache_dir dir (fun () ->
         let _, st = stencil_3d7pt ~n:8 () in
-        (* One fused sweep, one set of per-term kernels, one reduction
-           kernel: all three emitters must salt uniformly. *)
+        (* One fused sweep and one reduction kernel: both emitters must
+           salt uniformly. *)
         ignore (final ~backend:Backend.Compiled_c ~steps:1 st);
-        ignore (final ~fuse:false ~backend:Backend.Compiled_c ~steps:1 st);
         let g = Grid.create ~shape:[| 8; 8; 8 |] ~halo:[| 1; 1; 1 |] in
         let red =
           Msc_exec.Reduction.create
@@ -781,24 +714,21 @@ let emitter_salt_in_artifacts () =
         in
         let artifacts =
           List.filter
-            (fun f ->
-              prefixed "msc_kern_" f || prefixed "msc_sweep_" f
-              || prefixed "msc_reduce_" f)
+            (fun f -> prefixed "msc_sweep_" f || prefixed "msc_reduce_" f)
             (Array.to_list (Sys.readdir dir))
         in
-        check_bool "artifacts exist" true (List.length artifacts >= 3);
+        check_bool "artifacts exist" true (List.length artifacts >= 2);
         List.iter
           (fun f ->
             check_bool (f ^ " carries the emitter salt") true
-              (prefixed ("msc_kern_" ^ v ^ "_") f
-              || prefixed ("msc_sweep_" ^ v ^ "_") f
+              (prefixed ("msc_sweep_" ^ v ^ "_") f
               || prefixed ("msc_reduce_" ^ v ^ "_") f))
           artifacts;
         List.iter
           (fun kind ->
             check_bool (kind ^ " artifact present") true
               (List.exists (prefixed (kind ^ "_" ^ v ^ "_")) artifacts))
-          [ "msc_kern"; "msc_sweep"; "msc_reduce" ])
+          [ "msc_sweep"; "msc_reduce" ])
 
 (* --- Pool inline cutoff: tiny parallel sweeps never wake the pool --- *)
 
@@ -845,7 +775,6 @@ let suites =
       [
         slow "suite bit-identity (all backends)" suite_parity_bit_identical;
         tc "bit-identity under BCs" parity_under_bcs;
-        jit_fn_matches_interp;
       ] );
     ( "backend.fused",
       [
@@ -855,6 +784,7 @@ let suites =
         slow "pool-parallel fused dispatch" fused_pool_stress;
         tc "unsupported form counted" unsupported_form_counted;
         slow "AOT embeds fused sweep" aot_fused_matches_legacy;
+        tc "rejected form falls back to interp" rejected_form_falls_back;
       ] );
     ( "backend.distributed",
       [
@@ -868,6 +798,7 @@ let suites =
         tc "no toolchain -> interp fallback" no_toolchain_falls_back;
         tc "emitter salt in every artifact" emitter_salt_in_artifacts;
       ] );
+    ("backend.names", [ tc "of_string round trip" backend_names_round_trip ]);
     ( "backend.pool_cutoff",
       [
         tc "small sweeps run inline" pool_inline_cutoff_small_sweeps;

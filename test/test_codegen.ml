@@ -79,7 +79,7 @@ let athread_bundle () =
 let athread_body_follows_backend () =
   (* The fixture has a two-slot time window, i.e. two stencil terms: the
      default (interpreter) config must accumulate them per term like the
-     runtime's per-term dispatch, a compiled+fused config must sum them in
+     runtime's per-term dispatch, a Compiled_c config must sum them in
      one fused expression like the whole-sweep kernel. *)
   let _, st, sched = fixture () in
   let slave_src ?config () =
@@ -91,22 +91,19 @@ let athread_body_follows_backend () =
   check_bool "interp accumulates per term" true (contains ~needle:"] += (ELEM)(" interp);
   let fused =
     slave_src
-      ~config:
-        (Msc_exec.Exec.Config.make ~backend:Msc_exec.Backend.Compiled_c
-           ~fuse:true ())
+      ~config:(Msc_exec.Exec.Config.make ~backend:Msc_exec.Backend.Compiled_c ())
       ()
   in
   check_bool "fused body has no accumulation" false (contains ~needle:"] += (ELEM)(" fused);
   check_bool "fused braces balanced" true (balanced_braces fused);
-  (* Fusion off on a compiled backend degrades to per-term accumulation. *)
-  let unfused =
+  (* An explicit Interp config is the per-term case, like the default. *)
+  let per_term =
     slave_src
-      ~config:
-        (Msc_exec.Exec.Config.make ~backend:Msc_exec.Backend.Compiled_c
-           ~fuse:false ())
+      ~config:(Msc_exec.Exec.Config.make ~backend:Msc_exec.Backend.Interp ())
       ()
   in
-  check_bool "no-fuse accumulates per term" true (contains ~needle:"] += (ELEM)(" unfused)
+  check_bool "interp config accumulates per term" true
+    (contains ~needle:"] += (ELEM)(" per_term)
 
 let athread_spm_guard () =
   (* A tile whose window buffers exceed 64 KB must be rejected. *)

@@ -192,6 +192,36 @@ let pipelines_bit_identical () =
         [ ("dirichlet", Bc.Dirichlet 0.0); ("periodic", Bc.Periodic) ])
     Suite.pipeline_names
 
+(* Split stepping on a multi-stage graph: stages 0..n-2 through
+   [sweep_graph_stage], the output stage through [sweep_tasks], then
+   [finish_step] must reproduce [step] bit for bit, on either backend. *)
+let split_stepping_matches_step () =
+  List.iter
+    (fun name ->
+      let g = Suite.pipeline ~dims name in
+      List.iter
+        (fun backend ->
+          let config = Exec.Config.make ~backend () in
+          let whole = Runtime.create_graph ~config g in
+          let split = Runtime.create_graph ~config g in
+          let n = Runtime.graph_stage_count split in
+          check_bool (name ^ ": multi-stage") true (n > 1);
+          for _ = 1 to 3 do
+            Runtime.step whole;
+            for i = 0 to n - 2 do
+              Runtime.sweep_graph_stage split i (Runtime.graph_stage_tasks split i)
+            done;
+            Runtime.sweep_tasks split (Runtime.tiles split);
+            Runtime.finish_step split
+          done;
+          check_bool
+            (Printf.sprintf "%s/%s split == step" name
+               (Msc_exec.Backend.to_string backend))
+            true
+            ((Runtime.current split).Grid.data = (Runtime.current whole).Grid.data))
+        Msc_exec.Backend.all)
+    [ "harris_corner"; "unsharp_mask" ]
+
 let scaled_producer_exact () =
   (* Producer contributing through Scale: the fused kernel must multiply
      by the same literal the scaled writeback used. *)
@@ -461,6 +491,7 @@ let suites =
     ( "graph.bit_identity",
       [
         tc "suite pipelines" pipelines_bit_identical;
+        tc "split stepping == step" split_stepping_matches_step;
         tc "scaled producer" scaled_producer_exact;
         tc "state producer" state_producer_exact;
         tc "multi-term consumer" multi_term_consumer_exact;

@@ -26,10 +26,9 @@ let have_tool t =
 
 let toolchain_for = function
   | Backend.Interp -> true
-  | Backend.Native_ocaml -> have_tool "ocamlopt"
   | Backend.Compiled_c -> have_tool "cc" || have_tool "gcc"
 
-let backends = [ Backend.Interp; Backend.Native_ocaml; Backend.Compiled_c ]
+let backends = Backend.all
 let all_ops = Reduce.all
 
 (* --- Reduce algebra --- *)
