@@ -175,31 +175,6 @@ let parallel_overhead_tests =
                (fun ~worker:_ _ -> ())));
     ]
 
-(* The fast-path engine: a write-through step, and the specialized taps
-   sweep vs the retained generic closure walker it replaced. *)
-let fastpath_tests =
-  let _, st = small_stencil "3d7pt_star" in
-  let kernel = Msc.Suite.kernel_of st in
-  let geometry = Msc.Grid.of_tensor st.Msc.Stencil.grid in
-  let compiled = Msc.Interp.compile kernel ~geometry in
-  let src = Msc.Grid.of_tensor st.Msc.Stencil.grid in
-  Msc.Grid.fill src (fun c -> float_of_int (c.(0) + c.(1) + c.(2)) *. 0.01);
-  let dst = Msc.Grid.like src in
-  let lo = [| 0; 0; 0 |] and hi = st.Msc.Stencil.grid.Msc.Tensor.shape in
-  Test.make_grouped ~name:"fastpath"
-    [
-      Test.make ~name:"step_write_through"
-        (Staged.stage (fun () ->
-             let rt = Msc.Runtime.create st in
-             Msc.Runtime.step rt));
-      Test.make ~name:"sweep_specialized"
-        (Staged.stage (fun () ->
-             Msc.Interp.apply_range ~aux:[] compiled ~src ~dst ~lo ~hi));
-      Test.make ~name:"sweep_generic"
-        (Staged.stage (fun () ->
-             Msc.Interp.generic_apply_range ~aux:[] compiled ~src ~dst ~lo ~hi));
-    ]
-
 (* Plan-driven tile traversal: the native runtime sweeps the plan's
    materialized task array, so a schedule's [reorder] now decides traversal
    order. Same tiles, same results — only locality differs between the
@@ -377,7 +352,7 @@ let all_tests =
   Test.make_grouped ~name:"msc"
     [
       suite_tests; schedule_tests; halo_tests; codegen_tests; sim_tests;
-      tuning_tests; extension_tests; parallel_overhead_tests; fastpath_tests;
+      tuning_tests; extension_tests; parallel_overhead_tests;
       plan_traversal_tests; trace_overhead_tests; comm_tests;
       kernel_backend_tests; fused_tests; pipeline_fusion_tests; solver_tests;
     ]
@@ -386,9 +361,7 @@ let all_tests =
 
    Direct wall-clock measurement (not Bechamel) so the numbers are plain
    points/sec a future PR can diff. Each suite kernel runs single-threaded
-   at the reduced bench dims; the fastpath entry pins the speedup of the
-   specialized write-through sweep over the legacy fill+generic-accumulate
-   step body on 3d7pt_star. *)
+   at the reduced bench dims. *)
 
 (* Measurement quota per timing. [--smoke] shrinks it so the whole harness
    finishes in seconds on CI while still exercising every code path. *)
@@ -522,33 +495,6 @@ let kernel_backend_points_per_sec (b : Msc.Suite.bench) =
     fused_c = points /. t_fused;
     fused_c_pool = points /. t_pool;
   }
-
-let fastpath_speedup () =
-  let b = Msc.Suite.find "3d7pt_star" in
-  let st = Msc.Suite.stencil ~dims:[| 24; 24; 24 |] b in
-  let points = float_of_int (24 * 24 * 24) in
-  let kernel = Msc.Suite.kernel_of st in
-  let geometry = Msc.Grid.of_tensor st.Msc.Stencil.grid in
-  let compiled = Msc.Interp.compile kernel ~geometry in
-  let src = Msc.Grid.of_tensor st.Msc.Stencil.grid in
-  Msc.Grid.fill src (fun c -> float_of_int (c.(0) + c.(1) + c.(2)) *. 0.01);
-  let dst = Msc.Grid.like src in
-  let lo = [| 0; 0; 0 |] and hi = st.Msc.Stencil.grid.Msc.Tensor.shape in
-  (* New step body: the first term writes through via the specialized row
-     loops — no zero pass. *)
-  let t_fast =
-    time_per_run (fun () ->
-        Msc.Interp.apply_range ~aux:[] compiled ~src ~dst ~lo ~hi)
-  in
-  (* Legacy step body: zero the whole padded array, then accumulate through
-     the generic closure walker — what Runtime.step did before this engine. *)
-  let t_legacy =
-    time_per_run (fun () ->
-        Msc.Grid.fill_all dst 0.0;
-        Msc.Interp.generic_accumulate_range ~aux:[] compiled ~scale:1.0 ~src
-          ~dst ~lo ~hi)
-  in
-  (points /. t_fast, points /. t_legacy, t_legacy /. t_fast)
 
 (* Before/after for the plan-layer traversal change: the same tiled 3d7pt
    step with canonical outer order (what the pre-plan runtime always did)
@@ -1053,7 +999,6 @@ let emit_runtime_json ~comm ~temporal ~solver ~scaling path =
              (residual_curve_json r.Msc.Solver.residuals))
          solver_legs)
   in
-  let fast_pps, legacy_pps, speedup = fastpath_speedup () in
   let pool_dims, pool_single, pool_pooled = fused_pool_headline () in
   let canonical_pps, reversed_pps = reorder_locality () in
   let comm_dims, bulk_s, overlapped_s = comm in
@@ -1076,11 +1021,6 @@ let emit_runtime_json ~comm ~temporal ~solver ~scaling path =
     \  \"kernels\": [\n\
      %s\n\
     \  ],\n\
-    \  \"fastpath_3d7pt_star\": {\n\
-    \    \"step_body_points_per_sec\": %.6e,\n\
-    \    \"legacy_step_body_points_per_sec\": %.6e,\n\
-    \    \"speedup\": %.3f\n\
-    \  },\n\
     \  \"plan_reorder_3d7pt_star\": {\n\
     \    \"outer_canonical_points_per_sec\": %.6e,\n\
     \    \"outer_reversed_points_per_sec\": %.6e,\n\
@@ -1130,7 +1070,7 @@ let emit_runtime_json ~comm ~temporal ~solver ~scaling path =
     \  ]\n\
      }\n"
     (String.concat ",\n" kernels)
-    fast_pps legacy_pps speedup canonical_pps reversed_pps
+    canonical_pps reversed_pps
     (canonical_pps /. reversed_pps)
     (String.concat ", " (Array.to_list (Array.map string_of_int comm_dims)))
     bulk_s overlapped_s (bulk_s /. overlapped_s)
@@ -1200,8 +1140,7 @@ let emit_runtime_json ~comm ~temporal ~solver ~scaling path =
   in
   Printf.printf
     "wrote %s (fused compiled_c step over the seed interp+per-cell-BC \
-     baseline: %.1fx on 3d7pt_star, %.1fx on 2d9pt_box; fastpath 3d7pt_star \
-     step body: %.2fx over legacy fill+generic-accumulate; plan traversal \
+     baseline: %.1fx on 3d7pt_star, %.1fx on 2d9pt_box; plan traversal \
      canonical/reversed: %.2fx; overlapped halo exchange: %.2fx over \
      bulk-synchronous under simulated latency; temporal blocking best depth \
      %d: %.2fx over overlapped on a latency-bound grid; 4-worker pool over single-core fused on 3d7pt_star at 48^3: %.2fx \
@@ -1211,7 +1150,6 @@ let emit_runtime_json ~comm ~temporal ~solver ~scaling path =
     path
     (kernel_speedup "3d7pt_star")
     (kernel_speedup "2d9pt_box")
-    speedup
     (canonical_pps /. reversed_pps)
     (bulk_s /. overlapped_s)
     best_depth
@@ -1277,14 +1215,43 @@ let sweep_source_bytes (b : Msc.Suite.bench) =
    kernel far below this, so crossing it means the unrolling came back. *)
 let max_sweep_source_bytes = 32 * 1024
 
+(* Every suite kernel must lower to a product chain of one fold unit per
+   point. A suite kernel lowered to a tree compiles as one whole
+   expression per row lane: for 2d169pt_box, the cold-JIT blow-up that
+   tap-group passes removed. The lowering needs no toolchain. *)
+let chain_lowering_bad () =
+  List.filter_map
+    (fun (b : Msc.Suite.bench) ->
+      let dims = match b.Msc.Suite.ndim with 2 -> [| 16; 16 |] | _ -> [| 8; 8; 8 |] in
+      let k = Msc.Suite.kernel_of (Msc.Suite.stencil ~dims b) in
+      let points = Msc.Kernel.points k in
+      match Msc.Jit.chain_length k with
+      | Some n when n = points -> None
+      | form ->
+          Some
+            (Printf.sprintf "[audit] %s: lowers to %s, expected a chain of %d products"
+               b.Msc.Suite.name
+               (match form with
+               | Some n -> Printf.sprintf "a chain of %d products" n
+               | None -> "a tree")
+               points))
+    Msc.Suite.all
+
+let fail_audit bad =
+  List.iter prerr_endline bad;
+  prerr_endline "[audit] fused-coverage audit FAILED";
+  exit 1
+
 (* [--backend <name>] coverage audit: with a compiled backend requested,
-   every Suite kernel must run the fused whole-sweep kernel with all its
-   terms compiled and no interpreter fallback, and its C sweep source must
-   stay under [max_sweep_source_bytes]. A regression in the fused
-   emitter's coverage fails the job instead of silently benchmarking the
-   interpreter. Skipped (with a notice) when the toolchain itself is
-   missing — an environment problem, not an emitter one. *)
+   every Suite kernel must lower to a product chain, run the fused
+   whole-sweep kernel with all its terms compiled and no interpreter
+   fallback, and its C sweep source must stay under
+   [max_sweep_source_bytes]. A regression in the fused emitter's coverage
+   fails the job instead of silently benchmarking the interpreter. The
+   compiled checks are skipped (with a notice) when the toolchain itself
+   is missing — an environment problem, not an emitter one. *)
 let audit_fused_coverage backend =
+  let lowering_bad = chain_lowering_bad () in
   let s0 = Msc.Jit.stats () in
   let reports =
     List.map
@@ -1306,10 +1273,12 @@ let audit_fused_coverage backend =
          (fun (_, r) -> r.Msc.Runtime.effective = Msc.Backend.Interp)
          reports
   in
-  if toolchain_missing then
+  if toolchain_missing then begin
+    if lowering_bad <> [] then fail_audit lowering_bad;
     Printf.printf
       "[audit] %s toolchain unavailable; fused-coverage audit skipped\n"
       (Msc.Backend.to_string backend)
+  end
   else begin
     let bad =
       List.filter_map
@@ -1368,11 +1337,12 @@ let audit_fused_coverage backend =
           | None -> Some (Printf.sprintf "[audit] %s: C sweep not emitted" name))
         sizes
     in
-    match bad @ red_bad @ size_bad with
+    match lowering_bad @ bad @ red_bad @ size_bad with
     | [] ->
         Printf.printf
-          "[audit] %s: all %d suite kernels ran the fused sweep and the \
-           compiled reduction, no fallback; C sweep sources %s bytes\n"
+          "[audit] %s: all %d suite kernels lowered to product chains, ran \
+           the fused sweep and the compiled reduction, no fallback; C sweep \
+           sources %s bytes\n"
           (Msc.Backend.to_string backend)
           (List.length reports)
           (String.concat ", "
@@ -1380,10 +1350,7 @@ let audit_fused_coverage backend =
                 (fun (name, size) ->
                   Printf.sprintf "%s %d" name (Option.value size ~default:0))
                 sizes))
-    | bad ->
-        List.iter prerr_endline bad;
-        prerr_endline "[audit] fused-coverage audit FAILED";
-        exit 1
+    | bad -> fail_audit bad
   end
 
 (* Pipeline-fusion audit: every suite pipeline must still collapse under

@@ -3,8 +3,6 @@ module Plan = Msc_schedule.Plan
 module Exec = Msc_exec.Exec
 module Backend = Msc_exec.Backend
 module Jit = Msc_exec.Jit
-module Interp = Msc_exec.Interp
-module Grid = Msc_exec.Grid
 
 (* The fused whole-sweep body the Compiled_c backend JITs, reused verbatim
    for standalone programs: terms of the stencil update compiled into the
@@ -15,7 +13,7 @@ module Grid = Msc_exec.Grid
 let fused_sweep_of (st : Stencil.t) =
   if not (String.equal (Emit_common.elem_type st) "double") then None
   else
-    let geometry = Grid.of_tensor st.Stencil.grid in
+    let halo = st.Stencil.grid.Tensor.halo in
     let terms = Emit_common.flatten_terms st in
     if not (List.exists (fun t -> t.Emit_common.kernel <> None) terms) then None
     else
@@ -24,20 +22,13 @@ let fused_sweep_of (st : Stencil.t) =
           (fun { Emit_common.scale; kernel; dt = _ } ->
             match kernel with
             | None -> Jit.Sweep_state { scale }
-            | Some k -> Jit.Sweep_kernel { scale; interp = Interp.compile k ~geometry })
+            | Some kernel -> Jit.Sweep_kernel { scale; kernel; halo })
           terms
       in
       match Jit.emit_c_sweep ~fn_name:"msc_sweep" sweep_terms with
       | Error _ -> None
       | Ok src ->
-          let aux_slots =
-            List.concat_map
-              (function
-                | Jit.Sweep_state _ -> []
-                | Jit.Sweep_kernel { interp; _ } -> Jit.sweep_term_aux_names interp)
-              sweep_terms
-          in
-          Some (terms, src, aux_slots)
+          Some (terms, src, Jit.sweep_aux_slots sweep_terms)
 
 let fused_sweep_source st = Option.map (fun (_, src, _) -> src) (fused_sweep_of st)
 

@@ -53,7 +53,7 @@ type sweep_fn =
     [srcs] holds one padded source array {e per term}, in stencil term
     order (terms reading the same past state repeat the array); [aux] is
     the concatenation of every term's aux slots (see
-    {!Jit.sweep_term_aux_names}). Geometry is baked at emission time;
+    {!Jit.sweep_aux_slots}). Geometry is baked at emission time;
     callers guard with [Interp.check_grids]/[check_range] per kernel term
     exactly as the interpreter does. *)
 

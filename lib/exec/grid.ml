@@ -6,6 +6,14 @@ type t = {
   data : float array;
 }
 
+let strides_of ~shape ~halo =
+  let ndim = Array.length shape in
+  let strides = Array.make ndim 1 in
+  for d = ndim - 2 downto 0 do
+    strides.(d) <- strides.(d + 1) * (shape.(d + 1) + (2 * halo.(d + 1)))
+  done;
+  strides
+
 let create ~shape ~halo =
   let ndim = Array.length shape in
   if ndim = 0 then invalid_arg "Grid.create: empty shape";
@@ -13,10 +21,7 @@ let create ~shape ~halo =
   Array.iter (fun d -> if d <= 0 then invalid_arg "Grid.create: bad extent") shape;
   Array.iter (fun h -> if h < 0 then invalid_arg "Grid.create: bad halo") halo;
   let padded = Array.mapi (fun d n -> n + (2 * halo.(d))) shape in
-  let strides = Array.make ndim 1 in
-  for d = ndim - 2 downto 0 do
-    strides.(d) <- strides.(d + 1) * padded.(d + 1)
-  done;
+  let strides = strides_of ~shape ~halo in
   let total = padded.(0) * strides.(0) in
   { shape; halo; padded; strides; data = Array.make total 0.0 }
 

@@ -17,6 +17,9 @@ type t = private {
 val create : shape:int array -> halo:int array -> t
 (** Zero-filled grid. @raise Invalid_argument on bad shapes. *)
 
+val strides_of : shape:int array -> halo:int array -> int array
+(** The row-major strides of the padded box {!create} allocates. *)
+
 val of_tensor : Msc_ir.Tensor.t -> t
 val like : t -> t
 val copy : t -> t

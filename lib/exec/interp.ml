@@ -1,278 +1,163 @@
 open Msc_ir
 
-(* One additive term of a bilinear kernel: coeff * Aux[p+aux_delta]? *
-   In[p+in_delta]?. At least one of the two accesses is present. *)
-type bi_term = {
-  coeff : float;
-  aux_name : string option;
-  aux_delta : int;
-  in_delta : int;
-  has_input : bool;
-}
-
-(* Term kinds for the bilinear inner loop, precomputed at compile time so
-   the per-point dispatch is an int match instead of option/string tests. *)
-let kind_aux_input = 0
-let kind_input_only = 1
-let kind_aux_only = 2
-
-type bilinear = {
-  terms : bi_term array;  (* retained for introspection / the generic path *)
-  bl_coeffs : float array;
-  bl_kinds : int array;
-  bl_aux_names : string option array;
-  bl_aux_deltas : int array;
-  bl_in_deltas : int array;
-}
-
-type mode =
-  | Taps of { coeffs : float array; deltas : int array }
-  | Bilinear of bilinear
-  | Tree of Expr.t
+(* What one sweep evaluates against: the input grid's data, the aux arrays
+   in [aux_names] order, and the current point's interior coordinate (read
+   by [Var] nodes only). Every sweep builds its own, so pool workers
+   sweeping tiles of one [t] share nothing mutable. *)
+type env = { src : float array; aux : float array array; coord : int array }
 
 type t = {
   kernel : Kernel.t;
-  mode : mode;
+  eval : env -> int -> float;  (* the kernel's value at flat index [i] *)
+  aux_names : string array;  (* aux tensors read, in first-use order *)
   shape : int array;
   halo : int array;
   strides : int array;
   range_slack : int array;
       (* how far a sweep range may extend past the interior per dimension:
-         halo minus the kernel's own radius. The cells a halo-extended sweep
-         writes still read strictly inside the padded box, which is what the
-         temporal-blocking engine's ghost-zone recompute relies on. Zero for
-         the common halo = radius geometry. *)
+         halo minus the kernel's own radius, so every read stays inside the
+         padded box. The temporal-blocking engine sweeps such extended
+         ranges to recompute ghost cells; zero for the common halo = radius
+         geometry, negative for a geometry thinner than the kernel's
+         reach. *)
 }
 
 (* How a sweep writes its per-point kernel value into [dst]. [Apply] and
-   [Apply_scaled] overwrite (the write-through fast path: the first stencil
-   term needs no prior zero fill); [Accumulate] adds (every later term). *)
+   [Apply_scaled] overwrite (the write-through path: the first stencil term
+   needs no prior zero fill); [Accumulate] adds (every later term). *)
 type writeback = Apply | Apply_scaled of float | Accumulate of float
-
-(* ------------------------------------------------------------------ *)
-(* Bilinear decomposition *)
-
-exception Not_bilinear
-
-(* A partial term during decomposition. *)
-type partial = {
-  c : float;
-  aux : Expr.access option;
-  inp : Expr.access option;
-}
-
-let bilinear_terms ~bindings ~input_name e =
-  let mul_partial a b =
-    let aux =
-      match (a.aux, b.aux) with
-      | Some _, Some _ -> raise Not_bilinear
-      | (Some _ as x), None | None, x -> x
-    in
-    let inp =
-      match (a.inp, b.inp) with
-      | Some _, Some _ -> raise Not_bilinear
-      | (Some _ as x), None | None, x -> x
-    in
-    { c = a.c *. b.c; aux; inp }
-  in
-  let rec go (e : Expr.t) : partial list =
-    match e with
-    | Expr.Fconst x -> [ { c = x; aux = None; inp = None } ]
-    | Expr.Iconst n -> [ { c = float_of_int n; aux = None; inp = None } ]
-    | Expr.Param name -> (
-        match List.assoc_opt name bindings with
-        | Some v -> [ { c = v; aux = None; inp = None } ]
-        | None -> raise Not_bilinear)
-    | Expr.Var _ -> raise Not_bilinear
-    | Expr.Access a ->
-        if String.equal a.Expr.tensor input_name then
-          [ { c = 1.0; aux = None; inp = Some a } ]
-        else [ { c = 1.0; aux = Some a; inp = None } ]
-    | Expr.Unop (Expr.Neg, a) -> List.map (fun t -> { t with c = -.t.c }) (go a)
-    | Expr.Unop ((Expr.Abs | Expr.Sqrt | Expr.Exp | Expr.Sin | Expr.Cos), _) ->
-        raise Not_bilinear
-    | Expr.Binop (Expr.Add, a, b) -> go a @ go b
-    | Expr.Binop (Expr.Sub, a, b) ->
-        go a @ List.map (fun t -> { t with c = -.t.c }) (go b)
-    | Expr.Binop (Expr.Mul, a, b) ->
-        let ta = go a and tb = go b in
-        List.concat_map (fun x -> List.map (mul_partial x) tb) ta
-    | Expr.Binop (Expr.Div, a, b) -> (
-        match go b with
-        | [ { c; aux = None; inp = None } ] when c <> 0.0 ->
-            List.map (fun t -> { t with c = t.c /. c }) (go a)
-        | _ -> raise Not_bilinear)
-    | Expr.Binop ((Expr.Min | Expr.Max), _, _) | Expr.Call _ -> raise Not_bilinear
-  in
-  match go e with
-  | exception Not_bilinear -> None
-  | partials ->
-      (* A nonzero pure-constant part is not representable. *)
-      let constant =
-        List.fold_left
-          (fun acc p -> if p.aux = None && p.inp = None then acc +. p.c else acc)
-          0.0 partials
-      in
-      if constant <> 0.0 then None
-      else
-        Some (List.filter (fun p -> p.aux <> None || p.inp <> None) partials)
-
-(* ------------------------------------------------------------------ *)
 
 let flat_delta strides offsets =
   let delta = ref 0 in
   Array.iteri (fun d off -> delta := !delta + (off * strides.(d))) offsets;
   !delta
 
-let mode_name t =
-  match t.mode with Taps _ -> "taps" | Bilinear _ -> "bilinear" | Tree _ -> "tree"
+(* {2 Closure compilation}
 
-let make_bilinear terms =
-  let n = Array.length terms in
-  {
-    terms;
-    bl_coeffs = Array.map (fun tm -> tm.coeff) terms;
-    bl_kinds =
-      Array.init n (fun k ->
-          let tm = terms.(k) in
-          match (tm.aux_name, tm.has_input) with
-          | Some _, true -> kind_aux_input
-          | None, _ -> kind_input_only
-          | Some _, false -> kind_aux_only);
-    bl_aux_names = Array.map (fun tm -> tm.aux_name) terms;
-    bl_aux_deltas = Array.map (fun tm -> tm.aux_delta) terms;
-    bl_in_deltas = Array.map (fun tm -> tm.in_delta) terms;
-  }
+   The tree compiles once into closures over an [env] and a flat point
+   index. Constant subtrees fold to their value and accesses resolve to
+   (array slot, flat delta) up front; every node then applies exactly the
+   arithmetic [Expr.eval] applies there ([Expr.apply_unop],
+   [Expr.apply_binop], [Expr.call]), so a sweep is bit-identical to
+   evaluating the tree point by point. *)
 
-let compile ?(trace = Msc_trace.disabled) ?(force_tree = false) kernel
-    ~geometry:(g : Grid.t) =
+type node =
+  | Const of float
+  | Read of int * int  (* aux slot ([-1]: the input grid), flat delta *)
+  | Code of (env -> int -> float)
+
+let code = function
+  | Const x -> fun _ _ -> x
+  | Read (-1, d) -> fun env i -> Array.unsafe_get env.src (i + d)
+  | Read (s, d) -> fun env i -> Array.unsafe_get (Array.unsafe_get env.aux s) (i + d)
+  | Code f -> f
+
+let compile_tree (k : Kernel.t) ~strides ~aux_slot =
+  let input = k.Kernel.input.Tensor.name in
+  let bindings = k.Kernel.bindings in
+  let rec go (e : Expr.t) =
+    match e with
+    | Fconst x -> Const x
+    | Iconst n -> Const (float_of_int n)
+    | Param name -> (
+        match List.assoc_opt name bindings with
+        | Some v -> Const v
+        | None ->
+            (* unbound: raise Expr.eval's error when a point is evaluated *)
+            Code (fun _ _ -> Expr.eval ~bindings ~load:(fun _ -> 0.0) ~var:(fun _ -> 0.0) e))
+    | Var name -> (
+        let rec find d = function
+          | [] -> None
+          | v :: rest -> if String.equal v name then Some d else find (d + 1) rest
+        in
+        match find 0 k.Kernel.index_vars with
+        | Some d -> Code (fun env _ -> float_of_int (Array.unsafe_get env.coord d))
+        | None -> Code (fun _ _ -> invalid_arg (Printf.sprintf "Interp: unknown loop var %s" name)))
+    | Access a ->
+        let slot = if String.equal a.Expr.tensor input then -1 else aux_slot a.Expr.tensor in
+        Read (slot, flat_delta strides a.Expr.offsets)
+    | Unop (op, a) -> (
+        match (op, go a) with
+        | _, Const x -> Const (Expr.apply_unop op x)
+        | Expr.Neg, a ->
+            let fa = code a in
+            Code (fun env i -> -.fa env i)
+        | _, a ->
+            let fa = code a in
+            Code (fun env i -> Expr.apply_unop op (fa env i)))
+    | Binop (op, a, b) -> (
+        match (op, go a, go b) with
+        | _, Const x, Const y -> Const (Expr.apply_binop op x y)
+        (* c * x on the input grid: the product of every tap. *)
+        | Expr.Mul, Const c, Read (-1, d) ->
+            Code (fun env i -> c *. Array.unsafe_get env.src (i + d))
+        | Expr.Mul, Read (-1, d), Const c ->
+            Code (fun env i -> Array.unsafe_get env.src (i + d) *. c)
+        | Expr.Add, a, b ->
+            let fa = code a and fb = code b in
+            Code (fun env i -> fa env i +. fb env i)
+        | Expr.Sub, a, b ->
+            let fa = code a and fb = code b in
+            Code (fun env i -> fa env i -. fb env i)
+        | Expr.Mul, a, b ->
+            let fa = code a and fb = code b in
+            Code (fun env i -> fa env i *. fb env i)
+        | Expr.Div, a, b ->
+            let fa = code a and fb = code b in
+            Code (fun env i -> fa env i /. fb env i)
+        | _, a, b ->
+            let fa = code a and fb = code b in
+            Code (fun env i -> Expr.apply_binop op (fa env i) (fb env i)))
+    | Call (name, args) -> (
+        let nodes = List.map go args in
+        match Expr.call name (List.map (function Const x -> x | _ -> raise Exit) nodes) with
+        | v -> Const v
+        | exception (Exit | Invalid_argument _) ->
+            let fs = List.map code nodes in
+            Code (fun env i -> Expr.call name (List.map (fun f -> f env i) fs)))
+  in
+  code (go k.Kernel.expr)
+
+let compile ?(trace = Msc_trace.disabled) kernel ~geometry:(g : Grid.t) =
   let ts0 = Msc_trace.begin_span trace in
   if Kernel.ndim kernel <> Grid.ndim g then
     invalid_arg "Interp.compile: rank mismatch";
   if kernel.Kernel.input.Tensor.shape <> g.Grid.shape then
     invalid_arg "Interp.compile: shape mismatch";
-  let mode =
-    if force_tree then Tree kernel.Kernel.expr
-    else
-    match Kernel.taps kernel with
-    | Some taps ->
-        let n = List.length taps in
-        let coeffs = Array.make n 0.0 and deltas = Array.make n 0 in
-        List.iteri
-          (fun k (tap : Expr.tap) ->
-            coeffs.(k) <- tap.Expr.coeff;
-            deltas.(k) <- flat_delta g.Grid.strides tap.Expr.offsets)
-          taps;
-        Taps { coeffs; deltas }
-    | None -> (
-        match
-          bilinear_terms ~bindings:kernel.Kernel.bindings
-            ~input_name:kernel.Kernel.input.Tensor.name kernel.Kernel.expr
-        with
-        | Some partials ->
-            Bilinear
-              (make_bilinear
-                 (Array.of_list
-                    (List.map
-                       (fun p ->
-                         {
-                           coeff = p.c;
-                           aux_name = Option.map (fun (a : Expr.access) -> a.Expr.tensor) p.aux;
-                           aux_delta =
-                             (match p.aux with
-                             | Some a -> flat_delta g.Grid.strides a.Expr.offsets
-                             | None -> 0);
-                           in_delta =
-                             (match p.inp with
-                             | Some a -> flat_delta g.Grid.strides a.Expr.offsets
-                             | None -> 0);
-                           has_input = p.inp <> None;
-                         })
-                       partials)))
-        | None -> Tree kernel.Kernel.expr)
+  let aux_names = Kernel.aux_reads kernel in
+  let aux_slot name =
+    let rec find s = function
+      | [] -> assert false
+      | n :: rest -> if String.equal n name then s else find (s + 1) rest
+    in
+    find 0 aux_names
   in
   let kr = Kernel.radius kernel in
   let t =
     {
       kernel;
-      mode;
+      eval = compile_tree kernel ~strides:g.Grid.strides ~aux_slot;
+      aux_names = Array.of_list aux_names;
       shape = g.Grid.shape;
       halo = g.Grid.halo;
       strides = g.Grid.strides;
-      range_slack = Array.mapi (fun d h -> max 0 (h - kr.(d))) g.Grid.halo;
+      range_slack = Array.mapi (fun d h -> h - kr.(d)) g.Grid.halo;
     }
   in
   Msc_trace.end_span trace "interp.compile" ts0;
-  Msc_trace.add trace ("interp.mode." ^ mode_name t) 1.0;
   Msc_trace.add trace "interp.kernel_points" (float_of_int (Kernel.points kernel));
   t
 
 let kernel t = t.kernel
-let is_linear t = match t.mode with Taps _ -> true | Bilinear _ | Tree _ -> false
-let is_bilinear t = match t.mode with Bilinear _ -> true | Taps _ | Tree _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* Introspection for the compiled backends: everything the JIT emitters
-   need to reproduce a sweep exactly (coefficients, flat deltas, term kinds
-   and the compiled geometry). *)
-
-type taps_spec = { taps_coeffs : float array; taps_deltas : int array }
-
-type bilinear_spec = {
-  bil_coeffs : float array;
-  bil_kinds : int array;
-  bil_aux_names : string option array;
-  bil_aux_deltas : int array;
-  bil_in_deltas : int array;
-}
-
-type spec =
-  | Spec_taps of taps_spec
-  | Spec_bilinear of bilinear_spec
-  | Spec_tree
-
-let spec t =
-  match t.mode with
-  | Taps { coeffs; deltas } ->
-      Spec_taps { taps_coeffs = coeffs; taps_deltas = deltas }
-  | Bilinear b ->
-      Spec_bilinear
-        {
-          bil_coeffs = b.bl_coeffs;
-          bil_kinds = b.bl_kinds;
-          bil_aux_names = b.bl_aux_names;
-          bil_aux_deltas = b.bl_aux_deltas;
-          bil_in_deltas = b.bl_in_deltas;
-        }
-  | Tree _ -> Spec_tree
-
 let shape t = t.shape
-let halo t = t.halo
-let strides t = t.strides
 
+(* {2 Validation} *)
+
+(* Shape and halo fix the strides, so equal shape and halo is equal
+   geometry: the flat indices the sweep computes are valid in the grid. *)
 let check_geometry t name (g : Grid.t) =
-  if g.Grid.shape <> t.shape || g.Grid.strides <> t.strides then
+  if g.Grid.shape <> t.shape || g.Grid.halo <> t.halo then
     invalid_arg (Printf.sprintf "Interp: %s grid differs from compiled geometry" name)
-
-let check_grids t ~(src : Grid.t) ~(dst : Grid.t) =
-  check_geometry t "src" src;
-  check_geometry t "dst" dst;
-  if src.Grid.data == dst.Grid.data then invalid_arg "Interp: src aliases dst"
-
-let check_range t ~lo ~hi =
-  let nd = Array.length t.shape in
-  if Array.length lo <> nd || Array.length hi <> nd then
-    invalid_arg "Interp: range rank mismatch";
-  Array.iteri
-    (fun d l ->
-      (* Ranges may grow into the halo as far as the kernel's reads stay
-         inside the padded box (slack = halo - kernel radius): the deep-halo
-         temporal engine sweeps such extended ranges to recompute ghost
-         cells. With halo = radius this degrades to the interior-only
-         check. *)
-      if l < -t.range_slack.(d) || hi.(d) > t.shape.(d) + t.range_slack.(d) then
-        invalid_arg "Interp: range out of bounds")
-    lo
 
 let aux_data t ~aux name =
   match List.assoc_opt name aux with
@@ -281,463 +166,73 @@ let aux_data t ~aux name =
       g.Grid.data
   | None -> invalid_arg (Printf.sprintf "Interp: kernel reads aux grid %s but it was not supplied" name)
 
-(* Generic n-D row walker over [lo, hi): invokes [row base len] for each
-   innermost row, where [base] is the flat index of the first element. The
-   innermost dimension is contiguous (stride 1 by construction), so every
-   inner loop below runs over [base .. base+len-1] directly. *)
-let iter_rows ~shape ~halo ~strides ~lo ~hi row =
-  let nd = Array.length shape in
-  let last = nd - 1 in
+let check_src_dst t ~(src : Grid.t) ~(dst : Grid.t) =
+  check_geometry t "src" src;
+  check_geometry t "dst" dst;
+  if src.Grid.data == dst.Grid.data then invalid_arg "Interp: src aliases dst"
+
+let check_grids ?(aux = []) t ~src ~dst =
+  check_src_dst t ~src ~dst;
+  Array.iter (fun n -> ignore (aux_data t ~aux n)) t.aux_names
+
+let check_range t ~lo ~hi =
+  let nd = Array.length t.shape in
+  if Array.length lo <> nd || Array.length hi <> nd then
+    invalid_arg "Interp: range rank mismatch";
+  Array.iteri
+    (fun d l ->
+      if l < -t.range_slack.(d) || hi.(d) > t.shape.(d) + t.range_slack.(d) then
+        invalid_arg "Interp: range out of bounds")
+    lo
+
+(* {2 Sweeps} *)
+
+(* Row walker over [lo, hi): sets the outer coordinates of [coord] and
+   invokes [row base len] for each innermost row, where [base] is the flat
+   index of its first element (the row callback owns [coord]'s last
+   entry). The innermost dimension is contiguous (stride 1 by
+   construction). *)
+let iter_rows ~halo ~strides ~coord ~lo ~hi row =
+  let last = Array.length lo - 1 in
   let row_len = hi.(last) - lo.(last) in
   if row_len > 0 then begin
-    let coord = Array.copy lo in
-    let flat_of coord =
-      let acc = ref 0 in
-      for d = 0 to nd - 1 do
-        acc := !acc + ((coord.(d) + halo.(d)) * strides.(d))
-      done;
-      !acc
-    in
-    let rec go d =
-      if d = last then row (flat_of coord) row_len
+    let rec go d base =
+      if d = last then row (base + ((lo.(last) + halo.(last)) * strides.(last))) row_len
       else
         for k = lo.(d) to hi.(d) - 1 do
           coord.(d) <- k;
-          go (d + 1)
+          go (d + 1) (base + ((k + halo.(d)) * strides.(d)))
         done
     in
-    coord.(last) <- lo.(last);
-    go 0
+    go 0 0
   end
 
-let iter_rows_of t ~lo ~hi row =
-  iter_rows ~shape:t.shape ~halo:t.halo ~strides:t.strides ~lo ~hi row
-
-(* ------------------------------------------------------------------ *)
-(* Taps mode: direct loops, no per-point closure. Small odd tap counts are
-   the star stencils (1-D/2-D/3-D first-order: 3/5/7 points), worth fully
-   unrolling. Accumulation order matches the generic path exactly (ascending
-   tap index, left-associated sums), so results stay bit-identical. *)
-
-let taps_row_generic ~coeffs ~deltas ~sdata ~ddata wb base len =
-  let ntaps = Array.length coeffs in
-  match wb with
-  | Apply ->
-      for c = 0 to len - 1 do
-        let idx = base + c in
-        let acc = ref 0.0 in
-        for k = 0 to ntaps - 1 do
-          acc :=
-            !acc
-            +. (Array.unsafe_get coeffs k
-               *. Array.unsafe_get sdata (idx + Array.unsafe_get deltas k))
-        done;
-        Array.unsafe_set ddata idx !acc
-      done
-  | Apply_scaled s ->
-      for c = 0 to len - 1 do
-        let idx = base + c in
-        let acc = ref 0.0 in
-        for k = 0 to ntaps - 1 do
-          acc :=
-            !acc
-            +. (Array.unsafe_get coeffs k
-               *. Array.unsafe_get sdata (idx + Array.unsafe_get deltas k))
-        done;
-        Array.unsafe_set ddata idx (s *. !acc)
-      done
-  | Accumulate s ->
-      for c = 0 to len - 1 do
-        let idx = base + c in
-        let acc = ref 0.0 in
-        for k = 0 to ntaps - 1 do
-          acc :=
-            !acc
-            +. (Array.unsafe_get coeffs k
-               *. Array.unsafe_get sdata (idx + Array.unsafe_get deltas k))
-        done;
-        Array.unsafe_set ddata idx (Array.unsafe_get ddata idx +. (s *. !acc))
-      done
-
-let sweep_taps t ~coeffs ~deltas ~(sdata : float array) ~(ddata : float array)
-    ~lo ~hi wb =
-  let row =
-    match Array.length coeffs with
-    | 3 ->
-        let c0 = coeffs.(0) and c1 = coeffs.(1) and c2 = coeffs.(2) in
-        let d0 = deltas.(0) and d1 = deltas.(1) and d2 = deltas.(2) in
-        fun base len ->
-          (match wb with
-          | Apply ->
-              for c = 0 to len - 1 do
-                let idx = base + c in
-                Array.unsafe_set ddata idx
-                  ((c0 *. Array.unsafe_get sdata (idx + d0))
-                  +. (c1 *. Array.unsafe_get sdata (idx + d1))
-                  +. (c2 *. Array.unsafe_get sdata (idx + d2)))
-              done
-          | Apply_scaled s ->
-              for c = 0 to len - 1 do
-                let idx = base + c in
-                Array.unsafe_set ddata idx
-                  (s
-                  *. ((c0 *. Array.unsafe_get sdata (idx + d0))
-                     +. (c1 *. Array.unsafe_get sdata (idx + d1))
-                     +. (c2 *. Array.unsafe_get sdata (idx + d2))))
-              done
-          | Accumulate s ->
-              for c = 0 to len - 1 do
-                let idx = base + c in
-                Array.unsafe_set ddata idx
-                  (Array.unsafe_get ddata idx
-                  +. (s
-                     *. ((c0 *. Array.unsafe_get sdata (idx + d0))
-                        +. (c1 *. Array.unsafe_get sdata (idx + d1))
-                        +. (c2 *. Array.unsafe_get sdata (idx + d2)))))
-              done)
-    | 5 ->
-        let c0 = coeffs.(0) and c1 = coeffs.(1) and c2 = coeffs.(2) in
-        let c3 = coeffs.(3) and c4 = coeffs.(4) in
-        let d0 = deltas.(0) and d1 = deltas.(1) and d2 = deltas.(2) in
-        let d3 = deltas.(3) and d4 = deltas.(4) in
-        fun base len ->
-          (match wb with
-          | Apply ->
-              for c = 0 to len - 1 do
-                let idx = base + c in
-                Array.unsafe_set ddata idx
-                  ((c0 *. Array.unsafe_get sdata (idx + d0))
-                  +. (c1 *. Array.unsafe_get sdata (idx + d1))
-                  +. (c2 *. Array.unsafe_get sdata (idx + d2))
-                  +. (c3 *. Array.unsafe_get sdata (idx + d3))
-                  +. (c4 *. Array.unsafe_get sdata (idx + d4)))
-              done
-          | Apply_scaled s ->
-              for c = 0 to len - 1 do
-                let idx = base + c in
-                Array.unsafe_set ddata idx
-                  (s
-                  *. ((c0 *. Array.unsafe_get sdata (idx + d0))
-                     +. (c1 *. Array.unsafe_get sdata (idx + d1))
-                     +. (c2 *. Array.unsafe_get sdata (idx + d2))
-                     +. (c3 *. Array.unsafe_get sdata (idx + d3))
-                     +. (c4 *. Array.unsafe_get sdata (idx + d4))))
-              done
-          | Accumulate s ->
-              for c = 0 to len - 1 do
-                let idx = base + c in
-                Array.unsafe_set ddata idx
-                  (Array.unsafe_get ddata idx
-                  +. (s
-                     *. ((c0 *. Array.unsafe_get sdata (idx + d0))
-                        +. (c1 *. Array.unsafe_get sdata (idx + d1))
-                        +. (c2 *. Array.unsafe_get sdata (idx + d2))
-                        +. (c3 *. Array.unsafe_get sdata (idx + d3))
-                        +. (c4 *. Array.unsafe_get sdata (idx + d4)))))
-              done)
-    | 7 ->
-        let c0 = coeffs.(0) and c1 = coeffs.(1) and c2 = coeffs.(2) in
-        let c3 = coeffs.(3) and c4 = coeffs.(4) and c5 = coeffs.(5) in
-        let c6 = coeffs.(6) in
-        let d0 = deltas.(0) and d1 = deltas.(1) and d2 = deltas.(2) in
-        let d3 = deltas.(3) and d4 = deltas.(4) and d5 = deltas.(5) in
-        let d6 = deltas.(6) in
-        fun base len ->
-          (match wb with
-          | Apply ->
-              for c = 0 to len - 1 do
-                let idx = base + c in
-                Array.unsafe_set ddata idx
-                  ((c0 *. Array.unsafe_get sdata (idx + d0))
-                  +. (c1 *. Array.unsafe_get sdata (idx + d1))
-                  +. (c2 *. Array.unsafe_get sdata (idx + d2))
-                  +. (c3 *. Array.unsafe_get sdata (idx + d3))
-                  +. (c4 *. Array.unsafe_get sdata (idx + d4))
-                  +. (c5 *. Array.unsafe_get sdata (idx + d5))
-                  +. (c6 *. Array.unsafe_get sdata (idx + d6)))
-              done
-          | Apply_scaled s ->
-              for c = 0 to len - 1 do
-                let idx = base + c in
-                Array.unsafe_set ddata idx
-                  (s
-                  *. ((c0 *. Array.unsafe_get sdata (idx + d0))
-                     +. (c1 *. Array.unsafe_get sdata (idx + d1))
-                     +. (c2 *. Array.unsafe_get sdata (idx + d2))
-                     +. (c3 *. Array.unsafe_get sdata (idx + d3))
-                     +. (c4 *. Array.unsafe_get sdata (idx + d4))
-                     +. (c5 *. Array.unsafe_get sdata (idx + d5))
-                     +. (c6 *. Array.unsafe_get sdata (idx + d6))))
-              done
-          | Accumulate s ->
-              for c = 0 to len - 1 do
-                let idx = base + c in
-                Array.unsafe_set ddata idx
-                  (Array.unsafe_get ddata idx
-                  +. (s
-                     *. ((c0 *. Array.unsafe_get sdata (idx + d0))
-                        +. (c1 *. Array.unsafe_get sdata (idx + d1))
-                        +. (c2 *. Array.unsafe_get sdata (idx + d2))
-                        +. (c3 *. Array.unsafe_get sdata (idx + d3))
-                        +. (c4 *. Array.unsafe_get sdata (idx + d4))
-                        +. (c5 *. Array.unsafe_get sdata (idx + d5))
-                        +. (c6 *. Array.unsafe_get sdata (idx + d6)))))
-              done)
-    | 9 ->
-        let c0 = coeffs.(0) and c1 = coeffs.(1) and c2 = coeffs.(2) in
-        let c3 = coeffs.(3) and c4 = coeffs.(4) and c5 = coeffs.(5) in
-        let c6 = coeffs.(6) and c7 = coeffs.(7) and c8 = coeffs.(8) in
-        let d0 = deltas.(0) and d1 = deltas.(1) and d2 = deltas.(2) in
-        let d3 = deltas.(3) and d4 = deltas.(4) and d5 = deltas.(5) in
-        let d6 = deltas.(6) and d7 = deltas.(7) and d8 = deltas.(8) in
-        fun base len ->
-          (match wb with
-          | Apply ->
-              for c = 0 to len - 1 do
-                let idx = base + c in
-                Array.unsafe_set ddata idx
-                  ((c0 *. Array.unsafe_get sdata (idx + d0))
-                  +. (c1 *. Array.unsafe_get sdata (idx + d1))
-                  +. (c2 *. Array.unsafe_get sdata (idx + d2))
-                  +. (c3 *. Array.unsafe_get sdata (idx + d3))
-                  +. (c4 *. Array.unsafe_get sdata (idx + d4))
-                  +. (c5 *. Array.unsafe_get sdata (idx + d5))
-                  +. (c6 *. Array.unsafe_get sdata (idx + d6))
-                  +. (c7 *. Array.unsafe_get sdata (idx + d7))
-                  +. (c8 *. Array.unsafe_get sdata (idx + d8)))
-              done
-          | Apply_scaled s ->
-              for c = 0 to len - 1 do
-                let idx = base + c in
-                Array.unsafe_set ddata idx
-                  (s
-                  *. ((c0 *. Array.unsafe_get sdata (idx + d0))
-                     +. (c1 *. Array.unsafe_get sdata (idx + d1))
-                     +. (c2 *. Array.unsafe_get sdata (idx + d2))
-                     +. (c3 *. Array.unsafe_get sdata (idx + d3))
-                     +. (c4 *. Array.unsafe_get sdata (idx + d4))
-                     +. (c5 *. Array.unsafe_get sdata (idx + d5))
-                     +. (c6 *. Array.unsafe_get sdata (idx + d6))
-                     +. (c7 *. Array.unsafe_get sdata (idx + d7))
-                     +. (c8 *. Array.unsafe_get sdata (idx + d8))))
-              done
-          | Accumulate s ->
-              for c = 0 to len - 1 do
-                let idx = base + c in
-                Array.unsafe_set ddata idx
-                  (Array.unsafe_get ddata idx
-                  +. (s
-                     *. ((c0 *. Array.unsafe_get sdata (idx + d0))
-                        +. (c1 *. Array.unsafe_get sdata (idx + d1))
-                        +. (c2 *. Array.unsafe_get sdata (idx + d2))
-                        +. (c3 *. Array.unsafe_get sdata (idx + d3))
-                        +. (c4 *. Array.unsafe_get sdata (idx + d4))
-                        +. (c5 *. Array.unsafe_get sdata (idx + d5))
-                        +. (c6 *. Array.unsafe_get sdata (idx + d6))
-                        +. (c7 *. Array.unsafe_get sdata (idx + d7))
-                        +. (c8 *. Array.unsafe_get sdata (idx + d8)))))
-              done)
-    | 13 ->
-        let c0 = coeffs.(0) and c1 = coeffs.(1) and c2 = coeffs.(2) in
-        let c3 = coeffs.(3) and c4 = coeffs.(4) and c5 = coeffs.(5) in
-        let c6 = coeffs.(6) and c7 = coeffs.(7) and c8 = coeffs.(8) in
-        let c9 = coeffs.(9) and c10 = coeffs.(10) and c11 = coeffs.(11) in
-        let c12 = coeffs.(12) in
-        let d0 = deltas.(0) and d1 = deltas.(1) and d2 = deltas.(2) in
-        let d3 = deltas.(3) and d4 = deltas.(4) and d5 = deltas.(5) in
-        let d6 = deltas.(6) and d7 = deltas.(7) and d8 = deltas.(8) in
-        let d9 = deltas.(9) and d10 = deltas.(10) and d11 = deltas.(11) in
-        let d12 = deltas.(12) in
-        fun base len ->
-          (match wb with
-          | Apply ->
-              for c = 0 to len - 1 do
-                let idx = base + c in
-                Array.unsafe_set ddata idx
-                  ((c0 *. Array.unsafe_get sdata (idx + d0))
-                  +. (c1 *. Array.unsafe_get sdata (idx + d1))
-                  +. (c2 *. Array.unsafe_get sdata (idx + d2))
-                  +. (c3 *. Array.unsafe_get sdata (idx + d3))
-                  +. (c4 *. Array.unsafe_get sdata (idx + d4))
-                  +. (c5 *. Array.unsafe_get sdata (idx + d5))
-                  +. (c6 *. Array.unsafe_get sdata (idx + d6))
-                  +. (c7 *. Array.unsafe_get sdata (idx + d7))
-                  +. (c8 *. Array.unsafe_get sdata (idx + d8))
-                  +. (c9 *. Array.unsafe_get sdata (idx + d9))
-                  +. (c10 *. Array.unsafe_get sdata (idx + d10))
-                  +. (c11 *. Array.unsafe_get sdata (idx + d11))
-                  +. (c12 *. Array.unsafe_get sdata (idx + d12)))
-              done
-          | Apply_scaled s ->
-              for c = 0 to len - 1 do
-                let idx = base + c in
-                Array.unsafe_set ddata idx
-                  (s
-                  *. ((c0 *. Array.unsafe_get sdata (idx + d0))
-                     +. (c1 *. Array.unsafe_get sdata (idx + d1))
-                     +. (c2 *. Array.unsafe_get sdata (idx + d2))
-                     +. (c3 *. Array.unsafe_get sdata (idx + d3))
-                     +. (c4 *. Array.unsafe_get sdata (idx + d4))
-                     +. (c5 *. Array.unsafe_get sdata (idx + d5))
-                     +. (c6 *. Array.unsafe_get sdata (idx + d6))
-                     +. (c7 *. Array.unsafe_get sdata (idx + d7))
-                     +. (c8 *. Array.unsafe_get sdata (idx + d8))
-                     +. (c9 *. Array.unsafe_get sdata (idx + d9))
-                     +. (c10 *. Array.unsafe_get sdata (idx + d10))
-                     +. (c11 *. Array.unsafe_get sdata (idx + d11))
-                     +. (c12 *. Array.unsafe_get sdata (idx + d12))))
-              done
-          | Accumulate s ->
-              for c = 0 to len - 1 do
-                let idx = base + c in
-                Array.unsafe_set ddata idx
-                  (Array.unsafe_get ddata idx
-                  +. (s
-                     *. ((c0 *. Array.unsafe_get sdata (idx + d0))
-                        +. (c1 *. Array.unsafe_get sdata (idx + d1))
-                        +. (c2 *. Array.unsafe_get sdata (idx + d2))
-                        +. (c3 *. Array.unsafe_get sdata (idx + d3))
-                        +. (c4 *. Array.unsafe_get sdata (idx + d4))
-                        +. (c5 *. Array.unsafe_get sdata (idx + d5))
-                        +. (c6 *. Array.unsafe_get sdata (idx + d6))
-                        +. (c7 *. Array.unsafe_get sdata (idx + d7))
-                        +. (c8 *. Array.unsafe_get sdata (idx + d8))
-                        +. (c9 *. Array.unsafe_get sdata (idx + d9))
-                        +. (c10 *. Array.unsafe_get sdata (idx + d10))
-                        +. (c11 *. Array.unsafe_get sdata (idx + d11))
-                        +. (c12 *. Array.unsafe_get sdata (idx + d12)))))
-              done)
-    | _ -> taps_row_generic ~coeffs ~deltas ~sdata ~ddata wb
-  in
-  iter_rows_of t ~lo ~hi row
-
-(* ------------------------------------------------------------------ *)
-(* Bilinear mode. Per-term aux arrays are resolved once per sweep; the
-   per-point dispatch is an int-kind match over precompiled parallel arrays
-   (the legacy path re-matched [aux_name] per point per term). Term order
-   and multiplication association are unchanged, so results are
-   bit-identical to the generic path. *)
-
-let resolve_bilinear_arrays t ~aux ~(sdata : float array) b =
-  Array.map
-    (fun name -> match name with Some n -> aux_data t ~aux n | None -> sdata)
-    b.bl_aux_names
-
-let sweep_bilinear t ~aux ~(sdata : float array) ~(ddata : float array) ~lo ~hi
-    b wb =
-  let arrays = resolve_bilinear_arrays t ~aux ~sdata b in
-  let n = Array.length b.bl_coeffs in
-  let coeffs = b.bl_coeffs and kinds = b.bl_kinds in
-  let aux_deltas = b.bl_aux_deltas and in_deltas = b.bl_in_deltas in
-  let point idx =
-    let acc = ref 0.0 in
-    for k = 0 to n - 1 do
-      let c = Array.unsafe_get coeffs k in
-      let v =
-        match Array.unsafe_get kinds k with
-        | 0 (* aux * input *) ->
-            c
-            *. Array.unsafe_get (Array.unsafe_get arrays k)
-                 (idx + Array.unsafe_get aux_deltas k)
-            *. Array.unsafe_get sdata (idx + Array.unsafe_get in_deltas k)
-        | 1 (* input only *) ->
-            c *. Array.unsafe_get sdata (idx + Array.unsafe_get in_deltas k)
-        | _ (* aux only *) ->
-            c
-            *. Array.unsafe_get (Array.unsafe_get arrays k)
-                 (idx + Array.unsafe_get aux_deltas k)
-      in
-      acc := !acc +. v
-    done;
-    !acc
-  in
-  let row =
-    match wb with
-    | Apply ->
-        fun base len ->
-          for c = 0 to len - 1 do
-            let idx = base + c in
-            Array.unsafe_set ddata idx (point idx)
-          done
-    | Apply_scaled s ->
-        fun base len ->
-          for c = 0 to len - 1 do
-            let idx = base + c in
-            Array.unsafe_set ddata idx (s *. point idx)
-          done
-    | Accumulate s ->
-        fun base len ->
-          for c = 0 to len - 1 do
-            let idx = base + c in
-            Array.unsafe_set ddata idx
-              (Array.unsafe_get ddata idx +. (s *. point idx))
-          done
-  in
-  iter_rows_of t ~lo ~hi row
-
-(* ------------------------------------------------------------------ *)
-(* Tree mode: expression evaluation dominates, so a per-point write closure
-   costs nothing measurable and the legacy walker is kept. *)
-
-let eval_tree t expr ~(src : Grid.t) ~aux coord =
-  let load (a : Expr.access) =
-    let data =
-      if String.equal a.Expr.tensor t.kernel.Kernel.input.Tensor.name then src.Grid.data
-      else aux_data t ~aux a.Expr.tensor
-    in
-    let flat = ref 0 in
-    for d = 0 to Array.length coord - 1 do
-      flat := !flat + ((coord.(d) + a.Expr.offsets.(d) + t.halo.(d)) * t.strides.(d))
-    done;
-    data.(!flat)
-  in
-  let var name =
-    let rec find d = function
-      | [] -> invalid_arg (Printf.sprintf "Interp: unknown loop var %s" name)
-      | v :: rest -> if String.equal v name then float_of_int coord.(d) else find (d + 1) rest
-    in
-    find 0 t.kernel.Kernel.index_vars
-  in
-  Expr.eval ~bindings:t.kernel.Kernel.bindings ~load ~var expr
-
-let sweep_tree t expr ~src ~aux ~(ddata : float array) ~lo ~hi wb =
-  let write =
-    match wb with
-    | Apply -> fun idx v -> Array.unsafe_set ddata idx v
-    | Apply_scaled s -> fun idx v -> Array.unsafe_set ddata idx (s *. v)
-    | Accumulate s ->
-        fun idx v ->
-          Array.unsafe_set ddata idx (Array.unsafe_get ddata idx +. (s *. v))
-  in
-  let nd = Array.length t.shape in
-  let coord = Array.copy lo in
-  let last = nd - 1 in
-  let rec go d =
-    if d = nd then begin
-      let flat = ref 0 in
-      for k = 0 to last do
-        flat := !flat + ((coord.(k) + t.halo.(k)) * t.strides.(k))
-      done;
-      write !flat (eval_tree t expr ~src ~aux coord)
-    end
-    else
-      for k = lo.(d) to hi.(d) - 1 do
-        coord.(d) <- k;
-        go (d + 1)
-      done
-  in
-  go 0
-
-(* ------------------------------------------------------------------ *)
-
 let sweep ?(aux = []) t ~src ~dst ~lo ~hi wb =
-  check_grids t ~src ~dst;
+  check_src_dst t ~src ~dst;
   check_range t ~lo ~hi;
-  let sdata = (src : Grid.t).Grid.data and ddata = (dst : Grid.t).Grid.data in
-  match t.mode with
-  | Taps { coeffs; deltas } -> sweep_taps t ~coeffs ~deltas ~sdata ~ddata ~lo ~hi wb
-  | Bilinear b -> sweep_bilinear t ~aux ~sdata ~ddata ~lo ~hi b wb
-  | Tree expr -> sweep_tree t expr ~src ~aux ~ddata ~lo ~hi wb
+  let coord = Array.copy lo in
+  let env = { src = src.Grid.data; aux = Array.map (aux_data t ~aux) t.aux_names; coord } in
+  let ddata = dst.Grid.data and eval = t.eval in
+  let last = Array.length lo - 1 in
+  let l0 = lo.(last) in
+  iter_rows ~halo:t.halo ~strides:t.strides ~coord ~lo ~hi (fun base len ->
+      match wb with
+      | Apply ->
+          for c = 0 to len - 1 do
+            Array.unsafe_set coord last (l0 + c);
+            Array.unsafe_set ddata (base + c) (eval env (base + c))
+          done
+      | Apply_scaled s ->
+          for c = 0 to len - 1 do
+            Array.unsafe_set coord last (l0 + c);
+            Array.unsafe_set ddata (base + c) (s *. eval env (base + c))
+          done
+      | Accumulate s ->
+          for c = 0 to len - 1 do
+            let i = base + c in
+            Array.unsafe_set coord last (l0 + c);
+            Array.unsafe_set ddata i (Array.unsafe_get ddata i +. (s *. eval env i))
+          done)
 
 let apply_range ?aux t ~src ~dst ~lo ~hi = sweep ?aux t ~src ~dst ~lo ~hi Apply
 
@@ -754,99 +249,19 @@ let apply ?aux t ~src ~dst =
   let lo = Array.make (Array.length t.shape) 0 in
   apply_range ?aux t ~src ~dst ~lo ~hi:t.shape
 
-(* ------------------------------------------------------------------ *)
-(* The retained generic path: every point funnelled through a [write]
-   closure, bilinear terms re-dispatched per point. This is the legacy
-   implementation the fast paths above are parity-tested against (and the
-   baseline the [fastpath] bench group measures). *)
-
-let generic_sweep ?(aux = []) t ~src ~dst ~lo ~hi ~write =
-  check_grids t ~src ~dst;
-  check_range t ~lo ~hi;
-  match t.mode with
-  | Taps { coeffs; deltas } ->
-      let ntaps = Array.length coeffs in
-      let sdata = src.Grid.data and ddata = dst.Grid.data in
-      iter_rows_of t ~lo ~hi (fun base len ->
-          for c = 0 to len - 1 do
-            let idx = base + c in
-            let acc = ref 0.0 in
-            for k = 0 to ntaps - 1 do
-              acc := !acc +. (coeffs.(k) *. Array.unsafe_get sdata (idx + deltas.(k)))
-            done;
-            write ddata idx !acc
-          done)
-  | Bilinear b ->
-      let terms = b.terms in
-      let nterms = Array.length terms in
-      let sdata = src.Grid.data and ddata = dst.Grid.data in
-      let arrays =
-        Array.map
-          (fun term ->
-            match term.aux_name with
-            | Some name -> aux_data t ~aux name
-            | None -> src.Grid.data)
-          terms
-      in
-      iter_rows_of t ~lo ~hi (fun base len ->
-          for c = 0 to len - 1 do
-            let idx = base + c in
-            let acc = ref 0.0 in
-            for k = 0 to nterms - 1 do
-              let term = Array.unsafe_get terms k in
-              let factor =
-                match term.aux_name with
-                | Some _ -> Array.unsafe_get arrays.(k) (idx + term.aux_delta)
-                | None -> 1.0
-              in
-              let input_v =
-                if term.has_input then Array.unsafe_get sdata (idx + term.in_delta)
-                else 1.0
-              in
-              acc := !acc +. (term.coeff *. factor *. input_v)
-            done;
-            write ddata idx !acc
-          done)
-  | Tree expr ->
-      let nd = Array.length t.shape in
-      let coord = Array.copy lo in
-      let last = nd - 1 in
-      let rec go d =
-        if d = nd then begin
-          let flat = ref 0 in
-          for k = 0 to last do
-            flat := !flat + ((coord.(k) + t.halo.(k)) * t.strides.(k))
-          done;
-          write dst.Grid.data !flat (eval_tree t expr ~src ~aux coord)
-        end
-        else
-          for k = lo.(d) to hi.(d) - 1 do
-            coord.(d) <- k;
-            go (d + 1)
-          done
-      in
-      go 0
-
-let generic_apply_range ?aux t ~src ~dst ~lo ~hi =
-  generic_sweep ?aux t ~src ~dst ~lo ~hi ~write:(fun data idx v ->
-      Array.unsafe_set data idx v)
-
-let generic_accumulate_range ?aux t ~scale ~src ~dst ~lo ~hi =
-  generic_sweep ?aux t ~src ~dst ~lo ~hi ~write:(fun data idx v ->
-      Array.unsafe_set data idx (Array.unsafe_get data idx +. (scale *. v)))
-
-(* ------------------------------------------------------------------ *)
-(* Identity (State) terms. *)
+(* {2 Identity (State) terms} *)
 
 let check_identity ~(src : Grid.t) ~(dst : Grid.t) name =
-  if src.Grid.shape <> dst.Grid.shape || src.Grid.strides <> dst.Grid.strides then
+  if src.Grid.shape <> dst.Grid.shape || src.Grid.halo <> dst.Grid.halo then
     invalid_arg (name ^ ": geometry mismatch")
+
+let identity_rows ~(src : Grid.t) ~lo ~hi row =
+  iter_rows ~halo:src.Grid.halo ~strides:src.Grid.strides ~coord:(Array.copy lo) ~lo ~hi row
 
 let identity_accumulate_range ~scale ~(src : Grid.t) ~(dst : Grid.t) ~lo ~hi =
   check_identity ~src ~dst "identity_accumulate_range";
   let sdata = src.Grid.data and ddata = dst.Grid.data in
-  iter_rows ~shape:src.Grid.shape ~halo:src.Grid.halo ~strides:src.Grid.strides
-    ~lo ~hi (fun base len ->
+  identity_rows ~src ~lo ~hi (fun base len ->
       for c = 0 to len - 1 do
         let i = base + c in
         Array.unsafe_set ddata i
@@ -858,12 +273,9 @@ let identity_apply_range ~scale ~(src : Grid.t) ~(dst : Grid.t) ~lo ~hi =
   let sdata = src.Grid.data and ddata = dst.Grid.data in
   if scale = 1.0 then
     (* A pure copy: rows are contiguous in both grids (same geometry). *)
-    iter_rows ~shape:src.Grid.shape ~halo:src.Grid.halo
-      ~strides:src.Grid.strides ~lo ~hi (fun base len ->
-        Array.blit sdata base ddata base len)
+    identity_rows ~src ~lo ~hi (fun base len -> Array.blit sdata base ddata base len)
   else
-    iter_rows ~shape:src.Grid.shape ~halo:src.Grid.halo
-      ~strides:src.Grid.strides ~lo ~hi (fun base len ->
+    identity_rows ~src ~lo ~hi (fun base len ->
         for c = 0 to len - 1 do
           let i = base + c in
           Array.unsafe_set ddata i (scale *. Array.unsafe_get sdata i)

@@ -1,101 +1,48 @@
-(** Kernel interpreter: executes a kernel sweep over real grids.
+(** Kernel interpreter: the reference meaning of a kernel over real grids.
 
-    A kernel is compiled once against a grid geometry (strides + halo).
-    Three execution modes, fastest applicable wins:
+    A kernel's value is its expression tree, evaluated exactly as
+    {!Msc_ir.Expr.eval} evaluates it: no tap merging, no coefficient
+    folding across nodes, no re-association. The interpreter is the oracle
+    every compiled sweep is checked against bit for bit, and the fallback
+    when a sweep does not compile.
 
-    - {b taps}: single-grid linear kernels become a flat (coefficient,
-      flat-delta) array evaluated in a tight loop, fully unrolled for the
-      3/5/7-point stars, the 9-point arities (2-D r=2 star, 2-D r=1 box)
-      and the 13-point 3-D r=2 star;
-    - {b bilinear}: multi-grid kernels of the form
-      [sum_k c_k * Aux[p+a_k] * In[p+b_k]] (variable-coefficient stencils,
-      the §5.6 WRF/POP2 shape) become precompiled (coefficient, kind,
-      aux-delta, input-delta) parallel arrays — per-term aux arrays are
-      resolved once per sweep, the per-point dispatch is an integer match;
-    - {b tree}: anything else falls back to expression-tree evaluation.
-
-    Every sweep comes in three writeback flavours, all direct loops with no
-    per-point closure: overwrite ([apply_range]), overwrite-with-scale
-    ([apply_scaled_range] — the runtime's write-through fast path, which
-    lets the first stencil term skip the zero fill), and accumulate
-    ([accumulate_range]). The pre-optimization closure-based implementation
-    is retained as [generic_sweep] for parity tests and benchmarks.
+    {!compile} turns the tree into closures once per geometry: parameters
+    and constant subtrees fold to their values and every access resolves
+    to a flat delta, so a sweep only runs the per-point arithmetic. Sweeps
+    come in three writeback flavours: overwrite ([apply_range]),
+    overwrite-with-scale ([apply_scaled_range], the runtime's write-through
+    step) and accumulate ([accumulate_range]). A compiled [t] holds no
+    mutable state, so pool workers may sweep disjoint tiles of one [t] at
+    once.
 
     Kernels reading aux grids must be given them at application time via
-    [~aux]; all grids must share the compiled geometry. *)
+    [~aux]; every grid must share the compiled geometry (shape and
+    halo). *)
 
 type t
 
-val compile :
-  ?trace:Msc_trace.t ->
-  ?force_tree:bool ->
-  Msc_ir.Kernel.t ->
-  geometry:Grid.t ->
-  t
-(** [geometry] supplies strides/halo only; any grid with the same shape and
-    halo can be passed to the apply functions. [trace] records an
-    [interp.compile] span plus [interp.mode.<taps|bilinear|tree>] and
-    [interp.kernel_points] counters.
-
-    [force_tree] (default false) skips the taps/bilinear fast paths and
-    evaluates the expression tree verbatim. The fast paths merge
-    duplicate-offset taps and fold/distribute coefficients, which changes
-    rounding relative to the written tree; the pipeline graph executor
-    forces tree mode on every stage so that fused compound kernels (which
-    substitute producer trees into consumer trees) stay bit-identical to
-    the unfused stage-at-a-time reference.
-    @raise Invalid_argument if the kernel rank mismatches the grid. *)
+val compile : ?trace:Msc_trace.t -> Msc_ir.Kernel.t -> geometry:Grid.t -> t
+(** [geometry] supplies shape and halo only; any grid with the same shape
+    and halo can be passed to the apply functions. [trace] records an
+    [interp.compile] span and an [interp.kernel_points] counter.
+    @raise Invalid_argument if the kernel's rank or shape mismatches the
+    grid. *)
 
 val kernel : t -> Msc_ir.Kernel.t
-
-val mode_name : t -> string
-(** ["taps"], ["bilinear"] or ["tree"] — which execution mode {!compile}
-    selected. *)
-
-val is_linear : t -> bool
-(** Taps mode. *)
-
-val is_bilinear : t -> bool
-
-(** {1 Introspection for the compiled backends}
-
-    The compiled backends ({!Jit}) emit a specialized kernel from the same
-    precompiled representation the interpreter executes, so a compiled
-    sweep and an interpreted sweep agree bit-exactly by construction. *)
-
-type taps_spec = { taps_coeffs : float array; taps_deltas : int array }
-(** Linear single-grid kernels: coefficient and flat-delta per tap, in the
-    accumulation order the interpreter uses. *)
-
-type bilinear_spec = {
-  bil_coeffs : float array;
-  bil_kinds : int array;
-      (** per-term dispatch: 0 = aux*input, 1 = input only, 2 = aux only *)
-  bil_aux_names : string option array;
-      (** per-term aux tensor name; [None] for input-only terms *)
-  bil_aux_deltas : int array;
-  bil_in_deltas : int array;
-}
-
-type spec =
-  | Spec_taps of taps_spec
-  | Spec_bilinear of bilinear_spec
-  | Spec_tree  (** expression-tree kernels are not compilable *)
-
-val spec : t -> spec
-
 val shape : t -> int array
-val halo : t -> int array
-val strides : t -> int array
 
-val check_grids : t -> src:Grid.t -> dst:Grid.t -> unit
+val check_grids : ?aux:(string * Grid.t) list -> t -> src:Grid.t -> dst:Grid.t -> unit
 (** The geometry/aliasing validation every sweep performs, exposed so the
-    compiled backends can guard their (unchecked) kernels identically.
-    @raise Invalid_argument on a geometry mismatch or [src == dst]. *)
+    compiled backend can guard its (unchecked) kernels identically: [src],
+    [dst] and every aux grid the kernel reads must match the compiled
+    shape and halo, and [src] must not alias [dst].
+    @raise Invalid_argument on a mismatch, an alias, or a missing aux
+    grid. *)
 
 val check_range : t -> lo:int array -> hi:int array -> unit
-(** The range validation every sweep performs (interior plus the
-    [halo - radius] slack). @raise Invalid_argument when out of bounds. *)
+(** The range validation every sweep performs: every read of the range
+    stays inside the padded box (the interior plus [halo - radius]).
+    @raise Invalid_argument when out of bounds. *)
 
 val apply_range :
   ?aux:(string * Grid.t) list ->
@@ -105,10 +52,10 @@ val apply_range :
     (the reads then still land inside the padded box) — the deep-halo
     temporal-blocking engine sweeps such extended ranges to recompute ghost
     cells; with the common [halo = radius] geometry the range is confined
-    to the interior. [src], [dst] and every aux grid must share the
-    compiled geometry; [src] must not alias [dst].
+    to the interior. [src] must not alias [dst].
     @raise Invalid_argument if the kernel reads an aux tensor that was not
-    supplied, or the range exceeds the allowed extension. *)
+    supplied, a grid's geometry differs, or the range exceeds the allowed
+    extension. *)
 
 val apply_scaled_range :
   ?aux:(string * Grid.t) list ->
@@ -135,26 +82,3 @@ val identity_apply_range :
   scale:float -> src:Grid.t -> dst:Grid.t -> lo:int array -> hi:int array -> unit
 (** [dst <- scale * src] over the range — write-through form of the [State]
     term; degrades to contiguous row blits when [scale = 1]. *)
-
-(** {1 Retained generic path}
-
-    The pre-optimization implementation: every point funnelled through a
-    [write] closure, bilinear terms re-dispatched per point. Kept as the
-    in-tree reference the specialized loops are parity-tested against, and
-    as the baseline of the [fastpath] bench group. Semantically identical
-    to the fast paths (bit-exact for taps/tree, and for bilinear too — term
-    order is preserved). *)
-
-val generic_sweep :
-  ?aux:(string * Grid.t) list ->
-  t -> src:Grid.t -> dst:Grid.t -> lo:int array -> hi:int array ->
-  write:(float array -> int -> float -> unit) -> unit
-
-val generic_apply_range :
-  ?aux:(string * Grid.t) list ->
-  t -> src:Grid.t -> dst:Grid.t -> lo:int array -> hi:int array -> unit
-
-val generic_accumulate_range :
-  ?aux:(string * Grid.t) list ->
-  t -> scale:float -> src:Grid.t -> dst:Grid.t -> lo:int array -> hi:int array ->
-  unit

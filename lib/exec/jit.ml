@@ -4,28 +4,26 @@
    See jit.mli for the cache layout and backend.mli for the calling
    conventions.
 
-   Bit-identity with the interpreter is a hard contract, maintained by
-   emitting the *same* floating-point expression the interpreter
-   evaluates:
+   Bit-identity with the interpreter is a hard contract, kept by emitting
+   the kernel's own expression tree in the interpreter's order:
 
-   - taps arities with a dedicated unrolled path in interp.ml (3/5/7/9/13)
-     sum as a plain left-associated chain [c0*x0 +. c1*x1 +. ...];
-   - every other taps arity, and all bilinear kernels, lead the chain with
-     [0.0 +.] because the interpreter's generic paths start their
-     accumulator at 0.0 (observable through the sign of a -0.0 result);
-   - coefficients are printed as hex float literals (exact round-trip);
+   - a kernel that is a left-associated [+]/[-] chain of simple products
+     lowers to that chain ([chain_products]), one fold unit per product,
+     with nothing merged, folded across products or re-associated; every
+     other kernel renders as one whole tree expression;
+   - constants are printed as hex float literals (exact round-trip);
    - C kernels are compiled with -ffp-contract=off (GCC defaults to
      contraction, and a fused multiply-add rounds differently);
-   - tree-mode kernels render Expr.eval's exact operation set: libm calls
-     on both sides, and Float.min/Float.max ported to C by hand (fmin/fmax
-     differ on NaN and signed zero);
+   - trees render Expr.eval's exact operation set: libm calls on both
+     sides, and Float.min/Float.max ported to C by hand (fmin/fmax differ
+     on NaN and signed zero);
    - fused sweeps are write-through only and chain the per-term writebacks
      through one accumulator: [acc = t0; acc = acc + (s1 * t1); ...] is
      bit-identical to the interpreter's store-then-read-modify-write pass
      sequence because a store/load roundtrip of a float is exact;
    - the same fact lets a long C sweep run as a sequence of passes of at
-     most 16 fold units (one tap or bilinear product, or one whole tree or
-     State term) over strips of at most 512 columns, parking each point's
+     most 16 fold units (one chain product, or one whole tree or State
+     term) over strips of at most 512 columns, parking each point's
      accumulator and current term partial in stack rows between passes:
      every point still performs the same operations in the same order. *)
 
@@ -59,8 +57,9 @@ external c_call_reduce :
    $MSC_KERNEL_CACHE keeps serving the old code shape. History: v2 = sweep
    row blocking + host-arch flags; v3 = uniform salting of all emitters +
    reduction kernels; v4 = write-through-only sweeps, long C sweeps cut
-   into tap-group passes. *)
-let emitter_version = "v4"
+   into tap-group passes; v5 = kernels lowered from the tree alone (exact
+   product chains without a [0.0 +] lead, or whole trees). *)
+let emitter_version = "v5"
 
 type stats = {
   memo_hits : int;
@@ -72,7 +71,7 @@ type stats = {
 
 type sweep_term =
   | Sweep_state of { scale : float }
-  | Sweep_kernel of { scale : float; interp : Interp.t }
+  | Sweep_kernel of { scale : float; kernel : Kernel.t; halo : int array }
 
 let lock = Mutex.create ()
 let sweep_memo : (string, Backend.sweep_fn) Hashtbl.t = Hashtbl.create 16
@@ -168,80 +167,81 @@ let flat_delta strides offsets =
   Array.iteri (fun d o -> acc := !acc + (o * strides.(d))) offsets;
   !acc
 
-(* The arities interp.ml unrolls by hand (whose sums do NOT start at 0.0). *)
-let unrolled_taps n = n = 3 || n = 5 || n = 7 || n = 9 || n = 13
+(* {3 Product chains}
+
+   The one lowering besides the whole tree. A kernel whose expression is a
+   left-associated [+]/[-] chain of products lowers to that chain, summed
+   left to right exactly as the tree is; every other kernel renders as one
+   whole tree expression. A product is one of [c*x], [x*c], [x], [-t],
+   [(c*a)*x] or [a*x], where [x] and [a] are reads of any grid and [c] is
+   a finite constant subtree folded with [Expr.eval]'s arithmetic. Each
+   renders as [c * r0] or [c * r0 * r1], which C evaluates bit-identically to the
+   tree: multiplication commutes, and negation and subtraction are exact
+   sign flips ([x - t = x + (-t)], [-(c*x) = (-c)*x], [-x = (-1)*x]).
+   Nothing else is accepted, so [c*(a+b)], [x/c] or [c1*(c2*x)] stay
+   trees, and duplicate offsets stay separate products. *)
+
+type product = { coeff : float option; reads : Expr.access list }
+
+let chain_products (k : Kernel.t) =
+  let constant e =
+    match Expr.constant ~bindings:k.Kernel.bindings e with
+    | Some c when Float.is_finite c -> Some c
+    | _ -> None
+  in
+  let negate p =
+    { p with coeff = Some (match p.coeff with Some c -> -.c | None -> -1.0) }
+  in
+  let with_coeff c reads = Option.map (fun c -> { coeff = Some c; reads }) (constant c) in
+  let rec product (e : Expr.t) =
+    match e with
+    | Unop (Neg, t) -> Option.map negate (product t)
+    | Access x -> Some { coeff = None; reads = [ x ] }
+    | Binop (Mul, Access a, Access x) -> Some { coeff = None; reads = [ a; x ] }
+    | Binop (Mul, Binop (Mul, c, Access a), Access x) -> with_coeff c [ a; x ]
+    | Binop (Mul, c, Access x) | Binop (Mul, Access x, c) -> with_coeff c [ x ]
+    | _ -> None
+  in
+  let rec chain acc (e : Expr.t) =
+    match (product e, e) with
+    | Some p, _ -> Some (p :: acc)
+    | None, Binop (Add, l, r) -> Option.bind (product r) (fun p -> chain (p :: acc) l)
+    | None, Binop (Sub, l, r) ->
+        Option.bind (product r) (fun p -> chain (negate p :: acc) l)
+    | None, _ -> None
+  in
+  Option.map Array.of_list (chain [] k.Kernel.expr)
+
+let chain_length k = Option.map Array.length (chain_products k)
 
 (* {3 Aux slot layout}
 
    Every term of a fused sweep uses a compact layout: one slot per distinct
    aux tensor the term reads, in first-use order. *)
 
-let tree_aux_names interp =
-  let k = Interp.kernel interp in
-  let input = k.Kernel.input.Tensor.name in
-  List.fold_left
-    (fun acc (a : Expr.access) ->
-      if String.equal a.Expr.tensor input || List.mem a.Expr.tensor acc then acc
-      else acc @ [ a.Expr.tensor ])
-    []
-    (Expr.accesses k.Kernel.expr)
+let term_aux_names = function
+  | Sweep_state _ -> []
+  | Sweep_kernel { kernel; _ } -> Kernel.aux_reads kernel
 
-let sweep_term_aux_names interp =
-  match Interp.spec interp with
-  | Interp.Spec_taps _ -> []
-  | Interp.Spec_bilinear b ->
-      let acc = ref [] in
-      for k = 0 to Array.length b.bil_kinds - 1 do
-        if b.bil_kinds.(k) <> 1 then
-          match b.bil_aux_names.(k) with
-          | Some name when not (List.mem name !acc) -> acc := !acc @ [ name ]
-          | _ -> ()
-      done;
-      !acc
-  | Interp.Spec_tree -> tree_aux_names interp
+let sweep_aux_slots terms = List.concat_map term_aux_names terms
 
-(* {3 Taps / bilinear sums}
-
-   [src] names the input array in scope; [aux_of k] resolves bilinear
-   subterm [k]'s aux array. The point index variable is always [i]. The
-   products of a taps or bilinear sum come back in chain order, with
-   whether the chain leads with [0.0 +]. *)
-let c_products ~src ~aux_of (spec : Interp.spec) =
-  match spec with
-  | Spec_taps { taps_coeffs; taps_deltas } ->
-      let term k c =
-        Printf.sprintf "%s * %s[%s]" (flit_checked c) src (idx taps_deltas.(k))
-      in
-      ( Array.mapi term taps_coeffs,
-        not (unrolled_taps (Array.length taps_coeffs)) )
-  | Spec_bilinear b ->
-      let term k c =
-        let c = flit_checked c in
-        match b.bil_kinds.(k) with
-        | 0 ->
-            Printf.sprintf "%s * %s[%s] * %s[%s]" c (aux_of k)
-              (idx b.bil_aux_deltas.(k))
-              src
-              (idx b.bil_in_deltas.(k))
-        | 1 -> Printf.sprintf "%s * %s[%s]" c src (idx b.bil_in_deltas.(k))
-        | _ -> Printf.sprintf "%s * %s[%s]" c (aux_of k) (idx b.bil_aux_deltas.(k))
-      in
-      (Array.mapi term b.bil_coeffs, true)
-  | Spec_tree -> assert false
+(* [arr] resolves a tensor name to the array variable in scope; the point
+   index variable is always [i]. *)
+let c_product ~arr ~strides p =
+  let read (a : Expr.access) =
+    Printf.sprintf "%s[%s]" (arr a.Expr.tensor) (idx (flat_delta strides a.Expr.offsets))
+  in
+  String.concat " * " (Option.to_list (Option.map flit p.coeff) @ List.map read p.reads)
 
 (* {3 Tree expressions}
 
-   Renders Expr.eval's exact operation set. [slot] resolves an aux tensor
-   name to its bound array variable; [coord d] renders the interior
-   coordinate of dimension [d] at the current point (matching eval_tree's
-   [coord] array); the flat point index in scope is [i], which already
+   Renders Expr.eval's exact operation set. [coord d] renders the interior
+   coordinate of dimension [d] at the current point (the interpreter's
+   [Var] value); the flat point index in scope is [i], which already
    includes the halo offsets — an access only adds its constant flat
    delta. *)
 
-let c_tree ~src ~slot ~coord interp =
-  let k = Interp.kernel interp in
-  let input = k.Kernel.input.Tensor.name in
-  let strides = Interp.strides interp in
+let c_tree ~arr ~coord ~strides (k : Kernel.t) =
   let var_coord name =
     let rec find d = function
       | [] -> unsupported "unknown loop var %s" name
@@ -259,8 +259,8 @@ let c_tree ~src ~slot ~coord interp =
         | None -> unsupported "unbound parameter %s" name)
     | Var name -> Printf.sprintf "((double)%s)" (var_coord name)
     | Access a ->
-        let arr = if String.equal a.Expr.tensor input then src else slot a.Expr.tensor in
-        Printf.sprintf "(%s[%s])" arr (idx (flat_delta strides a.Expr.offsets))
+        Printf.sprintf "(%s[%s])" (arr a.Expr.tensor)
+          (idx (flat_delta strides a.Expr.offsets))
     | Unop (op, a) -> (
         match op with
         | Expr.Neg -> Printf.sprintf "(- %s)" (go a)
@@ -305,9 +305,6 @@ let c_tree_prelude =
   \  return (y != y) ? y : x;\n\
    }\n\n"
 
-let is_tree interp =
-  match Interp.spec interp with Interp.Spec_tree -> true | _ -> false
-
 (* The flat row base for outer coordinates [i0..] and last-dim start
    [l<last>], with halo offsets and strides folded to literals. *)
 let base_expr ~nd ~halo ~strides =
@@ -337,86 +334,74 @@ let sweep_slots terms =
   let off = ref 0 in
   let layout =
     List.map
-      (function
-        | Sweep_state _ -> (!off, [])
-        | Sweep_kernel { interp; _ } ->
-            let names = sweep_term_aux_names interp in
-            let o = !off in
-            off := o + List.length names;
-            (o, names))
+      (fun term ->
+        let names = term_aux_names term in
+        let o = !off in
+        off := o + List.length names;
+        (o, names))
       terms
   in
   (layout, !off)
 
+(* The shared (shape, halo, strides) of the kernel terms. *)
 let sweep_geometry terms =
-  let kernels =
+  let geoms =
     List.filter_map
-      (function Sweep_kernel { interp; _ } -> Some interp | Sweep_state _ -> None)
+      (function
+        | Sweep_kernel { kernel; halo; _ } -> Some (kernel.Kernel.input.Tensor.shape, halo)
+        | Sweep_state _ -> None)
       terms
   in
-  match kernels with
+  match geoms with
   | [] -> Error "fused sweep needs at least one kernel term"
-  | first :: rest ->
-      let geom i = (Interp.shape i, Interp.halo i, Interp.strides i) in
-      let g0 = geom first in
-      if List.for_all (fun i -> geom i = g0) rest then Ok g0
+  | ((shape, halo) as g0) :: rest ->
+      if Array.length halo <> Array.length shape then Error "halo rank differs from kernel rank"
+      else if List.for_all (( = ) g0) rest then Ok (shape, halo, Grid.strides_of ~shape ~halo)
       else Error "kernel terms disagree on grid geometry"
 
 let sweep_has_tree terms =
   List.exists
-    (function Sweep_kernel { interp; _ } -> is_tree interp | Sweep_state _ -> false)
+    (function
+      | Sweep_kernel { kernel; _ } -> chain_products kernel = None
+      | Sweep_state _ -> false)
     terms
 
-(* One term rendered at a lane: a product chain (with its [0.0 +] lead
-   flag) or one whole expression. *)
-type c_term = Chain of string array * bool | Whole of string
-
-let c_term_value ~src ~aux_of ~slot ~coord interp =
-  match Interp.spec interp with
-  | Interp.Spec_tree -> Whole (c_tree ~src ~slot ~coord interp)
-  | spec ->
-      let products, lead = c_products ~src ~aux_of spec in
-      Chain (products, lead)
+(* One term rendered at a lane: a product chain or one whole
+   expression. *)
+type c_term = Chain of string array | Whole of string
 
 (* The value of kernel term [t] at lane offset [c_str] (a last-dimension
    offset expression; the lane binds [i] to the matching flat index).
    [row] shifts the second-innermost coordinate — a single-pass sweep
    computes a block of [row = 0..3] adjacent rows per inner iteration. *)
-let sweep_kernel_value ~layout ~last ~row ~c_str t interp =
+let sweep_kernel_value ~layout ~strides ~last ~row ~c_str t (kernel : Kernel.t) =
   let off, names = List.nth layout t in
   let src = Printf.sprintf "s%d" t in
-  let slot n =
+  let arr n =
     let rec go j = function
       | [] -> unsupported "aux tensor %s has no fused slot" n
       | m :: rest ->
-          if String.equal m n then Printf.sprintf "a%d" (off + j)
-          else go (j + 1) rest
+          if String.equal m n then Printf.sprintf "a%d" (off + j) else go (j + 1) rest
     in
-    go 0 names
-  in
-  let aux_of =
-    match Interp.spec interp with
-    | Interp.Spec_bilinear b ->
-        fun k -> (
-          match b.bil_aux_names.(k) with Some n -> slot n | None -> src)
-    | _ -> fun _ -> src
+    if String.equal n kernel.Kernel.input.Tensor.name then src else go 0 names
   in
   let coord d =
     if d = last then Printf.sprintf "(l%d + (%s))" last c_str
     else if d = last - 1 && row > 0 then Printf.sprintf "(i%d + %d)" d row
     else Printf.sprintf "i%d" d
   in
-  c_term_value ~src ~aux_of ~slot ~coord interp
+  match chain_products kernel with
+  | Some products -> Chain (Array.map (c_product ~arr ~strides) products)
+  | None -> Whole (c_tree ~arr ~coord ~strides kernel)
 
 (* {3 Fold units and passes}
 
-   Per point, a fused sweep performs one chain of operations. Each taps or
-   bilinear term sums its products left to right into a partial [p] (led
-   by [0.0 +] where the interpreter does not unroll), and a finished term
-   folds into the accumulator: the first term seeds it (unscaled when its
-   scale is 1.0), later terms add [scale * term]. A {e fold unit} is one
-   step of that chain: one product of a taps or bilinear term, or one whole
-   tree or State term.
+   Per point, a fused sweep performs one chain of operations. A chain
+   term sums its products left to right into a partial [p], and a
+   finished term folds into the accumulator: the first term seeds it
+   (unscaled when its scale is 1.0), later terms add [scale * term]. A
+   {e fold unit} is one step of that chain: one product of a chain term,
+   or one whole tree or State term.
 
    Every sweep runs over strips of at most [strip_cols] columns. A sweep
    of at most [single_pass_units] units is one pass with a 4-row block;
@@ -424,7 +409,7 @@ let sweep_kernel_value ~layout ~last ~row ~c_str t interp =
    one. Unrolling all of 2d169pt_box's 338 units into every lane of the
    block made 135 KB of C that took gcc ~24 s and swept at about half the
    rate of the passes; cutting the short sweeps into unblocked passes
-   made tree-mode pipeline steps ~1.5x slower. *)
+   made tree-form pipeline steps ~1.5x slower. *)
 
 let single_pass_units = 32
 let pass_units = 16
@@ -432,11 +417,7 @@ let strip_cols = 512
 
 let term_units = function
   | Sweep_state _ -> 1
-  | Sweep_kernel { interp; _ } -> (
-      match Interp.spec interp with
-      | Interp.Spec_taps { taps_coeffs; _ } -> Array.length taps_coeffs
-      | Interp.Spec_bilinear b -> Array.length b.bil_coeffs
-      | Interp.Spec_tree -> 1)
+  | Sweep_kernel { kernel; _ } -> Option.value ~default:1 (chain_length kernel)
 
 (* (term, unit within the term) of every fold unit, in chain order. *)
 let sweep_units terms =
@@ -476,9 +457,8 @@ let c_lane ~units ~terms ~values ~index a b =
     in
     match values.(t) with
     | Whole v -> finish ("(" ^ v ^ ")")
-    | Chain (products, lead) ->
-        if k = 0 then
-          set "p" has_p ((if lead then "0.0 + " else "") ^ products.(0))
+    | Chain products ->
+        if k = 0 then set "p" has_p products.(0)
         else pr "        p = p + %s;\n" products.(k);
         if k = Array.length products - 1 then finish "p"
   done;
@@ -538,8 +518,8 @@ let emit_c_sweep_src ~fn_name ~halo ~strides terms =
       Array.mapi
         (fun t -> function
           | Sweep_state _ -> Whole (Printf.sprintf "s%d[i]" t)
-          | Sweep_kernel { interp; _ } ->
-              sweep_kernel_value ~layout ~last ~row ~c_str t interp)
+          | Sweep_kernel { kernel; _ } ->
+              sweep_kernel_value ~layout ~strides ~last ~row ~c_str t kernel)
         terms_arr
     in
     let index =
@@ -576,7 +556,7 @@ let emit_c_sweep_src ~fn_name ~halo ~strides terms =
     (* A single pass blocks rows by 4: each column iteration runs four
        independent accumulator chains while the column loop stays
        contiguous and auto-vectorizable (a manual column unroll defeats
-       vectorization and measured ~2x slower). Without the block, tree-mode
+       vectorization and measured ~2x slower). Without the block, tree-form
        pipeline steps measured ~1.5x slower. Passes stay unblocked: each
        has up to 16 independent products, and a block would quadruple the
        source of a long sweep. *)
@@ -670,32 +650,6 @@ let build_cc ~trace ~dir ~base ~cmd ~sym emit wrap =
 
 (* {2 Compilation driver} *)
 
-(* Forms the emitter rejects up front (tree kernels are validated during
-   emission instead — their unsupported constructs surface as
-   [Unsupported] from the expression renderer). *)
-let check_spec (spec : Interp.spec) =
-  match spec with
-  | Spec_tree -> ()
-  | Spec_taps { taps_coeffs; _ } ->
-      if not (Array.for_all Float.is_finite taps_coeffs) then
-        unsupported "non-finite tap coefficient"
-  | Spec_bilinear b ->
-      if not (Array.for_all Float.is_finite b.bil_coeffs) then
-        unsupported "non-finite bilinear coefficient"
-
-(* Tree kernels carry their payload outside Interp.spec, so the cache key
-   must fold it in explicitly. *)
-let term_extra interp =
-  match Interp.spec interp with
-  | Interp.Spec_tree ->
-      let k = Interp.kernel interp in
-      Some
-        ( k.Kernel.expr,
-          k.Kernel.bindings,
-          k.Kernel.index_vars,
-          k.Kernel.input.Tensor.name )
-  | _ -> None
-
 (* Classify a build outcome into the two failure counters: [Unsupported]
    is a form the emitter cannot express; everything else (missing
    toolchain, compile error, load error) is a toolchain failure. Counters
@@ -731,6 +685,10 @@ let cached ~trace table ~base build =
 
 let digest parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
 
+(* Rejects, before any compiler runs, what the emitter cannot express:
+   term and slot counts past the stub's buffers, and tree constructs the
+   renderer rejects (non-finite constants, unbound parameters, unknown
+   calls or loop variables). Chains are valid by construction. *)
 let check_sweep terms =
   let nterms = List.length terms in
   if nterms = 0 then unsupported "empty sweep";
@@ -741,16 +699,18 @@ let check_sweep terms =
     unsupported "too many aux slots for the C calling convention";
   List.iter
     (function
-      | Sweep_state _ -> ()
-      | Sweep_kernel { interp; _ } as term ->
-          check_spec (Interp.spec interp);
-          if term_units term = 0 then unsupported "kernel term with no taps")
+      | Sweep_kernel { kernel; halo; _ } when chain_products kernel = None ->
+          let strides = Grid.strides_of ~shape:kernel.Kernel.input.Tensor.shape ~halo in
+          ignore (c_tree ~arr:Fun.id ~coord:string_of_int ~strides kernel)
+      | Sweep_kernel _ | Sweep_state _ -> ())
     terms
 
+(* Everything a term bakes into the generated code besides the geometry. *)
 let sweep_sig = function
   | Sweep_state { scale } -> `State scale
-  | Sweep_kernel { scale; interp } ->
-      `Kernel (scale, Interp.spec interp, term_extra interp)
+  | Sweep_kernel { scale; kernel = k; halo = _ } ->
+      `Kernel
+        (scale, k.Kernel.expr, k.Kernel.bindings, k.Kernel.index_vars, k.Kernel.input.Tensor.name)
 
 let compile_sweep ?(trace = Msc_trace.disabled) ~plan_digest terms =
   match sweep_geometry terms with
@@ -770,6 +730,14 @@ let compile_sweep ?(trace = Msc_trace.disabled) ~plan_digest terms =
           ]
       in
       let base = Printf.sprintf "msc_sweep_%s_%s" emitter_version key in
+      if Msc_trace.enabled trace then
+        List.iter
+          (function
+            | Sweep_kernel { kernel; _ } ->
+                let form = if chain_products kernel = None then "tree" else "chain" in
+                Msc_trace.add trace ("jit.form." ^ form) 1.0
+            | Sweep_state _ -> ())
+          terms;
       cached ~trace sweep_memo ~base (fun ~dir ->
           check_sweep terms;
           build_cc ~trace ~dir ~base ~cmd:c_sweep_cmd ~sym:"msc_sweep"

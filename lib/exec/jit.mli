@@ -4,7 +4,7 @@
     sweep: every term of the stencil update folded into a per-point
     accumulator, scales baked in, [dst] written once. The emitter walks
     each row in strips of at most 512 columns and counts fold units (one
-    tap or bilinear product, or one whole tree or State term): a sweep of
+    chain product, or one whole tree or State term): a sweep of
     at most 32 units is one pass with the second-innermost loop blocked by
     4 rows (independent accumulator chains while the contiguous innermost
     loop stays auto-vectorizable); a longer one runs as passes of at most
@@ -14,28 +14,34 @@
     is loaded back as a {!Backend.sweep_fn} and dispatched
     tile-task-at-a-time by {!Runtime}.
 
-    The kernel is emitted from the same precompiled representation the
-    interpreter executes ({!Interp.spec}, plus the kernel expression tree
-    for tree-mode kernels), so compiled sweeps agree with the interpreter
-    bit-exactly by construction. The [.c] file is compiled with [cc -O3
-    -ffp-contract=off -fPIC -shared] and loaded through [dlopen].
-    Contraction is disabled because fused multiply-adds would change the
-    rounding and break the bit-identity contract with the interpreter.
-    Tree-mode kernels call the same libm the OCaml runtime links, and
-    [Float.min]/[Float.max] are ported to C by hand ([fmin]/[fmax] differ
-    on NaN and signed zeros). [compile_reduce] builds the reduction
-    kernels the same way.
+    Each kernel term is emitted from its expression tree alone, the same
+    tree the interpreter evaluates, in one of two forms. A kernel whose
+    expression is a left-associated [+]/[-] chain of simple products
+    ({!chain_length}) lowers to that {e product chain}: one fold unit per
+    product, duplicate offsets unmerged, nothing re-associated. Every
+    other kernel renders as one whole {e tree} expression. Either way the
+    C performs the interpreter's operations in the interpreter's order,
+    so compiled sweeps agree with it bit-exactly by construction. The
+    [.c] file is compiled with [cc -O3 -ffp-contract=off -fPIC -shared]
+    and loaded through [dlopen]. Contraction is disabled because fused
+    multiply-adds would change the rounding. Trees call the same libm the
+    OCaml runtime links, and [Float.min]/[Float.max] are ported to C by
+    hand ([fmin]/[fmax] differ on NaN and signed zeros). [compile_reduce]
+    builds the reduction kernels the same way.
 
     Artifacts live in a persistent on-disk cache — [$MSC_KERNEL_CACHE] when
     set, else [<tmpdir>/msc-kernels] — keyed by a digest of everything baked
-    into the generated code (plan digest, geometry, term specs, tree
-    payloads). A process memo table short-circuits repeat compiles;
+    into the generated code (plan digest, geometry, scales, kernel trees
+    and bindings). A process memo table short-circuits repeat compiles;
     artifacts are written with atomic renames so concurrent processes can
     share a cache directory.
 
     Every compile entry point takes an optional [trace]: the whole lookup
     is a ["jit.lookup"] span, and emitting plus running the toolchain for
-    an artifact not yet on disk is a nested ["jit.compile"] span.
+    an artifact not yet on disk is a nested ["jit.compile"] span. Each
+    kernel term of a sweep adds one to a [jit.form.chain] or
+    [jit.form.tree] counter: the form decides compile time and sweep
+    rate.
 
     All failure modes return [Error reason]; callers fall back to the
     interpreter. {!stats} separates forms the emitter cannot express
@@ -76,17 +82,25 @@ val emitter_version : string
 
 (** {1 Fused whole-sweep kernels} *)
 
-val sweep_term_aux_names : Interp.t -> string list
-(** The compact aux slots one term contributes to a fused sweep: the
-    distinct aux tensor names the term reads, in first-use order. A
-    {!Backend.sweep_fn}'s [aux] argument is the concatenation of these
-    per kernel term, in stencil term order. *)
+val chain_length : Msc_ir.Kernel.t -> int option
+(** [Some n] when the kernel lowers to a product chain of [n] products
+    (one fold unit each): its expression is a left-associated [+]/[-]
+    chain whose every operand is [c*x], [x*c], [x], [-t], [(c*a)*x] or
+    [a*x] ([x], [a] grid reads, [c] a finite constant subtree). [None]
+    when it compiles as one tree, e.g. [c*(a+b)], [x/c] or [c1*(c2*x)]. *)
 
 type sweep_term =
   | Sweep_state of { scale : float }
       (** the stencil's identity term: [scale * src] *)
-  | Sweep_kernel of { scale : float; interp : Interp.t }
-      (** a kernel term: [scale * K(src)] *)
+  | Sweep_kernel of { scale : float; kernel : Msc_ir.Kernel.t; halo : int array }
+      (** a kernel term: [scale * K(src)] over grids of the kernel input's
+          shape padded by [halo] *)
+
+val sweep_aux_slots : sweep_term list -> string list
+(** The [aux] layout of a fused sweep: per kernel term in stencil term
+    order, the distinct aux tensor names the term reads, in first-use
+    order, concatenated. A {!Backend.sweep_fn}'s [aux] argument holds one
+    array per entry. *)
 
 val compile_sweep :
   ?trace:Msc_trace.t ->
@@ -96,8 +110,8 @@ val compile_sweep :
 (** Emit + compile + load one fused kernel covering the whole term list,
     in stencil term order. All kernel terms must share a geometry; at
     least one kernel term is required. The returned function performs no
-    validation — callers guard with {!Interp.check_grids} /
-    {!Interp.check_range} per kernel term. *)
+    validation — callers guard with {!Interp.check_grids} (including the
+    aux grids) / {!Interp.check_range} per kernel term. *)
 
 val emit_c_sweep : fn_name:string -> sweep_term list -> (string, string) result
 (** The fused C function body alone (no compilation), for the AOT

@@ -178,15 +178,8 @@ let default_init _dt coord =
 (* The stage builder both constructors share. [stages] lists, in
    topological order, each stage's stencil, the digest of the plan its
    fused kernel is keyed under, its task array and its destination.
-   [slot_of] maps an intermediate tensor to its scratch buffer.
-
-   [force_tree] is the one difference between a single stencil and a
-   graph: graph stages interpret in forced tree mode. The taps/bilinear
-   fast paths merge duplicate taps and fold/distribute coefficients, which
-   is bit-equal for a kernel on its own but not for a fused compound
-   kernel versus its unfused reference — literal tree evaluation is the
-   one mode where substitution preserves every bit. *)
-let build ~config ~init ~aux_init ~bc ~trace ~tid ~force_tree ~source
+   [slot_of] maps an intermediate tensor to its scratch buffer. *)
+let build ~config ~init ~aux_init ~bc ~trace ~tid ~source
     ~time_window:w ~aux_tensors ~n_buffers ~slot_of ~parallel ~graph_plan
     ~stencil stages =
   let geometry = Grid.of_tensor source in
@@ -232,7 +225,7 @@ let build ~config ~init ~aux_init ~bc ~trace ~tid ~force_tree ~source
               {
                 scale;
                 src = src_of dt;
-                kernel = Some (Interp.compile ~trace ~force_tree k ~geometry);
+                kernel = Some (Interp.compile ~trace k ~geometry);
               }
           | `State -> { scale; src = src_of dt; kernel = None })
         (flatten 1.0 st.Stencil.expr)
@@ -270,7 +263,9 @@ let build ~config ~init ~aux_init ~bc ~trace ~tid ~force_tree ~source
       List.map
         (fun tm ->
           match tm.kernel with
-          | Some interp -> Jit.Sweep_kernel { scale = tm.scale; interp }
+          | Some interp ->
+              Jit.Sweep_kernel
+                { scale = tm.scale; kernel = Interp.kernel interp; halo = geometry.Grid.halo }
           | None -> Jit.Sweep_state { scale = tm.scale })
         terms
     in
@@ -296,13 +291,7 @@ let build ~config ~init ~aux_init ~bc ~trace ~tid ~force_tree ~source
     let fused_aux, aux_refresh =
       if fused = None then ([||], [])
       else begin
-        let names =
-          List.concat_map
-            (function
-              | Jit.Sweep_state _ -> []
-              | Jit.Sweep_kernel { interp; _ } -> Jit.sweep_term_aux_names interp)
-            sweep_terms
-        in
+        let names = Jit.sweep_aux_slots sweep_terms in
         let arr = Array.make (List.length names) [||] in
         let refresh = ref [] in
         List.iteri
@@ -387,7 +376,7 @@ let create ?plan ?schedule ?(config = Exec.Config.default)
   in
   let t =
     build ~config ~init ~aux_init ~bc ~trace ~tid
-      ~force_tree:false ~source:st.Stencil.grid
+      ~source:st.Stencil.grid
       ~time_window:(Stencil.time_window st) ~aux_tensors:(aux_tensors_of st)
       ~n_buffers:0 ~slot_of:(fun _ -> None) ~parallel:plan.Plan.parallel
       ~graph_plan:None ~stencil:st
@@ -432,7 +421,7 @@ let create_graph ?graph_plan ?schedule ?(config = Exec.Config.default)
   in
   let t =
     build ~config ~init ~aux_init ~bc ~trace ~tid
-      ~force_tree:true ~source ~time_window:gp.Plan.gp_time_window
+      ~source ~time_window:gp.Plan.gp_time_window
       ~aux_tensors:(G.coefficient_tensors g) ~n_buffers:gp.Plan.gp_n_buffers
       ~slot_of ~parallel ~graph_plan:(Some gp)
       ~stencil:(G.output_stage g).G.stencil
@@ -508,11 +497,12 @@ let compute_range t stage ~dst ~lo ~hi =
          with the interpreter's own checks, so compiled sweeps skip nothing
          the interpreter checks. [fused_srcs] and the refresh slots were
          refilled by the dispatching sweep. *)
+      let aux = stage_aux t stage in
       List.iter
         (fun tm ->
           match tm.kernel with
           | Some interp ->
-              Interp.check_grids interp ~src:(term_src t tm) ~dst;
+              Interp.check_grids ~aux interp ~src:(term_src t tm) ~dst;
               Interp.check_range interp ~lo ~hi
           | None -> ())
         stage.terms;

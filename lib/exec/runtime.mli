@@ -171,11 +171,11 @@ val tiles : t -> (int array * int array) array
     range into a scratch buffer (slot assignment and reuse from
     {!Msc_schedule.Plan.compile_graph}), the output stage writes the
     stepped state, and the window rotates exactly as a single stencil's
-    would. Stage kernels are interpreted in {e forced tree mode}
-    ({!Interp.compile}'s [force_tree]) so that fused compound stages stay
-    bit-identical to their unfused stage-at-a-time reference; [Compiled_c]
-    JITs one fused sweep per stage against the stage's plan
-    digest (interpreter fallback per stage). Intermediate buffers carry
+    would. Stage kernels run exactly as a single stencil's do: the
+    interpreter evaluates each kernel's tree as written, which is what
+    keeps fused compound stages bit-identical to their unfused
+    stage-at-a-time reference; [Compiled_c] JITs one fused sweep per stage
+    against the stage's plan digest (interpreter fallback per stage). Intermediate buffers carry
     no boundary condition: extended stage sweeps read the source's
     BC-filled (or exchanged) deep halo, sized by the graph's
     {!Msc_graph.Graph.required_halo}.

@@ -153,6 +153,20 @@ let apply_binop op a b =
   | Min -> Float.min a b
   | Max -> Float.max a b
 
+let call name args =
+  match (name, args) with
+  | "pow", [ a; b ] -> Float.pow a b
+  | "hypot", [ a; b ] -> Float.hypot a b
+  | "fma", [ a; b; c ] -> Float.fma a b c
+  | "sqrt", [ a ] -> sqrt a
+  | "exp", [ a ] -> exp a
+  | "log", [ a ] -> log a
+  | "sin", [ a ] -> sin a
+  | "cos", [ a ] -> cos a
+  | "tanh", [ a ] -> tanh a
+  | "fabs", [ a ] -> Float.abs a
+  | _ -> invalid_arg (Printf.sprintf "Expr.eval: unknown call %s/%d" name (List.length args))
+
 let eval ~bindings ~load ~var e =
   let rec go = function
     | Fconst x -> x
@@ -165,21 +179,16 @@ let eval ~bindings ~load ~var e =
     | Access a -> load a
     | Unop (op, a) -> apply_unop op (go a)
     | Binop (op, a, b) -> apply_binop op (go a) (go b)
-    | Call (name, args) -> (
-        match (name, List.map go args) with
-        | "pow", [ a; b ] -> Float.pow a b
-        | "hypot", [ a; b ] -> Float.hypot a b
-        | "fma", [ a; b; c ] -> Float.fma a b c
-        | "sqrt", [ a ] -> sqrt a
-        | "exp", [ a ] -> exp a
-        | "log", [ a ] -> log a
-        | "sin", [ a ] -> sin a
-        | "cos", [ a ] -> cos a
-        | "tanh", [ a ] -> tanh a
-        | "fabs", [ a ] -> Float.abs a
-        | _ -> invalid_arg (Printf.sprintf "Expr.eval: unknown call %s/%d" name (List.length args)))
+    | Call (name, args) -> call name (List.map go args)
   in
   go e
+
+let constant ~bindings e =
+  let exception Reads in
+  let reads _ = raise Reads in
+  match eval ~bindings ~load:reads ~var:reads e with
+  | v -> Some v
+  | exception (Reads | Invalid_argument _) -> None
 
 let rec map_expr fn e =
   match fn e with

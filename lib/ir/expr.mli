@@ -73,6 +73,18 @@ val eval :
     math functions by name. @raise Invalid_argument on an unknown call or
     unbound parameter. *)
 
+val apply_unop : unop -> float -> float
+val apply_binop : binop -> float -> float -> float
+
+val call : string -> float list -> float
+(** The arithmetic {!eval} applies at a [Unop], [Binop] and [Call] node.
+    @raise Invalid_argument on an unknown call. *)
+
+val constant : bindings:(string * float) list -> t -> float option
+(** [Some v] when [e] reads no tensor and no loop variable and evaluates:
+    [v] is exactly what {!eval} computes for it. [None] otherwise
+    (including unbound parameters and unknown calls). *)
+
 val map_expr : (t -> t option) -> t -> t
 (** Top-down rewrite: when [fn] returns [Some e'] the node is replaced by
     [e'] verbatim (no recursion into the replacement); on [None] the walk

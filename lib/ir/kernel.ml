@@ -70,6 +70,13 @@ let is_multi_grid t =
     (fun (a : Expr.access) -> not (String.equal a.Expr.tensor t.input.Tensor.name))
     (Expr.accesses t.expr)
 
+let aux_reads t =
+  List.fold_left
+    (fun acc (a : Expr.access) ->
+      if String.equal a.Expr.tensor t.input.Tensor.name || List.mem a.Expr.tensor acc then acc
+      else acc @ [ a.Expr.tensor ])
+    [] (Expr.accesses t.expr)
+
 let ndim t = Tensor.ndim t.input
 
 let radius t =

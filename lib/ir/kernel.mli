@@ -47,11 +47,16 @@ val read_bytes_per_point : t -> int
 (** [points * sizeof dtype]: the Read column of Table 4. *)
 
 val write_bytes_per_point : t -> int
+val aux_reads : t -> string list
+(** The distinct non-input tensors the expression reads, in first-use
+    (evaluation) order. *)
+
 val taps : t -> Expr.tap list option
 (** Linear-combination form, if the kernel is linear over the input grid
-    alone (constant coefficients folded through bindings). Multi-grid kernels
-    return [None]; the interpreter uses its bilinear fast path or the
-    expression tree instead. *)
+    alone (constant coefficients folded through bindings, taps with equal
+    offsets merged). Multi-grid kernels return [None]. An analysis for the
+    baseline models only: merging and folding re-associate the sum, so
+    taps are not the kernel's value, and no executor runs them. *)
 
 val rename : t -> string -> t
 val pp : Format.formatter -> t -> unit

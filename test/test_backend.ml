@@ -183,7 +183,7 @@ let fused_sweep_matches_interp =
   let terms =
     [
       Jit.Sweep_state { scale = 0.5 };
-      Jit.Sweep_kernel { scale = 0.75; interp };
+      Jit.Sweep_kernel { scale = 0.75; kernel = k; halo = geometry.Grid.halo };
     ]
   in
   let fns =
@@ -236,16 +236,16 @@ let fused_sweep_matches_interp =
 
 (* --- Tap-group passes (qcheck) ---
 
-   Random sweeps of two taps or bilinear kernel terms, sometimes with a
-   State term between them, of 2 to 401 fold units: long sweeps run as
-   passes, cut both inside terms and on term boundaries. Arities the
-   interpreter unrolls (3/5/7/9/13) alternate with [0.0 +]-led ones, the
+   Random sweeps of two product-chain kernel terms, sometimes with a State
+   term between them, of 2 to 401 fold units: long sweeps run as passes,
+   cut both inside terms and on term boundaries. Chains read the input
+   alone or mix (c*a)*x, c*x and c*a products, offsets may repeat, the
    first term's scale is often exactly 1.0, and ranges run wider than one
    strip, shorter than the 4-row block, and into the halo. A quarter of
    the cases read grids of -0.0 through positive coefficients, where only
-   the exact lead and fold order give the interpreter's signed zeros. The
-   compiled C sweep must match the interpreter's write-through sequence
-   bit for bit. *)
+   the exact chain lead and fold order give the interpreter's signed
+   zeros. The compiled C sweep must match the interpreter's write-through
+   sequence bit for bit. *)
 
 let passes_match_interp =
   let rows = 7 and cols = 1100 in
@@ -256,10 +256,8 @@ let passes_match_interp =
   let offsets = Array.init 225 (fun k -> [| (k / 15) - 7; (k mod 15) - 7 |]) in
   let random_kernel rs ~zeros name =
     let arity =
-      match Random.State.int rs 3 with
-      | 0 -> [| 3; 5; 7; 9; 13 |].(Random.State.int rs 5)
-      | 1 -> 1 + Random.State.int rs 12
-      | _ -> 1 + Random.State.int rs 200
+      if Random.State.bool rs then 1 + Random.State.int rs 12
+      else 1 + Random.State.int rs 200
     in
     let c () =
       Msc_ir.Expr.f
@@ -267,34 +265,24 @@ let passes_match_interp =
          else Random.State.float rs 2.0 -. 1.0)
     in
     let pick () = offsets.(Random.State.int rs 225) in
-    let taps = Random.State.bool rs in
+    let input_only = Random.State.bool rs in
     let products =
-      if taps then begin
-        (* Distinct offsets, so no two taps merge. *)
-        let perm = Array.copy offsets in
-        for k = Array.length perm - 1 downto 1 do
-          let j = Random.State.int rs (k + 1) in
-          let x = perm.(k) in
-          perm.(k) <- perm.(j);
-          perm.(j) <- x
-        done;
-        List.init arity (fun k -> Msc_ir.Expr.(c () * read "B" perm.(k)))
-      end
-      else
-        List.init arity (fun k ->
-            Msc_ir.Expr.(
-              match if k = 0 then 0 else Random.State.int rs 3 with
-              | 0 -> c () * read "C" (pick ()) * read "B" (pick ())
-              | 1 -> c () * read "B" (pick ())
-              | _ -> c () * read "C" (pick ())))
+      List.init arity (fun k ->
+          Msc_ir.Expr.(
+            match if input_only || k = 0 then 1 else Random.State.int rs 3 with
+            | 0 -> c () * read "C" (pick ()) * read "B" (pick ())
+            | 1 -> c () * read "B" (pick ())
+            | _ -> c () * read "C" (pick ())))
     in
     let expr =
       List.fold_left Msc_ir.Expr.( + ) (List.hd products) (List.tl products)
     in
-    let aux = if taps then [] else [ coeff ] in
-    Interp.compile ~geometry
-      (Msc_ir.Kernel.make ~aux ~name ~input:grid
-         ~index_vars:(Builder.default_index_vars 2) expr)
+    let aux = if input_only then [] else [ coeff ] in
+    let kernel =
+      Msc_ir.Kernel.make ~aux ~name ~input:grid
+        ~index_vars:(Builder.default_index_vars 2) expr
+    in
+    (kernel, Interp.compile ~geometry kernel)
   in
   let random_grid rs ~zeros ~halo_too =
     let g = Grid.of_tensor grid in
@@ -322,12 +310,16 @@ let passes_match_interp =
         let random_grid = random_grid rs ~zeros in
         let with_state = Random.State.int rs 3 = 0 in
         (* (term, its source grid) in stencil term order *)
+        let halo = geometry.Grid.halo in
+        let term (kernel, interp) =
+          ((Jit.Sweep_kernel { scale = scale (); kernel; halo }, Some interp), random_grid ~halo_too:true)
+        in
         let terms =
-          [ (Jit.Sweep_kernel { scale = scale (); interp = k0 }, random_grid ~halo_too:true) ]
+          [ term k0 ]
           @ (if with_state then
-               [ (Jit.Sweep_state { scale = scale () }, random_grid ~halo_too:false) ]
+               [ ((Jit.Sweep_state { scale = scale () }, None), random_grid ~halo_too:false) ]
              else [])
-          @ [ (Jit.Sweep_kernel { scale = scale (); interp = k1 }, random_grid ~halo_too:true) ]
+          @ [ term k1 ]
         in
         let cgrid = random_grid ~halo_too:true in
         let aux = [ ("C", cgrid) ] in
@@ -343,29 +335,22 @@ let passes_match_interp =
         in
         let expected = dst () in
         List.iteri
-          (fun t (term, src) ->
-            match (term, t) with
-            | Jit.Sweep_kernel { scale; interp }, 0 ->
+          (fun t ((term, interp), src) ->
+            match (term, interp, t) with
+            | Jit.Sweep_kernel { scale; _ }, Some interp, 0 ->
                 Interp.apply_scaled_range ~aux interp ~scale ~src ~dst:expected ~lo ~hi
-            | Jit.Sweep_kernel { scale; interp }, _ ->
+            | Jit.Sweep_kernel { scale; _ }, Some interp, _ ->
                 Interp.accumulate_range ~aux interp ~scale ~src ~dst:expected ~lo ~hi
-            | Jit.Sweep_state { scale }, _ ->
-                Interp.identity_accumulate_range ~scale ~src ~dst:expected ~lo ~hi)
+            | Jit.Sweep_state { scale }, _, _ ->
+                Interp.identity_accumulate_range ~scale ~src ~dst:expected ~lo ~hi
+            | Jit.Sweep_kernel _, None, _ -> assert false)
           terms;
-        match
-          Jit.compile_sweep ~plan_digest:"test-passes" (List.map fst terms)
-        with
+        let sweep_terms = List.map (fun ((term, _), _) -> term) terms in
+        match Jit.compile_sweep ~plan_digest:"test-passes" sweep_terms with
         | Error msg -> QCheck.Test.fail_reportf "compile_sweep: %s" msg
         | Ok fn ->
             let got = dst () in
-            let aux_data =
-              List.concat_map
-                (function
-                  | Jit.Sweep_kernel { interp; _ }, _ ->
-                      List.map (fun _ -> cgrid.Grid.data) (Jit.sweep_term_aux_names interp)
-                  | Jit.Sweep_state _, _ -> [])
-                terms
-            in
+            let aux_data = List.map (fun _ -> cgrid.Grid.data) (Jit.sweep_aux_slots sweep_terms) in
             fn
               (Array.of_list (List.map (fun (_, g) -> g.Grid.data) terms))
               got.Grid.data (Array.of_list aux_data) lo hi;
@@ -374,12 +359,214 @@ let passes_match_interp =
               got.Grid.data expected.Grid.data
       end)
 
-(* --- Forms beyond taps: tree mode and unnamed-aux bilinear ---
+(* --- Exact chain lowering (qcheck) ---
+
+   Random kernels over the input B and the aux grid C, each a +/- chain of
+   operands drawn from the product forms the lowering accepts ([c*x],
+   [x*c], [x], [-t], [(c*a)*x], [a*x], with [c] a literal, a parameter or
+   a constant product, offsets free to repeat) and from forms it must
+   leave to the tree ([c*(a+b)], [x/c], [c1*(c2*x)], [(x*c)*a],
+   [(a*b)*x], a loop index). The lowering must pick the chain exactly
+   when every operand is a product, and the compiled sweep must equal the
+   tree interpreter bit for bit either way. *)
+
+(* A random chain of one to six operands, each accepted by the lowering
+   or not; returns the expression and the chain length the lowering must
+   report ([None]: a tree). *)
+let random_chain rs =
+  let int n = Random.State.int rs n in
+  let module E = Msc_ir.Expr in
+  let num () =
+    (if Random.State.bool rs then 1.0 else -1.0) *. (0.25 +. Random.State.float rs 1.0)
+  in
+  let x () =
+    E.read (if Random.State.bool rs then "B" else "C") (Array.init 2 (fun _ -> int 5 - 2))
+  in
+  let c () =
+    match int 3 with
+    | 0 -> E.f (num ())
+    | 1 -> E.p "w"
+    | _ ->
+        let k = 1 + int 3 in
+        E.(f (num ()) * i k)
+  in
+  let operand () =
+    match int 12 with
+    | 0 -> (E.(c () * x ()), true)
+    | 1 -> (E.(x () * c ()), true)
+    | 2 -> (x (), true)
+    | 3 -> (E.(neg (c () * x ())), true)
+    | 4 -> (E.(c () * x () * x ()), true)
+    | 5 -> (E.(x () * x ()), true)
+    | 6 -> (E.(c () * (x () + x ())), false)
+    | 7 -> (E.(x () / c ()), false)
+    | 8 -> (E.(c () * (c () * x ())), false)
+    | 9 -> (E.(x () * c () * x ()), false)
+    | 10 -> (E.(x () * x () * x ()), false)
+    | _ -> (E.(c () * Var "i"), false)
+  in
+  let n = 1 + int 6 in
+  let first, ok0 = operand () in
+  let expr, accepted =
+    List.fold_left
+      (fun (e, ok) _ ->
+        let t, ok_t = operand () in
+        ((if Random.State.bool rs then E.(e + t) else E.(e - t)), ok && ok_t))
+      (first, ok0)
+      (List.init (n - 1) Fun.id)
+  in
+  (expr, if accepted then Some n else None)
+
+let exact_chain_lowering =
+  let grid = Builder.def_tensor_2d ~halo:2 "B" Msc_ir.Dtype.F64 6 9 in
+  let coeff = Builder.coefficient_grid ~grid "C" in
+  let geometry = Grid.of_tensor grid in
+  let shape = geometry.Grid.shape in
+  qc ~count:40 "chain lowering exact: compiled == tree interp"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let expr, expected_length = random_chain rs in
+      let kernel =
+        Msc_ir.Kernel.make
+          ~bindings:[ ("w", Random.State.float rs 2.0 -. 1.0) ]
+          ~aux:[ coeff ] ~name:"Rand"
+          ~input:grid ~index_vars:[ "j"; "i" ] expr
+      in
+      let lowered = Jit.chain_length kernel in
+      if lowered <> expected_length then
+        QCheck.Test.fail_reportf "%s lowered to %s" (Msc_ir.Expr.to_string expr)
+          (match lowered with Some n -> string_of_int n ^ " products" | None -> "a tree");
+      let fill g =
+        Grid.fill_extended g (fun _ ->
+            match Random.State.int rs 8 with
+            | 0 -> 0.0
+            | 1 -> -0.0
+            | _ -> Random.State.float rs 4.0 -. 2.0);
+        g
+      in
+      let src = fill (Grid.of_tensor grid) and cg = fill (Grid.of_tensor coeff) in
+      let aux = [ ("C", cg) ] in
+      let expected = Grid.of_tensor grid in
+      Interp.apply ~aux (Interp.compile kernel ~geometry) ~src ~dst:expected;
+      if not (toolchain_for Backend.Compiled_c) then true
+      else
+        let terms = [ Jit.Sweep_kernel { scale = 1.0; kernel; halo = geometry.Grid.halo } ] in
+        match Jit.compile_sweep ~plan_digest:"test-exact-chain" terms with
+        | Error msg -> QCheck.Test.fail_reportf "compile_sweep: %s" msg
+        | Ok fn ->
+            let got = Grid.of_tensor grid in
+            let slots = Array.of_list (List.map (fun _ -> cg.Grid.data) (Jit.sweep_aux_slots terms)) in
+            fn [| src.Grid.data |] got.Grid.data slots (Array.make 2 0) shape;
+            Array.for_all2
+              (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+              got.Grid.data expected.Grid.data)
+
+(* A random tree of depth at most 5 over every node kind, reading B and C
+   within radius 1. *)
+let random_tree rs =
+  let int n = Random.State.int rs n in
+  let module E = Msc_ir.Expr in
+  let rec tree depth =
+    if depth = 0 || int 4 = 0 then
+      match int 6 with
+      | 0 -> E.Fconst (Random.State.float rs 4.0 -. 2.0)
+      | 1 -> E.Iconst (int 7 - 3)
+      | 2 -> E.Param "w"
+      | 3 -> E.Var (if Random.State.bool rs then "j" else "i")
+      | _ ->
+          E.read (if Random.State.bool rs then "B" else "C") (Array.init 2 (fun _ -> int 3 - 1))
+    else
+      let sub () = tree (depth - 1) in
+      match int 4 with
+      | 0 -> E.Unop (E.([| Neg; Abs; Sqrt; Exp; Sin; Cos |]).(int 6), sub ())
+      | 1 | 2 -> E.Binop (E.([| Add; Sub; Mul; Div; Min; Max |]).(int 6), sub (), sub ())
+      | _ -> (
+          match int 5 with
+          | 0 -> E.Call ("pow", [ sub (); sub () ])
+          | 1 -> E.Call ("hypot", [ sub (); sub () ])
+          | 2 -> E.Call ("fma", [ sub (); sub (); sub () ])
+          | _ ->
+              E.Call ([| "sqrt"; "exp"; "log"; "sin"; "cos"; "tanh"; "fabs" |].(int 7), [ sub () ]))
+  in
+  tree 5
+
+(* The closure-compiled tree against Expr.eval point by point, on random
+   trees over every node kind: loop indices, calls, min/max, division and
+   the unary functions, with constant subtrees the compiler folds. *)
+let closure_eval_exact =
+  let grid = Builder.def_tensor_2d ~halo:1 "B" Msc_ir.Dtype.F64 5 7 in
+  let coeff = Builder.coefficient_grid ~grid "C" in
+  let geometry = Grid.of_tensor grid in
+  qc ~count:200 "closure evaluator == Expr.eval bit for bit"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let expr = random_tree rs in
+      let bindings = [ ("w", Random.State.float rs 2.0) ] in
+      let kernel =
+        Msc_ir.Kernel.make ~bindings ~aux:[ coeff ] ~name:"Rand" ~input:grid
+          ~index_vars:[ "j"; "i" ] expr
+      in
+      let src = Grid.of_tensor grid and cg = Grid.of_tensor coeff in
+      let v _ =
+        if Random.State.int rs 8 = 0 then -0.0 else Random.State.float rs 4.0 -. 2.0
+      in
+      Grid.fill_extended src v;
+      Grid.fill_extended cg v;
+      let dst = Grid.of_tensor grid in
+      Interp.apply ~aux:[ ("C", cg) ] (Interp.compile kernel ~geometry) ~src ~dst;
+      let ok = ref true in
+      for j = 0 to 4 do
+        for i = 0 to 6 do
+          let load (a : Msc_ir.Expr.access) =
+            let g = if a.Msc_ir.Expr.tensor = "B" then src else cg in
+            Grid.get g [| j + a.Msc_ir.Expr.offsets.(0); i + a.Msc_ir.Expr.offsets.(1) |]
+          in
+          let var n = float_of_int (if n = "j" then j else i) in
+          let want = Msc_ir.Expr.eval ~bindings ~load ~var expr in
+          let got = Grid.get dst [| j; i |] in
+          if not (Int64.equal (Int64.bits_of_float want) (Int64.bits_of_float got)) then
+            ok := false
+        done
+      done;
+      !ok)
+
+(* Lowering guard: every kernel the library ships in chain shape — the 8
+   suite kernels, the solver Laplacian, variable-coefficient stars and the
+   right-hand-side point kernel — must lower to a product chain of one
+   fold unit per product. A tree-form wide stencil compiles as one whole
+   expression per row lane. *)
+let library_kernels_lower_to_chains () =
+  List.iter
+    (fun (b : Suite.bench) ->
+      let k = Suite.kernel_of (Suite.stencil ~dims:(small_dims b) b) in
+      let n = Msc_frontend.Shapes.point_count b.Suite.shape ~ndim:b.Suite.ndim ~radius:b.Suite.radius in
+      check_bool (b.Suite.name ^ " is a chain of its points") true (Jit.chain_length k = Some n))
+    Suite.all;
+  let g2 = Builder.def_tensor_2d ~halo:1 "B" Msc_ir.Dtype.F64 8 8 in
+  let g3 = Builder.def_tensor_3d ~halo:1 "B" Msc_ir.Dtype.F64 6 6 6 in
+  check_bool "2-D laplacian" true (Jit.chain_length (Builder.laplacian_kernel g2) = Some 5);
+  check_bool "3-D laplacian" true (Jit.chain_length (Builder.laplacian_kernel g3) = Some 7);
+  let coeff = Builder.coefficient_grid ~grid:g2 "C" in
+  List.iter
+    (fun (shape, radius, n) ->
+      check_bool
+        (Printf.sprintf "var_coeff r=%d" radius)
+        true
+        (Jit.chain_length
+           (Builder.var_coeff_kernel ~name:"VC" ~coeff ~shape ~radius g2)
+        = Some n))
+    [ (Msc_frontend.Shapes.Star, 1, 5); (Msc_frontend.Shapes.Box, 1, 9) ];
+  check_bool "aux point kernel" true
+    (Jit.chain_length (Builder.aux_point_kernel ~aux:coeff g2) = Some 1)
+
+(* --- Trees and mixed chains ---
 
    The fused sweep must compile these and stay bit-identical. *)
 
-(* Nonlinear kernel (tree mode): sqrt/mul force the expression-tree path,
-   Max exercises the hand-ported Float.max semantics in C. *)
+(* Nonlinear kernel (a tree): sqrt/mul force the tree form, Max exercises
+   the hand-ported Float.max semantics in C. *)
 let stencil_tree_2d ?(n = 12) () =
   let grid = Builder.def_tensor_2d ~time_window:2 ~halo:1 "B" Msc_ir.Dtype.F64 n n in
   let k =
@@ -392,8 +579,8 @@ let stencil_tree_2d ?(n = 12) () =
   in
   Builder.two_step ~name:"tree2d" k
 
-(* Tree mode reading a coefficient grid: aux slots flow through the tree
-   ABI (C * B * B is not bilinear -- two input factors). The row index [j]
+(* A tree reading a coefficient grid: aux slots flow through the tree ABI
+   ((C * B) * B has three reads, not a chain product). The row index [j]
    term pins each lane of the C sweep's 4-row block to its own row. *)
 let stencil_tree_aux_2d ?(n = 10) () =
   let grid = Builder.def_tensor_2d ~time_window:2 ~halo:1 "B" Msc_ir.Dtype.F64 n n in
@@ -408,8 +595,8 @@ let stencil_tree_aux_2d ?(n = 10) () =
   in
   Builder.two_step ~name:"treeaux2d" k
 
-(* Bilinear kernel with unnamed-aux subterms: C*B is a named kind-0 term,
-   the plain B reads are kind-1 terms whose aux slot is [None]. *)
+(* A chain mixing (w*C)*B products with c*B products that read no aux
+   grid, and a subtracted product. *)
 let stencil_mixed_bilinear_2d ?(n = 12) () =
   let grid = Builder.def_tensor_2d ~time_window:2 ~halo:1 "B" Msc_ir.Dtype.F64 n n in
   let coeff = Builder.coefficient_grid ~grid "C" in
@@ -476,10 +663,11 @@ let fused_pool_stress () =
 let unsupported_form_counted () =
   let k, st = stencil_2d9pt_box ~m:8 ~n:8 () in
   let geometry = Grid.of_tensor st.Msc_ir.Stencil.grid in
-  let interp = Interp.compile k ~geometry in
   (* 65 terms exceed the native-stub slot limit: an unsupported form, not a
      toolchain problem. *)
-  let terms = List.init 65 (fun _ -> Jit.Sweep_kernel { scale = 1.0; interp }) in
+  let terms =
+    List.init 65 (fun _ -> Jit.Sweep_kernel { scale = 1.0; kernel = k; halo = geometry.Grid.halo })
+  in
   let s0 = Jit.stats () in
   (match Jit.compile_sweep ~plan_digest:"too-many" terms with
   | Ok _ -> Alcotest.fail "expected compile_sweep to reject 65 terms"
@@ -780,6 +968,9 @@ let suites =
       [
         fused_sweep_matches_interp;
         passes_match_interp;
+        exact_chain_lowering;
+        closure_eval_exact;
+        tc "library kernels lower to chains" library_kernels_lower_to_chains;
         tc "tree + unnamed-aux forms compile" former_fallback_forms_compile;
         slow "pool-parallel fused dispatch" fused_pool_stress;
         tc "unsupported form counted" unsupported_form_counted;

@@ -4,6 +4,7 @@
 open Helpers
 module Grid = Msc_exec.Grid
 module Interp = Msc_exec.Interp
+module Jit = Msc_exec.Jit
 module Runtime = Msc_exec.Runtime
 module Reference = Msc_exec.Reference
 module Verify = Msc_exec.Verify
@@ -76,7 +77,7 @@ let interp_identity () =
   let k = Builder.kernel ~name:"Id" ~grid (Expr.read "B" [| 0; 0 |]) in
   let geometry = Grid.of_tensor grid in
   let c = Interp.compile k ~geometry in
-  check_bool "linear" true (Interp.is_linear c);
+  check_bool "one-product chain" true (Jit.chain_length k = Some 1);
   let src = Grid.of_tensor grid and dst = Grid.of_tensor grid in
   Grid.fill src (fun coord -> float_of_int ((coord.(0) * 4) + coord.(1)));
   Interp.apply c ~src ~dst;
@@ -140,7 +141,7 @@ let interp_nonlinear_tree_path () =
   in
   let geometry = Grid.of_tensor grid in
   let c = Interp.compile k ~geometry in
-  check_bool "tree mode" false (Interp.is_linear c);
+  check_bool "an a*x product" true (Jit.chain_length k = Some 1);
   let src = Grid.of_tensor grid and dst = Grid.of_tensor grid in
   Grid.fill src (fun coord -> float_of_int (coord.(0) + 1));
   Interp.apply c ~src ~dst;
@@ -154,6 +155,38 @@ let interp_rejects_aliasing () =
   let g = Grid.of_tensor grid in
   check_bool "alias rejected" true
     (try Interp.apply c ~src:g ~dst:g; false with Invalid_argument _ -> true)
+
+(* Equal shape and strides are not equal geometry: an 8x8 grid with halo
+   [3;1] and one with halo [1;1] both have strides [10;1], but the sweep
+   indexes with the compiled halo, so a mismatched grid must be refused
+   (it would be read out of bounds, or at shifted positions for aux). *)
+let interp_rejects_halo_mismatch () =
+  let grid = Builder.def_tensor_2d ~halo:1 "B" Dtype.F64 8 8 in
+  let k = Builder.star_kernel ~name:"S" ~radius:1 grid in
+  let deep = Grid.create ~shape:[| 8; 8 |] ~halo:[| 3; 1 |] in
+  let thin = Grid.of_tensor grid in
+  check_bool "same strides" true (deep.Grid.strides = thin.Grid.strides);
+  let raises f = try f (); false with Invalid_argument _ -> true in
+  let c = Interp.compile k ~geometry:deep in
+  check_bool "src/dst halo checked" true
+    (raises (fun () -> Interp.apply c ~src:(Grid.like thin) ~dst:(Grid.like thin)));
+  check_bool "src/dst guard checks halo" true
+    (raises (fun () -> Interp.check_grids c ~src:(Grid.like thin) ~dst:(Grid.like deep)));
+  let coeff = Builder.coefficient_grid ~grid "C" in
+  let kc =
+    Kernel.make ~aux:[ coeff ] ~name:"CB" ~input:grid ~index_vars:[ "j"; "i" ]
+      Expr.(read "C" [| 0; 0 |] * read "B" [| 0; 0 |])
+  in
+  let cc = Interp.compile kc ~geometry:thin in
+  let aux = [ ("C", Grid.like deep) ] in
+  check_bool "aux halo checked" true
+    (raises (fun () -> Interp.apply ~aux cc ~src:(Grid.like thin) ~dst:(Grid.like thin)));
+  check_bool "aux guard checks halo" true
+    (raises (fun () -> Interp.check_grids ~aux cc ~src:(Grid.like thin) ~dst:(Grid.like thin)));
+  check_bool "identity halo checked" true
+    (raises (fun () ->
+         Interp.identity_apply_range ~scale:1.0 ~src:(Grid.like thin) ~dst:(Grid.like deep)
+           ~lo:[| 0; 0 |] ~hi:[| 8; 8 |]))
 
 (* --- Runtime --- *)
 
@@ -276,6 +309,7 @@ let suites =
         tc "range subbox" interp_range_subbox;
         tc "nonlinear tree path" interp_nonlinear_tree_path;
         tc "aliasing rejected" interp_rejects_aliasing;
+        tc "halo mismatch rejected" interp_rejects_halo_mismatch;
       ] );
     ( "exec.runtime",
       [

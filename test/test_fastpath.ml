@@ -1,10 +1,12 @@
-(* Parity and stress tests for the fast-path execution engine: specialized
-   vs generic interpreter sweeps, schedule-independence across the whole
-   benchmark suite, and the persistent domain pool. *)
+(* Parity and stress tests for the execution engine: schedule-independence
+   across the whole benchmark suite, chain-lowered compiled sweeps vs the
+   tree interpreter, the identity-term sweeps, and the persistent domain
+   pool. *)
 
 open Helpers
 module Grid = Msc_exec.Grid
 module Interp = Msc_exec.Interp
+module Jit = Msc_exec.Jit
 module Runtime = Msc_exec.Runtime
 module Schedule = Msc_schedule.Schedule
 module Suite = Msc_benchsuite.Suite
@@ -55,47 +57,76 @@ let schedule_parity_suite () =
   check_int "no helper spawned under the cutoff" 0 (Domain_pool.spawn_total pool);
   Domain_pool.shutdown pool
 
-(* --- Specialized sweeps vs the retained generic closure path --- *)
+(* --- Chain-lowered compiled sweeps vs the tree interpreter ---
 
-let sweep_vs_generic ~name c ~aux ~src shape =
+   The interpreter evaluates every kernel as its expression tree; the
+   compiled backend lowers tap and bilinear kernels to product chains.
+   Both must agree bit for bit, and the interpreter's three writeback
+   flavours must agree with each other. *)
+
+let have_cc () =
+  Sys.command "command -v cc > /dev/null 2>&1 || command -v gcc > /dev/null 2>&1" = 0
+
+let check_same_bits name ~expected got =
+  check_bool name true
+    (Array.for_all2
+       (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+       expected.Grid.data got.Grid.data)
+
+let sweep_vs_tree ~name k ~aux ~src shape =
+  let c = Interp.compile k ~geometry:src in
   let lo = Array.make (Array.length shape) 0 in
-  let dst_fast = Grid.like src and dst_gen = Grid.like src in
-  Interp.apply_range ~aux c ~src ~dst:dst_fast ~lo ~hi:shape;
-  Interp.generic_apply_range ~aux c ~src ~dst:dst_gen ~lo ~hi:shape;
-  check_float (name ^ " apply == generic") 0.0
-    (Grid.max_rel_error ~reference:dst_gen dst_fast);
-  Interp.accumulate_range ~aux c ~scale:0.7 ~src ~dst:dst_fast ~lo ~hi:shape;
-  Interp.generic_accumulate_range ~aux c ~scale:0.7 ~src ~dst:dst_gen ~lo
-    ~hi:shape;
-  check_float (name ^ " accumulate == generic") 0.0
-    (Grid.max_rel_error ~reference:dst_gen dst_fast);
+  let applied = Grid.like src in
+  Interp.apply_range ~aux c ~src ~dst:applied ~lo ~hi:shape;
+  (* accumulate: dst + scale * K, from an arbitrary destination. *)
+  let dst_acc = Grid.like src and by_hand = Grid.like src in
+  Grid.fill dst_acc (fun coord -> 0.3 -. (0.05 *. float_of_int coord.(0)));
+  Grid.fill by_hand (fun coord ->
+      Grid.get dst_acc coord +. (0.7 *. Grid.get applied coord));
+  Interp.accumulate_range ~aux c ~scale:0.7 ~src ~dst:dst_acc ~lo ~hi:shape;
+  check_same_bits (name ^ " accumulate == dst + scale*K") ~expected:by_hand dst_acc;
   (* apply_scaled == accumulate into a zeroed destination. *)
   let dst_scaled = Grid.like src and dst_zeroacc = Grid.like src in
-  Interp.apply_scaled_range ~aux c ~scale:(-1.3) ~src ~dst:dst_scaled ~lo
-    ~hi:shape;
-  Interp.generic_accumulate_range ~aux c ~scale:(-1.3) ~src ~dst:dst_zeroacc
-    ~lo ~hi:shape;
-  check_float (name ^ " apply_scaled == zero+accumulate") 0.0
-    (Grid.max_rel_error ~reference:dst_zeroacc dst_scaled)
+  Interp.apply_scaled_range ~aux c ~scale:(-1.3) ~src ~dst:dst_scaled ~lo ~hi:shape;
+  Interp.accumulate_range ~aux c ~scale:(-1.3) ~src ~dst:dst_zeroacc ~lo ~hi:shape;
+  check_same_bits (name ^ " apply_scaled == zero+accumulate") ~expected:dst_zeroacc
+    dst_scaled;
+  (* The compiled chain sweep, unscaled and scaled. *)
+  if have_cc () then
+    List.iter
+      (fun (scale, expected) ->
+        let terms = [ Jit.Sweep_kernel { scale; kernel = k; halo = src.Grid.halo } ] in
+        match Jit.compile_sweep ~plan_digest:"test-fastpath-parity" terms with
+        | Error msg -> Alcotest.failf "%s: compile_sweep: %s" name msg
+        | Ok fn ->
+            let got = Grid.like src in
+            let slots =
+              Array.of_list
+                (List.map (fun a -> (List.assoc a aux).Grid.data) (Jit.sweep_aux_slots terms))
+            in
+            fn [| src.Grid.data |] got.Grid.data slots lo shape;
+            check_same_bits
+              (Printf.sprintf "%s compiled (scale %g) == interp" name scale)
+              ~expected got)
+      [ (1.0, applied); (-1.3, dst_scaled) ]
 
-(* Taps mode at every unrolled arity (3/5/7-point stars) plus a generic
-   arity (9-point 2-D box). *)
+(* Tap kernels: the 3/5/7-point stars, a 9-point 2-D box and a 13-point
+   radius-2 star, each one product per tap. *)
 let interp_taps_parity () =
   let cases =
     [
-      ("3pt", Builder.def_tensor_1d ~halo:1 "B" Dtype.F64 17, Shapes.Star, 1);
-      ("5pt", Builder.def_tensor_2d ~halo:1 "B" Dtype.F64 11 13, Shapes.Star, 1);
-      ("7pt", Builder.def_tensor_3d ~halo:1 "B" Dtype.F64 7 8 9, Shapes.Star, 1);
-      ("9pt_box", Builder.def_tensor_2d ~halo:1 "B" Dtype.F64 11 13, Shapes.Box, 1);
-      ("13pt", Builder.def_tensor_3d ~halo:2 "B" Dtype.F64 7 8 9, Shapes.Star, 2);
+      ("3pt", Builder.def_tensor_1d ~halo:1 "B" Dtype.F64 17, Shapes.Star, 1, 3);
+      ("5pt", Builder.def_tensor_2d ~halo:1 "B" Dtype.F64 11 13, Shapes.Star, 1, 5);
+      ("7pt", Builder.def_tensor_3d ~halo:1 "B" Dtype.F64 7 8 9, Shapes.Star, 1, 7);
+      ("9pt_box", Builder.def_tensor_2d ~halo:1 "B" Dtype.F64 11 13, Shapes.Box, 1, 9);
+      ("13pt", Builder.def_tensor_3d ~halo:2 "B" Dtype.F64 7 8 9, Shapes.Star, 2, 13);
     ]
   in
   List.iter
-    (fun (name, grid, shape, radius) ->
+    (fun (name, grid, shape, radius, taps) ->
       let k = Builder.shaped_kernel ~name:("K" ^ name) ~shape ~radius grid in
-      let geometry = Grid.of_tensor grid in
-      let c = Interp.compile k ~geometry in
-      check_bool (name ^ " is taps") true (Interp.is_linear c);
+      check_bool (name ^ " lowers to a chain of its taps") true
+        (Jit.chain_length k = Some taps);
       let src = Grid.of_tensor grid in
       Grid.fill_extended src (fun coord ->
           let acc = ref 0.9 in
@@ -103,7 +134,7 @@ let interp_taps_parity () =
             (fun d x -> acc := !acc +. (0.11 *. float_of_int ((d + 1) * x)))
             coord;
           !acc);
-      sweep_vs_generic ~name c ~aux:[] ~src grid.Tensor.shape)
+      sweep_vs_tree ~name k ~aux:[] ~src grid.Tensor.shape)
     cases
 
 let interp_bilinear_parity () =
@@ -112,16 +143,15 @@ let interp_bilinear_parity () =
   let k =
     Builder.var_coeff_kernel ~name:"VC" ~coeff ~shape:Shapes.Star ~radius:1 grid
   in
-  let geometry = Grid.of_tensor grid in
-  let c = Interp.compile k ~geometry in
-  check_bool "bilinear mode" true (Interp.is_bilinear c);
+  check_bool "bilinear lowers to a chain" true (Jit.chain_length k = Some 5);
   let src = Grid.of_tensor grid in
   Grid.fill_extended src (fun coord ->
       1.0 +. (0.07 *. float_of_int (coord.(0) + (3 * coord.(1)))));
   let aux_grid = Grid.of_tensor grid in
   Grid.fill_extended aux_grid (Runtime.default_aux_init "C");
-  sweep_vs_generic ~name:"bilinear" c ~aux:[ ("C", aux_grid) ] ~src
-    grid.Tensor.shape
+  sweep_vs_tree ~name:"bilinear" k ~aux:[ ("C", aux_grid) ] ~src grid.Tensor.shape
+
+(* --- Identity (State) terms --- *)
 
 let interp_identity_apply () =
   let g = Grid.create ~shape:[| 6; 7 |] ~halo:[| 1; 1 |] in

@@ -1,6 +1,6 @@
 (* Tests for multi-grid (variable-coefficient) stencils — the §5.6 WRF/POP2
    extension: kernels reading static coefficient grids alongside the evolving
-   input grid, across the IR, interpreter (bilinear fast path vs tree),
+   input grid, across the IR, interpreter, chain lowering,
    runtime, distributed execution, code generation and the simulators. *)
 
 open Helpers
@@ -8,6 +8,7 @@ open Msc_ir
 open Msc_frontend
 module Grid = Msc_exec.Grid
 module Interp = Msc_exec.Interp
+module Jit = Msc_exec.Jit
 module Runtime = Msc_exec.Runtime
 module Verify = Msc_exec.Verify
 module Schedule = Msc_schedule.Schedule
@@ -69,10 +70,8 @@ let aux_offset_beyond_halo_rejected () =
 
 let interp_bilinear_detected () =
   let k, _, _ = fixture () in
-  let geometry = Grid.of_tensor k.Kernel.input in
-  let c = Interp.compile k ~geometry in
-  check_bool "bilinear mode" true (Interp.is_bilinear c);
-  check_bool "not taps" false (Interp.is_linear c)
+  (* w * C[p+o] * B[p+o] over the 5 star offsets: five (c*a)*x products. *)
+  check_bool "bilinear chain" true (Jit.chain_length k = Some 5)
 
 let interp_bilinear_hand_value () =
   (* dst[p] = C[p] * B[p] on a 1-D grid: check one point by hand. *)
@@ -109,7 +108,7 @@ let interp_pure_aux_term () =
   in
   let geometry = Grid.of_tensor grid in
   let c = Interp.compile k ~geometry in
-  check_bool "still bilinear" true (Interp.is_bilinear c);
+  check_bool "two-product chain" true (Jit.chain_length k = Some 2);
   let src = Grid.of_tensor grid and dst = Grid.of_tensor grid in
   let cg = Grid.of_tensor coeff in
   Grid.fill src (fun _ -> 1.0);
@@ -118,7 +117,7 @@ let interp_pure_aux_term () =
   check_float "3 per point" 9.0 (Grid.checksum dst)
 
 let interp_aux_product_falls_to_tree () =
-  (* C[p] * D[p] * B[p] has two aux factors in one term: tree mode. *)
+  (* (C[p] * D[p]) * B[p] is a three-read product: a tree. *)
   let grid = Builder.def_tensor_1d ~halo:1 "B" Dtype.F64 3 in
   let c1 = Builder.coefficient_grid ~grid "C" in
   let c2 = Builder.coefficient_grid ~grid "D" in
@@ -128,7 +127,7 @@ let interp_aux_product_falls_to_tree () =
   in
   let geometry = Grid.of_tensor grid in
   let c = Interp.compile k ~geometry in
-  check_bool "tree fallback" false (Interp.is_bilinear c || Interp.is_linear c);
+  check_bool "tree fallback" true (Jit.chain_length k = None);
   let src = Grid.of_tensor grid and dst = Grid.of_tensor grid in
   let g1 = Grid.of_tensor c1 and g2 = Grid.of_tensor c2 in
   Grid.fill src (fun _ -> 2.0);
@@ -137,7 +136,7 @@ let interp_aux_product_falls_to_tree () =
   Interp.apply ~aux:[ ("C", g1); ("D", g2) ] c ~src ~dst;
   check_float "30 per point" 90.0 (Grid.checksum dst)
 
-(* --- Runtime vs reference (bilinear fast path vs tree evaluation) --- *)
+(* --- Runtime vs reference (compiled tree vs per-point tree walk) --- *)
 
 let varcoef_matches_reference () =
   let _, _, st = fixture ~n:14 () in
@@ -264,7 +263,7 @@ let varcoef_pretty_declares_aux () =
   let src = Pretty.program st in
   check_bool "DefTensor for C" true (contains ~needle:"DefTensor2D(C, halo_width" src)
 
-(* --- Property: bilinear path == tree path --- *)
+(* --- Property: compiled tree == per-point tree walk --- *)
 
 let bilinear_vs_tree_property =
   qc ~count:20 "bilinear fast path equals tree evaluation"
@@ -277,7 +276,8 @@ let bilinear_vs_tree_property =
         Builder.var_coeff_kernel ~name:"VC" ~coeff ~shape:Shapes.Star ~radius grid
       in
       let st = Builder.single_step ~name:"vc" k in
-      (* Runtime uses the bilinear compiled path; Reference walks the tree. *)
+      (* Runtime runs the closure-compiled tree; Reference walks the tree
+         with Expr.eval point by point. *)
       (Verify.check ~steps:2 st).Verify.ok)
 
 let suites =

@@ -279,6 +279,29 @@ let pipeline_matches_untraced () =
   in
   check_float "points = 4 steps x 10^3" (4.0 *. 1000.0) pts.Trace.sum
 
+(* Every compiled kernel term counts the form the JIT lowered it to: the
+   chain/tree choice decides compile time and sweep rate. *)
+let jit_form_counters () =
+  let config = Msc.Exec.Config.make ~backend:Msc.Backend.Compiled_c () in
+  let counter trace name =
+    match List.find_opt (fun t -> t.Trace.counter = name) (Trace.totals trace) with
+    | Some t -> t.Trace.sum
+    | None -> 0.0
+  in
+  let traced st =
+    let trace = Trace.create () in
+    ignore (Msc.Runtime.create ~config ~trace st);
+    trace
+  in
+  let _, st = stencil_3d7pt ~n:6 () in
+  let t = traced st in
+  check_float "two chain terms" 2.0 (counter t "jit.form.chain");
+  check_float "no tree term" 0.0 (counter t "jit.form.tree");
+  (* c * (sum of reads) keeps its written association: a tree. *)
+  let t = traced (stencil_wave2d ~n:6 ()) in
+  check_float "one tree term" 1.0 (counter t "jit.form.tree");
+  check_float "no chain term" 0.0 (counter t "jit.form.chain")
+
 let distributed_traces_halo () =
   let _, st = stencil_2d9pt_box () in
   let trace = Trace.create () in
@@ -320,5 +343,6 @@ let suites =
         tc "disabled sink no-op" disabled_noop;
         tc "pipeline matches untraced" pipeline_matches_untraced;
         tc "distributed traces halo" distributed_traces_halo;
+        tc "jit form counters" jit_form_counters;
       ] );
   ]
