@@ -44,21 +44,32 @@ let schedule_tests =
       Test.make ~name:"tiled" (step_test ~schedule:tiled "3d7pt_star");
     ]
 
-(* Figure 10: one distributed timestep with real pack/send/recv/unpack. *)
+(* Figure 10: one distributed timestep with real pack/send/recv/unpack
+   (the runtime is built once, outside the timed closure), and one rank's
+   compiled exchange on its own: a periodic single-rank 64x64 grid posting
+   its four 2-wide faces to itself and unpacking them. *)
 let halo_tests =
   let _, st = small_stencil "2d9pt_box" in
   Test.make_grouped ~name:"fig10_halo"
     [
       Test.make ~name:"distributed_step_2x2"
-        (Staged.stage (fun () ->
-             let dist = Msc.Distributed.create ~ranks_shape:[| 2; 2 |] st in
-             Msc.Distributed.step dist));
+        (Staged.stage
+           (let dist = Msc.Distributed.create ~ranks_shape:[| 2; 2 |] st in
+            fun () -> Msc.Distributed.step dist));
       Test.make ~name:"pack_unpack"
         (Staged.stage
            (let g = Msc.Grid.create ~shape:[| 64; 64 |] ~halo:[| 2; 2 |] in
+            let mpi = Msc.Mpi.create ~nranks:1 () in
+            let decomp =
+              Msc.Decomp.create ~global:[| 64; 64 |] ~ranks_shape:[| 1; 1 |]
+            in
+            let plan =
+              Msc.Halo.plan ~periodic:true mpi decomp ~rank:0 ~grid:g
+                ~width:[| 2; 2 |] ~faces_only:true
+            in
             fun () ->
-              let payload = Msc.Halo.pack g ~dir:[| 1; 0 |] ~width:[| 2; 2 |] in
-              Msc.Halo.unpack g ~dir:[| 1; 0 |] ~width:[| 2; 2 |] payload));
+              Msc.Halo.post plan [| g |];
+              Msc.Halo.complete plan [| g |]));
     ]
 
 (* Table 6 / §4.2: code generation itself. *)
@@ -432,13 +443,8 @@ let fused_pool_times ?reps ?quota (b : Msc.Suite.bench) =
         (fun () -> Msc.Runtime.step rt_fused)
         (fun () -> Msc.Runtime.step rt_pool))
 
-(* Per-kernel, per-backend throughput. Four legs:
-   - [interp_legacy_bc]: the seed baseline this PR's 10x claim is measured
-     against — the interpreter sweep plus the per-cell boundary walker the
-     fast segment-blit [Bc.apply] replaced (reconstructed through the split
-     stepping API with the BC pass masked off, then [Bc.apply_reference]).
-   - [interp]: [Runtime.step] on the interpreter (with today's fast BC
-     pass).
+(* Per-kernel, per-backend throughput. Three legs:
+   - [interp]: [Runtime.step] on the interpreter (the oracle).
    - [fused_c]: the whole-sweep fused [Compiled_c] kernel; [fused_ran]
      records the backend it actually ran on.
    - [fused_c_pool]: the same fused kernel dispatched tile-task-at-a-time
@@ -448,7 +454,6 @@ let fused_pool_times ?reps ?quota (b : Msc.Suite.bench) =
 type kernel_row = {
   bench : Msc.Suite.bench;
   dims : int array;
-  legacy : float;
   interp : float;
   fused_ran : Msc.Backend.t;
   fused_c : float;
@@ -461,18 +466,6 @@ let kernel_backend_points_per_sec (b : Msc.Suite.bench) =
   in
   let st = Msc.Suite.stencil ~dims b in
   let points = float_of_int (Array.fold_left ( * ) 1 dims) in
-  let legacy =
-    let rt = Msc.Runtime.create st in
-    let tiles = Msc.Runtime.tiles rt in
-    let no_bc = Array.make b.Msc.Suite.ndim false in
-    let per_step =
-      time_per_run (fun () ->
-          Msc.Runtime.sweep_tasks rt tiles;
-          Msc.Runtime.finish_step ~low:no_bc ~high:no_bc rt;
-          Msc.Bc.apply_reference (Msc.Bc.Dirichlet 0.0) (Msc.Runtime.current rt))
-    in
-    points /. per_step
-  in
   let interp =
     let rt = Msc.Runtime.create st in
     points /. time_per_run (fun () -> Msc.Runtime.step rt)
@@ -489,7 +482,6 @@ let kernel_backend_points_per_sec (b : Msc.Suite.bench) =
   {
     bench = b;
     dims;
-    legacy;
     interp;
     fused_ran;
     fused_c = points /. t_fused;
@@ -597,6 +589,35 @@ let comm_temporal ?(smoke = false) () =
       [ 1; 2; 4; 8 ]
   in
   (dims, bulk_s, overlapped_s, temporal)
+
+(* The halo path at scale: one overlapped 2d9pt_box step on 8x8 ranks
+   under the Sunway TaihuLight network model, with the fused compiled
+   backend and ranks dispatched over up to two workers. Each rank's
+   exchange is a compiled plan, so pack, mailbox and unpack work is what
+   this row adds on top of the rank sweeps. Also reports the per-step
+   traffic, which the plan must leave unchanged. *)
+let comm_halo_8x8 ?(smoke = false) () =
+  let b = Msc.Suite.find "2d9pt_box" in
+  let dims = if smoke then [| 128; 128 |] else [| 512; 512 |] in
+  let st = Msc.Suite.stencil ~dims b in
+  let pool = Msc.Domain_pool.create (min 2 (Domain.recommended_domain_count ())) in
+  Fun.protect
+    ~finally:(fun () -> Msc.Domain_pool.shutdown pool)
+    (fun () ->
+      let dist =
+        Msc.Distributed.create
+          ~config:
+            (Msc.Exec.Config.make ~backend:Msc.Backend.Compiled_c
+               ~engine:Msc.Distributed.Overlapped ~pool ())
+          ~net:Msc.Netmodel.sunway_taihulight ~ranks_shape:[| 8; 8 |] st
+      in
+      let mpi = Msc.Distributed.mpi dist in
+      let m0 = Msc.Mpi.messages_sent mpi and b0 = Msc.Mpi.bytes_sent mpi in
+      Msc.Distributed.step dist;
+      let messages = Msc.Mpi.messages_sent mpi - m0
+      and bytes = Msc.Mpi.bytes_sent mpi - b0 in
+      let s_per_step = time_per_run (fun () -> Msc.Distributed.step dist) in
+      (dims, s_per_step, messages, bytes))
 
 (* Pool-scaling headline for the fused-sweep work: the same fused
    compiled_c kernel single-core vs dispatched tile-task-at-a-time over a
@@ -936,29 +957,29 @@ let residual_curve_json residuals =
   String.concat ", "
     (List.map (fun i -> Printf.sprintf "[%d, %.6e]" i residuals.(i)) idxs)
 
-let emit_runtime_json ~comm ~temporal ~solver ~scaling path =
+let emit_runtime_json ~comm ~halo ~temporal ~solver ~scaling path =
   let kernel_rows = List.map kernel_backend_points_per_sec Msc.Suite.all in
   let kernels =
     List.map
       (fun r ->
         Printf.sprintf
           "    { \"name\": %S, \"dims\": [%s],\n\
-          \      \"points_per_sec\": { \"interp_legacy_bc\": %.6e, \"interp\": %.6e, \
+          \      \"points_per_sec\": { \"interp\": %.6e, \
            \"fused_c\": %.6e, \"fused_c_pool\": %.6e },\n\
           \      \"ran\": { \"fused_c\": %S },\n\
-          \      \"fused_c_over_interp_legacy_bc\": %.3f,\n\
+          \      \"fused_c_over_interp\": %.3f,\n\
           \      \"fused_c_pool_over_fused_c\": %.3f }"
           r.bench.Msc.Suite.name
           (String.concat ", " (Array.to_list (Array.map string_of_int r.dims)))
-          r.legacy r.interp r.fused_c r.fused_c_pool
+          r.interp r.fused_c r.fused_c_pool
           (Msc.Backend.to_string r.fused_ran)
-          (r.fused_c /. r.legacy)
+          (r.fused_c /. r.interp)
           (r.fused_c_pool /. r.fused_c))
       kernel_rows
   in
   let kernel_speedup name =
     match List.find_opt (fun r -> r.bench.Msc.Suite.name = name) kernel_rows with
-    | Some r -> r.fused_c /. r.legacy
+    | Some r -> r.fused_c /. r.interp
     | None -> Float.nan
   in
   let pf_rows = pipeline_fusion_rows () in
@@ -1002,6 +1023,7 @@ let emit_runtime_json ~comm ~temporal ~solver ~scaling path =
   let pool_dims, pool_single, pool_pooled = fused_pool_headline () in
   let canonical_pps, reversed_pps = reorder_locality () in
   let comm_dims, bulk_s, overlapped_s = comm in
+  let halo_dims, halo_s, halo_messages, halo_bytes = halo in
   let t_dims, t_bulk_s, t_overlapped_s, t_depths = temporal in
   let best_depth, best_s =
     List.fold_left
@@ -1033,6 +1055,15 @@ let emit_runtime_json ~comm ~temporal ~solver ~scaling path =
     \    \"bulk_synchronous_s_per_step\": %.6e,\n\
     \    \"overlapped_s_per_step\": %.6e,\n\
     \    \"overlap_speedup\": %.3f\n\
+    \  },\n\
+    \  \"halo_8x8_2d9pt_box\": {\n\
+    \    \"dims\": [%s],\n\
+    \    \"ranks\": [8, 8],\n\
+    \    \"engine\": \"overlapped\",\n\
+    \    \"net\": \"sunway_taihulight\",\n\
+    \    \"overlapped_s_per_step\": %.6e,\n\
+    \    \"messages_per_step\": %d,\n\
+    \    \"bytes_per_step\": %d\n\
     \  },\n\
     \  \"comm_temporal\": {\n\
     \    \"kernel\": \"2d9pt_box\",\n\
@@ -1074,6 +1105,8 @@ let emit_runtime_json ~comm ~temporal ~solver ~scaling path =
     (canonical_pps /. reversed_pps)
     (String.concat ", " (Array.to_list (Array.map string_of_int comm_dims)))
     bulk_s overlapped_s (bulk_s /. overlapped_s)
+    (String.concat ", " (Array.to_list (Array.map string_of_int halo_dims)))
+    halo_s halo_messages halo_bytes
     (String.concat ", " (Array.to_list (Array.map string_of_int t_dims)))
     t_bulk_s t_overlapped_s depth_entries best_depth
     (t_overlapped_s /. best_s)
@@ -1139,9 +1172,8 @@ let emit_runtime_json ~comm ~temporal ~solver ~scaling path =
     | None -> (0, Float.nan)
   in
   Printf.printf
-    "wrote %s (fused compiled_c step over the seed interp+per-cell-BC \
-     baseline: %.1fx on 3d7pt_star, %.1fx on 2d9pt_box; plan traversal \
-     canonical/reversed: %.2fx; overlapped halo exchange: %.2fx over \
+    "wrote %s (fused compiled_c step over the interpreter: %.1fx on \
+     3d7pt_star, %.1fx on 2d9pt_box; plan traversal canonical/reversed: %.2fx; overlapped halo exchange: %.2fx over \
      bulk-synchronous under simulated latency; temporal blocking best depth \
      %d: %.2fx over overlapped on a latency-bound grid; 4-worker pool over single-core fused on 3d7pt_star at 48^3: %.2fx \
      with %d host cores; pipeline fusion on unsharp_mask: %d->%d stages, \
@@ -1433,6 +1465,7 @@ let () =
      comparison at millisecond scale drowns in the GC noise a long bechamel
      session leaves behind. *)
   let comm = comm_overlap () in
+  let halo = comm_halo_8x8 ~smoke () in
   let temporal = comm_temporal ~smoke () in
   let solver = solver_rows ~smoke () in
   let mailbox = scaling_mailbox ~smoke () in
@@ -1440,13 +1473,13 @@ let () =
   let scaling = (mailbox, curves) in
   report_scaling ~mailbox ~curves;
   if smoke then begin
-    emit_runtime_json ~comm ~temporal ~solver ~scaling "BENCH_runtime.json";
+    emit_runtime_json ~comm ~halo ~temporal ~solver ~scaling "BENCH_runtime.json";
     Printf.printf "[smoke harness time: %.1f s]\n" (Unix.gettimeofday () -. t0)
   end
   else begin
     let rows = run_bechamel () in
     report_trace_overhead rows;
-    emit_runtime_json ~comm ~temporal ~solver ~scaling "BENCH_runtime.json";
+    emit_runtime_json ~comm ~halo ~temporal ~solver ~scaling "BENCH_runtime.json";
     print_newline ();
     print_endline
       "== Paper artifacts (Tables 1/4/5/6/7/8, Figures 7-14, correctness) ==\n";

@@ -33,6 +33,9 @@ type t = {
           built lazily on the first {!reduce} *)
   depth : int;  (** effective temporal-block depth (1 for other engines) *)
   pool : Msc_util.Domain_pool.t;  (** dispatches ranks, not tiles *)
+  halo_plans : Halo.plan array;  (** per rank, compiled at creation *)
+  bc_plans : Bc.plan option array;
+      (** per rank: the physical-face refresh ([None] when periodic) *)
   phases : ((int array * int array) array * (int array * int array) array) array;
       (** per rank: (interior tasks, boundary-shell tasks) — the first
           substep's tasks split against the cells at least the stencil
@@ -91,31 +94,48 @@ let localize_stencil ?halo (st : Stencil.t) ~extent =
   in
   Stencil.make ~name:st.Stencil.name ~grid:local_tensor (go st.Stencil.expr)
 
-(* Which of a rank's faces sit on the physical boundary (none when the
-   domain is periodic: the wrapped exchange owns every face). *)
-let physical_masks t ~rank =
-  let coords = Decomp.coords_of_rank t.decomp rank in
-  let shape = t.decomp.Decomp.ranks_shape in
+(* Which of a rank's faces sit on the physical boundary. *)
+let physical_masks decomp ~rank =
+  let coords = Decomp.coords_of_rank decomp rank in
+  let shape = decomp.Decomp.ranks_shape in
   let low = Array.map (fun c -> c = 0) coords in
   let high = Array.mapi (fun d c -> c = shape.(d) - 1) coords in
   (low, high)
+
+(* Every rank's communication, compiled once: its halo exchange plan and
+   its physical-face boundary refresh (none when the domain is periodic:
+   the wrapped exchange owns every face). *)
+let comm_plans ~bc mpi decomp ~width ~faces_only runtimes =
+  let periodic = Bc.equal bc Bc.Periodic in
+  let geometry rt = Runtime.state rt ~dt:1 in
+  ( Array.mapi
+      (fun rank rt ->
+        Halo.plan ~periodic mpi decomp ~rank ~grid:(geometry rt) ~width
+          ~faces_only)
+      runtimes,
+    Array.mapi
+      (fun rank rt ->
+        if periodic then None
+        else
+          let low, high = physical_masks decomp ~rank in
+          Some (Bc.compile ~low ~high bc (geometry rt)))
+      runtimes )
+
+let refresh_physical t ~rank g =
+  match t.bc_plans.(rank) with Some p -> Bc.run p g | None -> ()
 
 (* One full exchange = the communication window of a timestep: the span
    covers pack, transfer and unpack for every rank and direction. *)
 let exchange_state t ~dt =
   let ts_win = Msc_trace.begin_span t.trace in
-  let periodic = Bc.equal t.bc Bc.Periodic in
-  let grids = Array.map (fun rt -> Runtime.state rt ~dt) t.runtimes in
-  Halo.exchange ~periodic ~trace:t.trace t.mpi t.decomp ~grids ~width:t.width
-    ~faces_only:t.faces_only;
+  let grids = Array.map (fun rt -> [| Runtime.state rt ~dt |]) t.runtimes in
+  Array.iteri (fun rank p -> Halo.post ~trace:t.trace p grids.(rank)) t.halo_plans;
+  Array.iteri
+    (fun rank p -> Halo.complete ~trace:t.trace p grids.(rank))
+    t.halo_plans;
   (* Refresh the physical faces after the exchange, so reflect corners can
      read freshly exchanged edge data. *)
-  if not periodic then
-    Array.iteri
-      (fun rank g ->
-        let low, high = physical_masks t ~rank in
-        Bc.apply ~low ~high t.bc g)
-      grids;
+  Array.iteri (fun rank g -> refresh_physical t ~rank g.(0)) grids;
   Msc_trace.end_span t.trace "halo.window" ts_win
 
 let create ?(config = Exec.Config.default) ?net ?schedule
@@ -231,6 +251,9 @@ let create ?(config = Exec.Config.default) ?net ?schedule
         phases.(rank) <- Plan.split_tasks ~core_lo ~core_hi sub_tasks.(rank).(0);
         rt)
   in
+  let halo_plans, bc_plans =
+    comm_plans ~bc mpi decomp ~width ~faces_only runtimes
+  in
   let t =
     {
       stencil = st;
@@ -250,6 +273,8 @@ let create ?(config = Exec.Config.default) ?net ?schedule
       reducers = None;
       depth;
       pool;
+      halo_plans;
+      bc_plans;
       phases;
       sub_tasks;
       block_pos = 0;
@@ -385,6 +410,9 @@ let create_graph ?(config = Exec.Config.default) ?net ?schedule
           Plan.split_tasks ~core_lo ~core_hi (Runtime.graph_stage_tasks rt 0);
         rt)
   in
+  let halo_plans, bc_plans =
+    comm_plans ~bc mpi decomp ~width ~faces_only runtimes
+  in
   let t =
     {
       stencil = (G.output_stage graph).G.stencil;
@@ -404,6 +432,8 @@ let create_graph ?(config = Exec.Config.default) ?net ?schedule
       reducers = None;
       depth = 1;
       pool;
+      halo_plans;
+      bc_plans;
       phases;
       sub_tasks = Array.make nranks [||];
       block_pos = 0;
@@ -505,19 +535,12 @@ let bulk_step t =
    sweep then counts against every message's latency, even when the pool's
    workers time-slice a single core. *)
 let overlapped_step t =
-  let periodic = Bc.equal t.bc Bc.Periodic in
   let n = Array.length t.runtimes in
-  let recvs = Array.make n [] in
-  (* Phase A: pack and post every rank's sends and receives. *)
+  (* Phase A: pack and post every rank's sends. *)
   Msc_util.Domain_pool.parallel_chunks t.pool ~lo:0 ~hi:n
     (fun ~worker:_ rank ->
-      let rt = t.runtimes.(rank) in
-      let grid = Runtime.state rt ~dt:1 in
-      Halo.post_sends ~periodic ~trace:t.trace t.mpi t.decomp ~rank ~grid
-        ~width:t.width ~faces_only:t.faces_only;
-      recvs.(rank) <-
-        Halo.post_recvs ~periodic t.mpi t.decomp ~rank
-          ~faces_only:t.faces_only);
+      Halo.post ~trace:t.trace t.halo_plans.(rank)
+        [| Runtime.state t.runtimes.(rank) ~dt:1 |]);
   (* Phase B: hide stage 0's interior sub-sweep behind the in-flight
      messages. *)
   Msc_util.Domain_pool.parallel_chunks t.pool ~lo:0 ~hi:n
@@ -534,12 +557,8 @@ let overlapped_step t =
     (fun ~worker:_ rank ->
       let rt = t.runtimes.(rank) in
       let grid = Runtime.state rt ~dt:1 in
-      Halo.complete_recvs ~trace:t.trace t.mpi ~rank ~grid ~width:t.width
-        recvs.(rank);
-      if not periodic then begin
-        let low, high = physical_masks t ~rank in
-        Bc.apply ~low ~high t.bc grid
-      end;
+      Halo.complete ~trace:t.trace t.halo_plans.(rank) [| grid |];
+      refresh_physical t ~rank grid;
       let _, shell = t.phases.(rank) in
       let ts = Msc_trace.begin_span t.trace in
       Runtime.sweep_graph_stage rt 0 shell;
@@ -577,7 +596,7 @@ let temporal_step t =
     Array.init w (fun i -> Runtime.state t.runtimes.(rank) ~dt:(i + 1))
   in
   let finish_masked rank =
-    let low, high = physical_masks t ~rank in
+    let low, high = physical_masks t.decomp ~rank in
     if periodic then begin
       Array.fill low 0 (Array.length low) false;
       Array.fill high 0 (Array.length high) false
@@ -585,16 +604,11 @@ let temporal_step t =
     Runtime.finish_step ~low ~high t.runtimes.(rank)
   in
   if s = 0 then begin
-    let recvs = Array.make n [] in
     (* Phase A: pack and post the deep sends (every retained state's
-       [k * radius] slab in one message per neighbour) and the receives. *)
+       [k * radius] slab in one message per neighbour). *)
     Msc_util.Domain_pool.parallel_chunks t.pool ~lo:0 ~hi:n
       (fun ~worker:_ rank ->
-        Halo.post_sends_deep ~periodic ~trace:t.trace t.mpi t.decomp ~rank
-          ~grids:(states rank) ~width:t.width ~faces_only:t.faces_only;
-        recvs.(rank) <-
-          Halo.post_recvs ~periodic t.mpi t.decomp ~rank
-            ~faces_only:t.faces_only);
+        Halo.post ~trace:t.trace t.halo_plans.(rank) (states rank));
     (* Phase B: hide the halo-free core of substep 0 behind the exchange. *)
     Msc_util.Domain_pool.parallel_chunks t.pool ~lo:0 ~hi:n
       (fun ~worker:_ rank ->
@@ -609,12 +623,8 @@ let temporal_step t =
       (fun ~worker:_ rank ->
         let rt = t.runtimes.(rank) in
         let grids = states rank in
-        Halo.complete_recvs_deep ~trace:t.trace t.mpi ~rank ~grids
-          ~width:t.width recvs.(rank);
-        if not periodic then begin
-          let low, high = physical_masks t ~rank in
-          Array.iter (fun g -> Bc.apply ~low ~high t.bc g) grids
-        end;
+        Halo.complete ~trace:t.trace t.halo_plans.(rank) grids;
+        Array.iter (refresh_physical t ~rank) grids;
         let _, shell = t.phases.(rank) in
         let ts = Msc_trace.begin_span t.trace in
         Runtime.sweep_tasks rt shell;

@@ -52,8 +52,10 @@ val create :
     {e global} coordinate to the initial value (all past states share it;
     default {!Msc_exec.Runtime.default_init}); [aux_init] likewise gives the
     static coefficient grids as a global closed form (each rank fills its
-    slab halo-included, no exchange needed). Initial halo exchanges run for
-    every retained state.
+    slab halo-included, no exchange needed). Each rank's halo traffic
+    ({!Halo.plan}) and physical-face boundary refresh ({!Msc_exec.Bc.compile})
+    are compiled here, once; initial halo exchanges then run for every
+    retained state.
 
     [config] carries all three execution knobs. [config.engine] (default
     [Overlapped]) selects the stepping protocol; all engines produce
@@ -67,8 +69,10 @@ val create :
     the overlap window measurable in wall-clock traces.
 
     [trace] instruments every rank's local runtime (spans tagged with the
-    rank as [tid]), each halo pack/exchange/unpack, a ["halo.window"] span
-    over each bulk exchange, and — in the overlapped engine — a
+    rank as [tid]), each rank's halo traffic (one ["halo.pack"],
+    ["halo.exchange"] and ["halo.unpack"] span and one ["halo.bytes"]
+    counter per rank per exchange, see {!Halo.post}), a ["halo.window"]
+    span over each bulk exchange, and — in the overlapped engine — a
     ["halo.overlap"] span per rank over the interior sub-sweep (the window
     the exchange hides behind) plus a ["halo.shell"] span over the
     boundary sub-sweep; the temporal engine adds a ["halo.substep"] span

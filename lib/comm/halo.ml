@@ -16,226 +16,183 @@ let region (g : Grid.t) ~dir ~width ~side =
       | 1, `Outer -> (n, n + w)
       | _ -> invalid_arg "Halo.region: direction entries must be -1/0/1")
 
-let region_extents g ~dir ~width =
-  Array.map (fun (lo, hi) -> hi - lo) (region g ~dir ~width ~side:`Inner)
-
 let payload_elems g ~dir ~width =
-  Array.fold_left ( * ) 1 (region_extents g ~dir ~width)
+  Array.fold_left (fun acc (lo, hi) -> acc * (hi - lo)) 1
+    (region g ~dir ~width ~side:`Inner)
 
-let iter_region g ranges fn =
-  let nd = Grid.ndim g in
-  let coord = Array.make nd 0 in
-  let rec go d =
-    if d = nd then fn coord
-    else begin
-      let lo, hi = ranges.(d) in
-      for k = lo to hi - 1 do
-        coord.(d) <- k;
-        go (d + 1)
-      done
-    end
-  in
-  go 0
-
-(* Walk a slab one contiguous innermost run at a time: [row base len] gets
-   the flat index of the run's first element. The innermost dimension has
-   stride 1 by construction, so the per-element work inside a run is just
-   the float<->LE conversion — no coordinate arithmetic. *)
-let iter_region_rows (g : Grid.t) ranges row =
+(* A slab as flat [| off0; len0; off1; len1; ... |] runs over the grid's
+   data, in row-major slab order (the payload order). The innermost
+   dimension has stride 1, so each row of the slab is one run; a run that
+   starts where the previous one ends extends it. *)
+let runs (g : Grid.t) ranges =
   let nd = Grid.ndim g in
   let last = nd - 1 in
+  let h = g.Grid.halo and strides = g.Grid.strides in
   let lo_last, hi_last = ranges.(last) in
   let len = hi_last - lo_last in
-  if len > 0 then begin
-    let coord = Array.map fst ranges in
-    let base_of () =
-      let acc = ref 0 in
-      for d = 0 to nd - 1 do
-        acc := !acc + ((coord.(d) + g.Grid.halo.(d)) * g.Grid.strides.(d))
-      done;
-      !acc
-    in
-    let rec go d =
-      if d = last then row (base_of ()) len
-      else begin
-        let lo, hi = ranges.(d) in
-        for k = lo to hi - 1 do
-          coord.(d) <- k;
-          go (d + 1)
-        done
-      end
-    in
-    go 0
-  end
+  let acc = ref [] in
+  let rec go d off =
+    if d = last then begin
+      let base = off + lo_last + h.(last) in
+      match !acc with
+      | (o, l) :: rest when o + l = base -> acc := (o, l + len) :: rest
+      | _ -> acc := (base, len) :: !acc
+    end
+    else
+      let lo, hi = ranges.(d) in
+      for k = lo to hi - 1 do
+        go (d + 1) (off + ((k + h.(d)) * strides.(d)))
+      done
+  in
+  if len > 0 then go 0 0;
+  Array.of_list (List.concat_map (fun (o, l) -> [ o; l ]) (List.rev !acc))
 
-let pack g ~dir ~width =
-  let ranges = region g ~dir ~width ~side:`Inner in
-  let elems = payload_elems g ~dir ~width in
-  let buf = Bytes.create (8 * elems) in
-  let data = g.Grid.data in
+(* Payloads are float64 little-endian. Sizes are checked once per payload,
+   so the per-element accesses skip the bounds check. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let put buf pos x =
+  if Sys.big_endian then Bytes.set_int64_le buf pos (Int64.bits_of_float x)
+  else set64u buf pos (Int64.bits_of_float x)
+
+let take buf pos =
+  if Sys.big_endian then Int64.float_of_bits (Bytes.get_int64_le buf pos)
+  else Int64.float_of_bits (get64u buf pos)
+
+(* One neighbour: the resolved endpoints, both slabs as runs, and the
+   per-grid payload size. The neighbour's slab toward us spans the same
+   extents as ours toward it (the two ranks differ only along the
+   dimensions [dir] crosses, where both slabs are [width] thick), so the
+   payload received on a link is recycled as the next one sent on it:
+   buffers ping-pong between neighbours and a steady-state exchange
+   allocates no payloads. Ownership stays exclusive — a buffer is packed only
+   after its receiver has unpacked it. *)
+type link = {
+  port : Mpi_sim.port;  (* to the neighbour at [dir], tag = [dir]'s index *)
+  slot : Mpi_sim.slot;  (* from the neighbour at [dir], tag = [-dir]'s *)
+  inner : int array;
+  outer : int array;
+  elems : int;
+  mutable buf : Bytes.t;  (* last payload received, reused by [post] *)
+}
+
+type plan = {
+  mpi : Mpi_sim.t;
+  rank : int;
+  shape : int array;
+  halo : int array;
+  links : link array;
+}
+
+let plan ?periodic mpi (decomp : Decomp.t) ~rank ~(grid : Grid.t) ~width
+    ~faces_only =
+  let nd = Array.length decomp.Decomp.global in
+  let links =
+    List.filter_map
+      (fun dir ->
+        match Decomp.neighbor ?periodic decomp ~rank ~dir with
+        | None -> None
+        | Some nb ->
+            let opposite = Array.map (fun v -> -v) dir in
+            Some
+              {
+                port =
+                  Mpi_sim.send_port mpi ~src:rank ~dst:nb
+                    ~tag:(Decomp.dir_index ~ndim:nd dir);
+                slot =
+                  Mpi_sim.recv_slot mpi ~dst:rank ~src:nb
+                    ~tag:(Decomp.dir_index ~ndim:nd opposite);
+                inner = runs grid (region grid ~dir ~width ~side:`Inner);
+                outer = runs grid (region grid ~dir ~width ~side:`Outer);
+                elems = payload_elems grid ~dir ~width;
+                buf = Bytes.empty;
+              })
+      (Decomp.directions ~ndim:nd ~faces_only)
+  in
+  {
+    mpi;
+    rank;
+    shape = Array.copy grid.Grid.shape;
+    halo = Array.copy grid.Grid.halo;
+    links = Array.of_list links;
+  }
+
+let check p (grids : Grid.t array) name =
+  for i = 0 to Array.length grids - 1 do
+    let g = grids.(i) in
+    if g.Grid.shape <> p.shape || g.Grid.halo <> p.halo then
+      invalid_arg
+        ("Halo." ^ name ^ ": the grid's shape or halo differs from the plan's")
+  done
+
+(* Plain loops throughout: a closure over the payload cursor would put it
+   on the heap. *)
+let pack l (grids : Grid.t array) =
+  let size = 8 * l.elems * Array.length grids in
+  let buf = if Bytes.length l.buf = size then l.buf else Bytes.create size in
+  l.buf <- Bytes.empty;
   let pos = ref 0 in
-  iter_region_rows g ranges (fun base len ->
+  for i = 0 to Array.length grids - 1 do
+    let data = grids.(i).Grid.data in
+    for r = 0 to (Array.length l.inner / 2) - 1 do
+      let off = l.inner.(2 * r) and len = l.inner.((2 * r) + 1) in
       let p = !pos in
       for c = 0 to len - 1 do
-        Bytes.set_int64_le buf
-          (p + (8 * c))
-          (Int64.bits_of_float (Array.unsafe_get data (base + c)))
+        put buf (p + (8 * c)) (Array.unsafe_get data (off + c))
       done;
-      pos := p + (8 * len));
+      pos := p + (8 * len)
+    done
+  done;
   buf
 
-let unpack g ~dir ~width payload =
-  let ranges = region g ~dir ~width ~side:`Outer in
-  let elems = payload_elems g ~dir ~width in
-  if Bytes.length payload <> 8 * elems then
-    invalid_arg
-      (Printf.sprintf "Halo.unpack: payload %d B but slab needs %d B"
-         (Bytes.length payload) (8 * elems));
-  let data = g.Grid.data in
-  let pos = ref 0 in
-  iter_region_rows g ranges (fun base len ->
-      let p = !pos in
-      for c = 0 to len - 1 do
-        Array.unsafe_set data (base + c)
-          (Int64.float_of_bits (Bytes.get_int64_le payload (p + (8 * c))))
-      done;
-      pos := p + (8 * len))
-
-(* The original coordinate-at-a-time implementations, retained as the
-   reference the row-based pack/unpack are property-tested against. *)
-
-let pack_naive g ~dir ~width =
-  let ranges = region g ~dir ~width ~side:`Inner in
-  let elems = payload_elems g ~dir ~width in
-  let buf = Bytes.create (8 * elems) in
-  let pos = ref 0 in
-  iter_region g ranges (fun coord ->
-      Bytes.set_int64_le buf !pos (Int64.bits_of_float (Grid.get g coord));
-      pos := !pos + 8);
-  buf
-
-let unpack_naive g ~dir ~width payload =
-  let ranges = region g ~dir ~width ~side:`Outer in
-  let elems = payload_elems g ~dir ~width in
-  if Bytes.length payload <> 8 * elems then
-    invalid_arg
-      (Printf.sprintf "Halo.unpack: payload %d B but slab needs %d B"
-         (Bytes.length payload) (8 * elems));
-  let pos = ref 0 in
-  iter_region g ranges (fun coord ->
-      Grid.set g coord (Int64.float_of_bits (Bytes.get_int64_le payload !pos));
-      pos := !pos + 8)
-
-(* Deep-halo variants: one message per neighbour carries the [k * radius]
-   slab of {e every} retained state (dt = 1 first, then dt = 2, ...), so a
-   depth-k temporal block pays one latency per neighbour instead of k. *)
-
-let pack_multi grids ~dir ~width =
-  Bytes.concat Bytes.empty
-    (List.map (fun g -> pack g ~dir ~width) (Array.to_list grids))
-
-let unpack_multi grids ~dir ~width payload =
-  let per = 8 * payload_elems grids.(0) ~dir ~width in
+let unpack l (grids : Grid.t array) payload =
+  let per = 8 * l.elems in
   if Bytes.length payload <> per * Array.length grids then
     invalid_arg
-      (Printf.sprintf "Halo.unpack_multi: payload %d B but %d slabs of %d B"
+      (Printf.sprintf "Halo.complete: payload %d B but %d slabs of %d B"
          (Bytes.length payload) (Array.length grids) per);
-  Array.iteri
-    (fun i g -> unpack g ~dir ~width (Bytes.sub payload (i * per) per))
-    grids
-
-(* The tag is the sender's direction, so the receiver matches on the
-   opposite one. *)
-let post_sends ?periodic ?(trace = Msc_trace.disabled) mpi (decomp : Decomp.t)
-    ~rank ~grid ~width ~faces_only =
-  let nd = Array.length decomp.Decomp.global in
-  (* One wall-clock read stamps the rank's whole direction fan, and the
-     freshly packed slab is handed over rather than copied. *)
-  let now = Mpi_sim.clock mpi in
-  List.iter
-    (fun dir ->
-      match Decomp.neighbor ?periodic decomp ~rank ~dir with
-      | None -> ()
-      | Some nb ->
-          let ts_pack = Msc_trace.begin_span trace in
-          let payload = pack grid ~dir ~width in
-          Msc_trace.end_span ~tid:rank trace "halo.pack" ts_pack;
-          Msc_trace.add ~tid:rank trace "halo.bytes"
-            (float_of_int (Bytes.length payload));
-          let ts_send = Msc_trace.begin_span trace in
-          Mpi_sim.isend_owned ?now mpi ~src:rank ~dst:nb
-            ~tag:(Decomp.dir_index ~ndim:nd dir) payload;
-          Msc_trace.end_span ~tid:rank trace "halo.exchange" ts_send)
-    (Decomp.directions ~ndim:nd ~faces_only)
-
-let post_sends_deep ?periodic ?(trace = Msc_trace.disabled) mpi
-    (decomp : Decomp.t) ~rank ~grids ~width ~faces_only =
-  let nd = Array.length decomp.Decomp.global in
-  let now = Mpi_sim.clock mpi in
-  List.iter
-    (fun dir ->
-      match Decomp.neighbor ?periodic decomp ~rank ~dir with
-      | None -> ()
-      | Some nb ->
-          let ts_pack = Msc_trace.begin_span trace in
-          let payload = pack_multi grids ~dir ~width in
-          Msc_trace.end_span ~tid:rank trace "halo.pack" ts_pack;
-          Msc_trace.add ~tid:rank trace "halo.bytes"
-            (float_of_int (Bytes.length payload));
-          let ts_send = Msc_trace.begin_span trace in
-          Mpi_sim.isend_owned ?now mpi ~src:rank ~dst:nb
-            ~tag:(Decomp.dir_index ~ndim:nd dir) payload;
-          Msc_trace.end_span ~tid:rank trace "halo.exchange" ts_send)
-    (Decomp.directions ~ndim:nd ~faces_only)
-
-let post_recvs ?periodic mpi (decomp : Decomp.t) ~rank ~faces_only =
-  let nd = Array.length decomp.Decomp.global in
-  List.filter_map
-    (fun dir ->
-      let opposite = Array.map (fun v -> -v) dir in
-      match Decomp.neighbor ?periodic decomp ~rank ~dir with
-      | None -> None
-      | Some nb ->
-          Some
-            ( dir,
-              Mpi_sim.irecv mpi ~dst:rank ~src:nb
-                ~tag:(Decomp.dir_index ~ndim:nd opposite) ))
-    (Decomp.directions ~ndim:nd ~faces_only)
-
-let complete_recvs ?timeout_s ?(trace = Msc_trace.disabled) mpi ~rank ~grid
-    ~width recvs =
-  List.iter
-    (fun (dir, req) ->
-      let ts_recv = Msc_trace.begin_span trace in
-      let payload = Mpi_sim.wait ?timeout_s mpi req in
-      Msc_trace.end_span ~tid:rank trace "halo.exchange" ts_recv;
-      let ts_unpack = Msc_trace.begin_span trace in
-      unpack grid ~dir ~width payload;
-      Msc_trace.end_span ~tid:rank trace "halo.unpack" ts_unpack)
-    recvs
-
-let complete_recvs_deep ?timeout_s ?(trace = Msc_trace.disabled) mpi ~rank
-    ~grids ~width recvs =
-  List.iter
-    (fun (dir, req) ->
-      let ts_recv = Msc_trace.begin_span trace in
-      let payload = Mpi_sim.wait ?timeout_s mpi req in
-      Msc_trace.end_span ~tid:rank trace "halo.exchange" ts_recv;
-      let ts_unpack = Msc_trace.begin_span trace in
-      unpack_multi grids ~dir ~width payload;
-      Msc_trace.end_span ~tid:rank trace "halo.unpack" ts_unpack)
-    recvs
-
-let exchange ?periodic ?trace mpi (decomp : Decomp.t) ~grids ~width ~faces_only =
-  let nranks = Decomp.(decomp.nranks) in
-  assert (Array.length grids = nranks);
-  (* Phase 1: every rank posts all its sends (MPI_Isend). *)
-  for rank = 0 to nranks - 1 do
-    post_sends ?periodic ?trace mpi decomp ~rank ~grid:grids.(rank) ~width
-      ~faces_only
-  done;
-  (* Phase 2: every rank completes its receives (MPI_Irecv + MPI_Wait). *)
-  for rank = 0 to nranks - 1 do
-    let recvs = post_recvs ?periodic mpi decomp ~rank ~faces_only in
-    complete_recvs ?trace mpi ~rank ~grid:grids.(rank) ~width recvs
+  let pos = ref 0 in
+  for i = 0 to Array.length grids - 1 do
+    let data = grids.(i).Grid.data in
+    for r = 0 to (Array.length l.outer / 2) - 1 do
+      let off = l.outer.(2 * r) and len = l.outer.((2 * r) + 1) in
+      let p = !pos in
+      for c = 0 to len - 1 do
+        Array.unsafe_set data (off + c) (take payload (p + (8 * c)))
+      done;
+      pos := p + (8 * len)
+    done
   done
+
+let post ?(trace = Msc_trace.disabled) p grids =
+  check p grids "post";
+  (* One wall-clock read stamps the rank's whole direction fan, and each
+     packed payload is handed over rather than copied. *)
+  let now = Mpi_sim.clock p.mpi in
+  let ts = Msc_trace.begin_span trace in
+  let bytes = ref 0 in
+  for i = 0 to Array.length p.links - 1 do
+    let l = p.links.(i) in
+    let payload = pack l grids in
+    bytes := !bytes + Bytes.length payload;
+    Mpi_sim.port_send ?now l.port payload
+  done;
+  Msc_trace.end_span ~tid:p.rank trace "halo.pack" ts;
+  if Msc_trace.enabled trace then
+    Msc_trace.add ~tid:p.rank trace "halo.bytes" (float_of_int !bytes)
+
+let complete ?timeout_s ?(trace = Msc_trace.disabled) p grids =
+  check p grids "complete";
+  let ts = Msc_trace.begin_span trace in
+  for i = 0 to Array.length p.links - 1 do
+    let l = p.links.(i) in
+    l.buf <- Mpi_sim.slot_wait ?timeout_s l.slot
+  done;
+  Msc_trace.end_span ~tid:p.rank trace "halo.exchange" ts;
+  let ts = Msc_trace.begin_span trace in
+  for i = 0 to Array.length p.links - 1 do
+    let l = p.links.(i) in
+    unpack l grids l.buf
+  done;
+  Msc_trace.end_span ~tid:p.rank trace "halo.unpack" ts

@@ -1,144 +1,60 @@
-(** Halo packing/unpacking and the asynchronous exchange protocol
-    (§4.4, Figure 6b/c).
+(** Compiled halo exchange (§4.4, Figure 6b/c).
 
     The sub-tensor is dissected into the inner halo region (data sent to
     neighbours), the outer halo region (data received from neighbours), and
-    the inner region. Payloads are serialised into byte buffers (float64
-    little-endian), moved through {!Mpi_sim}, and unpacked on the receiving
-    side. *)
+    the inner region. A rank's traffic is compiled once into a {!plan}:
+    for every direction that has a neighbour, the resolved {!Mpi_sim}
+    endpoints and both slabs as flat [(offset, length)] runs over the
+    grid's data. Each exchange then packs one float64 little-endian
+    payload per neighbour, moves it through the mailbox, and unpacks it on
+    the receiving side, with no lookup or allocation beyond the payloads.
 
-val region_extents : Msc_exec.Grid.t -> dir:int array -> width:int array -> int array
-(** Extent of the (inner or outer) halo slab toward [dir]. *)
-
-val pack : Msc_exec.Grid.t -> dir:int array -> width:int array -> Bytes.t
-(** Serialise the inner halo slab facing [dir] (the data a neighbour at [dir]
-    needs). [width] is the exchange width per dimension (the stencil
-    radius). The slab is walked one contiguous innermost run at a time, so
-    per-element cost is just the float64-LE conversion. *)
-
-val unpack : Msc_exec.Grid.t -> dir:int array -> width:int array -> Bytes.t -> unit
-(** Write a received payload into the outer halo slab toward [dir].
-    @raise Invalid_argument if the payload size mismatches the slab. *)
-
-val pack_naive : Msc_exec.Grid.t -> dir:int array -> width:int array -> Bytes.t
-(** Coordinate-at-a-time reference implementation of {!pack}, retained so
-    the row-based path stays property-tested against it. *)
-
-val unpack_naive :
-  Msc_exec.Grid.t -> dir:int array -> width:int array -> Bytes.t -> unit
-(** Reference implementation of {!unpack} (see {!pack_naive}). *)
+    A message's tag is the {e sender's} direction index
+    ({!Decomp.dir_index}), so a receiver matches on the opposite direction.
+    One exchange = every rank runs {!post}, then — after any computation it
+    wants to hide behind the in-flight messages — {!complete}. Every send
+    must be posted before any rank completes; the distributed runtime
+    guarantees this with a pool barrier between its phases. *)
 
 val payload_elems : Msc_exec.Grid.t -> dir:int array -> width:int array -> int
+(** Elements of one grid's slab toward [dir] ([width] is the exchange
+    width per dimension). *)
 
-val pack_multi :
-  Msc_exec.Grid.t array -> dir:int array -> width:int array -> Bytes.t
-(** Concatenation of {!pack} over several same-geometry grids (the retained
-    states of a time window, dt = 1 first): the deep-halo temporal engine
-    ships one [k * radius]-wide slab of every state per neighbour in a
-    single message, paying one latency per neighbour per depth-[k] block. *)
+type plan
+(** One rank's compiled exchange for grids of one shape and halo. *)
 
-val unpack_multi :
-  Msc_exec.Grid.t array -> dir:int array -> width:int array -> Bytes.t -> unit
-(** Split a {!pack_multi} payload into equal per-state slabs and {!unpack}
-    each into the matching grid.
-    @raise Invalid_argument if the payload size mismatches. *)
-
-(** {1 Split protocol (the overlapped engine's phases)}
-
-    One exchange = every rank runs {!post_sends} (and usually {!post_recvs}),
-    then — after any computation it wants to hide behind the in-flight
-    messages — {!complete_recvs}. All sends must be posted before any rank
-    completes its receives; the distributed runtime guarantees this with a
-    pool barrier between its phases. *)
-
-val post_sends :
+val plan :
   ?periodic:bool ->
-  ?trace:Msc_trace.t ->
   Mpi_sim.t ->
   Decomp.t ->
   rank:int ->
   grid:Msc_exec.Grid.t ->
   width:int array ->
   faces_only:bool ->
-  unit
-(** Pack and post one rank's sends for every exchange direction (MPI_Isend).
-    The message tag is the {e sender's} direction index, so the receiver
-    matches on the opposite direction. Records ["halo.pack"] spans, a
-    ["halo.bytes"] counter and a ["halo.exchange"] span per posted send,
-    all tagged with [rank] as [tid]. *)
+  plan
+(** Compile [rank]'s exchange for grids shaped like [grid]: one link per
+    direction of {!Decomp.directions} that has a neighbour (with
+    [periodic], every direction, wrapping around the process grid, self
+    included). *)
 
-val post_sends_deep :
-  ?periodic:bool ->
-  ?trace:Msc_trace.t ->
-  Mpi_sim.t ->
-  Decomp.t ->
-  rank:int ->
-  grids:Msc_exec.Grid.t array ->
-  width:int array ->
-  faces_only:bool ->
-  unit
-(** {!post_sends} with a {!pack_multi} payload: one message per neighbour
-    carrying the [width]-wide slab of every grid in [grids]. Same tagging
-    and trace spans. *)
+val post : ?trace:Msc_trace.t -> plan -> Msc_exec.Grid.t array -> unit
+(** Pack and send one payload per neighbour (MPI_Isend): the inner slab of
+    every grid, concatenated in order — [[|state|]] for the bulk and
+    overlapped engines, every retained state (dt = 1 first) for the
+    temporal engine, so a depth-[k] block pays one latency per neighbour.
+    Records one ["halo.pack"] span and one ["halo.bytes"] counter, tagged
+    with the rank as [tid].
+    @raise Invalid_argument if a grid's shape or halo differs from the
+    plan's. *)
 
-val post_recvs :
-  ?periodic:bool ->
-  Mpi_sim.t ->
-  Decomp.t ->
-  rank:int ->
-  faces_only:bool ->
-  (int array * Mpi_sim.request) list
-(** Post one rank's receives (MPI_Irecv): one request per direction that has
-    a neighbour, paired with the direction whose outer slab the payload
-    belongs to. *)
-
-val complete_recvs :
-  ?timeout_s:float ->
-  ?trace:Msc_trace.t ->
-  Mpi_sim.t ->
-  rank:int ->
-  grid:Msc_exec.Grid.t ->
-  width:int array ->
-  (int array * Mpi_sim.request) list ->
-  unit
-(** Wait out each posted receive (simulated in-flight latency included) and
-    unpack its payload into the matching outer halo slab. Records a
-    ["halo.exchange"] span per completion and ["halo.unpack"] spans, tagged
-    with [rank].
-    @raise Mpi_sim.Deadlock when a matching send never arrives within
+val complete :
+  ?timeout_s:float -> ?trace:Msc_trace.t -> plan -> Msc_exec.Grid.t array -> unit
+(** Wait out every neighbour's payload (simulated in-flight latency
+    included), then unpack each into the outer slabs of [grids] (the same
+    grids, in the same order, the neighbours posted). Records one
+    ["halo.exchange"] span over the waits and one ["halo.unpack"] span,
+    tagged with the rank.
+    @raise Invalid_argument on a grid geometry mismatch or a payload whose
+    size is not one slab per grid.
+    @raise Mpi_sim.Deadlock when a neighbour's send never arrives within
     [timeout_s] (a neighbour/tag bug). *)
-
-val complete_recvs_deep :
-  ?timeout_s:float ->
-  ?trace:Msc_trace.t ->
-  Mpi_sim.t ->
-  rank:int ->
-  grids:Msc_exec.Grid.t array ->
-  width:int array ->
-  (int array * Mpi_sim.request) list ->
-  unit
-(** {!complete_recvs} for {!pack_multi} payloads: each completed message is
-    split into per-state slabs and unpacked into every grid of [grids]
-    (same order as the sender's {!post_sends_deep}). *)
-
-val exchange :
-  ?periodic:bool ->
-  ?trace:Msc_trace.t ->
-  Mpi_sim.t ->
-  Decomp.t ->
-  grids:Msc_exec.Grid.t array ->
-  width:int array ->
-  faces_only:bool ->
-  unit
-(** One complete bulk-synchronous halo exchange of the given per-rank state:
-    every rank posts all its sends, then all receives complete (the
-    MPI_Isend / MPI_Irecv pattern of Figure 6c) — {!post_sends} then
-    {!post_recvs}/{!complete_recvs} over all ranks, with no compute in
-    between. Physical-boundary slabs are left untouched unless [periodic],
-    in which case they wrap around the process grid (self-sends included).
-
-    [trace] records, per message and tagged with the owning rank as [tid]:
-    ["halo.pack"] / ["halo.unpack"] spans around serialisation, a
-    ["halo.exchange"] span around each send post and receive completion,
-    and a ["halo.bytes"] counter of payload volume. *)
-

@@ -241,9 +241,9 @@ let take_now ch =
 let latency_of t net bytes =
   Mutex.lock t.lat_lock;
   let lat =
-    match Hashtbl.find_opt t.lat_memo bytes with
-    | Some l -> l
-    | None ->
+    match Hashtbl.find t.lat_memo bytes with
+    | l -> l
+    | exception Not_found ->
         let l = Netmodel.message_time net ~nranks:t.nranks ~bytes in
         Hashtbl.add t.lat_memo bytes l;
         l
@@ -311,13 +311,25 @@ let backlog_of t =
     t.mailboxes;
   List.sort compare !acc
 
-(* A blocked receive re-polls its channel at a fine interval (the OCaml
-   stdlib has no timed condition wait) both to observe late sends from
-   other domains and to enforce the deadlock timeout. The poll period only
-   bounds the timeout's resolution: a message that is already queued
-   completes on the first probe — without ever reading the clock for the
-   deadline — and a queued-but-in-flight message completes exactly at its
-   arrival time via one sleep. *)
+(* How a blocked receive spends the time until its next probe. A message
+   that is posted but still in flight has a known arrival: sleep toward it
+   (waking [spin_window] early, since a nap can overshoot by tens of
+   microseconds) and spin the rest with [Domain.cpu_relax], so it
+   completes at its arrival rather than a whole nap later. A missing
+   message has no arrival: poll every 0.2 ms at first, backing off to
+   2 ms, which bounds the deadlock timeout's resolution. *)
+type delay = Spin | Sleep of float
+
+let spin_window = 1e-4
+
+let wait_delay ~waited ~remaining =
+  if remaining = infinity then Sleep (Float.min 2e-3 (Float.max 2e-4 waited))
+  else if remaining <= spin_window then Spin
+  else Sleep (remaining -. spin_window)
+
+(* A message that is already queued completes on the first probe, without
+   reading the clock for the deadline. Only a missing message can time
+   out: an in-flight one always arrives. *)
 let wait_chan ?(timeout_s = 1.0) t ~dst ch =
   let first = take_now ch in
   if first != no_msg then first
@@ -328,9 +340,6 @@ let wait_chan ?(timeout_s = 1.0) t ~dst ch =
       let payload = take_now ch in
       if payload != no_msg then payload
       else begin
-        (* Missing entirely, or posted but still in flight: sleep toward
-           the earliest of its arrival, the timeout, and the poll
-           period. *)
         let ha = head_arrival ch in
         let t_now = now () in
         if t_now >= deadline && ha = infinity then
@@ -343,8 +352,9 @@ let wait_chan ?(timeout_s = 1.0) t ~dst ch =
                  waited_s = t_now -. start;
                  backlog = backlog_of t;
                });
-        let nap = Float.min (Float.max (ha -. t_now) 2e-4) 2e-3 in
-        Unix.sleepf nap;
+        (match wait_delay ~waited:(t_now -. start) ~remaining:(ha -. t_now) with
+        | Spin -> Domain.cpu_relax ()
+        | Sleep s -> Unix.sleepf s);
         poll ()
       end
     in

@@ -90,6 +90,17 @@ val wait : ?timeout_s:float -> t -> request -> Bytes.t
     queues that are non-empty. Waiting an already-completed request returns
     its payload again. *)
 
+type delay = Spin | Sleep of float
+
+val wait_delay : waited:float -> remaining:float -> delay
+(** The pacing {!wait} and {!slot_wait} use between probes of a message
+    that has not arrived, [waited] seconds into the wait. [remaining] is
+    the time until the queued head message's arrival, [infinity] when
+    nothing is queued. An in-flight message is waited for exactly:
+    [Sleep] until just before its arrival, then [Spin]
+    ({!Domain.cpu_relax}) through the last 0.1 ms. A missing message is
+    polled with naps of 0.2 ms, growing with [waited] to 2 ms. *)
+
 val allreduce :
   t -> tag:int -> combine:(float -> float -> float) -> float array -> float
 (** [allreduce t ~tag ~combine partials] reduces one scalar per rank

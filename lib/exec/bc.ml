@@ -24,139 +24,159 @@ let check_masks ?low ?high t (g : Grid.t) =
   | Dirichlet _ -> ());
   (low, high)
 
-(* The original per-cell implementation: walk every cell of the padded box,
-   classify its out-of-range dimensions, map them one by one. Kept verbatim
-   as the reference the fast path is parity-tested against (and as the
-   baseline leg of the kernels bench group). *)
-let apply_reference ?low ?high t (g : Grid.t) =
+(* A compiled refresh: run ops over the padded box in ascending
+   destination order, seven ints each:
+   [kind; dst; src; len; count; dst_step; src_step] applies [kind] to the
+   run of [len] cells at [dst] (reading from [src]), [count] times, the
+   r-th time at [dst + r*dst_step] / [src + r*src_step]. *)
+let op_fill = 0 (* the run takes the Dirichlet value *)
+let op_copy = 1 (* ascending copy of [src, src+len) to [dst, dst+len) *)
+let op_reverse = 2 (* cell [dst+k] takes [src-k]: Reflect along the last dim *)
+let op_size = 7
+
+type plan = {
+  shape : int array;
+  halo : int array;
+  value : float;
+  ops : int array;
+}
+
+(* Walk the padded box one row (innermost run) at a time, in memory order.
+   A cell is refreshed iff at least one of its out-of-range dimensions sits
+   on a masked (physical) face. Its source maps every physical-out
+   dimension into the interior (Periodic wraps, Reflect mirrors) and keeps
+   the others, so a source cell is never itself a refreshed cell and the
+   order of the ops is immaterial. Within a row the Lo [-h,0) / In [0,n) /
+   Hi [n,n+h) segments of the last dimension each become one run. A run
+   that continues the previous one on both sides extends it (a Dirichlet
+   face plane is a single fill); a finished run that repeats the one
+   before it at a fixed step folds into its count (the two halo cells
+   between consecutive interior rows: one op per plane of a 3-D grid). *)
+let compile ?low ?high t (g : Grid.t) =
   let nd = Grid.ndim g in
   let low, high = check_masks ?low ?high t g in
-  let coord = Array.make nd 0 in
-  let mapped = Array.make nd 0 in
-  let rec go d =
-    if d = nd then begin
-      (* Classify this cell's out-of-range dimensions. *)
-      let physical_out = ref false and nonphysical_out = ref false in
-      Array.iteri
-        (fun k c ->
-          if c < 0 then
-            if low.(k) then physical_out := true else nonphysical_out := true
-          else if c >= g.Grid.shape.(k) then
-            if high.(k) then physical_out := true else nonphysical_out := true)
-        coord;
-      if !physical_out then begin
-        match t with
-        | Dirichlet v -> Grid.set g coord v
-        | Periodic | Reflect ->
-            let ok = ref true in
-            Array.iteri
-              (fun k c ->
-                let is_physical_out =
-                  (c < 0 && low.(k)) || (c >= g.Grid.shape.(k) && high.(k))
-                in
-                if is_physical_out then begin
-                  match mapped_coord t ~extent:g.Grid.shape.(k) c with
-                  | Some c' -> mapped.(k) <- c'
-                  | None -> ok := false
-                end
-                else mapped.(k) <- c)
-              coord;
-            if !ok then Grid.set g coord (Grid.get g mapped)
-      end
-      else ignore !nonphysical_out
-    end
-    else
-      for c = -g.Grid.halo.(d) to g.Grid.shape.(d) + g.Grid.halo.(d) - 1 do
-        coord.(d) <- c;
-        go (d + 1)
-      done
-  in
-  go 0
-
-(* Fast path. Split each dimension into its Lo [-h,0) / In [0,n) /
-   Hi [n,n+h) segments and enumerate segment combinations; a combination
-   needs work iff at least one dimension sits in a masked (physical) Lo/Hi
-   segment. Within a combination every cell has the same classification, so
-   rows become Array.fill (Dirichlet) or Array.blit (Periodic, and the
-   unmapped-last-dim cases) instead of per-cell coordinate arithmetic —
-   only Reflect along the last dimension copies element-wise (reversed
-   source order).
-
-   Source rows read by Periodic/Reflect have all their physical-out
-   dimensions mapped into the interior and keep the remaining dimensions of
-   the destination cell, so a source cell is never itself a written cell —
-   the copy order is immaterial, exactly as in the reference. *)
-let apply ?low ?high t (g : Grid.t) =
-  let nd = Grid.ndim g in
-  let low, high = check_masks ?low ?high t g in
-  let n = g.Grid.shape and h = g.Grid.halo in
-  let strides = g.Grid.strides and data = g.Grid.data in
+  let n = g.Grid.shape and h = g.Grid.halo and strides = g.Grid.strides in
   let last = nd - 1 in
-  (* Per-dimension segment of the current combination: 0 = Lo, 1 = In,
-     2 = Hi; [phys.(d)] caches whether that segment is masked physical. *)
-  let seg = Array.make nd 1 in
-  let phys = Array.make nd false in
-  let seg_lo d = match seg.(d) with 0 -> -h.(d) | 1 -> 0 | _ -> n.(d) in
-  let seg_len d = match seg.(d) with 1 -> n.(d) | _ -> h.(d) in
+  let ops = ref (Array.make (16 * op_size) 0) and n_ops = ref 0 in
+  (* Fold the last op into the one before it when it repeats that op's
+     run at the same step. *)
+  let fold_last () =
+    let a = !ops and j = op_size * (!n_ops - 2) in
+    let i = j + op_size in
+    if !n_ops >= 2 && a.(j) = a.(i) && a.(j + 3) = a.(i + 3) && a.(i + 4) = 1 then begin
+      let c = a.(j + 4) in
+      let ds = a.(i + 1) - (a.(j + 1) + ((c - 1) * a.(j + 5)))
+      and ss = a.(i + 2) - (a.(j + 2) + ((c - 1) * a.(j + 6))) in
+      if c = 1 || (ds = a.(j + 5) && ss = a.(j + 6)) then begin
+        if c = 1 then begin
+          a.(j + 5) <- ds;
+          a.(j + 6) <- ss
+        end;
+        a.(j + 4) <- c + 1;
+        decr n_ops
+      end
+    end
+  in
+  let emit kind dst src len =
+    let a = !ops and i = op_size * (!n_ops - 1) in
+    if
+      !n_ops > 0
+      && a.(i) = kind
+      && a.(i + 4) = 1
+      && a.(i + 1) + a.(i + 3) = dst
+      && (kind = op_fill
+         || (kind = op_copy && a.(i + 2) + a.(i + 3) = src)
+         || (kind = op_reverse && a.(i + 2) - a.(i + 3) = src))
+    then a.(i + 3) <- a.(i + 3) + len
+    else begin
+      fold_last ();
+      if op_size * (!n_ops + 1) > Array.length !ops then begin
+        let b = Array.make (2 * Array.length !ops) 0 in
+        Array.blit !ops 0 b 0 (Array.length !ops);
+        ops := b
+      end;
+      Array.blit [| kind; dst; src; len; 1; 0; 0 |] 0 !ops (op_size * !n_ops) op_size;
+      incr n_ops
+    end
+  in
   let map_c d c =
     match t with
     | Dirichlet _ -> c
     | Periodic -> if c < 0 then c + n.(d) else if c >= n.(d) then c - n.(d) else c
-    | Reflect ->
-        if c < 0 then -c - 1
-        else if c >= n.(d) then (2 * n.(d)) - c - 1
-        else c
+    | Reflect -> if c < 0 then -c - 1 else if c >= n.(d) then (2 * n.(d)) - c - 1 else c
   in
-  (* [cells] walks the outer dimensions of the current combination,
-     threading the flat offsets of the row start on the destination side
-     and (for Periodic/Reflect) the mapped source side. *)
-  let rec cells d dst_off src_off =
-    if d = last then begin
-      let a = seg_lo last in
-      let len = seg_len last in
-      let dst_base = dst_off + ((a + h.(last)) * strides.(last)) in
+  let hl = h.(last) and nl = n.(last) and sl = strides.(last) in
+  (* One last-dimension segment [a, a+len) of a row. [phys] marks it as a
+     masked face of the last dimension (its source is mapped there too). *)
+  let segment dst_row src_row outer_phys ~phys a len =
+    if len > 0 && (outer_phys || phys) then begin
+      let dst = dst_row + ((a + hl) * sl) in
       match t with
-      | Dirichlet v -> Array.fill data dst_base len v
+      | Dirichlet _ -> emit op_fill dst 0 len
       | Periodic | Reflect ->
-          if not phys.(last) then
-            (* Last dim keeps its coordinates: whole-row copy. *)
-            Array.blit data (src_off + ((a + h.(last)) * strides.(last)))
-              data dst_base len
-          else if t = Periodic then
-            (* [-h,0) shifts to [n-h,n), [n,n+h) to [0,h): contiguous. *)
-            Array.blit data
-              (src_off + ((map_c last a + h.(last)) * strides.(last)))
-              data dst_base len
+          if not phys then emit op_copy dst (src_row + ((a + hl) * sl)) len
           else
-            (* Reflect: ascending destination reads descending source. *)
-            let src_base = src_off + ((map_c last a + h.(last)) * strides.(last)) in
-            for k = 0 to len - 1 do
-              Array.unsafe_set data (dst_base + k)
-                (Array.unsafe_get data (src_base - k))
-            done
+            let src = src_row + ((map_c last a + hl) * sl) in
+            emit (if t = Periodic then op_copy else op_reverse) dst src len
+    end
+  in
+  let rec rows d dst_off src_off outer_phys =
+    if d = last then begin
+      segment dst_off src_off outer_phys ~phys:low.(last) (-hl) hl;
+      segment dst_off src_off outer_phys ~phys:false 0 nl;
+      segment dst_off src_off outer_phys ~phys:high.(last) nl hl
     end
     else
-      let lo = seg_lo d and len = seg_len d in
-      for c = lo to lo + len - 1 do
-        let dst_off = dst_off + ((c + h.(d)) * strides.(d)) in
-        let src_c = if phys.(d) then map_c d c else c in
-        let src_off = src_off + ((src_c + h.(d)) * strides.(d)) in
-        cells (d + 1) dst_off src_off
+      for c = -h.(d) to n.(d) + h.(d) - 1 do
+        let p = (c < 0 && low.(d)) || (c >= n.(d) && high.(d)) in
+        let src_c = if p then map_c d c else c in
+        rows (d + 1)
+          (dst_off + ((c + h.(d)) * strides.(d)))
+          (src_off + ((src_c + h.(d)) * strides.(d)))
+          (outer_phys || p)
       done
   in
-  let rec combos d any_phys =
-    if d = nd then (if any_phys then cells 0 0 0)
-    else
-      for s = 0 to 2 do
-        seg.(d) <- s;
-        let p =
-          match s with 0 -> low.(d) | 2 -> high.(d) | _ -> false
-        in
-        phys.(d) <- p;
-        if seg_len d > 0 then combos (d + 1) (any_phys || p)
-      done
-  in
-  combos 0 false
+  rows 0 0 0 false;
+  fold_last ();
+  {
+    shape = Array.copy n;
+    halo = Array.copy h;
+    value = (match t with Dirichlet v -> v | Periodic | Reflect -> 0.0);
+    ops = Array.sub !ops 0 (op_size * !n_ops);
+  }
+
+let run p (g : Grid.t) =
+  if g.Grid.shape <> p.shape || g.Grid.halo <> p.halo then
+    invalid_arg "Bc.run: the grid's shape or halo differs from the plan's";
+  let data = g.Grid.data and ops = p.ops and v = p.value in
+  for i = 0 to (Array.length ops / op_size) - 1 do
+    let o = op_size * i in
+    let kind = ops.(o) and len = ops.(o + 3) in
+    for r = 0 to ops.(o + 4) - 1 do
+      let dst = ops.(o + 1) + (r * ops.(o + 5))
+      and src = ops.(o + 2) + (r * ops.(o + 6)) in
+      (* Short runs (the seams between rows) stay out of the C fill/blit
+         calls. *)
+      if kind = op_fill then
+        if len > 8 then Array.fill data dst len v
+        else
+          for k = dst to dst + len - 1 do
+            Array.unsafe_set data k v
+          done
+      else if kind = op_copy then
+        if len > 8 then Array.blit data src data dst len
+        else
+          for k = 0 to len - 1 do
+            Array.unsafe_set data (dst + k) (Array.unsafe_get data (src + k))
+          done
+      else
+        for k = 0 to len - 1 do
+          Array.unsafe_set data (dst + k) (Array.unsafe_get data (src - k))
+        done
+    done
+  done
+
+let apply ?low ?high t g = run (compile ?low ?high t g) g
 
 let pp ppf = function
   | Dirichlet v -> Format.fprintf ppf "dirichlet(%g)" v

@@ -16,21 +16,31 @@ type t =
   | Periodic  (** halo cells wrap to the opposite edge *)
   | Reflect  (** halo cells mirror the interior (zero-flux) *)
 
+type plan
+(** A refresh compiled for one (condition, shape, halo, masks): flat run
+    ops over the padded box — fills (Dirichlet), ascending copies and
+    reversed copies (Reflect along the innermost dimension) — with
+    contiguous runs merged, so a Dirichlet face plane is one fill. *)
+
+val compile : ?low:bool array -> ?high:bool array -> t -> Grid.t -> plan
+(** Compile the refresh of the halo cells whose out-of-range dimensions
+    all lie on physical faces, for grids of [g]'s shape and halo.
+    [low]/[high] mark which faces are physical per dimension (default
+    all). Mapping is per-dimension, so edges and corners compose
+    correctly; non-physical out-of-range dimensions are kept as-is (their
+    data comes from a prior exchange). Runs are emitted one innermost row
+    segment at a time, so a 256³ plan builds in milliseconds.
+    @raise Invalid_argument on a mask of the wrong rank, or a Periodic /
+    Reflect halo wider than the interior. *)
+
+val run : plan -> Grid.t -> unit
+(** Execute a compiled refresh in place.
+    @raise Invalid_argument if the grid's shape or halo differs from the
+    one the plan was compiled for. *)
+
 val apply : ?low:bool array -> ?high:bool array -> t -> Grid.t -> unit
-(** Refresh the halo cells whose out-of-range dimensions all lie on physical
-    faces. [low]/[high] mark which faces are physical per dimension (default
-    all). Mapping is per-dimension, so edges and corners compose correctly;
-    non-physical out-of-range dimensions are kept as-is (their data comes
-    from a prior exchange).
-
-    Runs segment-at-a-time: contiguous [Array.fill] / [Array.blit] per halo
-    row rather than a walk of the whole padded box — this pass used to
-    dominate small-grid timesteps. Bit-identical to {!apply_reference}. *)
-
-val apply_reference : ?low:bool array -> ?high:bool array -> t -> Grid.t -> unit
-(** The original cell-at-a-time implementation, kept as the parity
-    reference for {!apply} and as the baseline leg of the kernels bench
-    group. *)
+(** [run (compile ?low ?high t g) g]. Stepping loops compile once and
+    {!run} the plan instead. *)
 
 val mapped_coord : t -> extent:int -> int -> int option
 (** Where one out-of-range coordinate reads from: [None] for Dirichlet

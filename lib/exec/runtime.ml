@@ -117,6 +117,9 @@ type t = {
   window : Grid.t array;  (* length W+1 *)
   aux : (string * Grid.t) list;  (* static coefficient grids *)
   bc : Bc.t;
+  bc_full : Bc.plan;  (* the refresh of every face, compiled once *)
+  mutable bc_masked : ((bool array option * bool array option) * Bc.plan) list;
+      (* one compiled refresh per mask pair [finish_step] has been given *)
   mutable cur : int;  (* index of the newest state (t-1) *)
   mutable steps_done : int;
   buffers : Grid.t array;  (* intermediate stage outputs *)
@@ -184,10 +187,11 @@ let build ~config ~init ~aux_init ~bc ~trace ~tid ~source
     ~stencil stages =
   let geometry = Grid.of_tensor source in
   let window = Array.init (w + 1) (fun _ -> Grid.like geometry) in
+  let bc_full = Bc.compile bc geometry in
   (* Slot w holds the spare; slots 0..w-1 hold states t-1 .. t-w. *)
   for dt = 1 to w do
     Grid.fill window.(w - dt) (init dt);
-    Bc.apply bc window.(w - dt)
+    Bc.run bc_full window.(w - dt)
   done;
   let aux =
     List.map
@@ -322,6 +326,8 @@ let build ~config ~init ~aux_init ~bc ~trace ~tid ~source
     window;
     aux;
     bc;
+    bc_full;
+    bc_masked = [];
     cur = w - 1;
     steps_done = 0;
     buffers;
@@ -585,6 +591,19 @@ let begin_step (_ : t) = ()
 
 let sweep_tasks t tasks = sweep_stage t (output_stage t) tasks
 
+let bc_plan t ?low ?high () =
+  match (low, high) with
+  | None, None -> t.bc_full
+  | _ -> (
+      let key = (low, high) in
+      match List.assoc_opt key t.bc_masked with
+      | Some p -> p
+      | None ->
+          let p = Bc.compile ?low ?high t.bc (output_slot t) in
+          let copy = Option.map Array.copy in
+          t.bc_masked <- ((copy low, copy high), p) :: t.bc_masked;
+          p)
+
 let finish_step ?low ?high t =
   let dst = output_slot t in
   Msc_trace.add ~tid:t.tid t.trace "sweep.points" t.points_per_step;
@@ -595,7 +614,7 @@ let finish_step ?low ?high t =
      under temporal blocking have no physical face at all). *)
   let all_false = function Some m -> Array.for_all not m | None -> false in
   let ts_bc = Msc_trace.begin_span t.trace in
-  if not (all_false low && all_false high) then Bc.apply ?low ?high t.bc dst;
+  if not (all_false low && all_false high) then Bc.run (bc_plan t ?low ?high ()) dst;
   Msc_trace.end_span ~tid:t.tid t.trace "bc.apply" ts_bc;
   let ts_rot = Msc_trace.begin_span t.trace in
   t.cur <- (t.cur + 1) mod Array.length t.window;

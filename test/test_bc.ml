@@ -64,6 +64,21 @@ let wide_halo_rejected_for_wrap () =
   check_bool "halo wider than interior" true
     (try Bc.apply Bc.Periodic g; false with Invalid_argument _ -> true)
 
+(* A compiled refresh is a list of flat offsets for one geometry: running
+   it on a grid with another halo (even with equal interior) or another
+   shape is refused, never silently misaddressed. *)
+let plan_geometry_guard () =
+  let g = Grid.create ~shape:[| 4; 5 |] ~halo:[| 1; 1 |] in
+  let p = Bc.compile Bc.Periodic g in
+  Grid.fill g (fun c -> float_of_int ((c.(0) * 5) + c.(1)));
+  Bc.run p g;
+  check_float "runs on its own geometry" 19.0 (Grid.get g [| -1; -1 |]);
+  let rejects other =
+    try Bc.run p other; false with Invalid_argument _ -> true
+  in
+  check_bool "other halo" true (rejects (Grid.create ~shape:[| 4; 5 |] ~halo:[| 2; 1 |]));
+  check_bool "other shape" true (rejects (Grid.create ~shape:[| 5; 4 |] ~halo:[| 1; 1 |]))
+
 let mapped_coord_cases () =
   check_bool "in range id" true (Bc.mapped_coord Bc.Periodic ~extent:5 2 = Some 2);
   check_bool "dirichlet none" true (Bc.mapped_coord (Bc.Dirichlet 1.0) ~extent:5 (-1) = None);
@@ -202,7 +217,9 @@ let athread_rejects_nontrivial_bc () =
     (try ignore (Codegen.generate ~bc:Bc.Periodic st sched Codegen.Athread); false
      with Invalid_argument _ -> true)
 
-(* --- Property: fast segment-blit apply == per-cell reference walker --- *)
+(* --- Property: compiled run plans == per-cell reference walker ---
+   [Bc.apply] compiles a plan and runs it; the oracle is the
+   cell-at-a-time walker in [Oracles]. *)
 
 let fast_apply_matches_reference =
   qc ~count:200 "Bc.apply == Bc.apply_reference on random geometry"
@@ -235,7 +252,7 @@ let fast_apply_matches_reference =
       fill a;
       fill b;
       Bc.apply ~low ~high bc a;
-      Bc.apply_reference ~low ~high bc b;
+      Oracles.bc_apply ~low ~high bc b;
       a.Grid.data = b.Grid.data)
 
 let bc_property =
@@ -263,6 +280,7 @@ let suites =
         tc "masks" masks_limit_application;
         tc "wide halo rejected" wide_halo_rejected_for_wrap;
         tc "mapped coord" mapped_coord_cases;
+        tc "plan geometry guard" plan_geometry_guard;
         fast_apply_matches_reference;
       ] );
     ( "bc.runtime",

@@ -132,6 +132,45 @@ let mpi_simulated_latency () =
       let elapsed = Unix.gettimeofday () -. t0 in
       check_bool "waited out the latency" true (elapsed >= 0.02))
 
+(* The pacing of a blocked receive: an in-flight message is slept toward
+   and then spun for, never overslept; only a missing one is polled. *)
+let mpi_wait_delay_policy () =
+  let nap = function Mpi.Sleep s -> s | Mpi.Spin -> 0.0 in
+  let spins r = Mpi.wait_delay ~waited:0.0 ~remaining:r = Mpi.Spin in
+  check_bool "arrival in 2 us: spin" true (spins 2e-6);
+  check_bool "arrival passed: spin" true (spins (-1e-6));
+  List.iter
+    (fun r ->
+      let s = nap (Mpi.wait_delay ~waited:0.0 ~remaining:r) in
+      check_bool (Printf.sprintf "wakes before an arrival %g s away" r) true
+        (s > 0.0 && s < r))
+    [ 3e-4; 5e-3; 0.5 ];
+  let missing waited = nap (Mpi.wait_delay ~waited ~remaining:infinity) in
+  check_float "missing: first poll 0.2 ms" 2e-4 (missing 0.0);
+  check_float "missing: backs off" 1e-3 (missing 1e-3);
+  check_float "missing: at most 2 ms" 2e-3 (missing 5.0)
+
+(* End to end: a message whose modelled flight is ~1.6 us completes within
+   microseconds of its arrival, not a minimum nap later. *)
+let mpi_wait_in_flight_promptly () =
+  let saved = Netmodel.sim_latency_scale () in
+  Netmodel.set_sim_latency_scale 1.0;
+  Fun.protect
+    ~finally:(fun () -> Netmodel.set_sim_latency_scale saved)
+    (fun () ->
+      let mpi = Mpi.create ~net:(test_net 1.59e-6) ~nranks:2 () in
+      let pair () =
+        let t0 = Unix.gettimeofday () in
+        Mpi.isend_owned mpi ~src:0 ~dst:1 ~tag:0 (Bytes.create 8);
+        ignore (Mpi.wait mpi (Mpi.irecv mpi ~dst:1 ~src:0 ~tag:0));
+        Unix.gettimeofday () -. t0
+      in
+      let times = Array.init 50 (fun _ -> pair ()) in
+      Array.sort compare times;
+      let median = times.(25) in
+      check_bool (Printf.sprintf "median %.1f us < 100 us" (median *. 1e6)) true
+        (median < 1e-4))
+
 let mpi_harness_sleep_free () =
   (* [dune runtest] must never stall on synthetic latency: the test entry
      point zeroes the wall-clock scale, so even a network with a huge
@@ -340,16 +379,27 @@ let decomp_shape_partition_property =
       && Decomp.max_uniform_depth d ~radius:(Array.map (fun _ -> 1) ranks_shape)
          >= 1)
 
-(* --- Halo pack/unpack --- *)
+(* --- Halo exchange plans --- *)
+
+(* One bulk exchange through compiled plans: every rank posts, then every
+   rank completes. *)
+let exchange ?periodic mpi decomp ~grids ~width ~faces_only =
+  let plans =
+    Array.mapi
+      (fun rank grid -> Halo.plan ?periodic mpi decomp ~rank ~grid ~width ~faces_only)
+      grids
+  in
+  Array.iteri (fun rank p -> Halo.post p [| grids.(rank) |]) plans;
+  Array.iteri (fun rank p -> Halo.complete p [| grids.(rank) |]) plans
 
 let halo_pack_unpack_roundtrip () =
+  (* Two ranks stacked along dimension 0: a = rows 0..3, b = rows 4..7. *)
+  let d = Decomp.create ~global:[| 8; 6 |] ~ranks_shape:[| 2; 1 |] in
   let a = Grid.create ~shape:[| 4; 6 |] ~halo:[| 2; 2 |] in
   let b = Grid.create ~shape:[| 4; 6 |] ~halo:[| 2; 2 |] in
   Grid.fill a (fun c -> float_of_int ((c.(0) * 10) + c.(1)) +. 0.5);
-  (* Pack a's top inner slab; unpack into b's bottom outer halo (as the
-     neighbour below would). *)
-  let payload = Halo.pack a ~dir:[| 1; 0 |] ~width:[| 2; 2 |] in
-  Halo.unpack b ~dir:[| -1; 0 |] ~width:[| 2; 2 |] payload;
+  exchange (Mpi.create ~nranks:2 ()) d ~grids:[| a; b |] ~width:[| 2; 2 |]
+    ~faces_only:true;
   (* a's rows 2..3 must now live in b's halo rows -2..-1. *)
   for r = 0 to 1 do
     for c = 0 to 5 do
@@ -363,51 +413,116 @@ let halo_payload_sizes () =
   check_int "face col" (4 * 1) (Halo.payload_elems g ~dir:[| 0; -1 |] ~width:[| 1; 1 |]);
   check_int "corner" 1 (Halo.payload_elems g ~dir:[| 1; 1 |] ~width:[| 1; 1 |])
 
+(* A single periodic rank: every face is a self-neighbour. *)
+let self_plan ?(faces_only = true) mpi (g : Grid.t) ~width =
+  let decomp =
+    Decomp.create ~global:g.Grid.shape
+      ~ranks_shape:(Array.map (fun _ -> 1) g.Grid.shape)
+  in
+  Halo.plan ~periodic:true mpi decomp ~rank:0 ~grid:g ~width ~faces_only
+
 let halo_unpack_size_mismatch () =
   let g = Grid.create ~shape:[| 4; 4 |] ~halo:[| 1; 1 |] in
+  let mpi = Mpi.create ~nranks:1 () in
+  let p = self_plan mpi g ~width:[| 1; 1 |] in
+  List.iter
+    (fun dir ->
+      Mpi.isend mpi ~src:0 ~dst:0 ~tag:(Decomp.dir_index ~ndim:2 dir) (Bytes.create 3))
+    (Decomp.directions ~ndim:2 ~faces_only:true);
   check_bool "size checked" true
-    (try Halo.unpack g ~dir:[| 1; 0 |] ~width:[| 1; 1 |] (Bytes.create 3); false
+    (try Halo.complete p [| g |]; false with Invalid_argument _ -> true)
+
+(* A plan runs only on grids of the geometry it was compiled for: the
+   runs are flat offsets, so a different halo would shift every one. *)
+let halo_plan_geometry_guard () =
+  let g = Grid.create ~shape:[| 4; 4 |] ~halo:[| 1; 1 |] in
+  let p = self_plan (Mpi.create ~nranks:1 ()) g ~width:[| 1; 1 |] in
+  let rejects grid =
+    try Halo.post p [| grid |]; false with Invalid_argument _ -> true
+  in
+  check_bool "other halo (same interior)" true
+    (rejects (Grid.create ~shape:[| 4; 4 |] ~halo:[| 2; 1 |]));
+  check_bool "other shape" true (rejects (Grid.create ~shape:[| 4; 5 |] ~halo:[| 1; 1 |]));
+  check_bool "complete checks too" true
+    (try Halo.complete p [| g; Grid.create ~shape:[| 5; 4 |] ~halo:[| 1; 1 |] |]; false
      with Invalid_argument _ -> true)
 
 let halo_corner_roundtrip () =
-  let a = Grid.create ~shape:[| 5; 4 |] ~halo:[| 2; 2 |] in
-  let b = Grid.create ~shape:[| 5; 4 |] ~halo:[| 2; 2 |] in
-  Grid.fill a (fun c -> float_of_int ((c.(0) * 7) + c.(1)) +. 0.25);
+  (* 2x2 ranks of 5x4: rank 3's low corner halo comes from rank 0. *)
+  let d = Decomp.create ~global:[| 10; 8 |] ~ranks_shape:[| 2; 2 |] in
+  let grids =
+    Array.init 4 (fun rank ->
+        let g = Grid.create ~shape:[| 5; 4 |] ~halo:[| 2; 2 |] in
+        Grid.fill g (fun c -> float_of_int ((rank * 100) + (c.(0) * 7) + c.(1)) +. 0.25);
+        g)
+  in
   (* Diagonal (corner) transfer with asymmetric width. *)
-  let payload = Halo.pack a ~dir:[| 1; 1 |] ~width:[| 2; 1 |] in
-  Halo.unpack b ~dir:[| -1; -1 |] ~width:[| 2; 1 |] payload;
+  exchange (Mpi.create ~nranks:4 ()) d ~grids ~width:[| 2; 1 |] ~faces_only:false;
   for r = 0 to 1 do
-    check_float "corner cell" (Grid.get a [| 3 + r; 3 |]) (Grid.get b [| r - 2; -1 |])
+    check_float "corner cell" (Grid.get grids.(0) [| 3 + r; 3 |])
+      (Grid.get grids.(3) [| r - 2; -1 |])
   done
 
-(* Property: the row-blit pack/unpack agree with the retained
-   coordinate-at-a-time reference on random shapes, halos, widths and
-   directions (faces, edges and corners; a dir of all zeros packs the whole
-   interior, also legal). *)
+(* Property: the compiled run lists agree with the cell-at-a-time oracle
+   on random shapes, halos, widths and one or two grids per payload. A
+   single periodic rank sends every direction (faces, edges, corners) to
+   itself, so each payload can be read off its channel and compared with
+   the naive packs, and a full self-exchange compared with naive
+   unpacks. *)
 let halo_blit_matches_naive_property =
   qc ~count:120 "blit pack/unpack == naive reference"
     QCheck.(
-      list_of_size
-        Gen.(int_range 1 3)
-        (quad (int_range 3 8) (int_range 1 3) (int_range 1 3) (int_range (-1) 1)))
-    (fun dims ->
-      let shape = Array.of_list (List.map (fun (n, _, _, _) -> n) dims) in
-      let halo = Array.of_list (List.map (fun (_, h, _, _) -> h) dims) in
-      let width = Array.of_list (List.map (fun (_, h, w, _) -> min w h) dims) in
-      let dir = Array.of_list (List.map (fun (_, _, _, d) -> d) dims) in
-      let g = Grid.create ~shape ~halo in
-      Grid.fill_extended g (fun c ->
-          let acc = ref 1.0 in
+      pair (int_range 1 2)
+        (list_of_size
+           Gen.(int_range 1 3)
+           (triple (int_range 3 8) (int_range 1 3) (int_range 1 3))))
+    (fun (ngrids, dims) ->
+      let shape = Array.of_list (List.map (fun (n, _, _) -> n) dims) in
+      let halo = Array.of_list (List.map (fun (_, h, _) -> h) dims) in
+      let width = Array.of_list (List.map (fun (_, h, w) -> min w h) dims) in
+      let nd = Array.length shape in
+      let grids =
+        Array.init ngrids (fun i ->
+            let g = Grid.create ~shape ~halo in
+            Grid.fill_extended g (fun c ->
+                let acc = ref (1.0 +. float_of_int i) in
+                Array.iteri
+                  (fun d k -> acc := !acc +. (float_of_int ((d + 3) * k) *. 0.21))
+                  c;
+                !acc);
+            g)
+      in
+      let dirs = Decomp.directions ~ndim:nd ~faces_only:false in
+      let naive_payload dir =
+        Bytes.concat Bytes.empty
+          (List.map (fun g -> Oracles.pack_naive g ~dir ~width) (Array.to_list grids))
+      in
+      let mpi = Mpi.create ~nranks:1 () in
+      Halo.post (self_plan ~faces_only:false mpi grids.(0) ~width) grids;
+      let payloads_ok =
+        List.for_all
+          (fun dir ->
+            let tag = Decomp.dir_index ~ndim:nd dir in
+            Bytes.equal (naive_payload dir)
+              (Mpi.wait mpi (Mpi.irecv mpi ~dst:0 ~src:0 ~tag)))
+          dirs
+      in
+      let fresh = Array.map Grid.copy grids and oracle = Array.map Grid.copy grids in
+      let p = self_plan ~faces_only:false (Mpi.create ~nranks:1 ()) grids.(0) ~width in
+      Halo.post p fresh;
+      Halo.complete p fresh;
+      List.iter
+        (fun dir ->
+          let opposite = Array.map (fun v -> -v) dir in
           Array.iteri
-            (fun d k -> acc := !acc +. (float_of_int ((d + 3) * k) *. 0.21))
-            c;
-          !acc);
-      let fast = Halo.pack g ~dir ~width in
-      let naive = Halo.pack_naive g ~dir ~width in
-      let b1 = Grid.create ~shape ~halo and b2 = Grid.create ~shape ~halo in
-      Halo.unpack b1 ~dir ~width fast;
-      Halo.unpack_naive b2 ~dir ~width naive;
-      Bytes.equal fast naive && b1.Grid.data = b2.Grid.data)
+            (fun i g ->
+              Oracles.unpack_naive oracle.(i) ~dir ~width
+                (Oracles.pack_naive g ~dir:opposite ~width))
+            grids)
+        dirs;
+      payloads_ok
+      && Array.for_all2 (fun (a : Grid.t) (b : Grid.t) -> a.Grid.data = b.Grid.data)
+           fresh oracle)
 
 let halo_exchange_fills_outer () =
   let d = Decomp.create ~global:[| 8; 8 |] ~ranks_shape:[| 2; 2 |] in
@@ -419,7 +534,7 @@ let halo_exchange_fills_outer () =
         Grid.fill g (fun _ -> float_of_int (rank + 1));
         g)
   in
-  Halo.exchange mpi d ~grids ~width:[| 1; 1 |] ~faces_only:false;
+  exchange mpi d ~grids ~width:[| 1; 1 |] ~faces_only:false;
   (* Rank 0's right outer halo holds rank 1's values; its corner holds 3's. *)
   check_float "right halo from rank 1" 2.0 (Grid.get grids.(0) [| 0; 4 |]);
   check_float "bottom halo from rank 2" 3.0 (Grid.get grids.(0) [| 4; 0 |]);
@@ -479,6 +594,108 @@ let distributed_property =
     (fun (px, py) ->
       let _, st = stencil_2d9pt_box ~m:12 ~n:12 () in
       Distributed.validate ~steps:2 ~ranks_shape:[| px; py |] st = 0.0)
+
+(* One differential property over the distributed configuration matrix:
+   every engine (bulk, overlapped, temporal depth 2) x boundary condition
+   (Dirichlet 1.5, Periodic, and Reflect where the engine supports it) x
+   stencil shape (star: faces only; box: corners too) x decomposition (an
+   uneven 13x10 on 3x2, and 1x3 whose single-rank dimension makes every
+   periodic rank its own neighbour) must gather the single-grid result
+   bit for bit. *)
+let distributed_differential_matrix () =
+  let star =
+    let grid =
+      Msc_frontend.Builder.def_tensor_2d ~time_window:2 ~halo:1 "B" Msc_ir.Dtype.F64 13 10
+    in
+    Msc_frontend.Builder.two_step ~name:"2d5pt_star"
+      (Msc_frontend.Builder.star_kernel ~name:"S" ~radius:1 grid)
+  in
+  let _, box = stencil_2d9pt_box ~m:13 ~n:10 () in
+  let same_bits (a : Grid.t) (b : Grid.t) =
+    let ok = ref true in
+    Grid.iter_interior a (fun c ->
+        if Int64.bits_of_float (Grid.get a c) <> Int64.bits_of_float (Grid.get b c) then
+          ok := false);
+    !ok
+  in
+  let steps = 4 in
+  List.iter
+    (fun (sname, st) ->
+      List.iter
+        (fun (bname, bc) ->
+          let single = Msc_exec.Runtime.create ~bc st in
+          Msc_exec.Runtime.run single steps;
+          List.iter
+            (fun (ename, engine) ->
+              List.iter
+                (fun ranks_shape ->
+                  let label =
+                    Printf.sprintf "%s %s %s %dx%d" sname bname ename ranks_shape.(0)
+                      ranks_shape.(1)
+                  in
+                  let config = cfg ~engine () in
+                  match Distributed.create ~config ~bc ~ranks_shape st with
+                  | exception Invalid_argument _ ->
+                      check_bool (label ^ ": only Reflect x depth > 1 is rejected") true
+                        (bc = Msc_exec.Bc.Reflect
+                        && engine = Distributed.Temporal_blocked { depth = 2 })
+                  | dist ->
+                      Distributed.run dist steps;
+                      check_bool (label ^ ": gather bit-identical") true
+                        (same_bits (Msc_exec.Runtime.current single) (Distributed.gather dist));
+                      check_float (label ^ ": validate") 0.0
+                        (Distributed.validate ~config ~bc ~steps ~ranks_shape st);
+                      check_int (label ^ ": no message left over") 0
+                        (Mpi.pending_messages (Distributed.mpi dist)))
+                [ [| 3; 2 |]; [| 1; 3 |] ])
+            [
+              ("bulk", Distributed.Bulk_synchronous);
+              ("overlapped", Distributed.Overlapped);
+              ("temporal2", Distributed.Temporal_blocked { depth = 2 });
+            ])
+        [
+          ("dirichlet1.5", Msc_exec.Bc.Dirichlet 1.5);
+          ("periodic", Msc_exec.Bc.Periodic);
+          ("reflect", Msc_exec.Bc.Reflect);
+        ])
+    [ ("star", star); ("box", box) ]
+
+(* Steady-state exchange cost: once every plan is compiled and every
+   channel and payload buffer exists, an overlapped 8x8 step allocates no
+   more than its payload bytes plus a bounded number of words per rank
+   (the sweeps' and phases' own bookkeeping, about 200 words per rank,
+   nothing per message; the per-message protocol the plans replaced added
+   about 2,100 more). The compiled backend sweeps without allocating per
+   point; the interpreter does, so without a C toolchain there is
+   nothing to pin. The
+   sequential pool runs every rank on this domain, whose minor-heap
+   counter is exact; the payloads here are small, so nothing goes to the
+   major heap directly. A full major collection first empties the minor
+   heap, so no collection (and no finaliser left by another test) runs
+   inside the measured step. *)
+let distributed_step_allocation_pinned () =
+  let _, st = stencil_2d9pt_box ~m:64 ~n:64 () in
+  let dist =
+    Distributed.create ~config:(cfg ~backend:Msc_exec.Backend.Compiled_c ())
+      ~ranks_shape:[| 8; 8 |] st
+  in
+  let report = Msc_exec.Runtime.backend_report (Distributed.rank_runtime dist ~rank:0) in
+  if report.Msc_exec.Runtime.effective = Msc_exec.Backend.Compiled_c then begin
+    Distributed.run dist 3;
+    let mpi = Distributed.mpi dist in
+    let bytes0 = Mpi.bytes_sent mpi in
+    Gc.full_major ();
+    let w0 = Gc.minor_words () in
+    Distributed.step dist;
+    let extra_words =
+      Gc.minor_words () -. w0 -. (float_of_int (Mpi.bytes_sent mpi - bytes0) /. 8.0)
+    in
+    check_bool
+      (Printf.sprintf "%.0f words beyond the payloads (%.1f per rank) <= 320 per rank"
+         extra_words (extra_words /. 64.0))
+      true
+      (extra_words <= 320.0 *. 64.0)
+  end
 
 (* --- Overlapped engine --- *)
 
@@ -986,6 +1203,8 @@ let suites =
         tc "test probe" mpi_test_probe;
         tc "simulated latency" mpi_simulated_latency;
         tc "harness sleep-free" mpi_harness_sleep_free;
+        tc "wait delay policy" mpi_wait_delay_policy;
+        tc "in-flight wait is prompt" mpi_wait_in_flight_promptly;
         tc "rank bounds" mpi_rank_bounds;
         mpi_parity_with_reference_property;
       ] );
@@ -1010,6 +1229,7 @@ let suites =
         tc "corner roundtrip" halo_corner_roundtrip;
         tc "payload sizes" halo_payload_sizes;
         tc "unpack size mismatch" halo_unpack_size_mismatch;
+        tc "plan geometry guard" halo_plan_geometry_guard;
         tc "exchange fills outer" halo_exchange_fills_outer;
         halo_blit_matches_naive_property;
       ] );
@@ -1023,6 +1243,8 @@ let suites =
         tc "wide halo" distributed_wide_halo_exact;
         tc "message accounting" distributed_message_accounting;
         tc "gather shape" distributed_gather_shape;
+        tc "differential matrix" distributed_differential_matrix;
+        tc "steady-state step allocation" distributed_step_allocation_pinned;
       ] );
     ( "comm.overlapped",
       [

@@ -321,6 +321,33 @@ let distributed_traces_halo () =
   in
   check_bool "all 4 ranks traced" true (tids = [ 0; 1; 2; 3 ])
 
+(* Halo events are recorded per rank per exchange, not per message: one
+   halo.pack span, one halo.bytes counter, one halo.exchange span and one
+   halo.unpack span. At 4x4 ranks a box stencil sends 84 messages per
+   step, yet a step records exactly 4 halo events per rank. *)
+let halo_events_scale_with_ranks () =
+  let _, st = stencil_2d9pt_box ~m:16 ~n:16 () in
+  let halo_events ~ranks_shape =
+    let trace = Trace.create () in
+    let dist = Msc.Distributed.create ~trace ~ranks_shape st in
+    let sent = Msc.Mpi.messages_sent (Msc.Distributed.mpi dist) in
+    let is_halo (e : Trace.event) =
+      match e with
+      | Trace.Span { name; _ } | Trace.Counter { name; _ } ->
+          List.mem name [ "halo.pack"; "halo.bytes"; "halo.exchange"; "halo.unpack" ]
+    in
+    let count () = List.length (List.filter is_halo (Trace.events trace)) in
+    let c0 = count () in
+    Msc.Distributed.step dist;
+    (count () - c0, Msc.Mpi.messages_sent (Msc.Distributed.mpi dist) - sent)
+  in
+  let ev4, msgs4 = halo_events ~ranks_shape:[| 2; 2 |] in
+  let ev16, msgs16 = halo_events ~ranks_shape:[| 4; 4 |] in
+  check_int "2x2 box: 12 messages" 12 msgs4;
+  check_int "4x4 box: 84 messages" 84 msgs16;
+  check_int "2x2: 4 halo events per rank" 16 ev4;
+  check_int "4x4: 4 halo events per rank" 64 ev16
+
 let suites =
   [
     ( "trace.record",
@@ -343,6 +370,7 @@ let suites =
         tc "disabled sink no-op" disabled_noop;
         tc "pipeline matches untraced" pipeline_matches_untraced;
         tc "distributed traces halo" distributed_traces_halo;
+        tc "halo events scale with ranks" halo_events_scale_with_ranks;
         tc "jit form counters" jit_form_counters;
       ] );
   ]
