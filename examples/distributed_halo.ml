@@ -6,6 +6,16 @@
 
 open Msc
 
+(* Every bit-identity check prints its verdict; any MISMATCH fails the run. *)
+let mismatches = ref 0
+
+let verdict ok =
+  if ok then "bit-identical"
+  else begin
+    incr mismatches;
+    "MISMATCH"
+  end
+
 let () =
   (* The paper's Figure 6 setting, scaled up a little: a 2d9pt box stencil on
      a 2x2 MPI grid (box corners force diagonal exchanges). *)
@@ -37,7 +47,7 @@ let () =
     Grid.max_rel_error ~reference:(Runtime.current single) (Distributed.gather dist)
   in
   Printf.printf "gathered vs single-grid max relative error: %g -> %s\n" err
-    (if err = 0.0 then "bit-identical" else "MISMATCH");
+    (verdict (err = 0.0));
 
   (* Both stepping protocols — the default Overlapped engine above hides
      the exchange behind each rank's interior sub-sweep; Bulk_synchronous
@@ -49,8 +59,8 @@ let () =
   in
   Distributed.run bulk 8;
   Printf.printf "overlapped vs bulk-synchronous engines: %s\n"
-    (if (Distributed.gather bulk).Grid.data = (Distributed.gather dist).Grid.data
-     then "bit-identical" else "MISMATCH");
+    (verdict
+       ((Distributed.gather bulk).Grid.data = (Distributed.gather dist).Grid.data));
 
   (* An uneven 3-D decomposition with a star stencil (faces only). *)
   let grid3 = Builder.def_tensor_3d ~time_window:2 ~halo:2 "B" Dtype.F64 23 17 29 in
@@ -58,7 +68,7 @@ let () =
   let st3 = Builder.two_step ~name:"3d13pt_star" k3 in
   let err3 = Distributed.validate ~steps:5 ~ranks_shape:[| 3; 2; 2 |] st3 in
   Printf.printf "3d13pt_star on a 3x2x2 grid (uneven blocks): err %g -> %s\n" err3
-    (if err3 = 0.0 then "bit-identical" else "MISMATCH");
+    (verdict (err3 = 0.0));
 
   (* Predicted scalability of this stencil at paper scale (Figure 10). *)
   print_newline ();
@@ -81,4 +91,8 @@ let () =
     (fun (p : Scaling.point) ->
       Printf.printf "  %6d cores: %10.1f GFlop/s (ideal %10.1f)\n"
         p.Scaling.cores p.Scaling.gflops p.Scaling.ideal_gflops)
-    points
+    points;
+  if !mismatches > 0 then begin
+    Printf.eprintf "%d bit-identity check(s) failed\n" !mismatches;
+    exit 1
+  end

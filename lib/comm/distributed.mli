@@ -22,7 +22,8 @@ type engine = Msc_exec.Exec.engine =
   | Temporal_blocked of { depth : int }
       (** Communication-avoiding temporal blocking: halos are widened to
           [depth * radius], one deep exchange (a single message per
-          neighbour carrying every retained state's slab) feeds a block of
+          neighbour carrying every retained state's slab; at depth 1 only
+          the newest state's, as in [Overlapped]) feeds a block of
           [depth] timesteps, and each substep recomputes a shrinking ghost
           extension instead of exchanging — the per-step latency cost drops
           to [alpha / depth] at the price of [O(depth * radius * face)]
@@ -78,9 +79,12 @@ val create :
     boundary sub-sweep; the temporal engine adds a ["halo.substep"] span
     per rank over each communication-free substep.
     @raise Invalid_argument if the halo is thinner than the stencil radius,
-    the decomposition is invalid, a temporal depth [< 1] is requested, or
-    [Temporal_blocked] with effective depth [> 1] is combined with
-    [Reflect] boundaries (the mirrored halo cannot be recomputed locally). *)
+    the decomposition is invalid, any rank is thinner than the exchange
+    width ([effective_depth * radius]) in some dimension (the message
+    names the rank, the dimension and the extent), a temporal depth [< 1]
+    is requested, or [Temporal_blocked] with effective depth [> 1] is
+    combined with [Reflect] boundaries (the mirrored halo cannot be
+    recomputed locally). *)
 
 val nranks : t -> int
 val decomp : t -> Decomp.t
@@ -176,21 +180,21 @@ val create_graph :
   ?trace:Msc_trace.t ->
   ranks_shape:int array ->
   Msc_graph.Graph.t -> t
-(** Decompose a pipeline graph over [ranks_shape]. Parameters behave as
-    in {!create}. Engine mapping: [Bulk_synchronous] sweeps every rank's
-    staged schedule then exchanges; [Overlapped] hides the deep exchange
-    behind stage 0's halo-free core (later stages consume stage 0's
-    buffer, so only stage 0 splits); [Temporal_blocked] degrades to the
-    bulk schedule — only at [depth = 1], recorded as [Bulk_synchronous]
-    in {!effective_engine} (intermediates are recomputed per step, not
-    stepped, so there is no block to deepen). All engines are
-    bit-identical to {!Msc_exec.Runtime.step} on one grid.
-    @raise Invalid_argument if the graph is multi-stage but not merged
-    (run {!Msc_graph.Pass.merge_halos}), any rank's extent is thinner
-    than the graph's required halo, or [config.engine] is
-    [Temporal_blocked] with [depth > 1] (a silent degrade would
-    misreport the communication-avoiding regime — request depth 1 or a
-    non-temporal engine). *)
+(** Decompose a pipeline graph over [ranks_shape]. Ranks are built, plans
+    compiled, halos exchanged and engines stepped exactly as in {!create}
+    (same parameters, rules and exceptions), with the graph's
+    {!Msc_graph.Graph.required_halo} as the exchange width and stage 0
+    playing the stencil's part in the overlapped split: later stages
+    consume stage 0's buffer, so only stage 0 hides the exchange. Graphs
+    have no temporal block to deepen (intermediates are recomputed per
+    step, not stepped): [Temporal_blocked {depth = 1}] steps as, and is
+    recorded in {!effective_engine} as, [Bulk_synchronous]. All engines
+    are bit-identical to {!Msc_exec.Runtime.step} on one grid.
+    @raise Invalid_argument additionally if the graph is multi-stage but
+    not merged (run {!Msc_graph.Pass.merge_halos}), or [config.engine] is
+    [Temporal_blocked] with [depth > 1] (a silent degrade would misreport
+    the communication-avoiding regime — request depth 1 or a non-temporal
+    engine). *)
 
 val validate_graph :
   ?config:Msc_exec.Exec.Config.t ->

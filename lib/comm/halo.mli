@@ -40,8 +40,9 @@ val plan :
 val post : ?trace:Msc_trace.t -> plan -> Msc_exec.Grid.t array -> unit
 (** Pack and send one payload per neighbour (MPI_Isend): the inner slab of
     every grid, concatenated in order — [[|state|]] for the bulk and
-    overlapped engines, every retained state (dt = 1 first) for the
-    temporal engine, so a depth-[k] block pays one latency per neighbour.
+    overlapped engines, every retained state (dt = 1 first) for a
+    temporal block deeper than one step, so a depth-[k] block pays one
+    latency per neighbour.
     Records one ["halo.pack"] span and one ["halo.bytes"] counter, tagged
     with the rank as [tid].
     @raise Invalid_argument if a grid's shape or halo differs from the

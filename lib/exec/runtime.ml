@@ -116,10 +116,7 @@ type t = {
   stencil : Stencil.t;  (* the output stage's *)
   window : Grid.t array;  (* length W+1 *)
   aux : (string * Grid.t) list;  (* static coefficient grids *)
-  bc : Bc.t;
   bc_full : Bc.plan;  (* the refresh of every face, compiled once *)
-  mutable bc_masked : ((bool array option * bool array option) * Bc.plan) list;
-      (* one compiled refresh per mask pair [finish_step] has been given *)
   mutable cur : int;  (* index of the newest state (t-1) *)
   mutable steps_done : int;
   buffers : Grid.t array;  (* intermediate stage outputs *)
@@ -325,9 +322,7 @@ let build ~config ~init ~aux_init ~bc ~trace ~tid ~source
     stencil;
     window;
     aux;
-    bc;
     bc_full;
-    bc_masked = [];
     cur = w - 1;
     steps_done = 0;
     buffers;
@@ -591,30 +586,10 @@ let begin_step (_ : t) = ()
 
 let sweep_tasks t tasks = sweep_stage t (output_stage t) tasks
 
-let bc_plan t ?low ?high () =
-  match (low, high) with
-  | None, None -> t.bc_full
-  | _ -> (
-      let key = (low, high) in
-      match List.assoc_opt key t.bc_masked with
-      | Some p -> p
-      | None ->
-          let p = Bc.compile ?low ?high t.bc (output_slot t) in
-          let copy = Option.map Array.copy in
-          t.bc_masked <- ((copy low, copy high), p) :: t.bc_masked;
-          p)
-
-let finish_step ?low ?high t =
-  let dst = output_slot t in
+let finish_step ?refresh t =
   Msc_trace.add ~tid:t.tid t.trace "sweep.points" t.points_per_step;
-  (* [low]/[high] restrict the boundary refresh to the masked faces (the
-     distributed temporal engine applies BCs to physical faces only between
-     substeps — a full pass would clobber the freshly recomputed halo
-     extensions). All-false masks skip the walk entirely (periodic domains
-     under temporal blocking have no physical face at all). *)
-  let all_false = function Some m -> Array.for_all not m | None -> false in
   let ts_bc = Msc_trace.begin_span t.trace in
-  if not (all_false low && all_false high) then Bc.run (bc_plan t ?low ?high ()) dst;
+  Bc.run (Option.value refresh ~default:t.bc_full) (output_slot t);
   Msc_trace.end_span ~tid:t.tid t.trace "bc.apply" ts_bc;
   let ts_rot = Msc_trace.begin_span t.trace in
   t.cur <- (t.cur + 1) mod Array.length t.window;

@@ -149,13 +149,15 @@ val sweep_tasks : t -> (int array * int array) array -> unit
     span per task. On a graph runtime the earlier stages must have been
     swept first ({!sweep_graph_stage}). *)
 
-val finish_step : ?low:bool array -> ?high:bool array -> t -> unit
+val finish_step : ?refresh:Bc.plan -> t -> unit
 (** Record ["sweep.points"], apply the boundary condition to the new state,
-    and rotate the window. [low]/[high] restrict the BC pass to the masked
-    faces (see {!Bc.apply}) — the distributed temporal engine refreshes
-    physical faces only, so the ghost cells it recomputed into the halo
-    survive between substeps. Masks that are all-false skip the BC walk
-    entirely. *)
+    and rotate the window. [refresh] replaces the full-face boundary pass
+    compiled at creation with a precompiled {!Bc.plan} for the same grid
+    geometry — the distributed temporal engine passes each rank's
+    physical-face plan, so the ghost cells it recomputed into the halo
+    survive between substeps (periodic domains pass an empty plan).
+    @raise Invalid_argument if [refresh] was compiled for another shape
+    or halo. *)
 
 val run : t -> int -> unit
 (** [run t n] performs [n] steps. *)

@@ -652,6 +652,44 @@ let distributed_differential_matrix () =
               ("bulk", Distributed.Bulk_synchronous);
               ("overlapped", Distributed.Overlapped);
               ("temporal2", Distributed.Temporal_blocked { depth = 2 });
+            ];
+          (* Cross-constructor parity: the one-stage graph of [st] takes the
+             stencil's path — the same traffic after the initial exchange
+             and after every step, and the same gathered bits. *)
+          List.iter
+            (fun (ename, engine) ->
+              List.iter
+                (fun ranks_shape ->
+                  let label =
+                    Printf.sprintf "%s %s %s %dx%d graph parity" sname bname ename
+                      ranks_shape.(0) ranks_shape.(1)
+                  in
+                  let config = cfg ~engine () in
+                  let dist = Distributed.create ~config ~bc ~ranks_shape st in
+                  let graph =
+                    Distributed.create_graph ~config ~bc ~ranks_shape
+                      (Msc_graph.Graph.single st)
+                  in
+                  let traffic d =
+                    let mpi = Distributed.mpi d in
+                    (Mpi.messages_sent mpi, Mpi.bytes_sent mpi)
+                  in
+                  for step = 0 to steps do
+                    if step > 0 then begin
+                      Distributed.step dist;
+                      Distributed.step graph
+                    end;
+                    check_bool
+                      (Printf.sprintf "%s: same traffic after step %d" label step)
+                      true
+                      (traffic dist = traffic graph)
+                  done;
+                  check_bool (label ^ ": same gathered bits") true
+                    (same_bits (Distributed.gather dist) (Distributed.gather graph)))
+                [ [| 3; 2 |]; [| 1; 3 |] ])
+            [
+              ("bulk", Distributed.Bulk_synchronous);
+              ("overlapped", Distributed.Overlapped);
             ])
         [
           ("dirichlet1.5", Msc_exec.Bc.Dirichlet 1.5);
@@ -823,12 +861,13 @@ let temporal_depth1_bit_identical_across_suite () =
       let st = Msc_benchsuite.Suite.stencil ~dims b in
       let run engine =
         let dist = Distributed.create ~config:(cfg ~engine ()) ~ranks_shape st in
+        let bytes0 = Mpi.bytes_sent (Distributed.mpi dist) in
         Distributed.run dist 2;
-        Distributed.gather dist
+        (Distributed.gather dist, Mpi.bytes_sent (Distributed.mpi dist) - bytes0)
       in
-      let bulk = run Distributed.Bulk_synchronous in
-      let over = run Distributed.Overlapped in
-      let temp = run (Distributed.Temporal_blocked { depth = 1 }) in
+      let bulk, _ = run Distributed.Bulk_synchronous in
+      let over, over_bytes = run Distributed.Overlapped in
+      let temp, temp_bytes = run (Distributed.Temporal_blocked { depth = 1 }) in
       check_bool
         (b.Msc_benchsuite.Suite.name ^ ": temporal(1) == bulk bit-exact")
         true
@@ -836,7 +875,12 @@ let temporal_depth1_bit_identical_across_suite () =
       check_bool
         (b.Msc_benchsuite.Suite.name ^ ": temporal(1) == overlapped bit-exact")
         true
-        (over.Grid.data = temp.Grid.data))
+        (over.Grid.data = temp.Grid.data);
+      (* Only the newest state goes on the wire: the older states' halos
+         are still valid from the previous step's exchange. *)
+      check_int
+        (b.Msc_benchsuite.Suite.name ^ ": temporal(1) sends overlapped's bytes")
+        over_bytes temp_bytes)
     Msc_benchsuite.Suite.all
 
 (* Deep blocks: 5 steps at depth 2/4 stop mid-block, so this also pins the
@@ -911,6 +955,37 @@ let temporal_thin_rank_clamps () =
     (Distributed.validate
        ~config:(cfg ~engine:(Distributed.Temporal_blocked { depth = 4 }) ())
        ~steps:3 ~ranks_shape:[| 2; 2 |] st)
+
+(* A rank thinner than the exchange width would read past its donor's
+   interior (2d9pt_star has radius 2; 16 rows over 16 ranks leaves each
+   one row). Both constructors reject it with the same message naming the
+   rank, the dimension and the extent, whatever the boundary condition —
+   [create] once returned a 0.16 relative error under Dirichlet. *)
+let distributed_thin_rank_rejected () =
+  let st =
+    Msc_benchsuite.Suite.stencil ~dims:[| 16; 16 |]
+      (Msc_benchsuite.Suite.find "2d9pt_star")
+  in
+  let config = cfg ~backend:Msc_exec.Backend.Interp () in
+  let ranks_shape = [| 16; 1 |] in
+  let rejection f =
+    match f () with exception Invalid_argument msg -> msg | _ -> "accepted"
+  in
+  List.iter
+    (fun (bname, bc) ->
+      let msg =
+        rejection (fun () -> ignore (Distributed.create ~config ~bc ~ranks_shape st))
+      in
+      check_string (bname ^ ": stencil rejected")
+        "Distributed: rank 0 extent 1 < exchange width 2 in dimension 0 \
+         (coarsen the decomposition)"
+        msg;
+      check_string (bname ^ ": graph rejected alike") msg
+        (rejection (fun () ->
+             ignore
+               (Distributed.create_graph ~config ~bc ~ranks_shape
+                  (Msc_graph.Graph.single st)))))
+    [ ("dirichlet", Msc_exec.Bc.Dirichlet 0.0); ("periodic", Msc_exec.Bc.Periodic) ]
 
 let temporal_effective_depth_reported () =
   let _, st = stencil_3d7pt ~n:12 () in
@@ -1244,6 +1319,7 @@ let suites =
         tc "message accounting" distributed_message_accounting;
         tc "gather shape" distributed_gather_shape;
         tc "differential matrix" distributed_differential_matrix;
+        tc "thin rank rejected" distributed_thin_rank_rejected;
         tc "steady-state step allocation" distributed_step_allocation_pinned;
       ] );
     ( "comm.overlapped",
