@@ -712,15 +712,13 @@ let solver_rows ?(smoke = false) () =
 
 (* == Scale-out campaign: the O(1) mailbox and the hierarchical model ==
 
-   [scaling_mailbox] is the campaign's host-side acceptance measurement: a
-   full 4096-rank 2d9pt_box exchange step (every send plus every matching
-   receive, 32004 messages) against the retained pre-refactor mailbox
-   [Msc.Mpi_ref]. The message schedule (neighbours, tags, payload sizes) is
-   precomputed so only mailbox operations are timed, the simulated-latency
-   scale is zeroed so nothing sleeps, and each implementation runs in its
-   own phase — two warm-ups, min of [reps], a major GC between phases —
-   because interleaving three multi-megabyte mailbox working sets through
-   the cache distorts the ratio. *)
+   [scaling_mailbox] is the campaign's host-side measurement: a full
+   4096-rank 2d9pt_box exchange step (every send plus every matching
+   receive, 32004 messages) through the persistent endpoints the halo
+   plans use. The endpoints are resolved up front so only mailbox
+   operations are timed, the simulated-latency scale is zeroed so nothing
+   sleeps, and the step runs after a major GC and two warm-ups, min of
+   [reps]. *)
 let scaling_mailbox ?(smoke = false) () =
   let nd = 2 in
   let decomp =
@@ -759,7 +757,7 @@ let scaling_mailbox ?(smoke = false) () =
         f ();
         Unix.gettimeofday () -. t0
       in
-      let phase step =
+      let measure step =
         Gc.full_major ();
         step ();
         step ();
@@ -769,47 +767,22 @@ let scaling_mailbox ?(smoke = false) () =
         done;
         !m
       in
-      let h_new = Msc.Mpi.create ~net ~nranks () in
+      let mpi = Msc.Mpi.create ~net ~nranks () in
       let ports =
         Array.map
-          (fun (src, dst, tag, p) -> (Msc.Mpi.send_port h_new ~src ~dst ~tag, p))
+          (fun (src, dst, tag, p) -> (Msc.Mpi.send_port mpi ~src ~dst ~tag, p))
           sends
       in
       let slots =
         Array.map
-          (fun (dst, src, tag) -> Msc.Mpi.recv_slot h_new ~dst ~src ~tag)
+          (fun (dst, src, tag) -> Msc.Mpi.recv_slot mpi ~dst ~src ~tag)
           recvs
       in
-      let step_ports () =
+      let step () =
         Array.iter (fun (port, p) -> Msc.Mpi.port_send port p) ports;
         Array.iter (fun s -> ignore (Msc.Mpi.slot_wait s)) slots
       in
-      let h_gen = Msc.Mpi.create ~net ~nranks () in
-      let step_gen () =
-        Array.iter
-          (fun (src, dst, tag, p) ->
-            Msc.Mpi.isend_owned h_gen ~src ~dst ~tag p)
-          sends;
-        Array.iter
-          (fun (dst, src, tag) ->
-            ignore (Msc.Mpi.wait h_gen (Msc.Mpi.irecv h_gen ~dst ~src ~tag)))
-          recvs
-      in
-      let h_ref = Msc.Mpi_ref.create ~net ~nranks () in
-      let step_ref () =
-        Array.iter
-          (fun (src, dst, tag, p) -> Msc.Mpi_ref.isend h_ref ~src ~dst ~tag p)
-          sends;
-        Array.iter
-          (fun (dst, src, tag) ->
-            ignore
-              (Msc.Mpi_ref.wait h_ref (Msc.Mpi_ref.irecv h_ref ~dst ~src ~tag)))
-          recvs
-      in
-      let ports_s = phase step_ports in
-      let generic_s = phase step_gen in
-      let ref_s = phase step_ref in
-      (nranks, Array.length sends, ref_s, ports_s, generic_s))
+      (nranks, Array.length sends, measure step))
 
 (* Modelled strong/weak efficiency curves for both platforms (the arXiv
    2404.02218 Figure-10 shape), hierarchical by default: every point is
@@ -886,7 +859,7 @@ let audit_scaling_efficiency curves =
       exit 1
 
 let scaling_group_json ~mailbox ~curves =
-  let mb_ranks, mb_messages, ref_s, ports_s, generic_s = mailbox in
+  let mb_ranks, mb_messages, ports_s = mailbox in
   let ints a =
     String.concat ", " (Array.to_list (Array.map string_of_int a))
   in
@@ -916,27 +889,19 @@ let scaling_group_json ~mailbox ~curves =
     \    \"mailbox\": {\n\
     \      \"kernel\": \"2d9pt_box\", \"ranks\": %d, \"rank_grid\": [64, \
      64], \"messages_per_step\": %d,\n\
-    \      \"ref_s_per_step\": %.6e,\n\
-    \      \"ports_s_per_step\": %.6e,\n\
-    \      \"generic_s_per_step\": %.6e,\n\
-    \      \"speedup_ports_vs_ref\": %.2f,\n\
-    \      \"speedup_generic_vs_ref\": %.2f\n\
+    \      \"ports_s_per_step\": %.6e\n\
     \    },\n\
     \    \"curves\": [\n\
      %s\n\
     \    ]\n\
     \  }"
-    mb_ranks mb_messages ref_s ports_s generic_s (ref_s /. ports_s)
-    (ref_s /. generic_s)
+    mb_ranks mb_messages ports_s
     (String.concat ",\n" (List.map curve_json curves))
 
 let report_scaling ~mailbox ~curves =
-  let mb_ranks, mb_messages, ref_s, ports_s, generic_s = mailbox in
-  Printf.printf
-    "[scaling] mailbox %d ranks (%d msgs/step): ref %.2f ms, ports %.2f ms \
-     (%.1fx), generic %.2f ms (%.1fx)\n"
-    mb_ranks mb_messages (ref_s *. 1e3) (ports_s *. 1e3) (ref_s /. ports_s)
-    (generic_s *. 1e3) (ref_s /. generic_s);
+  let mb_ranks, mb_messages, ports_s = mailbox in
+  Printf.printf "[scaling] mailbox %d ranks (%d msgs/step): ports %.2f ms\n"
+    mb_ranks mb_messages (ports_s *. 1e3);
   List.iter
     (fun (pname, _, mode, points) ->
       let last = List.nth points (List.length points - 1) in
@@ -1428,7 +1393,7 @@ let () =
      render; BENCH_runtime.json is still written for artifact upload. *)
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
   if smoke then quota_s := 0.02;
-  (* [scaling]: the scale-out CI leg — only the mailbox comparison and the
+  (* [scaling]: the scale-out CI leg — only the mailbox timing and the
      modelled efficiency curves, with the 16-rank efficiency floor enforced
      (exit 1 on regression). Writes a scaling-only BENCH_runtime.json; the
      full/smoke harness rewrites the complete file afterwards, scaling

@@ -4,7 +4,7 @@
    msc gen -b 3d7pt_star -t sunway -o DIR - AOT code generation
    msc run -b 2d9pt_box -n 10 -w 8        - native execution
    msc solve -m cg --dims 64x64 --ranks 2x2 - matrix-free iterative solver
-   msc verify -b 3d13pt_star -n 5         - optimized vs reference
+   msc verify -b 3d13pt_star -n 5         - optimized vs interpreter oracle
    msc simulate -b 3d7pt_star -p sunway   - processor performance model
    msc profile 3d7pt -o trace.json        - traced pipeline + chrome trace
    msc graph unsharp_mask --dot           - post-pass pipeline DAG (Graphviz)
@@ -407,7 +407,9 @@ let verify_cmd =
       & info [ "small" ] ~docv:"BOOL" ~doc:"Use a reduced grid (default true).")
   in
   Cmd.v
-    (Cmd.info "verify" ~doc:"Check the optimized runtime against the naive reference.")
+    (Cmd.info "verify"
+       ~doc:"Check the optimized runtime against the naive serial one (tree \
+             interpreter, untiled, sequential).")
     Term.(const run $ bench_arg $ steps_arg 5 $ small_default)
 
 let simulate_cmd =

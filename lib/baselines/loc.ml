@@ -35,14 +35,14 @@ module Emit_common = Msc_codegen.Emit_common
 (* One accumulation statement per tap — the unrolled style of hand-tuned
    codes, whose LoC grows with the stencil order. *)
 let tap_statements (st : Stencil.t) ~vars ~array_of_dt =
-  let terms = Emit_common.flatten_terms st in
+  let terms = Stencil.terms st in
   List.concat_map
-    (fun (t : Emit_common.term) ->
-      let array = array_of_dt t.Emit_common.dt in
-      match t.Emit_common.kernel with
+    (fun (t : Stencil.term) ->
+      let array = array_of_dt t.Stencil.dt in
+      match t.Stencil.kernel with
       | None ->
           [
-            Printf.sprintf "acc += %.17g * %s[IDX(%s)];" t.Emit_common.scale array
+            Printf.sprintf "acc += %.17g * %s[IDX(%s)];" t.Stencil.scale array
               (String.concat ", " vars);
           ]
       | Some k -> (
@@ -58,7 +58,7 @@ let tap_statements (st : Stencil.t) ~vars ~array_of_dt =
                       vars
                   in
                   Printf.sprintf "acc += %.17g * %s[IDX(%s)];"
-                    (t.Emit_common.scale *. tap.Expr.coeff)
+                    (t.Stencil.scale *. tap.Expr.coeff)
                     array (String.concat ", " subs))
                 taps
           | None ->

@@ -31,14 +31,10 @@ let miss_rate (st : Stencil.t) =
   | _, false -> if radius <= 2 then 0.48 else 0.19
 
 let accesses_per_point (st : Stencil.t) =
-  let rec go (e : Stencil.expr) =
-    match e with
-    | Stencil.Apply (k, _) -> Kernel.points k
-    | Stencil.State _ -> 1
-    | Stencil.Scale (_, a) -> go a
-    | Stencil.Sum (a, b) | Stencil.Diff (a, b) -> go a + go b
-  in
-  go st.Stencil.expr + 1 (* the store *)
+  List.fold_left
+    (fun acc t ->
+      acc + match t.Stencil.kernel with Some k -> Kernel.points k | None -> 1)
+    1 (* the store *) (Stencil.terms st)
 
 let spm_hit_s = 4e-9
 let gld_miss_s = 170e-9

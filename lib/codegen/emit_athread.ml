@@ -10,8 +10,7 @@ let cpes_of (plan : Plan.t) =
 let radius_of (st : Stencil.t) = Stencil.radius st
 
 let distinct_dts (st : Stencil.t) =
-  List.sort_uniq compare
-    (List.map (fun (t : Emit_common.term) -> t.Emit_common.dt) (Emit_common.flatten_terms st))
+  List.sort_uniq compare (List.map (fun t -> t.Stencil.dt) (Stencil.terms st))
 
 let args_struct (st : Stencil.t) =
   let tw = Stencil.time_window st in
@@ -235,10 +234,10 @@ let generate_slave ?config (plan : Plan.t) =
             if d = nd then begin
               let vars = List.init nd (Printf.sprintf "u%d") in
               let write_coords = String.concat ", " vars in
-              let terms = Emit_common.flatten_terms st in
+              let terms = Stencil.terms st in
               let input_name = st.Stencil.grid.Tensor.name in
-              let render (t : Emit_common.term) =
-                let buffer = Printf.sprintf "buf_read_%d" t.Emit_common.dt in
+              let render (t : Stencil.term) =
+                let buffer = Printf.sprintf "buf_read_%d" t.Stencil.dt in
                 let index (acc : Expr.access) =
                   let array =
                     if String.equal acc.Expr.tensor input_name then buffer
@@ -254,15 +253,15 @@ let generate_slave ?config (plan : Plan.t) =
                   Printf.sprintf "%s[BIDX_R(%s)]" array (String.concat ", " subs)
                 in
                 let body =
-                  match t.Emit_common.kernel with
+                  match t.Stencil.kernel with
                   | None ->
                       index { Expr.tensor = buffer; offsets = Array.make nd 0 }
                   | Some k ->
                       Expr.to_c ~index
                         (Emit_common.subst_params k.Kernel.bindings k.Kernel.expr)
                 in
-                if t.Emit_common.scale = 1.0 then Printf.sprintf "(%s)" body
-                else Printf.sprintf "%.17g * (%s)" t.Emit_common.scale body
+                if t.Stencil.scale = 1.0 then Printf.sprintf "(%s)" body
+                else Printf.sprintf "%.17g * (%s)" t.Stencil.scale body
               in
               if fused then
                 C_writer.line w "buf_write[BIDX_W(%s)] = (ELEM)(%s);"

@@ -1,12 +1,6 @@
-(** Pieces shared by all code-generation targets: stencil-term flattening,
-    index macros, initial-condition and checksum code, and the scheduled loop
-    nest emission. *)
-
-type term = { scale : float; kernel : Msc_ir.Kernel.t option; dt : int }
-(** One additive term of the stencil combination; [kernel = None] is the
-    identity (raw state) term. *)
-
-val flatten_terms : Msc_ir.Stencil.t -> term list
+(** Pieces shared by all code-generation targets: index macros,
+    initial-condition and checksum code, and the scheduled loop nest
+    emission. *)
 
 val aux_tensors : Msc_ir.Stencil.t -> Msc_ir.Tensor.t list
 (** Distinct coefficient grids read by the stencil's kernels (multi-grid

@@ -14,12 +14,12 @@ let fused_sweep_of (st : Stencil.t) =
   if not (String.equal (Emit_common.elem_type st) "double") then None
   else
     let halo = st.Stencil.grid.Tensor.halo in
-    let terms = Emit_common.flatten_terms st in
-    if not (List.exists (fun t -> t.Emit_common.kernel <> None) terms) then None
+    let terms = Stencil.terms st in
+    if not (List.exists (fun t -> t.Stencil.kernel <> None) terms) then None
     else
       let sweep_terms =
         List.map
-          (fun { Emit_common.scale; kernel; dt = _ } ->
+          (fun { Stencil.scale; kernel; dt = _ } ->
             match kernel with
             | None -> Jit.Sweep_state { scale }
             | Some kernel -> Jit.Sweep_kernel { scale; kernel; halo })
@@ -55,7 +55,7 @@ let emit_fused_step w (st : Stencil.t) ~(plan : Plan.t) ~omp ~terms ~aux_slots =
     (Printf.sprintf "static void msc_step(%s)" (Emit_common.step_params st))
     (fun () ->
       let srcs =
-        List.map (fun t -> Emit_common.state_var t.Emit_common.dt) terms
+        List.map (fun t -> Emit_common.state_var t.Stencil.dt) terms
       in
       C_writer.line w "const double *msc_srcs[%d] = { %s };" (List.length srcs)
         (String.concat ", " srcs);

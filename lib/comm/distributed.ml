@@ -83,15 +83,8 @@ let localize_stencil ?halo (st : Stencil.t) ~extent =
     Kernel.make ~bindings:k.Kernel.bindings ~aux ~name:k.Kernel.name
       ~input:local_tensor ~index_vars:k.Kernel.index_vars k.Kernel.expr
   in
-  let rec go (e : Stencil.expr) =
-    match e with
-    | Stencil.Apply (k, dt) -> Stencil.Apply (localize_kernel k, dt)
-    | Stencil.State _ -> e
-    | Stencil.Scale (c, a) -> Stencil.Scale (c, go a)
-    | Stencil.Sum (a, b) -> Stencil.Sum (go a, go b)
-    | Stencil.Diff (a, b) -> Stencil.Diff (go a, go b)
-  in
-  Stencil.make ~name:st.Stencil.name ~grid:local_tensor (go st.Stencil.expr)
+  Stencil.make ~name:st.Stencil.name ~grid:local_tensor
+    (Stencil.map_kernels localize_kernel st.Stencil.expr)
 
 (* One full exchange = the communication window of a timestep: the span
    covers pack, transfer and unpack for every rank and direction. *)
@@ -416,26 +409,35 @@ let bulk_step t =
   Array.iter Runtime.step t.runtimes;
   exchange_state t ~dt:1
 
-(* The three-phase overlap protocol: the [Overlapped] engine's step and the
-   first substep of every temporal block. [grids rt] picks the states a
-   rank puts on the wire; [finish rank rt] commits its step. Interior cells
-   of stage 0 read no halo data at all, so phase B's sub-sweep is correct
-   regardless of message progress; the boundary shell waits for the
-   completed exchange in phase C. So do a graph's later stages: every one
-   reads an intermediate buffer stage 0 is still producing, and stage 0's
+(* Commit one rank's block substep, refreshing its physical faces only. *)
+let finish_substep t rank rt = Runtime.finish_step ~refresh:t.bc_plans.(rank) rt
+
+(* The three-phase overlap protocol: the first substep of every block.
+   At depth 1 the older states' halos are still valid from the previous
+   step's exchange, so only the newest state goes on the wire; a deeper
+   block sends every retained state. Interior cells of stage 0 read no
+   halo data at all, so phase B's sub-sweep is correct regardless of
+   message progress; the boundary shell waits for the completed exchange
+   in phase C. So do a graph's later stages: every one reads an
+   intermediate buffer stage 0 is still producing, and stage 0's
    ghost-extension boxes (which land in the shell by construction) read
    the in-flight halo.
 
    Three pool dispatches with barriers between them keep the protocol
    deadlock-free even when the pool has fewer workers than ranks: every
-   send is posted before any rank blocks in [Mpi_sim.wait]. Posting is its
-   own (cheap) phase rather than a prologue of each rank's compute so that
-   all messages enter flight before any interior sweep starts — the full
-   sweep then counts against every message's latency, even when the pool's
-   workers time-slice a single core. *)
-let overlap t ~grids ~finish =
+   send is posted before any rank blocks in [Mpi_sim.slot_wait]. Posting
+   is its own (cheap) phase rather than a prologue of each rank's compute
+   so that all messages enter flight before any interior sweep starts —
+   the full sweep then counts against every message's latency, even when
+   the pool's workers time-slice a single core. *)
+let overlap t =
   let n = Array.length t.runtimes in
-  let grids = Array.map grids t.runtimes in
+  let on_wire = if t.depth = 1 then 1 else t.time_window in
+  let grids =
+    Array.map
+      (fun rt -> Array.init on_wire (fun i -> Runtime.state rt ~dt:(i + 1)))
+      t.runtimes
+  in
   (* Phase A: pack and post every rank's sends. *)
   Msc_util.Domain_pool.parallel_chunks t.pool ~lo:0 ~hi:n
     (fun ~worker:_ rank ->
@@ -463,18 +465,10 @@ let overlap t ~grids ~finish =
         Runtime.sweep_graph_stage rt i (Runtime.graph_stage_tasks rt i)
       done;
       Msc_trace.end_span ~tid:rank t.trace "halo.shell" ts;
-      finish rank rt)
+      finish_substep t rank rt)
 
-(* The state entering the step (dt = 1) already has consistent halos from
-   the previous step's phase C (or from the initial exchanges), and
-   re-exchanging it moves bit-identical data: packing reads interior slabs,
-   which no phase mutates. *)
-let overlapped_step t =
-  overlap t
-    ~grids:(fun rt -> [| Runtime.state rt ~dt:1 |])
-    ~finish:(fun _ rt -> Runtime.finish_step rt)
-
-(* One timestep of the communication-avoiding temporal engine. A depth-k
+(* One timestep of a block: the [Overlapped] engine is the depth-1 block,
+   [Temporal_blocked] the communication-avoiding depth-k one. A depth-k
    block pays one deep exchange ([k * radius]-wide slabs of every retained
    state, one message per neighbour) and then advances k substeps: substep
    [s] sweeps the interior grown by [(k-1-s) * radius] into the exchanged
@@ -489,22 +483,15 @@ let overlapped_step t =
    The first substep runs the overlap protocol: pre-block halos are stale
    (the previous block's last substep swept no extension), so only the
    radius-deep core runs while the deep exchange is in flight; the shell
-   plus the outermost extension wait for completion. At depth 1 the older
-   states' halos are still valid from the previous step's exchange, so
-   only the newest state goes on the wire, as in [overlapped_step]. Later
-   substeps are pure compute. Every substep refreshes the {e physical}
-   faces only — a full pass would clobber the freshly recomputed halo
-   extensions. *)
-let temporal_step t =
+   plus the outermost extension wait for completion. Later substeps are
+   pure compute. Every substep refreshes the {e physical} faces only — a
+   full pass would clobber the freshly recomputed halo extensions. At depth 1
+   there are none, and a full pass would write the neighbour faces of the
+   new state, which the next step's exchange overwrites before any sweep
+   reads them: the same bits either way. *)
+let block_step t =
   let s = t.block_pos in
-  let finish rank rt = Runtime.finish_step ~refresh:t.bc_plans.(rank) rt in
-  if s = 0 then
-    overlap t
-      ~grids:(fun rt ->
-        Array.init
-          (if t.depth = 1 then 1 else t.time_window)
-          (fun i -> Runtime.state rt ~dt:(i + 1)))
-      ~finish
+  if s = 0 then overlap t
   else
     (* Substeps 1..k-1: no communication — sweep the shrunken extended
        interior ({!Plan.temporal}) and refresh the physical faces. *)
@@ -514,7 +501,7 @@ let temporal_step t =
         let ts = Msc_trace.begin_span t.trace in
         Runtime.sweep_tasks rt t.sub_tasks.(rank).(s);
         Msc_trace.end_span ~tid:rank t.trace "halo.substep" ts;
-        finish rank rt);
+        finish_substep t rank rt);
   t.block_pos <- (s + 1) mod t.depth
 
 (* Graphs record [Temporal_blocked] (depth 1 at most — deeper requests
@@ -524,8 +511,7 @@ let temporal_step t =
 let step t =
   (match t.effective_engine with
   | Bulk_synchronous -> bulk_step t
-  | Overlapped -> overlapped_step t
-  | Temporal_blocked _ -> temporal_step t);
+  | Overlapped | Temporal_blocked _ -> block_step t);
   t.steps_done <- t.steps_done + 1
 
 let run t n =

@@ -15,15 +15,17 @@ type engine = Msc_exec.Exec.engine =
           freshly produced state is exchanged with no compute in flight. *)
   | Overlapped
       (** The paper's asynchronous protocol (§4.4, Figure 6c): each step
-          posts every rank's sends and receives, sweeps the halo-free
-          interior while the messages are in flight, then completes the
-          receives and sweeps the boundary shell. Bit-identical to
+          posts every rank's sends, sweeps the halo-free interior while the
+          messages are in flight, then completes the receives and sweeps
+          the boundary shell. It steps as the depth-1 block of
+          [Temporal_blocked] (same protocol, same traffic: the newest
+          state's slabs, one message per neighbour). Bit-identical to
           [Bulk_synchronous]. *)
   | Temporal_blocked of { depth : int }
       (** Communication-avoiding temporal blocking: halos are widened to
           [depth * radius], one deep exchange (a single message per
           neighbour carrying every retained state's slab; at depth 1 only
-          the newest state's, as in [Overlapped]) feeds a block of
+          the newest state's, exactly [Overlapped]) feeds a block of
           [depth] timesteps, and each substep recomputes a shrinking ghost
           extension instead of exchanging — the per-step latency cost drops
           to [alpha / depth] at the price of [O(depth * radius * face)]
@@ -66,18 +68,18 @@ val create :
     {e ranks} concurrently (default sequential); each rank's local runtime
     sweeps its own tiles sequentially. [net] attaches a network cost
     model to the MPI simulator, so every message carries a simulated
-    in-flight latency — {!Mpi_sim.wait} sleeps out the remainder, making
+    in-flight latency — {!Mpi_sim.slot_wait} sleeps out the remainder, making
     the overlap window measurable in wall-clock traces.
 
     [trace] instruments every rank's local runtime (spans tagged with the
     rank as [tid]), each rank's halo traffic (one ["halo.pack"],
     ["halo.exchange"] and ["halo.unpack"] span and one ["halo.bytes"]
     counter per rank per exchange, see {!Halo.post}), a ["halo.window"]
-    span over each bulk exchange, and — in the overlapped engine — a
-    ["halo.overlap"] span per rank over the interior sub-sweep (the window
-    the exchange hides behind) plus a ["halo.shell"] span over the
-    boundary sub-sweep; the temporal engine adds a ["halo.substep"] span
-    per rank over each communication-free substep.
+    span over each bulk exchange, and — in the overlapped and temporal
+    engines — a ["halo.overlap"] span per rank over the interior sub-sweep
+    (the window the exchange hides behind) plus a ["halo.shell"] span over
+    the boundary sub-sweep; a temporal block deeper than 1 adds a
+    ["halo.substep"] span per rank over each communication-free substep.
     @raise Invalid_argument if the halo is thinner than the stencil radius,
     the decomposition is invalid, any rank is thinner than the exchange
     width ([effective_depth * radius]) in some dimension (the message

@@ -15,11 +15,10 @@
 
    Segment cells are reused and channels persist across steps: in steady
    state (every halo exchange sends the same channels every step) a message
-   allocates nothing but its payload — and the payload copy itself is
-   elided on the [isend_owned] path, where the caller hands over a freshly
-   packed buffer. [send_port] / [recv_slot] additionally hoist the channel
-   lookup and request allocation out of the loop, the persistent-request
-   idiom the scaling bench drives. *)
+   allocates nothing but its payload, which the sender hands over without
+   a copy. Callers resolve a channel once, as a [send_port] / [recv_slot]
+   pair (the persistent-request idiom), so no send or receive looks
+   anything up. *)
 
 module Imap = Map.Make (Int)
 
@@ -77,12 +76,6 @@ type t = {
   mutable base_bytes : int;
   mutable base_pending : int;
 }
-
-(* A posted receive. Completion is one-shot and independent of other
-   requests: the matching channel is resolved at post time, and [test] /
-   [wait] dequeue its head into [completed], after which further probes are
-   pure reads. *)
-type request = { r_dst : int; r_ch : chan; mutable completed : Bytes.t option }
 
 (* Persistent endpoints: the channel resolved once, reused every step. *)
 type port = { po_t : t; po_ch : chan }
@@ -272,33 +265,6 @@ let clock t =
   | None -> None
   | Some _ -> if Netmodel.sim_latency_scale () = 0.0 then None else Some (now ())
 
-let post ?now t ~src ~dst ~tag payload =
-  check_rank t src "isend";
-  check_rank t dst "isend";
-  let arrival = arrival_of ?now t (Bytes.length payload) in
-  chan_push (chan_of t t.mailboxes.(dst) ~src ~tag) payload arrival
-
-let isend ?now t ~src ~dst ~tag payload =
-  post ?now t ~src ~dst ~tag (Bytes.copy payload)
-
-let isend_owned ?now t ~src ~dst ~tag payload = post ?now t ~src ~dst ~tag payload
-
-let irecv t ~dst ~src ~tag =
-  check_rank t src "irecv";
-  check_rank t dst "irecv";
-  { r_dst = dst; r_ch = chan_of t t.mailboxes.(dst) ~src ~tag; completed = None }
-
-let test _t req =
-  match req.completed with
-  | Some _ -> true
-  | None ->
-      let payload = take_now req.r_ch in
-      if payload != no_msg then begin
-        req.completed <- Some payload;
-        true
-      end
-      else false
-
 let backlog_of t =
   let acc = ref [] in
   Array.iteri
@@ -361,14 +327,6 @@ let wait_chan ?(timeout_s = 1.0) t ~dst ch =
     poll ()
   end
 
-let wait ?timeout_s t req =
-  match req.completed with
-  | Some payload -> payload
-  | None ->
-      let payload = wait_chan ?timeout_s t ~dst:req.r_dst req.r_ch in
-      req.completed <- Some payload;
-      payload
-
 (* --- persistent endpoints --- *)
 
 let send_port t ~src ~dst ~tag =
@@ -409,23 +367,23 @@ let allreduce t ~tag ~combine partials =
       b
     in
     let value b = Int64.float_of_bits (Bytes.get_int64_le b 0) in
+    let send ~src ~dst v = port_send (send_port t ~src ~dst ~tag) (payload v) in
+    let recv ~dst ~src = value (slot_wait (recv_slot t ~dst ~src ~tag)) in
     for r = 1 to n - 1 do
-      isend_owned t ~src:r ~dst:0 ~tag (payload partials.(r))
+      send ~src:r ~dst:0 partials.(r)
     done;
-    let gathered = Array.make n 0.0 in
-    gathered.(0) <- partials.(0);
-    for r = 1 to n - 1 do
-      gathered.(r) <- value (wait t (irecv t ~dst:0 ~src:r ~tag))
-    done;
+    let gathered =
+      Array.init n (fun r -> if r = 0 then partials.(0) else recv ~dst:0 ~src:r)
+    in
     let result = Msc_ir.Reduce.tree_combine combine gathered in
     for r = 1 to n - 1 do
-      isend_owned t ~src:0 ~dst:r ~tag (payload result)
+      send ~src:0 ~dst:r result
     done;
     let out = ref result in
     for r = 1 to n - 1 do
       (* Every rank decodes the same broadcast bits; the last decode is
          returned (they are all equal by construction). *)
-      out := value (wait t (irecv t ~dst:r ~src:0 ~tag))
+      out := recv ~dst:r ~src:0
     done;
     !out
   end

@@ -17,22 +17,23 @@
     running that rank, rank [dst]'s receives from the domain running
     [dst], and pool barriers between engine phases order any migration of
     ranks across domains — so the runtime can drive ranks concurrently
-    over a {!Msc_util.Domain_pool}: every rank posts its [isend]s,
-    computes while the messages are in flight, and completes its [irecv]s
-    afterwards — the non-blocking overlapped halo-exchange pattern of
-    §4.4.
+    over a {!Msc_util.Domain_pool}: every rank sends through its
+    {!port}s, computes while the messages are in flight, and claims them
+    from its {!slot}s afterwards — the non-blocking overlapped
+    halo-exchange pattern of §4.4.
+
+    Messages travel only through persistent endpoints: a {!port} /
+    {!slot} pair resolves one (src, dst, tag) channel once, and every
+    send or receive through it is O(1) with no allocation beyond the
+    payload, whose ownership the sender hands over.
 
     With a {!Netmodel} attached, each message additionally carries a
-    simulated in-flight latency ({!Netmodel.message_time}): [wait] blocks
-    until the arrival time passes, so wall-clock traces show a real transfer
-    window that overlapped computation can hide. Without one, delivery is
-    instantaneous (the original lockstep behaviour). *)
+    simulated in-flight latency ({!Netmodel.message_time}): {!slot_wait}
+    blocks until the arrival time passes, so wall-clock traces show a real
+    transfer window that overlapped computation can hide. Without one,
+    delivery is instantaneous (the original lockstep behaviour). *)
 
 type t
-
-type request
-(** A posted receive. One-shot: it completes at most once ({!test} /
-    {!wait}), independently of any other request on the same channel. *)
 
 exception
   Deadlock of {
@@ -44,10 +45,11 @@ exception
         (** every non-empty queue as [(src, dst, tag, depth)] — the
             misrouted or mis-tagged messages that explain the hang *)
   }
-(** Raised by {!wait} when no matching message shows up within the timeout.
-    Registered with a {!Printexc} printer, so the report names the missing
-    [(src, dst, tag)] and dumps the queues that {e do} hold messages
-    (distinguishing a tag/neighbour bug from a genuinely missing send). *)
+(** Raised by {!slot_wait} when no matching message shows up within the
+    timeout. Registered with a {!Printexc} printer, so the report names the
+    missing [(src, dst, tag)] and dumps the queues that {e do} hold
+    messages (distinguishing a tag/neighbour bug from a genuinely missing
+    send). *)
 
 val create : ?net:Netmodel.t -> nranks:int -> unit -> t
 (** [net] prices each message's in-flight latency; omitted = instantaneous
@@ -55,48 +57,19 @@ val create : ?net:Netmodel.t -> nranks:int -> unit -> t
 
 val nranks : t -> int
 
-val isend : ?now:float -> t -> src:int -> dst:int -> tag:int -> Bytes.t -> unit
-(** Asynchronous send: enqueues a copy of the payload, stamped with its
-    simulated arrival time. Never blocks. [?now] supplies the post
-    timestamp for the arrival stamp (see {!clock}) so a batch of sends
-    reads the wall clock once; ignored when delivery is instantaneous.
-    @raise Invalid_argument on out-of-range ranks. *)
-
-val isend_owned :
-  ?now:float -> t -> src:int -> dst:int -> tag:int -> Bytes.t -> unit
-(** Like {!isend} but transfers ownership of the payload instead of
-    copying it: the caller must not mutate the buffer afterwards. The
-    fast path for freshly packed halo slabs. *)
-
 val clock : t -> float option
 (** [Some now] when sends currently need a wall-clock stamp (a network
     model is attached and {!Netmodel.sim_latency_scale} is non-zero),
     [None] when messages would be stamped instantaneous anyway. Read it
     once per send batch and thread it through [?now]. *)
 
-val irecv : t -> dst:int -> src:int -> tag:int -> request
-(** Post a receive; completion happens at {!test} or {!wait}. *)
-
-val test : t -> request -> bool
-(** Non-blocking completion probe: true once the matching message has been
-    sent {e and} its simulated arrival time has passed (the message is then
-    claimed by this request). Idempotent after completion. *)
-
-val wait : ?timeout_s:float -> t -> request -> Bytes.t
-(** Complete the receive, FIFO per (src, dst, tag), blocking until the
-    message arrives (simulated latency included). A message that is merely
-    in flight waits out its arrival time; a message that was never sent
-    raises {!Deadlock} after [timeout_s] (default 1 s) with a dump of the
-    queues that are non-empty. Waiting an already-completed request returns
-    its payload again. *)
-
 type delay = Spin | Sleep of float
 
 val wait_delay : waited:float -> remaining:float -> delay
-(** The pacing {!wait} and {!slot_wait} use between probes of a message
-    that has not arrived, [waited] seconds into the wait. [remaining] is
-    the time until the queued head message's arrival, [infinity] when
-    nothing is queued. An in-flight message is waited for exactly:
+(** The pacing {!slot_wait} uses between probes of a message that has
+    not arrived, [waited] seconds into the wait. [remaining] is the time
+    until the queued head message's arrival, [infinity] when nothing is
+    queued. An in-flight message is waited for exactly:
     [Sleep] until just before its arrival, then [Spin]
     ({!Domain.cpu_relax}) through the last 0.1 ms. A missing message is
     polled with naps of 0.2 ms, growing with [waited] to 2 ms. *)
@@ -115,27 +88,32 @@ val allreduce :
     stepping driver), like the engine protocols.
     @raise Invalid_argument unless [Array.length partials = nranks]. *)
 
-(** {1 Persistent endpoints (preallocated request slots)}
+(** {1 Persistent endpoints}
 
     The persistent-request idiom for steady-state exchange patterns: the
     channel for a fixed (src, dst, tag) is resolved once and every
-    subsequent post or completion is O(1) with zero allocation beyond the
-    payload. The scaling bench drives a 4096-rank exchange through these. *)
+    subsequent send or completion is O(1) with zero allocation beyond the
+    payload. Resolving the same channel again returns an endpoint on the
+    same FIFO. *)
 
 type port
 (** A persistent send endpoint for one (src, dst, tag). *)
 
 type slot
-(** A persistent receive endpoint for one (src, dst, tag). Unlike
-    {!request} it is not one-shot: each {!slot_wait} / successful
-    {!slot_test} claims the channel's next message in FIFO order. *)
+(** A persistent receive endpoint for one (src, dst, tag). Each
+    {!slot_wait} / successful {!slot_test} claims the channel's next
+    message in FIFO order. *)
 
 val send_port : t -> src:int -> dst:int -> tag:int -> port
 (** @raise Invalid_argument on out-of-range ranks. *)
 
 val port_send : ?now:float -> port -> Bytes.t -> unit
-(** {!isend_owned} through a resolved endpoint: ownership transfer, no
-    per-message lookup. *)
+(** Asynchronous send: enqueues the payload, stamped with its simulated
+    arrival time, and never blocks. Ownership transfers: the caller must
+    not mutate the buffer afterwards (the receiver gets this very buffer).
+    [?now] supplies the post timestamp for the arrival stamp (see
+    {!clock}) so a batch of sends reads the wall clock once; ignored when
+    delivery is instantaneous. *)
 
 val recv_slot : t -> dst:int -> src:int -> tag:int -> slot
 (** @raise Invalid_argument on out-of-range ranks. *)
@@ -145,8 +123,11 @@ val slot_test : slot -> Bytes.t option
     included); [None] otherwise. *)
 
 val slot_wait : ?timeout_s:float -> slot -> Bytes.t
-(** Claim the next message, blocking like {!wait} (same {!Deadlock}
-    behaviour on timeout). *)
+(** Claim the next message, FIFO per (src, dst, tag), blocking until it
+    arrives (simulated latency included). A message that is merely in
+    flight waits out its arrival time; a message that was never sent
+    raises {!Deadlock} after [timeout_s] (default 1 s) with a dump of the
+    queues that are non-empty. *)
 
 val pending_messages : t -> int
 (** Sent-but-unreceived messages (should be 0 between timesteps). *)

@@ -20,7 +20,6 @@ module Reduction = Msc_exec.Reduction
 module Solver = Msc_solver.Solver
 module Runtime = Msc_exec.Runtime
 module Interp = Msc_exec.Interp
-module Reference = Msc_exec.Reference
 module Verify = Msc_exec.Verify
 module Bc = Msc_exec.Bc
 module Codegen = Msc_codegen.Codegen
@@ -30,7 +29,6 @@ module Sunway = Msc_sunway.Sim
 module Spm = Msc_sunway.Spm
 module Matrix = Msc_matrix.Sim
 module Mpi = Msc_comm.Mpi_sim
-module Mpi_ref = Msc_comm.Mpi_sim_ref
 module Netmodel = Msc_comm.Netmodel
 module Decomp = Msc_comm.Decomp
 module Halo = Msc_comm.Halo

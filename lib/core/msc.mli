@@ -82,7 +82,6 @@ module Solver = Msc_solver.Solver
 
 module Runtime = Msc_exec.Runtime
 module Interp = Msc_exec.Interp
-module Reference = Msc_exec.Reference
 module Verify = Msc_exec.Verify
 module Bc = Msc_exec.Bc
 module Codegen = Msc_codegen.Codegen
@@ -92,7 +91,6 @@ module Sunway = Msc_sunway.Sim
 module Spm = Msc_sunway.Spm
 module Matrix = Msc_matrix.Sim
 module Mpi = Msc_comm.Mpi_sim
-module Mpi_ref = Msc_comm.Mpi_sim_ref
 module Netmodel = Msc_comm.Netmodel
 module Decomp = Msc_comm.Decomp
 module Halo = Msc_comm.Halo
@@ -196,7 +194,7 @@ module Pipeline : sig
 
   val verify : steps:int -> t -> Verify.report
   (** §5.1 correctness check of the optimized runtime against the naive
-      reference. *)
+      serial one (the tree interpreter, untiled, sequential). *)
 
   val compile :
     ?steps:int -> target:Codegen.target -> t -> (Codegen.file list, string) result

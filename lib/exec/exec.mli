@@ -18,7 +18,8 @@ type engine =
   | Bulk_synchronous
       (** exchange all faces, then compute — the §4.2 baseline *)
   | Overlapped
-      (** interior compute overlapped with asynchronous face exchange *)
+      (** interior compute overlapped with asynchronous face exchange;
+          steps as the depth-1 [Temporal_blocked] block *)
   | Temporal_blocked of { depth : int }
       (** deep-halo communication-avoiding blocking: one exchange per
           [depth] steps *)

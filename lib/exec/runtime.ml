@@ -134,14 +134,6 @@ type t = {
   points_per_step : float;  (* interior points swept per step *)
 }
 
-let rec flatten scale (e : Stencil.expr) =
-  match e with
-  | Stencil.Apply (k, dt) -> [ (scale, `Kernel k, dt) ]
-  | Stencil.State dt -> [ (scale, `State, dt) ]
-  | Stencil.Scale (c, a) -> flatten (scale *. c) a
-  | Stencil.Sum (a, b) -> flatten scale a @ flatten scale b
-  | Stencil.Diff (a, b) -> flatten scale a @ flatten (-.scale) b
-
 (* Static coefficient grids get a deterministic closed form keyed on the
    tensor name; halo cells use the same formula (fill_extended), so single
    node, distributed and generated-C executions all agree. *)
@@ -219,17 +211,16 @@ let build ~config ~init ~aux_init ~bc ~trace ~tid ~source
        the fused kernel and the fallback when it does not compile. *)
     let terms =
       List.map
-        (fun (scale, src, dt) ->
-          match src with
-          | `Kernel k ->
-              incr kernel_terms;
-              {
-                scale;
-                src = src_of dt;
-                kernel = Some (Interp.compile ~trace k ~geometry);
-              }
-          | `State -> { scale; src = src_of dt; kernel = None })
-        (flatten 1.0 st.Stencil.expr)
+        (fun { Stencil.scale; kernel; dt } ->
+          let kernel =
+            Option.map
+              (fun k ->
+                incr kernel_terms;
+                Interp.compile ~trace k ~geometry)
+              kernel
+          in
+          { scale; src = src_of dt; kernel })
+        (Stencil.terms st)
     in
     let aux_names =
       List.sort_uniq String.compare

@@ -6,13 +6,15 @@ type report = {
   ok : bool;
 }
 
+(* The oracle is the runtime at its defaults: the tree interpreter over
+   one untiled task on the calling domain. *)
 let check ?schedule ?config ?init ?aux_init ?bc ?trace ~steps (st : Msc_ir.Stencil.t) =
   let fast = Runtime.create ?schedule ?config ?init ?aux_init ?bc ?trace st in
-  let naive = Reference.create ?init ?aux_init ?bc st in
+  let naive = Runtime.create ?init ?aux_init ?bc st in
   Runtime.run fast steps;
-  Reference.run naive steps;
+  Runtime.run naive steps;
   let err =
-    Grid.max_rel_error ~reference:(Reference.current naive) (Runtime.current fast)
+    Grid.max_rel_error ~reference:(Runtime.current naive) (Runtime.current fast)
   in
   let tolerance = Msc_ir.Dtype.tolerance st.Msc_ir.Stencil.grid.Msc_ir.Tensor.dtype in
   {

@@ -1,6 +1,9 @@
 (** §5.1 correctness methodology: run the optimized (scheduled, parallel,
-    window-sliding) runtime and the naive serial reference side by side and
-    compare relative errors against the per-precision thresholds. *)
+    compiled) runtime and the naive serial one side by side and compare
+    relative errors against the per-precision thresholds. "Naive serial"
+    is {!Runtime.create} under {!Exec.Config.default}: the tree
+    interpreter ({!Interp}, [Expr.eval]'s arithmetic in its order), the
+    untiled [Schedule.empty] plan and the sequential pool. *)
 
 type report = {
   stencil_name : string;
@@ -20,10 +23,10 @@ val check :
   steps:int -> Msc_ir.Stencil.t -> report
 (** Runs both executors [steps] timesteps from the same initial condition and
     compares final states. The tolerance comes from the grid's declared
-    datatype ({!Msc_ir.Dtype.tolerance}). [config] drives the optimized
-    runtime (backend and pool; the engine field is ignored — single node);
-    [trace] instruments the optimized runtime only (the reference stays
-    untimed). *)
+    datatype ({!Msc_ir.Dtype.tolerance}). [schedule] and [config] drive the
+    optimized runtime only (backend and pool; the engine field is ignored —
+    single node); [init], [aux_init] and [bc] apply to both. [trace]
+    instruments the optimized runtime only (the oracle stays untimed). *)
 
 val check_grids : dtype:Msc_ir.Dtype.t -> reference:Grid.t -> Grid.t -> bool
 val pp_report : Format.formatter -> report -> unit

@@ -10,21 +10,6 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Stencil expression flattening (mirrors Runtime's term view).        *)
-
-type term = { scale : float; src : [ `Kernel of Kernel.t | `State ]; dt : int }
-
-let terms st =
-  let rec go scale = function
-    | Stencil.Apply (k, dt) -> [ { scale; src = `Kernel k; dt } ]
-    | Stencil.State dt -> [ { scale; src = `State; dt } ]
-    | Stencil.Scale (c, e) -> go (scale *. c) e
-    | Stencil.Sum (a, b) -> go scale a @ go scale b
-    | Stencil.Diff (a, b) -> go scale a @ go (-.scale) b
-  in
-  go 1.0 st.Stencil.expr
-
-(* ------------------------------------------------------------------ *)
 (* Reads and dependency edges.                                         *)
 
 let stage_names t = List.map (fun s -> s.name) t.stages
@@ -42,7 +27,9 @@ let reads s =
   let st = s.stencil in
   let acc = ref [] in
   let add n = if not (List.exists (String.equal n) !acc) then acc := n :: !acc in
-  let has_state = List.exists (fun t -> t.src = `State) (terms st) in
+  let has_state =
+    List.exists (fun t -> Option.is_none t.Stencil.kernel) (Stencil.terms st)
+  in
   if has_state then add st.Stencil.grid.Tensor.name;
   List.iter
     (fun (k : Kernel.t) ->
@@ -257,14 +244,12 @@ let reshape ?shape ~halo t =
             ~name:k.Kernel.name ~input:grid ~index_vars:k.Kernel.index_vars
             k.Kernel.expr
         in
-        let rec go = function
-          | Stencil.Apply (k, dt) -> Stencil.Apply (rebuild_kernel k, dt)
-          | Stencil.State _ as e -> e
-          | Stencil.Scale (c, e) -> Stencil.Scale (c, go e)
-          | Stencil.Sum (a, b) -> Stencil.Sum (go a, go b)
-          | Stencil.Diff (a, b) -> Stencil.Diff (go a, go b)
-        in
-        { s with stencil = Stencil.make ~name:st.Stencil.name ~grid (go st.Stencil.expr) })
+        {
+          s with
+          stencil =
+            Stencil.make ~name:st.Stencil.name ~grid
+              (Stencil.map_kernels rebuild_kernel st.Stencil.expr);
+        })
       t.stages
   in
   { t with source; stages }

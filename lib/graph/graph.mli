@@ -53,16 +53,6 @@ val with_merged : t -> bool -> t
 
 (** {1 Structure} *)
 
-type term = {
-  scale : float;
-  src : [ `Kernel of Msc_ir.Kernel.t | `State ];
-  dt : int;
-}
-
-val terms : Msc_ir.Stencil.t -> term list
-(** Flatten a stencil expression into scaled terms (distributing
-    [Scale]/[Sum]/[Diff]), in evaluation order. *)
-
 val stage_names : t -> string list
 val is_stage : t -> string -> bool
 

@@ -40,15 +40,15 @@ let rec contains_var = function
    access shifted by [o], the term scale folded in as an explicit
    multiply only when it is not 1 (an unscaled writeback performs no
    multiplication, and the naive reference must see the same bits). *)
-let producer_value ~scale ~src ~input_name offsets =
+let producer_value ~scale ~kernel ~input_name offsets =
   let shift (a : Expr.access) =
     { a with Expr.offsets = Array.mapi (fun d o -> o + offsets.(d)) a.Expr.offsets }
   in
   let body =
-    match src with
-    | `State ->
+    match kernel with
+    | None ->
         Expr.Access { Expr.tensor = input_name; offsets = Array.copy offsets }
-    | `Kernel (k : Kernel.t) ->
+    | Some (k : Kernel.t) ->
         Expr.map_expr
           (fun e ->
             match e with
@@ -70,17 +70,17 @@ let try_fuse ~max_radius (g : Graph.t) (p : Graph.stage) =
     match Graph.consumers g p.Graph.name with
     | [] | _ :: _ :: _ -> None
     | [ c ] -> (
-        match Graph.terms p.Graph.stencil with
-        | [ { Graph.scale; src; dt = 1 } ] -> (
+        match Stencil.terms p.Graph.stencil with
+        | [ { Stencil.scale; kernel; dt = 1 } ] -> (
             let body_ok =
-              match src with
-              | `State -> true
-              | `Kernel k -> not (contains_var k.Kernel.expr)
+              match kernel with
+              | None -> true
+              | Some k -> not (contains_var k.Kernel.expr)
             in
             if not body_ok then None
             else
               let i_p = p.Graph.stencil.Stencil.grid in
-              let c_terms = Graph.terms c.Graph.stencil in
+              let c_terms = Stencil.terms c.Graph.stencil in
               let reading_as_input =
                 String.equal c.Graph.stencil.Stencil.grid.Tensor.name
                   p.Graph.name
@@ -89,7 +89,7 @@ let try_fuse ~max_radius (g : Graph.t) (p : Graph.stage) =
                  what c's State terms mean. *)
               let state_conflict =
                 reading_as_input
-                && List.exists (fun t -> t.Graph.src = `State) c_terms
+                && List.exists (fun t -> Option.is_none t.Stencil.kernel) c_terms
               in
               (* After fusion a kernel term of c that read p now reads
                  p's input; if that term's stencil input *is* p's input,
@@ -102,14 +102,14 @@ let try_fuse ~max_radius (g : Graph.t) (p : Graph.stage) =
                 String.equal i_p.Tensor.name new_grid.Tensor.name
                 && List.exists
                      (fun t ->
-                       match t.Graph.src with
-                       | `Kernel k ->
-                           t.Graph.dt <> 1
+                       match t.Stencil.kernel with
+                       | Some k ->
+                           t.Stencil.dt <> 1
                            && List.exists
                                 (fun (a : Expr.access) ->
                                   String.equal a.Expr.tensor p.Graph.name)
                                 (Expr.accesses k.Kernel.expr)
-                       | `State -> false)
+                       | None -> false)
                      c_terms
               in
               if state_conflict || dt_conflict then None
@@ -127,11 +127,11 @@ let try_fuse ~max_radius (g : Graph.t) (p : Graph.stage) =
                 in
                 bind g.Graph.source;
                 bind i_p;
-                (match src with
-                | `Kernel k ->
+                (match kernel with
+                | Some k ->
                     bind k.Kernel.input;
                     List.iter bind k.Kernel.aux
-                | `State -> ());
+                | None -> ());
                 List.iter
                   (fun (k : Kernel.t) ->
                     bind k.Kernel.input;
@@ -156,7 +156,7 @@ let try_fuse ~max_radius (g : Graph.t) (p : Graph.stage) =
                       | Expr.Access a
                         when String.equal a.Expr.tensor p.Graph.name ->
                           Some
-                            (producer_value ~scale ~src
+                            (producer_value ~scale ~kernel
                                ~input_name:i_p.Tensor.name a.Expr.offsets)
                       | _ -> None)
                     expr
@@ -217,18 +217,12 @@ let try_fuse ~max_radius (g : Graph.t) (p : Graph.stage) =
                             expr ))
                       new_exprs
                   in
-                  let rec go = function
-                    | Stencil.Apply (k, dt) ->
-                        Stencil.Apply (List.assoc k.Kernel.name rebuilt, dt)
-                    | Stencil.State _ as e -> e
-                    | Stencil.Scale (sc, e) -> Stencil.Scale (sc, go e)
-                    | Stencil.Sum (a, b) -> Stencil.Sum (go a, go b)
-                    | Stencil.Diff (a, b) -> Stencil.Diff (go a, go b)
-                  in
                   let stencil =
                     Stencil.make ~name:c.Graph.stencil.Stencil.name
                       ~grid:new_grid_t
-                      (go c.Graph.stencil.Stencil.expr)
+                      (Stencil.map_kernels
+                         (fun k -> List.assoc k.Kernel.name rebuilt)
+                         c.Graph.stencil.Stencil.expr)
                   in
                   let stages =
                     List.filter_map

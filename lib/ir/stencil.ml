@@ -24,6 +24,25 @@ let time_offsets t =
 
 let time_window t = List.fold_left max 1 (time_offsets t)
 
+type term = { scale : float; kernel : Kernel.t option; dt : int }
+
+let terms t =
+  let rec go scale = function
+    | Apply (k, dt) -> [ { scale; kernel = Some k; dt } ]
+    | State dt -> [ { scale; kernel = None; dt } ]
+    | Scale (c, a) -> go (scale *. c) a
+    | Sum (a, b) -> go scale a @ go scale b
+    | Diff (a, b) -> go scale a @ go (-.scale) b
+  in
+  go 1.0 t.expr
+
+let rec map_kernels f = function
+  | Apply (k, dt) -> Apply (f k, dt)
+  | State _ as e -> e
+  | Scale (c, a) -> Scale (c, map_kernels f a)
+  | Sum (a, b) -> Sum (map_kernels f a, map_kernels f b)
+  | Diff (a, b) -> Diff (map_kernels f a, map_kernels f b)
+
 let kernels t =
   let seen = ref [] in
   let (_ : unit list) =

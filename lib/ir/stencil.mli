@@ -34,6 +34,18 @@ val time_window : t -> int
 (** Maximum [k] over all dependencies: the number of past states that must be
     kept live (the paper's sliding-time-window width minus one). *)
 
+type term = { scale : float; kernel : Kernel.t option; dt : int }
+(** One additive term of the flattened combination: [scale] times the
+    kernel applied to the state at [t - dt], or times that raw state when
+    [kernel = None]. *)
+
+val terms : t -> term list
+(** The expression flattened into scaled terms, in evaluation order:
+    [Scale] multiplies into [scale] and [Diff] negates its right side. *)
+
+val map_kernels : (Kernel.t -> Kernel.t) -> expr -> expr
+(** The same combination with every applied kernel replaced by [f k]. *)
+
 val kernels : t -> Kernel.t list
 (** Distinct kernels, in first-use order. *)
 

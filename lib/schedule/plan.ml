@@ -28,13 +28,7 @@ type t = {
 let ceil_div a b = (a + b - 1) / b
 
 let distinct_dts (st : Stencil.t) =
-  let rec go acc (e : Stencil.expr) =
-    match e with
-    | Stencil.Apply (_, dt) | Stencil.State dt -> dt :: acc
-    | Stencil.Scale (_, a) -> go acc a
-    | Stencil.Sum (a, b) | Stencil.Diff (a, b) -> go (go acc a) b
-  in
-  List.sort_uniq compare (go [] st.Stencil.expr)
+  List.sort_uniq compare (List.map (fun t -> t.Stencil.dt) (Stencil.terms st))
 
 let distinct_aux_names (st : Stencil.t) =
   List.sort_uniq compare

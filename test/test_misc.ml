@@ -63,11 +63,14 @@ let mpi_fifo_property =
     QCheck.(list_of_size Gen.(int_range 1 30) (pair (int_range 0 2) small_nat))
     (fun sends ->
       let mpi = Mpi.create ~nranks:4 () in
-      (* Send payload i on channel (tag t); receive everything and check each
-         channel's order. *)
+      (* Send payload i on channel (tag t), each send through a freshly
+         resolved endpoint; receive everything and check each channel's
+         order. *)
       List.iteri
         (fun i (tag, _) ->
-          Mpi.isend mpi ~src:0 ~dst:1 ~tag (Bytes.of_string (string_of_int i)))
+          Mpi.port_send
+            (Mpi.send_port mpi ~src:0 ~dst:1 ~tag)
+            (Bytes.of_string (string_of_int i)))
         sends;
       let per_tag = Hashtbl.create 4 in
       List.iteri (fun i (tag, _) -> Hashtbl.add per_tag tag i) sends;
@@ -75,11 +78,10 @@ let mpi_fifo_property =
       List.iter
         (fun tag ->
           let expected = List.rev (Hashtbl.find_all per_tag tag) in
+          let slot = Mpi.recv_slot mpi ~dst:1 ~src:0 ~tag in
           List.iter
             (fun i ->
-              let got =
-                Bytes.to_string (Mpi.wait mpi (Mpi.irecv mpi ~dst:1 ~src:0 ~tag))
-              in
+              let got = Bytes.to_string (Mpi.slot_wait slot) in
               if got <> string_of_int i then ok := false)
             expected)
         [ 0; 1; 2 ];
