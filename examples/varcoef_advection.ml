@@ -33,8 +33,8 @@ let () =
   (* Heat source on the left edge. *)
   let init _dt coord = if coord.(1) < 3 then 1.0 else 0.0 in
 
-  (* The tiled runtime (closure-compiled tree) must agree with the naive
-     tree-walking reference on this configuration. *)
+  (* The tiled runtime must agree with the untiled, sequential
+     interpreter on this configuration. *)
   let schedule =
     Schedule.matrix_canonical ~tile:[| 8; 16 |] ~threads:4
       (Suite.kernel_of st |> fun _ -> kernel)

@@ -40,10 +40,12 @@ let () =
     let y = float_of_int coord.(1) -. (float_of_int n /. 2.0) in
     exp (-.((x *. x) +. (y *. y)) /. 30.0)
   in
-  let rt = Runtime.create ~init wave in
+  let schedule = Schedule.matrix_canonical ~tile:[| 16; 32 |] ~threads:4 laplacian in
+  let rt = Runtime.create ~schedule ~init wave in
 
-  (* Verify the optimized runtime against the naive reference first. *)
-  let report = Verify.check ~init ~steps:10 wave in
+  (* Verify the tiled runtime against the untiled, sequential interpreter
+     first. *)
+  let report = Verify.check ~schedule ~init ~steps:10 wave in
   Format.printf "%a@.@." Verify.pp_report report;
 
   let snapshot () =

@@ -50,14 +50,14 @@ let suite_default_dims () =
   Alcotest.(check (array int)) "3d" [| 256; 256; 256 |] (Suite.default_dims (Suite.find "3d7pt_star"))
 
 let suite_all_verifiable () =
-  (* Every benchmark runs correctly through the full pipeline on a small
-     grid. This is the §5.1 loop over the whole suite. *)
+  (* Every benchmark's runtime matches the per-point Expr.eval oracle on
+     a small grid. This is the §5.1 loop over the whole suite. *)
   List.iter
     (fun b ->
       let dims = match b.Suite.ndim with 2 -> [| 40; 40 |] | _ -> [| 18; 18; 18 |] in
       let st = Suite.stencil ~dims b in
-      let r = Msc_exec.Verify.check ~steps:3 st in
-      check_bool (b.Suite.name ^ " verified") true (r.Msc_exec.Verify.max_rel_error = 0.0))
+      check_bool (b.Suite.name ^ " verified") true
+        (Oracles.interp_matches_reference ~steps:3 st))
     Suite.all
 
 (* --- Settings --- *)
