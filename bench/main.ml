@@ -488,6 +488,66 @@ let kernel_backend_points_per_sec (b : Msc.Suite.bench) =
     fused_c_pool = points /. t_pool;
   }
 
+(* The same two legs on grids past the last-level cache (ROADMAP item 3):
+   2d9pt_box at 4096^2 and 3d7pt_star at 256^3, each state array ~134 MB,
+   so every sweep streams its states from memory. [computed_gbs] prices a
+   point at the plan's compulsory traffic: each state and aux stream read
+   once and the result written once. One runtime is live at a time (a
+   256^3 runtime holds ~400 MB), and each leg takes the best of three
+   [time_per_run]s, so under [--smoke] a row costs a few dozen steps. *)
+type out_of_cache_row = {
+  ooc_name : string;
+  ooc_dims : int array;
+  bytes_per_point : float;
+  ooc_fused_c : float;
+  ooc_fused_c_pool : float;
+}
+
+let computed_gbs r points_per_sec = points_per_sec *. r.bytes_per_point /. 1e9
+
+let out_of_cache_rows () =
+  List.map
+    (fun (name, dims, tile) ->
+      let st = Msc.Suite.stencil ~dims (Msc.Suite.find name) in
+      let points = float_of_int (Array.fold_left ( * ) 1 dims) in
+      let plan = Msc.Plan.compile_exn st Msc.Schedule.empty in
+      let streams = plan.Msc.Plan.n_state_streams + plan.Msc.Plan.n_aux_streams + 1 in
+      let rate ?schedule pool =
+        let rt =
+          Msc.Runtime.create ?schedule
+            ~config:(Msc.Exec.Config.make ~backend:Msc.Backend.Compiled_c ~pool ())
+            st
+        in
+        let best = ref infinity in
+        for _ = 1 to 3 do
+          best := Float.min !best (time_per_run (fun () -> Msc.Runtime.step rt))
+        done;
+        points /. !best
+      in
+      let fused_c = rate Msc.Domain_pool.sequential in
+      Gc.compact ();
+      let schedule =
+        Msc.Schedule.matrix_canonical ~tile ~threads:4 (Msc.Suite.kernel_of st)
+      in
+      let pool = Msc.Domain_pool.create 4 in
+      let fused_c_pool =
+        Fun.protect
+          ~finally:(fun () -> Msc.Domain_pool.shutdown pool)
+          (fun () -> rate ~schedule pool)
+      in
+      Gc.compact ();
+      {
+        ooc_name = name;
+        ooc_dims = dims;
+        bytes_per_point = 8.0 *. float_of_int streams;
+        ooc_fused_c = fused_c;
+        ooc_fused_c_pool = fused_c_pool;
+      })
+    [
+      ("2d9pt_box", [| 4096; 4096 |], [| 64; 4096 |]);
+      ("3d7pt_star", [| 256; 256; 256 |], [| 16; 32; 256 |]);
+    ]
+
 (* Before/after for the plan-layer traversal change: the same tiled 3d7pt
    step with canonical outer order (what the pre-plan runtime always did)
    vs the reversed outer order [reorder] can now express natively. *)
@@ -987,6 +1047,21 @@ let emit_runtime_json ~comm ~halo ~temporal ~solver ~scaling path =
   in
   let pool_dims, pool_single, pool_pooled = fused_pool_headline () in
   let canonical_pps, reversed_pps = reorder_locality () in
+  let ooc_rows = out_of_cache_rows () in
+  let ooc_json =
+    List.map
+      (fun r ->
+        Printf.sprintf
+          "    { \"name\": %S, \"dims\": [%s], \"bytes_per_point\": %.0f,\n\
+          \      \"points_per_sec\": { \"fused_c\": %.6e, \"fused_c_pool\": %.6e },\n\
+          \      \"computed_gbs\": { \"fused_c\": %.3f, \"fused_c_pool\": %.3f } }"
+          r.ooc_name
+          (String.concat ", " (Array.to_list (Array.map string_of_int r.ooc_dims)))
+          r.bytes_per_point r.ooc_fused_c r.ooc_fused_c_pool
+          (computed_gbs r r.ooc_fused_c)
+          (computed_gbs r r.ooc_fused_c_pool))
+      ooc_rows
+  in
   let comm_dims, bulk_s, overlapped_s = comm in
   let halo_dims, halo_s, halo_messages, halo_bytes = halo in
   let t_dims, t_bulk_s, t_overlapped_s, t_depths = temporal in
@@ -1006,6 +1081,9 @@ let emit_runtime_json ~comm ~halo ~temporal ~solver ~scaling path =
     "{\n\
     \  \"schema\": \"msc-bench-runtime-v2\",\n\
     \  \"kernels\": [\n\
+     %s\n\
+    \  ],\n\
+    \  \"kernels_out_of_cache\": [\n\
      %s\n\
     \  ],\n\
     \  \"plan_reorder_3d7pt_star\": {\n\
@@ -1066,6 +1144,7 @@ let emit_runtime_json ~comm ~halo ~temporal ~solver ~scaling path =
     \  ]\n\
      }\n"
     (String.concat ",\n" kernels)
+    (String.concat ",\n" ooc_json)
     canonical_pps reversed_pps
     (canonical_pps /. reversed_pps)
     (String.concat ", " (Array.to_list (Array.map string_of_int comm_dims)))
@@ -1125,6 +1204,18 @@ let emit_runtime_json ~comm ~halo ~temporal ~solver ~scaling path =
          List.iter prerr_endline bad;
          prerr_endline "[audit] pool-cutoff audit FAILED";
          exit 1);
+  List.iter
+    (fun r ->
+      Printf.printf
+        "[out of cache] %s at %s: fused_c %.0f Mpts/s (%.2f GB/s), \
+         fused_c_pool %.0f Mpts/s (%.2f GB/s)\n"
+        r.ooc_name
+        (String.concat "x" (Array.to_list (Array.map string_of_int r.ooc_dims)))
+        (r.ooc_fused_c /. 1e6)
+        (computed_gbs r r.ooc_fused_c)
+        (r.ooc_fused_c_pool /. 1e6)
+        (computed_gbs r r.ooc_fused_c_pool))
+    ooc_rows;
   let um_s0, um_s1, um_ex0, um_ex1, um_speedup =
     match pf_row "unsharp_mask" with
     | _, s0, s1, ex0, ex1, pps0, pps1 -> (s0, s1, ex0, ex1, pps1 /. pps0)

@@ -386,7 +386,7 @@ let solve_cmd =
       $ smoke_arg)
 
 let verify_cmd =
-  let run b steps small =
+  let run b steps backend small =
     let st = Msc.Suite.stencil ~dims:(dims_of b small) b in
     let kernel = Msc.Suite.kernel_of st in
     let tile =
@@ -395,7 +395,8 @@ let verify_cmd =
         (Msc.Schedule.default_tile kernel)
     in
     let schedule = Msc.Schedule.cpu_canonical ~tile ~threads:4 kernel in
-    let p = Msc.Pipeline.make ~stencil:st ~schedule () in
+    let config = Msc.Exec.Config.make ~backend () in
+    let p = Msc.Pipeline.make ~stencil:st ~schedule ~config () in
     let report = Msc.Pipeline.verify ~steps p in
     Format.printf "%a@." Msc.Verify.pp_report report;
     if report.Msc.Verify.ok then 0 else 1
@@ -408,9 +409,10 @@ let verify_cmd =
   in
   Cmd.v
     (Cmd.info "verify"
-       ~doc:"Check the optimized runtime against the naive serial one (tree \
-             interpreter, untiled, sequential).")
-    Term.(const run $ bench_arg $ steps_arg 5 $ small_default)
+       ~doc:"Check the optimized runtime (tiled, on the chosen backend) \
+             against the naive serial one (tree interpreter, untiled, \
+             sequential).")
+    Term.(const run $ bench_arg $ steps_arg 5 $ backend_arg $ small_default)
 
 let simulate_cmd =
   let platform =

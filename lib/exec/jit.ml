@@ -58,8 +58,9 @@ external c_call_reduce :
    row blocking + host-arch flags; v3 = uniform salting of all emitters +
    reduction kernels; v4 = write-through-only sweeps, long C sweeps cut
    into tap-group passes; v5 = kernels lowered from the tree alone (exact
-   product chains without a [0.0 +] lead, or whole trees). *)
-let emitter_version = "v5"
+   product chains without a [0.0 +] lead, or whole trees); v6 = the 4-row
+   block only on 2-D single-pass sweeps (3-D ones walk one row at a time). *)
+let emitter_version = "v6"
 
 type stats = {
   memo_hits : int;
@@ -404,16 +405,33 @@ let sweep_kernel_value ~layout ~strides ~last ~row ~c_str t (kernel : Kernel.t) 
    or one whole tree or State term.
 
    Every sweep runs over strips of at most [strip_cols] columns. A sweep
-   of at most [single_pass_units] units is one pass with a 4-row block;
-   a longer one is cut into passes of at most [pass_units] units without
-   one. Unrolling all of 2d169pt_box's 338 units into every lane of the
-   block made 135 KB of C that took gcc ~24 s and swept at about half the
-   rate of the passes; cutting the short sweeps into unblocked passes
-   made tree-form pipeline steps ~1.5x slower. *)
+   of at most [single_pass_units] units is one pass, and on a 2-D grid
+   that pass blocks rows by 4; a longer one is cut into passes of at most
+   [pass_units] units without a block. Unrolling all of 2d169pt_box's 338
+   units into every lane of the block made 135 KB of C that took gcc
+   ~24 s and swept at about half the rate of the passes; cutting the
+   short sweeps into unblocked passes made tree-form pipeline steps ~1.5x
+   slower. A 3-D single pass walks one row at a time: a 4-row block of
+   3d7pt_star reads 28 source rows and writes 4 destination rows per
+   column step, against 10 and 1 without it, and out of cache those
+   streams cost more than the extra accumulator chains win. *)
 
 let single_pass_units = 32
 let pass_units = 16
 let strip_cols = 512
+
+(* The loop nest of a sweep of [n] fold units on an [nd]-D grid. *)
+type nest = Row_block | Single_row | Passes of int
+
+let sweep_nest ~nd n =
+  if n > single_pass_units then Passes ((n + pass_units - 1) / pass_units)
+  else if nd = 2 then Row_block
+  else Single_row
+
+let nest_name = function
+  | Row_block -> "row_block"
+  | Single_row -> "single_row"
+  | Passes _ -> "passes"
 
 let term_units = function
   | Sweep_state _ -> 1
@@ -499,9 +517,8 @@ let emit_c_sweep_src ~fn_name ~halo ~strides terms =
   let units = sweep_units terms in
   let n = Array.length units in
   let terms_arr = Array.of_list terms in
-  let npasses =
-    if n <= single_pass_units then 1 else (n + pass_units - 1) / pass_units
-  in
+  let nest = sweep_nest ~nd n in
+  let npasses = match nest with Passes k -> k | Row_block | Single_row -> 1 in
   let cut j = j * n / npasses in
   (* The flat index of the row-0 lane at strip column [c]; lanes for rows
      1..3 derive theirs as [icol + row * row_stride]. Deriving from one
@@ -553,14 +570,20 @@ let emit_c_sweep_src ~fn_name ~halo ~strides terms =
   if nd >= 2 then begin
     let r = last - 1 in
     pr "  long i%d = l%d;\n" r r;
-    (* A single pass blocks rows by 4: each column iteration runs four
+    (* A 2-D single pass blocks rows by 4: each column iteration runs four
        independent accumulator chains while the column loop stays
        contiguous and auto-vectorizable (a manual column unroll defeats
-       vectorization and measured ~2x slower). Without the block, tree-form
-       pipeline steps measured ~1.5x slower. Passes stay unblocked: each
-       has up to 16 independent products, and a block would quadruple the
-       source of a long sweep. *)
-    if npasses = 1 then begin
+       vectorization and measured ~2x slower). On a 2-vCPU x86 host the
+       2-D block made 2d9pt_box steps 1.3x faster at 4096^2 and 1.5x at
+       256^2, and without it tree-form pipeline steps measured ~1.5x
+       slower. A 3-D single pass is not blocked: on the same host a
+       3d7pt_star step at 256^3 took 41 ms blocked and 26 ms unblocked
+       (sweep 0.35 and 0.61 of the measured triad bandwidth), in-cache
+       3-D steps were unchanged within noise, and the C of 3d7pt_star
+       shrinks from 5.2 to 1.6 KB (gcc 270 -> 120 ms). Passes stay
+       unblocked: each has up to 16 independent products, and a block
+       would quadruple the source of a long sweep. *)
+    if nest = Row_block then begin
       pr "  for (; i%d + 3 < h%d; i%d += 4) {\n" r r r;
       rows_body 4;
       pr "  }\n"
@@ -730,7 +753,7 @@ let compile_sweep ?(trace = Msc_trace.disabled) ~plan_digest terms =
           ]
       in
       let base = Printf.sprintf "msc_sweep_%s_%s" emitter_version key in
-      if Msc_trace.enabled trace then
+      if Msc_trace.enabled trace then begin
         List.iter
           (function
             | Sweep_kernel { kernel; _ } ->
@@ -738,6 +761,11 @@ let compile_sweep ?(trace = Msc_trace.disabled) ~plan_digest terms =
                 Msc_trace.add trace ("jit.form." ^ form) 1.0
             | Sweep_state _ -> ())
           terms;
+        let nest =
+          sweep_nest ~nd:(Array.length strides) (Array.length (sweep_units terms))
+        in
+        Msc_trace.add trace ("jit.nest." ^ nest_name nest) 1.0
+      end;
       cached ~trace sweep_memo ~base (fun ~dir ->
           check_sweep terms;
           build_cc ~trace ~dir ~base ~cmd:c_sweep_cmd ~sym:"msc_sweep"

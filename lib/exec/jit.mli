@@ -5,9 +5,11 @@
     accumulator, scales baked in, [dst] written once. The emitter walks
     each row in strips of at most 512 columns and counts fold units (one
     chain product, or one whole tree or State term): a sweep of
-    at most 32 units is one pass with the second-innermost loop blocked by
-    4 rows (independent accumulator chains while the contiguous innermost
-    loop stays auto-vectorizable); a longer one runs as passes of at most
+    at most 32 units is one pass, which on a 2-D grid blocks the
+    second-innermost loop by 4 rows (independent accumulator chains while
+    the contiguous innermost loop stays auto-vectorizable) and on a 3-D
+    grid walks one row at a time (a block there multiplies the rows a
+    column step streams); a longer one runs as passes of at most
     16 units, each one vectorized column loop over the strip that resumes
     every point's accumulator and current term partial from stack rows. It
     compiles with the host's native ISA when the compiler accepts it, and
@@ -40,8 +42,9 @@
     is a ["jit.lookup"] span, and emitting plus running the toolchain for
     an artifact not yet on disk is a nested ["jit.compile"] span. Each
     kernel term of a sweep adds one to a [jit.form.chain] or
-    [jit.form.tree] counter: the form decides compile time and sweep
-    rate.
+    [jit.form.tree] counter, and each sweep adds one to the counter of
+    its loop nest, [jit.nest.row_block], [jit.nest.single_row] or
+    [jit.nest.passes]: form and nest decide compile time and sweep rate.
 
     All failure modes return [Error reason]; callers fall back to the
     interpreter. {!stats} separates forms the emitter cannot express

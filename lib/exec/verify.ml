@@ -1,6 +1,7 @@
 type report = {
   stencil_name : string;
   steps : int;
+  ran : Backend.t;
   max_rel_error : float;
   tolerance : float;
   ok : bool;
@@ -20,6 +21,7 @@ let check ?schedule ?config ?init ?aux_init ?bc ?trace ~steps (st : Msc_ir.Stenc
   {
     stencil_name = st.Msc_ir.Stencil.name;
     steps;
+    ran = (Runtime.backend_report fast).Runtime.effective;
     max_rel_error = err;
     tolerance;
     ok = err <= tolerance;
@@ -29,6 +31,6 @@ let check_grids ~dtype ~reference g =
   Grid.max_rel_error ~reference g <= Msc_ir.Dtype.tolerance dtype
 
 let pp_report ppf r =
-  Format.fprintf ppf "%s: %d steps, max rel err %.3g (tol %.1g) -> %s" r.stencil_name
-    r.steps r.max_rel_error r.tolerance
+  Format.fprintf ppf "%s: %d steps on %a, max rel err %.3g (tol %.1g) -> %s"
+    r.stencil_name r.steps Backend.pp r.ran r.max_rel_error r.tolerance
     (if r.ok then "OK" else "FAIL")

@@ -8,6 +8,7 @@
 type report = {
   stencil_name : string;
   steps : int;
+  ran : Backend.t;  (** the backend the optimized runtime ran on *)
   max_rel_error : float;
   tolerance : float;
   ok : bool;

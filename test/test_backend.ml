@@ -611,6 +611,23 @@ let stencil_mixed_bilinear_2d ?(n = 12) () =
   in
   Builder.two_step ~name:"mixb2d" k
 
+(* The 3-D counterpart: a tree reading a coefficient grid and [Var "j"],
+   the second-innermost index. A 3-D single pass walks one row at a time,
+   so [j] and the aux reads must follow it; 7 and 9 rows are not
+   multiples of 4. *)
+let stencil_tree_aux_3d ?(rows = 7) () =
+  let grid = Builder.def_tensor_3d ~time_window:2 ~halo:1 "B" Msc_ir.Dtype.F64 5 rows 6 in
+  let coeff = Builder.coefficient_grid ~grid "C" in
+  let k =
+    Msc_ir.Kernel.make ~aux:[ coeff ] ~name:"TreeAux3" ~input:grid
+      ~index_vars:[ "k"; "j"; "i" ]
+      Msc_ir.Expr.(
+        (read "C" [| 0; 1; 0 |] * read "B" [| 0; 0; 0 |] * read "B" [| 1; 0; 0 |])
+        + (f 0.2 * read "B" [| 0; -1; 1 |])
+        + (f 0.01 * Var "j"))
+  in
+  Builder.two_step ~name:"treeaux3d" k
+
 let former_fallback_forms_compile () =
   List.iter
     (fun (fname, st) ->
@@ -631,7 +648,27 @@ let former_fallback_forms_compile () =
       ("tree2d", stencil_tree_2d ());
       ("treeaux2d", stencil_tree_aux_2d ());
       ("mixb2d", stencil_mixed_bilinear_2d ());
+      ("treeaux3d", stencil_tree_aux_3d ());
+      ("treeaux3d/9 rows", stencil_tree_aux_3d ~rows:9 ());
     ]
+
+(* The loop nest fits the grid: a 2-D single-pass sweep blocks rows by 4,
+   a 3-D one walks one row per iteration (the block cost 3-D sweeps their
+   memory streams). *)
+let row_block_only_in_2d () =
+  let source name =
+    let b = Suite.find name in
+    (* [Jit.emit_c_sweep] of the stencil's terms, the C both backends run. *)
+    match Msc_codegen.Emit_cpu.fused_sweep_source (Suite.stencil ~dims:(small_dims b) b) with
+    | Some src -> src
+    | None -> Alcotest.fail (name ^ ": no fused sweep")
+  in
+  check_bool "2d9pt_box: 4-row block" true (contains (source "2d9pt_box") "+= 4)");
+  List.iter
+    (fun name ->
+      check_bool (name ^ ": one row per iteration") false
+        (contains (source name) "+= 4)"))
+    [ "3d7pt_star"; "3d13pt_star" ]
 
 (* --- Pool-parallel fused dispatch --- *)
 
@@ -972,6 +1009,7 @@ let suites =
         closure_eval_exact;
         tc "library kernels lower to chains" library_kernels_lower_to_chains;
         tc "tree + unnamed-aux forms compile" former_fallback_forms_compile;
+        tc "4-row block only in 2-D" row_block_only_in_2d;
         slow "pool-parallel fused dispatch" fused_pool_stress;
         tc "unsupported form counted" unsupported_form_counted;
         slow "AOT embeds fused sweep" aot_fused_matches_legacy;

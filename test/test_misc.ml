@@ -157,7 +157,16 @@ let cli_smoke () =
     check_int "experiment exits 0" 0 rc;
     check_bool "prints table" true (contains ~needle:"2d121pt_box" out);
     let rc, _ = run_cli "experiment nonsense" in
-    check_bool "unknown experiment fails" true (rc <> 0)
+    check_bool "unknown experiment fails" true (rc <> 0);
+    (* verify checks the backend it is given, and names the one that ran. *)
+    let rc, out = run_cli "verify -b 3d13pt_star --backend compiled_c" in
+    check_int "verify exits 0" 0 rc;
+    let cc =
+      Sys.command "command -v cc > /dev/null 2>&1 || command -v gcc > /dev/null 2>&1"
+      = 0
+    in
+    check_bool "verify names the backend that ran" true
+      (contains ~needle:(if cc then "on compiled_c" else "on interp") out)
   end
 
 let suites =

@@ -279,8 +279,9 @@ let pipeline_matches_untraced () =
   in
   check_float "points = 4 steps x 10^3" (4.0 *. 1000.0) pts.Trace.sum
 
-(* Every compiled kernel term counts the form the JIT lowered it to: the
-   chain/tree choice decides compile time and sweep rate. *)
+(* Every compiled kernel term counts the form the JIT lowered it to, and
+   every compiled sweep its loop nest: the chain/tree choice and the nest
+   decide compile time and sweep rate. *)
 let jit_form_counters () =
   let config = Msc.Exec.Config.make ~backend:Msc.Backend.Compiled_c () in
   let counter trace name =
@@ -300,7 +301,23 @@ let jit_form_counters () =
   (* c * (sum of reads) keeps its written association: a tree. *)
   let t = traced (stencil_wave2d ~n:6 ()) in
   check_float "one tree term" 1.0 (counter t "jit.form.tree");
-  check_float "no chain term" 0.0 (counter t "jit.form.chain")
+  check_float "no chain term" 0.0 (counter t "jit.form.chain");
+  List.iter
+    (fun (name, dims, nest) ->
+      let b = Msc.Suite.find name in
+      let t = traced (Msc.Suite.stencil ~dims b) in
+      List.iter
+        (fun n ->
+          check_float
+            (Printf.sprintf "%s: jit.nest.%s" name n)
+            (if String.equal n nest then 1.0 else 0.0)
+            (counter t ("jit.nest." ^ n)))
+        [ "row_block"; "single_row"; "passes" ])
+    [
+      ("2d9pt_box", [| 12; 16 |], "row_block");
+      ("3d7pt_star", [| 6; 7; 8 |], "single_row");
+      ("2d169pt_box", [| 16; 16 |], "passes");
+    ]
 
 let distributed_traces_halo () =
   let _, st = stencil_2d9pt_box () in
