@@ -7,7 +7,8 @@
    C(x, y) is a static coefficient grid with a low-conductivity wall down
    the middle and a gap in it; the evolving field B flows through the gap.
 
-   Run with: dune exec examples/varcoef_advection.exe *)
+   Run with: dune exec examples/varcoef_advection.exe (exits 1 if a
+   verification fails) *)
 
 open Msc
 
@@ -33,14 +34,17 @@ let () =
   (* Heat source on the left edge. *)
   let init _dt coord = if coord.(1) < 3 then 1.0 else 0.0 in
 
-  (* The tiled runtime must agree with the untiled, sequential
-     interpreter on this configuration. *)
-  let schedule =
-    Schedule.matrix_canonical ~tile:[| 8; 16 |] ~threads:4
-      (Suite.kernel_of st |> fun _ -> kernel)
-  in
-  let report = Verify.check ~schedule ~init ~aux_init ~steps:10 st in
-  Format.printf "%a@.@." Verify.pp_report report;
+  (* The tiled runtime, on the interpreter and on compiled C, must agree
+     with the untiled, sequential interpreter; exit 1 on a FAIL. *)
+  let schedule = Schedule.matrix_canonical ~tile:[| 8; 16 |] ~threads:4 kernel in
+  List.iter
+    (fun backend ->
+      let config = Exec.Config.make ~backend () in
+      let report = Verify.check ~schedule ~config ~init ~aux_init ~steps:10 st in
+      Format.printf "%a@." Verify.pp_report report;
+      if not report.Verify.ok then exit 1)
+    Backend.all;
+  print_newline ();
 
   let rt = Runtime.create ~schedule ~init ~aux_init st in
   Runtime.run rt 400;

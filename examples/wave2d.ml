@@ -7,7 +7,8 @@
    is an ordinary spatial kernel. A Gaussian pulse in the centre propagates
    outward as a ring; we print coarse snapshots of the wavefield.
 
-   Run with: dune exec examples/wave2d.exe *)
+   Run with: dune exec examples/wave2d.exe (exits 1 if a verification
+   fails) *)
 
 open Msc
 
@@ -43,10 +44,16 @@ let () =
   let schedule = Schedule.matrix_canonical ~tile:[| 16; 32 |] ~threads:4 laplacian in
   let rt = Runtime.create ~schedule ~init wave in
 
-  (* Verify the tiled runtime against the untiled, sequential interpreter
-     first. *)
-  let report = Verify.check ~schedule ~init ~steps:10 wave in
-  Format.printf "%a@.@." Verify.pp_report report;
+  (* Verify the tiled runtime, on the interpreter and on compiled C,
+     against the untiled, sequential interpreter first; exit 1 on a FAIL. *)
+  List.iter
+    (fun backend ->
+      let config = Exec.Config.make ~backend () in
+      let report = Verify.check ~schedule ~config ~init ~steps:10 wave in
+      Format.printf "%a@." Verify.pp_report report;
+      if not report.Verify.ok then exit 1)
+    Backend.all;
+  print_newline ();
 
   let snapshot () =
     let g = Runtime.current rt in

@@ -72,7 +72,7 @@ let generate ?steps ?(bc = Msc_exec.Bc.Dirichlet 0.0) ?config (st : Stencil.t)
         };
         {
           name = name ^ "_slave.c";
-          contents = Emit_athread.generate_slave ?config plan;
+          contents = Emit_athread.generate_slave plan;
         };
         { name = "Makefile"; contents = Makefile_gen.athread ~name };
       ]

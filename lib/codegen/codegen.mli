@@ -32,12 +32,11 @@ val generate :
     [config] with the [Compiled_c] backend makes the generated [msc_step]
     call the same fused whole-sweep body the runtime JIT emits,
     dispatched over the plan's baked tile tasks — see
-    {!Emit_cpu.generate}. For [Athread], [config] picks the slave's
-    per-point compute shape — one fused summed expression under
-    [Compiled_c], per-term [=]/[+=] accumulation (the interpreter's float
-    addition order) otherwise; see
-    {!Emit_athread.generate_slave}. The plan's [working_set_bytes] is
-    checked against the machine's SPM capacity.
+    {!Emit_cpu.generate}. The [Athread] target does not read [config]:
+    its slave always computes each point as one fused summed expression,
+    the fold both backends perform (see {!Emit_athread.generate_slave}).
+    The plan's [working_set_bytes] is checked against the machine's SPM
+    capacity.
     @raise Invalid_argument on an illegal schedule, or on a non-default
     boundary condition with the [Athread] target (the MPE-side BC pass is not
     emitted yet). *)

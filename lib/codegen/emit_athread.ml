@@ -99,18 +99,7 @@ let generate_master ?(steps = 10) (plan : Plan.t) =
       C_writer.line w "return rc;");
   C_writer.contents w
 
-let generate_slave ?config (plan : Plan.t) =
-  (* Mirror the host runtime's kernel dispatch: [Compiled_c] executes one
-     fused whole-sweep body, so the slave computes each point as a single
-     summed expression; the interpreter dispatches one kernel per stencil
-     term, accumulating into the output — the slave writes the first term
-     and [+=]s the rest in the same order, keeping the float addition
-     order identical to the host run being cross-checked. *)
-  let fused =
-    match (config : Msc_exec.Exec.Config.t option) with
-    | Some { Msc_exec.Exec.Config.backend = Msc_exec.Backend.Compiled_c; _ } -> true
-    | Some _ | None -> false
-  in
+let generate_slave (plan : Plan.t) =
   let st : Stencil.t = plan.Plan.stencil in
   let w = C_writer.create () in
   let dims = Emit_common.dims_of st in
@@ -234,47 +223,24 @@ let generate_slave ?config (plan : Plan.t) =
             if d = nd then begin
               let vars = List.init nd (Printf.sprintf "u%d") in
               let write_coords = String.concat ", " vars in
-              let terms = Stencil.terms st in
               let input_name = st.Stencil.grid.Tensor.name in
-              let render (t : Stencil.term) =
-                let buffer = Printf.sprintf "buf_read_%d" t.Stencil.dt in
-                let index (acc : Expr.access) =
-                  let array =
-                    if String.equal acc.Expr.tensor input_name then buffer
-                    else "buf_aux_" ^ acc.Expr.tensor
-                  in
-                  let subs =
-                    List.mapi
-                      (fun d v ->
-                        let off = acc.Expr.offsets.(d) in
-                        Printf.sprintf "%s + R%d + (%d)" v d off)
-                      vars
-                  in
-                  Printf.sprintf "%s[BIDX_R(%s)]" array (String.concat ", " subs)
+              let index ~dt (acc : Expr.access) =
+                let array =
+                  if String.equal acc.Expr.tensor input_name then
+                    Printf.sprintf "buf_read_%d" dt
+                  else "buf_aux_" ^ acc.Expr.tensor
                 in
-                let body =
-                  match t.Stencil.kernel with
-                  | None ->
-                      index { Expr.tensor = buffer; offsets = Array.make nd 0 }
-                  | Some k ->
-                      Expr.to_c ~index
-                        (Emit_common.subst_params k.Kernel.bindings k.Kernel.expr)
+                let subs =
+                  List.mapi
+                    (fun d v ->
+                      Printf.sprintf "%s + R%d + (%d)" v d acc.Expr.offsets.(d))
+                    vars
                 in
-                if t.Stencil.scale = 1.0 then Printf.sprintf "(%s)" body
-                else Printf.sprintf "%.17g * (%s)" t.Stencil.scale body
+                Printf.sprintf "%s[BIDX_R(%s)]" array (String.concat ", " subs)
               in
-              if fused then
-                C_writer.line w "buf_write[BIDX_W(%s)] = (ELEM)(%s);"
-                  write_coords
-                  (String.concat " + " (List.map render terms))
-              else
-                List.iteri
-                  (fun i t ->
-                    C_writer.line w "buf_write[BIDX_W(%s)] %s (ELEM)(%s);"
-                      write_coords
-                      (if i = 0 then "=" else "+=")
-                      (render t))
-                  terms
+              (* One fused sum per point, the runtime sweep's fold. *)
+              C_writer.line w "buf_write[BIDX_W(%s)] = (ELEM)(%s);" write_coords
+                (String.concat " + " (Emit_common.point_terms st ~index))
             end
             else
               C_writer.block w

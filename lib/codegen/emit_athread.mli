@@ -12,12 +12,8 @@
 
 val generate_master : ?steps:int -> Msc_schedule.Plan.t -> string
 
-val generate_slave :
-  ?config:Msc_exec.Exec.Config.t -> Msc_schedule.Plan.t -> string
-(** [config] selects the shape of the per-point compute, mirroring the host
-    runtime's kernel dispatch: [Compiled_c] writes each output point as
-    one fused summed expression (the whole-sweep kernel); the default
-    [Interp] backend writes the first term
-    then [+=]s the remaining terms in declaration order, matching the
-    interpreter's per-term accumulation (and its float addition order)
-    exactly. *)
+val generate_slave : Msc_schedule.Plan.t -> string
+(** Each output point is one fused summed expression of the stencil's
+    terms ({!Emit_common.point_terms}), the per-point fold every host
+    sweep performs, so the float addition order matches the host run
+    being cross-checked whichever backend that run used. *)

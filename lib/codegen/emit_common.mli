@@ -38,6 +38,15 @@ val subst_params : (string * float) list -> Msc_ir.Expr.t -> Msc_ir.Expr.t
 (** Fold coefficient bindings into the expression as float constants.
     @raise Invalid_argument on an unbound parameter. *)
 
+val point_terms :
+  Msc_ir.Stencil.t -> index:(dt:int -> Msc_ir.Expr.access -> string) -> string list
+(** Each stencil term at one point as a C expression, in term order:
+    [(K)] or [scale * (K)], with each kernel expression inlined and its
+    coefficient bindings folded in, and a State term as its zero-offset
+    read. [index ~dt a] renders a read of the input grid (at [t - dt]) or
+    of an aux grid. Summed left to right, the terms perform the runtime
+    sweep's per-point fold. *)
+
 val point_assignment : Msc_ir.Stencil.t -> vars:string list -> string
 (** The innermost statement: [out[IDX(...)] = term + term + ...;] with each
     kernel expression inlined against its state pointer and coefficient

@@ -5,30 +5,21 @@ module Backend = Msc_exec.Backend
 module Jit = Msc_exec.Jit
 
 (* The fused whole-sweep body the Compiled_c backend JITs, reused verbatim
-   for standalone programs: terms of the stencil update compiled into the
-   [Jit.sweep_term] list the fused emitter consumes, plus the aux slot
-   layout its [aux] argument expects. [None] when the stencil has no kernel
-   term, isn't double-precision, or the emitter rejects a form — the caller
-   falls back to the per-point assignment path. *)
+   for standalone programs: the stencil's [Backend.sweep_terms], the list
+   the fused emitter consumes, plus the aux slot layout its [aux] argument
+   expects. [None] when the stencil has no kernel term, isn't
+   double-precision, or the emitter rejects a form — the caller falls back
+   to the per-point assignment path. *)
 let fused_sweep_of (st : Stencil.t) =
   if not (String.equal (Emit_common.elem_type st) "double") then None
   else
-    let halo = st.Stencil.grid.Tensor.halo in
     let terms = Stencil.terms st in
     if not (List.exists (fun t -> t.Stencil.kernel <> None) terms) then None
     else
-      let sweep_terms =
-        List.map
-          (fun { Stencil.scale; kernel; dt = _ } ->
-            match kernel with
-            | None -> Jit.Sweep_state { scale }
-            | Some kernel -> Jit.Sweep_kernel { scale; kernel; halo })
-          terms
-      in
+      let sweep_terms = Backend.sweep_terms ~halo:st.Stencil.grid.Tensor.halo st in
       match Jit.emit_c_sweep ~fn_name:"msc_sweep" sweep_terms with
       | Error _ -> None
-      | Ok src ->
-          Some (terms, src, Jit.sweep_aux_slots sweep_terms)
+      | Ok src -> Some (terms, src, Backend.sweep_aux_slots sweep_terms)
 
 let fused_sweep_source st = Option.map (fun (_, src, _) -> src) (fused_sweep_of st)
 

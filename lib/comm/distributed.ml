@@ -60,32 +60,6 @@ let needs_corners (st : Stencil.t) =
         (Expr.distinct_accesses k.Kernel.expr))
     (Stencil.kernels st)
 
-let localize_stencil ?halo (st : Stencil.t) ~extent =
-  let grid = st.Stencil.grid in
-  let local_tensor =
-    match halo with
-    | None -> { grid with Tensor.shape = Array.copy extent }
-    | Some h ->
-        (* Deep-halo override (temporal blocking): the local grids carry a
-           [depth * radius] halo so one exchange feeds a whole block. *)
-        { grid with Tensor.shape = Array.copy extent; Tensor.halo = Array.copy h }
-  in
-  let localize_kernel k =
-    let aux =
-      List.map
-        (fun (tensor : Tensor.t) ->
-          match halo with
-          | None -> { tensor with Tensor.shape = Array.copy extent }
-          | Some h ->
-              { tensor with Tensor.shape = Array.copy extent; Tensor.halo = Array.copy h })
-        k.Kernel.aux
-    in
-    Kernel.make ~bindings:k.Kernel.bindings ~aux ~name:k.Kernel.name
-      ~input:local_tensor ~index_vars:k.Kernel.index_vars k.Kernel.expr
-  in
-  Stencil.make ~name:st.Stencil.name ~grid:local_tensor
-    (Stencil.map_kernels localize_kernel st.Stencil.expr)
-
 (* One full exchange = the communication window of a timestep: the span
    covers pack, transfer and unpack for every rank and direction. *)
 let exchange_state t ~dt =
@@ -269,13 +243,15 @@ let create ?(config = Exec.Config.default) ?net ?(schedule = Schedule.empty)
     ~time_window:(Stencil.time_window st) ~protocol:config.Exec.Config.engine
     ~halo:radius ~radius ~corners:(needs_corners st)
     ~rank:(fun ~depth ~extent ->
+      (* Deep-halo override (temporal blocking): the local grids carry a
+         [depth * radius] halo so one exchange feeds a whole block. *)
       let halo =
         if depth > 1 then
           Some (Array.mapi (fun d h -> max h (depth * radius.(d))) grid.Tensor.halo)
         else None
       in
       let plan =
-        match Plan.compile (localize_stencil ?halo st ~extent) schedule with
+        match Plan.compile (Stencil.reshape ~shape:extent ?halo st) schedule with
         | Ok p -> p
         | Error msg -> invalid_arg ("Distributed.create: " ^ msg)
       in

@@ -17,6 +17,25 @@ let equal (a : t) b = a = b
    dispatch runs roughly an order of magnitude under the compiled sweeps. *)
 let compute_scale = function Interp -> 25.0 | Compiled_c -> 1.0
 
+type sweep_term =
+  | Sweep_state of { scale : float }
+  | Sweep_kernel of { scale : float; kernel : Msc_ir.Kernel.t; halo : int array }
+
+let sweep_terms ~halo (st : Msc_ir.Stencil.t) =
+  List.map
+    (fun { Msc_ir.Stencil.scale; kernel; dt = _ } ->
+      match kernel with
+      | None -> Sweep_state { scale }
+      | Some kernel -> Sweep_kernel { scale; kernel; halo })
+    (Msc_ir.Stencil.terms st)
+
+let sweep_aux_slots terms =
+  List.concat_map
+    (function
+      | Sweep_state _ -> []
+      | Sweep_kernel { kernel; _ } -> Msc_ir.Kernel.aux_reads kernel)
+    terms
+
 type sweep_fn =
   float array array ->
   float array ->

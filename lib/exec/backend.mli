@@ -30,10 +30,29 @@ val compute_scale : t -> float
     processor simulators and the tuner's cost model: [1.0] for
     [Compiled_c], the measured interpreter penalty for [Interp]. *)
 
-(** {1 Compiled-kernel calling conventions}
+(** {1 Sweep calling convention}
 
-    Every compiled kernel is loaded back as one function over the flat
-    padded arrays. *)
+    Both kernel compilers, {!Jit.compile_sweep} and
+    {!Interp.compile_sweep}, take a stage's terms as a {!sweep_term} list
+    and return one {!sweep_fn} over the flat padded arrays, so the runtime
+    dispatches every stage the same way whichever backend built it. *)
+
+type sweep_term =
+  | Sweep_state of { scale : float }
+      (** the stencil's identity term: [scale * src] *)
+  | Sweep_kernel of { scale : float; kernel : Msc_ir.Kernel.t; halo : int array }
+      (** a kernel term: [scale * K(src)] over grids of the kernel input's
+          shape padded by [halo] *)
+
+val sweep_terms : halo:int array -> Msc_ir.Stencil.t -> sweep_term list
+(** The stencil's {!Msc_ir.Stencil.terms} as sweep terms, in term order,
+    every kernel term over grids padded by [halo]. *)
+
+val sweep_aux_slots : sweep_term list -> string list
+(** The [aux] layout of a sweep: per kernel term in stencil term order,
+    the distinct aux tensor names the term reads, in first-use order,
+    concatenated. A {!sweep_fn}'s [aux] argument holds one array per
+    entry. *)
 
 type sweep_fn =
   float array array ->
@@ -42,25 +61,27 @@ type sweep_fn =
   int array ->
   int array ->
   unit
-(** [fn srcs dst aux lo hi]: a {e fused} whole-sweep kernel covering every
-    term of a stencil update over the range, write-through only: the first
-    term seeds a per-point accumulator, later terms fold into it with
-    their scales baked in, and [dst] is written once per point (its prior
-    contents are never read). Long sweeps run as several passes over
-    column strips inside the call; the per-point operation sequence is the
-    interpreter's either way.
+(** [fn srcs dst aux lo hi]: one whole-sweep kernel covering every term of
+    a stencil update over the range, write-through only. Per point, the
+    first term seeds an accumulator (unscaled when its scale is [1.0],
+    else [scale * v]), each later term folds in as [acc + scale * v], and
+    [dst] is written once (its prior contents are never read). A kernel
+    term's value is its expression tree evaluated as
+    {!Msc_ir.Expr.eval} evaluates it, so every [sweep_fn] built from the
+    same terms returns the same bits.
 
     [srcs] holds one padded source array {e per term}, in stencil term
-    order (terms reading the same past state repeat the array); [aux] is
-    the concatenation of every term's aux slots (see
-    {!Jit.sweep_aux_slots}). Geometry is baked at emission time;
-    callers guard with [Interp.check_grids]/[check_range] per kernel term
-    exactly as the interpreter does. *)
+    order (terms reading the same past state repeat the array); [aux]
+    holds one array per {!sweep_aux_slots} entry. Geometry is baked at
+    compile time and the function performs no validation: callers guard
+    each kernel term with [Interp.check_grids]/[check_range] and each
+    State term with [Interp.check_state]. *)
 
 type reduce_fn =
   int -> float array -> float array -> int array -> int array -> float
-(** [fn op a b lo hi]: a compiled reduction partial over the interior box
-    [\[lo, hi)] of the baked geometry. [op] is {!Msc_ir.Reduce.code}; [b]
+(** [fn op a b lo hi]: a reduction partial over the interior box
+    [\[lo, hi)] of the baked geometry, JIT-compiled or the interpreter's
+    reference. [op] is {!Msc_ir.Reduce.code}; [b]
     is read only by the binary operators (callers pass [a] again for unary
     ops). The accumulation is strictly sequential in row-major order —
     bit-identical to the interpreter's reference partial. *)

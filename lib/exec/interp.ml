@@ -1,18 +1,17 @@
 open Msc_ir
 
-(* What one sweep evaluates against: the input grid's data, the aux arrays
-   in [aux_names] order, and the current point's interior coordinate (read
-   by [Var] nodes only). Every sweep builds its own, so pool workers
-   sweeping tiles of one [t] share nothing mutable. *)
+(* What one term of a sweep evaluates against: its input grid's data, its
+   aux arrays in [aux_names] order, and the current point's interior
+   coordinate (read by [Var] nodes only). Every sweep call builds its own,
+   so pool workers sweeping tiles with one function share nothing
+   mutable. *)
 type env = { src : float array; aux : float array array; coord : int array }
 
 type t = {
-  kernel : Kernel.t;
   eval : env -> int -> float;  (* the kernel's value at flat index [i] *)
   aux_names : string array;  (* aux tensors read, in first-use order *)
   shape : int array;
   halo : int array;
-  strides : int array;
   range_slack : int array;
       (* how far a sweep range may extend past the interior per dimension:
          halo minus the kernel's own radius, so every read stays inside the
@@ -21,11 +20,6 @@ type t = {
          geometry, negative for a geometry thinner than the kernel's
          reach. *)
 }
-
-(* How a sweep writes its per-point kernel value into [dst]. [Apply] and
-   [Apply_scaled] overwrite (the write-through path: the first stencil term
-   needs no prior zero fill); [Accumulate] adds (every later term). *)
-type writeback = Apply | Apply_scaled of float | Accumulate of float
 
 let flat_delta strides offsets =
   let delta = ref 0 in
@@ -135,21 +129,16 @@ let compile ?(trace = Msc_trace.disabled) kernel ~geometry:(g : Grid.t) =
   let kr = Kernel.radius kernel in
   let t =
     {
-      kernel;
       eval = compile_tree kernel ~strides:g.Grid.strides ~aux_slot;
       aux_names = Array.of_list aux_names;
       shape = g.Grid.shape;
       halo = g.Grid.halo;
-      strides = g.Grid.strides;
       range_slack = Array.mapi (fun d h -> h - kr.(d)) g.Grid.halo;
     }
   in
   Msc_trace.end_span trace "interp.compile" ts0;
   Msc_trace.add trace "interp.kernel_points" (float_of_int (Kernel.points kernel));
   t
-
-let kernel t = t.kernel
-let shape t = t.shape
 
 (* {2 Validation} *)
 
@@ -159,21 +148,18 @@ let check_geometry t name (g : Grid.t) =
   if g.Grid.shape <> t.shape || g.Grid.halo <> t.halo then
     invalid_arg (Printf.sprintf "Interp: %s grid differs from compiled geometry" name)
 
-let aux_data t ~aux name =
-  match List.assoc_opt name aux with
-  | Some (g : Grid.t) ->
-      check_geometry t ("aux " ^ name) g;
-      g.Grid.data
-  | None -> invalid_arg (Printf.sprintf "Interp: kernel reads aux grid %s but it was not supplied" name)
-
-let check_src_dst t ~(src : Grid.t) ~(dst : Grid.t) =
+let check_grids ?(aux = []) t ~(src : Grid.t) ~(dst : Grid.t) =
   check_geometry t "src" src;
   check_geometry t "dst" dst;
-  if src.Grid.data == dst.Grid.data then invalid_arg "Interp: src aliases dst"
-
-let check_grids ?(aux = []) t ~src ~dst =
-  check_src_dst t ~src ~dst;
-  Array.iter (fun n -> ignore (aux_data t ~aux n)) t.aux_names
+  if src.Grid.data == dst.Grid.data then invalid_arg "Interp: src aliases dst";
+  Array.iter
+    (fun name ->
+      match List.assoc_opt name aux with
+      | Some g -> check_geometry t ("aux " ^ name) g
+      | None ->
+          invalid_arg
+            (Printf.sprintf "Interp: kernel reads aux grid %s but it was not supplied" name))
+    t.aux_names
 
 let check_range t ~lo ~hi =
   let nd = Array.length t.shape in
@@ -184,6 +170,10 @@ let check_range t ~lo ~hi =
       if l < -t.range_slack.(d) || hi.(d) > t.shape.(d) + t.range_slack.(d) then
         invalid_arg "Interp: range out of bounds")
     lo
+
+let check_state ~(src : Grid.t) ~(dst : Grid.t) =
+  if src.Grid.shape <> dst.Grid.shape || src.Grid.halo <> dst.Grid.halo then
+    invalid_arg "Interp: State term grid differs from the destination geometry"
 
 (* {2 Sweeps} *)
 
@@ -207,76 +197,58 @@ let iter_rows ~halo ~strides ~coord ~lo ~hi row =
     go 0 0
   end
 
-let sweep ?(aux = []) t ~src ~dst ~lo ~hi wb =
-  check_src_dst t ~src ~dst;
-  check_range t ~lo ~hi;
-  let coord = Array.copy lo in
-  let env = { src = src.Grid.data; aux = Array.map (aux_data t ~aux) t.aux_names; coord } in
-  let ddata = dst.Grid.data and eval = t.eval in
-  let last = Array.length lo - 1 in
-  let l0 = lo.(last) in
-  iter_rows ~halo:t.halo ~strides:t.strides ~coord ~lo ~hi (fun base len ->
-      match wb with
-      | Apply ->
-          for c = 0 to len - 1 do
-            Array.unsafe_set coord last (l0 + c);
-            Array.unsafe_set ddata (base + c) (eval env (base + c))
-          done
-      | Apply_scaled s ->
-          for c = 0 to len - 1 do
-            Array.unsafe_set coord last (l0 + c);
-            Array.unsafe_set ddata (base + c) (s *. eval env (base + c))
-          done
-      | Accumulate s ->
-          for c = 0 to len - 1 do
-            let i = base + c in
-            Array.unsafe_set coord last (l0 + c);
-            Array.unsafe_set ddata i (Array.unsafe_get ddata i +. (s *. eval env i))
-          done)
+(* A State term is the tree that reads its source at the point. *)
+let read_src env i = Array.unsafe_get env.src i
 
-let apply_range ?aux t ~src ~dst ~lo ~hi = sweep ?aux t ~src ~dst ~lo ~hi Apply
-
-let apply_scaled_range ?aux t ~scale ~src ~dst ~lo ~hi =
-  (* scale = 1 degrades to a plain overwrite ([1.0 *. x] is exact, but the
-     multiply is not free). *)
-  if scale = 1.0 then sweep ?aux t ~src ~dst ~lo ~hi Apply
-  else sweep ?aux t ~src ~dst ~lo ~hi (Apply_scaled scale)
-
-let accumulate_range ?aux t ~scale ~src ~dst ~lo ~hi =
-  sweep ?aux t ~src ~dst ~lo ~hi (Accumulate scale)
-
-let apply ?aux t ~src ~dst =
-  let lo = Array.make (Array.length t.shape) 0 in
-  apply_range ?aux t ~src ~dst ~lo ~hi:t.shape
-
-(* {2 Identity (State) terms} *)
-
-let check_identity ~(src : Grid.t) ~(dst : Grid.t) name =
-  if src.Grid.shape <> dst.Grid.shape || src.Grid.halo <> dst.Grid.halo then
-    invalid_arg (name ^ ": geometry mismatch")
-
-let identity_rows ~(src : Grid.t) ~lo ~hi row =
-  iter_rows ~halo:src.Grid.halo ~strides:src.Grid.strides ~coord:(Array.copy lo) ~lo ~hi row
-
-let identity_accumulate_range ~scale ~(src : Grid.t) ~(dst : Grid.t) ~lo ~hi =
-  check_identity ~src ~dst "identity_accumulate_range";
-  let sdata = src.Grid.data and ddata = dst.Grid.data in
-  identity_rows ~src ~lo ~hi (fun base len ->
-      for c = 0 to len - 1 do
-        let i = base + c in
-        Array.unsafe_set ddata i
-          (Array.unsafe_get ddata i +. (scale *. Array.unsafe_get sdata i))
-      done)
-
-let identity_apply_range ~scale ~(src : Grid.t) ~(dst : Grid.t) ~lo ~hi =
-  check_identity ~src ~dst "identity_apply_range";
-  let sdata = src.Grid.data and ddata = dst.Grid.data in
-  if scale = 1.0 then
-    (* A pure copy: rows are contiguous in both grids (same geometry). *)
-    identity_rows ~src ~lo ~hi (fun base len -> Array.blit sdata base ddata base len)
-  else
-    identity_rows ~src ~lo ~hi (fun base len ->
+(* Per term: its scale, its value at a flat index against the term's own
+   [env], and its slot count in the concatenated aux layout. Each point
+   folds the terms in order, the Backend.sweep_fn fold the JIT emits: the
+   first term seeds [acc] (unscaled when its scale is 1.0), later terms
+   add [scale * v], and [dst] is written once. *)
+let compile_sweep ~geometry:(g : Grid.t) terms =
+  let terms =
+    Array.of_list
+      (List.map
+         (function
+           | Backend.Sweep_state { scale } -> (scale, read_src, 0)
+           | Backend.Sweep_kernel { scale; kernel; halo } ->
+               if halo <> g.Grid.halo then
+                 invalid_arg "Interp.compile_sweep: term halo differs from the geometry";
+               let t = compile kernel ~geometry:g in
+               (scale, t.eval, Array.length t.aux_names))
+         terms)
+  in
+  let n = Array.length terms in
+  if n = 0 then invalid_arg "Interp.compile_sweep: empty sweep";
+  let scales = Array.map (fun (s, _, _) -> s) terms in
+  let evals = Array.map (fun (_, e, _) -> e) terms in
+  let aux_len = Array.map (fun (_, _, k) -> k) terms in
+  let aux_off = Array.make n 0 in
+  for t = 1 to n - 1 do
+    aux_off.(t) <- aux_off.(t - 1) + aux_len.(t - 1)
+  done;
+  let s0 = scales.(0) and eval0 = evals.(0) in
+  let seed_scaled = s0 <> 1.0 in
+  let halo = g.Grid.halo and strides = g.Grid.strides in
+  let last = Grid.ndim g - 1 in
+  fun srcs dst aux lo hi ->
+    let coord = Array.copy lo in
+    let envs =
+      Array.init n (fun t ->
+          { src = srcs.(t); aux = Array.sub aux aux_off.(t) aux_len.(t); coord })
+    in
+    let env0 = envs.(0) and l0 = lo.(last) in
+    iter_rows ~halo ~strides ~coord ~lo ~hi (fun base len ->
         for c = 0 to len - 1 do
           let i = base + c in
-          Array.unsafe_set ddata i (scale *. Array.unsafe_get sdata i)
+          Array.unsafe_set coord last (l0 + c);
+          let v = eval0 env0 i in
+          let acc = ref (if seed_scaled then s0 *. v else v) in
+          for t = 1 to n - 1 do
+            acc :=
+              !acc
+              +. Array.unsafe_get scales t
+                 *. (Array.unsafe_get evals t) (Array.unsafe_get envs t) i
+          done;
+          Array.unsafe_set dst i !acc
         done)

@@ -17,15 +17,15 @@
    - trees render Expr.eval's exact operation set: libm calls on both
      sides, and Float.min/Float.max ported to C by hand (fmin/fmax differ
      on NaN and signed zero);
-   - fused sweeps are write-through only and chain the per-term writebacks
-     through one accumulator: [acc = t0; acc = acc + (s1 * t1); ...] is
-     bit-identical to the interpreter's store-then-read-modify-write pass
-     sequence because a store/load roundtrip of a float is exact;
-   - the same fact lets a long C sweep run as a sequence of passes of at
-     most 16 fold units (one chain product, or one whole tree or State
-     term) over strips of at most 512 columns, parking each point's
-     accumulator and current term partial in stack rows between passes:
-     every point still performs the same operations in the same order. *)
+   - fused sweeps are write-through only and fold the terms through one
+     accumulator, [acc = t0; acc = acc + (s1 * t1); ...]: the
+     Backend.sweep_fn fold Interp.compile_sweep performs point by point;
+   - a store/load roundtrip of a float is exact, so a long C sweep can
+     run as a sequence of passes of at most 16 fold units (one chain
+     product, or one whole tree or State term) over strips of at most 512
+     columns, parking each point's accumulator and current term partial
+     in stack rows between passes: every point still performs the same
+     operations in the same order. *)
 
 open Msc_ir
 
@@ -69,10 +69,6 @@ type stats = {
   failures_unsupported : int;
   failures_toolchain : int;
 }
-
-type sweep_term =
-  | Sweep_state of { scale : float }
-  | Sweep_kernel of { scale : float; kernel : Kernel.t; halo : int array }
 
 let lock = Mutex.create ()
 let sweep_memo : (string, Backend.sweep_fn) Hashtbl.t = Hashtbl.create 16
@@ -215,17 +211,6 @@ let chain_products (k : Kernel.t) =
 
 let chain_length k = Option.map Array.length (chain_products k)
 
-(* {3 Aux slot layout}
-
-   Every term of a fused sweep uses a compact layout: one slot per distinct
-   aux tensor the term reads, in first-use order. *)
-
-let term_aux_names = function
-  | Sweep_state _ -> []
-  | Sweep_kernel { kernel; _ } -> Kernel.aux_reads kernel
-
-let sweep_aux_slots terms = List.concat_map term_aux_names terms
-
 (* [arr] resolves a tensor name to the array variable in scope; the point
    index variable is always [i]. *)
 let c_product ~arr ~strides p =
@@ -330,13 +315,15 @@ let base_expr ~nd ~halo ~strides =
    per term. The loop shapes are described at [emit_c_sweep_src]; nothing
    reassociates, so bit-identity is preserved. *)
 
-(* Per-term (slot offset, aux names) in the concatenated aux layout. *)
+(* Per-term (slot offset, aux names) in the concatenated aux layout of
+   [Backend.sweep_aux_slots]: one slot per distinct aux tensor a term
+   reads, in first-use order. *)
 let sweep_slots terms =
   let off = ref 0 in
   let layout =
     List.map
       (fun term ->
-        let names = term_aux_names term in
+        let names = Backend.sweep_aux_slots [ term ] in
         let o = !off in
         off := o + List.length names;
         (o, names))
@@ -349,8 +336,8 @@ let sweep_geometry terms =
   let geoms =
     List.filter_map
       (function
-        | Sweep_kernel { kernel; halo; _ } -> Some (kernel.Kernel.input.Tensor.shape, halo)
-        | Sweep_state _ -> None)
+        | Backend.Sweep_kernel { kernel; halo; _ } -> Some (kernel.Kernel.input.Tensor.shape, halo)
+        | Backend.Sweep_state _ -> None)
       terms
   in
   match geoms with
@@ -363,8 +350,8 @@ let sweep_geometry terms =
 let sweep_has_tree terms =
   List.exists
     (function
-      | Sweep_kernel { kernel; _ } -> chain_products kernel = None
-      | Sweep_state _ -> false)
+      | Backend.Sweep_kernel { kernel; _ } -> chain_products kernel = None
+      | Backend.Sweep_state _ -> false)
     terms
 
 (* One term rendered at a lane: a product chain or one whole
@@ -434,8 +421,8 @@ let nest_name = function
   | Passes _ -> "passes"
 
 let term_units = function
-  | Sweep_state _ -> 1
-  | Sweep_kernel { kernel; _ } -> Option.value ~default:1 (chain_length kernel)
+  | Backend.Sweep_state _ -> 1
+  | Backend.Sweep_kernel { kernel; _ } -> Option.value ~default:1 (chain_length kernel)
 
 (* (term, unit within the term) of every fold unit, in chain order. *)
 let sweep_units terms =
@@ -465,7 +452,7 @@ let c_lane ~units ~terms ~values ~index a b =
   for u = a to b - 1 do
     let t, k = units.(u) in
     let scale =
-      match terms.(t) with Sweep_state { scale } | Sweep_kernel { scale; _ } -> scale
+      match terms.(t) with Backend.Sweep_state { scale } | Backend.Sweep_kernel { scale; _ } -> scale
     in
     let finish v =
       if t > 0 then
@@ -534,8 +521,8 @@ let emit_c_sweep_src ~fn_name ~halo ~strides terms =
     let values =
       Array.mapi
         (fun t -> function
-          | Sweep_state _ -> Whole (Printf.sprintf "s%d[i]" t)
-          | Sweep_kernel { kernel; _ } ->
+          | Backend.Sweep_state _ -> Whole (Printf.sprintf "s%d[i]" t)
+          | Backend.Sweep_kernel { kernel; _ } ->
               sweep_kernel_value ~layout ~strides ~last ~row ~c_str t kernel)
         terms_arr
     in
@@ -722,16 +709,16 @@ let check_sweep terms =
     unsupported "too many aux slots for the C calling convention";
   List.iter
     (function
-      | Sweep_kernel { kernel; halo; _ } when chain_products kernel = None ->
+      | Backend.Sweep_kernel { kernel; halo; _ } when chain_products kernel = None ->
           let strides = Grid.strides_of ~shape:kernel.Kernel.input.Tensor.shape ~halo in
           ignore (c_tree ~arr:Fun.id ~coord:string_of_int ~strides kernel)
-      | Sweep_kernel _ | Sweep_state _ -> ())
+      | Backend.Sweep_kernel _ | Backend.Sweep_state _ -> ())
     terms
 
 (* Everything a term bakes into the generated code besides the geometry. *)
 let sweep_sig = function
-  | Sweep_state { scale } -> `State scale
-  | Sweep_kernel { scale; kernel = k; halo = _ } ->
+  | Backend.Sweep_state { scale } -> `State scale
+  | Backend.Sweep_kernel { scale; kernel = k; halo = _ } ->
       `Kernel
         (scale, k.Kernel.expr, k.Kernel.bindings, k.Kernel.index_vars, k.Kernel.input.Tensor.name)
 
@@ -756,10 +743,10 @@ let compile_sweep ?(trace = Msc_trace.disabled) ~plan_digest terms =
       if Msc_trace.enabled trace then begin
         List.iter
           (function
-            | Sweep_kernel { kernel; _ } ->
+            | Backend.Sweep_kernel { kernel; _ } ->
                 let form = if chain_products kernel = None then "tree" else "chain" in
                 Msc_trace.add trace ("jit.form." ^ form) 1.0
-            | Sweep_state _ -> ())
+            | Backend.Sweep_state _ -> ())
           terms;
         let nest =
           sweep_nest ~nd:(Array.length strides) (Array.length (sweep_units terms))

@@ -92,31 +92,21 @@ val chain_length : Msc_ir.Kernel.t -> int option
     [a*x] ([x], [a] grid reads, [c] a finite constant subtree). [None]
     when it compiles as one tree, e.g. [c*(a+b)], [x/c] or [c1*(c2*x)]. *)
 
-type sweep_term =
-  | Sweep_state of { scale : float }
-      (** the stencil's identity term: [scale * src] *)
-  | Sweep_kernel of { scale : float; kernel : Msc_ir.Kernel.t; halo : int array }
-      (** a kernel term: [scale * K(src)] over grids of the kernel input's
-          shape padded by [halo] *)
-
-val sweep_aux_slots : sweep_term list -> string list
-(** The [aux] layout of a fused sweep: per kernel term in stencil term
-    order, the distinct aux tensor names the term reads, in first-use
-    order, concatenated. A {!Backend.sweep_fn}'s [aux] argument holds one
-    array per entry. *)
-
 val compile_sweep :
   ?trace:Msc_trace.t ->
   plan_digest:string ->
-  sweep_term list ->
+  Backend.sweep_term list ->
   (Backend.sweep_fn, string) result
 (** Emit + compile + load one fused kernel covering the whole term list,
-    in stencil term order. All kernel terms must share a geometry; at
-    least one kernel term is required. The returned function performs no
-    validation — callers guard with {!Interp.check_grids} (including the
-    aux grids) / {!Interp.check_range} per kernel term. *)
+    in stencil term order, under the {!Backend.sweep_fn} contract: the
+    same arguments, per-point fold and bits as {!Interp.compile_sweep}
+    over the same terms. All kernel terms must share a geometry; at least
+    one kernel term is required (a State-only stage has nothing to
+    compile and runs {!Interp.compile_sweep}). The returned function
+    performs no validation. *)
 
-val emit_c_sweep : fn_name:string -> sweep_term list -> (string, string) result
+val emit_c_sweep :
+  fn_name:string -> Backend.sweep_term list -> (string, string) result
 (** The fused C function body alone (no compilation), for the AOT
     {!Codegen} driver: the same emitter the [Compiled_c] backend JITs, so
     standalone generated programs share the fused sweep code path. *)

@@ -1,37 +1,29 @@
 (* Grid-reduction executor. Bit-stability contract (see reduction.mli):
    sequential row-major partial per task, fixed pairwise combine tree over
    the task index. The interpreter reference below and the Jit reduce
-   emitters fold in exactly the same order. *)
+   emitters fold in exactly the same order, so an executor holds one
+   [Backend.reduce_fn], the JIT's or the reference's, and dispatches every
+   task through it. *)
 
 open Msc_ir
 
 type t = {
   shape : int array;
   halo : int array;
-  strides : int array;
   tasks : (int array * int array) array;
   partials : float array;
   pool : Msc_util.Domain_pool.t;
-  compiled_fn : Backend.reduce_fn option;
+  reduce : Backend.reduce_fn;  (* the JIT's, or else [partial_data] *)
+  compiled : bool;
   fallback : string option;
 }
 
 let tasks t = t.tasks
 
-let partial ~op ?with_ (a : Grid.t) ~lo ~hi =
-  let b =
-    match (with_, (op : Reduce.op)) with
-    | Some g, _ ->
-        if g.Grid.shape <> a.Grid.shape || g.Grid.halo <> a.Grid.halo then
-          invalid_arg "Reduction.partial: with_ grid geometry mismatch";
-        g
-    | None, Dot -> invalid_arg "Reduction.partial: Dot needs ~with_"
-    | None, _ -> a
-  in
-  let nd = Array.length a.Grid.shape in
-  let last = nd - 1 in
-  let ad = a.Grid.data and bd = b.Grid.data in
-  let halo = a.Grid.halo and strides = a.Grid.strides in
+(* The reference partial over the flat arrays of a grid geometry, [bd]
+   read by [Dot] only. *)
+let partial_data ~op ~halo ~strides ad bd ~lo ~hi =
+  let last = Array.length strides - 1 in
   let len = hi.(last) - lo.(last) in
   let acc = ref (Reduce.identity op) in
   if len > 0 then begin
@@ -79,6 +71,21 @@ let partial ~op ?with_ (a : Grid.t) ~lo ~hi =
   end;
   !acc
 
+let partial ~op ?with_ (a : Grid.t) ~lo ~hi =
+  let b =
+    match (with_, (op : Reduce.op)) with
+    | Some g, _ ->
+        if g.Grid.shape <> a.Grid.shape || g.Grid.halo <> a.Grid.halo then
+          invalid_arg "Reduction.partial: with_ grid geometry mismatch";
+        g
+    | None, Dot -> invalid_arg "Reduction.partial: Dot needs ~with_"
+    | None, _ -> a
+  in
+  partial_data ~op ~halo:a.Grid.halo ~strides:a.Grid.strides a.Grid.data b.Grid.data
+    ~lo ~hi
+
+let op_of_code code = List.find (fun op -> Reduce.code op = code) Reduce.all
+
 let create ?(config = Exec.Config.default) ?(trace = Msc_trace.disabled) ?tasks
     (g : Grid.t) =
   let shape = Array.copy g.Grid.shape in
@@ -99,7 +106,7 @@ let create ?(config = Exec.Config.default) ?(trace = Msc_trace.disabled) ?tasks
           invalid_arg "Reduction.create: task box outside the interior"
       done)
     tasks;
-  let compiled_fn, fallback =
+  let jit, fallback =
     match config.Exec.Config.backend with
     | Backend.Interp -> (None, None)
     | Backend.Compiled_c -> (
@@ -107,18 +114,25 @@ let create ?(config = Exec.Config.default) ?(trace = Msc_trace.disabled) ?tasks
         | Ok fn -> (Some fn, None)
         | Error msg -> (None, Some msg))
   in
+  let reduce =
+    match jit with
+    | Some fn -> fn
+    | None ->
+        fun code ad bd lo hi ->
+          partial_data ~op:(op_of_code code) ~halo ~strides ad bd ~lo ~hi
+  in
   {
     shape;
     halo;
-    strides;
     tasks;
     partials = Array.make (max 1 (Array.length tasks)) 0.;
     pool = config.Exec.Config.pool;
-    compiled_fn;
+    reduce;
+    compiled = Option.is_some jit;
     fallback;
   }
 
-let compiled t = Option.is_some t.compiled_fn
+let compiled t = t.compiled
 let fallback t = t.fallback
 
 let geom_ok t (g : Grid.t) = g.Grid.shape = t.shape && g.Grid.halo = t.halo
@@ -140,10 +154,7 @@ let run_raw t ~op ?with_ (a : Grid.t) =
   else begin
     let fill i =
       let lo, hi = t.tasks.(i) in
-      t.partials.(i) <-
-        (match t.compiled_fn with
-        | Some fn -> fn (Reduce.code op) a.Grid.data b_data lo hi
-        | None -> partial ~op ?with_ a ~lo ~hi)
+      t.partials.(i) <- t.reduce (Reduce.code op) a.Grid.data b_data lo hi
     in
     if n > 1 then Msc_util.Domain_pool.parallel_for t.pool ~lo:0 ~hi:n fill
     else fill 0;

@@ -14,9 +14,9 @@ module G = Msc_graph.Graph
 type source = Past of int | Buffer of int
 
 type term = {
-  scale : float;
   src : source;
-  kernel : Interp.t option;  (* [None] = identity (State) term *)
+  kernel : Interp.t option;
+      (* a kernel term's compiled checks; [None] = identity (State) term *)
 }
 
 type stage = {
@@ -29,14 +29,14 @@ type stage = {
          per sweep to [state ~dt:1]: the window rotates) *)
   dst : [ `Buffer of int | `Output ];
   tasks : (int array * int array) array;
-  (* The fused whole-sweep kernel, when the backend compiled one: every
-     term folded into one write-through call per task. [fused_srcs] holds
-     one source array per term and is refreshed per dispatch (the window
-     rotates between steps); [fused_aux] concatenates every term's aux
-     slots, static except the [aux_refresh] slots bound to the source. *)
-  fused : Backend.sweep_fn option;
-  fused_srcs : float array array;
-  fused_aux : float array array;
+  (* The whole-sweep kernel, JIT-compiled or interpreted: every term
+     folded into one write-through call per task. [srcs] holds one source
+     array per term and is refreshed per dispatch (the window rotates
+     between steps); [aux_slots] concatenates every term's aux slots,
+     static except the [aux_refresh] slots bound to the source. *)
+  sweep : Backend.sweep_fn;
+  srcs : float array array;
+  aux_slots : float array array;
   aux_refresh : int list;
 }
 
@@ -101,11 +101,13 @@ let coalesce_tasks tasks =
   end
 
 (* Cutoff decision for one task array, memoised by the array's identity:
-   every stage's task array is built once per runtime, so after
-   the first sweep the per-step cost is a pointer compare instead of a
-   rescan — which matters when the sweep itself is only microseconds.
-   Bounded so transient arrays (distributed interior/shell splits built per
-   step) evict oldest-first instead of leaking. *)
+   every task array a runtime sweeps is built once (each stage's tiles at
+   creation; a distributed rank's interior/shell split and temporal
+   substeps once in [Distributed.create]), so after the first sweep the
+   per-step cost is a pointer compare instead of a rescan — which matters
+   when the sweep itself is only microseconds. Bounded to the eight most
+   recently used arrays, so a caller sweeping fresh arrays evicts
+   oldest-first instead of leaking. *)
 type sweep_memo = {
   sm_tasks : (int array * int array) array;
   sm_points : int;
@@ -207,11 +209,11 @@ let build ~config ~init ~aux_init ~bc ~trace ~tid ~source
               (Printf.sprintf "Runtime: stage %s reads %S which has no buffer"
                  st.Stencil.name input_name)
     in
-    (* Interpreter compilations first: they are the semantic reference for
-       the fused kernel and the fallback when it does not compile. *)
+    (* Every task guards each kernel term with its interpreter
+       compilation's checks, whichever backend sweeps it. *)
     let terms =
       List.map
-        (fun { Stencil.scale; kernel; dt } ->
+        (fun { Stencil.kernel; dt; scale = _ } ->
           let kernel =
             Option.map
               (fun k ->
@@ -219,7 +221,7 @@ let build ~config ~init ~aux_init ~bc ~trace ~tid ~source
                 Interp.compile ~trace k ~geometry)
               kernel
           in
-          { scale; src = src_of dt; kernel })
+          { src = src_of dt; kernel })
         (Stencil.terms st)
     in
     let aux_names =
@@ -251,26 +253,16 @@ let build ~config ~init ~aux_init ~bc ~trace ~tid ~source
           else Some (n, aux_grid n))
         aux_names
     in
-    let sweep_terms =
-      List.map
-        (fun tm ->
-          match tm.kernel with
-          | Some interp ->
-              Jit.Sweep_kernel
-                { scale = tm.scale; kernel = Interp.kernel interp; halo = geometry.Grid.halo }
-          | None -> Jit.Sweep_state { scale = tm.scale })
-        terms
-    in
+    let sweep_terms = Backend.sweep_terms ~halo:geometry.Grid.halo st in
     let stage_kernel_terms =
       List.length (List.filter (fun tm -> tm.kernel <> None) terms)
     in
-    (* A failed compile falls back to the interpreter for the whole
-       stage. *)
-    let fused =
+    (* The JIT's fused kernel when it compiles one; else the interpreter's
+       sweep, for the whole stage (a State-only stage has no kernel to
+       compile and no fallback to report). *)
+    let jit =
       match config.Exec.Config.backend with
-      | Backend.Interp -> None
-      | Backend.Compiled_c when stage_kernel_terms = 0 -> None
-      | Backend.Compiled_c -> (
+      | Backend.Compiled_c when stage_kernel_terms > 0 -> (
           match Jit.compile_sweep ~trace ~plan_digest sweep_terms with
           | Ok fn ->
               incr fused_sweeps;
@@ -279,32 +271,31 @@ let build ~config ~init ~aux_init ~bc ~trace ~tid ~source
           | Error msg ->
               if !fallback = None then fallback := Some msg;
               None)
+      | Backend.Compiled_c | Backend.Interp -> None
     in
-    let fused_aux, aux_refresh =
-      if fused = None then ([||], [])
-      else begin
-        let names = Jit.sweep_aux_slots sweep_terms in
-        let arr = Array.make (List.length names) [||] in
-        let refresh = ref [] in
-        List.iteri
-          (fun i n ->
-            if String.equal n source.Tensor.name then refresh := i :: !refresh
-            else arr.(i) <- (aux_grid n).Grid.data)
-          names;
-        (arr, !refresh)
-      end
+    let sweep =
+      match jit with
+      | Some fn -> fn
+      | None -> Interp.compile_sweep ~geometry sweep_terms
     in
+    let names = Backend.sweep_aux_slots sweep_terms in
+    let aux_slots = Array.make (List.length names) [||] in
+    let aux_refresh = ref [] in
+    List.iteri
+      (fun i n ->
+        if String.equal n source.Tensor.name then aux_refresh := i :: !aux_refresh
+        else aux_slots.(i) <- (aux_grid n).Grid.data)
+      names;
     {
       terms;
       aux_static;
       aux_source = !aux_source;
       dst;
       tasks;
-      fused;
-      fused_srcs =
-        (if fused = None then [||] else Array.make (List.length terms) [||]);
-      fused_aux;
-      aux_refresh;
+      sweep;
+      srcs = Array.make (List.length terms) [||];
+      aux_slots;
+      aux_refresh = !aux_refresh;
     }
   in
   let stages = Array.of_list (List.map build_stage stages) in
@@ -470,44 +461,21 @@ let stage_aux t stage =
   | None -> stage.aux_static
   | Some n -> (n, current t) :: stage.aux_static
 
-let term_write t ~aux ~dst ~lo ~hi tm =
-  let src = term_src t tm in
-  match tm.kernel with
-  | Some interp -> Interp.apply_scaled_range ~aux interp ~scale:tm.scale ~src ~dst ~lo ~hi
-  | None -> Interp.identity_apply_range ~scale:tm.scale ~src ~dst ~lo ~hi
-
-let term_accumulate t ~aux ~dst ~lo ~hi tm =
-  let src = term_src t tm in
-  match tm.kernel with
-  | Some interp -> Interp.accumulate_range ~aux interp ~scale:tm.scale ~src ~dst ~lo ~hi
-  | None -> Interp.identity_accumulate_range ~scale:tm.scale ~src ~dst ~lo ~hi
-
+(* Sweep functions perform no validation: every task guards each term
+   with the interpreter's checks first. [srcs] and the refresh slots were
+   refilled by the dispatching sweep. *)
 let compute_range t stage ~dst ~lo ~hi =
-  match stage.fused with
-  | Some fn ->
-      (* The fused kernel performs no validation; guard every kernel term
-         with the interpreter's own checks, so compiled sweeps skip nothing
-         the interpreter checks. [fused_srcs] and the refresh slots were
-         refilled by the dispatching sweep. *)
-      let aux = stage_aux t stage in
-      List.iter
-        (fun tm ->
-          match tm.kernel with
-          | Some interp ->
-              Interp.check_grids ~aux interp ~src:(term_src t tm) ~dst;
-              Interp.check_range interp ~lo ~hi
-          | None -> ())
-        stage.terms;
-      fn stage.fused_srcs dst.Grid.data stage.fused_aux lo hi
-  | None -> (
-      (* The first term overwrites the range, so a step needs no zero pass;
-         later terms accumulate. *)
-      let aux = stage_aux t stage in
-      match stage.terms with
-      | first :: rest ->
-          term_write t ~aux ~dst ~lo ~hi first;
-          List.iter (term_accumulate t ~aux ~dst ~lo ~hi) rest
-      | [] -> ())
+  let aux = stage_aux t stage in
+  List.iter
+    (fun tm ->
+      let src = term_src t tm in
+      match tm.kernel with
+      | Some interp ->
+          Interp.check_grids ~aux interp ~src ~dst;
+          Interp.check_range interp ~lo ~hi
+      | None -> Interp.check_state ~src ~dst)
+    stage.terms;
+  stage.sweep stage.srcs dst.Grid.data stage.aux_slots lo hi
 
 let sweep_memo t tasks =
   match List.find_opt (fun m -> m.sm_tasks == tasks) t.sweep_memos with
@@ -540,10 +508,8 @@ let sweep_stage t stage tasks =
   t.tile_dispatches <- t.tile_dispatches + ntiles;
   (* Re-resolve each term's source array: the window rotated since the
      last sweep. Workers only read the refreshed arrays. *)
-  if stage.fused <> None then begin
-    List.iteri (fun i tm -> stage.fused_srcs.(i) <- (term_src t tm).Grid.data) stage.terms;
-    List.iter (fun i -> stage.fused_aux.(i) <- (current t).Grid.data) stage.aux_refresh
-  end;
+  List.iteri (fun i tm -> stage.srcs.(i) <- (term_src t tm).Grid.data) stage.terms;
+  List.iter (fun i -> stage.aux_slots.(i) <- (current t).Grid.data) stage.aux_refresh;
   (* Inline cutoff: a sweep too small to amortise the pool's wake+barrier
      runs on the calling domain regardless of the plan's parallel mode.
      Bit-identity is free — tasks are independent, so dispatch shape never

@@ -52,10 +52,16 @@ type backend_report = {
       (** first reason a stage's fused compile failed and the stage fell
           back to the interpreter, if any *)
 }
-(** How the configured {!Backend} materialised for this runtime.
-    [Compiled_c] runs one fused whole-sweep kernel per stage, dispatched
-    tile-task-at-a-time across the pool; a stage whose fused compile
-    fails runs on the interpreter instead. *)
+(** How the configured {!Backend} materialised for this runtime. Every
+    stage sweeps through one {!Backend.sweep_fn}, chosen once at creation
+    and dispatched tile-task-at-a-time across the pool: under
+    [Compiled_c] the JIT's fused kernel ({!Jit.compile_sweep}), else, or
+    when that compile fails, the interpreter's ({!Interp.compile_sweep}).
+    A stage with no kernel term has nothing to compile and always runs
+    the interpreter's sweep, without a fallback reason. Before each task
+    the runtime runs the interpreter's checks on every term
+    ({!Interp.check_grids}, {!Interp.check_range},
+    {!Interp.check_state}), whichever function sweeps it. *)
 
 val create :
   ?plan:Msc_schedule.Plan.t ->
@@ -139,9 +145,10 @@ val step : t -> unit
     bit-identical to {!step}), then [finish_step]. *)
 
 val begin_step : t -> unit
-(** Does nothing. Sweeps write through (the first term overwrites, later
-    terms accumulate), so a step needs no preparation; this stays only for
-    callers written against an earlier begin / sweep / finish protocol. *)
+(** Does nothing. Sweeps write through (each point's terms fold into one
+    accumulator and the destination is written once), so a step needs no
+    preparation; this stays only for callers written against an earlier
+    begin / sweep / finish protocol. *)
 
 val sweep_tasks : t -> (int array * int array) array -> unit
 (** Sweep the given (lo, hi) task ranges of the output stage into the
@@ -173,12 +180,12 @@ val tiles : t -> (int array * int array) array
     range into a scratch buffer (slot assignment and reuse from
     {!Msc_schedule.Plan.compile_graph}), the output stage writes the
     stepped state, and the window rotates exactly as a single stencil's
-    would. Stage kernels run exactly as a single stencil's do: the
-    interpreter evaluates each kernel's tree as written, which is what
-    keeps fused compound stages bit-identical to their unfused
-    stage-at-a-time reference; [Compiled_c] JITs one fused sweep per stage
-    against the stage's plan digest (interpreter fallback per stage). Intermediate buffers carry
-    no boundary condition: extended stage sweeps read the source's
+    would. Stage kernels run exactly as a single stencil's do: one
+    {!Backend.sweep_fn} per stage evaluates each kernel's tree as written,
+    which is what keeps fused compound stages bit-identical to their
+    unfused stage-at-a-time reference; [Compiled_c] JITs it against the
+    stage's plan digest (interpreter fallback per stage). Intermediate
+    buffers carry no boundary condition: extended stage sweeps read the source's
     BC-filled (or exchanged) deep halo, sized by the graph's
     {!Msc_graph.Graph.required_halo}.
 

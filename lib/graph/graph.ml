@@ -226,33 +226,15 @@ let coefficient_tensors t =
    and (uniform, deep) halo, so one index space covers all stages.      *)
 
 let reshape ?shape ~halo t =
-  let shape =
-    match shape with Some s -> s | None -> t.source.Tensor.shape
-  in
-  let rebuild (x : Tensor.t) =
-    { x with Tensor.shape = Array.copy shape; Tensor.halo = Array.copy halo }
-  in
-  let source = rebuild t.source in
-  let stages =
-    List.map
-      (fun s ->
-        let st = s.stencil in
-        let grid = rebuild st.Stencil.grid in
-        let rebuild_kernel (k : Kernel.t) =
-          Kernel.make ~bindings:k.Kernel.bindings
-            ~aux:(List.map rebuild k.Kernel.aux)
-            ~name:k.Kernel.name ~input:grid ~index_vars:k.Kernel.index_vars
-            k.Kernel.expr
-        in
-        {
-          s with
-          stencil =
-            Stencil.make ~name:st.Stencil.name ~grid
-              (Stencil.map_kernels rebuild_kernel st.Stencil.expr);
-        })
-      t.stages
-  in
-  { t with source; stages }
+  let shape = Option.value shape ~default:t.source.Tensor.shape in
+  {
+    t with
+    source = { t.source with Tensor.shape = Array.copy shape; halo = Array.copy halo };
+    stages =
+      List.map
+        (fun s -> { s with stencil = Stencil.reshape ~shape ~halo s.stencil })
+        t.stages;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Structural equality (fixpoint detection for the pass driver).       *)

@@ -98,8 +98,8 @@ val coefficient_tensors : t -> Msc_ir.Tensor.t list
 
 val reshape : ?shape:int array -> halo:int array -> t -> t
 (** Rebuild every tensor in the graph (source, stage grids, aux) with the
-    given interior shape (default: unchanged) and uniform halo, so one
-    index space covers all stages. Kernels and stencils are revalidated. *)
+    given interior shape (default: the source's) and uniform halo, so one
+    index space covers all stages: {!Msc_ir.Stencil.reshape} per stage. *)
 
 (** {1 Comparison and rendering} *)
 

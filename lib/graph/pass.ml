@@ -38,8 +38,9 @@ let rec contains_var = function
    as an expression over p's *own* inputs: parameters substituted from
    the bindings (they would otherwise collide with the consumer's), every
    access shifted by [o], the term scale folded in as an explicit
-   multiply only when it is not 1 (an unscaled writeback performs no
-   multiplication, and the naive reference must see the same bits). *)
+   multiply only when it is not 1 (a sweep seeds its accumulator with an
+   unscaled first term without a multiplication, and the naive reference
+   must see the same bits). *)
 let producer_value ~scale ~kernel ~input_name offsets =
   let shift (a : Expr.access) =
     { a with Expr.offsets = Array.mapi (fun d o -> o + offsets.(d)) a.Expr.offsets }

@@ -6,8 +6,8 @@
     {!Msc_exec.Interp.compile}) produces the same bits as the original.
     The fusion pass keeps this contract by substituting the producer's
     expression tree verbatim (parameters bound to constants, offsets
-    shifted, the term scale folded in as the same multiply the scaled
-    writeback would perform) and simplifying only with
+    shifted, the term scale folded in as the same multiply the sweep's
+    per-point fold would perform) and simplifying only with
     {!Msc_ir.Simplify}, which never reassociates. *)
 
 type t = { name : string; run : Graph.t -> Graph.t }

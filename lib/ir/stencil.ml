@@ -81,6 +81,21 @@ let make ~name ~grid expr = validate { name; grid; expr }
 let of_kernel k =
   make ~name:k.Kernel.name ~grid:k.Kernel.input (Apply (k, 1))
 
+let reshape ?shape ?halo t =
+  let rebuild (x : Tensor.t) =
+    {
+      x with
+      Tensor.shape = Array.copy (Option.value shape ~default:x.Tensor.shape);
+      halo = Array.copy (Option.value halo ~default:x.Tensor.halo);
+    }
+  in
+  let grid = rebuild t.grid in
+  let rebuild_kernel (k : Kernel.t) =
+    Kernel.make ~bindings:k.Kernel.bindings ~aux:(List.map rebuild k.Kernel.aux)
+      ~name:k.Kernel.name ~input:grid ~index_vars:k.Kernel.index_vars k.Kernel.expr
+  in
+  make ~name:t.name ~grid (map_kernels rebuild_kernel t.expr)
+
 let flops_per_point t =
   fold_expr 0
     (fun acc e ->

@@ -46,6 +46,12 @@ val terms : t -> term list
 val map_kernels : (Kernel.t -> Kernel.t) -> expr -> expr
 (** The same combination with every applied kernel replaced by [f k]. *)
 
+val reshape : ?shape:int array -> ?halo:int array -> t -> t
+(** The same stencil over rebuilt tensors: the grid and every kernel's aux
+    tensors get [shape] and [halo], each tensor keeping its own where one
+    is absent, and every kernel is rebuilt (and revalidated) over the new
+    grid. *)
+
 val kernels : t -> Kernel.t list
 (** Distinct kernels, in first-use order. *)
 

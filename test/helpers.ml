@@ -44,3 +44,34 @@ let bumpy_init _dt coord =
   let acc = ref 1.0 in
   Array.iteri (fun d c -> acc := !acc +. (0.1 *. sin (float_of_int ((d + 2) * c)))) coord;
   !acc
+
+(* [terms], each paired with its source grid, swept by
+   [Interp.compile_sweep] over [lo, hi) (default: the interior) into [dst],
+   with the aux slots resolved by name from [aux]. *)
+let interp_sweep ?(aux = []) ?lo ?hi terms ~(dst : Msc_exec.Grid.t) =
+  let module Grid = Msc_exec.Grid in
+  let nd = Grid.ndim dst in
+  let lo = Option.value lo ~default:(Array.make nd 0) in
+  let hi = Option.value hi ~default:dst.Grid.shape in
+  let sweep_terms = List.map fst terms in
+  let slots =
+    List.map
+      (fun n -> (List.assoc n aux : Grid.t).Grid.data)
+      (Msc_exec.Backend.sweep_aux_slots sweep_terms)
+  in
+  Msc_exec.Interp.compile_sweep ~geometry:dst sweep_terms
+    (Array.of_list (List.map (fun (_, (g : Grid.t)) -> g.Grid.data) terms))
+    dst.Grid.data (Array.of_list slots) lo hi
+
+(* One kernel term [scale * K(src)] swept as the runtime sweeps a stage:
+   the interpreter's checks on the grids and the range, then
+   [interp_sweep]. *)
+let interp_apply ?(aux = []) ?(scale = 1.0) ?lo ?hi kernel ~(src : Msc_exec.Grid.t) ~dst =
+  let module Interp = Msc_exec.Interp in
+  let c = Interp.compile kernel ~geometry:src in
+  let lo = Option.value lo ~default:(Array.make (Array.length src.Msc_exec.Grid.shape) 0) in
+  let hi = Option.value hi ~default:src.Msc_exec.Grid.shape in
+  Interp.check_grids ~aux c ~src ~dst;
+  Interp.check_range c ~lo ~hi;
+  let term = Msc_exec.Backend.Sweep_kernel { scale; kernel; halo = src.Msc_exec.Grid.halo } in
+  interp_sweep ~aux ~lo ~hi [ (term, src) ] ~dst

@@ -77,33 +77,44 @@ let athread_bundle () =
     ]
 
 let athread_body_follows_backend () =
-  (* The fixture has a two-slot time window, i.e. two stencil terms: the
-     default (interpreter) config must accumulate them per term like the
-     runtime's per-term dispatch, a Compiled_c config must sum them in
-     one fused expression like the whole-sweep kernel. *)
-  let _, st, sched = fixture () in
-  let slave_src ?config () =
+  (* Both backends sweep with one per-point fold, so the slave computes
+     every point as one fused sum of the terms, whatever the config: the
+     fixture's two terms in one assignment, no [+=] pass. A State term
+     reads its own time slot's buffer. *)
+  let slave_src ?config st sched =
     let files = Codegen.generate ?config st sched Codegen.Athread in
     (List.find (fun f -> contains ~needle:"slave" f.Codegen.name) files)
       .Codegen.contents
   in
-  let interp = slave_src () in
-  check_bool "interp accumulates per term" true (contains ~needle:"] += (ELEM)(" interp);
-  let fused =
-    slave_src
-      ~config:(Msc_exec.Exec.Config.make ~backend:Msc_exec.Backend.Compiled_c ())
-      ()
+  let _, st, sched = fixture () in
+  let default = slave_src st sched in
+  check_bool "no per-term accumulation" false (contains ~needle:"] += (ELEM)(" default);
+  let occurrences needle s =
+    let n = String.length needle in
+    let rec go i acc =
+      if i + n > String.length s then acc
+      else go (i + 1) (if String.equal (String.sub s i n) needle then acc + 1 else acc)
+    in
+    go 0 0
   in
-  check_bool "fused body has no accumulation" false (contains ~needle:"] += (ELEM)(" fused);
-  check_bool "fused braces balanced" true (balanced_braces fused);
-  (* An explicit Interp config is the per-term case, like the default. *)
-  let per_term =
-    slave_src
-      ~config:(Msc_exec.Exec.Config.make ~backend:Msc_exec.Backend.Interp ())
-      ()
-  in
-  check_bool "interp config accumulates per term" true
-    (contains ~needle:"] += (ELEM)(" per_term)
+  check_int "one output assignment" 1 (occurrences "buf_write[BIDX_W(u0, u1, u2)] = (ELEM)(" default);
+  check_bool "both terms in one sum" true
+    (contains ~needle:"))) + 0.5 * (" default);
+  check_bool "braces balanced" true (balanced_braces default);
+  List.iter
+    (fun backend ->
+      check_bool
+        (Msc_exec.Backend.to_string backend ^ " config emits the same slave")
+        true
+        (String.equal default
+           (slave_src ~config:(Msc_exec.Exec.Config.make ~backend ()) st sched)))
+    Msc_exec.Backend.all;
+  let wave = stencil_wave2d ~n:16 () in
+  let k = List.hd (Msc_ir.Stencil.kernels wave) in
+  let wave_src = slave_src wave (Schedule.sunway_canonical ~tile:[| 4; 8 |] k) in
+  check_bool "State term reads its time slot" true
+    (contains ~needle:"buf_read_2[BIDX_R(" wave_src
+    && not (contains ~needle:"buf_aux_buf_read" wave_src))
 
 let athread_spm_guard () =
   (* A tile whose window buffers exceed 64 KB must be rejected. *)

@@ -5,6 +5,7 @@
 open Helpers
 module Grid = Msc_exec.Grid
 module Interp = Msc_exec.Interp
+module Backend = Msc_exec.Backend
 module Jit = Msc_exec.Jit
 module Runtime = Msc_exec.Runtime
 module Verify = Msc_exec.Verify
@@ -76,22 +77,18 @@ let grid_of_tensor () =
 let interp_identity () =
   let grid = Builder.def_tensor_2d ~halo:1 "B" Dtype.F64 4 4 in
   let k = Builder.kernel ~name:"Id" ~grid (Expr.read "B" [| 0; 0 |]) in
-  let geometry = Grid.of_tensor grid in
-  let c = Interp.compile k ~geometry in
   check_bool "one-product chain" true (Jit.chain_length k = Some 1);
   let src = Grid.of_tensor grid and dst = Grid.of_tensor grid in
   Grid.fill src (fun coord -> float_of_int ((coord.(0) * 4) + coord.(1)));
-  Interp.apply c ~src ~dst;
+  interp_apply k ~src ~dst;
   check_float "identity" (Grid.checksum src) (Grid.checksum dst)
 
 let interp_shift_reads_halo () =
   let grid = Builder.def_tensor_1d ~halo:1 "B" Dtype.F64 4 in
   let k = Builder.kernel ~name:"Shift" ~grid (Expr.read "B" [| 1 |]) in
-  let geometry = Grid.of_tensor grid in
-  let c = Interp.compile k ~geometry in
   let src = Grid.of_tensor grid and dst = Grid.of_tensor grid in
   Grid.fill src (fun coord -> float_of_int coord.(0) +. 1.0);
-  Interp.apply c ~src ~dst;
+  interp_apply k ~src ~dst;
   (* dst[i] = src[i+1]; src[3+1] is halo = 0 *)
   check_float "dst0" 2.0 (Grid.get dst [| 0 |]);
   check_float "dst3 reads zero halo" 0.0 (Grid.get dst [| 3 |])
@@ -105,11 +102,9 @@ let interp_laplacian_hand_value () =
         + read "B" [| 0; 1 |]
         - (f 4.0 * read "B" [| 0; 0 |]))
   in
-  let geometry = Grid.of_tensor grid in
-  let c = Interp.compile k ~geometry in
   let src = Grid.of_tensor grid and dst = Grid.of_tensor grid in
   Grid.fill src (fun coord -> float_of_int ((coord.(0) * 3) + coord.(1)));
-  Interp.apply c ~src ~dst;
+  interp_apply k ~src ~dst;
   (* centre point (1,1)=4: 1 + 7 + 3 + 5 - 16 = 0 *)
   check_float "laplacian of linear field" 0.0 (Grid.get dst [| 1; 1 |])
 
@@ -117,21 +112,25 @@ let interp_accumulate () =
   let grid = Builder.def_tensor_1d ~halo:1 "B" Dtype.F64 3 in
   let k = Builder.kernel ~name:"Id" ~grid (Expr.read "B" [| 0 |]) in
   let geometry = Grid.of_tensor grid in
-  let c = Interp.compile k ~geometry in
   let src = Grid.of_tensor grid and dst = Grid.of_tensor grid in
   Grid.fill src (fun _ -> 2.0);
   Grid.fill dst (fun _ -> 1.0);
-  Interp.accumulate_range c ~scale:0.5 ~src ~dst ~lo:[| 0 |] ~hi:[| 3 |];
+  (* dst + 0.5 * K(src) is the fold of a State term over dst's values. *)
+  let prev = Grid.copy dst in
+  interp_sweep
+    [
+      (Backend.Sweep_state { scale = 1.0 }, prev);
+      (Backend.Sweep_kernel { scale = 0.5; kernel = k; halo = geometry.Grid.halo }, src);
+    ]
+    ~dst;
   check_float "1 + 0.5*2" 2.0 (Grid.get dst [| 1 |])
 
 let interp_range_subbox () =
   let grid = Builder.def_tensor_2d ~halo:1 "B" Dtype.F64 4 4 in
   let k = Builder.kernel ~name:"Id" ~grid (Expr.read "B" [| 0; 0 |]) in
-  let geometry = Grid.of_tensor grid in
-  let c = Interp.compile k ~geometry in
   let src = Grid.of_tensor grid and dst = Grid.of_tensor grid in
   Grid.fill src (fun _ -> 3.0);
-  Interp.apply_range c ~src ~dst ~lo:[| 1; 1 |] ~hi:[| 3; 3 |];
+  interp_apply k ~src ~dst ~lo:[| 1; 1 |] ~hi:[| 3; 3 |];
   check_float "inside" 3.0 (Grid.get dst [| 2; 2 |]);
   check_float "outside untouched" 0.0 (Grid.get dst [| 0; 0 |])
 
@@ -140,12 +139,10 @@ let interp_nonlinear_tree_path () =
   let k =
     Builder.kernel ~name:"Sq" ~grid Expr.(read "B" [| 0 |] * read "B" [| 0 |])
   in
-  let geometry = Grid.of_tensor grid in
-  let c = Interp.compile k ~geometry in
   check_bool "an a*x product" true (Jit.chain_length k = Some 1);
   let src = Grid.of_tensor grid and dst = Grid.of_tensor grid in
   Grid.fill src (fun coord -> float_of_int (coord.(0) + 1));
-  Interp.apply c ~src ~dst;
+  interp_apply k ~src ~dst;
   check_float "squares" (1.0 +. 4.0 +. 9.0 +. 16.0) (Grid.checksum dst)
 
 let interp_rejects_aliasing () =
@@ -155,7 +152,7 @@ let interp_rejects_aliasing () =
   let c = Interp.compile k ~geometry in
   let g = Grid.of_tensor grid in
   check_bool "alias rejected" true
-    (try Interp.apply c ~src:g ~dst:g; false with Invalid_argument _ -> true)
+    (try Interp.check_grids c ~src:g ~dst:g; false with Invalid_argument _ -> true)
 
 (* Equal shape and strides are not equal geometry: an 8x8 grid with halo
    [3;1] and one with halo [1;1] both have strides [10;1], but the sweep
@@ -170,7 +167,7 @@ let interp_rejects_halo_mismatch () =
   let raises f = try f (); false with Invalid_argument _ -> true in
   let c = Interp.compile k ~geometry:deep in
   check_bool "src/dst halo checked" true
-    (raises (fun () -> Interp.apply c ~src:(Grid.like thin) ~dst:(Grid.like thin)));
+    (raises (fun () -> Interp.check_grids c ~src:(Grid.like thin) ~dst:(Grid.like thin)));
   check_bool "src/dst guard checks halo" true
     (raises (fun () -> Interp.check_grids c ~src:(Grid.like thin) ~dst:(Grid.like deep)));
   let coeff = Builder.coefficient_grid ~grid "C" in
@@ -181,13 +178,11 @@ let interp_rejects_halo_mismatch () =
   let cc = Interp.compile kc ~geometry:thin in
   let aux = [ ("C", Grid.like deep) ] in
   check_bool "aux halo checked" true
-    (raises (fun () -> Interp.apply ~aux cc ~src:(Grid.like thin) ~dst:(Grid.like thin)));
+    (raises (fun () -> Interp.check_grids ~aux cc ~src:(Grid.like thin) ~dst:(Grid.like thin)));
   check_bool "aux guard checks halo" true
     (raises (fun () -> Interp.check_grids ~aux cc ~src:(Grid.like thin) ~dst:(Grid.like thin)));
   check_bool "identity halo checked" true
-    (raises (fun () ->
-         Interp.identity_apply_range ~scale:1.0 ~src:(Grid.like thin) ~dst:(Grid.like deep)
-           ~lo:[| 0; 0 |] ~hi:[| 8; 8 |]))
+    (raises (fun () -> Interp.check_state ~src:(Grid.like thin) ~dst:(Grid.like deep)))
 
 (* --- Runtime --- *)
 

@@ -6,6 +6,7 @@
 open Helpers
 module Grid = Msc_exec.Grid
 module Interp = Msc_exec.Interp
+module Backend = Msc_exec.Backend
 module Jit = Msc_exec.Jit
 module Runtime = Msc_exec.Runtime
 module Schedule = Msc_schedule.Schedule
@@ -61,8 +62,8 @@ let schedule_parity_suite () =
 
    The interpreter evaluates every kernel as its expression tree; the
    compiled backend lowers tap and bilinear kernels to product chains.
-   Both must agree bit for bit, and the interpreter's three writeback
-   flavours must agree with each other. *)
+   Both must agree bit for bit, and the interpreter's per-point fold must
+   seed with the first term and add every later one. *)
 
 let have_cc () =
   Sys.command "command -v cc > /dev/null 2>&1 || command -v gcc > /dev/null 2>&1" = 0
@@ -74,41 +75,44 @@ let check_same_bits name ~expected got =
        expected.Grid.data got.Grid.data)
 
 let sweep_vs_tree ~name k ~aux ~src shape =
-  let c = Interp.compile k ~geometry:src in
-  let lo = Array.make (Array.length shape) 0 in
-  let applied = Grid.like src in
-  Interp.apply_range ~aux c ~src ~dst:applied ~lo ~hi:shape;
-  (* accumulate: dst + scale * K, from an arbitrary destination. *)
-  let dst_acc = Grid.like src and by_hand = Grid.like src in
-  Grid.fill dst_acc (fun coord -> 0.3 -. (0.05 *. float_of_int coord.(0)));
+  let halo = src.Grid.halo in
+  let kernel scale = Backend.Sweep_kernel { scale; kernel = k; halo } in
+  let sweep terms =
+    let dst = Grid.like src in
+    interp_sweep ~aux terms ~dst;
+    dst
+  in
+  let applied = sweep [ (kernel 1.0, src) ] in
+  (* A later term: dst + scale * K, from an arbitrary earlier State. *)
+  let prev = Grid.like src and by_hand = Grid.like src in
+  Grid.fill prev (fun coord -> 0.3 -. (0.05 *. float_of_int coord.(0)));
   Grid.fill by_hand (fun coord ->
-      Grid.get dst_acc coord +. (0.7 *. Grid.get applied coord));
-  Interp.accumulate_range ~aux c ~scale:0.7 ~src ~dst:dst_acc ~lo ~hi:shape;
-  check_same_bits (name ^ " accumulate == dst + scale*K") ~expected:by_hand dst_acc;
-  (* apply_scaled == accumulate into a zeroed destination. *)
-  let dst_scaled = Grid.like src and dst_zeroacc = Grid.like src in
-  Interp.apply_scaled_range ~aux c ~scale:(-1.3) ~src ~dst:dst_scaled ~lo ~hi:shape;
-  Interp.accumulate_range ~aux c ~scale:(-1.3) ~src ~dst:dst_zeroacc ~lo ~hi:shape;
-  check_same_bits (name ^ " apply_scaled == zero+accumulate") ~expected:dst_zeroacc
-    dst_scaled;
+      Grid.get prev coord +. (0.7 *. Grid.get applied coord));
+  check_same_bits (name ^ " later term == acc + scale*K") ~expected:by_hand
+    (sweep [ (Backend.Sweep_state { scale = 1.0 }, prev); (kernel 0.7, src) ]);
+  (* A scaled seed == a scaled later term after a zero State. *)
+  let scaled = sweep [ (kernel (-1.3), src) ] in
+  check_same_bits (name ^ " scaled seed == zero+scaled term")
+    ~expected:(sweep [ (Backend.Sweep_state { scale = 1.0 }, Grid.like src); (kernel (-1.3), src) ])
+    scaled;
   (* The compiled chain sweep, unscaled and scaled. *)
   if have_cc () then
     List.iter
       (fun (scale, expected) ->
-        let terms = [ Jit.Sweep_kernel { scale; kernel = k; halo = src.Grid.halo } ] in
+        let terms = [ kernel scale ] in
         match Jit.compile_sweep ~plan_digest:"test-fastpath-parity" terms with
         | Error msg -> Alcotest.failf "%s: compile_sweep: %s" name msg
         | Ok fn ->
             let got = Grid.like src in
             let slots =
               Array.of_list
-                (List.map (fun a -> (List.assoc a aux).Grid.data) (Jit.sweep_aux_slots terms))
+                (List.map (fun a -> (List.assoc a aux).Grid.data) (Backend.sweep_aux_slots terms))
             in
-            fn [| src.Grid.data |] got.Grid.data slots lo shape;
+            fn [| src.Grid.data |] got.Grid.data slots (Array.make (Array.length shape) 0) shape;
             check_same_bits
               (Printf.sprintf "%s compiled (scale %g) == interp" name scale)
               ~expected got)
-      [ (1.0, applied); (-1.3, dst_scaled) ]
+      [ (1.0, applied); (-1.3, scaled) ]
 
 (* Tap kernels: the 3/5/7-point stars, a 9-point 2-D box and a 13-point
    radius-2 star, each one product per tap. *)
@@ -157,15 +161,16 @@ let interp_identity_apply () =
   let g = Grid.create ~shape:[| 6; 7 |] ~halo:[| 1; 1 |] in
   Grid.fill g (fun c -> float_of_int ((c.(0) * 7) + c.(1)) +. 0.5);
   let lo = [| 1; 2 |] and hi = [| 5; 6 |] in
-  (* scale = 1: a row blit. *)
+  let state scale = Backend.Sweep_state { scale } in
+  (* scale = 1: a copy of the range. *)
   let dst = Grid.like g in
-  Interp.identity_apply_range ~scale:1.0 ~src:g ~dst ~lo ~hi;
+  interp_sweep ~lo ~hi [ (state 1.0, g) ] ~dst;
   check_float "copied subbox" (Grid.get g [| 2; 3 |]) (Grid.get dst [| 2; 3 |]);
   check_float "outside untouched" 0.0 (Grid.get dst [| 0; 0 |]);
-  (* scaled write == accumulate into zero. *)
+  (* scaled seed == scaled later term after a zero State. *)
   let dst_s = Grid.like g and dst_a = Grid.like g in
-  Interp.identity_apply_range ~scale:0.25 ~src:g ~dst:dst_s ~lo ~hi;
-  Interp.identity_accumulate_range ~scale:0.25 ~src:g ~dst:dst_a ~lo ~hi;
+  interp_sweep ~lo ~hi [ (state 0.25, g) ] ~dst:dst_s;
+  interp_sweep ~lo ~hi [ (state 1.0, Grid.like g); (state 0.25, g) ] ~dst:dst_a;
   check_float "scaled identity parity" 0.0
     (Grid.max_rel_error ~reference:dst_a dst_s)
 

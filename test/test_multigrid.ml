@@ -81,22 +81,18 @@ let interp_bilinear_hand_value () =
     Kernel.make ~aux:[ coeff ] ~name:"Pointwise" ~input:grid ~index_vars:[ "i" ]
       Expr.(read "C" [| 0 |] * read "B" [| 0 |])
   in
-  let geometry = Grid.of_tensor grid in
-  let c = Interp.compile k ~geometry in
   let src = Grid.of_tensor grid and dst = Grid.of_tensor grid in
   let cg = Grid.of_tensor coeff in
   Grid.fill src (fun coord -> float_of_int (coord.(0) + 1));
   Grid.fill cg (fun coord -> float_of_int (10 * (coord.(0) + 1)));
-  Interp.apply ~aux:[ ("C", cg) ] c ~src ~dst;
+  interp_apply ~aux:[ ("C", cg) ] k ~src ~dst;
   check_float "1*10 + 2*20 + 3*30 + 4*40" 300.0 (Grid.checksum dst)
 
 let interp_missing_aux_rejected () =
   let k, _, _ = fixture () in
-  let geometry = Grid.of_tensor k.Kernel.input in
-  let c = Interp.compile k ~geometry in
   let src = Grid.of_tensor k.Kernel.input and dst = Grid.of_tensor k.Kernel.input in
   check_bool "missing aux" true
-    (try Interp.apply c ~src ~dst; false with Invalid_argument _ -> true)
+    (try interp_apply k ~src ~dst; false with Invalid_argument _ -> true)
 
 let interp_pure_aux_term () =
   (* dst[p] = C[p] + B[p]: a term with no input access. *)
@@ -106,14 +102,12 @@ let interp_pure_aux_term () =
     Kernel.make ~aux:[ coeff ] ~name:"AddField" ~input:grid ~index_vars:[ "i" ]
       Expr.(read "C" [| 0 |] + read "B" [| 0 |])
   in
-  let geometry = Grid.of_tensor grid in
-  let c = Interp.compile k ~geometry in
   check_bool "two-product chain" true (Jit.chain_length k = Some 2);
   let src = Grid.of_tensor grid and dst = Grid.of_tensor grid in
   let cg = Grid.of_tensor coeff in
   Grid.fill src (fun _ -> 1.0);
   Grid.fill cg (fun _ -> 2.0);
-  Interp.apply ~aux:[ ("C", cg) ] c ~src ~dst;
+  interp_apply ~aux:[ ("C", cg) ] k ~src ~dst;
   check_float "3 per point" 9.0 (Grid.checksum dst)
 
 let interp_aux_product_falls_to_tree () =
@@ -125,15 +119,13 @@ let interp_aux_product_falls_to_tree () =
     Kernel.make ~aux:[ c1; c2 ] ~name:"TwoCoeff" ~input:grid ~index_vars:[ "i" ]
       Expr.(read "C" [| 0 |] * read "D" [| 0 |] * read "B" [| 0 |])
   in
-  let geometry = Grid.of_tensor grid in
-  let c = Interp.compile k ~geometry in
   check_bool "tree fallback" true (Jit.chain_length k = None);
   let src = Grid.of_tensor grid and dst = Grid.of_tensor grid in
   let g1 = Grid.of_tensor c1 and g2 = Grid.of_tensor c2 in
   Grid.fill src (fun _ -> 2.0);
   Grid.fill g1 (fun _ -> 3.0);
   Grid.fill g2 (fun _ -> 5.0);
-  Interp.apply ~aux:[ ("C", g1); ("D", g2) ] c ~src ~dst;
+  interp_apply ~aux:[ ("C", g1); ("D", g2) ] k ~src ~dst;
   check_float "30 per point" 90.0 (Grid.checksum dst)
 
 (* --- Runtime vs reference (compiled tree vs per-point tree walk) --- *)
