@@ -37,12 +37,13 @@ type t = {
       (** per rank: the physical-face refresh (empty when periodic: the
           wrapped exchange owns every face) *)
   phases : ((int array * int array) array * (int array * int array) array) array;
-      (** per rank: (interior tasks, boundary-shell tasks) — stage 0's
-          first-substep tasks split against the cells at least the stage
-          radius from every face (only those read pre-exchange halo data) *)
+      (** per rank: (interior tasks, boundary-shell tasks) — the
+          first-substep tasks split against the cells at least the
+          stencil's reach from every face (only those read pre-exchange
+          halo data) *)
   sub_tasks : (int array * int array) array array array;
-      (** per rank, per substep: the temporal block's shrinking stage-0
-          task arrays ({!Plan.temporal}); one plain substep at depth 1 *)
+      (** per rank, per substep: the temporal block's shrinking task
+          arrays ({!Plan.temporal}); one plain substep at depth 1 *)
   mutable block_pos : int;  (** substep position within the current block *)
   trace : Msc_trace.t;
   mutable steps_done : int;
@@ -82,8 +83,8 @@ let refresh_halos t =
 (* The rank builder both constructors share. The constructor resolves
    [protocol] (the engine that will step, before the depth clamp), the
    per-step exchange width [halo], whether the exchange needs [corners],
-   and the stage-0 [radius] the interior/shell split and the temporal
-   substeps run against. [rank ~depth ~extent] compiles one rank extent's
+   and the [radius] the interior/shell split and the temporal substeps run
+   against. [rank ~depth ~extent] compiles one rank extent's
    plan and returns the constructor of a rank runtime over it; it runs once
    per distinct extent (uneven decompositions produce at most a handful),
    so equal-extent ranks share one compiled plan. *)
@@ -166,7 +167,7 @@ let build ~config ~net ~init ~aux_init ~bc ~trace ~ranks_shape
       Array.mapi (fun d c -> (not periodic) && c = ranks_shape.(d) - 1) coords )
   in
   let geometry rt = Runtime.state rt ~dt:1 in
-  (* The temporal block's per-substep stage-0 task arrays: the halo
+  (* The temporal block's per-substep task arrays: the halo
      extension only grows on faces with a neighbour (physical faces are fed
      by the boundary condition instead). *)
   let sub_tasks =
@@ -175,7 +176,7 @@ let build ~config ~net ~init ~aux_init ~bc ~trace ~ranks_shape
         let low, high = physical rank in
         Plan.temporal ~shape:(snd subdomains.(rank)) ~radius ~depth
           ~grow_low:(Array.map not low) ~grow_high:(Array.map not high)
-          (Runtime.graph_stage_tasks rt 0))
+          (Runtime.tiles rt))
       runtimes
   in
   let t =
@@ -299,12 +300,13 @@ let create_graph ?(config = Exec.Config.default) ?net
       "Distributed.create_graph: multi-stage graphs need shared-halo \
        (merged) execution — run Pass.merge_halos (or raise its max_width \
        clamp so the pipeline's required halo fits)";
-  (* Only stage 0 runs while the source exchange is in flight, so the
-     overlapped split uses its radius. *)
+  (* A graph steps as one stage whose producers run inside each task, so an
+     output cell reads the source as far as its deepest producer chain
+     reaches: the overlapped split uses the graph's required halo (for a
+     single stage, its own radius). *)
   let radius =
-    match graph.G.stages with
-    | s :: _ -> Stencil.radius s.G.stencil
-    | [] -> assert false
+    if multi_stage then G.required_halo graph
+    else Stencil.radius (G.output_stage graph).G.stencil
   in
   (* Extension cells of even a star stencil read diagonally into corner
      halo regions, so any multi-stage graph exchanges corners, like
@@ -391,13 +393,11 @@ let finish_substep t rank rt = Runtime.finish_step ~refresh:t.bc_plans.(rank) rt
 (* The three-phase overlap protocol: the first substep of every block.
    At depth 1 the older states' halos are still valid from the previous
    step's exchange, so only the newest state goes on the wire; a deeper
-   block sends every retained state. Interior cells of stage 0 read no
-   halo data at all, so phase B's sub-sweep is correct regardless of
-   message progress; the boundary shell waits for the completed exchange
-   in phase C. So do a graph's later stages: every one reads an
-   intermediate buffer stage 0 is still producing, and stage 0's
-   ghost-extension boxes (which land in the shell by construction) read
-   the in-flight halo.
+   block sends every retained state. Interior cells read no halo data at
+   all (for a graph, not even through the producers each task computes
+   over its ghost-extended range), so phase B's sub-sweep is correct
+   regardless of message progress; the boundary shell waits for the
+   completed exchange in phase C.
 
    Three pool dispatches with barriers between them keep the protocol
    deadlock-free even when the pool has fewer workers than ranks: every
@@ -418,17 +418,15 @@ let overlap t =
   Msc_util.Domain_pool.parallel_chunks t.pool ~lo:0 ~hi:n
     (fun ~worker:_ rank ->
       Halo.post ~trace:t.trace t.halo_plans.(rank) grids.(rank));
-  (* Phase B: hide stage 0's interior sub-sweep behind the in-flight
-     messages. *)
+  (* Phase B: hide the interior sub-sweep behind the in-flight messages. *)
   Msc_util.Domain_pool.parallel_chunks t.pool ~lo:0 ~hi:n
     (fun ~worker:_ rank ->
       let interior, _ = t.phases.(rank) in
       let ts = Msc_trace.begin_span t.trace in
-      Runtime.sweep_graph_stage t.runtimes.(rank) 0 interior;
+      Runtime.sweep_tasks t.runtimes.(rank) interior;
       Msc_trace.end_span ~tid:rank t.trace "halo.overlap" ts);
   (* Phase C: complete the receives, refresh the physical faces, sweep
-     stage 0's boundary shell and then every later stage, commit the
-     step. *)
+     the boundary shell, commit the step. *)
   Msc_util.Domain_pool.parallel_chunks t.pool ~lo:0 ~hi:n
     (fun ~worker:_ rank ->
       let rt = t.runtimes.(rank) in
@@ -436,10 +434,7 @@ let overlap t =
       Array.iter (Bc.run t.bc_plans.(rank)) grids.(rank);
       let _, shell = t.phases.(rank) in
       let ts = Msc_trace.begin_span t.trace in
-      Runtime.sweep_graph_stage rt 0 shell;
-      for i = 1 to Runtime.graph_stage_count rt - 1 do
-        Runtime.sweep_graph_stage rt i (Runtime.graph_stage_tasks rt i)
-      done;
+      Runtime.sweep_tasks rt shell;
       Msc_trace.end_span ~tid:rank t.trace "halo.shell" ts;
       finish_substep t rank rt)
 

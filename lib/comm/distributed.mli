@@ -185,9 +185,10 @@ val create_graph :
 (** Decompose a pipeline graph over [ranks_shape]. Ranks are built, plans
     compiled, halos exchanged and engines stepped exactly as in {!create}
     (same parameters, rules and exceptions), with the graph's
-    {!Msc_graph.Graph.required_halo} as the exchange width and stage 0
-    playing the stencil's part in the overlapped split: later stages
-    consume stage 0's buffer, so only stage 0 hides the exchange. Graphs
+    {!Msc_graph.Graph.required_halo} as the exchange width. A graph steps
+    as one stage whose producers run tile-local inside each task, so the
+    overlapped split keeps cells at least the required halo from every
+    face in the interior sub-sweep that hides the exchange. Graphs
     have no temporal block to deepen (intermediates are recomputed per
     step, not stepped): [Temporal_blocked {depth = 1}] steps as, and is
     recorded in {!effective_engine} as, [Bulk_synchronous]. All engines

@@ -153,8 +153,8 @@ module Pipeline : sig
       through [passes] (default {!Pass.default_pipeline}: dead-stage
       elimination, producer→consumer fusion, shared-halo merging) to a
       fixpoint; {!run} and {!distribute} then execute the optimized
-      staged schedule ({!Runtime.create_graph} /
-      {!Distributed.create_graph}), bit-identical to naive
+      graph, its remaining producers tile-local ({!Runtime.create_graph}
+      / {!Distributed.create_graph}), bit-identical to naive
       stage-at-a-time interpretation of the original graph. {!stencil}
       reports the optimized graph's output stage; {!verify}, {!compile}
       and {!simulate} apply to that stage alone and ignore upstream
@@ -178,14 +178,14 @@ module Pipeline : sig
       {!simulate} costs. *)
 
   val graph_plan : t -> (Plan.graph_plan, string) result
-  (** The staged graph plan (per-stage tile plans, inter-stage buffer
+  (** The graph plan (per-stage tile plans, producer window-slot
       assignment, exchange counts) a graph pipeline executes; [Error] on
       a pipeline built with {!make}. *)
 
   val run : steps:int -> t -> Grid.t
   (** Execute natively (sliding time window, tiled, domain-parallel, on
       [config]'s kernel backend) and return the final state. Graph
-      pipelines run the whole staged schedule per step. *)
+      pipelines run the whole graph per step. *)
 
   val run_report : steps:int -> t -> Grid.t * Runtime.backend_report
   (** Like {!run}, but also report which kernel backend actually executed —

@@ -37,6 +37,7 @@ let sweep_aux_slots terms =
     terms
 
 type sweep_fn =
+  ?shifts:int array ->
   float array array ->
   float array ->
   float array array ->

@@ -38,6 +38,7 @@ external c_call_sweep :
   float array array ->
   int array ->
   int array ->
+  int array ->
   unit = "msc_jit_call_sweep_bytecode" "msc_jit_call_sweep_native"
 [@@noalloc]
 
@@ -757,7 +758,8 @@ let compile_sweep ?(trace = Msc_trace.disabled) ~plan_digest terms =
           check_sweep terms;
           build_cc ~trace ~dir ~base ~cmd:c_sweep_cmd ~sym:"msc_sweep"
             (fun () -> emit_c_sweep_src ~fn_name:"msc_sweep" ~halo ~strides terms)
-            (fun fn srcs dst aux lo hi -> c_call_sweep fn srcs dst aux lo hi))
+            (fun fn ?(shifts = [||]) srcs dst aux lo hi ->
+              c_call_sweep fn srcs dst aux shifts lo hi))
 
 let emit_c_sweep ~fn_name terms =
   match sweep_geometry terms with

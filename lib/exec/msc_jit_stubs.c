@@ -6,7 +6,10 @@
  *   (Backend.sweep_fn) — one source array per stencil term plus the
  *   concatenated aux slots. Grid data arrays are OCaml flat float arrays
  *   passed as double*; srcs/aux/lo/hi are unpacked into C locals before
- *   the call, so the kernel only ever sees raw C data.
+ *   the call, so the kernel only ever sees raw C data. Each array's base
+ *   pointer is moved back by its shift (srcs, then dst, then aux; an
+ *   empty shift array means no shift): a window holding a slab of the
+ *   padded box is then indexed with the full geometry's flat indices.
  * - msc_jit_call_reduce: invoke a loaded reduction kernel
  *   (Backend.reduce_fn), unpacked the same way.
  */
@@ -46,28 +49,36 @@ typedef void (*msc_sweep_t)(const double **srcs, double *dst,
                             const long *hi);
 
 CAMLprim value msc_jit_call_sweep_native(value fn, value srcs, value dst,
-                                         value aux, value lo, value hi)
+                                         value aux, value shifts, value lo,
+                                         value hi)
 {
   const double *srcp[MSC_JIT_MAX];
   const double *auxp[MSC_JIT_MAX];
   long lov[MSC_JIT_MAX], hiv[MSC_JIT_MAX];
   mlsize_t nsrc = Wosize_val(srcs);
   mlsize_t naux = Wosize_val(aux);
+  mlsize_t nshift = Wosize_val(shifts);
   mlsize_t nd = Wosize_val(lo);
   mlsize_t i;
+  long dst_shift = 0;
   if (nsrc > MSC_JIT_MAX || naux > MSC_JIT_MAX || nd > MSC_JIT_MAX ||
       Wosize_val(hi) != nd)
     caml_invalid_argument("msc_jit_call_sweep: rank, term or aux count out of range");
+  if (nshift != 0 && nshift != nsrc + 1 + naux)
+    caml_invalid_argument("msc_jit_call_sweep: one shift per array expected");
   for (i = 0; i < nsrc; i++)
-    srcp[i] = (const double *)Op_val(Field(srcs, i));
+    srcp[i] = (const double *)Op_val(Field(srcs, i)) -
+              (nshift ? Long_val(Field(shifts, i)) : 0);
+  if (nshift) dst_shift = Long_val(Field(shifts, nsrc));
   for (i = 0; i < naux; i++)
-    auxp[i] = (const double *)Op_val(Field(aux, i));
+    auxp[i] = (const double *)Op_val(Field(aux, i)) -
+              (nshift ? Long_val(Field(shifts, nsrc + 1 + i)) : 0);
   for (i = 0; i < nd; i++) {
     lov[i] = Long_val(Field(lo, i));
     hiv[i] = Long_val(Field(hi, i));
   }
-  ((msc_sweep_t)Nativeint_val(fn))(srcp, (double *)Op_val(dst), auxp, lov,
-                                   hiv);
+  ((msc_sweep_t)Nativeint_val(fn))(srcp, (double *)Op_val(dst) - dst_shift,
+                                   auxp, lov, hiv);
   return Val_unit;
 }
 
@@ -75,7 +86,7 @@ CAMLprim value msc_jit_call_sweep_bytecode(value *argv, int argn)
 {
   (void)argn;
   return msc_jit_call_sweep_native(argv[0], argv[1], argv[2], argv[3],
-                                   argv[4], argv[5]);
+                                   argv[4], argv[5], argv[6]);
 }
 
 typedef double (*msc_reduce_t)(long op, const double *a, const double *b,

@@ -9,19 +9,21 @@
     are recomputed every step). Kernel aux tensors may additionally name
     earlier stages, the source, or external coefficient grids.
 
-    The designated [output] stage writes the next source state; every
-    other stage materializes into a scratch buffer
-    ({!Msc_schedule.Plan.compile_graph} assigns the buffers). Executed
-    stage-at-a-time, the graph's semantics are exactly: sweep each stage
-    in topological order into its buffer (reading predecessor buffers and
-    past source states), then commit the output stage as [source[t]].
+    The designated [output] stage writes the next source state. The
+    graph's semantics are exactly: evaluate each stage in topological
+    order over the whole grid (reading predecessor stages and past source
+    states), then commit the output stage as [source[t]]. The runtime
+    computes every other stage tile-local, per output task into a window
+    ({!Msc_schedule.Plan.compile_graph} assigns the window slots), which
+    gives the same bits.
 
-    Intermediate buffers carry no boundary condition. Stages consumed by
-    later stages are computed on an {e extended} range (interior grown by
-    {!extension}) so consumer reads near the interior edge see computed
-    values rather than stale memory; the reads those extended points make
-    land in the source's BC-filled (or halo-exchanged) ghost region, which
-    is why {!required_halo} sums extension and radius. *)
+    Intermediates carry no boundary condition. Stages consumed by later
+    stages are computed on an {e extended} range (the consumer's range
+    grown by {!extension}) so consumer reads near the range edge see
+    computed values rather than stale memory; the reads those extended
+    points make near the grid faces land in the source's BC-filled (or
+    halo-exchanged) ghost region, which is why {!required_halo} sums
+    extension and radius. *)
 
 type stage = { name : string; stencil : Msc_ir.Stencil.t }
 

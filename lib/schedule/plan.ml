@@ -196,11 +196,11 @@ let interior_shell t =
   split_tasks ~core_lo ~core_hi t.tasks
 
 (* Grow the sweep range by [ext] cells into the halo on every face whose
-   grow flag is set. The extension is materialised as the shell of the
-   grown box split against the interior, so the plan's own tile tasks (and
-   their traversal order) are preserved and only the ghost boxes are
-   appended; the split boxes are disjoint, so every grown cell is computed
-   exactly once. *)
+   grow flag is set (a temporal block's substeps). The extension is
+   materialised as the shell of the grown box split against the interior,
+   so the plan's own tile tasks (and their traversal order) are preserved
+   and only the ghost boxes are appended; the split boxes are disjoint, so
+   every grown cell is computed exactly once. *)
 let extend_tasks ~shape ~ext ~grow_low ~grow_high tasks =
   let nd = Array.length shape in
   if

@@ -84,21 +84,6 @@ val interior_shell : t -> (int array * int array) array * (int array * int array
     sub-sweep needs the completed exchange. An extent thinner than twice the
     radius has an empty interior (every cell is shell). *)
 
-val extend_tasks :
-  shape:int array ->
-  ext:int array ->
-  grow_low:bool array ->
-  grow_high:bool array ->
-  (int array * int array) array ->
-  (int array * int array) array
-(** Grow the sweep range by [ext.(d)] cells into the halo on every face of
-    dimension [d] whose grow flag is set: the original tasks (traversal
-    order preserved) with the disjoint extension boxes appended, so
-    sweeping the result computes every grown cell exactly once. Returns
-    [tasks] unchanged when nothing grows. The graph executor uses this to
-    run intermediate pipeline stages on their ghost-zone extension.
-    @raise Invalid_argument on rank mismatch. *)
-
 val temporal :
   shape:int array ->
   radius:int array ->
@@ -151,9 +136,12 @@ val reduce_plan : t -> reduce_plan
     stage-plan list sharing one index space: every tensor is rebuilt to
     the graph's {!Msc_graph.Graph.required_halo} (and, for distributed
     ranks, the local [shape]), each stage gets its own {!t} under the same
-    schedule, and intermediate results are assigned scratch-buffer slots
-    with liveness-driven reuse — a dead intermediate's slot is handed to a
-    later stage (double buffering falls out for chains). *)
+    schedule, and intermediate results are assigned window slots with
+    liveness-driven reuse — a dead intermediate's slot is handed to a
+    later stage (double buffering falls out for chains). The runtime
+    computes every intermediate tile-local, per task, into the per-worker
+    window of its slot ({!Msc_exec.Runtime.create_graph}); no slot is a
+    full-size grid. *)
 
 type graph_stage_plan = {
   gs_name : string;
@@ -161,17 +149,17 @@ type graph_stage_plan = {
   gs_plan : t;
   gs_ext : int array;
       (** ghost-zone extension this stage is computed on (zero for the
-          output stage) — executors grow [gs_plan.tasks] by this via
-          {!extend_tasks} *)
+          output stage): the runtime grows each output task by it *)
   gs_buffer : int option;
-      (** scratch slot holding the stage's result; [None] = this is the
-          output stage, written to the stepped state *)
+      (** window slot holding the stage's result for the task being
+          swept; [None] = this is the output stage, written to the
+          stepped state *)
 }
 
 type graph_plan = {
   gp_graph : Msc_graph.Graph.t;  (** the reshaped graph *)
   gp_stages : graph_stage_plan list;  (** topological order *)
-  gp_n_buffers : int;  (** scratch grids needed after slot reuse *)
+  gp_n_buffers : int;  (** window slots per worker after reuse *)
   gp_halo : int array;  (** the uniform halo every tensor was rebuilt to *)
   gp_time_window : int;
   gp_merged : bool;

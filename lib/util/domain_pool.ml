@@ -147,11 +147,11 @@ let run_workers ?on_worker t per_worker =
         raise exn
   end
 
-let parallel_for ?on_worker t ~lo ~hi body =
+let parallel_blocks ?on_worker t ~lo ~hi body =
   if hi <= lo then ()
   else if t.workers = 1 && Option.is_none on_worker then
     for i = lo to hi - 1 do
-      body i
+      body ~worker:0 i
     done
   else begin
     let n = hi - lo in
@@ -160,11 +160,14 @@ let parallel_for ?on_worker t ~lo ~hi body =
       let s = lo + (w * chunk) in
       let e = min hi (s + chunk) in
       for i = s to e - 1 do
-        body i
+        body ~worker:w i
       done
     in
     run_workers ?on_worker t per_worker
   end
+
+let parallel_for ?on_worker t ~lo ~hi body =
+  parallel_blocks ?on_worker t ~lo ~hi (fun ~worker:_ i -> body i)
 
 let parallel_chunks ?on_worker t ~lo ~hi body =
   if hi <= lo then ()

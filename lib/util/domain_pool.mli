@@ -50,6 +50,13 @@ val parallel_for :
     on every region entry (workers survive across regions), so it should be
     idempotent — {!Msc_trace.attach_worker} is. *)
 
+val parallel_blocks :
+  ?on_worker:(int -> unit) -> t -> lo:int -> hi:int ->
+  (worker:int -> int -> unit) -> unit
+(** {!parallel_for}'s static chunking, passing each call the index of the
+    worker running it (as {!parallel_chunks} does), so a body can use
+    per-worker scratch. *)
+
 val parallel_chunks :
   ?on_worker:(int -> unit) -> t -> lo:int -> hi:int ->
   (worker:int -> int -> unit) -> unit
