@@ -23,9 +23,13 @@
    - a store/load roundtrip of a float is exact, so a long C sweep can
      run as a sequence of passes of at most 16 fold units (one chain
      product, or one whole tree or State term) over strips of at most 512
-     columns, parking each point's accumulator and current term partial
+     points, parking each point's accumulator and current term partial
      in stack rows between passes: every point still performs the same
-     operations in the same order. *)
+     operations in the same order;
+   - a pass reads its coefficients, fold scales, array slots and row
+     anchors from [static const] tables, and the value a table holds is
+     the literal the emitter would have printed, so moving it out of the
+     code changes no operation. *)
 
 open Msc_ir
 
@@ -60,8 +64,9 @@ external c_call_reduce :
    reduction kernels; v4 = write-through-only sweeps, long C sweeps cut
    into tap-group passes; v5 = kernels lowered from the tree alone (exact
    product chains without a [0.0 +] lead, or whole trees); v6 = the 4-row
-   block only on 2-D single-pass sweeps (3-D ones walk one row at a time). *)
-let emitter_version = "v6"
+   block only on 2-D single-pass sweeps (3-D ones walk one row at a time);
+   v7 = table-driven passes, one shared function per pass shape. *)
+let emitter_version = "v7"
 
 type stats = {
   memo_hits : int;
@@ -313,7 +318,7 @@ let base_expr ~nd ~halo ~strides =
    One write-through function per plan covering every stencil term: the
    first term seeds a per-point accumulator, later terms fold into it, and
    [dst] is written once — replacing the interpreter's one full-grid pass
-   per term. The loop shapes are described at [emit_c_sweep_src]; nothing
+   per term. The loop shapes are described at [emit_sweep]; nothing
    reassociates, so bit-identity is preserved. *)
 
 (* Per-term (slot offset, aux names) in the concatenated aux layout of
@@ -359,20 +364,24 @@ let sweep_has_tree terms =
    expression. *)
 type c_term = Chain of string array | Whole of string
 
+(* The aux slot (in the concatenated layout) of aux tensor [n] of term
+   [t]. *)
+let aux_slot ~layout t n =
+  let off, names = List.nth layout t in
+  let rec go j = function
+    | [] -> unsupported "aux tensor %s has no fused slot" n
+    | m :: rest -> if String.equal m n then off + j else go (j + 1) rest
+  in
+  go 0 names
+
 (* The value of kernel term [t] at lane offset [c_str] (a last-dimension
    offset expression; the lane binds [i] to the matching flat index).
    [row] shifts the second-innermost coordinate — a single-pass sweep
    computes a block of [row = 0..3] adjacent rows per inner iteration. *)
 let sweep_kernel_value ~layout ~strides ~last ~row ~c_str t (kernel : Kernel.t) =
-  let off, names = List.nth layout t in
-  let src = Printf.sprintf "s%d" t in
   let arr n =
-    let rec go j = function
-      | [] -> unsupported "aux tensor %s has no fused slot" n
-      | m :: rest ->
-          if String.equal m n then Printf.sprintf "a%d" (off + j) else go (j + 1) rest
-    in
-    if String.equal n kernel.Kernel.input.Tensor.name then src else go 0 names
+    if String.equal n kernel.Kernel.input.Tensor.name then Printf.sprintf "s%d" t
+    else Printf.sprintf "a%d" (aux_slot ~layout t n)
   in
   let coord d =
     if d = last then Printf.sprintf "(l%d + (%s))" last c_str
@@ -393,37 +402,55 @@ let sweep_kernel_value ~layout ~strides ~last ~row ~c_str t (kernel : Kernel.t) 
    or one whole tree or State term.
 
    Every sweep runs over strips of at most [strip_cols] columns. A sweep
-   of at most [single_pass_units] units is one pass, and on a 2-D grid
-   that pass blocks rows by 4; a longer one is cut into passes of at most
-   [pass_units] units without a block. Unrolling all of 2d169pt_box's 338
-   units into every lane of the block made 135 KB of C that took gcc
-   ~24 s and swept at about half the rate of the passes; cutting the
-   short sweeps into unblocked passes made tree-form pipeline steps ~1.5x
-   slower. A 3-D single pass walks one row at a time: a 4-row block of
-   3d7pt_star reads 28 source rows and writes 4 destination rows per
-   column step, against 10 and 1 without it, and out of cache those
-   streams cost more than the extra accumulator chains win. *)
+   of at most [single_pass_units] units is one pass, unrolled in place,
+   and on a 2-D grid that pass blocks rows by 4; a longer one is cut into
+   passes of at most [pass_units] units without a block. Unrolling all of
+   2d169pt_box's 338 units into every lane of the block made 135 KB of C
+   that took gcc ~24 s and swept at about half the rate of the passes;
+   cutting the short sweeps into unblocked passes made tree-form pipeline
+   steps ~1.5x slower. A 3-D single pass walks one row at a time: a 4-row
+   block of 3d7pt_star reads 28 source rows and writes 4 destination rows
+   per column step, against 10 and 1 without it, and out of cache those
+   streams cost more than the extra accumulator chains win.
+
+   A pass is table-driven (below): passes of the same shape share one
+   non-inlined C function, so the statements a long sweep unrolls are
+   bounded by its distinct shapes rather than growing with stencil order.
+   On a 2-vCPU Cooper Lake host (gcc 12, -O3 -march=native), emitting
+   every product of every pass as its own literal statement in one
+   function took gcc a median 1.7 s on 2d169pt_box at 256^2 (338
+   statements) and 3.6 s on the four pass-form suite kernels together.
+   With shared bodies 2d169pt_box unrolls 65 statements in 5 functions
+   and compiles in a median 0.30 s, about 2x a 3d7pt_star sweep, and the
+   four kernels in 1.15 s. Two other table layouts lost there: one read
+   pointer per unit from an offset table ran 8-15% behind the literal
+   passes (the pointers spill and are re-derived for every row), and
+   letting gcc clone a body per call site compiled almost as slowly as
+   the literal passes. *)
 
 let single_pass_units = 32
 let pass_units = 16
 let strip_cols = 512
 
 (* The loop nest of a sweep of [n] fold units on an [nd]-D grid. *)
-type nest = Row_block | Single_row | Passes of int
+type nest = Row_block | Single_row | Passes
 
 let sweep_nest ~nd n =
-  if n > single_pass_units then Passes ((n + pass_units - 1) / pass_units)
+  if n > single_pass_units then Passes
   else if nd = 2 then Row_block
   else Single_row
 
 let nest_name = function
   | Row_block -> "row_block"
   | Single_row -> "single_row"
-  | Passes _ -> "passes"
+  | Passes -> "passes"
 
 let term_units = function
   | Backend.Sweep_state _ -> 1
   | Backend.Sweep_kernel { kernel; _ } -> Option.value ~default:1 (chain_length kernel)
+
+let term_scale = function
+  | Backend.Sweep_state { scale } | Backend.Sweep_kernel { scale; _ } -> scale
 
 (* (term, unit within the term) of every fold unit, in chain order. *)
 let sweep_units terms =
@@ -433,58 +460,350 @@ let sweep_units terms =
           (fun t term -> List.init (term_units term) (fun k -> (t, k)))
           terms))
 
-(* The statements of fold units [a, b) at one lane, as a C block binding
-   [i] to [index]. A pass that starts inside the chain resumes [acc] (once
-   the first term has finished) and [p] (when it starts inside a term)
-   from the stack rows [msc_acc]/[msc_part]; one that ends inside the chain
-   parks what the next pass resumes; the last pass writes [dst]. *)
-let c_lane ~units ~terms ~values ~index a b =
+(* Where the passes of a long sweep start, then its end. A run of
+   consecutive single-read products of one term that read one row (the
+   same array, and the same offsets but the innermost) stays in one pass:
+   then the passes over the rows of a box stencil, and the matching passes
+   of terms with the same taps, read at the same distances from their
+   row pointers and share a body. Runs pack greedily into passes of at
+   most [pass_units] units, and a longer run is cut evenly; a term longer
+   than one pass starts a pass of its own, so its cuts fall where those
+   of an earlier term with the same taps did. 2d169pt_box then runs 26
+   passes where even cuts of 16 run 22, and still sweeps faster. *)
+let pass_cuts ~chains units =
+  let n = Array.length units in
+  let row u =
+    let t, k = units.(u) in
+    match chains.(t) with
+    | Some products -> (
+        match products.(k).reads with
+        | [ x ] ->
+            let o = x.Expr.offsets in
+            Some (t, x.Expr.tensor, Array.sub o 0 (Array.length o - 1))
+        | _ -> None)
+    | None -> None
+  in
+  let cuts = ref [] and fill = ref 0 in
+  let place start len =
+    let t, k = units.(start) in
+    let long_term = match chains.(t) with Some p -> Array.length p > pass_units | None -> false in
+    if k = 0 && long_term && !fill > 0 then fill := pass_units;
+    if len > pass_units then begin
+      if start > 0 then cuts := start :: !cuts;
+      let k = (len + pass_units - 1) / pass_units in
+      for j = 1 to k - 1 do
+        cuts := (start + (j * len / k)) :: !cuts
+      done;
+      fill := pass_units
+    end
+    else if !fill + len <= pass_units then fill := !fill + len
+    else begin
+      cuts := start :: !cuts;
+      fill := len
+    end
+  in
+  let start = ref 0 in
+  for u = 1 to n do
+    if u = n || row u = None || row u <> row (u - 1) then begin
+      place !start (u - !start);
+      start := u
+    end
+  done;
+  (0 :: List.rev !cuts) @ [ n ]
+
+(* The right-hand side folding the finished value [v] of term [t] into
+   [acc]; [k ()] renders the scale. *)
+let fold_rhs ~t ~scale ~k v =
+  if t > 0 then Printf.sprintf "acc + (%s * %s)" (k ()) v
+  else if scale = 1.0 then v
+  else Printf.sprintf "%s * %s" (k ()) v
+
+(* The statements of every fold unit at one lane of a single-pass sweep,
+   as a C block binding [i] to [index] and writing [dst]. *)
+let c_lane ~units ~terms ~values ~index =
   let buf = Buffer.create 1024 in
   let pr fmt = Printf.bprintf buf fmt in
-  let acc_live u = fst units.(u) > 0 and part_live u = snd units.(u) > 0 in
-  let has_acc = ref (acc_live a) and has_p = ref (part_live a) in
+  let has_acc = ref false and has_p = ref false in
   pr "{ const long i = %s;\n" index;
-  if !has_acc then pr "        double acc = msc_acc[c];\n";
-  if !has_p then pr "        double p = msc_part[c];\n";
   let set var defined rhs =
     pr "        %s%s = %s;\n" (if !defined then "" else "double ") var rhs;
     defined := true
   in
-  for u = a to b - 1 do
-    let t, k = units.(u) in
-    let scale =
-      match terms.(t) with Backend.Sweep_state { scale } | Backend.Sweep_kernel { scale; _ } -> scale
-    in
-    let finish v =
-      if t > 0 then
-        set "acc" has_acc (Printf.sprintf "acc + (%s * %s)" (flit_checked scale) v)
-      else if scale = 1.0 then set "acc" has_acc v
-      else set "acc" has_acc (Printf.sprintf "%s * %s" (flit_checked scale) v)
-    in
-    match values.(t) with
-    | Whole v -> finish ("(" ^ v ^ ")")
-    | Chain products ->
-        if k = 0 then set "p" has_p products.(0)
-        else pr "        p = p + %s;\n" products.(k);
-        if k = Array.length products - 1 then finish "p"
-  done;
-  if b = Array.length units then pr "        dst[i] = acc; }"
-  else begin
-    if acc_live b then pr "        msc_acc[c] = acc;\n";
-    if part_live b then pr "        msc_part[c] = p;\n";
-    pr "      }"
-  end;
+  Array.iter
+    (fun (t, k) ->
+      let scale = term_scale terms.(t) in
+      let finish v =
+        set "acc" has_acc (fold_rhs ~t ~scale ~k:(fun () -> flit_checked scale) v)
+      in
+      match values.(t) with
+      | Whole v -> finish ("(" ^ v ^ ")")
+      | Chain products ->
+          if k = 0 then set "p" has_p products.(0)
+          else pr "        p = p + %s;\n" products.(k);
+          if k = Array.length products - 1 then finish "p")
+    units;
+  pr "        dst[i] = acc; }";
   Buffer.contents buf
 
-let emit_c_sweep_src ~fn_name ~halo ~strides terms =
+(* {3 Table-driven passes}
+
+   A pass over fold units [a, b) is one function called once per strip:
+
+   {v
+   static __attribute__((noinline, noclone)) void <name>(
+       const double *const *restrict arr, double *restrict dst,
+       double *restrict msc_acc, double *restrict msc_part, long ic, long nr,
+       long cn, const long *restrict anc, const double *restrict cf
+       [, const long *restrict crd])
+   v}
+
+   [arr] holds the sweep's source arrays then its aux slots; the strip is
+   [nr] rows of [cn] columns from flat index [ic], parked row after row in
+   the stack rows. The first read of each array the pass touches anchors a
+   row pointer [q_j = arr[anc[2j]] + ic + anc[2j + 1]] (the array's slot,
+   then the read's flat offset), and every read of that array is [q_j] at
+   a literal distance from the anchor, so a loop keeps one pointer per
+   array and the reads are immediate displacements. The k-th coefficient
+   or fold scale is [cf[k]]. Each call passes its own slices of the
+   sweep's two tables, and [noclone] keeps gcc from compiling one copy of
+   a shared body per call. A pass that starts inside
+   a term resumes [p] from [msc_part]; one that folds a term into a live
+   accumulator loads [acc] from [msc_acc]; one that ends inside a term
+   parks [p], one that folded a term parks [acc], and the last pass writes
+   [dst]. Products and State terms are table-driven; a tree term renders
+   whole into its pass, with its loop coordinates read from [crd] (the
+   outer coordinates, then the strip's first column), so a pass holding
+   one has a body of its own. *)
+
+type pass = {
+  body : string;  (** everything after the function name *)
+  units : int;
+  anc : int list;
+  cf : string list;  (** rendered literals *)
+}
+
+let pass_signature ~has_tree =
+  Printf.sprintf
+    "(const double *const *restrict arr, double *restrict dst,\n\
+    \    double *restrict msc_acc, double *restrict msc_part, long ic, long nr,\n\
+    \    long cn, const long *restrict anc, const double *restrict cf%s)"
+    (if has_tree then ", const long *restrict crd" else "")
+
+let c_pass ~layout ~strides ~terms ~chains ~units ~has_tree a b =
+  let n = Array.length units in
+  let nterms = Array.length terms in
+  let last = Array.length strides - 1 in
+  let col = if strides.(last) = 1 then "c" else Printf.sprintf "c * %d" strides.(last) in
+  let row_stride = if last = 0 then 0 else strides.(last - 1) in
+  let decl = Buffer.create 512 and stmts = Buffer.create 1024 in
+  let pr fmt = Printf.bprintf stmts fmt in
+  let cf = ref [] in
+  (* (array, (j, flat offset)) of the anchor of row pointer [q_j], latest
+     first. *)
+  let anchors = ref [] in
+  let read s o =
+    let j, anchor =
+      match List.assoc_opt s !anchors with
+      | Some anchor -> anchor
+      | None ->
+          let j = List.length !anchors in
+          anchors := (s, (j, o)) :: !anchors;
+          Printf.bprintf decl "  const double *restrict q%d = arr[anc[%d]] + (ic + anc[%d]);\n"
+            j (2 * j) ((2 * j) + 1);
+          (j, o)
+    in
+    let d = o - anchor in
+    if d = 0 then Printf.sprintf "q%d[%s]" j col
+    else Printf.sprintf "q%d[%s %c %d]" j col (if d > 0 then '+' else '-') (abs d)
+  in
+  (* Equal constants share one table entry and one register: a box
+     stencil's taps mostly share a coefficient. *)
+  let coeff f =
+    let lit = flit_checked f in
+    let j =
+      match List.assoc_opt lit (List.mapi (fun j l -> (l, j)) (List.rev !cf)) with
+      | Some j -> j
+      | None ->
+          let j = List.length !cf in
+          cf := lit :: !cf;
+          Printf.bprintf decl "  const double k%d = cf[%d];\n" j j;
+          j
+    in
+    Printf.sprintf "k%d" j
+  in
+  let array_of t (kernel : Kernel.t) name =
+    if String.equal name kernel.Kernel.input.Tensor.name then t
+    else nterms + aux_slot ~layout t name
+  in
+  let ends_term u =
+    let t, k = units.(u) in
+    match chains.(t) with Some p -> k = Array.length p - 1 | None -> true
+  in
+  let folds = List.exists ends_term (List.init (b - a) (fun u -> a + u)) in
+  let load_acc = folds && fst units.(a) > 0 and resume_p = snd units.(a) > 0 in
+  let has_acc = ref load_acc and has_p = ref resume_p in
+  let has_tree_unit = ref false in
+  let set var defined rhs =
+    pr "      %s%s = %s;\n" (if !defined then "" else "double ") var rhs;
+    defined := true
+  in
+  for u = a to b - 1 do
+    let t, k = units.(u) in
+    let scale = term_scale terms.(t) in
+    let finish v = set "acc" has_acc (fold_rhs ~t ~scale ~k:(fun () -> coeff scale) v) in
+    (* [reads]: (array, flat offset) of each read, in product order. *)
+    let product coefficient reads =
+      let v =
+        String.concat " * "
+          (Option.to_list (Option.map coeff coefficient)
+          @ List.map (fun (s, o) -> read s o) reads)
+      in
+      if k = 0 then set "p" has_p v else pr "      p = p + %s;\n" v;
+      if ends_term u then finish "p"
+    in
+    match (terms.(t), chains.(t)) with
+    | Backend.Sweep_state _, _ -> product None [ (t, 0) ]
+    | Backend.Sweep_kernel { kernel; _ }, Some products ->
+        let p = products.(k) in
+        product p.coeff
+          (List.map
+             (fun (x : Expr.access) ->
+               (array_of t kernel x.Expr.tensor, flat_delta strides x.Expr.offsets))
+             p.reads)
+    | Backend.Sweep_kernel { kernel; _ }, None ->
+        has_tree_unit := true;
+        let arr name = Printf.sprintf "arr[%d]" (array_of t kernel name) in
+        let coord d =
+          if d = last then Printf.sprintf "(crd[%d] + c)" d
+          else if d = last - 1 then Printf.sprintf "(crd[%d] + r)" d
+          else Printf.sprintf "crd[%d]" d
+        in
+        finish ("(" ^ c_tree ~arr ~coord ~strides kernel ^ ")")
+  done;
+  let loop = Buffer.create 1024 in
+  let lp fmt = Printf.bprintf loop fmt in
+  let anchors = List.rev !anchors in
+  if b = n then Printf.bprintf decl "  double *restrict d = dst + ic;\n";
+  lp "  for (long r = 0; r < nr; r++) {\n";
+  lp "    for (long c = 0; c < cn; c++) {\n";
+  lp "      const long j = r * cn + c;\n";
+  if !has_tree_unit then lp "      const long i = ic + r * %d + %s;\n" row_stride col;
+  if load_acc then lp "      double acc = msc_acc[j];\n";
+  if resume_p then lp "      double p = msc_part[j];\n";
+  Buffer.add_buffer loop stmts;
+  if b = n then lp "      d[%s] = acc;\n" col
+  else begin
+    if folds then lp "      msc_acc[j] = acc;\n";
+    if snd units.(b) > 0 then lp "      msc_part[j] = p;\n"
+  end;
+  lp "    }\n";
+  if row_stride <> 0 then begin
+    List.iter (fun (_, (j, _)) -> lp "    q%d += %d;\n" j row_stride) anchors;
+    if b = n then lp "    d += %d;\n" row_stride
+  end;
+  lp "  }\n";
+  {
+    body =
+      Printf.sprintf "%s\n{\n%s%s}\n" (pass_signature ~has_tree) (Buffer.contents decl)
+        (Buffer.contents loop);
+    units = b - a;
+    anc = List.concat_map (fun (s, (_, o)) -> [ s; o ]) anchors;
+    cf = List.rev !cf;
+  }
+
+(* A static const table of [items], [per_line] to a line. *)
+let c_table ~ty ~name ~per_line items =
+  let buf = Buffer.create 1024 in
+  Printf.bprintf buf "static const %s %s[] = {" ty name;
+  List.iteri
+    (fun j s ->
+      if j mod per_line = 0 then Buffer.add_string buf "\n ";
+      Printf.bprintf buf " %s," s)
+    (if items = [] then [ "0" ] else items);
+  Buffer.add_string buf "\n};\n";
+  Buffer.contents buf
+
+(* How a sweep's C is laid out: its loop nest, its distinct pass bodies
+   (1 for a single pass) and the fold-unit statements unrolled across
+   them, the figure gcc time tracks. *)
+type sweep_layout = { nest : string; pass_bodies : int; unit_statements : int }
+
+(* The tables and the distinct bodies of a long sweep's passes, as C to
+   place before the sweep function; the call of each pass, in order; and
+   the number of bodies and of fold-unit statements across them. *)
+let emit_passes ~fn_name ~layout ~strides ~terms ~units ~has_tree =
+  let buf = Buffer.create 8192 in
+  let chains =
+    Array.map
+      (function
+        | Backend.Sweep_kernel { kernel; _ } -> chain_products kernel
+        | Backend.Sweep_state _ -> None)
+      terms
+  in
+  let rec passes = function
+    | a :: (b :: _ as rest) ->
+        c_pass ~layout ~strides ~terms ~chains ~units ~has_tree a b :: passes rest
+    | [ _ ] | [] -> []
+  in
+  let passes = passes (pass_cuts ~chains units) in
+  let all f = List.concat_map f passes in
+  Buffer.add_string buf
+    (c_table ~ty:"long" ~name:(fn_name ^ "_anc") ~per_line:10
+       (all (fun p -> List.map string_of_int p.anc)));
+  Buffer.add_string buf
+    (c_table ~ty:"double" ~name:(fn_name ^ "_cf") ~per_line:4 (all (fun p -> p.cf)));
+  let bodies = ref [] and statements = ref 0 in
+  let name_of p =
+    match List.assoc_opt p.body !bodies with
+    | Some name -> name
+    | None ->
+        let name = Printf.sprintf "%s_pass%d" fn_name (List.length !bodies) in
+        bodies := (p.body, name) :: !bodies;
+        statements := !statements + p.units;
+        Printf.bprintf buf "static __attribute__((noinline, noclone)) void %s%s" name p.body;
+        name
+  in
+  let a = ref 0 and c = ref 0 in
+  let calls =
+    List.map
+      (fun p ->
+        let call =
+          Printf.sprintf "%s(msc_arr, dst, msc_acc, msc_part, ic, nr, cn, %s_anc + %d, %s_cf + %d%s);"
+            (name_of p) fn_name !a fn_name !c
+            (if has_tree then ", msc_crd" else "")
+        in
+        a := !a + List.length p.anc;
+        c := !c + List.length p.cf;
+        call)
+      passes
+  in
+  (Buffer.contents buf, calls, List.length !bodies, !statements)
+
+let emit_sweep ~fn_name ~halo ~strides terms =
   let nd = Array.length strides in
   let last = nd - 1 in
   let layout, nslots = sweep_slots terms in
   let nterms = List.length terms in
+  let terms_arr = Array.of_list terms in
+  let units = sweep_units terms in
+  let n = Array.length units in
+  let nest = sweep_nest ~nd n in
+  let has_tree = sweep_has_tree terms in
   let buf = Buffer.create 8192 in
   let pr fmt = Printf.bprintf buf fmt in
   pr "/* Fused sweep %s -- generated by Msc_exec.Jit; do not edit. */\n" fn_name;
-  if sweep_has_tree terms then pr "%s" c_tree_prelude;
+  if has_tree then pr "%s" c_tree_prelude;
+  let calls, pass_bodies, unit_statements =
+    match nest with
+    | Row_block -> ([], 1, 5 * n)
+    | Single_row -> ([], 1, n)
+    | Passes ->
+        let decls, calls, bodies, statements =
+          emit_passes ~fn_name ~layout ~strides ~terms:terms_arr ~units ~has_tree
+        in
+        pr "%s" decls;
+        (calls, bodies, statements)
+  in
   pr "void %s(const double **srcs, double *restrict dst,\n" fn_name;
   pr "%s const double **aux, const long *restrict lo,\n"
     (String.make (String.length fn_name + 5) ' ');
@@ -502,12 +821,6 @@ let emit_c_sweep_src ~fn_name ~halo ~strides terms =
   done;
   pr "  long len = h%d - l%d;\n" last last;
   pr "  if (len <= 0) return;\n";
-  let units = sweep_units terms in
-  let n = Array.length units in
-  let terms_arr = Array.of_list terms in
-  let nest = sweep_nest ~nd n in
-  let npasses = match nest with Passes k -> k | Row_block | Single_row -> 1 in
-  let cut j = j * n / npasses in
   (* The flat index of the row-0 lane at strip column [c]; lanes for rows
      1..3 derive theirs as [icol + row * row_stride]. Deriving from one
      shared column index matters: when every lane recomputes
@@ -518,7 +831,7 @@ let emit_c_sweep_src ~fn_name ~halo ~strides terms =
     if strides.(last) = 1 then Printf.sprintf "base + (%s)" c_str
     else Printf.sprintf "base + ((%s) * %d)" c_str strides.(last)
   in
-  let lane ~row a b =
+  let lane ~row =
     let values =
       Array.mapi
         (fun t -> function
@@ -531,27 +844,46 @@ let emit_c_sweep_src ~fn_name ~halo ~strides terms =
       if row = 0 then "icol"
       else Printf.sprintf "icol + %d" (row * strides.(last - 1))
     in
-    c_lane ~units ~terms:terms_arr ~values ~index a b
+    c_lane ~units ~terms:terms_arr ~values ~index
   in
   (* [rows] adjacent rows (the second-innermost dimension) from the current
-     one, strip by strip; each pass is one contiguous column loop, which
-     the compiler auto-vectorizes, and the stack rows stay in L1. *)
+     one, strip by strip. A single pass is one contiguous column loop,
+     which the compiler auto-vectorizes. Passes are one call each over the
+     strip of [nr] rows, and the stack rows they share stay in L1. *)
   let rows_body rows =
     pr "  long base = %s;\n" (base_expr ~nd ~halo ~strides);
     pr "  for (long cs = 0; cs < len; cs += %d) {\n" strip_cols;
     pr "    const long cn = len - cs < %d ? len - cs : %d;\n" strip_cols strip_cols;
-    for j = 0 to npasses - 1 do
+    if calls = [] then begin
       pr "    for (long c = 0; c < cn; c++) {\n";
       pr "      const long icol = %s;\n" icol;
       for row = 0 to rows - 1 do
-        pr "      %s\n" (lane ~row (cut j) (cut (j + 1)))
+        pr "      %s\n" (lane ~row)
       done;
       pr "    }\n"
-    done;
+    end
+    else begin
+      pr "    const long ic = base + %s;\n"
+        (if strides.(last) = 1 then "cs" else Printf.sprintf "cs * %d" strides.(last));
+      if has_tree then
+        pr "    const long msc_crd[%d] = { %s };\n" nd
+          (String.concat ", "
+             (List.init nd (fun d ->
+                  if d = last then Printf.sprintf "l%d + cs" d else Printf.sprintf "i%d" d)));
+      List.iter (pr "    %s\n") calls
+    end;
     pr "  }\n"
   in
-  if npasses > 1 then
+  (* Passes run over strips of up to [strip_cols] points: one strip of a
+     long row, or as many whole short rows as fit, so each call's table
+     reads and row pointers serve enough points. *)
+  if calls <> [] then begin
+    pr "  const double *const msc_arr[%d] = { %s };\n" (nterms + nslots)
+      (String.concat ", "
+         (List.init nterms (Printf.sprintf "s%d") @ List.init nslots (Printf.sprintf "a%d")));
     pr "  double msc_acc[%d], msc_part[%d];\n" strip_cols strip_cols;
+    pr "  const long msc_rows = len < %d ? %d / len : 1;\n" strip_cols strip_cols
+  end;
   for d = 0 to last - 2 do
     pr "  for (long i%d = l%d; i%d < h%d; i%d++) {\n" d d d d d
   done;
@@ -568,24 +900,33 @@ let emit_c_sweep_src ~fn_name ~halo ~strides terms =
        3d7pt_star step at 256^3 took 41 ms blocked and 26 ms unblocked
        (sweep 0.35 and 0.61 of the measured triad bandwidth), in-cache
        3-D steps were unchanged within noise, and the C of 3d7pt_star
-       shrinks from 5.2 to 1.6 KB (gcc 270 -> 120 ms). Passes stay
-       unblocked: each has up to 16 independent products, and a block
-       would quadruple the source of a long sweep. *)
-    if nest = Row_block then begin
-      pr "  for (; i%d + 3 < h%d; i%d += 4) {\n" r r r;
-      rows_body 4;
-      pr "  }\n"
-    end;
-    pr "  for (; i%d < h%d; i%d++) {\n" r r r;
-    rows_body 1;
-    pr "  }\n"
+       shrinks from 5.2 to 1.6 KB (gcc 270 -> 120 ms). Passes are not
+       blocked either: each already has up to 16 independent products. *)
+    match nest with
+    | Passes ->
+        pr "  for (; i%d < h%d; i%d += msc_rows) {\n" r r r;
+        pr "  const long nr = h%d - i%d < msc_rows ? h%d - i%d : msc_rows;\n" r r r r;
+        rows_body 1;
+        pr "  }\n"
+    | Row_block | Single_row ->
+        if nest = Row_block then begin
+          pr "  for (; i%d + 3 < h%d; i%d += 4) {\n" r r r;
+          rows_body 4;
+          pr "  }\n"
+        end;
+        pr "  for (; i%d < h%d; i%d++) {\n" r r r;
+        rows_body 1;
+        pr "  }\n"
   end
-  else rows_body 1;
+  else begin
+    if calls <> [] then pr "  const long nr = 1;\n";
+    rows_body 1
+  end;
   for _ = 0 to last - 2 do
     pr "  }\n"
   done;
   pr "}\n";
-  Buffer.contents buf
+  (Buffer.contents buf, { nest = nest_name nest; pass_bodies; unit_statements })
 
 (* {2 Build + load} *)
 
@@ -619,15 +960,13 @@ let c_sweep_cmd ~tc ~dir ~src ~out ~log =
 
 (* Shared build skeleton: serve the artifact from disk when present, else
    emit the source, run the toolchain and atomically install the result
-   inside a ["jit.compile"] span. [emit] may raise [Unsupported]; the
-   toolchain paths return [Error]. *)
+   inside a ["jit.compile"] span. An artifact on disk that does not load
+   (truncated, or built for another ABI) is removed and rebuilt once, so
+   one bad file cannot degrade a kernel in every later process. [emit]
+   may raise [Unsupported]; the toolchain paths return [Error]. *)
 let build_shared ~trace ~dir ~base ~art_ext ~src_ext ~tool ~cmd ~emit ~load =
   let art = Filename.concat dir (base ^ art_ext) in
-  if Sys.file_exists art then begin
-    incr disk_hits;
-    load art
-  end
-  else
+  let build () =
     match tool () with
     | Error msg -> Error msg
     | Ok tc ->
@@ -651,6 +990,16 @@ let build_shared ~trace ~dir ~base ~art_ext ~src_ext ~tool ~cmd ~emit ~load =
               end)
         in
         Result.bind built (fun () -> load art)
+  in
+  if not (Sys.file_exists art) then build ()
+  else
+    match load art with
+    | Ok _ as ok ->
+        incr disk_hits;
+        ok
+    | Error _ ->
+        (try Sys.remove art with Sys_error _ -> ());
+        build ()
 
 (* [wrap] turns the resolved entry point [sym] into the OCaml-side
    function. *)
@@ -757,18 +1106,21 @@ let compile_sweep ?(trace = Msc_trace.disabled) ~plan_digest terms =
       cached ~trace sweep_memo ~base (fun ~dir ->
           check_sweep terms;
           build_cc ~trace ~dir ~base ~cmd:c_sweep_cmd ~sym:"msc_sweep"
-            (fun () -> emit_c_sweep_src ~fn_name:"msc_sweep" ~halo ~strides terms)
+            (fun () -> fst (emit_sweep ~fn_name:"msc_sweep" ~halo ~strides terms))
             (fun fn ?(shifts = [||]) srcs dst aux lo hi ->
               c_call_sweep fn srcs dst aux shifts lo hi))
 
-let emit_c_sweep ~fn_name terms =
+let emit_sweep_checked ~fn_name terms =
   match sweep_geometry terms with
   | Error _ as e -> e
   | Ok (_, halo, strides) -> (
       try
         check_sweep terms;
-        Ok (emit_c_sweep_src ~fn_name ~halo ~strides terms)
+        Ok (emit_sweep ~fn_name ~halo ~strides terms)
       with Unsupported msg -> Error msg)
+
+let emit_c_sweep ~fn_name terms = Result.map fst (emit_sweep_checked ~fn_name terms)
+let sweep_layout terms = Result.map snd (emit_sweep_checked ~fn_name:"msc_sweep" terms)
 
 (* {2 Reduction kernels}
 

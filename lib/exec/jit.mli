@@ -5,16 +5,21 @@
     accumulator, scales baked in, [dst] written once. The emitter walks
     each row in strips of at most 512 columns and counts fold units (one
     chain product, or one whole tree or State term): a sweep of
-    at most 32 units is one pass, which on a 2-D grid blocks the
-    second-innermost loop by 4 rows (independent accumulator chains while
-    the contiguous innermost loop stays auto-vectorizable) and on a 3-D
-    grid walks one row at a time (a block there multiplies the rows a
-    column step streams); a longer one runs as passes of at most
-    16 units, each one vectorized column loop over the strip that resumes
-    every point's accumulator and current term partial from stack rows. It
-    compiles with the host's native ISA when the compiler accepts it, and
-    is loaded back as a {!Backend.sweep_fn} and dispatched
-    tile-task-at-a-time by {!Runtime}.
+    at most 32 units is one pass, unrolled in place, which on a 2-D grid
+    blocks the second-innermost loop by 4 rows (independent accumulator
+    chains while the contiguous innermost loop stays auto-vectorizable)
+    and on a 3-D grid walks one row at a time (a block there multiplies
+    the rows a column step streams). A longer one runs as passes of at
+    most 16 units over strips of up to 512 points (whole short rows), each
+    resuming every point's accumulator and current term partial from stack
+    rows. A pass is table-driven: a non-inlined C function reads its
+    array slots, row anchors, coefficients and fold scales from
+    [static const] tables and its other reads at literal distances from
+    the anchors, and passes of the same shape share one function, so the
+    C a long sweep unrolls, and its gcc time, stop growing with stencil
+    order ({!sweep_layout}). It compiles with the host's native ISA when
+    the compiler accepts it, and is loaded back as a {!Backend.sweep_fn}
+    and dispatched tile-task-at-a-time by {!Runtime}.
 
     Each kernel term is emitted from its expression tree alone, the same
     tree the interpreter evaluates, in one of two forms. A kernel whose
@@ -36,7 +41,8 @@
     into the generated code (plan digest, geometry, scales, kernel trees
     and bindings). A process memo table short-circuits repeat compiles;
     artifacts are written with atomic renames so concurrent processes can
-    share a cache directory.
+    share a cache directory. An artifact on disk that fails to load
+    (truncated, or built for another ABI) is removed and rebuilt once.
 
     Every compile entry point takes an optional [trace]: the whole lookup
     is a ["jit.lookup"] span, and emitting plus running the toolchain for
@@ -109,7 +115,22 @@ val emit_c_sweep :
   fn_name:string -> Backend.sweep_term list -> (string, string) result
 (** The fused C function body alone (no compilation), for the AOT
     {!Codegen} driver: the same emitter the [Compiled_c] backend JITs, so
-    standalone generated programs share the fused sweep code path. *)
+    standalone generated programs share the fused sweep code path. A long
+    sweep's pass tables and functions precede it, named after
+    [fn_name]. *)
+
+type sweep_layout = {
+  nest : string;  (** ["row_block"], ["single_row"] or ["passes"] *)
+  pass_bodies : int;  (** distinct pass functions; 1 for a single pass *)
+  unit_statements : int;
+      (** fold-unit statements unrolled in the C, summed over the distinct
+          bodies (a 2-D row block counts its 4 lanes and its 1-row tail):
+          the figure gcc time tracks *)
+}
+
+val sweep_layout : Backend.sweep_term list -> (sweep_layout, string) result
+(** How {!emit_c_sweep} lays out the C of a term list, without compiling
+    it. *)
 
 (** {1 Reduction kernels} *)
 

@@ -251,24 +251,31 @@ let random_chain ?(nd = 2) rs =
    input and the aux grid C, so long sweeps run as passes cut both inside
    terms and on term boundaries) and the short chain-or-tree operands of
    [random_chain] (parameters, loop indices, forms the lowering leaves to
-   the tree). Every aux slot gets its own array. The first term's scale
-   is often exactly 1.0. Grids are 2-D (7 x 1100: rows wider than one
-   strip, the 4-row block and its tail) or 3-D (4 x 5 x 530: one row per
-   iteration); ranges are random, from one point to the whole interior,
-   and run into the halo. A quarter of
-   the cases read grids of -0.0 through positive coefficients, where only
-   the exact chain lead and fold order give matching signed zeros.
+   the tree). Long chains mix every product form ([c*x], [x*c], [x],
+   [-(c*x)], [(c*a)*x], [a*x]) joined by [+] and [-], often repeat a
+   coefficient, and their lengths
+   fall on both sides of every 16-unit boundary; half of them walk rows
+   (runs of products with the same outer offsets, some longer than a
+   pass), the shape whose passes share bodies. Every aux slot gets its own
+   array. The first term's scale is often exactly 1.0. Grids are 2-D
+   (7 x 1100: rows wider than one strip, the 4-row block and its tail) or
+   3-D (4 x 5 x 530: one row per iteration), and with [~passes:true] also
+   1-D (1500 points); ranges are random, from one point to the whole
+   interior, and run into the halo. A quarter of the cases read grids of
+   -0.0 through positive coefficients, where only the exact chain lead and
+   fold order give matching signed zeros.
 
-   With [~passes:true] every case is the tap-group pass shape: on the 2-D
-   grid, two long product-chain kernel terms, sometimes with a State term
-   between them, so sweeps of 2 to 401 fold units are cut into passes
-   both inside terms and on term boundaries. *)
+   With [~passes:true] every case is the tap-group pass shape: two long
+   product-chain kernel terms, sometimes with a State term or a short
+   chain-or-tree kernel term between them, so sweeps of 2 to 401 fold
+   units are cut into passes both inside terms and on term boundaries. *)
 
 let sweep_compilers_agree ~passes ~count name =
   let geometries =
     [|
       Builder.def_tensor_2d ~time_window:3 ~halo:8 "B" Msc_ir.Dtype.F64 7 1100;
       Builder.def_tensor_3d ~time_window:3 ~halo:3 "B" Msc_ir.Dtype.F64 4 5 530;
+      Builder.def_tensor_1d ~time_window:3 ~halo:8 "B" Msc_ir.Dtype.F64 1500;
     |]
   in
   qc ~count name
@@ -278,7 +285,7 @@ let sweep_compilers_agree ~passes ~count name =
       else begin
         let rs = Random.State.make [| seed |] in
         let int n = Random.State.int rs n in
-        let grid = geometries.(if passes then 0 else int 2) in
+        let grid = geometries.(int (if passes then 3 else 2)) in
         let geometry = Grid.of_tensor grid in
         let shape = geometry.Grid.shape and halo = geometry.Grid.halo in
         let nd = Array.length shape in
@@ -287,23 +294,54 @@ let sweep_compilers_agree ~passes ~count name =
         let coeff = Builder.coefficient_grid ~grid "C" in
         let zeros = int 4 = 0 in
         let long_chain () =
-          let arity = if Random.State.bool rs then 1 + int 12 else 1 + int 200 in
-          let c () =
-            Msc_ir.Expr.f
-              (if zeros then 0.125 +. Random.State.float rs 1.0
-               else Random.State.float rs 2.0 -. 1.0)
+          let arity =
+            match int 3 with
+            | 0 -> 1 + int 12
+            | 1 -> (16 * (1 + int 12)) + int 3 - 1
+            | _ -> 1 + int 200
           in
-          let pick () = Array.init nd (fun _ -> int ((2 * reach) + 1) - reach) in
+          let draw () =
+            if zeros then 0.125 +. Random.State.float rs 1.0
+            else Random.State.float rs 2.0 -. 1.0
+          in
+          (* Coefficients repeat, as a box stencil's do, so passes share
+             table entries. *)
+          let palette = Array.init 3 (fun _ -> draw ()) in
+          let c () = Msc_ir.Expr.f (if Random.State.bool rs then palette.(int 3) else draw ()) in
+          let offset () = int ((2 * reach) + 1) - reach in
+          (* Row walks keep the outer offsets for a run of 1 to 24
+             products. *)
+          let rows = Random.State.bool rs in
+          let outer = ref (Array.init (nd - 1) (fun _ -> offset ())) and left = ref 0 in
+          let pick () =
+            if not rows then Array.init nd (fun _ -> offset ())
+            else begin
+              if !left = 0 then begin
+                outer := Array.init (nd - 1) (fun _ -> offset ());
+                left := 1 + int 24
+              end;
+              decr left;
+              Array.append !outer [| offset () |]
+            end
+          in
           let input_only = Random.State.bool rs in
           let products =
             List.init arity (fun k ->
                 Msc_ir.Expr.(
-                  match if input_only || k = 0 then 1 else int 3 with
-                  | 0 -> c () * read "C" (pick ()) * read "B" (pick ())
-                  | 1 -> c () * read "B" (pick ())
-                  | _ -> c () * read "C" (pick ())))
+                  let x () = read "B" (pick ()) and a () = read "C" (pick ()) in
+                  match int (if input_only || k = 0 then 4 else 7) with
+                  | 0 -> c () * x ()
+                  | 1 -> x () * c ()
+                  | 2 -> x ()
+                  | 3 -> neg (c () * x ())
+                  | 4 -> c () * a () * x ()
+                  | 5 -> a () * x ()
+                  | _ -> c () * a ()))
           in
-          List.fold_left Msc_ir.Expr.( + ) (List.hd products) (List.tl products)
+          List.fold_left
+            (fun chain next ->
+              if int 4 = 0 then Msc_ir.Expr.(chain - next) else Msc_ir.Expr.(chain + next))
+            (List.hd products) (List.tl products)
         in
         let kernel_term ?(long = Random.State.bool rs) t =
           let expr = if long then long_chain () else fst (random_chain ~nd rs) in
@@ -321,9 +359,11 @@ let sweep_compilers_agree ~passes ~count name =
         let terms =
           if passes then
             let k0 = kernel_term ~long:true 0 (scale ()) in
-            let k1 = kernel_term ~long:true 1 (scale ()) in
-            if int 3 = 0 then [ k0; Backend.Sweep_state { scale = scale () }; k1 ]
-            else [ k0; k1 ]
+            let k1 = kernel_term ~long:true 2 (scale ()) in
+            match int 4 with
+            | 0 -> [ k0; Backend.Sweep_state { scale = scale () }; k1 ]
+            | 1 -> [ k0; kernel_term ~long:false 1 (scale ()); k1 ]
+            | _ -> [ k0; k1 ]
           else
             let n = 1 + int 4 in
             let kernel_at = int n in
@@ -616,6 +656,30 @@ let row_block_only_in_2d () =
         (contains (source name) "+= 4)"))
     [ "3d7pt_star"; "3d13pt_star" ]
 
+(* Table-driven passes keep the C of a long sweep flat in stencil order:
+   the high-order box kernels may unroll no more fold-unit statements than
+   the largest single pass, the 2-D 4-row block of 32 units and its 1-row
+   tail. One literal statement per product would be 242 and 338. *)
+let max_unit_statements = 5 * 32
+
+let pass_statements_flat () =
+  let layout name =
+    let st = Suite.stencil ~dims:[| 256; 256 |] (Suite.find name) in
+    match Jit.sweep_layout (Backend.sweep_terms ~halo:st.Msc_ir.Stencil.grid.Msc_ir.Tensor.halo st) with
+    | Ok l -> l
+    | Error msg -> Alcotest.fail (name ^ ": " ^ msg)
+  in
+  List.iter
+    (fun name ->
+      let l = layout name in
+      check_string (name ^ ": passes") "passes" l.Jit.nest;
+      check_bool
+        (Printf.sprintf "%s: %d bodies, %d unit statements <= %d" name l.Jit.pass_bodies
+           l.Jit.unit_statements max_unit_statements)
+        true
+        (l.Jit.unit_statements <= max_unit_statements))
+    [ "2d121pt_box"; "2d169pt_box" ]
+
 (* --- Pool-parallel fused dispatch --- *)
 
 let fused_pool_stress () =
@@ -779,6 +843,48 @@ let cache_compiles_once () =
         check_int "disk reuse recompiles nothing" s2.Jit.compiles s3.Jit.compiles;
         check_bool "served from the on-disk cache" true
           (s3.Jit.disk_hits > s2.Jit.disk_hits))
+
+(* A truncated artifact in the cache must not degrade the kernel for good:
+   loading it fails, so the JIT removes it and rebuilds once. The broken
+   file sits in a second cache directory under the name the first compile
+   produced, because a path this process has already loaded would be
+   served by the dynamic loader without reading the file again. *)
+let corrupt_artifact_rebuilt () =
+  if not (toolchain_for Backend.Compiled_c) then ()
+  else
+    let dir tag =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "msc-test-kernels-%s-%d" tag (Unix.getpid ()))
+    in
+    let good = dir "good" and broken = dir "broken" in
+    let _, st = stencil_3d7pt ~n:8 () in
+    let sweeps d =
+      List.filter
+        (fun f -> Filename.check_suffix f ".so" && contains f "msc_sweep_")
+        (Array.to_list (Sys.readdir d))
+    in
+    let artifact =
+      with_cache_dir good (fun () ->
+          ignore (final ~backend:Backend.Compiled_c ~steps:1 st);
+          match sweeps good with
+          | [ f ] -> f
+          | fs -> Alcotest.failf "expected one sweep artifact, found %d" (List.length fs))
+    in
+    with_cache_dir broken (fun () ->
+        (try Sys.mkdir broken 0o755 with Sys_error _ -> ());
+        close_out (open_out_bin (Filename.concat broken artifact));
+        let s0 = Jit.stats () in
+        let got, report = final ~backend:Backend.Compiled_c ~steps:1 st in
+        let s1 = Jit.stats () in
+        check_bool "compiled_c ran" true
+          (Backend.equal report.Runtime.effective Backend.Compiled_c);
+        check_bool "no fallback" true (report.Runtime.fallback = None);
+        check_int "rebuilt once" (s0.Jit.compiles + 1) s1.Jit.compiles;
+        check_int "no toolchain failure" s0.Jit.failures_toolchain s1.Jit.failures_toolchain;
+        check_bool "artifact replaced" true
+          ((Unix.stat (Filename.concat broken artifact)).Unix.st_size > 0);
+        let interp, _ = final ~backend:Backend.Interp ~steps:1 st in
+        check_bool "rebuilt kernel bit-identical" true (got.Grid.data = interp.Grid.data))
 
 (* --- JIT spans: a cold create compiles once, a warm one only looks up --- *)
 
@@ -959,6 +1065,7 @@ let suites =
         tc "library kernels lower to chains" library_kernels_lower_to_chains;
         tc "tree + unnamed-aux forms compile" former_fallback_forms_compile;
         tc "4-row block only in 2-D" row_block_only_in_2d;
+        tc "pass statements flat in stencil order" pass_statements_flat;
         slow "pool-parallel fused dispatch" fused_pool_stress;
         tc "unsupported form counted" unsupported_form_counted;
         slow "AOT embeds fused sweep" aot_fused_matches_legacy;
@@ -972,6 +1079,7 @@ let suites =
     ( "backend.cache",
       [
         tc "compile once, memo, disk" cache_compiles_once;
+        tc "truncated artifact rebuilt once" corrupt_artifact_rebuilt;
         tc "traced create: jit spans cold and warm" jit_spans_cold_then_warm;
         tc "no toolchain -> interp fallback" no_toolchain_falls_back;
         tc "emitter salt in every artifact" emitter_salt_in_artifacts;
