@@ -58,20 +58,56 @@ let iter_interior t fn =
   in
   go 0
 
-let fill t fn = iter_interior t (fun coord -> set t coord (fn coord))
+(* Write [fn coord] into every cell of the box [lo, hi) (per dimension, in
+   interior coordinates) in row-major order, one innermost row at a time:
+   the row's flat index advances with the outer coordinates instead of
+   being recomputed per point. [fn] gets one coordinate array, updated in
+   place, exactly as a recursive walk would pass it. *)
+let fill_box t ~lo ~hi fn =
+  let nd = ndim t in
+  let last = nd - 1 in
+  let data = t.data and strides = t.strides in
+  let coord = Array.copy lo in
+  let row = ref (flat_index t coord) in
+  let more = ref true in
+  while !more do
+    let base = !row - lo.(last) in
+    for k = lo.(last) to hi.(last) - 1 do
+      coord.(last) <- k;
+      Array.unsafe_set data (base + k) (fn coord)
+    done;
+    (* Advance the outer coordinates like an odometer. *)
+    let d = ref (last - 1) in
+    more := false;
+    while !d >= 0 && not !more do
+      let c = coord.(!d) + 1 in
+      if c < hi.(!d) then begin
+        coord.(!d) <- c;
+        row := !row + strides.(!d);
+        more := true
+      end
+      else begin
+        row := !row - ((c - 1 - lo.(!d)) * strides.(!d));
+        coord.(!d) <- lo.(!d);
+        decr d
+      end
+    done
+  done
+
+let fill ?rows t fn =
+  let lo = Array.make (ndim t) 0 and hi = Array.copy t.shape in
+  Option.iter
+    (fun (a, b) ->
+      if a < 0 || b > t.shape.(0) then invalid_arg "Grid.fill: rows out of range";
+      lo.(0) <- a;
+      hi.(0) <- b)
+    rows;
+  if lo.(0) < hi.(0) then fill_box t ~lo ~hi fn
 
 let fill_extended t fn =
-  let nd = ndim t in
-  let coord = Array.make nd 0 in
-  let rec go d =
-    if d = nd then set t coord (fn coord)
-    else
-      for k = -t.halo.(d) to t.shape.(d) + t.halo.(d) - 1 do
-        coord.(d) <- k;
-        go (d + 1)
-      done
-  in
-  go 0
+  fill_box t ~lo:(Array.map (fun h -> -h) t.halo)
+    ~hi:(Array.mapi (fun d n -> n + t.halo.(d)) t.shape)
+    fn
 
 let fill_random t rng = fill t (fun _ -> Msc_util.Prng.uniform rng)
 

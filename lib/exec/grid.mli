@@ -33,12 +33,21 @@ val flat_index : t -> int array -> int
 val get : t -> int array -> float
 val set : t -> int array -> float -> unit
 
-val fill : t -> (int array -> float) -> unit
-(** Set every interior point from its coordinate; halo is untouched. *)
+val fill : ?rows:int * int -> t -> (int array -> float) -> unit
+(** Set every interior point from its coordinate; halo is untouched. The
+    function is called once per point, in row-major order, on the calling
+    domain, with one coordinate array updated in place (copy it to keep
+    it). The walk goes one innermost row at a time, advancing the flat
+    index instead of recomputing it per point. [rows = (a, b)] fills only
+    the points whose dimension-0 coordinate is in [\[a, b)]: filling
+    consecutive row ranges makes the same calls, in the same order, as
+    one whole fill.
+    @raise Invalid_argument if [rows] leaves [\[0, shape.(0)\]]. *)
 
 val fill_extended : t -> (int array -> float) -> unit
 (** Set every cell {e including the halo} from its interior-relative
-    coordinate (halo cells get negative / beyond-extent coordinates). Used
+    coordinate (halo cells get negative / beyond-extent coordinates), in
+    the same order and with the same coordinate array as {!fill}. Used
     for static coefficient grids, whose boundary values are defined by the
     same closed form as the interior. *)
 

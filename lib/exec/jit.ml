@@ -77,8 +77,6 @@ type stats = {
 }
 
 let lock = Mutex.create ()
-let sweep_memo : (string, Backend.sweep_fn) Hashtbl.t = Hashtbl.create 16
-let reduce_memo : (string, Backend.reduce_fn) Hashtbl.t = Hashtbl.create 16
 let memo_hits = ref 0
 let disk_hits = ref 0
 let compiles = ref 0
@@ -98,11 +96,6 @@ let stats () =
         failures_unsupported = !failures_unsupported;
         failures_toolchain = !failures_toolchain;
       })
-
-let clear_memo () =
-  with_lock (fun () ->
-      Hashtbl.reset sweep_memo;
-      Hashtbl.reset reduce_memo)
 
 let cache_dir () =
   match Sys.getenv_opt "MSC_KERNEL_CACHE" with
@@ -958,62 +951,154 @@ let c_sweep_cmd ~tc ~dir ~src ~out ~log =
     (flags " -march=native")
     (Filename.quote log) (flags "") (Filename.quote log)
 
-(* Shared build skeleton: serve the artifact from disk when present, else
-   emit the source, run the toolchain and atomically install the result
-   inside a ["jit.compile"] span. An artifact on disk that does not load
-   (truncated, or built for another ABI) is removed and rebuilt once, so
-   one bad file cannot degrade a kernel in every later process. [emit]
-   may raise [Unsupported]; the toolchain paths return [Error]. *)
-let build_shared ~trace ~dir ~base ~art_ext ~src_ext ~tool ~cmd ~emit ~load =
-  let art = Filename.concat dir (base ^ art_ext) in
-  let build () =
-    match tool () with
-    | Error msg -> Error msg
-    | Ok tc ->
-        let built =
-          Msc_trace.span trace "jit.compile" (fun () ->
-              let src = base ^ src_ext in
-              write_atomic ~dir ~dst:(Filename.concat dir src) (emit ());
-              let tmp = Filename.temp_file ~temp_dir:dir base art_ext in
-              let log = base ^ ".log" in
-              if
-                Sys.command (cmd ~tc ~dir ~src ~out:(Filename.basename tmp) ~log)
-                <> 0
-              then begin
-                (try Sys.remove tmp with Sys_error _ -> ());
-                Error (tc ^ " failed: " ^ read_log (Filename.concat dir log))
-              end
-              else begin
-                Sys.rename tmp art;
-                incr compiles;
-                Ok ()
-              end)
-        in
-        Result.bind built (fun () -> load art)
-  in
-  if not (Sys.file_exists art) then build ()
-  else
-    match load art with
-    | Ok _ as ok ->
-        incr disk_hits;
-        ok
-    | Error _ ->
-        (try Sys.remove art with Sys_error _ -> ());
-        build ()
+(* {2 Background builds}
 
-(* [wrap] turns the resolved entry point [sym] into the OCaml-side
-   function. *)
-let build_cc ~trace ~dir ~base ~cmd ~sym emit wrap =
-  build_shared ~trace ~dir ~base ~art_ext:".so" ~src_ext:".c" ~tool:c_tool ~cmd
-    ~emit ~load:(fun art ->
-      try Ok (wrap (dlopen_sym art sym)) with Failure m -> Error ("dlopen: " ^ m))
+   A build runs in two steps. [start], under the lock, serves the memo or
+   an artifact already on disk, or emits the source and queues the
+   toolchain's shell line as a child process; [await] waits for that
+   child, installs its output atomically and loads it. The lock is free
+   between the two, so a caller can do independent work (a runtime
+   allocates and fills its grids) while the compiler runs, and one
+   domain's compile no longer serialises another's lookups. At most
+   [max_compilers] children run at once; the others wait in [queue] and
+   are launched in order as children are reaped, by an [await] or by a
+   non-blocking [poll] the caller makes between chunks of its own work.
+   An artifact on disk that does not load (truncated, or built for
+   another ABI) is removed and rebuilt once, so one bad file cannot
+   degrade a kernel in every later process. *)
 
-(* {2 Compilation driver} *)
+(* One toolchain child: [Queued] until a slot frees, [Running] until an
+   [await] or a [poll] reaps it. [reaping] marks the one caller inside
+   [waitpid], so each pid is waited for exactly once. *)
+type proc_state = Queued | Running of int | Exited of int
+
+type proc = {
+  cmd : string;
+  ptrace : Msc_trace.t;  (* the starter's; gets the ["jit.compile"] span *)
+  mutable state : proc_state;
+  mutable reaping : bool;
+  mutable launched_at : float;
+}
+
+(* One core stays free for the domain that started the compiles. *)
+let max_compilers = max 1 (Domain.recommended_domain_count () - 1)
+let queue : proc Queue.t = Queue.create ()
+let running : proc list ref = ref []
+let reaped = Condition.create ()
+
+(* [launch] through [wait_exit] run under the lock. A child that cannot
+   be spawned counts as one that failed. *)
+let launch p =
+  p.launched_at <- Msc_trace.begin_span p.ptrace;
+  match
+    Unix.create_process "/bin/sh" [| "/bin/sh"; "-c"; p.cmd |] Unix.stdin Unix.stdout
+      Unix.stderr
+  with
+  | pid ->
+      p.state <- Running pid;
+      running := p :: !running
+  | exception Unix.Unix_error _ -> p.state <- Exited 127
+
+let launch_queued () =
+  while List.length !running < max_compilers && not (Queue.is_empty queue) do
+    launch (Queue.pop queue)
+  done
+
+let status_code = function
+  | Unix.WEXITED c -> c
+  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> 128
+
+(* A reaped child frees its slot for the next queued one. The
+   ["jit.compile"] span covers the child's whole wall time, hidden or
+   not, up to the reap. *)
+let exited p code =
+  p.state <- Exited code;
+  running := List.filter (fun q -> q != p) !running;
+  Msc_trace.end_span p.ptrace "jit.compile" p.launched_at;
+  launch_queued ();
+  Condition.broadcast reaped
+
+let rec exit_code pid =
+  match Unix.waitpid [] pid with
+  | _, status -> status_code status
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> exit_code pid
+  | exception Unix.Unix_error _ -> 127
+
+(* The lock is released while the child runs. *)
+let reap p pid =
+  p.reaping <- true;
+  Mutex.unlock lock;
+  let code = exit_code pid in
+  Mutex.lock lock;
+  p.reaping <- false;
+  exited p code
+
+(* Block until [p] has exited. While it waits for a slot, reap the
+   oldest running child no other caller is reaping, whoever started it. *)
+let rec wait_exit p =
+  match p.state with
+  | Exited code -> code
+  | Running pid when not p.reaping ->
+      reap p pid;
+      wait_exit p
+  | Running _ ->
+      Condition.wait reaped lock;
+      wait_exit p
+  | Queued ->
+      launch_queued ();
+      (if p.state = Queued then
+         match List.rev (List.filter (fun q -> not q.reaping) !running) with
+         | ({ state = Running pid; _ } as q) :: _ -> reap q pid
+         | _ -> Condition.wait reaped lock);
+      wait_exit p
+
+let poll () =
+  with_lock (fun () ->
+      List.iter
+        (fun p ->
+          match p.state with
+          | Running pid when not p.reaping -> (
+              match Unix.waitpid [ Unix.WNOHANG ] pid with
+              | 0, _ -> ()
+              | _, status -> exited p (status_code status)
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+              | exception Unix.Unix_error _ -> exited p 127)
+          | Queued | Running _ | Exited _ -> ())
+        !running)
+
+(* An artifact being built: its child, and what installing and loading
+   the child's output takes. The first [await] sets [result]. *)
+type 'a build = {
+  proc : proc;
+  cache : 'a cache;
+  key : string;
+  tool : string;
+  tmp : string;  (* the child's output, renamed to [art] on success *)
+  art : string;
+  log : string;
+  load : string -> ('a, string) result;
+  mutable result : ('a, string) result option;
+}
+
+(* Loaded kernels, and the builds of this process not awaited yet: a key
+   is in at most one of the two, so a key compiles once per process. *)
+and 'a cache = { memo : (string, 'a) Hashtbl.t; in_flight : (string, 'a build) Hashtbl.t }
+
+type 'a job = Ready of ('a, string) result | Building of Msc_trace.t * 'a build
+
+let new_cache () = { memo = Hashtbl.create 16; in_flight = Hashtbl.create 4 }
+let sweep_cache : Backend.sweep_fn cache = new_cache ()
+let reduce_cache : Backend.reduce_fn cache = new_cache ()
+
+let clear_memo () =
+  with_lock (fun () ->
+      Hashtbl.reset sweep_cache.memo;
+      Hashtbl.reset reduce_cache.memo)
 
 (* Classify a build outcome into the two failure counters: [Unsupported]
    is a form the emitter cannot express; everything else (missing
-   toolchain, compile error, load error) is a toolchain failure. Counters
-   are touched under the caller's lock. *)
+   toolchain, compile error, load error) is a toolchain failure. Under
+   the lock. *)
 let classified f =
   match f () with
   | Ok _ as ok -> ok
@@ -1027,21 +1112,104 @@ let classified f =
       incr failures_toolchain;
       Error (Printexc.to_string e)
 
-(* The memo-then-disk-then-build lookup every compile entry point shares,
-   inside one ["jit.lookup"] span. [build ~dir] may raise [Unsupported]. *)
-let cached ~trace table ~base build =
+(* The memo-then-in-flight-then-disk-then-build lookup every compile
+   entry point shares, inside one ["jit.lookup"] span. Joining a build
+   already in flight counts as a memo hit. [check] and [emit] may raise
+   [Unsupported]; [wrap] turns the resolved entry point [sym] into the
+   OCaml-side function. *)
+let start ~trace c ~key ~cmd ~sym ~check ~emit wrap =
+  let load art =
+    try Ok (wrap (dlopen_sym art sym)) with Failure m -> Error ("dlopen: " ^ m)
+  in
   Msc_trace.span trace "jit.lookup" (fun () ->
       with_lock (fun () ->
-          match Hashtbl.find_opt table base with
-          | Some fn ->
+          match (Hashtbl.find_opt c.memo key, Hashtbl.find_opt c.in_flight key) with
+          | Some fn, _ ->
               incr memo_hits;
-              Ok fn
-          | None ->
+              Ready (Ok fn)
+          | None, Some b ->
+              incr memo_hits;
+              Building (trace, b)
+          | None, None ->
               let dir = cache_dir () in
               (try mkdir_p dir with _ -> ());
-              let result = classified (fun () -> build ~dir) in
-              Result.iter (Hashtbl.replace table base) result;
-              result))
+              let art = Filename.concat dir (key ^ ".so") in
+              let build () =
+                match c_tool () with
+                | Error _ as e -> e
+                | Ok tool ->
+                    let src = key ^ ".c" and log = key ^ ".log" in
+                    write_atomic ~dir ~dst:(Filename.concat dir src) (emit ());
+                    let tmp = Filename.temp_file ~temp_dir:dir key ".so" in
+                    let proc =
+                      {
+                        cmd = cmd ~tc:tool ~dir ~src ~out:(Filename.basename tmp) ~log;
+                        ptrace = trace;
+                        state = Queued;
+                        reaping = false;
+                        launched_at = 0.0;
+                      }
+                    in
+                    Queue.push proc queue;
+                    launch_queued ();
+                    let b =
+                      {
+                        proc;
+                        cache = c;
+                        key;
+                        tool;
+                        tmp;
+                        art;
+                        log = Filename.concat dir log;
+                        load;
+                        result = None;
+                      }
+                    in
+                    Hashtbl.replace c.in_flight key b;
+                    Ok (Building (trace, b))
+              in
+              let started =
+                classified (fun () ->
+                    check ();
+                    if not (Sys.file_exists art) then build ()
+                    else
+                      match load art with
+                      | Ok fn ->
+                          incr disk_hits;
+                          Hashtbl.replace c.memo key fn;
+                          Ok (Ready (Ok fn))
+                      | Error _ ->
+                          (try Sys.remove art with Sys_error _ -> ());
+                          build ())
+              in
+              match started with Ok job -> job | Error _ as e -> Ready e))
+
+(* Under the lock, once the child has exited. *)
+let install b code =
+  let r =
+    classified (fun () ->
+        if code <> 0 then begin
+          (try Sys.remove b.tmp with Sys_error _ -> ());
+          Error (b.tool ^ " failed: " ^ read_log b.log)
+        end
+        else begin
+          Sys.rename b.tmp b.art;
+          incr compiles;
+          b.load b.art
+        end)
+  in
+  Hashtbl.remove b.cache.in_flight b.key;
+  Result.iter (Hashtbl.replace b.cache.memo b.key) r;
+  b.result <- Some r;
+  r
+
+let await = function
+  | Ready r -> r
+  | Building (trace, b) ->
+      Msc_trace.span trace "jit.await" (fun () ->
+          with_lock (fun () ->
+              let code = wait_exit b.proc in
+              match b.result with Some r -> r | None -> install b code))
 
 let digest parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
 
@@ -1072,11 +1240,11 @@ let sweep_sig = function
       `Kernel
         (scale, k.Kernel.expr, k.Kernel.bindings, k.Kernel.index_vars, k.Kernel.input.Tensor.name)
 
-let compile_sweep ?(trace = Msc_trace.disabled) ~plan_digest terms =
+let start_sweep ?(trace = Msc_trace.disabled) ~plan_digest terms =
   match sweep_geometry terms with
   | Error msg ->
       with_lock (fun () -> incr failures_unsupported);
-      Error msg
+      Ready (Error msg)
   | Ok (shape, halo, strides) ->
       (* The key digests everything baked into the generated code; the
          plan digest alone is not enough because distributed ranks
@@ -1089,7 +1257,7 @@ let compile_sweep ?(trace = Msc_trace.disabled) ~plan_digest terms =
             Marshal.to_string (shape, halo, strides, List.map sweep_sig terms) [];
           ]
       in
-      let base = Printf.sprintf "msc_sweep_%s_%s" emitter_version key in
+      let key = Printf.sprintf "msc_sweep_%s_%s" emitter_version key in
       if Msc_trace.enabled trace then begin
         List.iter
           (function
@@ -1103,12 +1271,12 @@ let compile_sweep ?(trace = Msc_trace.disabled) ~plan_digest terms =
         in
         Msc_trace.add trace ("jit.nest." ^ nest_name nest) 1.0
       end;
-      cached ~trace sweep_memo ~base (fun ~dir ->
-          check_sweep terms;
-          build_cc ~trace ~dir ~base ~cmd:c_sweep_cmd ~sym:"msc_sweep"
-            (fun () -> fst (emit_sweep ~fn_name:"msc_sweep" ~halo ~strides terms))
-            (fun fn ?(shifts = [||]) srcs dst aux lo hi ->
-              c_call_sweep fn srcs dst aux shifts lo hi))
+      start ~trace sweep_cache ~key ~cmd:c_sweep_cmd ~sym:"msc_sweep"
+        ~check:(fun () -> check_sweep terms)
+        ~emit:(fun () -> fst (emit_sweep ~fn_name:"msc_sweep" ~halo ~strides terms))
+        (fun fn ?(shifts = [||]) srcs dst aux lo hi -> c_call_sweep fn srcs dst aux shifts lo hi)
+
+let compile_sweep ?trace ~plan_digest terms = await (start_sweep ?trace ~plan_digest terms)
 
 let emit_sweep_checked ~fn_name terms =
   match sweep_geometry terms with
@@ -1183,8 +1351,8 @@ let compile_reduce ?(trace = Msc_trace.disabled) (g : Grid.t) =
   let key =
     digest [ "reduce"; emitter_version; Marshal.to_string (shape, halo, strides) [] ]
   in
-  let base = Printf.sprintf "msc_reduce_%s_%s" emitter_version key in
-  cached ~trace reduce_memo ~base (fun ~dir ->
-      build_cc ~trace ~dir ~base ~cmd:c_cmd ~sym:"msc_reduce"
-        (fun () -> emit_c_reduce ~base ~halo ~strides)
-        (fun fn op a b lo hi -> c_call_reduce fn op a b lo hi))
+  let key = Printf.sprintf "msc_reduce_%s_%s" emitter_version key in
+  await
+    (start ~trace reduce_cache ~key ~cmd:c_cmd ~sym:"msc_reduce" ~check:ignore
+       ~emit:(fun () -> emit_c_reduce ~base:key ~halo ~strides)
+       (fun fn op a b lo hi -> c_call_reduce fn op a b lo hi))

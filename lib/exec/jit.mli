@@ -44,9 +44,23 @@
     share a cache directory. An artifact on disk that fails to load
     (truncated, or built for another ABI) is removed and rebuilt once.
 
-    Every compile entry point takes an optional [trace]: the whole lookup
-    is a ["jit.lookup"] span, and emitting plus running the toolchain for
-    an artifact not yet on disk is a nested ["jit.compile"] span. Each
+    A compile runs in two steps, {!start_sweep} and {!await}. The start
+    step, under the JIT's lock, looks up the memo, emits the source,
+    rejects unsupported forms and serves an artifact already on disk;
+    otherwise it launches the compiler's shell line as a child process
+    and returns at once. The await step waits for that child, installs its
+    output and loads it. Between the two the caller is free to do other
+    work: {!Runtime.create} allocates and fills its grids while its
+    kernels compile. A build already in flight in this process is joined,
+    not started twice (and counts as a memo hit). At most
+    {!max_compilers} compiler children run at once; the others queue and
+    launch in start order as children are reaped ({!await}, {!poll}).
+
+    Every compile entry point takes an optional [trace]: the start step
+    is a ["jit.lookup"] span, a compiler child's whole wall time, from
+    launch to the reap that sees it exit, is a ["jit.compile"] span, and the time an await
+    actually blocked on its child is a ["jit.await"] span, so a trace
+    shows how much compile time was hidden behind other work. Each
     kernel term of a sweep adds one to a [jit.form.chain] or
     [jit.form.tree] counter, and each sweep adds one to the counter of
     its loop nest, [jit.nest.row_block], [jit.nest.single_row] or
@@ -98,6 +112,37 @@ val chain_length : Msc_ir.Kernel.t -> int option
     [a*x] ([x], [a] grid reads, [c] a finite constant subtree). [None]
     when it compiles as one tree, e.g. [c*(a+b)], [x/c] or [c1*(c2*x)]. *)
 
+type 'a job
+(** A kernel build started by {!start_sweep}: already resolved (memo or
+    disk hit, or an error found before any compiler ran), or a compiler
+    child running in the background. *)
+
+val max_compilers : int
+(** Compiler children allowed to run at once: [max 1 (cores - 1)], so the
+    domain that started the compiles keeps a core for its own work. *)
+
+val start_sweep :
+  ?trace:Msc_trace.t ->
+  plan_digest:string ->
+  Backend.sweep_term list ->
+  Backend.sweep_fn job
+(** Start {!compile_sweep}'s build and return without waiting for the
+    compiler. Every job must be {!await}ed: only then does its kernel
+    reach the memo, and until then its child may stay unreaped. *)
+
+val await : 'a job -> ('a, string) result
+(** Wait for a job's compiler child, install and load its artifact. May be
+    called more than once and from any domain; later calls return the
+    first one's result. *)
+
+val poll : unit -> unit
+(** Reap the compiler children that have exited and launch queued ones in
+    their place, without blocking. A caller with long work between
+    {!start_sweep} and {!await} ({!Runtime.create} filling its grids)
+    calls it now and then, so a compile queued behind another starts as
+    soon as a slot frees and each ["jit.compile"] span ends close to its
+    child's exit. *)
+
 val compile_sweep :
   ?trace:Msc_trace.t ->
   plan_digest:string ->
@@ -109,7 +154,7 @@ val compile_sweep :
     over the same terms. All kernel terms must share a geometry; at least
     one kernel term is required (a State-only stage has nothing to
     compile and runs {!Interp.compile_sweep}). The returned function
-    performs no validation. *)
+    performs no validation. [compile_sweep] is [await (start_sweep ...)]. *)
 
 val emit_c_sweep :
   fn_name:string -> Backend.sweep_term list -> (string, string) result

@@ -142,6 +142,10 @@ type t = {
   window : Grid.t array;  (* length W+1 *)
   aux : (string * Grid.t) list;  (* static coefficient grids *)
   bc_full : Bc.plan;  (* the refresh of every face, compiled once *)
+  bc_constant : bool;  (* [bc_full] writes constants: a Dirichlet condition *)
+  halo_set : bool array;
+      (* per window slot: a constant [bc_full] has run on it since its halo
+         was last written by anything else, so its halo is already right *)
   mutable cur : int;  (* index of the newest state (t-1) *)
   mutable steps_done : int;
   stages : stage array;  (* topological order; the last writes the output *)
@@ -227,150 +231,222 @@ let window_bytes gp =
   let slots, slab_rows, margin, row_elems = window_shape gp in
   if slots = 0 then 0 else slots * (slab_rows + (2 * margin)) * row_elems * 8
 
+(* Points a state fill writes between two [Jit.poll]s: about a
+   millisecond of a cheap [init], so a compiler slot that frees during the
+   fill is refilled at once. On a 2-vCPU host, polling cut a cold
+   unsharp_mask create at 4096^2 (two stage compiles, one compiler at a
+   time) from 0.69-0.78 s to 0.51-0.60 s: the second compile had waited
+   for the end of the fill. *)
+let poll_points = 65536
+
+(* [Grid.fill] in slabs of dimension-0 rows, polling the JIT in between:
+   the same [init] calls in the same order as one whole fill. *)
+let fill_polled g init =
+  let rows = g.Grid.shape.(0) in
+  let step = max 1 (poll_points * rows / Grid.interior_elems g) in
+  let r = ref 0 in
+  while !r < rows do
+    let next = min rows (!r + step) in
+    Grid.fill ~rows:(!r, next) g init;
+    Jit.poll ();
+    r := next
+  done
+
 (* The stage builder both constructors share. [stages] lists, in
    topological order, each stage's stencil, the digest of the plan its
    fused kernel is keyed under, its ghost-zone extension and its window
    slot ([None] for the output stage, last). [slot_of] maps a producer's
-   tensor to its window slot; [tasks] are the output stage's tiles. *)
+   tensor to its window slot; [tasks] are the output stage's tiles.
+
+   Creation runs in three phases. Every stage's fused kernel compile is
+   started first: its terms need only the source tensor's halo, not a
+   grid. Then the state window is allocated, filled and given its first
+   boundary pass, the static aux grids are filled, the stages are
+   resolved against them and the per-worker windows are allocated, all
+   while the compilers run (the fills poll them, so a queued compile
+   starts as soon as a slot frees). Only then does the runtime wait for
+   its kernels. A phase that raises still waits for every started compiler,
+   so no child is left unreaped. *)
 let build ~config ~init ~aux_init ~bc ~trace ~tid ~source ~time_window:w
     ~aux_tensors ~windows:(n_slots, slab_rows, margin) ~slot_of ~parallel
     ~graph_plan ~stencil ~tasks stages =
-  (* Slot w holds the spare; slots 0..w-1 hold states t-1 .. t-w. *)
-  let window = Array.init (w + 1) (fun _ -> Grid.of_tensor source) in
-  let geometry = window.(0) in
-  let bc_full = Bc.compile bc geometry in
-  for dt = 1 to w do
-    Grid.fill window.(w - dt) (init dt);
-    Bc.run bc_full window.(w - dt)
-  done;
-  let aux =
+  let stages =
     List.map
-      (fun (tensor : Tensor.t) ->
-        let g = Grid.of_tensor tensor in
-        Grid.fill_extended g (aux_init tensor.Tensor.name);
-        (tensor.Tensor.name, g))
-      aux_tensors
+      (fun (st, plan_digest, ext, dst) ->
+        let sweep_terms = Backend.sweep_terms ~halo:source.Tensor.halo st in
+        let kernels =
+          List.length
+            (List.filter
+               (function Backend.Sweep_kernel _ -> true | Backend.Sweep_state _ -> false)
+               sweep_terms)
+        in
+        (* A State-only stage has nothing to compile and no fallback to
+           report. *)
+        let job =
+          match config.Exec.Config.backend with
+          | Backend.Compiled_c when kernels > 0 ->
+              Some (Jit.start_sweep ~trace ~plan_digest sweep_terms)
+          | Backend.Compiled_c | Backend.Interp -> None
+        in
+        (st, ext, dst, sweep_terms, kernels, job))
+      stages
   in
+  let await_all () =
+    List.iter (fun (_, _, _, _, _, job) -> Option.iter (fun j -> ignore (Jit.await j)) job) stages
+  in
+  let prepare () =
+    (* Slot w holds the spare; slots 0..w-1 hold states t-1 .. t-w. *)
+    let window = Array.init (w + 1) (fun _ -> Grid.of_tensor source) in
+    let geometry = window.(0) in
+    let bc_full = Bc.compile bc geometry in
+    for dt = 1 to w do
+      fill_polled window.(w - dt) (init dt);
+      Bc.run bc_full window.(w - dt)
+    done;
+    let aux =
+      List.map
+        (fun (tensor : Tensor.t) ->
+          let g = Grid.of_tensor tensor in
+          Grid.fill_extended g (aux_init tensor.Tensor.name);
+          Jit.poll ();
+          (tensor.Tensor.name, g))
+        aux_tensors
+    in
+    let kernel_terms = ref 0 in
+    (* A stage up to its sweep function. *)
+    let prepare_stage (st, ext, dst, sweep_terms, _, _) =
+      let src_of name =
+        if String.equal name source.Tensor.name then None
+        else
+          match slot_of name with
+          | Some b -> Some b
+          | None ->
+              invalid_arg
+                (Printf.sprintf "Runtime: stage %s reads %S which has no window"
+                   st.Stencil.name name)
+      in
+      let input = src_of st.Stencil.grid.Tensor.name in
+      (* Every range guards each kernel term with its interpreter
+         compilation's checks, whichever backend sweeps it. *)
+      let terms =
+        List.map
+          (fun { Stencil.kernel; dt; scale = _ } ->
+            let kernel =
+              Option.map
+                (fun k ->
+                  incr kernel_terms;
+                  Interp.compile ~trace k ~geometry)
+                kernel
+            in
+            { src = (match input with Some b -> Window b | None -> Past dt); kernel })
+          (Stencil.terms st)
+      in
+      let aux_src n =
+        if String.equal n source.Tensor.name then Source
+        else
+          match slot_of n with
+          | Some b -> Aux_window b
+          | None -> (
+              match List.assoc_opt n aux with
+              | Some g -> Static g
+              | None ->
+                  invalid_arg
+                    (Printf.sprintf "Runtime: stage %s reads unbound tensor %S"
+                       st.Stencil.name n))
+      in
+      let aux_names =
+        List.sort_uniq String.compare
+          (List.concat_map
+             (fun (k : Kernel.t) ->
+               List.map (fun (x : Tensor.t) -> x.Tensor.name) k.Kernel.aux)
+             (Stencil.kernels st))
+      in
+      let aux_slot_srcs =
+        Array.of_list (List.map aux_src (Backend.sweep_aux_slots sweep_terms))
+      in
+      fun sweep ->
+        {
+          terms;
+          aux = List.map (fun n -> (n, aux_src n)) aux_names;
+          aux_slot_srcs;
+          dst;
+          ext;
+          grown = Array.exists (fun e -> e <> 0) ext;
+          sweep;
+          windowed =
+            dst <> None || input <> None
+            || Array.exists
+                 (function Aux_window _ -> true | Static _ | Source -> false)
+                 aux_slot_srcs;
+          srcs = Array.make (List.length terms) [||];
+          aux_slots =
+            Array.map
+              (function Static g -> g.Grid.data | Source | Aux_window _ -> [||])
+              aux_slot_srcs;
+        }
+    in
+    let prepared = List.map prepare_stage stages in
+    let workers =
+      match parallel with
+      | Plan.Seq -> 1
+      | Plan.Block _ | Plan.Round_robin _ -> Msc_util.Domain_pool.size config.Exec.Config.pool
+    in
+    let slab_shape =
+      Array.mapi (fun d n -> if d = 0 then slab_rows + (2 * margin) else n) geometry.Grid.shape
+    and slab_halo = Array.mapi (fun d h -> if d = 0 then 0 else h) geometry.Grid.halo in
+    let windows =
+      Array.init workers (fun _ ->
+          Array.init n_slots (fun _ -> Grid.create ~shape:slab_shape ~halo:slab_halo))
+    in
+    (window, bc_full, aux, !kernel_terms, prepared, windows)
+  in
+  let window, bc_full, aux, kernel_terms, prepared, windows =
+    match prepare () with
+    | r -> r
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        await_all ();
+        Printexc.raise_with_backtrace e bt
+  in
+  let geometry = window.(0) in
   let fallback = ref None in
-  let kernel_terms = ref 0 in
   let compiled_terms = ref 0 in
   let fused_sweeps = ref 0 in
-  let build_stage (st, plan_digest, ext, dst) =
-    let src_of name =
-      if String.equal name source.Tensor.name then None
-      else
-        match slot_of name with
-        | Some b -> Some b
-        | None ->
-            invalid_arg
-              (Printf.sprintf "Runtime: stage %s reads %S which has no window"
-                 st.Stencil.name name)
-    in
-    let input = src_of st.Stencil.grid.Tensor.name in
-    (* Every range guards each kernel term with its interpreter
-       compilation's checks, whichever backend sweeps it. *)
-    let terms =
-      List.map
-        (fun { Stencil.kernel; dt; scale = _ } ->
-          let kernel =
-            Option.map
-              (fun k ->
-                incr kernel_terms;
-                Interp.compile ~trace k ~geometry)
-              kernel
-          in
-          { src = (match input with Some b -> Window b | None -> Past dt); kernel })
-        (Stencil.terms st)
-    in
-    let aux_src n =
-      if String.equal n source.Tensor.name then Source
-      else
-        match slot_of n with
-        | Some b -> Aux_window b
-        | None -> (
-            match List.assoc_opt n aux with
-            | Some g -> Static g
-            | None ->
-                invalid_arg
-                  (Printf.sprintf "Runtime: stage %s reads unbound tensor %S"
-                     st.Stencil.name n))
-    in
-    let aux_names =
-      List.sort_uniq String.compare
-        (List.concat_map
-           (fun (k : Kernel.t) ->
-             List.map (fun (x : Tensor.t) -> x.Tensor.name) k.Kernel.aux)
-           (Stencil.kernels st))
-    in
-    let sweep_terms = Backend.sweep_terms ~halo:geometry.Grid.halo st in
-    let stage_kernel_terms =
-      List.length (List.filter (fun tm -> tm.kernel <> None) terms)
-    in
-    (* The JIT's fused kernel when it compiles one; else the interpreter's
-       sweep, for the whole stage (a State-only stage has no kernel to
-       compile and no fallback to report). *)
-    let jit =
-      match config.Exec.Config.backend with
-      | Backend.Compiled_c when stage_kernel_terms > 0 -> (
-          match Jit.compile_sweep ~trace ~plan_digest sweep_terms with
-          | Ok fn ->
-              incr fused_sweeps;
-              compiled_terms := !compiled_terms + stage_kernel_terms;
-              Some fn
-          | Error msg ->
-              if !fallback = None then fallback := Some msg;
-              None)
-      | Backend.Compiled_c | Backend.Interp -> None
-    in
-    let sweep =
-      match jit with
-      | Some fn -> fn
-      | None -> Interp.compile_sweep ~geometry sweep_terms
-    in
-    let aux_slot_srcs =
-      Array.of_list (List.map aux_src (Backend.sweep_aux_slots sweep_terms))
-    in
-    {
-      terms;
-      aux = List.map (fun n -> (n, aux_src n)) aux_names;
-      aux_slot_srcs;
-      dst;
-      ext;
-      grown = Array.exists (fun e -> e <> 0) ext;
-      sweep;
-      windowed =
-        dst <> None || input <> None
-        || Array.exists (function Aux_window _ -> true | Static _ | Source -> false) aux_slot_srcs;
-      srcs = Array.make (List.length terms) [||];
-      aux_slots =
-        Array.map (function Static g -> g.Grid.data | Source | Aux_window _ -> [||]) aux_slot_srcs;
-    }
-  in
-  let stages = Array.of_list (List.map build_stage stages) in
-  let workers =
-    match parallel with
-    | Plan.Seq -> 1
-    | Plan.Block _ | Plan.Round_robin _ -> Msc_util.Domain_pool.size config.Exec.Config.pool
-  in
-  let slab =
-    ( Array.mapi (fun d n -> if d = 0 then slab_rows + (2 * margin) else n) geometry.Grid.shape,
-      Array.mapi (fun d h -> if d = 0 then 0 else h) geometry.Grid.halo )
+  (* The JIT's fused kernel when it compiled one; else the interpreter's
+     sweep, for the whole stage. *)
+  let stages =
+    Array.of_list
+      (List.map2
+         (fun (_, _, _, sweep_terms, kernels, job) finish ->
+           finish
+             (match Option.map Jit.await job with
+             | Some (Ok fn) ->
+                 incr fused_sweeps;
+                 compiled_terms := !compiled_terms + kernels;
+                 fn
+             | Some (Error msg) ->
+                 if !fallback = None then fallback := Some msg;
+                 Interp.compile_sweep ~geometry sweep_terms
+             | None -> Interp.compile_sweep ~geometry sweep_terms))
+         stages prepared)
   in
   let backend = config.Exec.Config.backend in
+  let bc_constant = match bc with Bc.Dirichlet _ -> true | Bc.Periodic | Bc.Reflect -> false in
   {
     stencil;
     window;
     aux;
     bc_full;
+    bc_constant;
+    (* The initial states got their boundary pass above; the spare did not. *)
+    halo_set = Array.init (w + 1) (fun slot -> bc_constant && slot < w);
     cur = w - 1;
     steps_done = 0;
     stages;
     tasks;
     slab_rows;
     margin;
-    windows =
-      Array.init workers (fun _ ->
-          Array.init n_slots (fun _ -> Grid.create ~shape:(fst slab) ~halo:(snd slab)));
+    windows;
     graph_plan;
     par =
       (match parallel with
@@ -385,7 +461,7 @@ let build ~config ~init ~aux_init ~bc ~trace ~tid ~source ~time_window:w
       {
         requested = backend;
         effective = (if !compiled_terms > 0 then backend else Backend.Interp);
-        kernel_terms = !kernel_terms;
+        kernel_terms;
         compiled_terms = !compiled_terms;
         fused_sweeps = !fused_sweeps;
         tile_dispatches = 0;
@@ -703,7 +779,18 @@ let begin_step (_ : t) = ()
 let finish_step ?refresh t =
   Msc_trace.add ~tid:t.tid t.trace "sweep.points" t.points_per_step;
   let ts_bc = Msc_trace.begin_span t.trace in
-  Bc.run (Option.value refresh ~default:t.bc_full) (output_slot t);
+  let slot = (t.cur + 1) mod Array.length t.window in
+  (match refresh with
+  | Some plan ->
+      Bc.run plan t.window.(slot);
+      t.halo_set.(slot) <- false
+  | None ->
+      (* Sweeps write interior cells only, so a constant halo written once
+         stays right for as long as the slot is reused. *)
+      if not t.halo_set.(slot) then begin
+        Bc.run t.bc_full t.window.(slot);
+        t.halo_set.(slot) <- t.bc_constant
+      end);
   Msc_trace.end_span ~tid:t.tid t.trace "bc.apply" ts_bc;
   let ts_rot = Msc_trace.begin_span t.trace in
   t.cur <- (t.cur + 1) mod Array.length t.window;

@@ -9,7 +9,30 @@
     output slot: a single stencil ({!create}) is a graph whose only stage
     is the output; a graph ({!create_graph}) computes its other stages
     tile-local, inside each task, into per-worker windows. Both share one
-    stepping path. *)
+    stepping path.
+
+    {b Creation} hides the cold JIT behind grid set-up. {!create} and
+    {!create_graph} first start every stage's fused kernel compile
+    ({!Jit.start_sweep}; a sweep's terms need only the source tensor's
+    halo, not a grid), then allocate the state window, fill it with
+    [init], run the first boundary pass, fill the static aux grids and
+    allocate the per-worker windows while the compilers run as child
+    processes, and only then wait for the kernels ({!Jit.await}). At most
+    {!Jit.max_compilers} compilers run at once; the state fills call
+    {!Jit.poll} every 65536 points, so a compile queued behind another
+    starts as soon as the first one exits. [init] and [aux_init] are
+    called on the creating domain only. A create that raises after
+    starting its compiles still waits for all of them.
+
+    {b Halo ownership.} The halo cells of the window's states belong to
+    the runtime. Sweeps write interior cells only, so a constant
+    ([Dirichlet]) boundary pass runs once per window slot, the first time
+    the slot receives a state, and stays right for as long as the slot
+    is reused; [Periodic] and [Reflect] halos depend on the interior and
+    are refreshed every step. A caller that writes halo cells of a state
+    (the distributed runtime's exchange) must write them before every
+    sweep that reads them, and a step whose tasks reach into the halo
+    must be finished with [finish_step ~refresh]. *)
 
 type t
 
@@ -91,7 +114,8 @@ val create :
     [engine] field concerns halo exchange and is ignored here (single
     node). [bc] is applied to every initial state and to each
     newly produced state (default [Dirichlet 0.0], the paper's zero-halo
-    convention).
+    convention; a constant halo is written once per window slot, see
+    {b Halo ownership} above).
 
     [trace] (default {!Msc_trace.disabled}) records a ["sweep"] span per
     tile, ["bc.apply"] and ["window.rotate"] spans per step, and a
@@ -99,8 +123,10 @@ val create :
     through the pool's [on_worker] hook, so worker spans carry their worker
     id as [tid]. Sequential spans carry [tid] (default 0 — the distributed
     runtime labels each rank's runtime with its rank). Kernel compilation
-    records ["jit.lookup"] spans, with a nested ["jit.compile"] span for
-    each artifact the toolchain actually builds. An enabled trace is
+    records a ["jit.lookup"] span per stage, a ["jit.compile"] span over
+    the whole wall time of each compiler child (most of it hidden behind
+    the grid set-up), and a ["jit.await"] span for the time the create
+    actually blocked on a child. An enabled trace is
     additionally tagged with the plan's metadata ([plan.tiles],
     [plan.working_set_bytes], [plan.reuse_factor] counters).
     @raise Invalid_argument if the schedule is illegal for the stencil's
@@ -164,11 +190,13 @@ val sweep_tasks : t -> (int array * int array) array -> unit
 
 val finish_step : ?refresh:Bc.plan -> t -> unit
 (** Record ["sweep.points"], apply the boundary condition to the new state,
-    and rotate the window. [refresh] replaces the full-face boundary pass
-    compiled at creation with a precompiled {!Bc.plan} for the same grid
-    geometry — the distributed temporal engine passes each rank's
-    physical-face plan, so the ghost cells it recomputed into the halo
-    survive between substeps (periodic domains pass an empty plan).
+    and rotate the window. Without [refresh], the full-face boundary pass
+    compiled at creation runs, except on a slot whose constant
+    ([Dirichlet]) halo it has already written. [refresh] replaces it with
+    a precompiled {!Bc.plan} for the same grid geometry, run every time —
+    the distributed temporal engine passes each rank's physical-face
+    plan, so the ghost cells it recomputed into the halo survive between
+    substeps (periodic domains pass an empty plan).
     @raise Invalid_argument if [refresh] was compiled for another shape
     or halo. *)
 

@@ -23,6 +23,19 @@ let iter_box ranges fn =
   in
   go 0
 
+(* [Grid.fill] ([extended]: [Grid.fill_extended]) as a recursive walk:
+   [fn] gets every cell's coordinate, in row-major order, in one array
+   updated in place. The library's row walk must make the same calls and
+   write the same bits. *)
+let fill_walk ?(extended = false) (g : Grid.t) fn =
+  iter_box
+    (Array.mapi
+       (fun d n ->
+         let h = if extended then g.Grid.halo.(d) else 0 in
+         (-h, n + h))
+       g.Grid.shape)
+    (fun coord -> Grid.set g coord (fn coord))
+
 (* Walk every cell of the padded box, classify its out-of-range
    dimensions and map them one by one. *)
 let bc_apply ?low ?high t (g : Grid.t) =
@@ -104,7 +117,7 @@ module Reference = struct
     let history =
       List.init (Stencil.time_window st) (fun k ->
           let g = Grid.like geometry in
-          Grid.fill g (init (k + 1));
+          fill_walk g (init (k + 1));
           Bc.apply bc g;
           g)
     in
@@ -112,7 +125,7 @@ module Reference = struct
       List.map
         (fun (tensor : Tensor.t) ->
           let g = Grid.of_tensor tensor in
-          Grid.fill_extended g (aux_init tensor.Tensor.name);
+          fill_walk ~extended:true g (aux_init tensor.Tensor.name);
           (tensor.Tensor.name, g))
         (Runtime.aux_tensors_of st)
     in

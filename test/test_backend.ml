@@ -916,9 +916,11 @@ let jit_spans_cold_then_warm () =
         let cold = create () in
         check_int "cold create: one jit.compile span" 1 (spans cold "jit.compile");
         check_int "cold create: one jit.lookup span" 1 (spans cold "jit.lookup");
+        check_int "cold create: one jit.await span" 1 (spans cold "jit.await");
         let warm = create () in
         check_int "warm re-create: no jit.compile span" 0 (spans warm "jit.compile");
-        check_int "warm re-create: one jit.lookup span" 1 (spans warm "jit.lookup"))
+        check_int "warm re-create: one jit.lookup span" 1 (spans warm "jit.lookup");
+        check_int "warm re-create: no jit.await span" 0 (spans warm "jit.await"))
 
 (* --- No toolchain: automatic interpreter fallback --- *)
 
@@ -957,6 +959,133 @@ let no_toolchain_falls_back () =
             (s1.Jit.failures_toolchain > s0.Jit.failures_toolchain);
           check_int "no unsupported-form failures" s0.Jit.failures_unsupported
             s1.Jit.failures_unsupported))
+
+(* --- Background compiles: failures fall back, every child is reaped ---
+
+   A create starts its compilers as child processes and waits for them
+   only after filling its grids. Whatever happens, none may be left
+   unreaped and none may stay registered as in flight. *)
+
+(* True when this process has no child, running or zombie. *)
+let no_children_left () =
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+  | _ -> false
+
+let scratch_dir tag =
+  let d =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "msc-test-kernels-%s-%d" tag (Unix.getpid ()))
+  in
+  (try Sys.mkdir d 0o755 with Sys_error _ -> ());
+  d
+
+let compiled_config = Exec.Config.make ~backend:Backend.Compiled_c ()
+
+let failing_compiler_falls_back () =
+  if not (toolchain_for Backend.Compiled_c) then ()
+  else begin
+    let bin = scratch_dir "fakecc" in
+    let cc = Filename.concat bin "cc" in
+    let oc = open_out cc in
+    output_string oc "#!/bin/sh\nexit 1\n";
+    close_out oc;
+    Unix.chmod cc 0o755;
+    let saved_path = try Sys.getenv "PATH" with Not_found -> "" in
+    with_cache_dir (scratch_dir "fakecc-cache") (fun () ->
+        let _, st = stencil_3d7pt ~n:8 () in
+        let s0 = Jit.stats () in
+        let report =
+          Fun.protect
+            ~finally:(fun () -> Unix.putenv "PATH" saved_path)
+            (fun () ->
+              Unix.putenv "PATH" (bin ^ ":" ^ saved_path);
+              Runtime.backend_report (Runtime.create ~config:compiled_config st))
+        in
+        let s1 = Jit.stats () in
+        check_bool "degraded to interp" true
+          (Backend.equal report.Runtime.effective Backend.Interp);
+        check_bool "reason names the failed compiler" true
+          (match report.Runtime.fallback with
+          | Some msg -> contains msg "cc failed"
+          | None -> false);
+        check_int "one toolchain failure" (s0.Jit.failures_toolchain + 1)
+          s1.Jit.failures_toolchain;
+        check_bool "no child left unreaped" true (no_children_left ());
+        (* The failed build left nothing in flight: with the real PATH the
+           same kernel compiles. *)
+        let report = Runtime.backend_report (Runtime.create ~config:compiled_config st) in
+        let s2 = Jit.stats () in
+        check_bool "real compiler: compiled_c" true
+          (Backend.equal report.Runtime.effective Backend.Compiled_c);
+        check_int "real compiler: compiled once" (s1.Jit.compiles + 1) s2.Jit.compiles)
+  end
+
+(* A create that raises after starting its compiles (here: in [init], while
+   the window fills) still waits for them. A graph with two compiled
+   stages also covers a compile queued behind another. *)
+let raising_create_reaps () =
+  if not (toolchain_for Backend.Compiled_c) then ()
+  else
+    with_cache_dir (scratch_dir "raise-cache") (fun () ->
+        let init _ _ = failwith "init failed" in
+        let raises f =
+          match f () with _ -> false | exception Failure _ -> true
+        in
+        let _, st = stencil_3d7pt ~n:8 () in
+        let g =
+          Msc_graph.Pass.apply Msc_graph.Pass.default_pipeline
+            (Suite.pipeline ~dims:[| 24; 24 |] "unsharp_mask")
+        in
+        let s0 = Jit.stats () in
+        check_bool "create raises" true
+          (raises (fun () -> Runtime.create ~config:compiled_config ~init st));
+        check_bool "create_graph raises" true
+          (raises (fun () -> Runtime.create_graph ~config:compiled_config ~init g));
+        check_bool "no child left unreaped" true (no_children_left ());
+        let s1 = Jit.stats () in
+        check_int "every started compile finished"
+          (s0.Jit.compiles + 1 + List.length g.Msc_graph.Graph.stages)
+          s1.Jit.compiles;
+        (* Their kernels reached the memo. *)
+        let rt = Runtime.create_graph ~config:compiled_config g in
+        check_int "graph re-create: every stage compiled"
+          (List.length g.Msc_graph.Graph.stages)
+          (Runtime.backend_report rt).Runtime.fused_sweeps;
+        check_int "graph re-create compiles nothing" s1.Jit.compiles (Jit.stats ()).Jit.compiles)
+
+(* Two compiles started at once, then only polled: [Jit.poll] reaps each
+   child as it exits (ending its jit.compile span) and launches a compile
+   queued behind it, so both finish before anyone awaits. *)
+let poll_reaps_and_launches () =
+  if not (toolchain_for Backend.Compiled_c) then ()
+  else
+    with_cache_dir (scratch_dir "poll-cache") (fun () ->
+        let trace = Msc_trace.create () in
+        let start st =
+          let plan = Result.get_ok (Msc_schedule.Plan.compile st Schedule.empty) in
+          Jit.start_sweep ~trace ~plan_digest:plan.Msc_schedule.Plan.digest
+            (Backend.sweep_terms ~halo:st.Msc_ir.Stencil.grid.Msc_ir.Tensor.halo st)
+        in
+        let compiled () =
+          List.length
+            (List.filter
+               (function
+                 | Msc_trace.Span { name; _ } -> String.equal name "jit.compile"
+                 | Msc_trace.Counter _ -> false)
+               (Msc_trace.events trace))
+        in
+        let jobs = [ start (snd (stencil_3d7pt ~n:8 ())); start (snd (stencil_2d9pt_box ())) ] in
+        let deadline = Unix.gettimeofday () +. 60.0 in
+        while compiled () < 2 && Unix.gettimeofday () < deadline do
+          Jit.poll ();
+          Unix.sleepf 0.005
+        done;
+        check_int "both children reaped by polling" 2 (compiled ());
+        List.iter
+          (fun job -> check_bool "awaited kernel loads" true (Result.is_ok (Jit.await job)))
+          jobs;
+        check_bool "no child left unreaped" true (no_children_left ()))
 
 (* --- Emitter salt: every artifact of every emitter carries the version ---
 
@@ -1082,6 +1211,9 @@ let suites =
         tc "truncated artifact rebuilt once" corrupt_artifact_rebuilt;
         tc "traced create: jit spans cold and warm" jit_spans_cold_then_warm;
         tc "no toolchain -> interp fallback" no_toolchain_falls_back;
+        tc "failing compiler -> fallback, children reaped" failing_compiler_falls_back;
+        tc "raising create reaps its compiles" raising_create_reaps;
+        tc "poll reaps and launches queued compiles" poll_reaps_and_launches;
         tc "emitter salt in every artifact" emitter_salt_in_artifacts;
       ] );
     ("backend.names", [ tc "of_string round trip" backend_names_round_trip ]);

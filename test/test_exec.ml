@@ -35,6 +35,37 @@ let grid_fill_and_checksum () =
   check_float "sum 0..5" 15.0 (Grid.checksum g);
   check_float "max abs" 5.0 (Grid.max_abs g)
 
+(* The row walk against the recursive one: the same [init] calls, with the
+   same coordinates in the same order, and the same bits in every cell
+   (halo included). Each value depends on the call count, so any
+   reordering shows. A fill split into two row ranges at [cut] must make
+   the whole fill's calls. *)
+let fill_walk_property =
+  let small = QCheck.Gen.(array_size (return 3) (int_range 1 5)) in
+  let halos = QCheck.Gen.(array_size (return 3) (int_range 0 2)) in
+  qc ~count:200 "row walk == recursive walk (calls and bits)"
+    (QCheck.make QCheck.Gen.(quad (int_range 1 3) small halos (int_range 0 5)))
+    (fun (nd, shape, halo, cut) ->
+      let shape = Array.sub shape 0 nd and halo = Array.sub halo 0 nd in
+      let cut = min cut shape.(0) in
+      let split g f =
+        Grid.fill ~rows:(0, cut) g f;
+        Grid.fill ~rows:(cut, shape.(0)) g f
+      in
+      let run fill =
+        let g = Grid.create ~shape ~halo in
+        Grid.fill_all g (-1.0);
+        let calls = ref [] in
+        fill g (fun c ->
+            calls := Array.copy c :: !calls;
+            (0.25 *. float_of_int (List.length !calls)) +. float_of_int c.(nd - 1));
+        (List.rev !calls, Array.map Int64.bits_of_float g.Grid.data)
+      in
+      let interior = run (Oracles.fill_walk ~extended:false) in
+      run (fun g f -> Grid.fill g f) = interior
+      && run split = interior
+      && run Grid.fill_extended = run (Oracles.fill_walk ~extended:true))
+
 let grid_clear_halo () =
   let g = Grid.create ~shape:[| 2; 2 |] ~halo:[| 1; 1 |] in
   Grid.fill_all g 7.0;
@@ -256,6 +287,30 @@ let runtime_custom_init () =
   Runtime.step rt;
   check_float "centre stays 1" 1.0 (Grid.get (Runtime.current rt) [| 3; 3; 3 |])
 
+(* A constant Dirichlet halo is written once per window slot, not once per
+   step: with a non-zero value, every state over more than W+1 rotations
+   (each slot reused at least twice, the spare's first use included) must
+   still equal the reference's, halo cells included, on both backends. *)
+let runtime_dirichlet_halo_once () =
+  let bc = Bc.Dirichlet 0.75 in
+  List.iter
+    (fun st ->
+      List.iter
+        (fun backend ->
+          let rt = Runtime.create ~config:(Msc_exec.Exec.Config.make ~backend ()) ~bc st in
+          let naive = Oracles.Reference.create ~bc st in
+          for step = 1 to (3 * (Runtime.time_window rt + 1)) + 1 do
+            Runtime.step rt;
+            Oracles.Reference.step naive;
+            check_bool
+              (Printf.sprintf "%s on %s, step %d" st.Stencil.name
+                 (Backend.to_string backend) step)
+              true
+              ((Runtime.current rt).Grid.data = (Oracles.Reference.current naive).Grid.data)
+          done)
+        Backend.all)
+    [ stencil_wave2d ~n:10 (); snd (stencil_3d7pt ~n:6 ()) ]
+
 let verify_detects_mismatch () =
   (* Feed the verifier two different initial conditions via a tampered run. *)
   let _, st = stencil_3d7pt ~n:6 () in
@@ -309,6 +364,7 @@ let suites =
         tc "basics" grid_basics;
         tc "halo addressable" grid_halo_addressable;
         tc "fill/checksum" grid_fill_and_checksum;
+        fill_walk_property;
         tc "clear halo" grid_clear_halo;
         tc "blit interior" grid_blit_interior;
         tc "max rel error" grid_max_rel_error;
@@ -337,6 +393,7 @@ let suites =
         tc "state bounds" runtime_state_bounds;
         tc "stability" runtime_stability;
         tc "custom init" runtime_custom_init;
+        tc "constant Dirichlet halo once per slot" runtime_dirichlet_halo_once;
         tc "verify detects mismatch" verify_detects_mismatch;
       ] );
     ( "exec.properties",
