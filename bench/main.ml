@@ -1084,7 +1084,7 @@ let suite_sweep_terms (b : Msc.Suite.bench) =
    still made gcc time grow with stencil order (338 statements, ~1.7 s).
    gcc time tracks the fold-unit statements a sweep unrolls; table-driven
    passes keep every suite kernel within what the largest single pass
-   unrolls, a 2-D 4-row block of 32 units and its 1-row tail. *)
+   unrolls: the 4 row lanes of a 2-D pass of 32 units and its 1-row tail. *)
 let max_unit_statements = 5 * 32
 
 (* One cold compile per suite kernel at the benchmark's sizes: the C

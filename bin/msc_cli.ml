@@ -6,6 +6,7 @@
    msc solve -m cg --dims 64x64 --ranks 2x2 - matrix-free iterative solver
    msc verify -b 3d13pt_star -n 5         - optimized vs interpreter oracle
    msc verify unsharp_mask                - post-pass graph vs raw graph
+   msc verify 2d9pt_star                  - same as verify -b 2d9pt_star
    msc simulate -b 3d7pt_star -p sunway   - processor performance model
    msc profile 3d7pt -o trace.json        - traced pipeline + chrome trace
    msc graph unsharp_mask --dot           - post-pass pipeline DAG (Graphviz)
@@ -461,27 +462,54 @@ let verify_pipeline name steps backend small =
          else Printf.sprintf "FAIL (%d cells differ)" !mismatches);
       if !mismatches = 0 then 0 else 1)
 
+(* A Table-4 benchmark: the tiled runtime on [backend] against the
+   interpreter oracle. *)
+let verify_bench b steps backend small =
+  let st = Msc.Suite.stencil ~dims:(dims_of b small) b in
+  let kernel = Msc.Suite.kernel_of st in
+  let tile =
+    Array.mapi
+      (fun d t -> min t st.Msc.Stencil.grid.Msc.Tensor.shape.(d))
+      (Msc.Schedule.default_tile kernel)
+  in
+  let schedule = Msc.Schedule.cpu_canonical ~tile ~threads:4 kernel in
+  let config = Msc.Exec.Config.make ~backend () in
+  let p = Msc.Pipeline.make ~stencil:st ~schedule ~config () in
+  let report = Msc.Pipeline.verify ~steps p in
+  Format.printf "%a@." Msc.Verify.pp_report report;
+  if report.Msc.Verify.ok then 0 else 1
+
+(* [verify]'s positional NAME: a suite pipeline, or a Table-4 benchmark
+   run as [-b NAME] runs it. *)
+let verify_target_conv =
+  let parse s =
+    match Msc.Suite.find s with
+    | b -> Ok (`Bench b)
+    | exception Not_found -> (
+        match Msc.Suite.pipeline s with
+        | _ -> Ok (`Pipeline s)
+        | exception Not_found ->
+            Error
+              (`Msg
+                (Printf.sprintf "unknown pipeline or benchmark %S (try: %s)" s
+                   (String.concat ", "
+                      (Msc.Suite.pipeline_names
+                      @ List.map (fun b -> b.Msc.Suite.name) Msc.Suite.all)))))
+  in
+  let print ppf = function
+    | `Bench b -> Format.pp_print_string ppf b.Msc.Suite.name
+    | `Pipeline name -> Format.pp_print_string ppf name
+  in
+  Arg.conv (parse, print)
+
 let verify_cmd =
-  let run b pipeline steps backend small =
-    match (b, pipeline) with
-    | None, Some name -> verify_pipeline name steps backend small
+  let run b target steps backend small =
+    match (b, target) with
+    | None, Some (`Pipeline name) -> verify_pipeline name steps backend small
+    | Some b, None | None, Some (`Bench b) -> verify_bench b steps backend small
     | Some _, Some _ | None, None ->
-        prerr_endline "verify: give exactly one of -b BENCH or a PIPELINE";
+        prerr_endline "verify: give exactly one of -b BENCH or a NAME";
         1
-    | Some b, None ->
-        let st = Msc.Suite.stencil ~dims:(dims_of b small) b in
-        let kernel = Msc.Suite.kernel_of st in
-        let tile =
-          Array.mapi
-            (fun d t -> min t st.Msc.Stencil.grid.Msc.Tensor.shape.(d))
-            (Msc.Schedule.default_tile kernel)
-        in
-        let schedule = Msc.Schedule.cpu_canonical ~tile ~threads:4 kernel in
-        let config = Msc.Exec.Config.make ~backend () in
-        let p = Msc.Pipeline.make ~stencil:st ~schedule ~config () in
-        let report = Msc.Pipeline.verify ~steps p in
-        Format.printf "%a@." Msc.Verify.pp_report report;
-        if report.Msc.Verify.ok then 0 else 1
   in
   (* Verification runs real computation twice; default to the small grid. *)
   let small_default =
@@ -495,17 +523,21 @@ let verify_cmd =
       & opt (some bench_conv) None
       & info [ "b"; "bench" ] ~docv:"NAME" ~doc:"Benchmark from the Table 4 suite.")
   in
-  let pipeline =
-    Arg.(value & pos 0 (some pipeline_conv) None & info [] ~docv:"PIPELINE" ~doc:pipeline_doc)
+  let target =
+    Arg.(
+      value
+      & pos 0 (some verify_target_conv) None
+      & info [] ~docv:"NAME"
+          ~doc:(pipeline_doc ^ " A Table-4 benchmark name runs as $(b,-b) NAME does."))
   in
   Cmd.v
     (Cmd.info "verify"
        ~doc:"Check the optimized runtime (tiled, on the chosen backend) \
              against the naive serial one (tree interpreter, untiled, \
-             sequential): a Table-4 benchmark ($(b,-b)), or a suite \
+             sequential): a Table-4 benchmark ($(b,-b) or NAME), or a suite \
              pipeline's post-pass graph against its raw graph, bit for bit \
              (exit 1 on a mismatch).")
-    Term.(const run $ bench $ pipeline $ steps_arg 5 $ backend_arg $ small_default)
+    Term.(const run $ bench $ target $ steps_arg 5 $ backend_arg $ small_default)
 
 let simulate_cmd =
   let platform =

@@ -4,8 +4,9 @@
    See jit.mli for the cache layout and backend.mli for the calling
    conventions.
 
-   Bit-identity with the interpreter is a hard contract, kept by emitting
-   the kernel's own expression tree in the interpreter's order:
+   Bit-identity with the interpreter is a hard contract (for every value
+   but a NaN's sign and payload, which gcc treats as unspecified), kept by
+   emitting the kernel's own expression tree in the interpreter's order:
 
    - a kernel that is a left-associated [+]/[-] chain of simple products
      lowers to that chain ([chain_products]), one fold unit per product,
@@ -15,18 +16,17 @@
    - C kernels are compiled with -ffp-contract=off (GCC defaults to
      contraction, and a fused multiply-add rounds differently);
    - trees render Expr.eval's exact operation set: libm calls on both
-     sides, and Float.min/Float.max ported to C by hand (fmin/fmax differ
-     on NaN and signed zero);
+     sides, which gcc may not fold ([c_sweep_cmd]), and Float.min/Float.max
+     ported to C by hand (fmin/fmax differ on NaN and signed zero);
    - fused sweeps are write-through only and fold the terms through one
      accumulator, [acc = t0; acc = acc + (s1 * t1); ...]: the
      Backend.sweep_fn fold Interp.compile_sweep performs point by point;
    - a store/load roundtrip of a float is exact, so a long C sweep can
      run as a sequence of passes of at most 16 fold units (one chain
-     product, or one whole tree or State term) over strips of at most 512
-     points, parking each point's accumulator and current term partial
-     in stack rows between passes: every point still performs the same
-     operations in the same order;
-   - a pass reads its coefficients, fold scales, array slots and row
+     product, or one whole tree or State term), parking each point's
+     accumulator and current term partial in stack rows between passes:
+     every point still performs the same operations in the same order;
+   - every pass reads its coefficients, fold scales, array slots and row
      anchors from [static const] tables, and the value a table holds is
      the literal the emitter would have printed, so moving it out of the
      code changes no operation. *)
@@ -65,8 +65,10 @@ external c_call_reduce :
    into tap-group passes; v5 = kernels lowered from the tree alone (exact
    product chains without a [0.0 +] lead, or whole trees); v6 = the 4-row
    block only on 2-D single-pass sweeps (3-D ones walk one row at a time);
-   v7 = table-driven passes, one shared function per pass shape. *)
-let emitter_version = "v7"
+   v7 = table-driven passes, one shared function per pass shape; v8 = every
+   sweep rendered as table-driven passes, the 2-D row block as the 4 row
+   lanes of a single pass, and libm calls never folded by gcc. *)
+let emitter_version = "v8"
 
 type stats = {
   memo_hits : int;
@@ -210,14 +212,6 @@ let chain_products (k : Kernel.t) =
 
 let chain_length k = Option.map Array.length (chain_products k)
 
-(* [arr] resolves a tensor name to the array variable in scope; the point
-   index variable is always [i]. *)
-let c_product ~arr ~strides p =
-  let read (a : Expr.access) =
-    Printf.sprintf "%s[%s]" (arr a.Expr.tensor) (idx (flat_delta strides a.Expr.offsets))
-  in
-  String.concat " * " (Option.to_list (Option.map flit p.coeff) @ List.map read p.reads)
-
 (* {3 Tree expressions}
 
    Renders Expr.eval's exact operation set. [coord d] renders the interior
@@ -311,8 +305,8 @@ let base_expr ~nd ~halo ~strides =
    One write-through function per plan covering every stencil term: the
    first term seeds a per-point accumulator, later terms fold into it, and
    [dst] is written once — replacing the interpreter's one full-grid pass
-   per term. The loop shapes are described at [emit_sweep]; nothing
-   reassociates, so bit-identity is preserved. *)
+   per term. The loop shapes are described at the fold units below;
+   nothing reassociates, so bit-identity is preserved. *)
 
 (* Per-term (slot offset, aux names) in the concatenated aux layout of
    [Backend.sweep_aux_slots]: one slot per distinct aux tensor a term
@@ -353,10 +347,6 @@ let sweep_has_tree terms =
       | Backend.Sweep_state _ -> false)
     terms
 
-(* One term rendered at a lane: a product chain or one whole
-   expression. *)
-type c_term = Chain of string array | Whole of string
-
 (* The aux slot (in the concatenated layout) of aux tensor [n] of term
    [t]. *)
 let aux_slot ~layout t n =
@@ -367,24 +357,6 @@ let aux_slot ~layout t n =
   in
   go 0 names
 
-(* The value of kernel term [t] at lane offset [c_str] (a last-dimension
-   offset expression; the lane binds [i] to the matching flat index).
-   [row] shifts the second-innermost coordinate — a single-pass sweep
-   computes a block of [row = 0..3] adjacent rows per inner iteration. *)
-let sweep_kernel_value ~layout ~strides ~last ~row ~c_str t (kernel : Kernel.t) =
-  let arr n =
-    if String.equal n kernel.Kernel.input.Tensor.name then Printf.sprintf "s%d" t
-    else Printf.sprintf "a%d" (aux_slot ~layout t n)
-  in
-  let coord d =
-    if d = last then Printf.sprintf "(l%d + (%s))" last c_str
-    else if d = last - 1 && row > 0 then Printf.sprintf "(i%d + %d)" d row
-    else Printf.sprintf "i%d" d
-  in
-  match chain_products kernel with
-  | Some products -> Chain (Array.map (c_product ~arr ~strides) products)
-  | None -> Whole (c_tree ~arr ~coord ~strides kernel)
-
 (* {3 Fold units and passes}
 
    Per point, a fused sweep performs one chain of operations. A chain
@@ -394,49 +366,54 @@ let sweep_kernel_value ~layout ~strides ~last ~row ~c_str t (kernel : Kernel.t) 
    {e fold unit} is one step of that chain: one product of a chain term,
    or one whole tree or State term.
 
-   Every sweep runs over strips of at most [strip_cols] columns. A sweep
-   of at most [single_pass_units] units is one pass, unrolled in place,
-   and on a 2-D grid that pass blocks rows by 4; a longer one is cut into
-   passes of at most [pass_units] units without a block. Unrolling all of
-   2d169pt_box's 338 units into every lane of the block made 135 KB of C
-   that took gcc ~24 s and swept at about half the rate of the passes;
-   cutting the short sweeps into unblocked passes made tree-form pipeline
-   steps ~1.5x slower. A 3-D single pass walks one row at a time: a 4-row
-   block of 3d7pt_star reads 28 source rows and writes 4 destination rows
-   per column step, against 10 and 1 without it, and out of cache those
-   streams cost more than the extra accumulator chains win.
+   Every sweep runs as table-driven passes (below). A sweep of at most
+   [single_pass_units] units is one pass; a longer one is cut into passes
+   of at most [pass_units] units. Unrolling all of 2d169pt_box's 338
+   units into one 2-D pass made 135 KB of C that took gcc ~24 s and swept
+   at about half the rate of the cut passes.
 
-   A pass is table-driven (below): passes of the same shape share one
-   non-inlined C function, so the statements a long sweep unrolls are
-   bounded by its distinct shapes rather than growing with stencil order.
-   On a 2-vCPU Cooper Lake host (gcc 12, -O3 -march=native), emitting
-   every product of every pass as its own literal statement in one
-   function took gcc a median 1.7 s on 2d169pt_box at 256^2 (338
-   statements) and 3.6 s on the four pass-form suite kernels together.
-   With shared bodies 2d169pt_box unrolls 65 statements in 5 functions
-   and compiles in a median 0.30 s, about 2x a 3d7pt_star sweep, and the
-   four kernels in 1.15 s. Two other table layouts lost there: one read
-   pointer per unit from an offset table ran 8-15% behind the literal
-   passes (the pointers spill and are re-derived for every row), and
-   letting gcc clone a body per call site compiled almost as slowly as
-   the literal passes. *)
+   On a 2-D grid a single pass renders its units for [row_lanes] rows
+   ([Row_block]), then a 1-row tail, and one call covers a task's rows at
+   their full width: each column iteration runs four independent
+   accumulator chains while the column loop stays contiguous and
+   auto-vectorizable (a manual column unroll defeats vectorization and
+   measured ~2x slower). On a 2-vCPU x86 host, running those passes one
+   row at a time made 2d9pt_box steps 1.3-1.45x slower at 2048^2 and
+   tree-form pipeline steps up to 1.5x slower. Every other pass
+   ([Passes]) walks one row per iteration over strips of at most
+   [strip_cols] points: one strip of a long row, or as many whole short
+   rows as fit, so each call's table reads and row pointers serve enough
+   points and the stack rows the passes of a long sweep share stay in
+   L1. A long sweep's passes already have up to 16 independent products
+   each, and a 3-D single pass loses to lanes: a 4-row block of
+   3d7pt_star reads 28 source rows and writes 4 destination rows per
+   column step, against 10 and 1 without it, and out of cache (256^3) it
+   took 41 ms a step against 26 ms.
+
+   Passes of the same shape share one non-inlined C function, so the
+   statements a long sweep unrolls are bounded by its distinct shapes
+   rather than growing with stencil order. On a 2-vCPU Cooper Lake host
+   (gcc 12, -O3 -march=native), emitting every product of every pass as
+   its own literal statement in one function took gcc a median 1.7 s on
+   2d169pt_box at 256^2 (338 statements) and 3.6 s on the four pass-form
+   suite kernels together. With shared bodies 2d169pt_box unrolls 65
+   statements in 5 functions and compiles in a median 0.30 s, about 2x a
+   3d7pt_star sweep, and the four kernels in 1.15 s. Two other table
+   layouts lost there: one read pointer per unit from an offset table ran
+   8-15% behind the literal passes (the pointers spill and are re-derived
+   for every row), and letting gcc clone a body per call site compiled
+   almost as slowly as the literal passes. *)
 
 let single_pass_units = 32
 let pass_units = 16
 let strip_cols = 512
+let row_lanes = 4
 
 (* The loop nest of a sweep of [n] fold units on an [nd]-D grid. *)
-type nest = Row_block | Single_row | Passes
+type nest = Row_block | Passes
 
-let sweep_nest ~nd n =
-  if n > single_pass_units then Passes
-  else if nd = 2 then Row_block
-  else Single_row
-
-let nest_name = function
-  | Row_block -> "row_block"
-  | Single_row -> "single_row"
-  | Passes -> "passes"
+let sweep_nest ~nd n = if n <= single_pass_units && nd = 2 then Row_block else Passes
+let nest_name = function Row_block -> "row_block" | Passes -> "passes"
 
 let term_units = function
   | Backend.Sweep_state _ -> 1
@@ -511,36 +488,9 @@ let fold_rhs ~t ~scale ~k v =
   else if scale = 1.0 then v
   else Printf.sprintf "%s * %s" (k ()) v
 
-(* The statements of every fold unit at one lane of a single-pass sweep,
-   as a C block binding [i] to [index] and writing [dst]. *)
-let c_lane ~units ~terms ~values ~index =
-  let buf = Buffer.create 1024 in
-  let pr fmt = Printf.bprintf buf fmt in
-  let has_acc = ref false and has_p = ref false in
-  pr "{ const long i = %s;\n" index;
-  let set var defined rhs =
-    pr "        %s%s = %s;\n" (if !defined then "" else "double ") var rhs;
-    defined := true
-  in
-  Array.iter
-    (fun (t, k) ->
-      let scale = term_scale terms.(t) in
-      let finish v =
-        set "acc" has_acc (fold_rhs ~t ~scale ~k:(fun () -> flit_checked scale) v)
-      in
-      match values.(t) with
-      | Whole v -> finish ("(" ^ v ^ ")")
-      | Chain products ->
-          if k = 0 then set "p" has_p products.(0)
-          else pr "        p = p + %s;\n" products.(k);
-          if k = Array.length products - 1 then finish "p")
-    units;
-  pr "        dst[i] = acc; }";
-  Buffer.contents buf
-
 (* {3 Table-driven passes}
 
-   A pass over fold units [a, b) is one function called once per strip:
+   A pass over fold units [a, b) is one function:
 
    {v
    static __attribute__((noinline, noclone)) void <name>(
@@ -550,27 +500,39 @@ let c_lane ~units ~terms ~values ~index =
        [, const long *restrict crd])
    v}
 
-   [arr] holds the sweep's source arrays then its aux slots; the strip is
-   [nr] rows of [cn] columns from flat index [ic], parked row after row in
-   the stack rows. The first read of each array the pass touches anchors a
-   row pointer [q_j = arr[anc[2j]] + ic + anc[2j + 1]] (the array's slot,
-   then the read's flat offset), and every read of that array is [q_j] at
-   a literal distance from the anchor, so a loop keeps one pointer per
-   array and the reads are immediate displacements. The k-th coefficient
-   or fold scale is [cf[k]]. Each call passes its own slices of the
-   sweep's two tables, and [noclone] keeps gcc from compiling one copy of
-   a shared body per call. A pass that starts inside
-   a term resumes [p] from [msc_part]; one that folds a term into a live
-   accumulator loads [acc] from [msc_acc]; one that ends inside a term
-   parks [p], one that folded a term parks [acc], and the last pass writes
-   [dst]. Products and State terms are table-driven; a tree term renders
-   whole into its pass, with its loop coordinates read from [crd] (the
-   outer coordinates, then the strip's first column), so a pass holding
-   one has a body of its own. *)
+   [arr] holds the sweep's source arrays then its aux slots; a call
+   covers [nr] rows of [cn] columns from flat index [ic], parked row after
+   row in the stack rows [msc_acc] and [msc_part] (null for a single
+   pass, which parks nothing). The first read of each array the pass
+   touches anchors a row pointer [q_j = arr[anc[2j]] + ic + anc[2j + 1]]
+   (the array's slot, then the read's flat offset), and every read of
+   that array is [q_j] at a literal distance from the anchor, so a loop
+   keeps one pointer per array and the reads are immediate
+   displacements. The k-th coefficient or fold scale is [cf[k]]. Each
+   call passes its own slices of the sweep's two tables, and [noclone]
+   keeps gcc from compiling one copy of a shared body per call. A pass
+   that starts inside a term resumes [p] from [msc_part]; one that folds
+   a term into a live accumulator loads [acc] from [msc_acc]; one that
+   ends inside a term parks [p], one that folded a term parks [acc], and
+   the last pass writes [dst].
+
+   A pass with [lanes] row lanes renders its units once per lane, lane
+   [k] reading [k * row_stride] further from the same anchors, and then
+   once more for the 1-row tail. Products and State terms are
+   table-driven; a tree term renders whole into its pass, so a pass
+   holding one has a body of its own. Its reads go through arrays
+   hoisted out of [arr] into locals, at [i = icol + k * row_stride] from
+   one column index [icol] per column iteration, and its loop
+   coordinates come from [crd] (the outer coordinates, then the first
+   column), its row coordinate being [crd + r + k]. Deriving every
+   lane's index from the one [icol] matters: in an earlier emitter whose
+   lanes each recomputed their index from scratch, gcc's CSE drowned in
+   the wide-radius tap expressions (7x compile time and ~4x slower code
+   on 2d169pt_box). *)
 
 type pass = {
   body : string;  (** everything after the function name *)
-  units : int;
+  statements : int;  (** fold-unit statements, across lanes and tail *)
   anc : int list;
   cf : string list;  (** rendered literals *)
 }
@@ -582,19 +544,21 @@ let pass_signature ~has_tree =
     \    long cn, const long *restrict anc, const double *restrict cf%s)"
     (if has_tree then ", const long *restrict crd" else "")
 
-let c_pass ~layout ~strides ~terms ~chains ~units ~has_tree a b =
+let c_pass ~layout ~strides ~terms ~chains ~units ~has_tree ~lanes a b =
   let n = Array.length units in
   let nterms = Array.length terms in
   let last = Array.length strides - 1 in
   let col = if strides.(last) = 1 then "c" else Printf.sprintf "c * %d" strides.(last) in
   let row_stride = if last = 0 then 0 else strides.(last - 1) in
-  let decl = Buffer.create 512 and stmts = Buffer.create 1024 in
-  let pr fmt = Printf.bprintf stmts fmt in
+  let plus d =
+    if d = 0 then "" else Printf.sprintf " %c %d" (if d > 0 then '+' else '-') (abs d)
+  in
+  let decl = Buffer.create 512 in
   let cf = ref [] in
   (* (array, (j, flat offset)) of the anchor of row pointer [q_j], latest
      first. *)
   let anchors = ref [] in
-  let read s o =
+  let read ~lane s o =
     let j, anchor =
       match List.assoc_opt s !anchors with
       | Some anchor -> anchor
@@ -605,9 +569,7 @@ let c_pass ~layout ~strides ~terms ~chains ~units ~has_tree a b =
             j (2 * j) ((2 * j) + 1);
           (j, o)
     in
-    let d = o - anchor in
-    if d = 0 then Printf.sprintf "q%d[%s]" j col
-    else Printf.sprintf "q%d[%s %c %d]" j col (if d > 0 then '+' else '-') (abs d)
+    Printf.sprintf "q%d[%s%s]" j col (plus (o - anchor + (lane * row_stride)))
   in
   (* Equal constants share one table entry and one register: a box
      stencil's taps mostly share a coefficient. *)
@@ -624,6 +586,14 @@ let c_pass ~layout ~strides ~terms ~chains ~units ~has_tree a b =
     in
     Printf.sprintf "k%d" j
   in
+  let hoisted = ref [] in
+  let tree_array s =
+    if not (List.mem s !hoisted) then begin
+      hoisted := s :: !hoisted;
+      Printf.bprintf decl "  const double *restrict t%d = arr[%d];\n" s s
+    end;
+    Printf.sprintf "t%d" s
+  in
   let array_of t (kernel : Kernel.t) name =
     if String.equal name kernel.Kernel.input.Tensor.name then t
     else nterms + aux_slot ~layout t name
@@ -632,75 +602,99 @@ let c_pass ~layout ~strides ~terms ~chains ~units ~has_tree a b =
     let t, k = units.(u) in
     match chains.(t) with Some p -> k = Array.length p - 1 | None -> true
   in
-  let folds = List.exists ends_term (List.init (b - a) (fun u -> a + u)) in
-  let load_acc = folds && fst units.(a) > 0 and resume_p = snd units.(a) > 0 in
-  let has_acc = ref load_acc and has_p = ref resume_p in
-  let has_tree_unit = ref false in
-  let set var defined rhs =
-    pr "      %s%s = %s;\n" (if !defined then "" else "double ") var rhs;
-    defined := true
+  let is_tree u =
+    let t, _ = units.(u) in
+    match (terms.(t), chains.(t)) with Backend.Sweep_kernel _, None -> true | _ -> false
   in
-  for u = a to b - 1 do
-    let t, k = units.(u) in
-    let scale = term_scale terms.(t) in
-    let finish v = set "acc" has_acc (fold_rhs ~t ~scale ~k:(fun () -> coeff scale) v) in
-    (* [reads]: (array, flat offset) of each read, in product order. *)
-    let product coefficient reads =
-      let v =
-        String.concat " * "
-          (Option.to_list (Option.map coeff coefficient)
-          @ List.map (fun (s, o) -> read s o) reads)
-      in
-      if k = 0 then set "p" has_p v else pr "      p = p + %s;\n" v;
-      if ends_term u then finish "p"
+  let range = List.init (b - a) (fun u -> a + u) in
+  let folds = List.exists ends_term range and has_tree_unit = List.exists is_tree range in
+  let load_acc = folds && fst units.(a) > 0 and resume_p = snd units.(a) > 0 in
+  (* The units at row lane [lane], as one C block. *)
+  let lane_block lane =
+    let buf = Buffer.create 1024 in
+    let pr fmt = Printf.bprintf buf fmt in
+    let has_acc = ref load_acc and has_p = ref resume_p in
+    let set var defined rhs =
+      pr "        %s%s = %s;\n" (if !defined then "" else "double ") var rhs;
+      defined := true
     in
-    match (terms.(t), chains.(t)) with
-    | Backend.Sweep_state _, _ -> product None [ (t, 0) ]
-    | Backend.Sweep_kernel { kernel; _ }, Some products ->
-        let p = products.(k) in
-        product p.coeff
-          (List.map
-             (fun (x : Expr.access) ->
-               (array_of t kernel x.Expr.tensor, flat_delta strides x.Expr.offsets))
-             p.reads)
-    | Backend.Sweep_kernel { kernel; _ }, None ->
-        has_tree_unit := true;
-        let arr name = Printf.sprintf "arr[%d]" (array_of t kernel name) in
-        let coord d =
-          if d = last then Printf.sprintf "(crd[%d] + c)" d
-          else if d = last - 1 then Printf.sprintf "(crd[%d] + r)" d
-          else Printf.sprintf "crd[%d]" d
+    pr "      {\n";
+    if has_tree_unit then pr "        const long i = icol%s;\n" (plus (lane * row_stride));
+    if load_acc then pr "        double acc = msc_acc[j];\n";
+    if resume_p then pr "        double p = msc_part[j];\n";
+    for u = a to b - 1 do
+      let t, k = units.(u) in
+      let scale = term_scale terms.(t) in
+      let finish v = set "acc" has_acc (fold_rhs ~t ~scale ~k:(fun () -> coeff scale) v) in
+      (* [reads]: (array, flat offset) of each read, in product order. *)
+      let product coefficient reads =
+        let v =
+          String.concat " * "
+            (Option.to_list (Option.map coeff coefficient)
+            @ List.map (fun (s, o) -> read ~lane s o) reads)
         in
-        finish ("(" ^ c_tree ~arr ~coord ~strides kernel ^ ")")
-  done;
+        if k = 0 then set "p" has_p v else pr "        p = p + %s;\n" v;
+        if ends_term u then finish "p"
+      in
+      match (terms.(t), chains.(t)) with
+      | Backend.Sweep_state _, _ -> product None [ (t, 0) ]
+      | Backend.Sweep_kernel { kernel; _ }, Some products ->
+          let p = products.(k) in
+          product p.coeff
+            (List.map
+               (fun (x : Expr.access) ->
+                 (array_of t kernel x.Expr.tensor, flat_delta strides x.Expr.offsets))
+               p.reads)
+      | Backend.Sweep_kernel { kernel; _ }, None ->
+          let arr name = tree_array (array_of t kernel name) in
+          let coord d =
+            if d = last then Printf.sprintf "(crd[%d] + c)" d
+            else if d = last - 1 then Printf.sprintf "(crd[%d] + r%s)" d (plus lane)
+            else Printf.sprintf "crd[%d]" d
+          in
+          finish ("(" ^ c_tree ~arr ~coord ~strides kernel ^ ")")
+    done;
+    if b = n then pr "        d[%s%s] = acc;\n" col (plus (lane * row_stride))
+    else begin
+      if folds then pr "        msc_acc[j] = acc;\n";
+      if snd units.(b) > 0 then pr "        msc_part[j] = p;\n"
+    end;
+    pr "      }\n";
+    Buffer.contents buf
+  in
   let loop = Buffer.create 1024 in
   let lp fmt = Printf.bprintf loop fmt in
-  let anchors = List.rev !anchors in
+  (* The row loop [head] running [rows] lanes per iteration. *)
+  let row_loop head rows =
+    lp "  %s {\n" head;
+    lp "    for (long c = 0; c < cn; c++) {\n";
+    if b < n || load_acc || resume_p then lp "      const long j = r * cn + c;\n";
+    if has_tree_unit then lp "      const long icol = ic + r * %d + %s;\n" row_stride col;
+    for lane = 0 to rows - 1 do
+      Buffer.add_string loop (lane_block lane)
+    done;
+    lp "    }\n";
+    if row_stride <> 0 then begin
+      List.iter
+        (fun (_, (j, _)) -> lp "    q%d += %d;\n" j (rows * row_stride))
+        (List.rev !anchors);
+      if b = n then lp "    d += %d;\n" (rows * row_stride)
+    end;
+    lp "  }\n"
+  in
+  if lanes > 1 then begin
+    lp "  long r = 0;\n";
+    row_loop (Printf.sprintf "for (; r + %d < nr; r += %d)" (lanes - 1) lanes) lanes;
+    row_loop "for (; r < nr; r++)" 1
+  end
+  else row_loop "for (long r = 0; r < nr; r++)" 1;
   if b = n then Printf.bprintf decl "  double *restrict d = dst + ic;\n";
-  lp "  for (long r = 0; r < nr; r++) {\n";
-  lp "    for (long c = 0; c < cn; c++) {\n";
-  lp "      const long j = r * cn + c;\n";
-  if !has_tree_unit then lp "      const long i = ic + r * %d + %s;\n" row_stride col;
-  if load_acc then lp "      double acc = msc_acc[j];\n";
-  if resume_p then lp "      double p = msc_part[j];\n";
-  Buffer.add_buffer loop stmts;
-  if b = n then lp "      d[%s] = acc;\n" col
-  else begin
-    if folds then lp "      msc_acc[j] = acc;\n";
-    if snd units.(b) > 0 then lp "      msc_part[j] = p;\n"
-  end;
-  lp "    }\n";
-  if row_stride <> 0 then begin
-    List.iter (fun (_, (j, _)) -> lp "    q%d += %d;\n" j row_stride) anchors;
-    if b = n then lp "    d += %d;\n" row_stride
-  end;
-  lp "  }\n";
   {
     body =
       Printf.sprintf "%s\n{\n%s%s}\n" (pass_signature ~has_tree) (Buffer.contents decl)
         (Buffer.contents loop);
-    units = b - a;
-    anc = List.concat_map (fun (s, (_, o)) -> [ s; o ]) anchors;
+    statements = (b - a) * if lanes > 1 then lanes + 1 else 1;
+    anc = List.concat_map (fun (s, (_, o)) -> [ s; o ]) (List.rev !anchors);
     cf = List.rev !cf;
   }
 
@@ -721,10 +715,10 @@ let c_table ~ty ~name ~per_line items =
    them, the figure gcc time tracks. *)
 type sweep_layout = { nest : string; pass_bodies : int; unit_statements : int }
 
-(* The tables and the distinct bodies of a long sweep's passes, as C to
-   place before the sweep function; the call of each pass, in order; and
-   the number of bodies and of fold-unit statements across them. *)
-let emit_passes ~fn_name ~layout ~strides ~terms ~units ~has_tree =
+(* The tables and the distinct bodies of a sweep's passes, as C to place
+   before the sweep function; the call of each pass, in order; and the
+   number of bodies and of fold-unit statements across them. *)
+let emit_passes ~fn_name ~layout ~strides ~terms ~units ~has_tree ~lanes =
   let buf = Buffer.create 8192 in
   let chains =
     Array.map
@@ -733,12 +727,13 @@ let emit_passes ~fn_name ~layout ~strides ~terms ~units ~has_tree =
         | Backend.Sweep_state _ -> None)
       terms
   in
+  let n = Array.length units in
   let rec passes = function
     | a :: (b :: _ as rest) ->
-        c_pass ~layout ~strides ~terms ~chains ~units ~has_tree a b :: passes rest
+        c_pass ~layout ~strides ~terms ~chains ~units ~has_tree ~lanes a b :: passes rest
     | [ _ ] | [] -> []
   in
-  let passes = passes (pass_cuts ~chains units) in
+  let passes = passes (if n > single_pass_units then pass_cuts ~chains units else [ 0; n ]) in
   let all f = List.concat_map f passes in
   Buffer.add_string buf
     (c_table ~ty:"long" ~name:(fn_name ^ "_anc") ~per_line:10
@@ -752,17 +747,18 @@ let emit_passes ~fn_name ~layout ~strides ~terms ~units ~has_tree =
     | None ->
         let name = Printf.sprintf "%s_pass%d" fn_name (List.length !bodies) in
         bodies := (p.body, name) :: !bodies;
-        statements := !statements + p.units;
+        statements := !statements + p.statements;
         Printf.bprintf buf "static __attribute__((noinline, noclone)) void %s%s" name p.body;
         name
   in
+  let stack = if List.length passes > 1 then "msc_acc, msc_part" else "0, 0" in
   let a = ref 0 and c = ref 0 in
   let calls =
     List.map
       (fun p ->
         let call =
-          Printf.sprintf "%s(msc_arr, dst, msc_acc, msc_part, ic, nr, cn, %s_anc + %d, %s_cf + %d%s);"
-            (name_of p) fn_name !a fn_name !c
+          Printf.sprintf "%s(msc_arr, dst, %s, ic, nr, cn, %s_anc + %d, %s_cf + %d%s);"
+            (name_of p) stack fn_name !a fn_name !c
             (if has_tree then ", msc_crd" else "")
         in
         a := !a + List.length p.anc;
@@ -777,147 +773,74 @@ let emit_sweep ~fn_name ~halo ~strides terms =
   let last = nd - 1 in
   let layout, nslots = sweep_slots terms in
   let nterms = List.length terms in
-  let terms_arr = Array.of_list terms in
   let units = sweep_units terms in
-  let n = Array.length units in
-  let nest = sweep_nest ~nd n in
+  let nest = sweep_nest ~nd (Array.length units) in
   let has_tree = sweep_has_tree terms in
   let buf = Buffer.create 8192 in
   let pr fmt = Printf.bprintf buf fmt in
   pr "/* Fused sweep %s -- generated by Msc_exec.Jit; do not edit. */\n" fn_name;
   if has_tree then pr "%s" c_tree_prelude;
-  let calls, pass_bodies, unit_statements =
-    match nest with
-    | Row_block -> ([], 1, 5 * n)
-    | Single_row -> ([], 1, n)
-    | Passes ->
-        let decls, calls, bodies, statements =
-          emit_passes ~fn_name ~layout ~strides ~terms:terms_arr ~units ~has_tree
-        in
-        pr "%s" decls;
-        (calls, bodies, statements)
+  let decls, calls, pass_bodies, unit_statements =
+    emit_passes ~fn_name ~layout ~strides ~terms:(Array.of_list terms) ~units ~has_tree
+      ~lanes:(if nest = Row_block then row_lanes else 1)
   in
+  pr "%s" decls;
   pr "void %s(const double **srcs, double *restrict dst,\n" fn_name;
   pr "%s const double **aux, const long *restrict lo,\n"
     (String.make (String.length fn_name + 5) ' ');
   pr "%s const long *restrict hi)\n" (String.make (String.length fn_name + 5) ' ');
   pr "{\n";
-  for t = 0 to nterms - 1 do
-    pr "  const double *s%d = srcs[%d];\n" t t
-  done;
   if nslots = 0 then pr "  (void)aux;\n";
-  for s = 0 to nslots - 1 do
-    pr "  const double *a%d = aux[%d];\n" s s
-  done;
   for d = 0 to last do
     pr "  long l%d = lo[%d]; long h%d = hi[%d];\n" d d d d
   done;
   pr "  long len = h%d - l%d;\n" last last;
   pr "  if (len <= 0) return;\n";
-  (* The flat index of the row-0 lane at strip column [c]; lanes for rows
-     1..3 derive theirs as [icol + row * row_stride]. Deriving from one
-     shared column index matters: when every lane recomputes
-     [base + off + c] from scratch, gcc's CSE drowns in the wide-radius
-     tap expressions — 7x compile time and ~4x slower code on 2d169pt. *)
-  let c_str = "cs + c" in
-  let icol =
-    if strides.(last) = 1 then Printf.sprintf "base + (%s)" c_str
-    else Printf.sprintf "base + ((%s) * %d)" c_str strides.(last)
+  pr "  const double *const msc_arr[%d] = { %s };\n" (nterms + nslots)
+    (String.concat ", "
+       (List.init nterms (Printf.sprintf "srcs[%d]")
+       @ List.init nslots (Printf.sprintf "aux[%d]")));
+  if List.length calls > 1 then
+    pr "  double msc_acc[%d], msc_part[%d];\n" strip_cols strip_cols;
+  (* Every pass over [nr] rows of [cn] columns from column [cs] of the
+     row at [base]. *)
+  let call () =
+    pr "    const long ic = base + %s;\n"
+      (if strides.(last) = 1 then "cs" else Printf.sprintf "cs * %d" strides.(last));
+    if has_tree then
+      pr "    const long msc_crd[%d] = { %s };\n" nd
+        (String.concat ", "
+           (List.init nd (fun d ->
+                if d = last then Printf.sprintf "l%d + cs" d else Printf.sprintf "i%d" d)));
+    List.iter (pr "    %s\n") calls
   in
-  let lane ~row =
-    let values =
-      Array.mapi
-        (fun t -> function
-          | Backend.Sweep_state _ -> Whole (Printf.sprintf "s%d[i]" t)
-          | Backend.Sweep_kernel { kernel; _ } ->
-              sweep_kernel_value ~layout ~strides ~last ~row ~c_str t kernel)
-        terms_arr
-    in
-    let index =
-      if row = 0 then "icol"
-      else Printf.sprintf "icol + %d" (row * strides.(last - 1))
-    in
-    c_lane ~units ~terms:terms_arr ~values ~index
-  in
-  (* [rows] adjacent rows (the second-innermost dimension) from the current
-     one, strip by strip. A single pass is one contiguous column loop,
-     which the compiler auto-vectorizes. Passes are one call each over the
-     strip of [nr] rows, and the stack rows they share stay in L1. *)
-  let rows_body rows =
+  let strips () =
     pr "  long base = %s;\n" (base_expr ~nd ~halo ~strides);
     pr "  for (long cs = 0; cs < len; cs += %d) {\n" strip_cols;
     pr "    const long cn = len - cs < %d ? len - cs : %d;\n" strip_cols strip_cols;
-    if calls = [] then begin
-      pr "    for (long c = 0; c < cn; c++) {\n";
-      pr "      const long icol = %s;\n" icol;
-      for row = 0 to rows - 1 do
-        pr "      %s\n" (lane ~row)
-      done;
-      pr "    }\n"
-    end
-    else begin
-      pr "    const long ic = base + %s;\n"
-        (if strides.(last) = 1 then "cs" else Printf.sprintf "cs * %d" strides.(last));
-      if has_tree then
-        pr "    const long msc_crd[%d] = { %s };\n" nd
-          (String.concat ", "
-             (List.init nd (fun d ->
-                  if d = last then Printf.sprintf "l%d + cs" d else Printf.sprintf "i%d" d)));
-      List.iter (pr "    %s\n") calls
-    end;
+    call ();
     pr "  }\n"
   in
-  (* Passes run over strips of up to [strip_cols] points: one strip of a
-     long row, or as many whole short rows as fit, so each call's table
-     reads and row pointers serve enough points. *)
-  if calls <> [] then begin
-    pr "  const double *const msc_arr[%d] = { %s };\n" (nterms + nslots)
-      (String.concat ", "
-         (List.init nterms (Printf.sprintf "s%d") @ List.init nslots (Printf.sprintf "a%d")));
-    pr "  double msc_acc[%d], msc_part[%d];\n" strip_cols strip_cols;
-    pr "  const long msc_rows = len < %d ? %d / len : 1;\n" strip_cols strip_cols
-  end;
-  for d = 0 to last - 2 do
-    pr "  for (long i%d = l%d; i%d < h%d; i%d++) {\n" d d d d d
-  done;
-  if nd >= 2 then begin
-    let r = last - 1 in
-    pr "  long i%d = l%d;\n" r r;
-    (* A 2-D single pass blocks rows by 4: each column iteration runs four
-       independent accumulator chains while the column loop stays
-       contiguous and auto-vectorizable (a manual column unroll defeats
-       vectorization and measured ~2x slower). On a 2-vCPU x86 host the
-       2-D block made 2d9pt_box steps 1.3x faster at 4096^2 and 1.5x at
-       256^2, and without it tree-form pipeline steps measured ~1.5x
-       slower. A 3-D single pass is not blocked: on the same host a
-       3d7pt_star step at 256^3 took 41 ms blocked and 26 ms unblocked
-       (sweep 0.35 and 0.61 of the measured triad bandwidth), in-cache
-       3-D steps were unchanged within noise, and the C of 3d7pt_star
-       shrinks from 5.2 to 1.6 KB (gcc 270 -> 120 ms). Passes are not
-       blocked either: each already has up to 16 independent products. *)
-    match nest with
-    | Passes ->
-        pr "  for (; i%d < h%d; i%d += msc_rows) {\n" r r r;
-        pr "  const long nr = h%d - i%d < msc_rows ? h%d - i%d : msc_rows;\n" r r r r;
-        rows_body 1;
+  (match nest with
+  | Row_block ->
+      pr "  const long i0 = l0, nr = h0 - l0, cs = 0, cn = len;\n";
+      pr "  long base = %s;\n" (base_expr ~nd ~halo ~strides);
+      call ()
+  | Passes when nd = 1 ->
+      pr "  const long nr = 1;\n";
+      strips ()
+  | Passes ->
+      let r = last - 1 in
+      pr "  const long msc_rows = len < %d ? %d / len : 1;\n" strip_cols strip_cols;
+      for d = 0 to r - 1 do
+        pr "  for (long i%d = l%d; i%d < h%d; i%d++) {\n" d d d d d
+      done;
+      pr "  for (long i%d = l%d; i%d < h%d; i%d += msc_rows) {\n" r r r r r;
+      pr "  const long nr = h%d - i%d < msc_rows ? h%d - i%d : msc_rows;\n" r r r r;
+      strips ();
+      for _ = 0 to r do
         pr "  }\n"
-    | Row_block | Single_row ->
-        if nest = Row_block then begin
-          pr "  for (; i%d + 3 < h%d; i%d += 4) {\n" r r r;
-          rows_body 4;
-          pr "  }\n"
-        end;
-        pr "  for (; i%d < h%d; i%d++) {\n" r r r;
-        rows_body 1;
-        pr "  }\n"
-  end
-  else begin
-    if calls <> [] then pr "  const long nr = 1;\n";
-    rows_body 1
-  end;
-  for _ = 0 to last - 2 do
-    pr "  }\n"
-  done;
+      done);
   pr "}\n";
   (Buffer.contents buf, { nest = nest_name nest; pass_bodies; unit_statements })
 
@@ -940,11 +863,17 @@ let c_cmd ~tc ~dir ~src ~out ~log =
    runs on: ask for the host microarchitecture first and fall back to the
    portable flags of [c_cmd] when the compiler does not know [-march=native].
    Wider vector codegen does not change per-element rounding, and
-   [-ffp-contract=off] still bans the fused multiply-adds that would. *)
+   [-ffp-contract=off] still bans the fused multiply-adds that would.
+   gcc folds libm calls on constant arguments with its own correctly
+   rounded arithmetic, so a tree's [sin] of a constant subtree differed
+   from the interpreter's glibc [sin] in the last bit: the libm functions
+   a tree may call that glibc does not round correctly stay calls. *)
 let c_sweep_cmd ~tc ~dir ~src ~out ~log =
   let flags march =
-    Printf.sprintf "%s -O3%s -ffp-contract=off -fPIC -shared -o %s %s -lm" tc
-      march (Filename.quote out) (Filename.quote src)
+    Printf.sprintf "%s -O3%s -ffp-contract=off %s -fPIC -shared -o %s %s -lm" tc march
+      (String.concat " "
+         (List.map (( ^ ) "-fno-builtin-") [ "pow"; "hypot"; "exp"; "log"; "sin"; "cos"; "tanh" ]))
+      (Filename.quote out) (Filename.quote src)
   in
   Printf.sprintf "cd %s && { %s > %s 2>&1 || %s > %s 2>&1; }"
     (Filename.quote dir)

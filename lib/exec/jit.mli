@@ -2,24 +2,27 @@
 
     [compile_sweep] emits one {e fused} write-through C kernel for a whole
     sweep: every term of the stencil update folded into a per-point
-    accumulator, scales baked in, [dst] written once. The emitter walks
-    each row in strips of at most 512 columns and counts fold units (one
-    chain product, or one whole tree or State term): a sweep of
-    at most 32 units is one pass, unrolled in place, which on a 2-D grid
-    blocks the second-innermost loop by 4 rows (independent accumulator
-    chains while the contiguous innermost loop stays auto-vectorizable)
-    and on a 3-D grid walks one row at a time (a block there multiplies
-    the rows a column step streams). A longer one runs as passes of at
-    most 16 units over strips of up to 512 points (whole short rows), each
-    resuming every point's accumulator and current term partial from stack
-    rows. A pass is table-driven: a non-inlined C function reads its
-    array slots, row anchors, coefficients and fold scales from
-    [static const] tables and its other reads at literal distances from
-    the anchors, and passes of the same shape share one function, so the
-    C a long sweep unrolls, and its gcc time, stop growing with stencil
-    order ({!sweep_layout}). It compiles with the host's native ISA when
-    the compiler accepts it, and is loaded back as a {!Backend.sweep_fn}
-    and dispatched tile-task-at-a-time by {!Runtime}.
+    accumulator, scales baked in, [dst] written once. It counts fold
+    units (one chain product, or one whole tree or State term) and renders
+    every sweep as table-driven passes: a sweep of at most 32 units is one
+    pass, a longer one is cut into passes of at most 16 units, each
+    resuming every point's accumulator and current term partial from
+    stack rows. A pass is a non-inlined C function that reads its array
+    slots, row anchors, coefficients and fold scales from [static const]
+    tables and its other reads at literal distances from the anchors, and
+    passes of the same shape share one function, so the C a long sweep
+    unrolls, and its gcc time, stop growing with stencil order
+    ({!sweep_layout}). On a 2-D grid a single pass runs 4 row lanes (nest
+    [row_block]): each column iteration computes four rows, whose reads
+    sit a literal row stride further from the same anchors, as four
+    independent accumulator chains while the contiguous innermost loop
+    stays auto-vectorizable, and a 1-row tail finishes the rows; one call
+    covers a task's rows at their full width. Every other pass (nest
+    [passes]; on a 3-D grid lanes multiply the rows a column step
+    streams) walks one row per iteration over strips of at most 512
+    points (whole short rows). The kernel compiles with the host's
+    native ISA when the compiler accepts it, and is loaded back as a
+    {!Backend.sweep_fn} and dispatched tile-task-at-a-time by {!Runtime}.
 
     Each kernel term is emitted from its expression tree alone, the same
     tree the interpreter evaluates, in one of two forms. A kernel whose
@@ -32,9 +35,15 @@
     [.c] file is compiled with [cc -O3 -ffp-contract=off -fPIC -shared]
     and loaded through [dlopen]. Contraction is disabled because fused
     multiply-adds would change the rounding. Trees call the same libm the
-    OCaml runtime links, and [Float.min]/[Float.max] are ported to C by
-    hand ([fmin]/[fmax] differ on NaN and signed zeros). [compile_reduce]
-    builds the reduction kernels the same way.
+    OCaml runtime links, and gcc may not fold those calls on constant
+    arguments ([-fno-builtin-sin] and the like: its folding rounds
+    correctly, glibc need not). [Float.min]/[Float.max] are ported to C
+    by hand ([fmin]/[fmax] differ on NaN and signed zeros). One thing is
+    outside the contract: a NaN result is a NaN on both sides, but its
+    sign and payload may differ, because gcc treats them as unspecified
+    (it rewrites [c * (-x)] as [(-c) * x], and swaps the operands of
+    commutative operations where x86 keeps the first of two NaNs).
+    [compile_reduce] builds the reduction kernels the same way.
 
     Artifacts live in a persistent on-disk cache — [$MSC_KERNEL_CACHE] when
     set, else [<tmpdir>/msc-kernels] — keyed by a digest of everything baked
@@ -63,8 +72,8 @@
     shows how much compile time was hidden behind other work. Each
     kernel term of a sweep adds one to a [jit.form.chain] or
     [jit.form.tree] counter, and each sweep adds one to the counter of
-    its loop nest, [jit.nest.row_block], [jit.nest.single_row] or
-    [jit.nest.passes]: form and nest decide compile time and sweep rate.
+    its loop nest, [jit.nest.row_block] or [jit.nest.passes]: form and
+    nest decide compile time and sweep rate.
 
     All failure modes return [Error reason]; callers fall back to the
     interpreter. {!stats} separates forms the emitter cannot express
@@ -165,12 +174,15 @@ val emit_c_sweep :
     [fn_name]. *)
 
 type sweep_layout = {
-  nest : string;  (** ["row_block"], ["single_row"] or ["passes"] *)
+  nest : string;
+      (** ["row_block"] for a 2-D single pass, which runs 4 row lanes and a
+          1-row tail; ["passes"] for every other sweep, whose passes walk
+          one row per iteration *)
   pass_bodies : int;  (** distinct pass functions; 1 for a single pass *)
   unit_statements : int;
       (** fold-unit statements unrolled in the C, summed over the distinct
-          bodies (a 2-D row block counts its 4 lanes and its 1-row tail):
-          the figure gcc time tracks *)
+          bodies (a [row_block] pass counts its 4 lanes and its 1-row
+          tail): the figure gcc time tracks *)
 }
 
 val sweep_layout : Backend.sweep_term list -> (sweep_layout, string) result

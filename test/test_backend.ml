@@ -243,27 +243,67 @@ let random_chain ?(nd = 2) rs =
   in
   (expr, if accepted then Some n else None)
 
+(* A random tree of depth at most 5 over every node kind, reading B and C
+   within radius 1 of an [nd]-D grid. *)
+let random_tree ?(nd = 2) rs =
+  let int n = Random.State.int rs n in
+  let module E = Msc_ir.Expr in
+  let rec tree depth =
+    if depth = 0 || int 4 = 0 then
+      match int 6 with
+      | 0 -> E.Fconst (Random.State.float rs 4.0 -. 2.0)
+      | 1 -> E.Iconst (int 7 - 3)
+      | 2 -> E.Param "w"
+      | 3 -> E.Var (List.nth (Builder.default_index_vars nd) (int nd))
+      | _ ->
+          E.read (if Random.State.bool rs then "B" else "C") (Array.init nd (fun _ -> int 3 - 1))
+    else
+      let sub () = tree (depth - 1) in
+      match int 4 with
+      | 0 -> E.Unop (E.([| Neg; Abs; Sqrt; Exp; Sin; Cos |]).(int 6), sub ())
+      | 1 | 2 -> E.Binop (E.([| Add; Sub; Mul; Div; Min; Max |]).(int 6), sub (), sub ())
+      | _ -> (
+          match int 5 with
+          | 0 -> E.Call ("pow", [ sub (); sub () ])
+          | 1 -> E.Call ("hypot", [ sub (); sub () ])
+          | 2 -> E.Call ("fma", [ sub (); sub (); sub () ])
+          | _ ->
+              E.Call ([| "sqrt"; "exp"; "log"; "sin"; "cos"; "tanh"; "fabs" |].(int 7), [ sub () ]))
+  in
+  tree 5
+
+(* Equal bits, or two NaNs. gcc treats a NaN's sign and payload as
+   unspecified: it rewrites [c * (-x)] as [(-c) * x], and may swap the
+   operands of a commutative operation where x86 keeps the first of two
+   NaNs. So a NaN is not compared bit for bit; every other value is.
+   Only tree terms make NaNs here: the square root or logarithm of a
+   negative value, or 0/0. *)
+let same_bits x y =
+  Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) || (Float.is_nan x && Float.is_nan y)
+
 (* --- One sweep contract, two compilers (qcheck) ---
 
    [Interp.compile_sweep] and [Jit.compile_sweep] called on identical
    arguments must write identical bits. Term lists of one to four terms
    mix State terms, long product chains (up to 200 products over the
    input and the aux grid C, so long sweeps run as passes cut both inside
-   terms and on term boundaries) and the short chain-or-tree operands of
+   terms and on term boundaries), the short chain-or-tree operands of
    [random_chain] (parameters, loop indices, forms the lowering leaves to
-   the tree). Long chains mix every product form ([c*x], [x*c], [x],
-   [-(c*x)], [(c*a)*x], [a*x]) joined by [+] and [-], often repeat a
-   coefficient, and their lengths
+   the tree) and the whole trees of [random_tree] (loop-index reads,
+   calls, min/max, division and the unary functions). Long chains mix
+   every product form ([c*x], [x*c], [x], [-(c*x)], [(c*a)*x], [a*x])
+   joined by [+] and [-], often repeat a coefficient, and their lengths
    fall on both sides of every 16-unit boundary; half of them walk rows
    (runs of products with the same outer offsets, some longer than a
    pass), the shape whose passes share bodies. Every aux slot gets its own
    array. The first term's scale is often exactly 1.0. Grids are 2-D
-   (7 x 1100: rows wider than one strip, the 4-row block and its tail) or
-   3-D (4 x 5 x 530: one row per iteration), and with [~passes:true] also
-   1-D (1500 points); ranges are random, from one point to the whole
-   interior, and run into the halo. A quarter of the cases read grids of
-   -0.0 through positive coefficients, where only the exact chain lead and
-   fold order give matching signed zeros.
+   (7 x 1100: rows wider than one strip; a range has 1 to 9 rows, so a
+   single pass runs its 4 row lanes 0 to 2 times and its 1-row tail 0 to
+   3 times) or 3-D (4 x 5 x 530: one row per iteration), and with
+   [~passes:true] also 1-D (1500 points); ranges are random, from one
+   point to the whole interior, and run into the halo. A quarter of the
+   cases read grids of -0.0 through positive coefficients, where only the
+   exact chain lead and fold order give matching signed zeros.
 
    With [~passes:true] every case is the tap-group pass shape: two long
    product-chain kernel terms, sometimes with a State term or a short
@@ -343,8 +383,17 @@ let sweep_compilers_agree ~passes ~count name =
               if int 4 = 0 then Msc_ir.Expr.(chain - next) else Msc_ir.Expr.(chain + next))
             (List.hd products) (List.tl products)
         in
-        let kernel_term ?(long = Random.State.bool rs) t =
-          let expr = if long then long_chain () else fst (random_chain ~nd rs) in
+        (* [`Long] product chains, [`Short] chain-or-tree operands or
+           [`Tree] whole trees over every node kind, drawn twice as often:
+           a tree reading a loop index is what pins each row lane's
+           coordinates. *)
+        let kernel_term ?(form = [| `Long; `Short; `Tree; `Tree |].(int 4)) t =
+          let expr =
+            match form with
+            | `Long -> long_chain ()
+            | `Short -> fst (random_chain ~nd rs)
+            | `Tree -> random_tree ~nd rs
+          in
           let kernel =
             Msc_ir.Kernel.make
               ~bindings:[ ("w", Random.State.float rs 2.0 -. 1.0) ]
@@ -358,11 +407,11 @@ let sweep_compilers_agree ~passes ~count name =
         in
         let terms =
           if passes then
-            let k0 = kernel_term ~long:true 0 (scale ()) in
-            let k1 = kernel_term ~long:true 2 (scale ()) in
+            let k0 = kernel_term ~form:`Long 0 (scale ()) in
+            let k1 = kernel_term ~form:`Long 2 (scale ()) in
             match int 4 with
             | 0 -> [ k0; Backend.Sweep_state { scale = scale () }; k1 ]
-            | 1 -> [ k0; kernel_term ~long:false 1 (scale ()); k1 ]
+            | 1 -> [ k0; kernel_term ~form:`Short 1 (scale ()); k1 ]
             | _ -> [ k0; k1 ]
           else
             let n = 1 + int 4 in
@@ -398,10 +447,22 @@ let sweep_compilers_agree ~passes ~count name =
         match Jit.compile_sweep ~plan_digest:"test-sweep-compilers" terms with
         | Error msg -> QCheck.Test.fail_reportf "compile_sweep: %s" msg
         | Ok fn ->
-            Array.for_all2
-              (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-              (run fn)
-              (run (Interp.compile_sweep ~geometry terms))
+            let got = run fn and want = run (Interp.compile_sweep ~geometry terms) in
+            Array.iteri
+              (fun j x ->
+                if not (same_bits x want.(j)) then
+                  QCheck.Test.fail_reportf "flat index %d: %h, interpreter %h; terms:\n%s" j x
+                    want.(j)
+                    (String.concat "\n"
+                       (List.map
+                          (function
+                            | Backend.Sweep_state { scale } -> Printf.sprintf "State %h" scale
+                            | Backend.Sweep_kernel { scale; kernel; _ } ->
+                                Printf.sprintf "%h * %s" scale
+                                  (Msc_ir.Expr.to_string kernel.Msc_ir.Kernel.expr))
+                          terms)))
+              got;
+            true
       end)
 
 let exact_chain_lowering =
@@ -448,35 +509,6 @@ let exact_chain_lowering =
             Array.for_all2
               (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
               got.Grid.data expected.Grid.data)
-
-(* A random tree of depth at most 5 over every node kind, reading B and C
-   within radius 1. *)
-let random_tree rs =
-  let int n = Random.State.int rs n in
-  let module E = Msc_ir.Expr in
-  let rec tree depth =
-    if depth = 0 || int 4 = 0 then
-      match int 6 with
-      | 0 -> E.Fconst (Random.State.float rs 4.0 -. 2.0)
-      | 1 -> E.Iconst (int 7 - 3)
-      | 2 -> E.Param "w"
-      | 3 -> E.Var (if Random.State.bool rs then "j" else "i")
-      | _ ->
-          E.read (if Random.State.bool rs then "B" else "C") (Array.init 2 (fun _ -> int 3 - 1))
-    else
-      let sub () = tree (depth - 1) in
-      match int 4 with
-      | 0 -> E.Unop (E.([| Neg; Abs; Sqrt; Exp; Sin; Cos |]).(int 6), sub ())
-      | 1 | 2 -> E.Binop (E.([| Add; Sub; Mul; Div; Min; Max |]).(int 6), sub (), sub ())
-      | _ -> (
-          match int 5 with
-          | 0 -> E.Call ("pow", [ sub (); sub () ])
-          | 1 -> E.Call ("hypot", [ sub (); sub () ])
-          | 2 -> E.Call ("fma", [ sub (); sub (); sub () ])
-          | _ ->
-              E.Call ([| "sqrt"; "exp"; "log"; "sin"; "cos"; "tanh"; "fabs" |].(int 7), [ sub () ]))
-  in
-  tree 5
 
 (* The closure-compiled tree against Expr.eval point by point, on random
    trees over every node kind: loop indices, calls, min/max, division and
@@ -567,7 +599,7 @@ let stencil_tree_2d ?(n = 12) () =
 
 (* A tree reading a coefficient grid: aux slots flow through the tree ABI
    ((C * B) * B has three reads, not a chain product). The row index [j]
-   term pins each lane of the C sweep's 4-row block to its own row. *)
+   term pins each of the C sweep's 4 row lanes to its own row. *)
 let stencil_tree_aux_2d ?(n = 10) () =
   let grid = Builder.def_tensor_2d ~time_window:2 ~halo:1 "B" Msc_ir.Dtype.F64 n n in
   let coeff = Builder.coefficient_grid ~grid "C" in
@@ -638,40 +670,43 @@ let former_fallback_forms_compile () =
       ("treeaux3d/9 rows", stencil_tree_aux_3d ~rows:9 ());
     ]
 
-(* The loop nest fits the grid: a 2-D single-pass sweep blocks rows by 4,
-   a 3-D one walks one row per iteration (the block cost 3-D sweeps their
-   memory streams). *)
+let suite_layout ~dims name =
+  let st = Suite.stencil ~dims (Suite.find name) in
+  match Jit.sweep_layout (Backend.sweep_terms ~halo:st.Msc_ir.Stencil.grid.Msc_ir.Tensor.halo st) with
+  | Ok l -> l
+  | Error msg -> Alcotest.fail (name ^ ": " ^ msg)
+
+(* The loop nest fits the grid: a 2-D single pass runs 4 row lanes
+   ([row_block]), a 3-D one walks one row per iteration like every other
+   pass ([passes]; lanes cost 3-D sweeps their memory streams). *)
 let row_block_only_in_2d () =
-  let source name =
+  let check name nest =
     let b = Suite.find name in
     (* [Jit.emit_c_sweep] of the stencil's terms, the C both backends run. *)
-    match Msc_codegen.Emit_cpu.fused_sweep_source (Suite.stencil ~dims:(small_dims b) b) with
-    | Some src -> src
-    | None -> Alcotest.fail (name ^ ": no fused sweep")
+    let src =
+      match Msc_codegen.Emit_cpu.fused_sweep_source (Suite.stencil ~dims:(small_dims b) b) with
+      | Some src -> src
+      | None -> Alcotest.fail (name ^ ": no fused sweep")
+    in
+    let layout = suite_layout ~dims:(small_dims b) name in
+    check_string (name ^ ": nest") nest layout.Jit.nest;
+    check_bool (name ^ ": 4 row lanes") (nest = "row_block") (contains src "r += 4)")
   in
-  check_bool "2d9pt_box: 4-row block" true (contains (source "2d9pt_box") "+= 4)");
-  List.iter
-    (fun name ->
-      check_bool (name ^ ": one row per iteration") false
-        (contains (source name) "+= 4)"))
-    [ "3d7pt_star"; "3d13pt_star" ]
+  check "2d9pt_box" "row_block";
+  check "2d9pt_star" "row_block";
+  check "3d7pt_star" "passes";
+  check "3d13pt_star" "passes"
 
 (* Table-driven passes keep the C of a long sweep flat in stencil order:
    the high-order box kernels may unroll no more fold-unit statements than
-   the largest single pass, the 2-D 4-row block of 32 units and its 1-row
-   tail. One literal statement per product would be 242 and 338. *)
+   the largest single pass, the 2-D 4 row lanes of 32 units and their
+   1-row tail. One literal statement per product would be 242 and 338. *)
 let max_unit_statements = 5 * 32
 
 let pass_statements_flat () =
-  let layout name =
-    let st = Suite.stencil ~dims:[| 256; 256 |] (Suite.find name) in
-    match Jit.sweep_layout (Backend.sweep_terms ~halo:st.Msc_ir.Stencil.grid.Msc_ir.Tensor.halo st) with
-    | Ok l -> l
-    | Error msg -> Alcotest.fail (name ^ ": " ^ msg)
-  in
   List.iter
     (fun name ->
-      let l = layout name in
+      let l = suite_layout ~dims:[| 256; 256 |] name in
       check_string (name ^ ": passes") "passes" l.Jit.nest;
       check_bool
         (Printf.sprintf "%s: %d bodies, %d unit statements <= %d" name l.Jit.pass_bodies
@@ -1185,7 +1220,7 @@ let suites =
       ] );
     ( "backend.fused",
       [
-        sweep_compilers_agree ~passes:false ~count:30
+        sweep_compilers_agree ~passes:false ~count:60
           "fused sweep == interp sweep on random term lists";
         sweep_compilers_agree ~passes:true ~count:24
           "tap-group passes == interp on random long sweeps";

@@ -166,7 +166,16 @@ let cli_smoke () =
       = 0
     in
     check_bool "verify names the backend that ran" true
-      (contains ~needle:(if cc then "on compiled_c" else "on interp") out)
+      (contains ~needle:(if cc then "on compiled_c" else "on interp") out);
+    (* A positional benchmark runs as -b does; a pipeline stays a pipeline. *)
+    let rc, out = run_cli "verify 2d9pt_star --backend compiled_c" in
+    check_int "verify NAME exits 0" 0 rc;
+    check_bool "verify NAME runs the benchmark" true
+      (contains
+         ~needle:("2d9pt_star: 5 steps on " ^ if cc then "compiled_c" else "interp")
+         out);
+    let rc, _ = run_cli "verify 2d9pt" in
+    check_bool "ambiguous NAME fails" true (rc <> 0)
   end
 
 let suites =

@@ -312,10 +312,10 @@ let jit_form_counters () =
             (Printf.sprintf "%s: jit.nest.%s" name n)
             (if String.equal n nest then 1.0 else 0.0)
             (counter t ("jit.nest." ^ n)))
-        [ "row_block"; "single_row"; "passes" ])
+        [ "row_block"; "passes" ])
     [
       ("2d9pt_box", [| 12; 16 |], "row_block");
-      ("3d7pt_star", [| 6; 7; 8 |], "single_row");
+      ("3d7pt_star", [| 6; 7; 8 |], "passes");
       ("2d169pt_box", [| 16; 16 |], "passes");
     ]
 
