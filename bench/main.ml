@@ -1,392 +1,41 @@
-(* The benchmark harness.
+(* The BENCH_runtime.json harness.
 
-   Part 1 (Bechamel): wall-clock micro-benchmarks of the real code paths
-   behind each paper artifact, on reduced grids so the whole suite runs in
-   seconds — one Test.make group per table/figure.
+   [dune exec bench/main.exe -- [--smoke] [--backend B]] measures every
+   group below and writes the whole file; [-- scaling [--smoke]] writes
+   the scaling group only. Each group is a typed record with a [to_json]
+   into [Msc_bench.Json.t]; one printer writes the file, and the harness
+   re-reads it and exits 1 unless it parses and carries every group.
+   Every timing goes through [timed], on the monotonic clock. The audits
+   (fused coverage under [--backend], pipeline fusion, the single-core
+   pool cutoff and the 16-rank scaling floor) exit 1 on a regression.
+   [--smoke] runs every measured path on small grids with a short quota.
+   The paper's tables and figures are [msc_cli experiment all]. *)
 
-   Part 2: the full experiment harness — every table and figure of the
-   paper's evaluation regenerated (Tables 1/4/5/6/7/8, Figures 7-14, and the
-   §5.1 correctness methodology). *)
+module Json = Msc_bench.Json
 
-open Bechamel
-open Toolkit
+(* == The timer and the measurement loops == *)
 
-let small_stencil name =
-  let b = Msc.Suite.find name in
-  let dims =
-    match b.Msc.Suite.ndim with 2 -> [| 64; 64 |] | _ -> [| 24; 24; 24 |]
-  in
-  (b, Msc.Suite.stencil ~dims b)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-let step_test ?schedule name =
-  let _, st = small_stencil name in
-  Staged.stage (fun () ->
-      let rt = Msc.Runtime.create ?schedule st in
-      Msc.Runtime.step rt)
+let timed f =
+  let t0 = now () in
+  let r = f () in
+  (r, now () -. t0)
 
-(* Table 4 / Figure 7-8: one kernel sweep per benchmark. *)
-let suite_tests =
-  Test.make_grouped ~name:"fig7_step"
-    (List.map
-       (fun (b : Msc.Suite.bench) ->
-         Test.make ~name:b.Msc.Suite.name (step_test b.Msc.Suite.name))
-       Msc.Suite.all)
-
-(* Table 5: the tile/reorder/parallel primitives — scheduled vs unscheduled
-   execution of the same stencil. *)
-let schedule_tests =
-  let _, st = small_stencil "3d7pt_star" in
-  let kernel = Msc.Suite.kernel_of st in
-  let tiled = Msc.Schedule.matrix_canonical ~tile:[| 4; 8; 24 |] ~threads:1 kernel in
-  Test.make_grouped ~name:"table5_schedule"
-    [
-      Test.make ~name:"untiled" (step_test "3d7pt_star");
-      Test.make ~name:"tiled" (step_test ~schedule:tiled "3d7pt_star");
-    ]
-
-(* Figure 10: one distributed timestep with real pack/send/recv/unpack
-   (the runtime is built once, outside the timed closure), and one rank's
-   compiled exchange on its own: a periodic single-rank 64x64 grid posting
-   its four 2-wide faces to itself and unpacking them. *)
-let halo_tests =
-  let _, st = small_stencil "2d9pt_box" in
-  Test.make_grouped ~name:"fig10_halo"
-    [
-      Test.make ~name:"distributed_step_2x2"
-        (Staged.stage
-           (let dist = Msc.Distributed.create ~ranks_shape:[| 2; 2 |] st in
-            fun () -> Msc.Distributed.step dist));
-      Test.make ~name:"pack_unpack"
-        (Staged.stage
-           (let g = Msc.Grid.create ~shape:[| 64; 64 |] ~halo:[| 2; 2 |] in
-            let mpi = Msc.Mpi.create ~nranks:1 () in
-            let decomp =
-              Msc.Decomp.create ~global:[| 64; 64 |] ~ranks_shape:[| 1; 1 |]
-            in
-            let plan =
-              Msc.Halo.plan ~periodic:true mpi decomp ~rank:0 ~grid:g
-                ~width:[| 2; 2 |] ~faces_only:true
-            in
-            fun () ->
-              Msc.Halo.post plan [| g |];
-              Msc.Halo.complete plan [| g |]));
-    ]
-
-(* Table 6 / §4.2: code generation itself. *)
-let codegen_tests =
-  let _, st = small_stencil "3d7pt_star" in
-  let kernel = Msc.Suite.kernel_of st in
-  let sched = Msc.Schedule.sunway_canonical ~tile:[| 4; 8; 24 |] kernel in
-  Test.make_grouped ~name:"table6_codegen"
-    [
-      Test.make ~name:"emit_sunway"
-        (Staged.stage (fun () ->
-             ignore (Msc.Codegen.generate st sched Msc.Codegen.Athread)));
-      Test.make ~name:"emit_openmp"
-        (Staged.stage (fun () ->
-             ignore (Msc.Codegen.generate st sched Msc.Codegen.Openmp)));
-      Test.make ~name:"msc_pretty"
-        (Staged.stage (fun () -> ignore (Msc.Pretty.program st)));
-    ]
-
-(* Figures 7-9: the processor performance simulators. *)
-let sim_tests =
-  let b = Msc.Suite.find "3d13pt_star" in
-  let st = Msc.Suite.stencil b in
-  let kernel = Msc.Suite.kernel_of st in
-  let ssched = Msc.Schedule.sunway_canonical ~tile:[| 2; 4; 64 |] kernel in
-  let msched = Msc.Schedule.matrix_canonical ~tile:[| 2; 8; 256 |] kernel in
-  Test.make_grouped ~name:"fig9_simulators"
-    [
-      Test.make ~name:"sunway_sim"
-        (Staged.stage (fun () -> ignore (Msc.Sunway.simulate st ssched)));
-      Test.make ~name:"matrix_sim"
-        (Staged.stage (fun () -> ignore (Msc.Matrix.simulate st msched)));
-    ]
-
-(* Figure 11: annealing moves + regression fitting. *)
-let tuning_tests =
-  let global = [| 512; 128; 128 |] in
-  let rng = Msc.Prng.create 99 in
-  Test.make_grouped ~name:"fig11_autotune"
-    [
-      Test.make ~name:"sa_neighbor_move"
-        (Staged.stage
-           (let config = ref (Msc.Tuning_params.random rng ~dims:global ~nranks:32) in
-            fun () ->
-              config := Msc.Tuning_params.neighbor rng ~dims:global ~nranks:32 !config));
-      Test.make ~name:"regression_fit"
-        (Staged.stage
-           (let features =
-              Array.init 40 (fun i ->
-                  Array.init 5 (fun j -> float_of_int ((i + j) mod 7) +. 0.5))
-            in
-            let targets = Array.init 40 (fun i -> float_of_int (i mod 11)) in
-            fun () -> ignore (Msc_util.Regress.fit ~features ~targets)));
-    ]
-
-(* §5.6 extensions: variable-coefficient kernels, boundary conditions,
-   grid I/O and the inspector's partitioner. *)
-let extension_tests =
-  let grid = Msc.Builder.def_tensor_2d ~halo:1 "B" Msc.Dtype.F64 64 64 in
-  let coeff = Msc.Builder.coefficient_grid ~grid "C" in
-  let vc =
-    Msc.Builder.var_coeff_kernel ~name:"VC" ~coeff ~shape:Msc.Shapes.Star
-      ~radius:1 grid
-  in
-  let vc_st = Msc.Builder.single_step ~name:"vc" vc in
-  let linear = Msc.Builder.star_kernel ~name:"L" ~radius:1 grid in
-  let lin_st = Msc.Builder.single_step ~name:"lin" linear in
-  let g = Msc.Grid.create ~shape:[| 64; 64 |] ~halo:[| 1; 1 |] in
-  let io_path = Filename.temp_file "msc_bench_grid" ".bin" in
-  Test.make_grouped ~name:"extensions"
-    [
-      Test.make ~name:"step_linear_taps"
-        (Staged.stage (fun () ->
-             let rt = Msc.Runtime.create lin_st in
-             Msc.Runtime.step rt));
-      Test.make ~name:"step_bilinear_varcoef"
-        (Staged.stage (fun () ->
-             let rt = Msc.Runtime.create vc_st in
-             Msc.Runtime.step rt));
-      Test.make ~name:"bc_periodic_apply"
-        (Staged.stage (fun () -> Msc.Bc.apply Msc.Bc.Periodic g));
-      Test.make ~name:"grid_save_load"
-        (Staged.stage (fun () ->
-             Msc.Grid.save g io_path;
-             ignore (Msc.Grid.load io_path)));
-      Test.make ~name:"inspector_partition_256x16"
-        (Staged.stage
-           (let costs =
-              Array.init 256 (fun i -> if i mod 7 = 0 then 5.0 else 1.0)
-            in
-            fun () -> ignore (Msc.Inspector.partition ~costs ~parts:16)));
-    ]
-
-(* Dispatch latency of the persistent worker pool vs the spawn-per-region
-   pattern it replaced. [spawn_join] pays domain creation + teardown on every
-   parallel region; [pool_dispatch] parks the same helpers on a condvar and
-   only pays a broadcast + wait. *)
-let parallel_overhead_tests =
-  let pool = Msc.Domain_pool.create 4 in
-  (* Prime the pool so the one-time spawn is not measured. *)
-  Msc.Domain_pool.parallel_for pool ~lo:0 ~hi:4 (fun _ -> ());
-  Test.make_grouped ~name:"parallel_overhead"
-    [
-      Test.make ~name:"spawn_join_4"
-        (Staged.stage (fun () ->
-             let doms = List.init 3 (fun _ -> Domain.spawn (fun () -> ())) in
-             List.iter Domain.join doms));
-      Test.make ~name:"pool_dispatch_4"
-        (Staged.stage (fun () ->
-             Msc.Domain_pool.parallel_for pool ~lo:0 ~hi:4 (fun _ -> ())));
-      Test.make ~name:"pool_chunks_4x64"
-        (Staged.stage (fun () ->
-             Msc.Domain_pool.parallel_chunks pool ~lo:0 ~hi:64
-               (fun ~worker:_ _ -> ())));
-    ]
-
-(* Plan-driven tile traversal: the native runtime sweeps the plan's
-   materialized task array, so a schedule's [reorder] now decides traversal
-   order. Same tiles, same results — only locality differs between the
-   canonical (row-major outer) order and the reversed outer order. *)
-let plan_traversal_tests =
-  let _, st = small_stencil "3d7pt_star" in
-  let tile = [| 4; 8; 24 |] in
-  let sched order =
-    Msc.Schedule.reorder (Msc.Schedule.tile Msc.Schedule.empty tile) order
-  in
-  let rt order =
-    Msc.Runtime.create ~plan:(Msc.Plan.compile_exn st (sched order)) st
-  in
-  let rt_canonical = rt [ "xo"; "yo"; "zo"; "xi"; "yi"; "zi" ] in
-  let rt_reversed = rt [ "zo"; "yo"; "xo"; "xi"; "yi"; "zi" ] in
-  Test.make_grouped ~name:"plan_traversal"
-    [
-      Test.make ~name:"outer_canonical"
-        (Staged.stage (fun () -> Msc.Runtime.step rt_canonical));
-      Test.make ~name:"outer_reversed"
-        (Staged.stage (fun () -> Msc.Runtime.step rt_reversed));
-    ]
-
-(* Tentpole guarantee of the tracing subsystem: a disabled trace must cost
-   nothing measurable. All three variants run the same fig7-style 3d7pt
-   step; [step_trace_disabled] passes the disabled sink explicitly (what
-   every instrumented call site does by default) and must stay within the
-   noise (< 2%) of [step_untraced]. [step_trace_enabled] shows the cost of
-   live recording for scale. *)
-let trace_overhead_tests =
-  let _, st = small_stencil "3d7pt_star" in
-  let live = Msc.Trace.create () in
-  Test.make_grouped ~name:"trace_overhead"
-    [
-      Test.make ~name:"step_untraced" (step_test "3d7pt_star");
-      Test.make ~name:"step_trace_disabled"
-        (Staged.stage (fun () ->
-             let rt = Msc.Runtime.create ~trace:Msc.Trace.disabled st in
-             Msc.Runtime.step rt));
-      Test.make ~name:"step_trace_enabled"
-        (Staged.stage (fun () ->
-             let rt = Msc.Runtime.create ~trace:live st in
-             Msc.Runtime.step rt));
-    ]
-
-(* Tentpole of the overlapped-exchange PR: the same distributed timestep
-   through both engines. Without a network model this measures pure protocol
-   cost (split exchange + interior/shell sweep vs monolithic step); the
-   latency-hiding win is measured in BENCH_runtime.json's [comm] entry,
-   where messages carry a simulated in-flight latency. *)
-let comm_tests =
-  let _, st = small_stencil "2d9pt_box" in
-  let dist engine =
-    Msc.Distributed.create
-      ~config:(Msc.Exec.Config.make ~engine ())
-      ~ranks_shape:[| 2; 2 |] st
-  in
-  let bulk = dist Msc.Distributed.Bulk_synchronous in
-  let overlapped = dist Msc.Distributed.Overlapped in
-  let temporal =
-    dist (Msc.Distributed.Temporal_blocked { depth = 4 })
-  in
-  Test.make_grouped ~name:"comm"
-    [
-      Test.make ~name:"step_bulk_synchronous"
-        (Staged.stage (fun () -> Msc.Distributed.step bulk));
-      Test.make ~name:"step_overlapped"
-        (Staged.stage (fun () -> Msc.Distributed.step overlapped));
-      Test.make ~name:"step_temporal_depth4"
-        (Staged.stage (fun () -> Msc.Distributed.step temporal));
-    ]
-
-(* Tentpole of the compiled-backend PR: the same timestep through both
-   kernel backends. The compiled runtimes are created outside the probe so
-   the one-time emit+compile (or kernel-cache hit) is not measured — steady
-   state is what the paper's generated code competes on. *)
-let kernel_backend_tests =
-  let backends rt_name =
-    let _, st = small_stencil rt_name in
-    List.map
-      (fun backend ->
-        let rt =
-          Msc.Runtime.create
-            ~config:(Msc.Exec.Config.make ~backend ())
-            st
-        in
-        Test.make
-          ~name:(Msc.Backend.to_string backend)
-          (Staged.stage (fun () -> Msc.Runtime.step rt)))
-      Msc.Backend.all
-  in
-  Test.make_grouped ~name:"kernels"
-    [
-      Test.make_grouped ~name:"3d7pt_star" (backends "3d7pt_star");
-      Test.make_grouped ~name:"2d9pt_box" (backends "2d9pt_box");
-    ]
-
-(* The fused compiled_c timestep on the dense-box headliners, plus the
-   fused kernel dispatched tile-task-at-a-time across a 4-worker pool. *)
-let fused_tests =
-  let single name =
-    let _, st = small_stencil name in
-    let rt =
-      Msc.Runtime.create
-        ~config:(Msc.Exec.Config.make ~backend:Msc.Backend.Compiled_c ())
-        st
-    in
-    Test.make_grouped ~name
-      [
-        Test.make ~name:"compiled_c_fused"
-          (Staged.stage (fun () -> Msc.Runtime.step rt));
-      ]
-  in
-  let pool_leg =
-    let _, st = small_stencil "3d7pt_star" in
-    let kernel = Msc.Suite.kernel_of st in
-    let schedule =
-      Msc.Schedule.matrix_canonical ~tile:[| 4; 8; 24 |] ~threads:4 kernel
-    in
-    let pool = Msc.Domain_pool.create 4 in
-    let rt p =
-      Msc.Runtime.create ~schedule
-        ~config:
-          (Msc.Exec.Config.make ~backend:Msc.Backend.Compiled_c ~pool:p ())
-        st
-    in
-    let seq = rt Msc.Domain_pool.sequential and par = rt pool in
-    Test.make_grouped ~name:"3d7pt_star_pool"
-      [
-        Test.make ~name:"fused_1_worker"
-          (Staged.stage (fun () -> Msc.Runtime.step seq));
-        Test.make ~name:"fused_4_workers"
-          (Staged.stage (fun () -> Msc.Runtime.step par));
-      ]
-  in
-  Test.make_grouped ~name:"fused"
-    [ single "2d121pt_box"; single "2d169pt_box"; pool_leg ]
-
-(* Pipeline graph fusion: the same multi-stage pipeline stepped naive
-   stage-at-a-time vs pass-optimized (dead stages dropped, single-consumer
-   chains fused into compound kernels, shared halo merged). *)
-let pipeline_fusion_tests =
-  Test.make_grouped ~name:"pipeline_fusion"
-    (List.concat_map
-       (fun name ->
-         let g = Msc.Suite.pipeline ~dims:[| 64; 64 |] name in
-         let go = Msc.Pass.apply Msc.Pass.default_pipeline g in
-         [
-           Test.make ~name:(name ^ "_naive")
-             (Staged.stage (fun () ->
-                  let rt = Msc.Runtime.create_graph g in
-                  Msc.Runtime.step rt));
-           Test.make ~name:(name ^ "_fused")
-             (Staged.stage (fun () ->
-                  let rt = Msc.Runtime.create_graph go in
-                  Msc.Runtime.step rt));
-         ])
-       Msc.Suite.pipeline_names)
-
-(* Matrix-free solvers: one full solve to tolerance per run on the small
-   Poisson model problem — the whole apply + reduce + update loop, single
-   rank, so the number tracks the serial iteration cost. *)
-let solver_tests =
-  let p = Msc.Solver.Problem.poisson ~dims:[| 9; 9 |] in
-  Test.make_grouped ~name:"solver"
-    (List.map
-       (fun method_ ->
-         Test.make
-           ~name:(Msc.Solver.method_to_string method_)
-           (Staged.stage (fun () ->
-                ignore (Msc.Solver.solve ~tol:1e-6 ~method_ p))))
-       Msc.Solver.all_methods)
-
-let all_tests =
-  Test.make_grouped ~name:"msc"
-    [
-      suite_tests; schedule_tests; halo_tests; codegen_tests; sim_tests;
-      tuning_tests; extension_tests; parallel_overhead_tests;
-      plan_traversal_tests; trace_overhead_tests; comm_tests;
-      kernel_backend_tests; fused_tests; pipeline_fusion_tests; solver_tests;
-    ]
-
-(* == BENCH_runtime.json: machine-readable per-kernel throughput ==
-
-   Direct wall-clock measurement (not Bechamel) so the numbers are plain
-   points/sec a future PR can diff. Each suite kernel runs single-threaded
-   at the reduced bench dims. *)
-
-(* Measurement quota per timing. [--smoke] shrinks it so the whole harness
-   finishes in seconds on CI while still exercising every code path. *)
+(* Measurement quota per timing; [--smoke] shrinks it. *)
 let quota_s = ref 0.2
 
+(* Seconds per call of [f]: one warm-up call, then doubling batches until
+   a batch fills the quota. *)
 let time_per_run f =
   f ();
-  (* warm-up *)
   let rec ramp iters =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
+    let (), dt =
+      timed (fun () ->
+          for _ = 1 to iters do
+            f ()
+          done)
+    in
     if dt >= !quota_s then dt /. float_of_int iters else ramp (iters * 2)
   in
   ramp 1
@@ -409,45 +58,83 @@ let time_legs_min ?(reps = 7) ?quota legs =
       done;
       Array.to_list best)
 
-let time_pair_min ?reps ?quota fa fb =
-  match time_legs_min ?reps ?quota [ fa; fb ] with
-  | [ ta; tb ] -> (ta, tb)
-  | _ -> assert false
+let min_of n f = List.fold_left Float.min infinity (List.init n (fun _ -> f ()))
+let by_ndim (b : Msc.Suite.bench) two three = if b.Msc.Suite.ndim = 2 then two else three
+let points dims = float_of_int (Array.fold_left ( * ) 1 dims)
+let compiled_c ?pool () = Msc.Exec.Config.make ~backend:Msc.Backend.Compiled_c ?pool ()
 
-(* Paired seconds-per-step for the default fused runtime vs the same fused
-   kernel dispatched over a tiled 4-worker pool schedule. Shared by the
-   kernel table and the pool-cutoff audit, which re-measures an
-   under-threshold kernel with a longer window before failing. *)
-let fused_pool_times ?reps ?quota (b : Msc.Suite.bench) =
-  let dims =
-    match b.Msc.Suite.ndim with 2 -> [| 64; 64 |] | _ -> [| 24; 24; 24 |]
-  in
-  let st = Msc.Suite.stencil ~dims b in
-  let rt_fused =
-    Msc.Runtime.create
-      ~config:(Msc.Exec.Config.make ~backend:Msc.Backend.Compiled_c ())
-      st
-  in
-  let kernel = Msc.Suite.kernel_of st in
-  let tile =
-    match b.Msc.Suite.ndim with 2 -> [| 16; 16 |] | _ -> [| 6; 8; 24 |]
-  in
-  let schedule = Msc.Schedule.matrix_canonical ~tile ~threads:4 kernel in
-  let pool = Msc.Domain_pool.create 4 in
-  Fun.protect
-    ~finally:(fun () -> Msc.Domain_pool.shutdown pool)
-    (fun () ->
-      let rt_pool =
-        Msc.Runtime.create ~schedule
-          ~config:
-            (Msc.Exec.Config.make ~backend:Msc.Backend.Compiled_c ~pool ())
-          st
-      in
-      time_pair_min ?reps ?quota
-        (fun () -> Msc.Runtime.step rt_fused)
-        (fun () -> Msc.Runtime.step rt_pool))
+let with_pool n f =
+  let pool = Msc.Domain_pool.create n in
+  Fun.protect ~finally:(fun () -> Msc.Domain_pool.shutdown pool) (fun () -> f pool)
 
-(* Per-kernel, per-backend throughput. Three legs:
+let fail_audit name bad =
+  List.iter prerr_endline bad;
+  Printf.eprintf "[audit] %s audit FAILED\n" name;
+  exit 1
+
+(* == The JSON printer == *)
+
+let int i = Json.Num (float_of_int i)
+let num f = Json.Num f
+let str s = Json.Str s
+let ints a = Json.Arr (Array.to_list (Array.map int a))
+let backend b = Json.Str (Msc.Backend.to_string b)
+
+(* Seven significant digits; [Json.number] prints integers exactly and a
+   non-finite value as null. *)
+let number f =
+  if Float.is_integer f || not (Float.is_finite f) then Json.number f
+  else Printf.sprintf "%.7g" f
+
+let rec inline = function
+  | Json.Null -> "null"
+  | Json.Bool b -> string_of_bool b
+  | Json.Num f -> number f
+  | Json.Str s -> Json.quote s
+  | Json.Arr vs -> "[" ^ String.concat ", " (List.map inline vs) ^ "]"
+  | Json.Obj kvs ->
+      "{ " ^ String.concat ", " (List.map (fun (k, v) -> Json.quote k ^ ": " ^ inline v) kvs) ^ " }"
+
+(* A value that fits in 100 columns stays on one line; a longer array or
+   object puts each element on its own line. *)
+let rec layout indent v =
+  let flat = inline v in
+  let inner = indent ^ "  " in
+  let block opening closing items =
+    opening ^ "\n"
+    ^ String.concat ",\n" (List.map (fun s -> inner ^ s) items)
+    ^ "\n" ^ indent ^ closing
+  in
+  match v with
+  | _ when String.length indent + String.length flat <= 100 -> flat
+  | Json.Arr vs -> block "[" "]" (List.map (layout inner) vs)
+  | Json.Obj kvs ->
+      block "{" "}" (List.map (fun (k, v) -> Json.quote k ^ ": " ^ layout inner v) kvs)
+  | _ -> flat
+
+(* Writes [groups] as one object to [path], then reads the file back and
+   exits 1 unless it parses and has every group. *)
+let write_checked path groups =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (layout "" (Json.Obj groups));
+      output_char oc '\n');
+  let problems =
+    match Json.parse (In_channel.with_open_text path In_channel.input_all) with
+    | exception Json.Parse_error msg -> [ "does not parse: " ^ msg ]
+    | parsed ->
+        List.filter_map
+          (fun (g, _) -> if Json.member g parsed = Json.Null then Some ("no group " ^ g) else None)
+          groups
+  in
+  if problems <> [] then begin
+    List.iter (fun p -> Printf.eprintf "[check] %s: %s\n" path p) problems;
+    exit 1
+  end;
+  Printf.printf "[check] %s parses, %d groups\n" path (List.length groups)
+
+(* == kernels: per-kernel, per-backend throughput ==
+
+   Three legs at 64^2 / 24^3:
    - [interp]: [Runtime.step] on the interpreter (the oracle).
    - [fused_c]: the whole-sweep fused [Compiled_c] kernel; [fused_ran]
      records the backend it actually ran on.
@@ -464,41 +151,97 @@ type kernel_row = {
   fused_c_pool : float;
 }
 
-let kernel_backend_points_per_sec (b : Msc.Suite.bench) =
-  let dims =
-    match b.Msc.Suite.ndim with 2 -> [| 64; 64 |] | _ -> [| 24; 24; 24 |]
-  in
-  let st = Msc.Suite.stencil ~dims b in
-  let points = float_of_int (Array.fold_left ( * ) 1 dims) in
-  let interp =
-    let rt = Msc.Runtime.create st in
-    points /. time_per_run (fun () -> Msc.Runtime.step rt)
-  in
-  let fused_ran =
-    let rt =
-      Msc.Runtime.create
-        ~config:(Msc.Exec.Config.make ~backend:Msc.Backend.Compiled_c ())
-        st
-    in
-    (Msc.Runtime.backend_report rt).Msc.Runtime.effective
-  in
-  let t_fused, t_pool = fused_pool_times ~quota:0.03 b in
-  {
-    bench = b;
-    dims;
-    interp;
-    fused_ran;
-    fused_c = points /. t_fused;
-    fused_c_pool = points /. t_pool;
-  }
+let kernel_json r =
+  Json.Obj
+    [
+      ("name", str r.bench.Msc.Suite.name);
+      ("dims", ints r.dims);
+      ( "points_per_sec",
+        Json.Obj
+          [
+            ("interp", num r.interp);
+            ("fused_c", num r.fused_c);
+            ("fused_c_pool", num r.fused_c_pool);
+          ] );
+      ("ran", Json.Obj [ ("fused_c", backend r.fused_ran) ]);
+      ("fused_c_over_interp", num (r.fused_c /. r.interp));
+      ("fused_c_pool_over_fused_c", num (r.fused_c_pool /. r.fused_c));
+    ]
 
-(* The same two legs on grids past the last-level cache (ROADMAP item 3):
-   2d9pt_box at 4096^2 and 3d7pt_star at 256^3, each state array ~134 MB,
-   so every sweep streams its states from memory. [computed_gbs] prices a
-   point at the plan's compulsory traffic: each state and aux stream read
-   once and the result written once. One runtime is live at a time (a
-   256^3 runtime holds ~400 MB), and each leg takes the best of three
-   [time_per_run]s, so under [--smoke] a row costs a few dozen steps. *)
+let kernel_dims b = by_ndim b [| 64; 64 |] [| 24; 24; 24 |]
+
+(* The backend the fused runtime ran on, and paired seconds-per-step for
+   it vs the same fused kernel over a tiled 4-worker pool schedule. Shared
+   by the kernel rows and the pool-cutoff audit, which re-measures an
+   under-threshold kernel with a longer window before failing. *)
+let fused_pool_times ?reps ?quota b =
+  let st = Msc.Suite.stencil ~dims:(kernel_dims b) b in
+  let rt_fused = Msc.Runtime.create ~config:(compiled_c ()) st in
+  let tile = by_ndim b [| 16; 16 |] [| 6; 8; 24 |] in
+  let schedule = Msc.Schedule.matrix_canonical ~tile ~threads:4 (Msc.Suite.kernel_of st) in
+  with_pool 4 (fun pool ->
+      let rt_pool = Msc.Runtime.create ~schedule ~config:(compiled_c ~pool ()) st in
+      match
+        time_legs_min ?reps ?quota
+          [ (fun () -> Msc.Runtime.step rt_fused); (fun () -> Msc.Runtime.step rt_pool) ]
+      with
+      | [ t_fused; t_pool ] ->
+          ((Msc.Runtime.backend_report rt_fused).Msc.Runtime.effective, t_fused, t_pool)
+      | _ -> assert false)
+
+let kernel_row b =
+  let dims = kernel_dims b in
+  let n = points dims in
+  let interp =
+    let rt = Msc.Runtime.create (Msc.Suite.stencil ~dims b) in
+    n /. time_per_run (fun () -> Msc.Runtime.step rt)
+  in
+  let fused_ran, t_fused, t_pool = fused_pool_times ~quota:0.03 b in
+  { bench = b; dims; interp; fused_ran; fused_c = n /. t_fused; fused_c_pool = n /. t_pool }
+
+(* Single-core audit of the pool inline cutoff: with no cores to scale
+   across, the pool legs must not pay dispatch latency — every bench
+   sweep sits below the cutoff and runs inline, so fused_c_pool must stay
+   within 5% of fused_c. A collapse here means small sweeps are being
+   shipped to the worker pool again. On multicore hosts the ratio mixes
+   in real scaling, so the bound is only asserted at host_cores = 1. *)
+let audit_pool_cutoff rows =
+  if Domain.recommended_domain_count () = 1 then
+    let bad =
+      List.filter_map
+        (fun r ->
+          let ratio = r.fused_c_pool /. r.fused_c in
+          if ratio >= 0.95 then None
+          else
+            (* Confirm before failing: a preemption spike during the long
+               harness can dent a single 0.03 s paired window, but a real
+               dispatch regression reproduces under three times the
+               quota. The row keeps the first measurement. *)
+            let _, t_fused, t_pool = fused_pool_times ~reps:9 ~quota:0.09 r.bench in
+            let again = t_fused /. t_pool in
+            if again >= 0.95 then None
+            else
+              Some
+                (Printf.sprintf
+                   "[audit] %s: fused_c_pool_over_fused_c = %.3f (re-measured %.3f) < 0.95"
+                   r.bench.Msc.Suite.name ratio again))
+        rows
+    in
+    if bad <> [] then fail_audit "pool-cutoff" bad
+    else
+      Printf.printf
+        "[audit] single-core pool dispatch: fused_c_pool within 5%% of fused_c on all %d suite \
+         kernels\n"
+        (List.length rows)
+
+(* == kernels_out_of_cache: every suite kernel past the last-level cache ==
+
+   4096^2 for the 2-D kernels and 256^3 for the 3-D ones, each state array
+   ~134 MB, so every sweep streams its states from memory. [computed_gbs]
+   prices a point at the plan's compulsory traffic: each state and aux
+   stream read once and the result written once. One runtime is live at a
+   time (a 256^3 runtime holds ~400 MB), and each leg takes the best of
+   three [time_per_run]s, so under [--smoke] a row costs a dozen steps. *)
 type out_of_cache_row = {
   ooc_name : string;
   ooc_dims : int array;
@@ -509,225 +252,287 @@ type out_of_cache_row = {
 
 let computed_gbs r points_per_sec = points_per_sec *. r.bytes_per_point /. 1e9
 
-let out_of_cache_rows () =
-  List.map
-    (fun (name, dims, tile) ->
-      let st = Msc.Suite.stencil ~dims (Msc.Suite.find name) in
-      let points = float_of_int (Array.fold_left ( * ) 1 dims) in
-      let plan = Msc.Plan.compile_exn st Msc.Schedule.empty in
-      let streams = plan.Msc.Plan.n_state_streams + plan.Msc.Plan.n_aux_streams + 1 in
-      let rate ?schedule pool =
-        let rt =
-          Msc.Runtime.create ?schedule
-            ~config:(Msc.Exec.Config.make ~backend:Msc.Backend.Compiled_c ~pool ())
-            st
-        in
-        let best = ref infinity in
-        for _ = 1 to 3 do
-          best := Float.min !best (time_per_run (fun () -> Msc.Runtime.step rt))
-        done;
-        points /. !best
-      in
-      let fused_c = rate Msc.Domain_pool.sequential in
-      Gc.compact ();
-      let schedule =
-        Msc.Schedule.matrix_canonical ~tile ~threads:4 (Msc.Suite.kernel_of st)
-      in
-      let pool = Msc.Domain_pool.create 4 in
-      let fused_c_pool =
-        Fun.protect
-          ~finally:(fun () -> Msc.Domain_pool.shutdown pool)
-          (fun () -> rate ~schedule pool)
-      in
-      Gc.compact ();
-      {
-        ooc_name = name;
-        ooc_dims = dims;
-        bytes_per_point = 8.0 *. float_of_int streams;
-        ooc_fused_c = fused_c;
-        ooc_fused_c_pool = fused_c_pool;
-      })
+let out_of_cache_json r =
+  Json.Obj
     [
-      ("2d9pt_box", [| 4096; 4096 |], [| 64; 4096 |]);
-      ("3d7pt_star", [| 256; 256; 256 |], [| 16; 32; 256 |]);
+      ("name", str r.ooc_name);
+      ("dims", ints r.ooc_dims);
+      ("bytes_per_point", num r.bytes_per_point);
+      ( "points_per_sec",
+        Json.Obj [ ("fused_c", num r.ooc_fused_c); ("fused_c_pool", num r.ooc_fused_c_pool) ] );
+      ( "computed_gbs",
+        Json.Obj
+          [
+            ("fused_c", num (computed_gbs r r.ooc_fused_c));
+            ("fused_c_pool", num (computed_gbs r r.ooc_fused_c_pool));
+          ] );
     ]
 
-(* Before/after for the plan-layer traversal change: the same tiled 3d7pt
-   step with canonical outer order (what the pre-plan runtime always did)
-   vs the reversed outer order [reorder] can now express natively. *)
-let reorder_locality () =
-  let b = Msc.Suite.find "3d7pt_star" in
-  let st = Msc.Suite.stencil ~dims:[| 24; 24; 24 |] b in
-  let points = float_of_int (24 * 24 * 24) in
-  let tile = [| 4; 8; 24 |] in
-  let run order =
-    let sched =
-      Msc.Schedule.reorder (Msc.Schedule.tile Msc.Schedule.empty tile) order
-    in
-    let rt = Msc.Runtime.create ~plan:(Msc.Plan.compile_exn st sched) st in
-    let per_step = time_per_run (fun () -> Msc.Runtime.step rt) in
-    points /. per_step
-  in
-  let canonical = run [ "xo"; "yo"; "zo"; "xi"; "yi"; "zi" ] in
-  let reversed = run [ "zo"; "yo"; "xo"; "xi"; "yi"; "zi" ] in
-  (canonical, reversed)
-
-(* Overlapped vs bulk-synchronous distributed stepping under a synthetic
-   network whose messages take ~1 ms in flight: the bulk engine eats the
-   latency after every sweep, the overlapped engine hides it behind the
-   interior sub-sweep. The pool is sized to the host (up to one worker per
-   rank): on a single-core machine the ranks run inline and the win is pure
-   latency hiding; with real cores the interiors also compute in
-   parallel. *)
-let comm_overlap () =
-  let b = Msc.Suite.find "2d9pt_box" in
-  (* Sized so each rank's interior sub-sweep takes at least as long as a
-     message's flight: the overlap window can then hide the full latency. *)
-  let dims = [| 192; 192 |] in
+let out_of_cache_row b =
+  let dims = by_ndim b [| 4096; 4096 |] [| 256; 256; 256 |] in
+  let tile = by_ndim b [| 64; 4096 |] [| 16; 32; 256 |] in
   let st = Msc.Suite.stencil ~dims b in
-  let net =
+  let plan = Msc.Plan.compile_exn st Msc.Schedule.empty in
+  let streams = plan.Msc.Plan.n_state_streams + plan.Msc.Plan.n_aux_streams + 1 in
+  let rate ?schedule pool =
+    let rt = Msc.Runtime.create ?schedule ~config:(compiled_c ~pool ()) st in
+    points dims /. min_of 3 (fun () -> time_per_run (fun () -> Msc.Runtime.step rt))
+  in
+  let fused_c = rate Msc.Domain_pool.sequential in
+  Gc.compact ();
+  let schedule = Msc.Schedule.matrix_canonical ~tile ~threads:4 (Msc.Suite.kernel_of st) in
+  let fused_c_pool = with_pool 4 (fun pool -> rate ~schedule pool) in
+  Gc.compact ();
+  let r =
     {
-      Msc.Netmodel.name = "bench-synthetic";
-      alpha_s = 1e-3;
-      beta_gbs = 10.0;
-      congestion_at =
-        (fun ~nranks:_ ~messages_per_rank:_ ~bytes_per_message:_ -> 1.0);
+      ooc_name = b.Msc.Suite.name;
+      ooc_dims = dims;
+      bytes_per_point = 8.0 *. float_of_int streams;
+      ooc_fused_c = fused_c;
+      ooc_fused_c_pool = fused_c_pool;
     }
   in
-  let time engine =
-    let pool =
-      Msc.Domain_pool.create (min 4 (Domain.recommended_domain_count ()))
-    in
-    Fun.protect
-      ~finally:(fun () -> Msc.Domain_pool.shutdown pool)
-      (fun () ->
-        let dist =
-          Msc.Distributed.create
-            ~config:(Msc.Exec.Config.make ~engine ~pool ())
-            ~net ~ranks_shape:[| 2; 2 |] st
-        in
-        time_per_run (fun () -> Msc.Distributed.step dist))
-  in
-  let bulk_s = time Msc.Distributed.Bulk_synchronous in
-  let overlapped_s = time Msc.Distributed.Overlapped in
-  (dims, bulk_s, overlapped_s)
+  Printf.printf
+    "[out of cache] %s at %s: fused_c %.0f Mpts/s (%.2f GB/s), fused_c_pool %.0f Mpts/s (%.2f \
+     GB/s)\n%!"
+    r.ooc_name
+    (String.concat "x" (Array.to_list (Array.map string_of_int dims)))
+    (fused_c /. 1e6) (computed_gbs r fused_c) (fused_c_pool /. 1e6) (computed_gbs r fused_c_pool);
+  r
 
-(* Communication-avoiding temporal blocking under the same ~1 ms synthetic
-   network — but sized to be latency-BOUND: each rank's whole sweep costs a
-   few microseconds, so the overlapped engine has nothing to hide the
-   message flight behind and pays ~alpha every step. The temporal engine
-   exchanges a [depth * radius] halo once per block and runs [depth]
-   substeps off it, amortising alpha to alpha/depth per step. *)
-let comm_temporal ?(smoke = false) () =
-  let b = Msc.Suite.find "2d9pt_box" in
-  let dims = if smoke then [| 16; 16 |] else [| 64; 64 |] in
-  let st = Msc.Suite.stencil ~dims b in
-  let net =
-    {
-      Msc.Netmodel.name = "bench-synthetic";
-      alpha_s = 1e-3;
-      beta_gbs = 10.0;
-      congestion_at =
-        (fun ~nranks:_ ~messages_per_rank:_ ~bytes_per_message:_ -> 1.0);
-    }
-  in
-  let time engine =
-    let pool =
-      Msc.Domain_pool.create (min 4 (Domain.recommended_domain_count ()))
-    in
-    Fun.protect
-      ~finally:(fun () -> Msc.Domain_pool.shutdown pool)
-      (fun () ->
-        let dist =
-          Msc.Distributed.create
-            ~config:(Msc.Exec.Config.make ~engine ~pool ())
-            ~net ~ranks_shape:[| 2; 2 |] st
-        in
-        time_per_run (fun () -> Msc.Distributed.step dist))
-  in
-  let bulk_s = time Msc.Distributed.Bulk_synchronous in
-  let overlapped_s = time Msc.Distributed.Overlapped in
-  let temporal =
-    List.map
-      (fun depth -> (depth, time (Msc.Distributed.Temporal_blocked { depth })))
-      [ 1; 2; 4; 8 ]
-  in
-  (dims, bulk_s, overlapped_s, temporal)
+(* == cold_compile: one cold compile per suite kernel ==
 
-(* The halo path at scale: one overlapped 2d9pt_box step on 8x8 ranks
-   under the Sunway TaihuLight network model, with the fused compiled
-   backend and ranks dispatched over up to two workers. Each rank's
-   exchange is a compiled plan, so pack, mailbox and unpack work is what
-   this row adds on top of the rank sweeps. Also reports the per-step
-   traffic, which the plan must leave unchanged. *)
-let comm_halo_8x8 ?(smoke = false) () =
-  let b = Msc.Suite.find "2d9pt_box" in
-  let dims = if smoke then [| 128; 128 |] else [| 512; 512 |] in
+   At the benchmark's sizes (256^2, 48^3): the C layout of its sweep, and
+   the toolchain's seconds to build it from an empty kernel cache, the
+   best of [cold_reps] builds ([None] without a toolchain). *)
+type cold_compile = {
+  cc_name : string;
+  cc_dims : int array;
+  cc_layout : Msc.Jit.sweep_layout;
+  cc_source_bytes : int;
+  cc_s : float option;
+}
+
+let cold_compile_json r =
+  Json.Obj
+    [
+      ("name", str r.cc_name);
+      ("dims", ints r.cc_dims);
+      ("nest", str r.cc_layout.Msc.Jit.nest);
+      ("pass_bodies", int r.cc_layout.Msc.Jit.pass_bodies);
+      ("unit_statements", int r.cc_layout.Msc.Jit.unit_statements);
+      ("source_bytes", int r.cc_source_bytes);
+      ("cc_s", Option.fold ~none:Json.Null ~some:num r.cc_s);
+    ]
+
+(* A suite kernel's fused sweep terms at the benchmark's sizes. *)
+let suite_sweep_terms b =
+  let dims = by_ndim b [| 256; 256 |] [| 48; 48; 48 |] in
   let st = Msc.Suite.stencil ~dims b in
-  let pool = Msc.Domain_pool.create (min 2 (Domain.recommended_domain_count ())) in
+  (dims, Msc.Backend.sweep_terms ~halo:st.Msc.Stencil.grid.Msc.Tensor.halo st)
+
+let cold_reps = 3
+
+let cold_compile_rows () =
+  let saved = Option.value (Sys.getenv_opt "MSC_KERNEL_CACHE") ~default:"" in
+  let dir = Filename.temp_dir "msc-bench-cold" "" in
+  let empty () =
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Msc.Jit.clear_memo ()
+  in
+  let cold_compile terms =
+    empty ();
+    let r, dt = timed (fun () -> Msc.Jit.compile_sweep ~plan_digest:"bench-cold-compile" terms) in
+    Result.map (fun _ -> dt) r
+  in
+  Unix.putenv "MSC_KERNEL_CACHE" dir;
   Fun.protect
-    ~finally:(fun () -> Msc.Domain_pool.shutdown pool)
+    ~finally:(fun () ->
+      empty ();
+      Sys.rmdir dir;
+      Unix.putenv "MSC_KERNEL_CACHE" saved)
     (fun () ->
+      List.map
+        (fun (b : Msc.Suite.bench) ->
+          let dims, terms = suite_sweep_terms b in
+          let ok = function Ok x -> x | Error msg -> failwith (b.Msc.Suite.name ^ ": " ^ msg) in
+          let times =
+            List.filter_map Result.to_option (List.init cold_reps (fun _ -> cold_compile terms))
+          in
+          let r =
+            {
+              cc_name = b.Msc.Suite.name;
+              cc_dims = dims;
+              cc_layout = ok (Msc.Jit.sweep_layout terms);
+              cc_source_bytes =
+                String.length (ok (Msc.Jit.emit_c_sweep ~fn_name:"msc_sweep" terms));
+              cc_s = (if times = [] then None else Some (List.fold_left Float.min infinity times));
+            }
+          in
+          let l = r.cc_layout in
+          Printf.printf
+            "[cold compile] %s: %s, %d pass bodies, %d unit statements, %d B of C, cc %s\n"
+            r.cc_name l.Msc.Jit.nest l.Msc.Jit.pass_bodies l.Msc.Jit.unit_statements
+            r.cc_source_bytes
+            (Option.fold ~none:"not run (no toolchain)" ~some:(Printf.sprintf "%.2f s") r.cc_s);
+          r)
+        Msc.Suite.all)
+
+(* == plan_reorder_3d7pt_star ==
+
+   The same tiled 3d7pt step with canonical outer order vs the reversed
+   outer order [reorder] expresses. *)
+type reorder = { canonical_pps : float; reversed_pps : float }
+
+let reorder_json r =
+  Json.Obj
+    [
+      ("outer_canonical_points_per_sec", num r.canonical_pps);
+      ("outer_reversed_points_per_sec", num r.reversed_pps);
+      ("canonical_over_reversed", num (r.canonical_pps /. r.reversed_pps));
+    ]
+
+let reorder_locality () =
+  let dims = [| 24; 24; 24 |] in
+  let st = Msc.Suite.stencil ~dims (Msc.Suite.find "3d7pt_star") in
+  let run order =
+    let sched = Msc.Schedule.reorder (Msc.Schedule.tile Msc.Schedule.empty [| 4; 8; 24 |]) order in
+    let rt = Msc.Runtime.create ~plan:(Msc.Plan.compile_exn st sched) st in
+    points dims /. time_per_run (fun () -> Msc.Runtime.step rt)
+  in
+  {
+    canonical_pps = run [ "xo"; "yo"; "zo"; "xi"; "yi"; "zi" ];
+    reversed_pps = run [ "zo"; "yo"; "xo"; "xi"; "yi"; "zi" ];
+  }
+
+(* == comm_2d9pt_box and comm_temporal: engines under a ~1 ms network ==
+
+   Both step 2d9pt_box on 2x2 ranks whose messages take ~1 ms in flight,
+   with the pool sized to the host (up to one worker per rank).
+
+   [comm_2d9pt_box] (192^2) is sized so each rank's interior sub-sweep
+   takes at least as long as a message's flight: the bulk engine eats the
+   latency after every sweep, the overlapped engine can hide it behind the
+   interior sub-sweep.
+
+   [comm_temporal] (64^2, 16^2 under [--smoke]) is latency-BOUND: each
+   rank's sweep costs microseconds, so the overlapped engine pays ~alpha
+   every step, while the temporal engine exchanges a [depth * radius] halo
+   once per block and amortises alpha to alpha/depth per step. *)
+let net_alpha_s = 1e-3
+
+let synthetic_net =
+  {
+    Msc.Netmodel.name = "bench-synthetic";
+    alpha_s = net_alpha_s;
+    beta_gbs = 10.0;
+    congestion_at = (fun ~nranks:_ ~messages_per_rank:_ ~bytes_per_message:_ -> 1.0);
+  }
+
+let dist_step_s dims engine =
+  let st = Msc.Suite.stencil ~dims (Msc.Suite.find "2d9pt_box") in
+  with_pool (min 4 (Domain.recommended_domain_count ())) (fun pool ->
       let dist =
         Msc.Distributed.create
-          ~config:
-            (Msc.Exec.Config.make ~backend:Msc.Backend.Compiled_c
-               ~engine:Msc.Distributed.Overlapped ~pool ())
-          ~net:Msc.Netmodel.sunway_taihulight ~ranks_shape:[| 8; 8 |] st
+          ~config:(Msc.Exec.Config.make ~engine ~pool ())
+          ~net:synthetic_net ~ranks_shape:[| 2; 2 |] st
       in
-      let mpi = Msc.Distributed.mpi dist in
-      let m0 = Msc.Mpi.messages_sent mpi and b0 = Msc.Mpi.bytes_sent mpi in
-      Msc.Distributed.step dist;
-      let messages = Msc.Mpi.messages_sent mpi - m0
-      and bytes = Msc.Mpi.bytes_sent mpi - b0 in
-      let s_per_step = time_per_run (fun () -> Msc.Distributed.step dist) in
-      (dims, s_per_step, messages, bytes))
+      time_per_run (fun () -> Msc.Distributed.step dist))
 
-(* Pool-scaling headline for the fused-sweep work: the same fused
-   compiled_c kernel single-core vs dispatched tile-task-at-a-time over a
-   4-worker pool, on a grid big enough that one tile amortizes dispatch
-   (48^3, matrix-canonical 12x16x48 tiles -> 12 tasks of ~37k points).
-   [host_cores] is recorded alongside: scaling tops out at the physical
-   core count, so the ratio is only meaningful on a multicore host. *)
+type comm = { comm_dims : int array; bulk_s : float; overlapped_s : float }
+
+let comm_measure dims =
+  {
+    comm_dims = dims;
+    bulk_s = dist_step_s dims Msc.Distributed.Bulk_synchronous;
+    overlapped_s = dist_step_s dims Msc.Distributed.Overlapped;
+  }
+
+let comm_fields c =
+  [
+    ("dims", ints c.comm_dims);
+    ("ranks", ints [| 2; 2 |]);
+    ("net_alpha_s", num net_alpha_s);
+    ("bulk_synchronous_s_per_step", num c.bulk_s);
+    ("overlapped_s_per_step", num c.overlapped_s);
+  ]
+
+let comm_json c =
+  Json.Obj (comm_fields c @ [ ("overlap_speedup", num (c.bulk_s /. c.overlapped_s)) ])
+
+type temporal = { t_comm : comm; depths : (int * float) list  (** depth, seconds per step *) }
+
+let comm_temporal ~smoke =
+  let dims = if smoke then [| 16; 16 |] else [| 64; 64 |] in
+  let t_comm = comm_measure dims in
+  let depths =
+    List.map
+      (fun depth -> (depth, dist_step_s dims (Msc.Distributed.Temporal_blocked { depth })))
+      [ 1; 2; 4; 8 ]
+  in
+  { t_comm; depths }
+
+let temporal_json t =
+  let best_depth, best_s =
+    List.fold_left
+      (fun (bd, bs) (d, s) -> if s < bs then (d, s) else (bd, bs))
+      (0, infinity) t.depths
+  in
+  Json.Obj
+    ((("kernel", str "2d9pt_box") :: comm_fields t.t_comm)
+    @ [
+        ( "temporal_s_per_step",
+          Json.Obj (List.map (fun (d, s) -> (string_of_int d, num s)) t.depths) );
+        ("best_depth", int best_depth);
+        ("temporal_speedup_vs_overlapped", num (t.t_comm.overlapped_s /. best_s));
+      ])
+
+(* == fused_pool_3d7pt_star: pool scaling of the fused sweep ==
+
+   The same fused compiled_c kernel single-core vs dispatched
+   tile-task-at-a-time over a 4-worker pool, on a grid big enough that one
+   tile amortizes dispatch (48^3, matrix-canonical 12x16x48 tiles -> 12
+   tasks of ~37k points). [host_cores] is recorded alongside: scaling tops
+   out at the physical core count. *)
+type fused_pool = { fp_dims : int array; single_pps : float; pooled_pps : float }
+
+let fused_pool_json r =
+  Json.Obj
+    [
+      ("dims", ints r.fp_dims);
+      ("workers", int 4);
+      ("host_cores", int (Domain.recommended_domain_count ()));
+      ("fused_single_points_per_sec", num r.single_pps);
+      ("fused_pool_points_per_sec", num r.pooled_pps);
+      ("pool_scaling", num (r.pooled_pps /. r.single_pps));
+    ]
+
 let fused_pool_headline () =
-  let b = Msc.Suite.find "3d7pt_star" in
   let dims = [| 48; 48; 48 |] in
-  let st = Msc.Suite.stencil ~dims b in
-  let points = float_of_int (48 * 48 * 48) in
-  let kernel = Msc.Suite.kernel_of st in
+  let st = Msc.Suite.stencil ~dims (Msc.Suite.find "3d7pt_star") in
   let schedule =
-    Msc.Schedule.matrix_canonical ~tile:[| 12; 16; 48 |] ~threads:4 kernel
+    Msc.Schedule.matrix_canonical ~tile:[| 12; 16; 48 |] ~threads:4 (Msc.Suite.kernel_of st)
   in
   let run pool =
-    let rt =
-      Msc.Runtime.create ~schedule
-        ~config:(Msc.Exec.Config.make ~backend:Msc.Backend.Compiled_c ~pool ())
-        st
-    in
-    let per_step = time_per_run (fun () -> Msc.Runtime.step rt) in
-    points /. per_step
+    let rt = Msc.Runtime.create ~schedule ~config:(compiled_c ~pool ()) st in
+    points dims /. time_per_run (fun () -> Msc.Runtime.step rt)
   in
-  let single = run Msc.Domain_pool.sequential in
-  let pool = Msc.Domain_pool.create 4 in
-  let pooled =
-    Fun.protect
-      ~finally:(fun () -> Msc.Domain_pool.shutdown pool)
-      (fun () -> run pool)
-  in
-  (dims, single, pooled)
+  let single_pps = run Msc.Domain_pool.sequential in
+  { fp_dims = dims; single_pps; pooled_pps = with_pool 4 run }
 
-(* Pipeline fusion on compiled code: each suite pipeline at 4096^2 on
-   [Compiled_c] with 2 workers and 64x4096 tiles (the pipeline_img
-   benchmark's setting), stepped under three inlining choices — every
-   eligible producer inlined, none (every producer tile-local), and the
-   default per-edge rule, interleaved min-of-5 over the three live
-   runtimes (the smoke audit compares default with none-inlined). Each
-   leg records the backend it ran on; when any leg fell back to the
-   interpreter (no toolchain), the 4096^2 timings are skipped with a
-   notice and written as null, since they would time the interpreter.
-   The interpreter runs only as a labelled oracle column at 64^2: the raw
-   graph and the default plan, timed, and checked bit for bit after three
-   steps. *)
+(* == pipeline_fusion: graph inlining choices on compiled code ==
+
+   Each suite pipeline at 4096^2 on [Compiled_c] with 2 workers and
+   64x4096 tiles (the pipeline_img benchmark's setting), stepped under
+   three inlining choices — every eligible producer inlined, none (every
+   producer tile-local), and the default per-edge rule, interleaved
+   min-of-5 over the three live runtimes (the audit compares default with
+   none-inlined). Each leg records the backend it ran on; when any leg fell
+   back to the interpreter (no toolchain), the 4096^2 timings are skipped
+   with a notice and written as null, since they would time the
+   interpreter. The interpreter runs only as a labelled oracle column at
+   64^2: the raw graph and the default plan, timed, and checked bit for
+   bit after three steps. *)
 type fusion_row = {
   pf_name : string;
   pf_stages_raw : int;
@@ -745,6 +550,52 @@ type fusion_row = {
 let fusion_dims = [| 4096; 4096 |]
 let fusion_tile = [| 64; 4096 |]
 
+let fusion_json r =
+  let s_all, s_none, s_default = r.pf_stages in
+  let b_all, b_none, b_default = r.pf_ran in
+  (* Skipped timings (a leg not on compiled code) are null. *)
+  let timing f = Option.fold ~none:Json.Null ~some:(fun t -> num (f t)) r.pf_step_s in
+  let ex_raw, ex_default = r.pf_exchanges in
+  let o_raw, o_default = r.pf_oracle_pps in
+  Json.Obj
+    [
+      ("name", str r.pf_name);
+      ("backend", backend Msc.Backend.Compiled_c);
+      ("dims", ints fusion_dims);
+      ("tile", ints fusion_tile);
+      ("workers", int 2);
+      ( "ran",
+        Json.Obj
+          [
+            ("all_inlined", backend b_all);
+            ("none_inlined", backend b_none);
+            ("default", backend b_default);
+          ] );
+      ( "stages",
+        Json.Obj
+          [
+            ("raw", int r.pf_stages_raw);
+            ("all_inlined", int s_all);
+            ("none_inlined", int s_none);
+            ("default", int s_default);
+          ] );
+      ( "step_ms",
+        Json.Obj
+          [
+            ("all_inlined", timing (fun (a, _, _) -> 1e3 *. a));
+            ("none_inlined", timing (fun (_, n, _) -> 1e3 *. n));
+            ("default", timing (fun (_, _, d) -> 1e3 *. d));
+          ] );
+      ("default_over_none_inlined", timing (fun (_, n, d) -> n /. d));
+      ("default_over_all_inlined", timing (fun (a, _, d) -> a /. d));
+      ("window_kb_per_worker", int r.pf_window_kb);
+      ("exchanges_per_step_raw", int ex_raw);
+      ("exchanges_per_step_default", int ex_default);
+      ( "interp_oracle_64x64_points_per_sec",
+        Json.Obj [ ("raw", num o_raw); ("default", num o_default) ] );
+      ("interp_oracle_bit_identical", Json.Bool r.pf_oracle_identical);
+    ]
+
 let inlining_passes =
   let open Msc.Pass in
   [
@@ -754,20 +605,13 @@ let inlining_passes =
   ]
 
 let pipeline_fusion_rows () =
-  let pool = Msc.Domain_pool.create 2 in
-  let config = Msc.Exec.Config.make ~backend:Msc.Backend.Compiled_c ~pool () in
-  Fun.protect
-    ~finally:(fun () -> Msc.Domain_pool.shutdown pool)
-    (fun () ->
+  with_pool 2 (fun pool ->
+      let config = compiled_c ~pool () in
       List.map
         (fun name ->
           let raw = Msc.Suite.pipeline ~dims:fusion_dims name in
-          let kernel =
-            Msc.Suite.kernel_of (Msc.Graph.output_stage raw).Msc.Graph.stencil
-          in
-          let schedule =
-            Msc.Schedule.matrix_canonical ~tile:fusion_tile ~threads:2 kernel
-          in
+          let kernel = Msc.Suite.kernel_of (Msc.Graph.output_stage raw).Msc.Graph.stencil in
+          let schedule = Msc.Schedule.matrix_canonical ~tile:fusion_tile ~threads:2 kernel in
           let graph choice = Msc.Pass.apply (List.assoc choice inlining_passes) raw in
           let legs =
             List.map
@@ -780,15 +624,13 @@ let pipeline_fusion_rows () =
           let step_s =
             if List.for_all (( = ) Msc.Backend.Compiled_c) ran then
               match
-                time_legs_min ~reps:5 ~quota:0.2
-                  (List.map (fun rt () -> Msc.Runtime.step rt) legs)
+                time_legs_min ~reps:5 ~quota:0.2 (List.map (fun rt () -> Msc.Runtime.step rt) legs)
               with
               | [ a; n; d ] -> Some (a, n, d)
               | _ -> assert false
             else begin
               Printf.printf
-                "[fusion] %s: compiled_c unavailable (legs ran on %s); 4096^2 \
-                 timings skipped\n"
+                "[fusion] %s: compiled_c unavailable (legs ran on %s); 4096^2 timings skipped\n"
                 name
                 (String.concat "/" (List.map Msc.Backend.to_string ran));
               None
@@ -796,9 +638,7 @@ let pipeline_fusion_rows () =
           in
           Gc.compact ();
           let plan g =
-            match Msc.Plan.compile_graph g schedule with
-            | Ok gp -> gp
-            | Error m -> failwith m
+            match Msc.Plan.compile_graph g schedule with Ok gp -> gp | Error m -> failwith m
           in
           let gp_default = plan (graph "default") in
           let oracle_pps g =
@@ -818,9 +658,9 @@ let pipeline_fusion_rows () =
             pf_stages_raw = List.length raw.Msc.Graph.stages;
             pf_stages = (stages "all", stages "none", stages "default");
             pf_exchanges =
-              ((plan raw).Msc.Plan.gp_exchanges_per_step, gp_default.Msc.Plan.gp_exchanges_per_step);
-            pf_ran =
-              (match ran with [ a; n; d ] -> (a, n, d) | _ -> assert false);
+              ( (plan raw).Msc.Plan.gp_exchanges_per_step,
+                gp_default.Msc.Plan.gp_exchanges_per_step );
+            pf_ran = (match ran with [ a; n; d ] -> (a, n, d) | _ -> assert false);
             pf_step_s = step_s;
             pf_window_kb = (Msc.Runtime.window_bytes gp_default + 1023) / 1024;
             pf_oracle_pps = (oracle_pps small, oracle_pps small_default);
@@ -830,809 +670,6 @@ let pipeline_fusion_rows () =
                 (three_steps small) (three_steps small_default);
           })
         Msc.Suite.pipeline_names)
-
-(* Matrix-free solver throughput: every method driven to convergence on the
-   Poisson model problem at a 2x2 decomposition with real halo exchanges and
-   allreduces. Reported as update iterations per second plus the
-   residual-vs-iteration curve (downsampled to at most 12 [iteration,
-   residual] points, endpoints always kept, so the JSON stays diffable). *)
-let solver_rows ?(smoke = false) () =
-  let dims = if smoke then [| 17; 19 |] else [| 33; 35 |] in
-  let p = Msc.Solver.Problem.poisson ~dims in
-  let rows =
-    List.map
-      (fun method_ ->
-        let solve () =
-          Msc.Solver.solve
-            ~config:
-              (Msc.Exec.Config.make ~engine:Msc.Distributed.Overlapped ())
-            ~ranks_shape:[| 2; 2 |] ~tol:1e-8
-            (* Jacobi's spectral radius at the full 33x35 size puts 1e-8
-               around 4300 iterations; the 2000 default caps it mid-flight
-               and the row would record converged=false. *)
-            ~max_iters:(if smoke then 2000 else 8000)
-            ~method_ p
-        in
-        let r = solve () in
-        let per_solve = time_per_run (fun () -> ignore (solve ())) in
-        (method_, r, float_of_int r.Msc.Solver.iterations /. per_solve))
-      Msc.Solver.all_methods
-  in
-  (dims, rows)
-
-(* == Scale-out campaign: the O(1) mailbox and the hierarchical model ==
-
-   [scaling_mailbox] is the campaign's host-side measurement: a full
-   4096-rank 2d9pt_box exchange step (every send plus every matching
-   receive, 32004 messages) through the persistent endpoints the halo
-   plans use. The endpoints are resolved up front so only mailbox
-   operations are timed, the simulated-latency scale is zeroed so nothing
-   sleeps, and the step runs after a major GC and two warm-ups, min of
-   [reps]. *)
-let scaling_mailbox ?(smoke = false) () =
-  let nd = 2 in
-  let decomp =
-    Msc.Decomp.create ~global:[| 4096; 4096 |] ~ranks_shape:[| 64; 64 |]
-  in
-  let nranks = decomp.Msc.Decomp.nranks in
-  let dirs = Msc.Decomp.directions ~ndim:nd ~faces_only:false in
-  let face = Bytes.create (64 * 8) and corner = Bytes.create 8 in
-  let sends = ref [] and recvs = ref [] in
-  for rank = 0 to nranks - 1 do
-    List.iter
-      (fun dir ->
-        match Msc.Decomp.neighbor decomp ~rank ~dir with
-        | None -> ()
-        | Some nb ->
-            let payload =
-              if Array.for_all (fun v -> v <> 0) dir then corner else face
-            in
-            sends :=
-              (rank, nb, Msc.Decomp.dir_index ~ndim:nd dir, payload) :: !sends;
-            let opp = Array.map (fun v -> -v) dir in
-            recvs := (rank, nb, Msc.Decomp.dir_index ~ndim:nd opp) :: !recvs)
-      dirs
-  done;
-  let sends = Array.of_list (List.rev !sends)
-  and recvs = Array.of_list (List.rev !recvs) in
-  let net = Msc.Netmodel.tianhe3_prototype in
-  let reps = if smoke then 5 else 15 in
-  let saved_scale = Msc.Netmodel.sim_latency_scale () in
-  Msc.Netmodel.set_sim_latency_scale 0.0;
-  Fun.protect
-    ~finally:(fun () -> Msc.Netmodel.set_sim_latency_scale saved_scale)
-    (fun () ->
-      let time1 f =
-        let t0 = Unix.gettimeofday () in
-        f ();
-        Unix.gettimeofday () -. t0
-      in
-      let measure step =
-        Gc.full_major ();
-        step ();
-        step ();
-        let m = ref infinity in
-        for _ = 1 to reps do
-          m := Float.min !m (time1 step)
-        done;
-        !m
-      in
-      let mpi = Msc.Mpi.create ~net ~nranks () in
-      let ports =
-        Array.map
-          (fun (src, dst, tag, p) -> (Msc.Mpi.send_port mpi ~src ~dst ~tag, p))
-          sends
-      in
-      let slots =
-        Array.map
-          (fun (dst, src, tag) -> Msc.Mpi.recv_slot mpi ~dst ~src ~tag)
-          recvs
-      in
-      let step () =
-        Array.iter (fun (port, p) -> Msc.Mpi.port_send port p) ports;
-        Array.iter (fun s -> ignore (Msc.Mpi.slot_wait s)) slots
-      in
-      (nranks, Array.length sends, measure step))
-
-(* Modelled strong/weak efficiency curves for both platforms (the arXiv
-   2404.02218 Figure-10 shape), hierarchical by default: every point is
-   analytic — platform node simulator plus the two-level network model —
-   so the 16k-rank rung costs the same milliseconds as the 16-rank one.
-   The ladder opens at 4 ranks so the audited 16-rank efficiency is a real
-   ratio, not the baseline's trivial 1.0. *)
-let scaling_curves ?(smoke = false) () =
-  let make_stencil dims =
-    Msc.Suite.stencil ~dims (Msc.Suite.find "2d9pt_box")
-  in
-  let ladder =
-    if smoke then [ 4; 16 ] else [ 4; 16; 64; 256; 1024; 4096; 16384 ]
-  in
-  List.concat_map
-    (fun (platform, pname) ->
-      let rpn = Msc.Scaling.ranks_per_node platform in
-      List.map
-        (fun (mode, mname, base) ->
-          ( pname,
-            rpn,
-            mname,
-            Msc.Scaling.efficiency_curve platform ~make_stencil ~mode ~base
-              ~ladder ))
-        [
-          (`Strong, "strong", [| 4096; 4096 |]); (`Weak, "weak", [| 512; 512 |]);
-        ])
-    [
-      (Msc.Scaling.Sunway, "sunway_taihulight");
-      (Msc.Scaling.Tianhe3, "tianhe3_prototype");
-    ]
-
-(* CI gate: weak parallel efficiency at 16 simulated ranks (against the
-   4-rank baseline) must hold the pinned floor on both platforms — a
-   regression in the mailbox-independent analytic path (decomposition,
-   netmodel, hierarchical pricing) shows up here before any curve is
-   plotted. *)
-let audit_scaling_efficiency curves =
-  (* Pinned against the deterministic analytic model (512^2 weak sub-grid,
-     2d9pt_box): Sunway holds 0.97 at 16 ranks; Tianhe-3 drops to 0.41 the
-     moment the job spills past one 8-rank node and the congested
-     latency-bound interconnect starts pricing the halo (the single-node
-     4-rank baseline is all shared-memory). *)
-  let floors = [ ("sunway_taihulight", 0.95); ("tianhe3_prototype", 0.35) ] in
-  let bad =
-    List.filter_map
-      (fun (pname, _, mode, points) ->
-        if mode <> "weak" then None
-        else
-          match
-            List.find_opt
-              (fun (p : Msc.Scaling.eff_point) -> p.Msc.Scaling.e_ranks = 16)
-              points
-          with
-          | None -> Some (Printf.sprintf "[audit] %s: no 16-rank point" pname)
-          | Some p ->
-              let floor = List.assoc pname floors in
-              if p.Msc.Scaling.e_efficiency >= floor then None
-              else
-                Some
-                  (Printf.sprintf
-                     "[audit] %s: weak efficiency at 16 ranks = %.3f < %.2f"
-                     pname p.Msc.Scaling.e_efficiency floor))
-      curves
-  in
-  match bad with
-  | [] ->
-      Printf.printf
-        "[audit] scaling: weak efficiency at 16 ranks holds its floor on \
-         both platforms\n"
-  | bad ->
-      List.iter prerr_endline bad;
-      prerr_endline "[audit] scaling-efficiency audit FAILED";
-      exit 1
-
-let scaling_group_json ~mailbox ~curves =
-  let mb_ranks, mb_messages, ports_s = mailbox in
-  let ints a =
-    String.concat ", " (Array.to_list (Array.map string_of_int a))
-  in
-  let curve_json (pname, rpn, mode, points) =
-    let point_json (p : Msc.Scaling.eff_point) =
-      Printf.sprintf
-        "        { \"ranks\": %d, \"grid\": [%s], \"sub\": [%s], \"depth\": \
-         %d,\n\
-        \          \"compute_s\": %.6e, \"comm_s\": %.6e, \"time_s\": %.6e, \
-         \"efficiency\": %.4f }"
-        p.Msc.Scaling.e_ranks (ints p.Msc.Scaling.e_grid)
-        (ints p.Msc.Scaling.e_sub) p.Msc.Scaling.e_depth
-        p.Msc.Scaling.e_compute_s p.Msc.Scaling.e_comm_s p.Msc.Scaling.e_time_s
-        p.Msc.Scaling.e_efficiency
-    in
-    Printf.sprintf
-      "      { \"platform\": %S, \"mode\": %S, \"kernel\": \"2d9pt_box\", \
-       \"ranks_per_node\": %d,\n\
-      \        \"points\": [\n\
-       %s\n\
-      \      ] }"
-      pname mode rpn
-      (String.concat ",\n" (List.map point_json points))
-  in
-  Printf.sprintf
-    "{\n\
-    \    \"mailbox\": {\n\
-    \      \"kernel\": \"2d9pt_box\", \"ranks\": %d, \"rank_grid\": [64, \
-     64], \"messages_per_step\": %d,\n\
-    \      \"ports_s_per_step\": %.6e\n\
-    \    },\n\
-    \    \"curves\": [\n\
-     %s\n\
-    \    ]\n\
-    \  }"
-    mb_ranks mb_messages ports_s
-    (String.concat ",\n" (List.map curve_json curves))
-
-let report_scaling ~mailbox ~curves =
-  let mb_ranks, mb_messages, ports_s = mailbox in
-  Printf.printf "[scaling] mailbox %d ranks (%d msgs/step): ports %.2f ms\n"
-    mb_ranks mb_messages (ports_s *. 1e3);
-  List.iter
-    (fun (pname, _, mode, points) ->
-      let last = List.nth points (List.length points - 1) in
-      Printf.printf
-        "[scaling] %s %s: efficiency %.2f at %d ranks (depth %d)\n" pname mode
-        last.Msc.Scaling.e_efficiency last.Msc.Scaling.e_ranks
-        last.Msc.Scaling.e_depth)
-    curves;
-  audit_scaling_efficiency curves
-
-let residual_curve_json residuals =
-  let n = Array.length residuals in
-  let keep = 12 in
-  let idxs =
-    if n <= keep then List.init n Fun.id
-    else List.sort_uniq compare (List.init keep (fun i -> i * (n - 1) / (keep - 1)))
-  in
-  String.concat ", "
-    (List.map (fun i -> Printf.sprintf "[%d, %.6e]" i residuals.(i)) idxs)
-
-(* A suite kernel's fused sweep terms at the benchmark's sizes (256^2,
-   48^3). *)
-let suite_sweep_terms (b : Msc.Suite.bench) =
-  let dims = match b.Msc.Suite.ndim with 2 -> [| 256; 256 |] | _ -> [| 48; 48; 48 |] in
-  let st = Msc.Suite.stencil ~dims b in
-  (dims, Msc.Backend.sweep_terms ~halo:st.Msc.Stencil.grid.Msc.Tensor.halo st)
-
-(* Unrolling every tap of every term into each row lane made 2d169pt_box
-   emit 135 KB of C (~24 s of gcc), and one literal statement per tap
-   still made gcc time grow with stencil order (338 statements, ~1.7 s).
-   gcc time tracks the fold-unit statements a sweep unrolls; table-driven
-   passes keep every suite kernel within what the largest single pass
-   unrolls: the 4 row lanes of a 2-D pass of 32 units and its 1-row tail. *)
-let max_unit_statements = 5 * 32
-
-(* One cold compile per suite kernel at the benchmark's sizes: the C
-   layout of its sweep, and the toolchain's seconds to build it from an
-   empty kernel cache, the best of [cold_reps] builds ([None] without a
-   toolchain). *)
-type cold_compile = {
-  cc_name : string;
-  cc_dims : int array;
-  cc_layout : Msc.Jit.sweep_layout;
-  cc_source_bytes : int;
-  cc_s : float option;
-}
-
-let cold_reps = 3
-
-let cold_compile_rows () =
-  let saved = Option.value (Sys.getenv_opt "MSC_KERNEL_CACHE") ~default:"" in
-  let dir = Filename.temp_dir "msc-bench-cold" "" in
-  let empty () =
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Msc.Jit.clear_memo ()
-  in
-  let cold_compile terms =
-    empty ();
-    let t0 = Unix.gettimeofday () in
-    Result.map
-      (fun _ -> Unix.gettimeofday () -. t0)
-      (Msc.Jit.compile_sweep ~plan_digest:"bench-cold-compile" terms)
-  in
-  Unix.putenv "MSC_KERNEL_CACHE" dir;
-  Fun.protect
-    ~finally:(fun () ->
-      empty ();
-      Sys.rmdir dir;
-      Unix.putenv "MSC_KERNEL_CACHE" saved)
-    (fun () ->
-      List.map
-        (fun (b : Msc.Suite.bench) ->
-          let dims, terms = suite_sweep_terms b in
-          let ok = function Ok x -> x | Error msg -> failwith (b.Msc.Suite.name ^ ": " ^ msg) in
-          let times = List.filter_map Result.to_option (List.init cold_reps (fun _ -> cold_compile terms)) in
-          {
-            cc_name = b.Msc.Suite.name;
-            cc_dims = dims;
-            cc_layout = ok (Msc.Jit.sweep_layout terms);
-            cc_source_bytes = String.length (ok (Msc.Jit.emit_c_sweep ~fn_name:"msc_sweep" terms));
-            cc_s = (match times with [] -> None | t :: ts -> Some (List.fold_left Float.min t ts));
-          })
-        Msc.Suite.all)
-
-let emit_runtime_json ~comm ~halo ~temporal ~solver ~scaling ~fusion ~cold path =
-  let kernel_rows = List.map kernel_backend_points_per_sec Msc.Suite.all in
-  let kernels =
-    List.map
-      (fun r ->
-        Printf.sprintf
-          "    { \"name\": %S, \"dims\": [%s],\n\
-          \      \"points_per_sec\": { \"interp\": %.6e, \
-           \"fused_c\": %.6e, \"fused_c_pool\": %.6e },\n\
-          \      \"ran\": { \"fused_c\": %S },\n\
-          \      \"fused_c_over_interp\": %.3f,\n\
-          \      \"fused_c_pool_over_fused_c\": %.3f }"
-          r.bench.Msc.Suite.name
-          (String.concat ", " (Array.to_list (Array.map string_of_int r.dims)))
-          r.interp r.fused_c r.fused_c_pool
-          (Msc.Backend.to_string r.fused_ran)
-          (r.fused_c /. r.interp)
-          (r.fused_c_pool /. r.fused_c))
-      kernel_rows
-  in
-  let kernel_speedup name =
-    match List.find_opt (fun r -> r.bench.Msc.Suite.name = name) kernel_rows with
-    | Some r -> r.fused_c /. r.interp
-    | None -> Float.nan
-  in
-  let pipeline_json =
-    String.concat ",\n"
-      (List.map
-         (fun r ->
-           let s_all, s_none, s_default = r.pf_stages in
-           let b_all, b_none, b_default = r.pf_ran in
-           (* Skipped timings (a leg not on compiled code) are null. *)
-           let num fmt f =
-             Option.fold ~none:"null" ~some:(fun t -> Printf.sprintf fmt (f t)) r.pf_step_s
-           in
-           let ms pick = num "%.3f" (fun t -> 1e3 *. pick t) in
-           let ex_raw, ex_default = r.pf_exchanges in
-           let o_raw, o_default = r.pf_oracle_pps in
-           Printf.sprintf
-             "    { \"name\": %S, \"backend\": \"compiled_c\", \"dims\": [%s], \
-              \"tile\": [%s], \"workers\": 2,\n\
-             \      \"ran\": { \"all_inlined\": %S, \"none_inlined\": %S, \
-              \"default\": %S },\n\
-             \      \"stages\": { \"raw\": %d, \"all_inlined\": %d, \
-              \"none_inlined\": %d, \"default\": %d },\n\
-             \      \"step_ms\": { \"all_inlined\": %s, \
-              \"none_inlined\": %s, \"default\": %s },\n\
-             \      \"default_over_none_inlined\": %s, \
-              \"default_over_all_inlined\": %s,\n\
-             \      \"window_kb_per_worker\": %d,\n\
-             \      \"exchanges_per_step_raw\": %d, \
-              \"exchanges_per_step_default\": %d,\n\
-             \      \"interp_oracle_64x64_points_per_sec\": { \"raw\": %.6e, \
-              \"default\": %.6e },\n\
-             \      \"interp_oracle_bit_identical\": %b }"
-             r.pf_name
-             (String.concat ", " (Array.to_list (Array.map string_of_int fusion_dims)))
-             (String.concat ", " (Array.to_list (Array.map string_of_int fusion_tile)))
-             (Msc.Backend.to_string b_all) (Msc.Backend.to_string b_none)
-             (Msc.Backend.to_string b_default) r.pf_stages_raw s_all s_none s_default
-             (ms (fun (a, _, _) -> a))
-             (ms (fun (_, n, _) -> n))
-             (ms (fun (_, _, d) -> d))
-             (num "%.3f" (fun (_, n, d) -> n /. d))
-             (num "%.3f" (fun (a, _, d) -> a /. d))
-             r.pf_window_kb
-             ex_raw ex_default o_raw o_default r.pf_oracle_identical)
-         fusion)
-  in
-  let pf_row name = List.find (fun r -> r.pf_name = name) fusion in
-  let solver_dims, solver_legs = solver in
-  let solver_json =
-    String.concat ",\n"
-      (List.map
-         (fun (method_, (r : Msc.Solver.report), ips) ->
-           Printf.sprintf
-             "    { \"method\": %S, \"problem\": %S,\n\
-             \      \"ranks\": %d, \"converged\": %b, \"iterations\": %d,\n\
-             \      \"allreduces\": %d, \"final_relative_residual\": %.6e,\n\
-             \      \"iterations_per_sec\": %.6e,\n\
-             \      \"residual_vs_iteration\": [%s] }"
-             (Msc.Solver.method_to_string method_)
-             r.Msc.Solver.problem r.Msc.Solver.ranks r.Msc.Solver.converged
-             r.Msc.Solver.iterations r.Msc.Solver.allreduces
-             (r.Msc.Solver.final_residual /. r.Msc.Solver.rhs_norm)
-             ips
-             (residual_curve_json r.Msc.Solver.residuals))
-         solver_legs)
-  in
-  let pool_dims, pool_single, pool_pooled = fused_pool_headline () in
-  let canonical_pps, reversed_pps = reorder_locality () in
-  let ooc_rows = out_of_cache_rows () in
-  let ooc_json =
-    List.map
-      (fun r ->
-        Printf.sprintf
-          "    { \"name\": %S, \"dims\": [%s], \"bytes_per_point\": %.0f,\n\
-          \      \"points_per_sec\": { \"fused_c\": %.6e, \"fused_c_pool\": %.6e },\n\
-          \      \"computed_gbs\": { \"fused_c\": %.3f, \"fused_c_pool\": %.3f } }"
-          r.ooc_name
-          (String.concat ", " (Array.to_list (Array.map string_of_int r.ooc_dims)))
-          r.bytes_per_point r.ooc_fused_c r.ooc_fused_c_pool
-          (computed_gbs r r.ooc_fused_c)
-          (computed_gbs r r.ooc_fused_c_pool))
-      ooc_rows
-  in
-  let comm_dims, bulk_s, overlapped_s = comm in
-  let halo_dims, halo_s, halo_messages, halo_bytes = halo in
-  let t_dims, t_bulk_s, t_overlapped_s, t_depths = temporal in
-  let best_depth, best_s =
-    List.fold_left
-      (fun (bd, bs) (d, s) -> if s < bs then (d, s) else (bd, bs))
-      (List.hd t_depths) (List.tl t_depths)
-  in
-  let depth_entries =
-    String.concat ",\n"
-      (List.map
-         (fun (d, s) -> Printf.sprintf "      \"%d\": %.6e" d s)
-         t_depths)
-  in
-  let cold_json =
-    List.map
-      (fun r ->
-        Printf.sprintf
-          "    { \"name\": %S, \"dims\": [%s], \"nest\": %S, \"pass_bodies\": %d,\n\
-          \      \"unit_statements\": %d, \"source_bytes\": %d, \"cc_s\": %s }"
-          r.cc_name
-          (String.concat ", " (Array.to_list (Array.map string_of_int r.cc_dims)))
-          r.cc_layout.Msc.Jit.nest r.cc_layout.Msc.Jit.pass_bodies
-          r.cc_layout.Msc.Jit.unit_statements r.cc_source_bytes
-          (Option.fold ~none:"null" ~some:(Printf.sprintf "%.3f") r.cc_s))
-      cold
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"msc-bench-runtime-v2\",\n\
-    \  \"kernels\": [\n\
-     %s\n\
-    \  ],\n\
-    \  \"kernels_out_of_cache\": [\n\
-     %s\n\
-    \  ],\n\
-    \  \"cold_compile\": [\n\
-     %s\n\
-    \  ],\n\
-    \  \"plan_reorder_3d7pt_star\": {\n\
-    \    \"outer_canonical_points_per_sec\": %.6e,\n\
-    \    \"outer_reversed_points_per_sec\": %.6e,\n\
-    \    \"canonical_over_reversed\": %.3f\n\
-    \  },\n\
-    \  \"comm_2d9pt_box\": {\n\
-    \    \"dims\": [%s],\n\
-    \    \"ranks\": [2, 2],\n\
-    \    \"net_alpha_s\": 1.0e-3,\n\
-    \    \"bulk_synchronous_s_per_step\": %.6e,\n\
-    \    \"overlapped_s_per_step\": %.6e,\n\
-    \    \"overlap_speedup\": %.3f\n\
-    \  },\n\
-    \  \"halo_8x8_2d9pt_box\": {\n\
-    \    \"dims\": [%s],\n\
-    \    \"ranks\": [8, 8],\n\
-    \    \"engine\": \"overlapped\",\n\
-    \    \"net\": \"sunway_taihulight\",\n\
-    \    \"overlapped_s_per_step\": %.6e,\n\
-    \    \"messages_per_step\": %d,\n\
-    \    \"bytes_per_step\": %d\n\
-    \  },\n\
-    \  \"comm_temporal\": {\n\
-    \    \"kernel\": \"2d9pt_box\",\n\
-    \    \"dims\": [%s],\n\
-    \    \"ranks\": [2, 2],\n\
-    \    \"net_alpha_s\": 1.0e-3,\n\
-    \    \"bulk_synchronous_s_per_step\": %.6e,\n\
-    \    \"overlapped_s_per_step\": %.6e,\n\
-    \    \"temporal_s_per_step\": {\n\
-     %s\n\
-    \    },\n\
-    \    \"best_depth\": %d,\n\
-    \    \"temporal_speedup_vs_overlapped\": %.3f\n\
-    \  },\n\
-    \  \"fused_pool_3d7pt_star\": {\n\
-    \    \"dims\": [%s],\n\
-    \    \"workers\": 4,\n\
-    \    \"host_cores\": %d,\n\
-    \    \"fused_single_points_per_sec\": %.6e,\n\
-    \    \"fused_pool_points_per_sec\": %.6e,\n\
-    \    \"pool_scaling\": %.3f\n\
-    \  },\n\
-    \  \"solver\": {\n\
-    \    \"dims\": [%s],\n\
-    \    \"ranks\": [2, 2],\n\
-    \    \"engine\": \"overlapped\",\n\
-    \    \"tol\": 1.0e-8,\n\
-    \    \"methods\": [\n\
-     %s\n\
-    \    ]\n\
-    \  },\n\
-    \  \"scaling\": %s,\n\
-    \  \"pipeline_fusion\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    (String.concat ",\n" kernels)
-    (String.concat ",\n" ooc_json)
-    (String.concat ",\n" cold_json)
-    canonical_pps reversed_pps
-    (canonical_pps /. reversed_pps)
-    (String.concat ", " (Array.to_list (Array.map string_of_int comm_dims)))
-    bulk_s overlapped_s (bulk_s /. overlapped_s)
-    (String.concat ", " (Array.to_list (Array.map string_of_int halo_dims)))
-    halo_s halo_messages halo_bytes
-    (String.concat ", " (Array.to_list (Array.map string_of_int t_dims)))
-    t_bulk_s t_overlapped_s depth_entries best_depth
-    (t_overlapped_s /. best_s)
-    (String.concat ", " (Array.to_list (Array.map string_of_int pool_dims)))
-    (Domain.recommended_domain_count ())
-    pool_single pool_pooled
-    (pool_pooled /. pool_single)
-    (String.concat ", "
-       (Array.to_list (Array.map string_of_int solver_dims)))
-    solver_json
-    (let mailbox, curves = scaling in
-     scaling_group_json ~mailbox ~curves)
-    pipeline_json;
-  close_out oc;
-  (* Single-core audit of the pool inline cutoff: with no cores to scale
-     across, the pool legs must not pay dispatch latency — every bench
-     sweep sits below the cutoff and runs inline, so fused_c_pool must stay
-     within 5% of fused_c. A collapse here means small sweeps are being
-     shipped to the worker pool again. On multicore hosts the ratio mixes
-     in real scaling, so the bound is only asserted at host_cores = 1. *)
-  (if Domain.recommended_domain_count () = 1 then
-     let bad =
-       List.filter_map
-         (fun r ->
-           let b = r.bench in
-           let ratio = r.fused_c_pool /. r.fused_c in
-           if ratio >= 0.95 then None
-           else
-             (* Confirm before failing: a preemption spike during the long
-                harness can dent a single 0.03 s paired window, but a real
-                dispatch regression reproduces under three times the
-                quota. The table keeps the first measurement. *)
-             let t_fused, t_pool = fused_pool_times ~reps:9 ~quota:0.09 b in
-             let again = t_fused /. t_pool in
-             if again >= 0.95 then None
-             else
-               Some
-                 (Printf.sprintf
-                    "[audit] %s: fused_c_pool_over_fused_c = %.3f \
-                     (re-measured %.3f) < 0.95"
-                    b.Msc.Suite.name ratio again))
-         kernel_rows
-     in
-     match bad with
-     | [] ->
-         Printf.printf
-           "[audit] single-core pool dispatch: fused_c_pool within 5%% of \
-            fused_c on all %d suite kernels\n"
-           (List.length kernel_rows)
-     | bad ->
-         List.iter prerr_endline bad;
-         prerr_endline "[audit] pool-cutoff audit FAILED";
-         exit 1);
-  List.iter
-    (fun r ->
-      Printf.printf
-        "[out of cache] %s at %s: fused_c %.0f Mpts/s (%.2f GB/s), \
-         fused_c_pool %.0f Mpts/s (%.2f GB/s)\n"
-        r.ooc_name
-        (String.concat "x" (Array.to_list (Array.map string_of_int r.ooc_dims)))
-        (r.ooc_fused_c /. 1e6)
-        (computed_gbs r r.ooc_fused_c)
-        (r.ooc_fused_c_pool /. 1e6)
-        (computed_gbs r r.ooc_fused_c_pool))
-    ooc_rows;
-  let um_s0, um_s1, um_over_none, um_over_all =
-    let r = pf_row "unsharp_mask" in
-    let _, _, s1 = r.pf_stages in
-    let t_all, t_none, t_default =
-      Option.value r.pf_step_s ~default:(Float.nan, Float.nan, Float.nan)
-    in
-    (r.pf_stages_raw, s1, t_none /. t_default, t_all /. t_default)
-  in
-  let cg_iters, cg_ips =
-    match
-      List.find_opt (fun (m, _, _) -> m = Msc.Solver.Cg) solver_legs
-    with
-    | Some (_, (r : Msc.Solver.report), ips) -> (r.Msc.Solver.iterations, ips)
-    | None -> (0, Float.nan)
-  in
-  Printf.printf
-    "wrote %s (fused compiled_c step over the interpreter: %.1fx on \
-     3d7pt_star, %.1fx on 2d9pt_box; plan traversal canonical/reversed: %.2fx; overlapped halo exchange: %.2fx over \
-     bulk-synchronous under simulated latency; temporal blocking best depth \
-     %d: %.2fx over overlapped on a latency-bound grid; 4-worker pool over single-core fused on 3d7pt_star at 48^3: %.2fx \
-     with %d host cores; pipeline fusion on unsharp_mask, compiled_c at \
-     4096^2: %d->%d stages, default plan %.2fx over none inlined and %.2fx \
-     over all inlined; cg on %s at 2x2 ranks: %d iterations, %.0f iters/s)\n"
-    path
-    (kernel_speedup "3d7pt_star")
-    (kernel_speedup "2d9pt_box")
-    (canonical_pps /. reversed_pps)
-    (bulk_s /. overlapped_s)
-    best_depth
-    (t_overlapped_s /. best_s)
-    (pool_pooled /. pool_single)
-    (Domain.recommended_domain_count ())
-    um_s0 um_s1 um_over_none um_over_all
-    (Printf.sprintf "poisson %s"
-       (String.concat "x"
-          (Array.to_list (Array.map string_of_int solver_dims))))
-    cg_iters cg_ips
-
-let run_bechamel () =
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.3) ~kde:None () in
-  let raw = Benchmark.all cfg instances all_tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some (x :: _) -> x
-        | Some [] | None -> Float.nan
-      in
-      rows := (name, ns) :: !rows)
-    results;
-  let rows = List.sort compare !rows in
-  print_endline "== Bechamel micro-benchmarks (real execution, reduced grids) ==";
-  Msc.Table.print
-    ~header:[ "benchmark"; "time/run" ]
-    (List.map (fun (name, ns) -> [ name; Msc.Units_fmt.seconds (ns *. 1e-9) ]) rows);
-  print_newline ();
-  rows
-
-let report_trace_overhead rows =
-  let time suffix =
-    List.find_map
-      (fun (name, ns) ->
-        let sl = String.length suffix and nl = String.length name in
-        if nl >= sl && String.sub name (nl - sl) sl = suffix then Some ns
-        else None)
-      rows
-  in
-  match (time "step_untraced", time "step_trace_disabled", time "step_trace_enabled") with
-  | Some base, Some disabled, Some enabled ->
-      Printf.printf
-        "trace overhead on 3d7pt step: disabled %+.2f%% vs untraced (target < 2%%), \
-         enabled %+.2f%%\n\n"
-        ((disabled -. base) /. base *. 100.0)
-        ((enabled -. base) /. base *. 100.0)
-  | _ -> ()
-
-(* Every suite kernel must lower to a product chain of one fold unit per
-   point. A suite kernel lowered to a tree compiles as one whole
-   expression per row lane: for 2d169pt_box, the cold-JIT blow-up that
-   tap-group passes removed. The lowering needs no toolchain. *)
-let chain_lowering_bad () =
-  List.filter_map
-    (fun (b : Msc.Suite.bench) ->
-      let dims = match b.Msc.Suite.ndim with 2 -> [| 16; 16 |] | _ -> [| 8; 8; 8 |] in
-      let k = Msc.Suite.kernel_of (Msc.Suite.stencil ~dims b) in
-      let points = Msc.Kernel.points k in
-      match Msc.Jit.chain_length k with
-      | Some n when n = points -> None
-      | form ->
-          Some
-            (Printf.sprintf "[audit] %s: lowers to %s, expected a chain of %d products"
-               b.Msc.Suite.name
-               (match form with
-               | Some n -> Printf.sprintf "a chain of %d products" n
-               | None -> "a tree")
-               points))
-    Msc.Suite.all
-
-let fail_audit bad =
-  List.iter prerr_endline bad;
-  prerr_endline "[audit] fused-coverage audit FAILED";
-  exit 1
-
-(* [--backend <name>] coverage audit: with a compiled backend requested,
-   every Suite kernel must lower to a product chain, run the fused
-   whole-sweep kernel with all its terms compiled and no interpreter
-   fallback, and its C sweep may unroll at most [max_unit_statements]
-   fold-unit statements. A regression in the fused emitter's coverage
-   fails the job instead of silently benchmarking the interpreter. The
-   compiled checks are skipped (with a notice) when the toolchain itself
-   is missing — an environment problem, not an emitter one. *)
-let audit_fused_coverage backend =
-  let lowering_bad = chain_lowering_bad () in
-  let s0 = Msc.Jit.stats () in
-  let reports =
-    List.map
-      (fun (b : Msc.Suite.bench) ->
-        let dims =
-          match b.Msc.Suite.ndim with 2 -> [| 16; 16 |] | _ -> [| 8; 8; 8 |]
-        in
-        let st = Msc.Suite.stencil ~dims b in
-        let rt =
-          Msc.Runtime.create ~config:(Msc.Exec.Config.make ~backend ()) st
-        in
-        (b.Msc.Suite.name, Msc.Runtime.backend_report rt))
-      Msc.Suite.all
-  in
-  let s1 = Msc.Jit.stats () in
-  let toolchain_missing =
-    s1.Msc.Jit.failures_toolchain > s0.Msc.Jit.failures_toolchain
-    && List.for_all
-         (fun (_, r) -> r.Msc.Runtime.effective = Msc.Backend.Interp)
-         reports
-  in
-  if toolchain_missing then begin
-    if lowering_bad <> [] then fail_audit lowering_bad;
-    Printf.printf
-      "[audit] %s toolchain unavailable; fused-coverage audit skipped\n"
-      (Msc.Backend.to_string backend)
-  end
-  else begin
-    let bad =
-      List.filter_map
-        (fun (name, r) ->
-          if
-            r.Msc.Runtime.fallback <> None
-            || r.Msc.Runtime.fused_sweeps <> 1
-            || r.Msc.Runtime.compiled_terms <> r.Msc.Runtime.kernel_terms
-          then
-            Some
-              (Printf.sprintf
-                 "[audit] %s: fallback=%s fused_sweeps=%d compiled=%d/%d"
-                 name
-                 (Option.value ~default:"none" r.Msc.Runtime.fallback)
-                 r.Msc.Runtime.fused_sweeps r.Msc.Runtime.compiled_terms
-                 r.Msc.Runtime.kernel_terms)
-          else None)
-        reports
-    in
-    (* Reductions carry the same contract: with the toolchain present, every
-       suite kernel's grid must reduce through the compiled kernel — a
-       silent interpreter fallback would invalidate the solver numbers. *)
-    let red_bad =
-      List.filter_map
-        (fun (b : Msc.Suite.bench) ->
-          let dims =
-            match b.Msc.Suite.ndim with 2 -> [| 16; 16 |] | _ -> [| 8; 8; 8 |]
-          in
-          let st = Msc.Suite.stencil ~dims b in
-          let g = Msc.Grid.of_tensor st.Msc.Stencil.grid in
-          let red =
-            Msc.Reduction.create ~config:(Msc.Exec.Config.make ~backend ()) g
-          in
-          if Msc.Reduction.compiled red then None
-          else
-            Some
-              (Printf.sprintf
-                 "[audit] %s: reduction fell back to the interpreter (%s)"
-                 b.Msc.Suite.name
-                 (Option.value ~default:"no reason recorded"
-                    (Msc.Reduction.fallback red))))
-        Msc.Suite.all
-    in
-    let layouts =
-      List.map
-        (fun b -> (b.Msc.Suite.name, Msc.Jit.sweep_layout (snd (suite_sweep_terms b))))
-        Msc.Suite.all
-    in
-    let statements_bad =
-      List.filter_map
-        (fun (name, layout) ->
-          match layout with
-          | Ok l when l.Msc.Jit.unit_statements <= max_unit_statements -> None
-          | Ok l ->
-              Some
-                (Printf.sprintf "[audit] %s: C sweep unrolls %d fold-unit statements (> %d)"
-                   name l.Msc.Jit.unit_statements max_unit_statements)
-          | Error msg -> Some (Printf.sprintf "[audit] %s: C sweep not emitted: %s" name msg))
-        layouts
-    in
-    match lowering_bad @ bad @ red_bad @ statements_bad with
-    | [] ->
-        Printf.printf
-          "[audit] %s: all %d suite kernels lowered to product chains, ran \
-           the fused sweep and the compiled reduction, no fallback; unrolled \
-           fold-unit statements per sweep (bound %d): %s\n"
-          (Msc.Backend.to_string backend)
-          (List.length reports) max_unit_statements
-          (String.concat ", "
-             (List.map
-                (fun (name, layout) ->
-                  Printf.sprintf "%s %d" name
-                    (Result.fold ~ok:(fun l -> l.Msc.Jit.unit_statements) ~error:(fun _ -> 0) layout))
-                layouts))
-    | bad -> fail_audit bad
-  end
 
 (* Pipeline-fusion audit: under the default pass pipeline every suite
    pipeline must keep fewer stages than the raw graph, in merged (single
@@ -1657,9 +694,7 @@ let audit_pipeline_fusion fusion =
           | Error _ -> false
         in
         if s1 >= s0 || not merged then
-          Some
-            (Printf.sprintf "[audit] %s: stages %d -> %d, merged=%b" r.pf_name s0
-               s1 merged)
+          Some (Printf.sprintf "[audit] %s: stages %d -> %d, merged=%b" r.pf_name s0 s1 merged)
         else if not r.pf_oracle_identical then
           Some (Printf.sprintf "[audit] %s: default plan differs from the raw graph" r.pf_name)
         else
@@ -1667,54 +702,384 @@ let audit_pipeline_fusion fusion =
           | Some (_, t_none, t_default) when t_default > t_none ->
               Some
                 (Printf.sprintf
-                   "[audit] %s: default plan %.2f ms/step slower than none inlined \
-                    %.2f ms/step"
+                   "[audit] %s: default plan %.2f ms/step slower than none inlined %.2f ms/step"
                    r.pf_name (1e3 *. t_default) (1e3 *. t_none))
           | Some _ -> None
           | None ->
               Printf.printf
-                "[audit] %s: compiled_c unavailable; default-vs-none timing check \
-                 skipped\n"
+                "[audit] %s: compiled_c unavailable; default-vs-none timing check skipped\n"
                 r.pf_name;
               None)
       fusion
   in
-  match bad with
-  | [] ->
-      Printf.printf
-        "[audit] pipeline fusion: all %d suite pipelines collapsed and merged; \
-         %d timed on compiled code, none slower than none inlined\n"
-        (List.length fusion)
-        (List.length (List.filter (fun r -> r.pf_step_s <> None) fusion))
-  | bad ->
-      List.iter prerr_endline bad;
-      prerr_endline "[audit] pipeline-fusion audit FAILED";
-      exit 1
+  if bad <> [] then fail_audit "pipeline-fusion" bad
+  else
+    Printf.printf
+      "[audit] pipeline fusion: all %d suite pipelines collapsed and merged; %d timed on compiled \
+       code, none slower than none inlined\n"
+      (List.length fusion)
+      (List.length (List.filter (fun r -> r.pf_step_s <> None) fusion))
+
+(* == solver: matrix-free solver throughput ==
+
+   Every method driven to convergence on the Poisson model problem at a
+   2x2 decomposition with real halo exchanges and allreduces. Reported as
+   update iterations per second plus the residual-vs-iteration curve
+   (downsampled to at most 12 [iteration, residual] points, endpoints
+   always kept, so the JSON stays diffable). *)
+type solver_leg = { report : Msc.Solver.report; iters_per_s : float }
+type solver = { sv_dims : int array; legs : solver_leg list }
+
+let residual_curve residuals =
+  let n = Array.length residuals and keep = 12 in
+  let idxs =
+    if n <= keep then List.init n Fun.id
+    else List.sort_uniq compare (List.init keep (fun i -> i * (n - 1) / (keep - 1)))
+  in
+  Json.Arr (List.map (fun i -> Json.Arr [ int i; num residuals.(i) ]) idxs)
+
+let solver_json s =
+  let leg_json { report = r; iters_per_s } =
+    Json.Obj
+      [
+        ("method", str (Msc.Solver.method_to_string r.Msc.Solver.method_));
+        ("problem", str r.Msc.Solver.problem);
+        ("ranks", int r.Msc.Solver.ranks);
+        ("converged", Json.Bool r.Msc.Solver.converged);
+        ("iterations", int r.Msc.Solver.iterations);
+        ("allreduces", int r.Msc.Solver.allreduces);
+        ("final_relative_residual", num (r.Msc.Solver.final_residual /. r.Msc.Solver.rhs_norm));
+        ("iterations_per_sec", num iters_per_s);
+        ("residual_vs_iteration", residual_curve r.Msc.Solver.residuals);
+      ]
+  in
+  Json.Obj
+    [
+      ("dims", ints s.sv_dims);
+      ("ranks", ints [| 2; 2 |]);
+      ("engine", str "overlapped");
+      ("tol", num 1e-8);
+      ("methods", Json.Arr (List.map leg_json s.legs));
+    ]
+
+let solver_rows ~smoke =
+  let dims = if smoke then [| 17; 19 |] else [| 33; 35 |] in
+  let p = Msc.Solver.Problem.poisson ~dims in
+  let leg method_ =
+    let solve () =
+      Msc.Solver.solve
+        ~config:(Msc.Exec.Config.make ~engine:Msc.Distributed.Overlapped ())
+        ~ranks_shape:[| 2; 2 |] ~tol:1e-8
+        (* Jacobi's spectral radius at the full 33x35 size puts 1e-8
+           around 4300 iterations; the 2000 default caps it mid-flight
+           and the row would record converged=false. *)
+        ~max_iters:(if smoke then 2000 else 8000)
+        ~method_ p
+    in
+    let report = solve () in
+    let per_solve = time_per_run (fun () -> ignore (solve ())) in
+    { report; iters_per_s = float_of_int report.Msc.Solver.iterations /. per_solve }
+  in
+  { sv_dims = dims; legs = List.map leg Msc.Solver.all_methods }
+
+(* == scaling: the O(1) mailbox and the hierarchical model ==
+
+   [scaling_mailbox] is the scale-out host-side measurement: a full
+   4096-rank 2d9pt_box exchange step (every send plus every matching
+   receive, 32004 messages) through the persistent endpoints the halo
+   plans use. The endpoints are resolved up front so only mailbox
+   operations are timed, the simulated-latency scale is zeroed so nothing
+   sleeps, and the step runs after a major GC and two warm-ups, min of
+   [reps] single steps. *)
+type mailbox = { mb_ranks : int; mb_messages : int; ports_s : float }
+type curve = {
+  platform : string;
+  ranks_per_node : int;
+  mode : string;
+  curve : Msc.Scaling.eff_point list;
+}
+
+type scaling = { mailbox : mailbox; curves : curve list }
+
+let scaling_json s =
+  let point_json (p : Msc.Scaling.eff_point) =
+    Json.Obj
+      [
+        ("ranks", int p.Msc.Scaling.e_ranks);
+        ("grid", ints p.Msc.Scaling.e_grid);
+        ("sub", ints p.Msc.Scaling.e_sub);
+        ("depth", int p.Msc.Scaling.e_depth);
+        ("compute_s", num p.Msc.Scaling.e_compute_s);
+        ("comm_s", num p.Msc.Scaling.e_comm_s);
+        ("time_s", num p.Msc.Scaling.e_time_s);
+        ("efficiency", num p.Msc.Scaling.e_efficiency);
+      ]
+  in
+  let curve_json c =
+    Json.Obj
+      [
+        ("platform", str c.platform);
+        ("mode", str c.mode);
+        ("kernel", str "2d9pt_box");
+        ("ranks_per_node", int c.ranks_per_node);
+        ("points", Json.Arr (List.map point_json c.curve));
+      ]
+  in
+  Json.Obj
+    [
+      ( "mailbox",
+        Json.Obj
+          [
+            ("kernel", str "2d9pt_box");
+            ("ranks", int s.mailbox.mb_ranks);
+            ("rank_grid", ints [| 64; 64 |]);
+            ("messages_per_step", int s.mailbox.mb_messages);
+            ("ports_s_per_step", num s.mailbox.ports_s);
+          ] );
+      ("curves", Json.Arr (List.map curve_json s.curves));
+    ]
+
+let scaling_mailbox ~smoke =
+  let nd = 2 in
+  let decomp = Msc.Decomp.create ~global:[| 4096; 4096 |] ~ranks_shape:[| 64; 64 |] in
+  let nranks = decomp.Msc.Decomp.nranks in
+  let dirs = Msc.Decomp.directions ~ndim:nd ~faces_only:false in
+  let face = Bytes.create (64 * 8) and corner = Bytes.create 8 in
+  let sends = ref [] and recvs = ref [] in
+  for rank = 0 to nranks - 1 do
+    List.iter
+      (fun dir ->
+        match Msc.Decomp.neighbor decomp ~rank ~dir with
+        | None -> ()
+        | Some nb ->
+            let payload = if Array.for_all (fun v -> v <> 0) dir then corner else face in
+            sends := (rank, nb, Msc.Decomp.dir_index ~ndim:nd dir, payload) :: !sends;
+            let opp = Array.map (fun v -> -v) dir in
+            recvs := (rank, nb, Msc.Decomp.dir_index ~ndim:nd opp) :: !recvs)
+      dirs
+  done;
+  let sends = Array.of_list (List.rev !sends) and recvs = Array.of_list (List.rev !recvs) in
+  let reps = if smoke then 5 else 15 in
+  let saved_scale = Msc.Netmodel.sim_latency_scale () in
+  Msc.Netmodel.set_sim_latency_scale 0.0;
+  Fun.protect
+    ~finally:(fun () -> Msc.Netmodel.set_sim_latency_scale saved_scale)
+    (fun () ->
+      let mpi = Msc.Mpi.create ~net:Msc.Netmodel.tianhe3_prototype ~nranks () in
+      let ports =
+        Array.map (fun (src, dst, tag, p) -> (Msc.Mpi.send_port mpi ~src ~dst ~tag, p)) sends
+      in
+      let slots = Array.map (fun (dst, src, tag) -> Msc.Mpi.recv_slot mpi ~dst ~src ~tag) recvs in
+      let step () =
+        Array.iter (fun (port, p) -> Msc.Mpi.port_send port p) ports;
+        Array.iter (fun s -> ignore (Msc.Mpi.slot_wait s)) slots
+      in
+      Gc.full_major ();
+      step ();
+      step ();
+      let ports_s = min_of reps (fun () -> snd (timed step)) in
+      { mb_ranks = nranks; mb_messages = Array.length sends; ports_s })
+
+(* Modelled strong/weak efficiency curves for both platforms (the arXiv
+   2404.02218 Figure-10 shape), hierarchical by default: every point is
+   analytic — platform node simulator plus the two-level network model —
+   so the 16k-rank rung costs the same milliseconds as the 16-rank one.
+   The ladder opens at 4 ranks so the audited 16-rank efficiency is a real
+   ratio, not the baseline's trivial 1.0. *)
+let scaling_curves ~smoke =
+  let make_stencil dims = Msc.Suite.stencil ~dims (Msc.Suite.find "2d9pt_box") in
+  let ladder = if smoke then [ 4; 16 ] else [ 4; 16; 64; 256; 1024; 4096; 16384 ] in
+  List.concat_map
+    (fun (p, platform) ->
+      List.map
+        (fun (m, mode, base) ->
+          {
+            platform;
+            ranks_per_node = Msc.Scaling.ranks_per_node p;
+            mode;
+            curve = Msc.Scaling.efficiency_curve p ~make_stencil ~mode:m ~base ~ladder;
+          })
+        [ (`Strong, "strong", [| 4096; 4096 |]); (`Weak, "weak", [| 512; 512 |]) ])
+    [ (Msc.Scaling.Sunway, "sunway_taihulight"); (Msc.Scaling.Tianhe3, "tianhe3_prototype") ]
+
+let scaling_rows ~smoke = { mailbox = scaling_mailbox ~smoke; curves = scaling_curves ~smoke }
+
+(* CI gate: weak parallel efficiency at 16 simulated ranks (against the
+   4-rank baseline) must hold the pinned floor on both platforms — a
+   regression in the mailbox-independent analytic path (decomposition,
+   netmodel, hierarchical pricing) shows up here before any curve is
+   plotted. Pinned against the deterministic analytic model (512^2 weak
+   sub-grid, 2d9pt_box): Sunway holds 0.97 at 16 ranks; Tianhe-3 drops to
+   0.41 the moment the job spills past one 8-rank node and the congested
+   latency-bound interconnect starts pricing the halo (the single-node
+   4-rank baseline is all shared-memory). *)
+let scaling_floors = [ ("sunway_taihulight", 0.95); ("tianhe3_prototype", 0.35) ]
+
+let report_scaling s =
+  Printf.printf "[scaling] mailbox %d ranks (%d msgs/step): ports %.2f ms\n" s.mailbox.mb_ranks
+    s.mailbox.mb_messages (s.mailbox.ports_s *. 1e3);
+  List.iter
+    (fun c ->
+      let last = List.nth c.curve (List.length c.curve - 1) in
+      Printf.printf "[scaling] %s %s: efficiency %.2f at %d ranks (depth %d)\n" c.platform c.mode
+        last.Msc.Scaling.e_efficiency last.Msc.Scaling.e_ranks last.Msc.Scaling.e_depth)
+    s.curves;
+  let bad =
+    List.filter_map
+      (fun c ->
+        if c.mode <> "weak" then None
+        else
+          match
+            List.find_opt (fun (p : Msc.Scaling.eff_point) -> p.Msc.Scaling.e_ranks = 16) c.curve
+          with
+          | None -> Some (Printf.sprintf "[audit] %s: no 16-rank point" c.platform)
+          | Some p ->
+              let floor = List.assoc c.platform scaling_floors in
+              if p.Msc.Scaling.e_efficiency >= floor then None
+              else
+                Some
+                  (Printf.sprintf "[audit] %s: weak efficiency at 16 ranks = %.3f < %.2f" c.platform
+                     p.Msc.Scaling.e_efficiency floor))
+      s.curves
+  in
+  if bad <> [] then fail_audit "scaling-efficiency" bad
+  else
+    print_endline
+      "[audit] scaling: weak efficiency at 16 ranks holds its floor on both platforms"
+
+(* == Fused-coverage audit ([--backend B]) ==
+
+   With a compiled backend requested, every suite kernel must lower to a
+   product chain of one fold unit per point (a tree compiles as one whole
+   expression per row lane: for 2d169pt_box, the cold-JIT blow-up that
+   tap-group passes removed), run the fused whole-sweep kernel with all
+   its terms compiled and no interpreter fallback, reduce through the
+   compiled kernel, and its C sweep may unroll at most
+   [max_unit_statements] fold-unit statements. A regression in the fused
+   emitter's coverage fails the job instead of silently benchmarking the
+   interpreter. The compiled checks are skipped (with a notice) when the
+   toolchain itself is missing — an environment problem, not an emitter
+   one; the lowering needs no toolchain. *)
+
+(* gcc time tracks the fold-unit statements a sweep unrolls; table-driven
+   passes keep every suite kernel within what the largest single pass
+   unrolls: the 4 row lanes of a 2-D pass of 32 units and its 1-row tail. *)
+let max_unit_statements = 5 * 32
+
+let audit_fused_coverage backend =
+  let config = Msc.Exec.Config.make ~backend () in
+  let small b = Msc.Suite.stencil ~dims:(by_ndim b [| 16; 16 |] [| 8; 8; 8 |]) b in
+  let each f = List.filter_map f Msc.Suite.all in
+  let lowering_bad =
+    each (fun b ->
+        let k = Msc.Suite.kernel_of (small b) in
+        let points = Msc.Kernel.points k in
+        match Msc.Jit.chain_length k with
+        | Some n when n = points -> None
+        | form ->
+            Some
+              (Printf.sprintf "[audit] %s: lowers to %s, expected a chain of %d products"
+                 b.Msc.Suite.name
+                 (match form with
+                 | Some n -> Printf.sprintf "a chain of %d products" n
+                 | None -> "a tree")
+                 points))
+  in
+  let s0 = Msc.Jit.stats () in
+  let reports =
+    List.map
+      (fun b ->
+        (b.Msc.Suite.name, Msc.Runtime.backend_report (Msc.Runtime.create ~config (small b))))
+      Msc.Suite.all
+  in
+  let s1 = Msc.Jit.stats () in
+  let toolchain_missing =
+    s1.Msc.Jit.failures_toolchain > s0.Msc.Jit.failures_toolchain
+    && List.for_all (fun (_, r) -> r.Msc.Runtime.effective = Msc.Backend.Interp) reports
+  in
+  if toolchain_missing then begin
+    if lowering_bad <> [] then fail_audit "fused-coverage" lowering_bad;
+    Printf.printf "[audit] %s toolchain unavailable; fused-coverage audit skipped\n"
+      (Msc.Backend.to_string backend)
+  end
+  else begin
+    let fused_bad =
+      List.filter_map
+        (fun (name, r) ->
+          if
+            r.Msc.Runtime.fallback <> None
+            || r.Msc.Runtime.fused_sweeps <> 1
+            || r.Msc.Runtime.compiled_terms <> r.Msc.Runtime.kernel_terms
+          then
+            Some
+              (Printf.sprintf "[audit] %s: fallback=%s fused_sweeps=%d compiled=%d/%d" name
+                 (Option.value ~default:"none" r.Msc.Runtime.fallback)
+                 r.Msc.Runtime.fused_sweeps r.Msc.Runtime.compiled_terms r.Msc.Runtime.kernel_terms)
+          else None)
+        reports
+    in
+    let reduction_bad =
+      each (fun b ->
+          let red = Msc.Reduction.create ~config (Msc.Grid.of_tensor (small b).Msc.Stencil.grid) in
+          if Msc.Reduction.compiled red then None
+          else
+            Some
+              (Printf.sprintf "[audit] %s: reduction fell back to the interpreter (%s)"
+                 b.Msc.Suite.name
+                 (Option.value ~default:"no reason recorded" (Msc.Reduction.fallback red))))
+    in
+    let layouts =
+      List.map
+        (fun b -> (b.Msc.Suite.name, Msc.Jit.sweep_layout (snd (suite_sweep_terms b))))
+        Msc.Suite.all
+    in
+    let statements_bad =
+      List.filter_map
+        (fun (name, layout) ->
+          match layout with
+          | Ok l when l.Msc.Jit.unit_statements <= max_unit_statements -> None
+          | Ok l ->
+              Some
+                (Printf.sprintf "[audit] %s: C sweep unrolls %d fold-unit statements (> %d)" name
+                   l.Msc.Jit.unit_statements max_unit_statements)
+          | Error msg -> Some (Printf.sprintf "[audit] %s: C sweep not emitted: %s" name msg))
+        layouts
+    in
+    match lowering_bad @ fused_bad @ reduction_bad @ statements_bad with
+    | [] ->
+        Printf.printf
+          "[audit] %s: all %d suite kernels lowered to product chains, ran the fused sweep and \
+           the compiled reduction, no fallback; unrolled fold-unit statements per sweep (bound \
+           %d): %s\n"
+          (Msc.Backend.to_string backend) (List.length reports) max_unit_statements
+          (String.concat ", "
+             (List.map
+                (fun (name, layout) ->
+                  Printf.sprintf "%s %d" name
+                    (Result.fold ~ok:(fun l -> l.Msc.Jit.unit_statements) ~error:(fun _ -> 0)
+                       layout))
+                layouts))
+    | bad -> fail_audit "fused-coverage" bad
+  end
+
+(* == Driver == *)
+
+let path = "BENCH_runtime.json"
 
 let () =
-  let t0 = Unix.gettimeofday () in
-  (* [--smoke]: the CI mode — every measured path still runs (so a
-     regression that breaks an engine fails the job) but on tiny grids with
-     a short quota, skipping the bechamel session and the paper-artifact
-     render; BENCH_runtime.json is still written for artifact upload. *)
+  let t0 = now () in
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
   if smoke then quota_s := 0.02;
   (* [scaling]: the scale-out CI leg — only the mailbox timing and the
-     modelled efficiency curves, with the 16-rank efficiency floor enforced
-     (exit 1 on regression). Writes a scaling-only BENCH_runtime.json; the
-     full/smoke harness rewrites the complete file afterwards, scaling
-     group included, so the uploaded artifact always carries the curves. *)
+     modelled efficiency curves, with the 16-rank efficiency floor
+     enforced. Writes a scaling-only BENCH_runtime.json; the full harness
+     rewrites the complete file, scaling group included. *)
   if Array.exists (( = ) "scaling") Sys.argv then begin
-    let mailbox = scaling_mailbox ~smoke () in
-    let curves = scaling_curves ~smoke () in
-    let oc = open_out "BENCH_runtime.json" in
-    Printf.fprintf oc
-      "{\n  \"schema\": \"msc-bench-scaling-v1\",\n  \"scaling\": %s\n}\n"
-      (scaling_group_json ~mailbox ~curves);
-    close_out oc;
-    report_scaling ~mailbox ~curves;
-    Printf.printf "[scaling harness time: %.1f s]\n"
-      (Unix.gettimeofday () -. t0);
+    let scaling = scaling_rows ~smoke in
+    write_checked path
+      [ ("schema", str "msc-bench-scaling-v1"); ("scaling", scaling_json scaling) ];
+    report_scaling scaling;
+    Printf.printf "[scaling harness time: %.1f s]\n" (now () -. t0);
     exit 0
   end;
   (let rec backend_arg i =
@@ -1722,49 +1087,40 @@ let () =
      else if Sys.argv.(i) = "--backend" then Some Sys.argv.(i + 1)
      else backend_arg (i + 1)
    in
-   match backend_arg 1 with
-   | None -> ()
-   | Some name -> (
-       match Msc.Backend.of_string name with
-       | Error e ->
-           prerr_endline e;
-           exit 2
-       | Ok Msc.Backend.Interp -> ()
-       | Ok backend -> audit_fused_coverage backend));
+   match Option.map Msc.Backend.of_string (backend_arg 1) with
+   | None | Some (Ok Msc.Backend.Interp) -> ()
+   | Some (Ok backend) -> audit_fused_coverage backend
+   | Some (Error e) ->
+       prerr_endline e;
+       exit 2);
   let fusion = pipeline_fusion_rows () in
   audit_pipeline_fusion fusion;
   let cold = cold_compile_rows () in
-  List.iter
-    (fun r ->
-      Printf.printf "[cold compile] %s: %s, %d pass bodies, %d unit statements, %d B of C, cc %s\n"
-        r.cc_name r.cc_layout.Msc.Jit.nest r.cc_layout.Msc.Jit.pass_bodies
-        r.cc_layout.Msc.Jit.unit_statements r.cc_source_bytes
-        (Option.fold ~none:"not run (no toolchain)" ~some:(Printf.sprintf "%.2f s") r.cc_s))
-    cold;
-  (* Measured first, while the process heap is still quiet: an engine
-     comparison at millisecond scale drowns in the GC noise a long bechamel
-     session leaves behind. *)
-  let comm = comm_overlap () in
-  let halo = comm_halo_8x8 ~smoke () in
-  let temporal = comm_temporal ~smoke () in
-  let solver = solver_rows ~smoke () in
-  let mailbox = scaling_mailbox ~smoke () in
-  let curves = scaling_curves ~smoke () in
-  let scaling = (mailbox, curves) in
-  report_scaling ~mailbox ~curves;
-  if smoke then begin
-    emit_runtime_json ~comm ~halo ~temporal ~solver ~scaling ~fusion ~cold "BENCH_runtime.json";
-    Printf.printf "[smoke harness time: %.1f s]\n" (Unix.gettimeofday () -. t0)
-  end
-  else begin
-    let rows = run_bechamel () in
-    report_trace_overhead rows;
-    emit_runtime_json ~comm ~halo ~temporal ~solver ~scaling ~fusion ~cold "BENCH_runtime.json";
-    print_newline ();
-    print_endline
-      "== Paper artifacts (Tables 1/4/5/6/7/8, Figures 7-14, correctness) ==\n";
-    print_string (Msc.Experiments.render_all ());
-    print_endline "\n== Ablation studies ==\n";
-    print_string (Msc.Ablations.render_all ());
-    Printf.printf "\n[total harness time: %.1f s]\n" (Unix.gettimeofday () -. t0)
-  end
+  (* The engine comparisons run while the process heap is still quiet:
+     at millisecond scale they drown in the GC noise of the large grids. *)
+  let comm = comm_measure [| 192; 192 |] in
+  let temporal = comm_temporal ~smoke in
+  let solver = solver_rows ~smoke in
+  let scaling = scaling_rows ~smoke in
+  report_scaling scaling;
+  let kernels = List.map kernel_row Msc.Suite.all in
+  let fused_pool = fused_pool_headline () in
+  let reorder = reorder_locality () in
+  let out_of_cache = List.map out_of_cache_row Msc.Suite.all in
+  let rows f l = Json.Arr (List.map f l) in
+  write_checked path
+    [
+      ("schema", str "msc-bench-runtime-v3");
+      ("kernels", rows kernel_json kernels);
+      ("kernels_out_of_cache", rows out_of_cache_json out_of_cache);
+      ("cold_compile", rows cold_compile_json cold);
+      ("plan_reorder_3d7pt_star", reorder_json reorder);
+      ("comm_2d9pt_box", comm_json comm);
+      ("comm_temporal", temporal_json temporal);
+      ("fused_pool_3d7pt_star", fused_pool_json fused_pool);
+      ("solver", solver_json solver);
+      ("scaling", scaling_json scaling);
+      ("pipeline_fusion", rows fusion_json fusion);
+    ];
+  audit_pool_cutoff kernels;
+  Printf.printf "[harness time: %.1f s]\n" (now () -. t0)

@@ -1122,6 +1122,27 @@ let poll_reaps_and_launches () =
           jobs;
         check_bool "no child left unreaped" true (no_children_left ()))
 
+(* A kernel cache nobody can create: [MSC_KERNEL_CACHE] names a directory
+   under a regular file, which fails for every user, root included. The
+   create falls back to the interpreter with a reason, leaves no compiler
+   running, and steps bit for bit like the reference oracle. *)
+let unwritable_cache_falls_back () =
+  let file = Filename.concat (scratch_dir "unwritable") "plain-file" in
+  Out_channel.with_open_text file (fun oc -> output_string oc "not a directory\n");
+  with_cache_dir (Filename.concat file "cache") (fun () ->
+      let _, st = stencil_3d7pt ~n:8 () in
+      let rt = Runtime.create ~config:compiled_config ~init:bumpy_init ~bc:Bc.Periodic st in
+      let report = Runtime.backend_report rt in
+      check_bool "degraded to interp" true
+        (Backend.equal report.Runtime.effective Backend.Interp);
+      check_bool "fallback has a reason" true (report.Runtime.fallback <> None);
+      check_bool "no child left unreaped" true (no_children_left ());
+      let reference = Oracles.Reference.create ~init:bumpy_init ~bc:Bc.Periodic st in
+      Runtime.run rt 5;
+      Oracles.Reference.run reference 5;
+      check_bool "bit-identical to the reference" true
+        ((Runtime.current rt).Grid.data = (Oracles.Reference.current reference).Grid.data))
+
 (* --- Emitter salt: every artifact of every emitter carries the version ---
 
    The cache key folds [Jit.emitter_version] in and the file name embeds it,
@@ -1249,6 +1270,7 @@ let suites =
         tc "failing compiler -> fallback, children reaped" failing_compiler_falls_back;
         tc "raising create reaps its compiles" raising_create_reaps;
         tc "poll reaps and launches queued compiles" poll_reaps_and_launches;
+        tc "unwritable cache -> interp fallback" unwritable_cache_falls_back;
         tc "emitter salt in every artifact" emitter_salt_in_artifacts;
       ] );
     ("backend.names", [ tc "of_string round trip" backend_names_round_trip ]);

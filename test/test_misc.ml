@@ -126,12 +126,20 @@ let pp_smoke () =
 
 (* --- CLI binary smoke --- *)
 
-let cli_path = "../bin/msc_cli.exe"
+(* The CLI at ../bin/msc_cli.exe from this test binary's directory in the
+   build tree (the test stanza depends on it), so the test runs from any
+   working directory. *)
+let cli_path =
+  let exe = Sys.executable_name in
+  let exe = if Filename.is_relative exe then Filename.concat (Sys.getcwd ()) exe else exe in
+  Filename.concat (Filename.dirname exe)
+    (Filename.concat Filename.parent_dir_name (Filename.concat "bin" "msc_cli.exe"))
 
 let run_cli args =
   let tmp = Filename.temp_file "msc_cli" ".out" in
   let rc =
-    Sys.command (Printf.sprintf "%s %s > %s 2>&1" cli_path args (Filename.quote tmp))
+    Sys.command
+      (Printf.sprintf "%s %s > %s 2>&1" (Filename.quote cli_path) args (Filename.quote tmp))
   in
   let ic = open_in tmp in
   let out = really_input_string ic (in_channel_length ic) in
@@ -145,7 +153,7 @@ let contains ~needle haystack =
   scan 0
 
 let cli_smoke () =
-  if not (Sys.file_exists cli_path) then ()
+  if not (Sys.file_exists cli_path) then Alcotest.failf "no CLI binary at %s" cli_path
   else begin
     let rc, out = run_cli "list" in
     check_int "list exits 0" 0 rc;
