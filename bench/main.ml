@@ -418,7 +418,11 @@ let reorder_locality () =
    [comm_temporal] (64^2, 16^2 under [--smoke]) is latency-BOUND: each
    rank's sweep costs microseconds, so the overlapped engine pays ~alpha
    every step, while the temporal engine exchanges a [depth * radius] halo
-   once per block and amortises alpha to alpha/depth per step. *)
+   once per block and amortises alpha to alpha/depth per step.
+
+   Every leg is timed [comm_repeats] times, and the rows report the
+   median and the interquartile range: one timing per leg read an
+   [overlap_speedup] anywhere from 0.98 to 2.76 on the same code. *)
 let net_alpha_s = 1e-3
 
 let synthetic_net =
@@ -429,6 +433,12 @@ let synthetic_net =
     congestion_at = (fun ~nranks:_ ~messages_per_rank:_ ~bytes_per_message:_ -> 1.0);
   }
 
+let comm_repeats = 7
+
+(* Seconds per step: the median of [comm_repeats] timings and their
+   interquartile range. *)
+type spread = { median_s : float; iqr_s : float }
+
 let dist_step_s dims engine =
   let st = Msc.Suite.stencil ~dims (Msc.Suite.find "2d9pt_box") in
   with_pool (min 4 (Domain.recommended_domain_count ())) (fun pool ->
@@ -437,9 +447,15 @@ let dist_step_s dims engine =
           ~config:(Msc.Exec.Config.make ~engine ~pool ())
           ~net:synthetic_net ~ranks_shape:[| 2; 2 |] st
       in
-      time_per_run (fun () -> Msc.Distributed.step dist))
+      let xs =
+        Array.init comm_repeats (fun _ -> time_per_run (fun () -> Msc.Distributed.step dist))
+      in
+      {
+        median_s = Msc.Stats.median xs;
+        iqr_s = Msc.Stats.percentile xs 75.0 -. Msc.Stats.percentile xs 25.0;
+      })
 
-type comm = { comm_dims : int array; bulk_s : float; overlapped_s : float }
+type comm = { comm_dims : int array; bulk_s : spread; overlapped_s : spread }
 
 let comm_measure dims =
   {
@@ -453,14 +469,19 @@ let comm_fields c =
     ("dims", ints c.comm_dims);
     ("ranks", ints [| 2; 2 |]);
     ("net_alpha_s", num net_alpha_s);
-    ("bulk_synchronous_s_per_step", num c.bulk_s);
-    ("overlapped_s_per_step", num c.overlapped_s);
+    ("repeats", int comm_repeats);
+    ("bulk_synchronous_s_per_step", num c.bulk_s.median_s);
+    ("bulk_synchronous_iqr_s", num c.bulk_s.iqr_s);
+    ("overlapped_s_per_step", num c.overlapped_s.median_s);
+    ("overlapped_iqr_s", num c.overlapped_s.iqr_s);
   ]
 
 let comm_json c =
-  Json.Obj (comm_fields c @ [ ("overlap_speedup", num (c.bulk_s /. c.overlapped_s)) ])
+  Json.Obj
+    (comm_fields c
+    @ [ ("overlap_speedup", num (c.bulk_s.median_s /. c.overlapped_s.median_s)) ])
 
-type temporal = { t_comm : comm; depths : (int * float) list  (** depth, seconds per step *) }
+type temporal = { t_comm : comm; depths : (int * spread) list  (** depth, seconds per step *) }
 
 let comm_temporal ~smoke =
   let dims = if smoke then [| 16; 16 |] else [| 64; 64 |] in
@@ -475,16 +496,17 @@ let comm_temporal ~smoke =
 let temporal_json t =
   let best_depth, best_s =
     List.fold_left
-      (fun (bd, bs) (d, s) -> if s < bs then (d, s) else (bd, bs))
+      (fun (bd, bs) (d, s) -> if s.median_s < bs then (d, s.median_s) else (bd, bs))
       (0, infinity) t.depths
   in
+  let per_depth f = Json.Obj (List.map (fun (d, s) -> (string_of_int d, num (f s))) t.depths) in
   Json.Obj
     ((("kernel", str "2d9pt_box") :: comm_fields t.t_comm)
     @ [
-        ( "temporal_s_per_step",
-          Json.Obj (List.map (fun (d, s) -> (string_of_int d, num s)) t.depths) );
+        ("temporal_s_per_step", per_depth (fun s -> s.median_s));
+        ("temporal_iqr_s", per_depth (fun s -> s.iqr_s));
         ("best_depth", int best_depth);
-        ("temporal_speedup_vs_overlapped", num (t.t_comm.overlapped_s /. best_s));
+        ("temporal_speedup_vs_overlapped", num (t.t_comm.overlapped_s.median_s /. best_s));
       ])
 
 (* == fused_pool_3d7pt_star: pool scaling of the fused sweep ==

@@ -70,6 +70,21 @@ let () =
   Printf.printf "3d13pt_star on a 3x2x2 grid (uneven blocks): err %g -> %s\n" err3
     (verdict (err3 = 0.0));
 
+  (* The same two checks with the ranks stepped by a 3-worker pool: each
+     worker owns a contiguous block of ranks, so 4 and 12 ranks split into
+     uneven blocks (1+1+2 and 4+4+4). *)
+  let pool = Domain_pool.create 3 in
+  Fun.protect
+    ~finally:(fun () -> Domain_pool.shutdown pool)
+    (fun () ->
+      let config = Exec.Config.make ~pool () in
+      let err = Distributed.validate ~config ~steps:8 ~ranks_shape:[| 2; 2 |] st in
+      Printf.printf "2d9pt_box on a 2x2 grid, 3-worker pool: err %g -> %s\n" err
+        (verdict (err = 0.0));
+      let err3 = Distributed.validate ~config ~steps:5 ~ranks_shape:[| 3; 2; 2 |] st3 in
+      Printf.printf "3d13pt_star on a 3x2x2 grid, 3-worker pool: err %g -> %s\n" err3
+        (verdict (err3 = 0.0)));
+
   (* Predicted scalability of this stencil at paper scale (Figure 10). *)
   print_newline ();
   let make_stencil dims =

@@ -31,11 +31,21 @@ type t = {
       (** per-rank reduction executors over the rank state geometry,
           built lazily on the first {!reduce} *)
   depth : int;  (** effective temporal-block depth (1 for other engines) *)
-  pool : Msc_util.Domain_pool.t;  (** dispatches ranks, not tiles *)
+  pool : Msc_util.Domain_pool.t;
+      (** dispatches ranks, not tiles: worker [w] steps the [w]-th
+          contiguous block of ranks ({!Msc_util.Domain_pool.parallel_ranges}) *)
   halo_plans : Halo.plan array;  (** per rank, compiled at creation *)
-  bc_plans : Bc.plan array;
+  bc_plans : Bc.plan option array;
       (** per rank: the physical-face refresh (empty when periodic: the
-          wrapped exchange owns every face) *)
+          wrapped exchange owns every face), as the option
+          [Runtime.finish_step] takes, built once *)
+  wire : Grid.t array array;
+      (** per rank: the states one exchange sends, refilled in place each
+          step (the window rotates) *)
+  cross_worker_messages : int;
+      (** messages per exchange whose sender and receiver ranks belong to
+          different pool workers *)
+  partials : float array;  (** per rank: {!reduce}'s tile-combined partial *)
   phases : ((int array * int array) array * (int array * int array) array) array;
       (** per rank: (interior tasks, boundary-shell tasks) — the
           first-substep tasks split against the cells at least the
@@ -61,23 +71,40 @@ let needs_corners (st : Stencil.t) =
         (Expr.distinct_accesses k.Kernel.expr))
     (Stencil.kernels st)
 
-(* One full exchange = the communication window of a timestep: the span
-   covers pack, transfer and unpack for every rank and direction. *)
-let exchange_state t ~dt =
+let refresh_bc t rank g =
+  match t.bc_plans.(rank) with Some plan -> Bc.run plan g | None -> ()
+
+(* Point every rank's wire at its [dt = 1 .. Array.length wire] states. *)
+let fill_wire t rank =
+  let w = t.wire.(rank) in
+  for i = 0 to Array.length w - 1 do
+    w.(i) <- Runtime.state t.runtimes.(rank) ~dt:(i + 1)
+  done
+
+(* One full exchange of [grids.(rank)], driven from the calling domain =
+   the communication window of a timestep: the span covers pack, transfer
+   and unpack for every rank and direction. *)
+let exchange t grids =
   let ts_win = Msc_trace.begin_span t.trace in
-  let grids = Array.map (fun rt -> [| Runtime.state rt ~dt |]) t.runtimes in
-  Array.iteri (fun rank p -> Halo.post ~trace:t.trace p grids.(rank)) t.halo_plans;
-  Array.iteri
-    (fun rank p -> Halo.complete ~trace:t.trace p grids.(rank))
-    t.halo_plans;
+  let n = Array.length t.runtimes in
+  for rank = 0 to n - 1 do
+    Halo.post t.halo_plans.(rank) grids.(rank)
+  done;
+  for rank = 0 to n - 1 do
+    Halo.complete t.halo_plans.(rank) grids.(rank)
+  done;
   (* Refresh the physical faces after the exchange, so reflect corners can
      read freshly exchanged edge data. *)
-  Array.iteri (fun rank g -> Bc.run t.bc_plans.(rank) g.(0)) grids;
+  for rank = 0 to n - 1 do
+    for i = 0 to Array.length grids.(rank) - 1 do
+      refresh_bc t rank grids.(rank).(i)
+    done
+  done;
   Msc_trace.end_span t.trace "halo.window" ts_win
 
 let refresh_halos t =
   for dt = 1 to t.time_window do
-    exchange_state t ~dt
+    exchange t (Array.map (fun rt -> [| Runtime.state rt ~dt |]) t.runtimes)
   done
 
 (* The rank builder both constructors share. The constructor resolves
@@ -179,6 +206,31 @@ let build ~config ~net ~init ~aux_init ~bc ~trace ~ranks_shape
           (Runtime.tiles rt))
       runtimes
   in
+  let halo_plans =
+    Array.mapi
+      (fun rank rt ->
+        Halo.plan ~periodic ~trace mpi decomp ~rank ~grid:(geometry rt) ~width
+          ~faces_only)
+      runtimes
+  in
+  let pool = config.Exec.Config.pool in
+  (* A worker's block of ranks is contiguous in row-major rank order, so
+     most neighbours share a worker: at 8x8 ranks on 2 workers, 44 of an
+     exchange's 420 messages cross. *)
+  let owner = Array.make nranks 0 in
+  for w = 0 to Msc_util.Domain_pool.size pool - 1 do
+    let start = Msc_util.Domain_pool.range_start pool ~lo:0 ~hi:nranks in
+    Array.fill owner (start w) (start (w + 1) - start w) w
+  done;
+  let cross_worker_messages =
+    let n = ref 0 in
+    Array.iteri
+      (fun rank p ->
+        Array.iter (fun peer -> if owner.(peer) <> owner.(rank) then incr n) (Halo.peers p))
+      halo_plans;
+    !n
+  in
+  let on_wire = if depth = 1 then 1 else time_window in
   let t =
     {
       global;
@@ -195,19 +247,17 @@ let build ~config ~net ~init ~aux_init ~bc ~trace ~ranks_shape
       rank_config;
       reducers = None;
       depth;
-      pool = config.Exec.Config.pool;
-      halo_plans =
-        Array.mapi
-          (fun rank rt ->
-            Halo.plan ~periodic mpi decomp ~rank ~grid:(geometry rt) ~width
-              ~faces_only)
-          runtimes;
+      pool;
+      halo_plans;
       bc_plans =
         Array.mapi
           (fun rank rt ->
             let low, high = physical rank in
-            Bc.compile ~low ~high bc (geometry rt))
+            Some (Bc.compile ~low ~high bc (geometry rt)))
           runtimes;
+      wire = Array.map (fun rt -> Array.make on_wire (geometry rt)) runtimes;
+      cross_worker_messages;
+      partials = Array.make nranks 0.0;
       (* Split the first substep's tasks against the rank's halo-free core:
          cells at least the stage radius from every local face read no halo
          data, so only these may run while the exchange is in flight (a
@@ -343,12 +393,19 @@ let rank_runtime t ~rank =
          (Array.length t.runtimes));
   t.runtimes.(rank)
 
+(* Every rank-parallel phase is one pool region over contiguous rank
+   blocks: [body lo hi] runs on the worker that owns ranks [lo, hi) for
+   the whole run. *)
+let rank_blocks t body =
+  Msc_util.Domain_pool.parallel_ranges t.pool ~lo:0 ~hi:(Array.length t.runtimes) body
+
 (* Collective reduction over the newest distributed state: per-rank tile
-   partials (the rank's own plan tiling, same backend as its sweeps)
-   combined locally in tree order, rank partials allreduced through the
-   mailbox, one finalize at the end. Every fold is index-ordered, so the
-   result is bit-identical across engines, backends with the compiled
-   fast path, pool sizes and rank counts that preserve the tile split. *)
+   partials (the rank's own plan tiling, same backend as its sweeps, each
+   rank on its own worker) combined locally in tree order, rank partials
+   allreduced through the mailbox, one finalize at the end. Every fold is
+   index-ordered, so the result is bit-identical across engines, backends
+   with the compiled fast path, pool sizes and rank counts that preserve
+   the tile split. *)
 let reduce_tag = 0x7ed0
 
 let reduce t ~op =
@@ -366,15 +423,13 @@ let reduce t ~op =
         t.reducers <- Some rs;
         rs
   in
-  let partials =
-    Array.mapi
-      (fun rank rt ->
-        Msc_exec.Reduction.run_raw reducers.(rank) ~op (Runtime.current rt))
-      t.runtimes
-  in
+  rank_blocks t (fun lo hi ->
+      for rank = lo to hi - 1 do
+        t.partials.(rank) <-
+          Msc_exec.Reduction.run_raw reducers.(rank) ~op (Runtime.current t.runtimes.(rank))
+      done);
   let combined =
-    Mpi_sim.allreduce t.mpi ~tag:reduce_tag ~combine:(Reduce.combine op)
-      partials
+    Mpi_sim.allreduce t.mpi ~tag:reduce_tag ~combine:(Reduce.combine op) t.partials
   in
   Reduce.finalize op combined
 
@@ -384,59 +439,70 @@ let reduce t ~op =
    new source state refreshes the halos every stage of the next step
    reads. *)
 let bulk_step t =
-  Array.iter Runtime.step t.runtimes;
-  exchange_state t ~dt:1
+  rank_blocks t (fun lo hi ->
+      for rank = lo to hi - 1 do
+        Runtime.step t.runtimes.(rank);
+        fill_wire t rank
+      done);
+  exchange t t.wire
 
 (* Commit one rank's block substep, refreshing its physical faces only. *)
-let finish_substep t rank rt = Runtime.finish_step ~refresh:t.bc_plans.(rank) rt
+let finish_substep t rank =
+  Runtime.finish_step ?refresh:t.bc_plans.(rank) t.runtimes.(rank)
 
-(* The three-phase overlap protocol: the first substep of every block.
-   At depth 1 the older states' halos are still valid from the previous
-   step's exchange, so only the newest state goes on the wire; a deeper
-   block sends every retained state. Interior cells read no halo data at
-   all (for a graph, not even through the producers each task computes
-   over its ghost-extended range), so phase B's sub-sweep is correct
-   regardless of message progress; the boundary shell waits for the
-   completed exchange in phase C.
+(* The overlap protocol: the first substep of every block. At depth 1 the
+   older states' halos are still valid from the previous step's exchange,
+   so only the newest state goes on the wire; a deeper block sends every
+   retained state. Interior cells read no halo data at all (for a graph,
+   not even through the producers each task computes over its
+   ghost-extended range), so the interior sub-sweep is correct regardless
+   of message progress; the boundary shell waits for the completed
+   exchange.
 
-   Three pool dispatches with barriers between them keep the protocol
-   deadlock-free even when the pool has fewer workers than ranks: every
-   send is posted before any rank blocks in [Mpi_sim.slot_wait]. Posting
-   is its own (cheap) phase rather than a prologue of each rank's compute
-   so that all messages enter flight before any interior sweep starts —
-   the full sweep then counts against every message's latency, even when
-   the pool's workers time-slice a single core. *)
+   One pool region per step: each worker posts the sends of all its
+   ranks, then sweeps their interiors, then completes, refreshes, sweeps
+   the shell of and commits each of them. No rank waits on a message its
+   own worker has still to post, and every other worker posts before it
+   waits, so the protocol is deadlock-free for any pool size. All of a
+   worker's messages enter flight before its first interior sweep, so the
+   sweeps count against their latency. One region costs one wake-up and
+   one barrier per step, and the contiguous rank blocks keep most
+   neighbour traffic on one core.
+
+   With no barrier between posting and completing, a worker can reach a
+   wait before a peer worker has even woken to post: that receive polls
+   as for a missing message (naps of 0.2 to 2 ms). A peer descheduled for
+   longer than the mailbox's 1 s default (a pool oversubscribing its
+   cores) is not a deadlock, so these waits get [region_timeout_s]. *)
+let region_timeout_s = 30.0
+
 let overlap t =
-  let n = Array.length t.runtimes in
-  let on_wire = if t.depth = 1 then 1 else t.time_window in
-  let grids =
-    Array.map
-      (fun rt -> Array.init on_wire (fun i -> Runtime.state rt ~dt:(i + 1)))
-      t.runtimes
-  in
-  (* Phase A: pack and post every rank's sends. *)
-  Msc_util.Domain_pool.parallel_chunks t.pool ~lo:0 ~hi:n
-    (fun ~worker:_ rank ->
-      Halo.post ~trace:t.trace t.halo_plans.(rank) grids.(rank));
-  (* Phase B: hide the interior sub-sweep behind the in-flight messages. *)
-  Msc_util.Domain_pool.parallel_chunks t.pool ~lo:0 ~hi:n
-    (fun ~worker:_ rank ->
-      let interior, _ = t.phases.(rank) in
-      let ts = Msc_trace.begin_span t.trace in
-      Runtime.sweep_tasks t.runtimes.(rank) interior;
-      Msc_trace.end_span ~tid:rank t.trace "halo.overlap" ts);
-  (* Phase C: complete the receives, refresh the physical faces, sweep
-     the boundary shell, commit the step. *)
-  Msc_util.Domain_pool.parallel_chunks t.pool ~lo:0 ~hi:n
-    (fun ~worker:_ rank ->
-      let rt = t.runtimes.(rank) in
-      Halo.complete ~trace:t.trace t.halo_plans.(rank) grids.(rank);
-      Array.iter (Bc.run t.bc_plans.(rank)) grids.(rank);
-      let _, shell = t.phases.(rank) in
-      let ts = Msc_trace.begin_span t.trace in
-      Runtime.sweep_tasks rt shell;
-      Msc_trace.end_span ~tid:rank t.trace "halo.shell" ts;
-      finish_substep t rank rt)
+  rank_blocks t (fun lo hi ->
+      for rank = lo to hi - 1 do
+        fill_wire t rank;
+        Halo.post t.halo_plans.(rank) t.wire.(rank)
+      done;
+      for rank = lo to hi - 1 do
+        let interior, _ = t.phases.(rank) in
+        let ts = Msc_trace.begin_span t.trace in
+        Runtime.sweep_tasks t.runtimes.(rank) interior;
+        Msc_trace.end_span_on ~tid:rank t.trace "halo.overlap" ts
+      done;
+      for rank = lo to hi - 1 do
+        let wire = t.wire.(rank) in
+        Halo.complete ~timeout_s:region_timeout_s t.halo_plans.(rank) wire;
+        for i = 0 to Array.length wire - 1 do
+          refresh_bc t rank wire.(i)
+        done;
+        let _, shell = t.phases.(rank) in
+        let ts = Msc_trace.begin_span t.trace in
+        Runtime.sweep_tasks t.runtimes.(rank) shell;
+        Msc_trace.end_span_on ~tid:rank t.trace "halo.shell" ts;
+        finish_substep t rank
+      done);
+  if Msc_trace.enabled t.trace then
+    Msc_trace.add_on ~tid:0 t.trace "dist.cross_worker_messages"
+      (float_of_int t.cross_worker_messages)
 
 (* One timestep of a block: the [Overlapped] engine is the depth-1 block,
    [Temporal_blocked] the communication-avoiding depth-k one. A depth-k
@@ -466,13 +532,13 @@ let block_step t =
   else
     (* Substeps 1..k-1: no communication — sweep the shrunken extended
        interior ({!Plan.temporal}) and refresh the physical faces. *)
-    Msc_util.Domain_pool.parallel_chunks t.pool ~lo:0
-      ~hi:(Array.length t.runtimes) (fun ~worker:_ rank ->
-        let rt = t.runtimes.(rank) in
-        let ts = Msc_trace.begin_span t.trace in
-        Runtime.sweep_tasks rt t.sub_tasks.(rank).(s);
-        Msc_trace.end_span ~tid:rank t.trace "halo.substep" ts;
-        finish_substep t rank rt);
+    rank_blocks t (fun lo hi ->
+        for rank = lo to hi - 1 do
+          let ts = Msc_trace.begin_span t.trace in
+          Runtime.sweep_tasks t.runtimes.(rank) t.sub_tasks.(rank).(s);
+          Msc_trace.end_span_on ~tid:rank t.trace "halo.substep" ts;
+          finish_substep t rank
+        done);
   t.block_pos <- (s + 1) mod t.depth
 
 (* Graphs record [Temporal_blocked] (depth 1 at most — deeper requests

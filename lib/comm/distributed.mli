@@ -65,8 +65,11 @@ val create :
     bit-identical states. [config.backend] selects the kernel backend of
     every rank's local runtime (compiled kernels are shared across
     equal-extent ranks through the on-disk cache). [config.pool] dispatches
-    {e ranks} concurrently (default sequential); each rank's local runtime
-    sweeps its own tiles sequentially. [net] attaches a network cost
+    {e ranks} concurrently (default sequential): worker [w] of [W] steps
+    the [w]-th contiguous block of ranks
+    ({!Msc_util.Domain_pool.parallel_ranges}) for the whole run, one pool
+    region per step; each rank's local runtime sweeps its own
+    tiles sequentially. [net] attaches a network cost
     model to the MPI simulator, so every message carries a simulated
     in-flight latency — {!Mpi_sim.slot_wait} sleeps out the remainder, making
     the overlap window measurable in wall-clock traces.
@@ -78,7 +81,9 @@ val create :
     span over each bulk exchange, and — in the overlapped and temporal
     engines — a ["halo.overlap"] span per rank over the interior sub-sweep
     (the window the exchange hides behind) plus a ["halo.shell"] span over
-    the boundary sub-sweep; a temporal block deeper than 1 adds a
+    the boundary sub-sweep, and a ["dist.cross_worker_messages"] counter
+    per exchange (its messages whose sender and receiver ranks belong to
+    different pool workers); a temporal block deeper than 1 adds a
     ["halo.substep"] span per rank over each communication-free substep.
     @raise Invalid_argument if the halo is thinner than the stencil radius,
     the decomposition is invalid, any rank is thinner than the exchange

@@ -69,6 +69,7 @@ let take buf pos =
    allocates no payloads. Ownership stays exclusive — a buffer is packed only
    after its receiver has unpacked it. *)
 type link = {
+  peer : int;  (* the neighbour's rank *)
   port : Mpi_sim.port;  (* to the neighbour at [dir], tag = [dir]'s index *)
   slot : Mpi_sim.slot;  (* from the neighbour at [dir], tag = [-dir]'s *)
   inner : int array;
@@ -79,14 +80,15 @@ type link = {
 
 type plan = {
   mpi : Mpi_sim.t;
+  trace : Msc_trace.t;
   rank : int;
   shape : int array;
   halo : int array;
   links : link array;
 }
 
-let plan ?periodic mpi (decomp : Decomp.t) ~rank ~(grid : Grid.t) ~width
-    ~faces_only =
+let plan ?periodic ?(trace = Msc_trace.disabled) mpi (decomp : Decomp.t) ~rank
+    ~(grid : Grid.t) ~width ~faces_only =
   let nd = Array.length decomp.Decomp.global in
   let links =
     List.filter_map
@@ -97,6 +99,7 @@ let plan ?periodic mpi (decomp : Decomp.t) ~rank ~(grid : Grid.t) ~width
             let opposite = Array.map (fun v -> -v) dir in
             Some
               {
+                peer = nb;
                 port =
                   Mpi_sim.send_port mpi ~src:rank ~dst:nb
                     ~tag:(Decomp.dir_index ~ndim:nd dir);
@@ -112,11 +115,14 @@ let plan ?periodic mpi (decomp : Decomp.t) ~rank ~(grid : Grid.t) ~width
   in
   {
     mpi;
+    trace;
     rank;
     shape = Array.copy grid.Grid.shape;
     halo = Array.copy grid.Grid.halo;
     links = Array.of_list links;
   }
+
+let peers p = Array.map (fun l -> l.peer) p.links
 
 let check p (grids : Grid.t array) name =
   for i = 0 to Array.length grids - 1 do
@@ -165,34 +171,36 @@ let unpack l (grids : Grid.t array) payload =
     done
   done
 
-let post ?(trace = Msc_trace.disabled) p grids =
+let post p grids =
   check p grids "post";
+  let trace = p.trace in
   (* One wall-clock read stamps the rank's whole direction fan, and each
      packed payload is handed over rather than copied. *)
-  let now = Mpi_sim.clock p.mpi in
+  let at = Mpi_sim.clock p.mpi in
   let ts = Msc_trace.begin_span trace in
   let bytes = ref 0 in
   for i = 0 to Array.length p.links - 1 do
     let l = p.links.(i) in
     let payload = pack l grids in
     bytes := !bytes + Bytes.length payload;
-    Mpi_sim.port_send ?now l.port payload
+    Mpi_sim.port_send_at at l.port payload
   done;
-  Msc_trace.end_span ~tid:p.rank trace "halo.pack" ts;
+  Msc_trace.end_span_on ~tid:p.rank trace "halo.pack" ts;
   if Msc_trace.enabled trace then
-    Msc_trace.add ~tid:p.rank trace "halo.bytes" (float_of_int !bytes)
+    Msc_trace.add_on ~tid:p.rank trace "halo.bytes" (float_of_int !bytes)
 
-let complete ?timeout_s ?(trace = Msc_trace.disabled) p grids =
+let complete ?timeout_s p grids =
   check p grids "complete";
+  let trace = p.trace in
   let ts = Msc_trace.begin_span trace in
   for i = 0 to Array.length p.links - 1 do
     let l = p.links.(i) in
     l.buf <- Mpi_sim.slot_wait ?timeout_s l.slot
   done;
-  Msc_trace.end_span ~tid:p.rank trace "halo.exchange" ts;
+  Msc_trace.end_span_on ~tid:p.rank trace "halo.exchange" ts;
   let ts = Msc_trace.begin_span trace in
   for i = 0 to Array.length p.links - 1 do
     let l = p.links.(i) in
     unpack l grids l.buf
   done;
-  Msc_trace.end_span ~tid:p.rank trace "halo.unpack" ts
+  Msc_trace.end_span_on ~tid:p.rank trace "halo.unpack" ts

@@ -25,6 +25,7 @@ type plan
 
 val plan :
   ?periodic:bool ->
+  ?trace:Msc_trace.t ->
   Mpi_sim.t ->
   Decomp.t ->
   rank:int ->
@@ -35,9 +36,13 @@ val plan :
 (** Compile [rank]'s exchange for grids shaped like [grid]: one link per
     direction of {!Decomp.directions} that has a neighbour (with
     [periodic], every direction, wrapping around the process grid, self
-    included). *)
+    included). Its {!post} and {!complete} record on [trace]. *)
 
-val post : ?trace:Msc_trace.t -> plan -> Msc_exec.Grid.t array -> unit
+val peers : plan -> int array
+(** The neighbour rank of each link, in posting order (one message each
+    per {!post}; a periodic self-link names the rank itself). *)
+
+val post : plan -> Msc_exec.Grid.t array -> unit
 (** Pack and send one payload per neighbour (MPI_Isend): the inner slab of
     every grid, concatenated in order — [[|state|]] for the bulk and
     overlapped engines, every retained state (dt = 1 first) for a
@@ -48,8 +53,7 @@ val post : ?trace:Msc_trace.t -> plan -> Msc_exec.Grid.t array -> unit
     @raise Invalid_argument if a grid's shape or halo differs from the
     plan's. *)
 
-val complete :
-  ?timeout_s:float -> ?trace:Msc_trace.t -> plan -> Msc_exec.Grid.t array -> unit
+val complete : ?timeout_s:float -> plan -> Msc_exec.Grid.t array -> unit
 (** Wait out every neighbour's payload (simulated in-flight latency
     included), then unpack each into the outer slabs of [grids] (the same
     grids, in the same order, the neighbours posted). Records one

@@ -8,10 +8,13 @@
    4096-rank exchange has no global serialisation point at all.
 
    The SPSC contract mirrors the execution model of the distributed
-   runtime: a given (src, dst, tag) channel is fed by the domain currently
-   running rank [src] and drained by the one running rank [dst], and the
-   pool barriers between engine phases order any migration of ranks across
-   domains. Distinct channels are fully independent.
+   runtime: a given (src, dst, tag) channel is fed by the domain running
+   rank [src] and drained by the one running rank [dst]. A stepping engine
+   gives each pool worker one fixed block of ranks for the whole run, so
+   within a run a rank never changes domain; exchanges driven from the
+   calling domain instead (the set-up refresh, a bulk step's exchange, a
+   collective) are ordered against the workers' by the pool's dispatch
+   and completion hand-offs. Distinct channels are fully independent.
 
    Segment cells are reused and channels persist across steps: in steady
    state (every halo exchange sends the same channels every step) a message
@@ -35,9 +38,13 @@ type seg = {
   buf : Bytes.t array;
   arr : float array;
   (* Written by the producer before the element it serves is published
-     through [produced], so the consumer never follows a dangling link. *)
-  mutable next : seg option;
+     through [produced], so the consumer never follows a dangling link.
+     [nil_seg] until linked: a sentinel instead of an option, so linking a
+     recycled segment allocates nothing. *)
+  mutable next : seg;
 }
+
+let rec nil_seg = { buf = [||]; arr = [||]; next = nil_seg }
 
 type chan = {
   c_src : int;
@@ -51,10 +58,10 @@ type chan = {
   mutable consumed : int;
   mutable c_seg : seg;
   mutable c_idx : int;
-  (* One-slot segment freelist: the consumer parks each exhausted segment
-     here and the producer reuses it instead of allocating, so steady-state
-     traffic allocates nothing at all. *)
-  spare : seg option Atomic.t;
+  (* One-slot segment freelist ([nil_seg] when empty): the consumer parks
+     each exhausted segment here and the producer reuses it instead of
+     allocating, so steady-state traffic allocates nothing at all. *)
+  spare : seg Atomic.t;
 }
 
 type mailbox = { channels : chan Imap.t Atomic.t }
@@ -63,13 +70,10 @@ type t = {
   nranks : int;
   mailboxes : mailbox array;
   net : Netmodel.t option;
-  (* Batched latency accounting: the modelled in-flight time depends only
-     on the payload size, and halo traffic has a handful of distinct sizes
-     per step — memoize [Netmodel.message_time] per byte count so the model
-     closure runs once per size, not once per message. Only the (slow,
-     sleeping) simulated-latency path touches this. *)
-  lat_lock : Mutex.t;
-  lat_memo : (int, float) Hashtbl.t;
+  origin : float;  (* wall-clock zero of the simulator's {!stamp}s *)
+  (* The resolved endpoints of each collective tag, built on its first
+     call. Collectives run from one domain, like the engines' drivers. *)
+  mutable collectives : collective list;
   (* Counter baselines recorded by [reset_counters]: the live totals are
      derived from the channels, so "resetting" subtracts a snapshot. *)
   mutable base_messages : int;
@@ -78,8 +82,30 @@ type t = {
 }
 
 (* Persistent endpoints: the channel resolved once, reused every step. *)
-type port = { po_t : t; po_ch : chan }
-type slot = { sl_t : t; sl_dst : int; sl_ch : chan }
+and port = {
+  po_t : t;
+  po_ch : chan;
+  (* One-entry memo of the modelled flight time by payload size: a halo
+     link sends one size every step, so the model runs once per link.
+     Only the port's sender writes it, so stamping takes no lock. *)
+  mutable memo_bytes : int;
+  mutable memo_flight : float;
+}
+
+and slot = { sl_t : t; sl_dst : int; sl_ch : chan }
+
+(* One collective tag's endpoints: rank [r]'s port to the root and the
+   root's back to it, the matching slots, and one 8-byte payload per rank
+   that ping-pongs between the two, so a call allocates no message. *)
+and collective = {
+  co_tag : int;
+  up : port array;
+  up_slots : slot array;
+  down : port array;
+  down_slots : slot array;
+  bufs : Bytes.t array;
+  gathered : float array;
+}
 
 exception
   Deadlock of {
@@ -118,8 +144,8 @@ let create ?net ~nranks () =
     nranks;
     mailboxes = Array.init nranks (fun _ -> { channels = Atomic.make Imap.empty });
     net;
-    lat_lock = Mutex.create ();
-    lat_memo = Hashtbl.create 16;
+    origin = now ();
+    collectives = [];
     base_messages = 0;
     base_bytes = 0;
     base_pending = 0;
@@ -132,7 +158,7 @@ let check_rank t r name =
     invalid_arg (Printf.sprintf "Mpi_sim.%s: rank %d out of [0,%d)" name r t.nranks)
 
 let new_seg () =
-  { buf = Array.make seg_cap Bytes.empty; arr = Array.make seg_cap 0.0; next = None }
+  { buf = Array.make seg_cap Bytes.empty; arr = Array.make seg_cap 0.0; next = nil_seg }
 
 let new_chan ~src ~tag =
   let s = new_seg () in
@@ -146,7 +172,7 @@ let new_chan ~src ~tag =
     consumed = 0;
     c_seg = s;
     c_idx = 0;
-    spare = Atomic.make None;
+    spare = Atomic.make nil_seg;
   }
 
 (* Lock-free find-or-create: losers of the CAS race retry the lookup and
@@ -162,40 +188,33 @@ let rec chan_of t mb ~src ~tag =
       if Atomic.compare_and_set mb.channels m (Imap.add key ch m) then ch
       else chan_of t mb ~src ~tag
 
-(* Producer side; at most one thread per channel (SPSC contract). *)
-let chan_push ch payload arrival =
+(* Producer side; at most one thread per channel (SPSC contract). Moves
+   the producer cursor into a fresh segment when the current one is full. *)
+let make_room ch =
   if ch.p_idx = seg_cap then begin
     let s =
-      match Atomic.exchange ch.spare None with
-      | Some s -> s (* recycled: cells already cleared, [next] already None *)
-      | None -> new_seg ()
+      match Atomic.exchange ch.spare nil_seg with
+      | s when s == nil_seg -> new_seg ()
+      | s -> s (* recycled: cells already cleared, [next] already nil *)
     in
-    ch.p_seg.next <- Some s;
+    ch.p_seg.next <- s;
     ch.p_seg <- s;
     ch.p_idx <- 0
-  end;
-  ch.p_seg.buf.(ch.p_idx) <- payload;
-  ch.p_seg.arr.(ch.p_idx) <- arrival;
-  ch.p_idx <- ch.p_idx + 1;
-  ch.p_bytes <- ch.p_bytes + Bytes.length payload;
-  (* Publishes the element and every plain write above it. *)
-  Atomic.incr ch.produced
+  end
 
 (* Consumer side; at most one thread per channel. Step the cursor into the
    next segment lazily — the link is guaranteed published whenever
    [produced] covers an element beyond the current segment. *)
 let cursor_advance ch =
   if ch.c_idx = seg_cap then begin
-    match ch.c_seg.next with
-    | Some s ->
-        let old = ch.c_seg in
-        ch.c_seg <- s;
-        ch.c_idx <- 0;
-        (* Park the drained segment for the producer to reuse (its cells
-           were cleared as each message was claimed). *)
-        old.next <- None;
-        Atomic.set ch.spare (Some old)
-    | None -> assert false
+    let old = ch.c_seg in
+    assert (old.next != nil_seg);
+    ch.c_seg <- old.next;
+    ch.c_idx <- 0;
+    (* Park the drained segment for the producer to reuse (its cells
+       were cleared as each message was claimed). *)
+    old.next <- nil_seg;
+    Atomic.set ch.spare old
   end
 
 (* Simulated arrival time of the channel's head message, [infinity] when
@@ -231,39 +250,20 @@ let take_now ch =
     else no_msg
   end
 
-let latency_of t net bytes =
-  Mutex.lock t.lat_lock;
-  let lat =
-    match Hashtbl.find t.lat_memo bytes with
-    | l -> l
-    | exception Not_found ->
-        let l = Netmodel.message_time net ~nranks:t.nranks ~bytes in
-        Hashtbl.add t.lat_memo bytes l;
-        l
-  in
-  Mutex.unlock t.lat_lock;
-  lat
+(* Post times as whole nanoseconds since the simulator's origin: an
+   immediate int, so a batch's stamp crosses module boundaries unboxed.
+   [instant] marks instantaneous delivery: no network model, or the
+   wall-clock latency scale zeroed, as the test harness runs — and then no
+   clock is read at all. *)
+type stamp = int
 
-(* With no network model — or the wall-clock latency scale zeroed, as the
-   test harness runs — delivery is instantaneous and no clock is read at
-   all; otherwise the arrival stamp is post time + scaled modelled flight.
-   [?now] lets a caller posting a batch (one rank's whole direction fan)
-   read the clock once for all of them. *)
-let arrival_of ?now:(t0 = nan) t bytes =
-  match t.net with
-  | None -> neg_infinity
-  | Some net ->
-      let scale = Netmodel.sim_latency_scale () in
-      if scale = 0.0 then neg_infinity
-      else
-        (if Float.is_nan t0 then now () else t0) +. (scale *. latency_of t net bytes)
+let instant = min_int
 
-(* When only latency stamping needs the clock, read it at most once per
-   send batch: [None] when messages would be stamped instantaneous. *)
 let clock t =
   match t.net with
-  | None -> None
-  | Some _ -> if Netmodel.sim_latency_scale () = 0.0 then None else Some (now ())
+  | Some _ when Netmodel.sim_latency_scale () <> 0.0 ->
+      int_of_float ((now () -. t.origin) *. 1e9)
+  | Some _ | None -> instant
 
 let backlog_of t =
   let acc = ref [] in
@@ -332,10 +332,32 @@ let wait_chan ?(timeout_s = 1.0) t ~dst ch =
 let send_port t ~src ~dst ~tag =
   check_rank t src "send_port";
   check_rank t dst "send_port";
-  { po_t = t; po_ch = chan_of t t.mailboxes.(dst) ~src ~tag }
+  { po_t = t; po_ch = chan_of t t.mailboxes.(dst) ~src ~tag; memo_bytes = -1; memo_flight = 0.0 }
 
-let port_send ?now port payload =
-  chan_push port.po_ch payload (arrival_of ?now port.po_t (Bytes.length payload))
+(* The arrival stamp is post time + scaled modelled flight; everything
+   stays in registers (a float handed to another function is boxed). *)
+let port_send_at at port payload =
+  let ch = port.po_ch in
+  let bytes = Bytes.length payload in
+  make_room ch;
+  let i = ch.p_idx in
+  ch.p_seg.buf.(i) <- payload;
+  (match port.po_t.net with
+  | Some net when at <> instant ->
+      if port.memo_bytes <> bytes then begin
+        port.memo_flight <- Netmodel.message_time net ~nranks:port.po_t.nranks ~bytes;
+        port.memo_bytes <- bytes
+      end;
+      ch.p_seg.arr.(i) <-
+        port.po_t.origin +. (float_of_int at *. 1e-9)
+        +. (Netmodel.sim_latency_scale () *. port.memo_flight)
+  | Some _ | None -> ch.p_seg.arr.(i) <- neg_infinity);
+  ch.p_idx <- i + 1;
+  ch.p_bytes <- ch.p_bytes + bytes;
+  (* Publishes the element and every plain write above it. *)
+  Atomic.incr ch.produced
+
+let port_send port payload = port_send_at (clock port.po_t) port payload
 
 let recv_slot t ~dst ~src ~tag =
   check_rank t src "recv_slot";
@@ -349,41 +371,93 @@ let slot_test slot =
 let slot_wait ?timeout_s slot =
   wait_chan ?timeout_s slot.sl_t ~dst:slot.sl_dst slot.sl_ch
 
+(* Payloads carry exact float bits, little-endian. The native-endian
+   primitives are bounds-checked like [Bytes.get_int64_le] and, applied
+   directly, box no [int64]. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+let[@inline] put_float b v =
+  if Sys.big_endian then Bytes.set_int64_le b 0 (Int64.bits_of_float v)
+  else set64 b 0 (Int64.bits_of_float v)
+
+let[@inline] get_float b =
+  if Bytes.length b <> 8 then
+    invalid_arg
+      (Printf.sprintf "Mpi_sim.allreduce: a %d-byte message on a collective channel"
+         (Bytes.length b));
+  if Sys.big_endian then Int64.float_of_bits (Bytes.get_int64_le b 0)
+  else Int64.float_of_bits (get64 b 0)
+
+let collective t ~tag =
+  match List.find_opt (fun c -> c.co_tag = tag) t.collectives with
+  | Some c -> c
+  | None ->
+      let n = t.nranks in
+      let c =
+        {
+          co_tag = tag;
+          up = Array.init n (fun r -> send_port t ~src:r ~dst:0 ~tag);
+          up_slots = Array.init n (fun r -> recv_slot t ~dst:0 ~src:r ~tag);
+          down = Array.init n (fun r -> send_port t ~src:0 ~dst:r ~tag);
+          down_slots = Array.init n (fun r -> recv_slot t ~dst:r ~src:0 ~tag);
+          bufs = Array.init n (fun _ -> Bytes.create 8);
+          gathered = Array.make n 0.0;
+        }
+      in
+      t.collectives <- c :: t.collectives;
+      c
+
+(* Rank [r]'s 8-byte payload. It is [Bytes.empty] while in flight, and
+   stays so when a call raised before the payload came back (a timed-out
+   wait): the next call then starts with a fresh one. *)
+let payload c r =
+  let b = c.bufs.(r) in
+  if Bytes.length b = 8 then b else Bytes.create 8
+
 (* Driver-side collective: rank-gather to root, deterministic tree fold,
    broadcast back. Every hop is a real mailbox message — 8-byte payloads
    carrying exact float bits — so traffic counters and simulated latency
    account for solver reductions exactly like halo slabs. The fold runs
    over the *rank-indexed* gather array with Reduce.tree_combine, never
-   over arrival order, so the result is bit-stable. *)
+   over arrival order, so the result is bit-stable. Each payload goes back
+   the way it came: the root answers rank [r] in the buffer [r] sent, and
+   [r] keeps it for its next contribution. *)
 let allreduce t ~tag ~combine partials =
   let n = nranks t in
   if Array.length partials <> n then
     invalid_arg "Mpi_sim.allreduce: need exactly one partial per rank";
   if n = 1 then partials.(0)
   else begin
-    let payload v =
-      let b = Bytes.create 8 in
-      Bytes.set_int64_le b 0 (Int64.bits_of_float v);
-      b
-    in
-    let value b = Int64.float_of_bits (Bytes.get_int64_le b 0) in
-    let send ~src ~dst v = port_send (send_port t ~src ~dst ~tag) (payload v) in
-    let recv ~dst ~src = value (slot_wait (recv_slot t ~dst ~src ~tag)) in
+    let c = collective t ~tag in
+    let at = clock t in
     for r = 1 to n - 1 do
-      send ~src:r ~dst:0 partials.(r)
+      let b = payload c r in
+      put_float b partials.(r);
+      c.bufs.(r) <- Bytes.empty;
+      port_send_at at c.up.(r) b
     done;
-    let gathered =
-      Array.init n (fun r -> if r = 0 then partials.(0) else recv ~dst:0 ~src:r)
-    in
-    let result = Msc_ir.Reduce.tree_combine combine gathered in
+    c.gathered.(0) <- partials.(0);
     for r = 1 to n - 1 do
-      send ~src:0 ~dst:r result
+      let b = slot_wait c.up_slots.(r) in
+      c.gathered.(r) <- get_float b;
+      c.bufs.(r) <- b
     done;
+    let result = Msc_ir.Reduce.tree_combine combine c.gathered in
+    let at = clock t in
+    for r = 1 to n - 1 do
+      let b = payload c r in
+      put_float b result;
+      c.bufs.(r) <- Bytes.empty;
+      port_send_at at c.down.(r) b
+    done;
+    (* Every rank decodes the same broadcast bits; the last decode is
+       returned (they are all equal by construction). *)
     let out = ref result in
     for r = 1 to n - 1 do
-      (* Every rank decodes the same broadcast bits; the last decode is
-         returned (they are all equal by construction). *)
-      out := recv ~dst:r ~src:0
+      let b = slot_wait c.down_slots.(r) in
+      out := get_float b;
+      c.bufs.(r) <- b
     done;
     !out
   end

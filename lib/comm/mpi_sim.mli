@@ -13,14 +13,15 @@
     Concurrency contract: distinct channels are fully independent, and a
     given (src, dst, tag) channel must have at most one concurrent sender
     and one concurrent receiver. That is exactly the distributed runtime's
-    execution model — rank [src]'s sends issue from the domain currently
-    running that rank, rank [dst]'s receives from the domain running
-    [dst], and pool barriers between engine phases order any migration of
-    ranks across domains — so the runtime can drive ranks concurrently
-    over a {!Msc_util.Domain_pool}: every rank sends through its
-    {!port}s, computes while the messages are in flight, and claims them
-    from its {!slot}s afterwards — the non-blocking overlapped
-    halo-exchange pattern of §4.4.
+    execution model — rank [src]'s sends issue from the domain running
+    that rank, rank [dst]'s receives from the domain running [dst], each
+    pool worker keeps one block of ranks for the whole run, and the
+    pool's dispatch orders the hand-over to and from the calling domain —
+    so the runtime can drive ranks concurrently over a
+    {!Msc_util.Domain_pool}: every rank sends through its {!port}s,
+    computes while the messages are in flight, and claims them from its
+    {!slot}s afterwards — the non-blocking overlapped halo-exchange
+    pattern of §4.4.
 
     Messages travel only through persistent endpoints: a {!port} /
     {!slot} pair resolves one (src, dst, tag) channel once, and every
@@ -57,11 +58,14 @@ val create : ?net:Netmodel.t -> nranks:int -> unit -> t
 
 val nranks : t -> int
 
-val clock : t -> float option
-(** [Some now] when sends currently need a wall-clock stamp (a network
-    model is attached and {!Netmodel.sim_latency_scale} is non-zero),
-    [None] when messages would be stamped instantaneous anyway. Read it
-    once per send batch and thread it through [?now]. *)
+type stamp
+(** A post time, immediate (unboxed): passing one allocates nothing. *)
+
+val clock : t -> stamp
+(** The current post time when sends need a wall-clock stamp (a network
+    model is attached and {!Netmodel.sim_latency_scale} is non-zero), an
+    "instantaneous" stamp that reads no clock otherwise. Read it once per
+    send batch and pass it to {!port_send_at}. *)
 
 type delay = Spin | Sleep of float
 
@@ -84,9 +88,13 @@ val allreduce :
     {!bytes_sent}, priced by the attached {!Netmodel}), and the fold
     order is fixed by rank — never by arrival — so the result is
     bit-stable across engines and pool sizes. Single-rank simulators
-    return [partials.(0)] without traffic. Drive it from one domain (the
-    stepping driver), like the engine protocols.
-    @raise Invalid_argument unless [Array.length partials = nranks]. *)
+    return [partials.(0)] without traffic. The endpoints of a tag are
+    resolved on its first call and each rank's payload is reused, so later
+    calls allocate no message. Drive it from one domain (the stepping
+    driver), like the engine protocols.
+    @raise Invalid_argument unless [Array.length partials = nranks], or
+    when a message other than an 8-byte payload arrives on the tag's
+    channels. *)
 
 (** {1 Persistent endpoints}
 
@@ -107,13 +115,16 @@ type slot
 val send_port : t -> src:int -> dst:int -> tag:int -> port
 (** @raise Invalid_argument on out-of-range ranks. *)
 
-val port_send : ?now:float -> port -> Bytes.t -> unit
+val port_send : port -> Bytes.t -> unit
 (** Asynchronous send: enqueues the payload, stamped with its simulated
-    arrival time, and never blocks. Ownership transfers: the caller must
-    not mutate the buffer afterwards (the receiver gets this very buffer).
-    [?now] supplies the post timestamp for the arrival stamp (see
-    {!clock}) so a batch of sends reads the wall clock once; ignored when
-    delivery is instantaneous. *)
+    arrival time (post time plus the modelled flight, which each port
+    memoizes for its last payload size), and never blocks. Ownership
+    transfers: the caller must not mutate the buffer afterwards (the
+    receiver gets this very buffer). *)
+
+val port_send_at : stamp -> port -> Bytes.t -> unit
+(** {!port_send} posted at a {!clock} reading, so a batch of sends reads
+    the wall clock once. Allocates nothing. *)
 
 val recv_slot : t -> dst:int -> src:int -> tag:int -> slot
 (** @raise Invalid_argument on out-of-range ranks. *)

@@ -169,7 +169,7 @@ let compile ?(trace = Msc_trace.disabled) kernel ~geometry:(g : Grid.t) =
 
 (* {2 Validation} *)
 
-type placement = { first_row : int; windows : Grid.t array }
+type placement = { mutable first_row : int; windows : Grid.t array }
 
 let no_windows = { first_row = 0; windows = [||] }
 
@@ -201,18 +201,20 @@ let check_geometry placement t name (g : Grid.t) =
   if not (whole || (is_window placement g && slab_of ~shape:t.shape ~halo:t.halo g)) then
     invalid_arg (Printf.sprintf "Interp: %s grid differs from compiled geometry" name)
 
+(* Loops, not iterators, in every check below: they run per task, and an
+   iterator's closure would allocate. *)
 let check_grids_in placement ~aux t ~(src : Grid.t) ~(dst : Grid.t) =
   check_geometry placement t "src" src;
   check_geometry placement t "dst" dst;
   if src.Grid.data == dst.Grid.data then invalid_arg "Interp: src aliases dst";
-  Array.iter
-    (fun name ->
-      match List.assoc_opt name aux with
-      | Some g -> check_geometry placement t ("aux " ^ name) g
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Interp: kernel reads aux grid %s but it was not supplied" name))
-    t.aux_names
+  for i = 0 to Array.length t.aux_names - 1 do
+    let name = t.aux_names.(i) in
+    match List.assoc_opt name aux with
+    | Some g -> check_geometry placement t ("aux " ^ name) g
+    | None ->
+        invalid_arg
+          (Printf.sprintf "Interp: kernel reads aux grid %s but it was not supplied" name)
+  done
 
 let check_grids ?(aux = []) t ~src ~dst = check_grids_in no_windows ~aux t ~src ~dst
 
@@ -220,11 +222,10 @@ let check_range t ~lo ~hi =
   let nd = Array.length t.shape in
   if Array.length lo <> nd || Array.length hi <> nd then
     invalid_arg "Interp: range rank mismatch";
-  Array.iteri
-    (fun d l ->
-      if l < -t.range_slack.(d) || hi.(d) > t.shape.(d) + t.range_slack.(d) then
-        invalid_arg "Interp: range out of bounds")
-    lo
+  for d = 0 to nd - 1 do
+    if lo.(d) < -t.range_slack.(d) || hi.(d) > t.shape.(d) + t.range_slack.(d) then
+      invalid_arg "Interp: range out of bounds"
+  done
 
 (* Interior rows [a, b] of dimension 0 that an access touches must lie in
    the rows a window operand holds; whole grids are the padded-box check's
@@ -236,19 +237,31 @@ let check_rows placement what (g : Grid.t) a b =
       (Printf.sprintf "Interp: %s rows [%d, %d] outside its window [%d, %d)" what a b
          placement.first_row (placement.first_row + g.Grid.shape.(0)))
 
-let nonempty lo hi = Array.for_all2 (fun (l : int) h -> l < h) lo hi
+let nonempty lo hi =
+  let i = ref 0 in
+  while !i < Array.length lo && lo.(!i) < hi.(!i) do
+    incr i
+  done;
+  !i = Array.length lo
+
+(* The rows of [g] a read of tensor [name] over [lo, hi) touches. *)
+let check_reads placement t what name g ~lo ~hi =
+  match List.assoc_opt name t.row_reach with
+  | Some (l, h) -> check_rows placement what g (lo.(0) + l) (hi.(0) - 1 + h)
+  | None -> ()
+
+let rec check_aux_reads placement t ~lo ~hi = function
+  | [] -> ()
+  | (name, g) :: rest ->
+      check_reads placement t ("aux " ^ name) name g ~lo ~hi;
+      check_aux_reads placement t ~lo ~hi rest
 
 let check_kernel_window placement ~aux t ~src ~dst ~lo ~hi =
   check_grids_in placement ~aux t ~src ~dst;
   check_range t ~lo ~hi;
   if Array.length placement.windows > 0 && nonempty lo hi then begin
-    let reads what name g =
-      match List.assoc_opt name t.row_reach with
-      | Some (l, h) -> check_rows placement what g (lo.(0) + l) (hi.(0) - 1 + h)
-      | None -> ()
-    in
-    List.iter (fun (name, g) -> reads ("aux " ^ name) name g) aux;
-    reads "src" t.input src;
+    check_aux_reads placement t ~lo ~hi aux;
+    check_reads placement t "src" t.input src ~lo ~hi;
     check_rows placement "dst" dst lo.(0) (hi.(0) - 1)
   end
 

@@ -33,13 +33,15 @@ val compile : ?trace:Msc_trace.t -> Msc_ir.Kernel.t -> geometry:Grid.t -> t
     @raise Invalid_argument if the kernel's rank or shape mismatches the
     grid. *)
 
-type placement = { first_row : int; windows : Grid.t array }
+type placement = { mutable first_row : int; windows : Grid.t array }
 (** Where the windows of one task sit. A graph runtime sweeps producers
     into per-worker windows: slabs of the padded box along dimension 0
     (the geometry's extents and halo in every other dimension, no halo in
     dimension 0, hence the same strides), each holding the interior rows
     [\[first_row, first_row + rows)] of dimension 0. [windows] lists them;
-    a grid is a window when it is physically one of them. *)
+    a grid is a window when it is physically one of them. Each worker
+    keeps one placement and moves [first_row] to the sub-slab it checks,
+    so a check allocates nothing. *)
 
 val check_grids : ?aux:(string * Grid.t) list -> t -> src:Grid.t -> dst:Grid.t -> unit
 (** The geometry/aliasing validation a kernel term needs before any sweep

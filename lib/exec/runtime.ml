@@ -152,7 +152,9 @@ type t = {
   tasks : (int array * int array) array;  (* the plan's tiles *)
   slab_rows : int;  (* dimension-0 rows of one sub-slab *)
   margin : int;  (* rows a window holds past its sub-slab on each side *)
-  windows : Grid.t array array;  (* per worker, one window per slot *)
+  placements : Interp.placement array;
+      (* per worker: its windows (one per slot), placed at the sub-slab it
+         checks *)
   graph_plan : Plan.graph_plan option;  (* present iff built by [create_graph] *)
   par : [ `Seq | `Block | `Round_robin ];
   pool : Msc_util.Domain_pool.t;
@@ -446,7 +448,7 @@ let build ~config ~init ~aux_init ~bc ~trace ~tid ~source ~time_window:w
     tasks;
     slab_rows;
     margin;
-    windows;
+    placements = Array.map (fun windows -> { Interp.first_row = 0; windows }) windows;
     graph_plan;
     par =
       (match parallel with
@@ -595,20 +597,23 @@ let aux_grid t windows = function
 (* Sweep functions perform no validation: every range guards each term
    with the interpreter's checks first, under the task's window
    placement (which names no window when the runtime has none). *)
-let check_stage ~placement t windows stage ~lo ~hi =
-  let dst = dst_grid t windows stage in
-  let aux =
-    match stage.aux with
-    | [] -> []
-    | l -> List.map (fun (n, a) -> (n, aux_grid t windows a)) l
-  in
-  List.iter
-    (fun tm ->
+let rec check_terms ~placement t windows ~aux ~dst ~lo ~hi = function
+  | [] -> ()
+  | tm :: rest ->
       let src = src_grid t windows tm.src in
-      match tm.kernel with
+      (match tm.kernel with
       | Some interp -> Interp.check_kernel_window placement ~aux interp ~src ~dst ~lo ~hi
-      | None -> Interp.check_state_window placement ~src ~dst ~lo ~hi)
-    stage.terms
+      | None -> Interp.check_state_window placement ~src ~dst ~lo ~hi);
+      check_terms ~placement t windows ~aux ~dst ~lo ~hi rest
+
+let rec bind_aux t windows = function
+  | [] -> []
+  | (n, a) :: rest -> (n, aux_grid t windows a) :: bind_aux t windows rest
+
+let check_stage ~placement t windows (stage : stage) ~lo ~hi =
+  check_terms ~placement t windows
+    ~aux:(bind_aux t windows stage.aux)
+    ~dst:(dst_grid t windows stage) ~lo ~hi stage.terms
 
 (* A stage that touches no window sweeps its shared arrays; a windowed
    one gets the worker's windows substituted, each moved by [shift] (see
@@ -620,23 +625,25 @@ let run_stage ~shift t windows stage ~lo ~hi =
     let srcs = Array.copy stage.srcs and aux = Array.copy stage.aux_slots in
     let nsrc = Array.length srcs in
     let shifts = Array.make (nsrc + 1 + Array.length aux) 0 in
-    List.iteri
-      (fun k tm ->
-        match tm.src with
-        | Window b ->
-            srcs.(k) <- windows.(b).Grid.data;
-            shifts.(k) <- shift
-        | Past _ -> ())
-      stage.terms;
+    let rec window_srcs k = function
+      | [] -> ()
+      | tm :: rest ->
+          (match tm.src with
+          | Window b ->
+              srcs.(k) <- windows.(b).Grid.data;
+              shifts.(k) <- shift
+          | Past _ -> ());
+          window_srcs (k + 1) rest
+    in
+    window_srcs 0 stage.terms;
     if stage.dst <> None then shifts.(nsrc) <- shift;
-    Array.iteri
-      (fun k a ->
-        match a with
-        | Aux_window b ->
-            aux.(k) <- windows.(b).Grid.data;
-            shifts.(nsrc + 1 + k) <- shift
-        | Static _ | Source -> ())
-      stage.aux_slot_srcs;
+    for k = 0 to Array.length aux - 1 do
+      match stage.aux_slot_srcs.(k) with
+      | Aux_window b ->
+          aux.(k) <- windows.(b).Grid.data;
+          shifts.(nsrc + 1 + k) <- shift
+      | Static _ | Source -> ()
+    done;
     stage.sweep ~shifts srcs dst aux lo hi
   end
 
@@ -645,7 +652,14 @@ let run_stage ~shift t windows stage ~lo ~hi =
    and [grow st 1 hi]. A stage without one (the output stage) keeps the
    corner as it is. *)
 let grow st sign corner =
-  if st.grown then Array.mapi (fun d c -> c + (sign * st.ext.(d))) corner else corner
+  if not st.grown then corner
+  else begin
+    let c = Array.copy corner in
+    for d = 0 to Array.length c - 1 do
+      c.(d) <- c.(d) + (sign * st.ext.(d))
+    done;
+    c
+  end
 
 (* Loops, not iterators, from here to the sweep: they run per task, and
    the iterators' closures would allocate. *)
@@ -656,8 +670,9 @@ let nonempty lo hi =
   done;
   !i = Array.length lo
 
-let check_slab t windows ~lo ~hi =
-  let placement = { Interp.first_row = lo.(0) - t.margin; windows } in
+let check_slab t (placement : Interp.placement) ~lo ~hi =
+  let windows = placement.Interp.windows in
+  placement.Interp.first_row <- lo.(0) - t.margin;
   for i = 0 to Array.length t.stages - 1 do
     let st = t.stages.(i) in
     check_stage ~placement t windows st ~lo:(grow st (-1) lo) ~hi:(grow st 1 hi)
@@ -678,29 +693,40 @@ let run_slab t windows ~lo ~hi =
    Every stage of every sub-slab is checked before any sweep, so a
    rejected task writes nothing; an empty task is checked and sweeps
    nothing. *)
-let compute_range t windows ~lo ~hi =
+let compute_range t placement ~lo ~hi =
+  let windows = placement.Interp.windows in
   let rows = hi.(0) - lo.(0) in
   let nonempty = nonempty lo hi in
   if rows <= t.slab_rows then begin
-    check_slab t windows ~lo ~hi;
+    check_slab t placement ~lo ~hi;
     if nonempty then run_slab t windows ~lo ~hi
   end
   else begin
-    let slabs =
-      List.init
-        (1 + ((rows - 1) / t.slab_rows))
-        (fun k ->
-          let slo = Array.copy lo and shi = Array.copy hi in
-          slo.(0) <- lo.(0) + (k * t.slab_rows);
-          shi.(0) <- min hi.(0) (slo.(0) + t.slab_rows);
-          (slo, shi))
+    let slo = Array.copy lo and shi = Array.copy hi in
+    let next_slab first =
+      slo.(0) <- first;
+      shi.(0) <- min hi.(0) (first + t.slab_rows)
     in
-    List.iter (fun (lo, hi) -> check_slab t windows ~lo ~hi) slabs;
-    if nonempty then List.iter (fun (lo, hi) -> run_slab t windows ~lo ~hi) slabs
+    next_slab lo.(0);
+    while slo.(0) < hi.(0) do
+      check_slab t placement ~lo:slo ~hi:shi;
+      next_slab shi.(0)
+    done;
+    if nonempty then begin
+      next_slab lo.(0);
+      while slo.(0) < hi.(0) do
+        run_slab t windows ~lo:slo ~hi:shi;
+        next_slab shi.(0)
+      done
+    end
   end
 
+let rec find_memo tasks = function
+  | [] -> None
+  | m :: rest -> if m.sm_tasks == tasks then Some m else find_memo tasks rest
+
 let sweep_memo t tasks =
-  match List.find_opt (fun m -> m.sm_tasks == tasks) t.sweep_memos with
+  match find_memo tasks t.sweep_memos with
   | Some m -> m
   | None ->
       let points = task_points tasks in
@@ -714,27 +740,36 @@ let sweep_memo t tasks =
 (* [compute_range] wrapped in a per-tile "sweep" span. On parallel paths the
    worker's attachment supplies the tid; sequential sweeps carry the
    runtime's own label (the rank, when distributed). *)
-let sweep_one ?tid t windows (lo, hi) =
+let sweep_seq t (lo, hi) =
   let ts0 = Msc_trace.begin_span t.trace in
-  compute_range t windows ~lo ~hi;
-  Msc_trace.end_span ?tid t.trace "sweep" ts0
+  compute_range t t.placements.(0) ~lo ~hi;
+  Msc_trace.end_span_on ~tid:t.tid t.trace "sweep" ts0
+
+let sweep_worker t worker (lo, hi) =
+  let ts0 = Msc_trace.begin_span t.trace in
+  compute_range t t.placements.(worker) ~lo ~hi;
+  Msc_trace.end_span t.trace "sweep" ts0
 
 (* Re-resolve every stage's past-state and source-aux arrays: the state
    window rotated since the last sweep. Workers only read them. *)
+let rec refresh_terms t st k = function
+  | [] -> ()
+  | tm :: rest ->
+      (match tm.src with
+      | Past dt -> st.srcs.(k) <- (state t ~dt).Grid.data
+      | Window _ -> ());
+      refresh_terms t st (k + 1) rest
+
 let refresh t =
-  Array.iter
-    (fun st ->
-      List.iteri
-        (fun k tm ->
-          match tm.src with Past dt -> st.srcs.(k) <- (state t ~dt).Grid.data | Window _ -> ())
-        st.terms;
-      Array.iteri
-        (fun k a ->
-          match a with
-          | Source -> st.aux_slots.(k) <- (current t).Grid.data
-          | Static _ | Aux_window _ -> ())
-        st.aux_slot_srcs)
-    t.stages
+  for i = 0 to Array.length t.stages - 1 do
+    let st = t.stages.(i) in
+    refresh_terms t st 0 st.terms;
+    for k = 0 to Array.length st.aux_slot_srcs - 1 do
+      match st.aux_slot_srcs.(k) with
+      | Source -> st.aux_slots.(k) <- (current t).Grid.data
+      | Static _ | Aux_window _ -> ()
+    done
+  done
 
 (* Sweep an explicit task array of the output stage (producers tile-local)
    under the plan's parallel dispatch. Every cell's value depends only on
@@ -761,23 +796,23 @@ let sweep_tasks t tasks =
         else p
   in
   match par with
-  | `Inline (Some task) -> sweep_one ~tid:t.tid t t.windows.(0) task
+  | `Inline (Some task) -> sweep_seq t task
   | `Inline None | `Seq ->
       for id = 0 to ntiles - 1 do
-        sweep_one ~tid:t.tid t t.windows.(0) tasks.(id)
+        sweep_seq t tasks.(id)
       done
   | `Block ->
       Msc_util.Domain_pool.parallel_blocks ?on_worker:t.on_worker t.pool ~lo:0
-        ~hi:ntiles (fun ~worker id -> sweep_one t t.windows.(worker) tasks.(id))
+        ~hi:ntiles (fun ~worker id -> sweep_worker t worker tasks.(id))
   | `Round_robin ->
       Msc_util.Domain_pool.parallel_chunks ?on_worker:t.on_worker t.pool ~lo:0
-        ~hi:ntiles (fun ~worker id -> sweep_one t t.windows.(worker) tasks.(id))
+        ~hi:ntiles (fun ~worker id -> sweep_worker t worker tasks.(id))
 
 (* Sweeps write through, so the output slot needs no preparation. *)
 let begin_step (_ : t) = ()
 
 let finish_step ?refresh t =
-  Msc_trace.add ~tid:t.tid t.trace "sweep.points" t.points_per_step;
+  Msc_trace.add_on ~tid:t.tid t.trace "sweep.points" t.points_per_step;
   let ts_bc = Msc_trace.begin_span t.trace in
   let slot = (t.cur + 1) mod Array.length t.window in
   (match refresh with
@@ -791,11 +826,11 @@ let finish_step ?refresh t =
         Bc.run t.bc_full t.window.(slot);
         t.halo_set.(slot) <- t.bc_constant
       end);
-  Msc_trace.end_span ~tid:t.tid t.trace "bc.apply" ts_bc;
+  Msc_trace.end_span_on ~tid:t.tid t.trace "bc.apply" ts_bc;
   let ts_rot = Msc_trace.begin_span t.trace in
   t.cur <- (t.cur + 1) mod Array.length t.window;
   t.steps_done <- t.steps_done + 1;
-  Msc_trace.end_span ~tid:t.tid t.trace "window.rotate" ts_rot
+  Msc_trace.end_span_on ~tid:t.tid t.trace "window.rotate" ts_rot
 
 let graph_plan t = t.graph_plan
 

@@ -65,6 +65,11 @@ let end_span ?tid t name ts0 =
       let tid = match tid with Some w -> w | None -> cur_tid a in
       emit a (Span { name; ts = ts0; dur = now a -. ts0; tid })
 
+let end_span_on t ~tid name ts0 =
+  match t with
+  | None -> ()
+  | Some a -> emit a (Span { name; ts = ts0; dur = now a -. ts0; tid })
+
 let span ?tid t name f =
   match t with
   | None -> f ()
@@ -91,6 +96,11 @@ let add ?tid t name value =
   | Some a ->
       let tid = match tid with Some w -> w | None -> cur_tid a in
       emit a (Counter { name; ts = now a; value; tid })
+
+let add_on t ~tid name value =
+  match t with
+  | None -> ()
+  | Some a -> emit a (Counter { name; ts = now a; value; tid })
 
 (* ------------------------------------------------------------------ *)
 (* Inspection *)

@@ -51,6 +51,11 @@ val end_span : ?tid:int -> t -> string -> float -> unit
 (** [end_span tr name t0] records a span from [t0] (a {!begin_span} result)
     to now. [tid] defaults to the attached worker id, or [0]. *)
 
+val end_span_on : t -> tid:int -> string -> float -> unit
+(** {!end_span} on an explicit timeline. A [~tid] passed to an optional
+    [?tid] is boxed at every call, traced or not; this one allocates
+    nothing while the trace is disabled, so per-step paths use it. *)
+
 val span : ?tid:int -> t -> string -> (unit -> 'a) -> 'a
 (** [span tr name f] times [f ()] as a span. Exceptions propagate; the span
     is still recorded. *)
@@ -62,6 +67,10 @@ val emit_span : ?tid:int -> t -> string -> dur_s:float -> unit
 
 val add : ?tid:int -> t -> string -> float -> unit
 (** [add tr name v] increments counter [name] by [v]. *)
+
+val add_on : t -> tid:int -> string -> float -> unit
+(** {!add} on an explicit timeline, allocation-free while disabled (see
+    {!end_span_on}). *)
 
 val attach_worker : t -> tid:int -> unit
 (** Bind the calling domain to a per-worker buffer tagged [tid].

@@ -147,27 +147,31 @@ let run_workers ?on_worker t per_worker =
         raise exn
   end
 
+(* The module's one contiguous split: worker [w] owns [[range_start w,
+   range_start (w + 1))]; block sizes differ by at most one, the longer
+   blocks first (the dispatching worker 0 starts before its helpers
+   wake). *)
+let range_start t ~lo ~hi w =
+  let n = max 0 (hi - lo) in
+  lo + (w * (n / t.workers)) + min w (n mod t.workers)
+
 let parallel_blocks ?on_worker t ~lo ~hi body =
   if hi <= lo then ()
   else if t.workers = 1 && Option.is_none on_worker then
     for i = lo to hi - 1 do
       body ~worker:0 i
     done
-  else begin
-    let n = hi - lo in
-    let chunk = (n + t.workers - 1) / t.workers in
-    let per_worker w =
-      let s = lo + (w * chunk) in
-      let e = min hi (s + chunk) in
-      for i = s to e - 1 do
-        body ~worker:w i
-      done
-    in
-    run_workers ?on_worker t per_worker
-  end
+  else
+    run_workers ?on_worker t (fun w ->
+        for i = range_start t ~lo ~hi w to range_start t ~lo ~hi (w + 1) - 1 do
+          body ~worker:w i
+        done)
 
 let parallel_for ?on_worker t ~lo ~hi body =
   parallel_blocks ?on_worker t ~lo ~hi (fun ~worker:_ i -> body i)
+
+let parallel_ranges t ~lo ~hi body =
+  run_workers t (fun w -> body (range_start t ~lo ~hi w) (range_start t ~lo ~hi (w + 1)))
 
 let parallel_chunks ?on_worker t ~lo ~hi body =
   if hi <= lo then ()

@@ -55,7 +55,21 @@ val parallel_blocks :
   (worker:int -> int -> unit) -> unit
 (** {!parallel_for}'s static chunking, passing each call the index of the
     worker running it (as {!parallel_chunks} does), so a body can use
-    per-worker scratch. *)
+    per-worker scratch. Worker [w] runs the indices of its
+    {!parallel_ranges} range, in order. *)
+
+val parallel_ranges : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
+(** One region in which worker [w] runs [body a b] exactly once over its
+    contiguous range [[a, b)], the [w]-th of [size t] consecutive blocks
+    of [[lo, hi)] whose lengths differ by at most one, the longer ones
+    first (with more workers than indices the last ranges are empty, and
+    their workers still make the call). A body can run a multi-phase protocol
+    over its whole range with no barrier between the phases, and a given
+    index always lands on the same worker for a given pool size. *)
+
+val range_start : t -> lo:int -> hi:int -> int -> int
+(** [range_start t ~lo ~hi w]: where worker [w]'s {!parallel_ranges}
+    range starts ([hi] for [w = size t]). *)
 
 val parallel_chunks :
   ?on_worker:(int -> unit) -> t -> lo:int -> hi:int ->

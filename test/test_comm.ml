@@ -718,41 +718,49 @@ let distributed_differential_matrix () =
     [ ("star", star); ("box", box) ]
 
 (* Steady-state exchange cost: once every plan is compiled and every
-   channel and payload buffer exists, an overlapped 8x8 step allocates no
-   more than its payload bytes plus a bounded number of words per rank
-   (the sweeps' and phases' own bookkeeping, about 200 words per rank,
-   nothing per message; the per-message protocol the plans replaced added
-   about 2,100 more). The compiled backend sweeps without allocating per
-   point; the interpreter does, so without a C toolchain there is
-   nothing to pin. The
-   sequential pool runs every rank on this domain, whose minor-heap
-   counter is exact; the payloads here are small, so nothing goes to the
-   major heap directly. A full major collection first empties the minor
-   heap, so no collection (and no finaliser left by another test) runs
-   inside the measured step. *)
+   channel and payload buffer exists, a step allocates (almost) nothing —
+   payloads ping-pong between neighbours, the wire arrays are refilled in
+   place, and the per-task checks and sweeps run closure-free. Pinned at
+   16 words per rank for every engine, payloads counted. The compiled backend sweeps without
+   allocating per point; the interpreter does, so without a C toolchain
+   there is nothing to pin. The sequential pool runs every rank on this
+   domain, whose minor-heap counter is exact. A full major collection
+   first empties the minor heap, so no collection (and no finaliser left
+   by another test) runs inside the measured steps. The network model is
+   attached and the wall-clock scale (zeroed by the harness) set to a
+   tiny non-zero value, so every send reads the clock and stamps its
+   arrival through the port's flight-time memo without anyone sleeping. *)
 let distributed_step_allocation_pinned () =
   let _, st = stencil_2d9pt_box ~m:64 ~n:64 () in
-  let dist =
-    Distributed.create ~config:(cfg ~backend:Msc_exec.Backend.Compiled_c ())
-      ~ranks_shape:[| 8; 8 |] st
-  in
-  let report = Msc_exec.Runtime.backend_report (Distributed.rank_runtime dist ~rank:0) in
-  if report.Msc_exec.Runtime.effective = Msc_exec.Backend.Compiled_c then begin
-    Distributed.run dist 3;
-    let mpi = Distributed.mpi dist in
-    let bytes0 = Mpi.bytes_sent mpi in
-    Gc.full_major ();
-    let w0 = Gc.minor_words () in
-    Distributed.step dist;
-    let extra_words =
-      Gc.minor_words () -. w0 -. (float_of_int (Mpi.bytes_sent mpi - bytes0) /. 8.0)
-    in
-    check_bool
-      (Printf.sprintf "%.0f words beyond the payloads (%.1f per rank) <= 320 per rank"
-         extra_words (extra_words /. 64.0))
-      true
-      (extra_words <= 320.0 *. 64.0)
-  end
+  let saved = Netmodel.sim_latency_scale () in
+  Netmodel.set_sim_latency_scale 1e-9;
+  Fun.protect ~finally:(fun () -> Netmodel.set_sim_latency_scale saved) (fun () ->
+  List.iter
+    (fun (label, engine) ->
+      let dist =
+        Distributed.create
+          ~config:(cfg ~backend:Msc_exec.Backend.Compiled_c ~engine ())
+          ~net:Netmodel.sunway_taihulight ~ranks_shape:[| 8; 8 |] st
+      in
+      let report = Msc_exec.Runtime.backend_report (Distributed.rank_runtime dist ~rank:0) in
+      if report.Msc_exec.Runtime.effective = Msc_exec.Backend.Compiled_c then begin
+        (* Warm every channel's segment ring and payload buffer. *)
+        Distributed.run dist 8;
+        Gc.full_major ();
+        let w0 = Gc.minor_words () in
+        Distributed.run dist 4;
+        let words = (Gc.minor_words () -. w0) /. 4.0 in
+        check_bool
+          (Printf.sprintf "%s: %.0f words per step (%.2f per rank) <= 16 per rank" label
+             words (words /. 64.0))
+          true
+          (words <= 16.0 *. 64.0)
+      end)
+    [
+      ("overlapped", Distributed.Overlapped);
+      ("bulk", Distributed.Bulk_synchronous);
+      ("temporal(2)", Distributed.Temporal_blocked { depth = 2 });
+    ])
 
 (* --- Overlapped engine --- *)
 
@@ -818,20 +826,73 @@ let overlapped_periodic_exact () =
        ~bc:Msc_exec.Bc.Periodic ~ranks_shape:[| 2; 2 |] st)
 
 (* Ranks dispatched concurrently over a real worker pool must agree with
-   the sequential dispatch (and with the single grid). *)
-let overlapped_pool_parallel_exact () =
+   the single grid bit for bit, whatever the pool size: each worker steps
+   one contiguous block of ranks, so pools of 1, 2, 3 and 5 workers over
+   6 and 9 ranks give even, uneven and single-rank blocks, and 5 workers
+   over 3 ranks leave some workers an empty block. *)
+let pool_parallel_exact engines =
   let _, st = stencil_2d9pt_box ~m:14 ~n:18 () in
-  let pool = Msc_util.Domain_pool.create 4 in
-  Fun.protect
-    ~finally:(fun () -> Msc_util.Domain_pool.shutdown pool)
-    (fun () ->
-      let dist = Distributed.create ~config:(cfg ~pool ()) ~ranks_shape:[| 2; 3 |] st in
-      let single = Msc_exec.Runtime.create st in
-      Distributed.run dist 3;
-      Msc_exec.Runtime.run single 3;
-      check_float "pool-parallel ranks bit-identical" 0.0
-        (Grid.max_rel_error ~reference:(Msc_exec.Runtime.current single)
-           (Distributed.gather dist)))
+  List.iter
+    (fun workers ->
+      let pool = Msc_util.Domain_pool.create workers in
+      Fun.protect
+        ~finally:(fun () -> Msc_util.Domain_pool.shutdown pool)
+        (fun () ->
+          List.iter
+            (fun (bc_label, bc) ->
+              let single = Msc_exec.Runtime.create ~bc st in
+              Msc_exec.Runtime.run single 5;
+              List.iter
+                (fun (label, engine) ->
+                  List.iter
+                    (fun ranks_shape ->
+                      let dist =
+                        Distributed.create ~config:(cfg ~engine ~pool ()) ~bc ~ranks_shape st
+                      in
+                      Distributed.run dist 5;
+                      check_float
+                        (Printf.sprintf "%s %s, %d workers, %dx%d ranks: bit-identical"
+                           label bc_label workers ranks_shape.(0) ranks_shape.(1))
+                        0.0
+                        (Grid.max_rel_error ~reference:(Msc_exec.Runtime.current single)
+                           (Distributed.gather dist)))
+                    [ [| 2; 3 |]; [| 3; 3 |]; [| 1; 3 |] ])
+                engines)
+            [ ("dirichlet", Msc_exec.Bc.Dirichlet 0.0); ("periodic", Msc_exec.Bc.Periodic) ]))
+    [ 1; 2; 3; 5 ]
+
+let overlapped_pool_parallel_exact () =
+  pool_parallel_exact
+    [ ("overlapped", Distributed.Overlapped); ("bulk", Distributed.Bulk_synchronous) ]
+
+(* Only the messages between ranks of different workers cross cores: the
+   8x8 box exchange posts 420 messages a step, and contiguous rank blocks
+   on 2 workers split it along one row boundary of ranks (8 + 7 + 7
+   messages each way). One worker owns every rank. *)
+let overlapped_cross_worker_messages_traced () =
+  let _, st = stencil_2d9pt_box ~m:32 ~n:32 () in
+  List.iter
+    (fun (workers, expected) ->
+      let pool = Msc_util.Domain_pool.create workers in
+      Fun.protect
+        ~finally:(fun () -> Msc_util.Domain_pool.shutdown pool)
+        (fun () ->
+          let trace = Msc_trace.create () in
+          let dist =
+            Distributed.create ~config:(cfg ~pool ()) ~trace ~ranks_shape:[| 8; 8 |] st
+          in
+          let m0 = Mpi.messages_sent (Distributed.mpi dist) in
+          Distributed.run dist 2;
+          check_int "420 messages a step" 840 (Mpi.messages_sent (Distributed.mpi dist) - m0);
+          let total =
+            List.find (fun (c : Msc_trace.total) -> c.Msc_trace.counter = "dist.cross_worker_messages")
+              (Msc_trace.totals trace)
+          in
+          check_int (Printf.sprintf "%d workers: recorded each step" workers) 2
+            total.Msc_trace.count;
+          check_float (Printf.sprintf "%d workers: cross-worker messages" workers)
+            (float_of_int (2 * expected)) total.Msc_trace.sum))
+    [ (1, 0); (2, 44) ]
 
 (* A narrow rank (extent <= 2*radius somewhere) has an empty interior
    phase: every cell is boundary shell. The split must stay exact. *)
@@ -1029,23 +1090,7 @@ let temporal_effective_depth_reported () =
   check_int "other engines run depth 1" 1 (Distributed.effective_depth over)
 
 let temporal_pool_parallel_exact () =
-  let _, st = stencil_2d9pt_box ~m:14 ~n:18 () in
-  let pool = Msc_util.Domain_pool.create 4 in
-  Fun.protect
-    ~finally:(fun () -> Msc_util.Domain_pool.shutdown pool)
-    (fun () ->
-      let dist =
-        Distributed.create
-          ~config:
-            (cfg ~engine:(Distributed.Temporal_blocked { depth = 2 }) ~pool ())
-          ~ranks_shape:[| 2; 3 |] st
-      in
-      let single = Msc_exec.Runtime.create st in
-      Distributed.run dist 3;
-      Msc_exec.Runtime.run single 3;
-      check_float "pool-parallel temporal bit-identical" 0.0
-        (Grid.max_rel_error ~reference:(Msc_exec.Runtime.current single)
-           (Distributed.gather dist)))
+  pool_parallel_exact [ ("temporal(2)", Distributed.Temporal_blocked { depth = 2 }) ]
 
 (* One deep exchange per block: a 2x2 grid of ranks, 3 neighbours each
    (corners included), depth 2 -> 12 messages for two steps where the
@@ -1359,6 +1404,7 @@ let suites =
         tc "both engines match single grid" engines_match_single_grid;
         tc "periodic exact" overlapped_periodic_exact;
         tc "pool-parallel exact" overlapped_pool_parallel_exact;
+        tc "cross-worker messages traced" overlapped_cross_worker_messages_traced;
         tc "thin ranks all shell" overlapped_thin_rank_exact;
         tc "overlap window traced" overlapped_traces_overlap_window;
       ] );

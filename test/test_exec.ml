@@ -311,6 +311,38 @@ let runtime_dirichlet_halo_once () =
         Backend.all)
     [ stencil_wave2d ~n:10 (); snd (stencil_3d7pt ~n:6 ()) ]
 
+(* The per-task path (window placement, the interpreter's checks, the
+   sweep call) allocates nothing, so a sweep's allocation is the same
+   for 1, 4 or 16 tasks over the same interior. Compiled sweeps only: the
+   interpreter's kernels allocate per point. *)
+let runtime_sweep_tasks_allocation_flat () =
+  let _, st = stencil_2d9pt_box ~m:32 ~n:32 () in
+  let rt =
+    Runtime.create ~config:(Msc_exec.Exec.Config.make ~backend:Backend.Compiled_c ()) st
+  in
+  if (Runtime.backend_report rt).Runtime.effective = Backend.Compiled_c then begin
+    let strips k =
+      Array.init k (fun i -> ([| i * 32 / k; 0 |], [| (i + 1) * 32 / k; 32 |]))
+    in
+    let words tasks =
+      Runtime.sweep_tasks rt tasks;
+      Gc.full_major ();
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 10 do
+        Runtime.sweep_tasks rt tasks
+      done;
+      (Gc.minor_words () -. w0) /. 10.0
+    in
+    let one = words (strips 1) in
+    List.iter
+      (fun k ->
+        let w = words (strips k) in
+        check_bool
+          (Printf.sprintf "%d tasks: %.1f words per sweep, 1 task: %.1f" k w one)
+          true (w <= one))
+      [ 4; 16 ]
+  end
+
 let verify_detects_mismatch () =
   (* Feed the verifier two different initial conditions via a tampered run. *)
   let _, st = stencil_3d7pt ~n:6 () in
@@ -394,6 +426,7 @@ let suites =
         tc "stability" runtime_stability;
         tc "custom init" runtime_custom_init;
         tc "constant Dirichlet halo once per slot" runtime_dirichlet_halo_once;
+        tc "sweep allocation flat in tasks" runtime_sweep_tasks_allocation_flat;
         tc "verify detects mismatch" verify_detects_mismatch;
       ] );
     ( "exec.properties",

@@ -241,6 +241,20 @@ let allreduce_validates () =
   | _ -> Alcotest.fail "partial count mismatch must raise"
   | exception Invalid_argument _ -> ()
 
+(* A collective reuses one payload per rank across calls; a message of
+   another size on its channel is rejected, not read past its end. *)
+let allreduce_rejects_stray_message () =
+  let mpi = Mpi.create ~nranks:3 () in
+  let partials = [| 0.5; 1.5; 2.5 |] in
+  let first = Mpi.allreduce mpi ~tag:5 ~combine:( +. ) partials in
+  check_bool "same bits on reuse" true
+    (Int64.equal (Int64.bits_of_float first)
+       (Int64.bits_of_float (Mpi.allreduce mpi ~tag:5 ~combine:( +. ) partials)));
+  Mpi.port_send (Mpi.send_port mpi ~src:1 ~dst:0 ~tag:5) (Bytes.create 3);
+  match Mpi.allreduce mpi ~tag:5 ~combine:( +. ) partials with
+  | _ -> Alcotest.fail "a 3-byte message on the collective channel must raise"
+  | exception Invalid_argument _ -> ()
+
 (* --- Cost model --- *)
 
 let allreduce_time_model () =
@@ -417,6 +431,7 @@ let suites =
         tc "exact collective" allreduce_exact;
         tc "single rank" allreduce_single_rank;
         tc "validates partials" allreduce_validates;
+        tc "rejects stray message" allreduce_rejects_stray_message;
         tc "netmodel allreduce time" allreduce_time_model;
         tc "scaling counts allreduces" scaling_counts_allreduces;
       ] );

@@ -221,6 +221,22 @@ let pool_round_robin_worker_assignment () =
     (fun i w -> check_int (Printf.sprintf "i=%d owner" i) (i mod 4) w)
     owner
 
+(* Contiguous blocks, longer ones first; [parallel_blocks] deals the
+   same blocks, and an empty block's worker still gets its call. *)
+let pool_block_assignment () =
+  let pool = Domain_pool.create 3 in
+  let ranges ~lo ~hi =
+    let m = Mutex.create () and got = ref [] in
+    Domain_pool.parallel_ranges pool ~lo ~hi (fun a b ->
+        Mutex.protect m (fun () -> got := (a, b) :: !got));
+    List.sort compare !got
+  in
+  check_bool "10 over 3" true (ranges ~lo:2 ~hi:12 = [ (2, 6); (6, 9); (9, 12) ]);
+  check_bool "2 over 3" true (ranges ~lo:0 ~hi:2 = [ (0, 1); (1, 2); (2, 2) ]);
+  let owner = Array.make 10 (-1) in
+  Domain_pool.parallel_blocks pool ~lo:0 ~hi:10 (fun ~worker i -> owner.(i) <- worker);
+  check_bool "blocks dealt as ranges" true (owner = [| 0; 0; 0; 0; 1; 1; 1; 2; 2; 2 |])
+
 let pool_empty_range () =
   let pool = Domain_pool.create 4 in
   Domain_pool.parallel_for pool ~lo:5 ~hi:5 (fun _ -> Alcotest.fail "must not run")
@@ -308,6 +324,7 @@ let suites =
         tc "parallel_for covers once" pool_parallel_for_covers;
         tc "round robin covers once" pool_round_robin_covers;
         tc "round robin assignment" pool_round_robin_worker_assignment;
+        tc "block assignment" pool_block_assignment;
         tc "empty range" pool_empty_range;
         tc "exception propagates" pool_exception_propagates;
         tc "sequential fallback" pool_sequential_fallback;
