@@ -405,24 +405,18 @@ let reorder_locality () =
     reversed_pps = run [ "zo"; "yo"; "xo"; "xi"; "yi"; "zi" ];
   }
 
-(* == comm_2d9pt_box and comm_temporal: engines under a ~1 ms network ==
+(* == comm_temporal: the stepping protocol's depth under a ~1 ms network ==
 
-   Both step 2d9pt_box on 2x2 ranks whose messages take ~1 ms in flight,
-   with the pool sized to the host (up to one worker per rank).
+   Steps 2d9pt_box on 2x2 ranks whose messages take ~1 ms in flight, with
+   the pool sized to the host (up to one worker per rank), at 64^2 (16^2
+   under [--smoke]). It is latency-BOUND: each rank's sweep costs
+   microseconds, so depth 1 pays ~alpha every step, while depth k
+   exchanges a [k * radius] halo once per block and amortises alpha to
+   alpha/k per step.
 
-   [comm_2d9pt_box] (192^2) is sized so each rank's interior sub-sweep
-   takes at least as long as a message's flight: the bulk engine eats the
-   latency after every sweep, the overlapped engine can hide it behind the
-   interior sub-sweep.
-
-   [comm_temporal] (64^2, 16^2 under [--smoke]) is latency-BOUND: each
-   rank's sweep costs microseconds, so the overlapped engine pays ~alpha
-   every step, while the temporal engine exchanges a [depth * radius] halo
-   once per block and amortises alpha to alpha/depth per step.
-
-   Every leg is timed [comm_repeats] times, and the rows report the
-   median and the interquartile range: one timing per leg read an
-   [overlap_speedup] anywhere from 0.98 to 2.76 on the same code. *)
+   Every depth is timed [comm_repeats] times, and the rows report the
+   median and the interquartile range: a single timing per leg moved by up
+   to 2.8x between runs of the same code. *)
 let net_alpha_s = 1e-3
 
 let synthetic_net =
@@ -439,12 +433,12 @@ let comm_repeats = 7
    interquartile range. *)
 type spread = { median_s : float; iqr_s : float }
 
-let dist_step_s dims engine =
+let dist_step_s dims depth =
   let st = Msc.Suite.stencil ~dims (Msc.Suite.find "2d9pt_box") in
   with_pool (min 4 (Domain.recommended_domain_count ())) (fun pool ->
       let dist =
         Msc.Distributed.create
-          ~config:(Msc.Exec.Config.make ~engine ~pool ())
+          ~config:(Msc.Exec.Config.make ~depth ~pool ())
           ~net:synthetic_net ~ranks_shape:[| 2; 2 |] st
       in
       let xs =
@@ -455,43 +449,11 @@ let dist_step_s dims engine =
         iqr_s = Msc.Stats.percentile xs 75.0 -. Msc.Stats.percentile xs 25.0;
       })
 
-type comm = { comm_dims : int array; bulk_s : spread; overlapped_s : spread }
-
-let comm_measure dims =
-  {
-    comm_dims = dims;
-    bulk_s = dist_step_s dims Msc.Distributed.Bulk_synchronous;
-    overlapped_s = dist_step_s dims Msc.Distributed.Overlapped;
-  }
-
-let comm_fields c =
-  [
-    ("dims", ints c.comm_dims);
-    ("ranks", ints [| 2; 2 |]);
-    ("net_alpha_s", num net_alpha_s);
-    ("repeats", int comm_repeats);
-    ("bulk_synchronous_s_per_step", num c.bulk_s.median_s);
-    ("bulk_synchronous_iqr_s", num c.bulk_s.iqr_s);
-    ("overlapped_s_per_step", num c.overlapped_s.median_s);
-    ("overlapped_iqr_s", num c.overlapped_s.iqr_s);
-  ]
-
-let comm_json c =
-  Json.Obj
-    (comm_fields c
-    @ [ ("overlap_speedup", num (c.bulk_s.median_s /. c.overlapped_s.median_s)) ])
-
-type temporal = { t_comm : comm; depths : (int * spread) list  (** depth, seconds per step *) }
+type temporal = { t_dims : int array; depths : (int * spread) list  (** depth, seconds per step *) }
 
 let comm_temporal ~smoke =
   let dims = if smoke then [| 16; 16 |] else [| 64; 64 |] in
-  let t_comm = comm_measure dims in
-  let depths =
-    List.map
-      (fun depth -> (depth, dist_step_s dims (Msc.Distributed.Temporal_blocked { depth })))
-      [ 1; 2; 4; 8 ]
-  in
-  { t_comm; depths }
+  { t_dims = dims; depths = List.map (fun depth -> (depth, dist_step_s dims depth)) [ 1; 2; 4; 8 ] }
 
 let temporal_json t =
   let best_depth, best_s =
@@ -501,13 +463,17 @@ let temporal_json t =
   in
   let per_depth f = Json.Obj (List.map (fun (d, s) -> (string_of_int d, num (f s))) t.depths) in
   Json.Obj
-    ((("kernel", str "2d9pt_box") :: comm_fields t.t_comm)
-    @ [
-        ("temporal_s_per_step", per_depth (fun s -> s.median_s));
-        ("temporal_iqr_s", per_depth (fun s -> s.iqr_s));
-        ("best_depth", int best_depth);
-        ("temporal_speedup_vs_overlapped", num (t.t_comm.overlapped_s.median_s /. best_s));
-      ])
+    [
+      ("kernel", str "2d9pt_box");
+      ("dims", ints t.t_dims);
+      ("ranks", ints [| 2; 2 |]);
+      ("net_alpha_s", num net_alpha_s);
+      ("repeats", int comm_repeats);
+      ("temporal_s_per_step", per_depth (fun s -> s.median_s));
+      ("temporal_iqr_s", per_depth (fun s -> s.iqr_s));
+      ("best_depth", int best_depth);
+      ("temporal_speedup_vs_depth1", num ((List.assoc 1 t.depths).median_s /. best_s));
+    ]
 
 (* == fused_pool_3d7pt_star: pool scaling of the fused sweep ==
 
@@ -779,7 +745,7 @@ let solver_json s =
     [
       ("dims", ints s.sv_dims);
       ("ranks", ints [| 2; 2 |]);
-      ("engine", str "overlapped");
+      ("depth", int 1);
       ("tol", num 1e-8);
       ("methods", Json.Arr (List.map leg_json s.legs));
     ]
@@ -790,7 +756,7 @@ let solver_rows ~smoke =
   let leg method_ =
     let solve () =
       Msc.Solver.solve
-        ~config:(Msc.Exec.Config.make ~engine:Msc.Distributed.Overlapped ())
+        ~config:Msc.Exec.Config.default
         ~ranks_shape:[| 2; 2 |] ~tol:1e-8
         (* Jacobi's spectral radius at the full 33x35 size puts 1e-8
            around 4300 iterations; the 2000 default caps it mid-flight
@@ -1118,9 +1084,8 @@ let () =
   let fusion = pipeline_fusion_rows () in
   audit_pipeline_fusion fusion;
   let cold = cold_compile_rows () in
-  (* The engine comparisons run while the process heap is still quiet:
-     at millisecond scale they drown in the GC noise of the large grids. *)
-  let comm = comm_measure [| 192; 192 |] in
+  (* The depth ladder runs while the process heap is still quiet: at
+     millisecond scale it drowns in the GC noise of the large grids. *)
   let temporal = comm_temporal ~smoke in
   let solver = solver_rows ~smoke in
   let scaling = scaling_rows ~smoke in
@@ -1137,7 +1102,6 @@ let () =
       ("kernels_out_of_cache", rows out_of_cache_json out_of_cache);
       ("cold_compile", rows cold_compile_json cold);
       ("plan_reorder_3d7pt_star", reorder_json reorder);
-      ("comm_2d9pt_box", comm_json comm);
       ("comm_temporal", temporal_json temporal);
       ("fused_pool_3d7pt_star", fused_pool_json fused_pool);
       ("solver", solver_json solver);

@@ -116,14 +116,14 @@ let pp_backend_report ppf (r : Msc.Runtime.backend_report) =
 
 (* The pool is caller-owned under [Exec.Config]; shut it down when the
    command finishes rather than leaving parked domains to the GC backstop. *)
-let with_config ?backend ?engine ~workers f =
+let with_config ?backend ?depth ~workers f =
   let pool =
     if workers < 2 then Msc.Domain_pool.sequential
     else Msc.Domain_pool.create workers
   in
   Fun.protect
     ~finally:(fun () -> Msc.Domain_pool.shutdown pool)
-    (fun () -> f (Msc.Exec.Config.make ?backend ?engine ~pool ()))
+    (fun () -> f (Msc.Exec.Config.make ?backend ?depth ~pool ()))
 
 let small_arg =
   Arg.(
@@ -237,31 +237,6 @@ let solve_cmd =
     let print ppf m = Format.pp_print_string ppf (Msc.Solver.method_to_string m) in
     Arg.conv (parse, print)
   in
-  let engine_conv =
-    let parse s =
-      match String.split_on_char ':' s with
-      | [ "bulk" ] -> Ok Msc.Exec.Bulk_synchronous
-      | [ "overlapped" ] -> Ok Msc.Exec.Overlapped
-      | [ "temporal" ] -> Ok (Msc.Exec.Temporal_blocked { depth = 2 })
-      | [ "temporal"; d ] -> (
-          match int_of_string_opt d with
-          | Some depth -> Ok (Msc.Exec.Temporal_blocked { depth })
-          | None -> Error (`Msg (Printf.sprintf "bad temporal depth %S" d)))
-      | _ ->
-          Error
-            (`Msg
-              (Printf.sprintf
-                 "unknown engine %S (bulk | overlapped | temporal[:DEPTH])" s))
-    in
-    let print ppf (e : Msc.Exec.engine) =
-      match e with
-      | Msc.Exec.Bulk_synchronous -> Format.pp_print_string ppf "bulk"
-      | Msc.Exec.Overlapped -> Format.pp_print_string ppf "overlapped"
-      | Msc.Exec.Temporal_blocked { depth } ->
-          Format.fprintf ppf "temporal:%d" depth
-    in
-    Arg.conv (parse, print)
-  in
   let method_arg =
     Arg.(
       value
@@ -296,15 +271,14 @@ let solve_cmd =
       value & opt float 1.0
       & info [ "omega" ] ~docv:"W" ~doc:"Jacobi damping factor in (0, 1].")
   in
-  let engine_arg =
+  let depth_arg =
     Arg.(
-      value
-      & opt engine_conv Msc.Exec.Overlapped
-      & info [ "engine" ] ~docv:"E"
+      value & opt int 1
+      & info [ "depth" ] ~docv:"D"
           ~doc:
-            "Halo engine: bulk | overlapped | temporal[:DEPTH]. Jacobi runs \
-             natively on all three; cg/rbgs degrade a temporal request to \
-             bulk for the operator (reported).")
+            "Temporal depth of the distributed stepping protocol (one halo \
+             exchange per D steps). Jacobi runs at any depth; cg/rbgs clamp \
+             the operator to depth 1 (reported).")
   in
   let residuals_out_arg =
     Arg.(
@@ -318,62 +292,49 @@ let solve_cmd =
       value & flag
       & info [ "smoke" ]
           ~doc:
-            "CI leg: run every method on every engine over a small 2x2-rank \
+            "CI leg: run every method at depths 1 and 2 over a small 2x2-rank \
              Poisson problem and fail unless all converge with bit-identical \
-             residual sequences across engines.")
+             residual sequences across depths.")
   in
   let write_residuals file rows =
     let oc = open_out file in
-    output_string oc "method,engine,iteration,residual\n";
+    output_string oc "method,depth,iteration,residual\n";
     List.iter
-      (fun (m, e, r : Msc.Solver.method_ * string * Msc.Solver.report) ->
+      (fun (m, depth, r : Msc.Solver.method_ * int * Msc.Solver.report) ->
         Array.iteri
           (fun i res ->
-            Printf.fprintf oc "%s,%s,%d,%.17g\n"
+            Printf.fprintf oc "%s,%d,%d,%.17g\n"
               (Msc.Solver.method_to_string m)
-              e i res)
+              depth i res)
           r.Msc.Solver.residuals)
       rows;
     close_out oc;
     Printf.printf "wrote %s\n" file
   in
-  let engine_name (e : Msc.Exec.engine) =
-    match e with
-    | Msc.Exec.Bulk_synchronous -> "bulk"
-    | Msc.Exec.Overlapped -> "overlapped"
-    | Msc.Exec.Temporal_blocked { depth } -> Printf.sprintf "temporal:%d" depth
-  in
-  let run method_ dims ranks tol max_iters omega engine backend workers
+  let run method_ dims ranks tol max_iters omega depth backend workers
       residuals_out smoke =
     if smoke then begin
       (* Small enough to finish in seconds, large enough that every rank of
          the 2x2 grid holds interior and shell tiles. *)
       let p = Msc.Solver.Problem.poisson ~dims:[| 17; 19 |] in
-      let engines =
-        [
-          Msc.Exec.Bulk_synchronous;
-          Msc.Exec.Overlapped;
-          Msc.Exec.Temporal_blocked { depth = 2 };
-        ]
-      in
       let rows = ref [] in
       let ok = ref true in
       List.iter
         (fun m ->
           let reference = ref None in
           List.iter
-            (fun engine ->
+            (fun depth ->
               let r =
                 Msc.Solver.solve
-                  ~config:(Msc.Exec.Config.make ~backend ~engine ())
+                  ~config:(Msc.Exec.Config.make ~backend ~depth ())
                   ~ranks_shape:[| 2; 2 |] ~tol:1e-6 ~method_:m p
               in
               Format.printf "%a@." Msc.Solver.pp_report r;
-              rows := (m, engine_name engine, r) :: !rows;
+              rows := (m, depth, r) :: !rows;
               if not r.Msc.Solver.converged then begin
-                Printf.eprintf "FAIL: %s did not converge on %s\n"
+                Printf.eprintf "FAIL: %s did not converge at depth %d\n"
                   (Msc.Solver.method_to_string m)
-                  (engine_name engine);
+                  depth;
                 ok := false
               end;
               match !reference with
@@ -381,18 +342,18 @@ let solve_cmd =
               | Some ref_res ->
                   if r.Msc.Solver.residuals <> ref_res then begin
                     Printf.eprintf
-                      "FAIL: %s residuals on %s differ from the bulk engine \
+                      "FAIL: %s residuals at depth %d differ from depth 1 \
                        (bit-identity broken)\n"
                       (Msc.Solver.method_to_string m)
-                      (engine_name engine);
+                      depth;
                     ok := false
                   end)
-            engines)
+            [ 1; 2 ])
         Msc.Solver.all_methods;
       Option.iter (fun f -> write_residuals f (List.rev !rows)) residuals_out;
       if !ok then begin
         print_endline
-          "solver smoke: every method converged on every engine, residual \
+          "solver smoke: every method converged at depths 1 and 2, residual \
            sequences bit-identical";
         0
       end
@@ -400,7 +361,7 @@ let solve_cmd =
     end
     else
       let p = Msc.Solver.Problem.poisson ~dims in
-      with_config ~backend ~engine ~workers (fun config ->
+      with_config ~backend ~depth ~workers (fun config ->
           match
             Msc.Solver.solve ~config ~tol ~max_iters ~omega ?ranks_shape:ranks
               ~method_ p
@@ -408,7 +369,7 @@ let solve_cmd =
           | r ->
               Format.printf "%a@." Msc.Solver.pp_report r;
               Option.iter
-                (fun f -> write_residuals f [ (method_, engine_name engine, r) ])
+                (fun f -> write_residuals f [ (method_, depth, r) ])
                 residuals_out;
               if r.Msc.Solver.converged then 0 else 1
           | exception Invalid_argument msg ->
@@ -426,7 +387,7 @@ let solve_cmd =
           halo exchanges and allreduce collectives).")
     Term.(
       const run $ method_arg $ dims_arg $ ranks_arg $ tol_arg $ max_iters_arg
-      $ omega_arg $ engine_arg $ backend_arg $ workers $ residuals_out_arg
+      $ omega_arg $ depth_arg $ backend_arg $ workers $ residuals_out_arg
       $ smoke_arg)
 
 (* A suite pipeline: the post-pass graph, tiled over two workers on

@@ -49,18 +49,25 @@ let () =
   Printf.printf "gathered vs single-grid max relative error: %g -> %s\n" err
     (verdict (err = 0.0));
 
-  (* Both stepping protocols — the default Overlapped engine above hides
-     the exchange behind each rank's interior sub-sweep; Bulk_synchronous
-     is the lockstep parity reference. Their gathers agree bit-for-bit. *)
-  let bulk =
-    Distributed.create
-      ~config:(Exec.Config.make ~engine:Exec.Bulk_synchronous ())
-      ~ranks_shape:[| 2; 2 |] st
+  (* The same protocol at temporal depth 2: one deep exchange feeds two
+     steps, and every rank recomputes the halo ring the second step reads
+     instead of exchanging it. Half the messages, the same bits as depth 1
+     above and as the single grid. *)
+  let deep =
+    Distributed.create ~config:(Exec.Config.make ~depth:2 ()) ~ranks_shape:[| 2; 2 |] st
   in
-  Distributed.run bulk 8;
-  Printf.printf "overlapped vs bulk-synchronous engines: %s\n"
-    (verdict
-       ((Distributed.gather bulk).Grid.data = (Distributed.gather dist).Grid.data));
+  let deep_messages0 = Mpi.messages_sent (Distributed.mpi deep) in
+  Distributed.run deep 8;
+  let deep_gather = Distributed.gather deep in
+  Printf.printf "depth 2: %d messages in 8 steps
+"
+    (Mpi.messages_sent (Distributed.mpi deep) - deep_messages0);
+  Printf.printf "depth 2 vs depth 1: %s
+"
+    (verdict (deep_gather.Grid.data = (Distributed.gather dist).Grid.data));
+  Printf.printf "depth 2 vs single grid: %s
+"
+    (verdict (Grid.max_rel_error ~reference:(Runtime.current single) deep_gather = 0.0));
 
   (* An uneven 3-D decomposition with a star stencil (faces only). *)
   let grid3 = Builder.def_tensor_3d ~time_window:2 ~halo:2 "B" Dtype.F64 23 17 29 in

@@ -37,7 +37,7 @@ val true_cost :
     grid — the terms the paper's model lists (kernel, packing, transfer).
     The config's temporal-block depth is clamped to what the sub-grid
     geometry and the scratchpad allow, then priced as the
-    communication-avoiding engine executes it: node time inflated by
+    communication-avoiding temporal block executes it: node time inflated by
     {!Msc_comm.Scaling.temporal_compute_factor}, exchange slabs widened to
     [depth * radius] (every retained state included) and amortised over the
     block, so the alpha term drops as [alpha / depth]. [net] (default
@@ -89,7 +89,7 @@ val tune_scale :
     inflated by the ghost factor, plus the hierarchical
     {!Msc_comm.Scaling.comm_time} ([ranks_per_node] defaults to the
     platform's {!Msc_comm.Scaling.ranks_per_node}), combined with the
-    overlapped-engine formula. Returns the winner and the whole ranking,
+    overlapped-protocol formula. Returns the winner and the whole ranking,
     best first (ties keep enumeration order, so the result is
     deterministic). On a latency-bound interconnect at large rank counts
     the winner moves off the naive square-grid depth-1 default — a skewed

@@ -7,30 +7,20 @@ module Schedule = Msc_schedule.Schedule
 module Exec = Msc_exec.Exec
 module G = Msc_graph.Graph
 
-type engine = Exec.engine =
-  | Bulk_synchronous
-  | Overlapped
-  | Temporal_blocked of { depth : int }
-
 type t = {
   global : Tensor.t;  (** the decomposed (stepped) tensor: {!gather}'s geometry *)
-  time_window : int;  (** retained past states, all exchanged by {!refresh_halos} *)
+  time_window : int;  (** retained past states, all exchanged by {!initial_exchange} *)
   decomp : Decomp.t;
   mpi : Mpi_sim.t;
   runtimes : Runtime.t array;
   offsets : int array array;
-  engine : engine;
-  effective_engine : engine;
-      (** the protocol actually stepping: [Temporal_blocked] records its
-          clamped depth; graph runs degrade [Temporal_blocked {depth = 1}]
-          to [Bulk_synchronous] (deeper graph blocks are rejected) *)
   rank_config : Exec.Config.t;
       (** each rank's local config (sequential pool) — reduction executors
           reuse its backend *)
   mutable reducers : Msc_exec.Reduction.t array option;
       (** per-rank reduction executors over the rank state geometry,
           built lazily on the first {!reduce} *)
-  depth : int;  (** effective temporal-block depth (1 for other engines) *)
+  depth : int;  (** effective temporal-block depth *)
   pool : Msc_util.Domain_pool.t;
       (** dispatches ranks, not tiles: worker [w] steps the [w]-th
           contiguous block of ranks ({!Msc_util.Domain_pool.parallel_ranges}) *)
@@ -81,42 +71,35 @@ let fill_wire t rank =
     w.(i) <- Runtime.state t.runtimes.(rank) ~dt:(i + 1)
   done
 
-(* One full exchange of [grids.(rank)], driven from the calling domain =
-   the communication window of a timestep: the span covers pack, transfer
-   and unpack for every rank and direction. *)
-let exchange t grids =
-  let ts_win = Msc_trace.begin_span t.trace in
+(* The create-time halo fill: one exchange per retained state, driven
+   from the calling domain with no compute in flight, each under a
+   ["halo.window"] span covering pack, transfer and unpack for every rank
+   and direction. The physical faces are refreshed after the exchange, so
+   reflect corners read freshly exchanged edge data. *)
+let initial_exchange t =
   let n = Array.length t.runtimes in
-  for rank = 0 to n - 1 do
-    Halo.post t.halo_plans.(rank) grids.(rank)
-  done;
-  for rank = 0 to n - 1 do
-    Halo.complete t.halo_plans.(rank) grids.(rank)
-  done;
-  (* Refresh the physical faces after the exchange, so reflect corners can
-     read freshly exchanged edge data. *)
-  for rank = 0 to n - 1 do
-    for i = 0 to Array.length grids.(rank) - 1 do
-      refresh_bc t rank grids.(rank).(i)
-    done
-  done;
-  Msc_trace.end_span t.trace "halo.window" ts_win
-
-let refresh_halos t =
   for dt = 1 to t.time_window do
-    exchange t (Array.map (fun rt -> [| Runtime.state rt ~dt |]) t.runtimes)
+    let ts_win = Msc_trace.begin_span t.trace in
+    let grids = Array.map (fun rt -> [| Runtime.state rt ~dt |]) t.runtimes in
+    for rank = 0 to n - 1 do
+      Halo.post t.halo_plans.(rank) grids.(rank)
+    done;
+    for rank = 0 to n - 1 do
+      Halo.complete t.halo_plans.(rank) grids.(rank);
+      refresh_bc t rank grids.(rank).(0)
+    done;
+    Msc_trace.end_span t.trace "halo.window" ts_win
   done
 
 (* The rank builder both constructors share. The constructor resolves
-   [protocol] (the engine that will step, before the depth clamp), the
-   per-step exchange width [halo], whether the exchange needs [corners],
-   and the [radius] the interior/shell split and the temporal substeps run
-   against. [rank ~depth ~extent] compiles one rank extent's
+   the per-step exchange width [halo], whether the exchange needs
+   [corners], and the [radius] the interior/shell split and the temporal
+   substeps run against. [rank ~depth ~extent] compiles one rank extent's
    plan and returns the constructor of a rank runtime over it; it runs once
    per distinct extent (uneven decompositions produce at most a handful),
    so equal-extent ranks share one compiled plan. *)
 let build ~config ~net ~init ~aux_init ~bc ~trace ~ranks_shape
-    ~(global : Tensor.t) ~time_window ~protocol ~halo ~radius ~corners ~rank =
+    ~(global : Tensor.t) ~time_window ~halo ~radius ~corners ~rank =
   (* The pool dispatches ranks; inside a rank the runtime sweeps its tiles
      sequentially (nested parallelism would oversubscribe), so each rank's
      config keeps the backend but drops to the sequential pool. *)
@@ -125,14 +108,11 @@ let build ~config ~net ~init ~aux_init ~bc ~trace ~ranks_shape
   in
   let decomp = Decomp.create ~global:global.Tensor.shape ~ranks_shape in
   let nranks = decomp.Decomp.nranks in
-  let requested_depth =
-    match protocol with
-    | Temporal_blocked { depth } ->
-        if depth < 1 then
-          invalid_arg "Distributed: temporal block depth must be >= 1";
-        depth
-    | Bulk_synchronous | Overlapped -> 1
-  in
+  let requested_depth = config.Exec.Config.depth in
+  if requested_depth < 1 then
+    invalid_arg
+      (Printf.sprintf "Distributed: temporal block depth %d must be >= 1"
+         requested_depth);
   (* Clamp the block depth to what the thinnest rank supports: a depth-k
      block needs a [k * halo] halo no wider than the rank itself. *)
   let depth = min requested_depth (Decomp.max_uniform_depth decomp ~radius:halo) in
@@ -239,11 +219,6 @@ let build ~config ~net ~init ~aux_init ~bc ~trace ~ranks_shape
       mpi;
       runtimes;
       offsets = Array.map fst subdomains;
-      engine = config.Exec.Config.engine;
-      effective_engine =
-        (match protocol with
-        | Temporal_blocked _ -> Temporal_blocked { depth }
-        | (Bulk_synchronous | Overlapped) as e -> e);
       rank_config;
       reducers = None;
       depth;
@@ -280,7 +255,7 @@ let build ~config ~net ~init ~aux_init ~bc ~trace ~ranks_shape
   in
   (* Every retained past state needs consistent halos before the first
      step. *)
-  refresh_halos t;
+  initial_exchange t;
   t
 
 let create ?(config = Exec.Config.default) ?net ?(schedule = Schedule.empty)
@@ -291,8 +266,7 @@ let create ?(config = Exec.Config.default) ?net ?(schedule = Schedule.empty)
   let grid = st.Stencil.grid in
   let radius = Stencil.radius st in
   build ~config ~net ~init ~aux_init ~bc ~trace ~ranks_shape ~global:grid
-    ~time_window:(Stencil.time_window st) ~protocol:config.Exec.Config.engine
-    ~halo:radius ~radius ~corners:(needs_corners st)
+    ~time_window:(Stencil.time_window st) ~halo:radius ~radius ~corners:(needs_corners st)
     ~rank:(fun ~depth ~extent ->
       (* Deep-halo override (temporal blocking): the local grids carry a
          [depth * radius] halo so one exchange feeds a whole block. *)
@@ -320,7 +294,7 @@ let create ?(config = Exec.Config.default) ?net ?(schedule = Schedule.empty)
    owner but lie outside the interior slabs it packs, so box-shaped
    consumers would read stale corners. The merged form sidesteps this:
    every rank recomputes the extension cells it needs from the exchanged
-   deep halo, exactly like the temporal engine's ghost zones. *)
+   deep halo, exactly like a deep temporal block's ghost zones. *)
 
 let create_graph ?(config = Exec.Config.default) ?net
     ?(schedule = Schedule.empty)
@@ -329,21 +303,15 @@ let create_graph ?(config = Exec.Config.default) ?net
     ?(trace = Msc_trace.disabled) ~ranks_shape (graph : G.t) =
   (* Graphs have no temporal block to deepen: intermediates are recomputed
      per step, not stepped, so a depth > 1 request cannot be honored and
-     raises; depth 1 (bulk-equivalent by definition) steps as, and is
-     recorded as, [Bulk_synchronous]. *)
-  let protocol =
-    match config.Exec.Config.engine with
-    | Temporal_blocked { depth } when depth > 1 ->
-        invalid_arg
-          (Printf.sprintf
-             "Distributed.create_graph: Temporal_blocked depth %d cannot be \
-              honored for pipeline graphs (intermediates are recomputed per \
-              step, not stepped — there is no block to deepen); use depth 1 \
-              or a non-temporal engine"
-             depth)
-    | Temporal_blocked { depth = 1 } -> Bulk_synchronous
-    | e -> e
-  in
+     raises. *)
+  let depth = config.Exec.Config.depth in
+  if depth > 1 then
+    invalid_arg
+      (Printf.sprintf
+         "Distributed.create_graph: temporal block depth %d cannot be \
+          honored for pipeline graphs (intermediates are recomputed per \
+          step, not stepped — there is no block to deepen); use depth 1"
+         depth);
   let multi_stage = List.length graph.G.stages > 1 in
   if multi_stage && not graph.G.merged then
     invalid_arg
@@ -366,7 +334,7 @@ let create_graph ?(config = Exec.Config.default) ?net
     || List.exists (fun (s : G.stage) -> needs_corners s.G.stencil) graph.G.stages
   in
   build ~config ~net ~init ~aux_init ~bc ~trace ~ranks_shape
-    ~global:graph.G.source ~time_window:(G.time_window graph) ~protocol
+    ~global:graph.G.source ~time_window:(G.time_window graph)
     ~halo:(G.required_halo graph) ~radius ~corners
     ~rank:(fun ~depth:_ ~extent ->
       let graph_plan =
@@ -381,8 +349,6 @@ let create_graph ?(config = Exec.Config.default) ?net
 let nranks t = Array.length t.runtimes
 let decomp t = t.decomp
 let mpi t = t.mpi
-let engine t = t.engine
-let effective_engine t = t.effective_engine
 let effective_depth t = t.depth
 let steps_done t = t.steps_done
 
@@ -403,7 +369,7 @@ let rank_blocks t body =
    partials (the rank's own plan tiling, same backend as its sweeps, each
    rank on its own worker) combined locally in tree order, rank partials
    allreduced through the mailbox, one finalize at the end. Every fold is
-   index-ordered, so the result is bit-identical across engines, backends
+   index-ordered, so the result is bit-identical across depths, backends
    with the compiled fast path, pool sizes and rank counts that preserve
    the tile split. *)
 let reduce_tag = 0x7ed0
@@ -432,19 +398,6 @@ let reduce t ~op =
     Mpi_sim.allreduce t.mpi ~tag:reduce_tag ~combine:(Reduce.combine op) t.partials
   in
   Reduce.finalize op combined
-
-(* The parity reference: every rank runs its whole step (every stage, for
-   a graph), then the freshly produced state is exchanged — no compute
-   hides the messages. For a graph, that one deep (merged) exchange of the
-   new source state refreshes the halos every stage of the next step
-   reads. *)
-let bulk_step t =
-  rank_blocks t (fun lo hi ->
-      for rank = lo to hi - 1 do
-        Runtime.step t.runtimes.(rank);
-        fill_wire t rank
-      done);
-  exchange t t.wire
 
 (* Commit one rank's block substep, refreshing its physical faces only. *)
 let finish_substep t rank =
@@ -504,8 +457,7 @@ let overlap t =
     Msc_trace.add_on ~tid:0 t.trace "dist.cross_worker_messages"
       (float_of_int t.cross_worker_messages)
 
-(* One timestep of a block: the [Overlapped] engine is the depth-1 block,
-   [Temporal_blocked] the communication-avoiding depth-k one. A depth-k
+(* One timestep of a block. A depth-1 block exchanges every step; a depth-k
    block pays one deep exchange ([k * radius]-wide slabs of every retained
    state, one message per neighbour) and then advances k substeps: substep
    [s] sweeps the interior grown by [(k-1-s) * radius] into the exchanged
@@ -513,9 +465,9 @@ let overlap t =
    exchanges — the alpha cost per step drops to alpha/k.
 
    Every substep is an exact full timestep over the rank's own interior
-   (only the halo extension shrinks), so the engine stays one-timestep
+   (only the halo extension shrinks), so stepping stays one-timestep
    granular: stopping mid-block is correct, and each substep's result is
-   bit-identical to the other engines'.
+   bit-identical to the single grid's.
 
    The first substep runs the overlap protocol: pre-block halos are stale
    (the previous block's last substep swept no extension), so only the
@@ -541,14 +493,8 @@ let block_step t =
         done);
   t.block_pos <- (s + 1) mod t.depth
 
-(* Graphs record [Temporal_blocked] (depth 1 at most — deeper requests
-   are rejected at creation) as [Bulk_synchronous] in [effective_engine]:
-   a depth-k block would need k recomputable source steps, but
-   intermediates are recomputed per step, not stepped. *)
 let step t =
-  (match t.effective_engine with
-  | Bulk_synchronous -> bulk_step t
-  | Overlapped | Temporal_blocked _ -> block_step t);
+  block_step t;
   t.steps_done <- t.steps_done + 1
 
 let run t n =

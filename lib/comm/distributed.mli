@@ -7,34 +7,23 @@
 
 type t
 
-(** The halo-exchange engine, shared with {!Msc_exec.Exec.engine} (the
-    constructors below re-export it, so either path's constructors match). *)
-type engine = Msc_exec.Exec.engine =
-  | Bulk_synchronous
-      (** The parity reference: every rank sweeps all its tiles, then the
-          freshly produced state is exchanged with no compute in flight. *)
-  | Overlapped
-      (** The paper's asynchronous protocol (§4.4, Figure 6c): each step
-          posts every rank's sends, sweeps the halo-free interior while the
-          messages are in flight, then completes the receives and sweeps
-          the boundary shell. It steps as the depth-1 block of
-          [Temporal_blocked] (same protocol, same traffic: the newest
-          state's slabs, one message per neighbour). Bit-identical to
-          [Bulk_synchronous]. *)
-  | Temporal_blocked of { depth : int }
-      (** Communication-avoiding temporal blocking: halos are widened to
-          [depth * radius], one deep exchange (a single message per
-          neighbour carrying every retained state's slab; at depth 1 only
-          the newest state's, exactly [Overlapped]) feeds a block of
-          [depth] timesteps, and each substep recomputes a shrinking ghost
-          extension instead of exchanging — the per-step latency cost drops
-          to [alpha / depth] at the price of [O(depth * radius * face)]
-          redundant compute. The first substep of each block overlaps the
-          deep exchange with its halo-free core, like [Overlapped]. [depth]
-          is clamped to what the thinnest rank supports
-          ({!Decomp.max_uniform_depth}; see {!effective_depth}); stepping
-          stays one-timestep granular (stopping mid-block is exact).
-          Bit-identical to the other engines at every depth. *)
+(** {1 The stepping protocol}
+
+    The paper's asynchronous protocol (§4.4, Figure 6c), parameterised by
+    its temporal depth ([config.depth], default 1). Each block posts one
+    exchange per neighbour, sweeps every rank's halo-free interior while
+    the messages are in flight, then completes the receives, refreshes the
+    physical faces and sweeps the boundary shell. At depth 1 the exchange
+    carries the newest state's slabs and a block is one step. At depth
+    [k > 1] halos are widened to [k * radius], the one deep exchange
+    carries every retained state's slab, and the block's later [k - 1]
+    substeps recompute a shrinking ghost extension instead of exchanging —
+    the per-step latency cost drops to [alpha / k] at the price of
+    [O(k * radius * face)] redundant compute. The depth is clamped to what
+    the thinnest rank supports ({!Decomp.max_uniform_depth}; see
+    {!effective_depth}); stepping stays one-timestep granular (stopping
+    mid-block is exact). Every depth is bit-identical to the single-grid
+    {!Msc_exec.Runtime}. *)
 
 val needs_corners : Msc_ir.Stencil.t -> bool
 (** Whether any kernel access touches two or more dimensions at once (box
@@ -58,11 +47,11 @@ val create :
     slab halo-included, no exchange needed). Each rank's halo traffic
     ({!Halo.plan}) and physical-face boundary refresh ({!Msc_exec.Bc.compile})
     are compiled here, once; initial halo exchanges then run for every
-    retained state.
+    retained state, from the calling domain.
 
-    [config] carries all three execution knobs. [config.engine] (default
-    [Overlapped]) selects the stepping protocol; all engines produce
-    bit-identical states. [config.backend] selects the kernel backend of
+    [config] carries all three execution knobs. [config.depth] (default 1)
+    is the protocol's temporal depth; every depth produces bit-identical
+    states. [config.backend] selects the kernel backend of
     every rank's local runtime (compiled kernels are shared across
     equal-extent ranks through the on-disk cache). [config.pool] dispatches
     {e ranks} concurrently (default sequential): worker [w] of [W] steps
@@ -78,47 +67,38 @@ val create :
     rank as [tid]), each rank's halo traffic (one ["halo.pack"],
     ["halo.exchange"] and ["halo.unpack"] span and one ["halo.bytes"]
     counter per rank per exchange, see {!Halo.post}), a ["halo.window"]
-    span over each bulk exchange, and — in the overlapped and temporal
-    engines — a ["halo.overlap"] span per rank over the interior sub-sweep
-    (the window the exchange hides behind) plus a ["halo.shell"] span over
-    the boundary sub-sweep, and a ["dist.cross_worker_messages"] counter
+    span over each initial exchange (one per retained state), a
+    ["halo.overlap"] span per rank over
+    the interior sub-sweep of each block (the window the exchange hides
+    behind) plus a ["halo.shell"] span over the boundary sub-sweep, and a
+    ["dist.cross_worker_messages"] counter
     per exchange (its messages whose sender and receiver ranks belong to
     different pool workers); a temporal block deeper than 1 adds a
     ["halo.substep"] span per rank over each communication-free substep.
     @raise Invalid_argument if the halo is thinner than the stencil radius,
     the decomposition is invalid, any rank is thinner than the exchange
     width ([effective_depth * radius]) in some dimension (the message
-    names the rank, the dimension and the extent), a temporal depth [< 1]
-    is requested, or [Temporal_blocked] with effective depth [> 1] is
-    combined with [Reflect] boundaries (the mirrored halo cannot be
-    recomputed locally). *)
+    names the rank, the dimension and the extent), [config.depth < 1] (the
+    message names the depth), or an effective depth [> 1] is combined with
+    [Reflect] boundaries (the mirrored halo cannot be recomputed
+    locally). *)
 
 val nranks : t -> int
 val decomp : t -> Decomp.t
 val mpi : t -> Mpi_sim.t
 
-val engine : t -> engine
-(** The engine the caller requested ([config.engine], verbatim). *)
-
-val effective_engine : t -> engine
-(** The protocol actually stepping. Differs from {!engine} in exactly two
-    recorded cases: a [Temporal_blocked] request reports its {e clamped}
-    depth ({!effective_depth}), and a graph run's
-    [Temporal_blocked {depth = 1}] reports [Bulk_synchronous] (graphs
-    have no temporal block; deeper requests are rejected at
-    {!create_graph}). *)
-
 val effective_depth : t -> int
-(** The temporal block depth actually in use: the requested
-    [Temporal_blocked] depth clamped to {!Decomp.max_uniform_depth} (ranks
-    thinner than [depth * radius] cannot host the deep halo). [1] for the
-    other engines. *)
+(** The temporal block depth actually in use: [config.depth] clamped to
+    {!Decomp.max_uniform_depth} (ranks thinner than [depth * radius]
+    cannot host the deep halo). *)
 
 val steps_done : t -> int
 
 val step : t -> unit
-(** One timestep: local sweeps on every rank plus the halo exchange, ordered
-    per the engine. *)
+(** One timestep of the protocol: the first step of a block posts its
+    exchange and sweeps every rank's interior while it is in flight, then
+    its shell; later steps of a deep block are communication-free
+    substeps. *)
 
 val run : t -> int -> unit
 
@@ -128,15 +108,11 @@ val rank_state : t -> rank:int -> Msc_exec.Grid.t
 val rank_runtime : t -> rank:int -> Msc_exec.Runtime.t
 (** The rank's local runtime — matrix-free solvers use it to write
     operator inputs into the rank states ({!Msc_exec.Runtime.state}) and
-    read sweep outputs back, with {!refresh_halos} in between.
+    read sweep outputs back. At depth 1 a {!step} exchanges the newest
+    retained state ([dt = 1]) and refreshes its physical faces before any
+    cell that reads them is swept, so a state written through here needs
+    only its interior: the step itself makes its halos coherent.
     @raise Invalid_argument on an out-of-range rank. *)
-
-val refresh_halos : t -> unit
-(** One halo-exchange round for {e every} retained state (plus the
-    physical-face boundary pass), outside the stepping protocol — exactly
-    the exchange {!create} runs before the first step. Solvers call this
-    after overwriting rank interiors (e.g. loading a Krylov direction
-    into the state) so the next {!step} reads coherent neighbour data. *)
 
 val reduce : t -> op:Msc_ir.Reduce.op -> float
 (** Reduce the newest distributed state to one scalar every rank agrees
@@ -146,7 +122,7 @@ val reduce : t -> op:Msc_ir.Reduce.op -> float
     rank, {!Mpi_sim.allreduce} across ranks (real mailbox traffic, priced
     by the attached {!Netmodel}), and a single
     {!Msc_ir.Reduce.finalize}. Every fold runs in tile/rank index order,
-    so the result is bit-stable across engines and pool sizes.
+    so the result is bit-stable across depths and pool sizes.
     [Dot] is not available here (the state is a single vector);
     solver-owned vector pairs use {!Msc_exec.Reduction} directly.
     @raise Invalid_argument on [Dot]. *)
@@ -188,21 +164,19 @@ val create_graph :
   ranks_shape:int array ->
   Msc_graph.Graph.t -> t
 (** Decompose a pipeline graph over [ranks_shape]. Ranks are built, plans
-    compiled, halos exchanged and engines stepped exactly as in {!create}
+    compiled, halos exchanged and blocks stepped exactly as in {!create}
     (same parameters, rules and exceptions), with the graph's
     {!Msc_graph.Graph.required_halo} as the exchange width. A graph steps
     as one stage whose producers run tile-local inside each task, so the
     overlapped split keeps cells at least the required halo from every
     face in the interior sub-sweep that hides the exchange. Graphs
     have no temporal block to deepen (intermediates are recomputed per
-    step, not stepped): [Temporal_blocked {depth = 1}] steps as, and is
-    recorded in {!effective_engine} as, [Bulk_synchronous]. All engines
-    are bit-identical to {!Msc_exec.Runtime.step} on one grid.
+    step, not stepped), so a graph steps at depth 1. It is bit-identical
+    to {!Msc_exec.Runtime.step} on one grid.
     @raise Invalid_argument additionally if the graph is multi-stage but
-    not merged (run {!Msc_graph.Pass.merge_halos}), or [config.engine] is
-    [Temporal_blocked] with [depth > 1] (a silent degrade would misreport
-    the communication-avoiding regime — request depth 1 or a non-temporal
-    engine). *)
+    not merged (run {!Msc_graph.Pass.merge_halos}), or [config.depth > 1]
+    (a silent clamp would misreport the communication-avoiding regime —
+    request depth 1). *)
 
 val validate_graph :
   ?config:Msc_exec.Exec.Config.t ->

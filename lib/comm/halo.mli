@@ -12,9 +12,10 @@
     A message's tag is the {e sender's} direction index
     ({!Decomp.dir_index}), so a receiver matches on the opposite direction.
     One exchange = every rank runs {!post}, then — after any computation it
-    wants to hide behind the in-flight messages — {!complete}. Every send
-    must be posted before any rank completes; the distributed runtime
-    guarantees this with a pool barrier between its phases. *)
+    wants to hide behind the in-flight messages — {!complete}, which waits
+    for each neighbour's post. The distributed runtime has every worker
+    post all of its ranks before it completes any of them, so no rank
+    waits on a message its own worker has yet to send. *)
 
 val payload_elems : Msc_exec.Grid.t -> dir:int array -> width:int array -> int
 (** Elements of one grid's slab toward [dir] ([width] is the exchange
@@ -44,10 +45,9 @@ val peers : plan -> int array
 
 val post : plan -> Msc_exec.Grid.t array -> unit
 (** Pack and send one payload per neighbour (MPI_Isend): the inner slab of
-    every grid, concatenated in order — [[|state|]] for the bulk and
-    overlapped engines, every retained state (dt = 1 first) for a
-    temporal block deeper than one step, so a depth-[k] block pays one
-    latency per neighbour.
+    every grid, concatenated in order — [[|state|]] at depth 1, every
+    retained state (dt = 1 first) for a temporal block deeper than one
+    step, so a depth-[k] block pays one latency per neighbour.
     Records one ["halo.pack"] span and one ["halo.bytes"] counter, tagged
     with the rank as [tid].
     @raise Invalid_argument if a grid's shape or halo differs from the

@@ -9,11 +9,10 @@
 
    The SPSC contract mirrors the execution model of the distributed
    runtime: a given (src, dst, tag) channel is fed by the domain running
-   rank [src] and drained by the one running rank [dst]. A stepping engine
-   gives each pool worker one fixed block of ranks for the whole run, so
+   rank [src] and drained by the one running rank [dst]. The stepping
+   protocol gives each pool worker one fixed block of ranks for the whole run, so
    within a run a rank never changes domain; exchanges driven from the
-   calling domain instead (the set-up refresh, a bulk step's exchange, a
-   collective) are ordered against the workers' by the pool's dispatch
+   calling domain instead (the set-up halo fill, a collective) are ordered against the workers' by the pool's dispatch
    and completion hand-offs. Distinct channels are fully independent.
 
    Segment cells are reused and channels persist across steps: in steady
@@ -72,7 +71,7 @@ type t = {
   net : Netmodel.t option;
   origin : float;  (* wall-clock zero of the simulator's {!stamp}s *)
   (* The resolved endpoints of each collective tag, built on its first
-     call. Collectives run from one domain, like the engines' drivers. *)
+     call. Collectives run from one domain, like the stepping driver. *)
   mutable collectives : collective list;
   (* Counter baselines recorded by [reset_counters]: the live totals are
      derived from the channels, so "resetting" subtracts a snapshot. *)

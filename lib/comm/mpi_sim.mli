@@ -87,11 +87,11 @@ val allreduce :
     8-byte mailbox messages (counted by {!messages_sent} /
     {!bytes_sent}, priced by the attached {!Netmodel}), and the fold
     order is fixed by rank — never by arrival — so the result is
-    bit-stable across engines and pool sizes. Single-rank simulators
+    bit-stable across temporal depths and pool sizes. Single-rank simulators
     return [partials.(0)] without traffic. The endpoints of a tag are
     resolved on its first call and each rank's payload is reused, so later
     calls allocate no message. Drive it from one domain (the stepping
-    driver), like the engine protocols.
+    driver), like the stepping protocol.
     @raise Invalid_argument unless [Array.length partials = nranks], or
     when a message other than an 8-byte payload arrives on the tag's
     channels. *)

@@ -42,7 +42,7 @@ val message_time : t -> nranks:int -> bytes:int -> float
     given scale, one message per rank) plus payload streaming. This is the
     latency {!Mpi_sim} charges between posting a send and the matching
     receive completing, so traces show a genuine transfer window the
-    overlapped engine can hide compute behind. *)
+    overlapped protocol can hide compute behind. *)
 
 val allreduce_time : t -> nranks:int -> bytes:int -> float
 (** One allreduce of a [bytes]-sized value under recursive doubling:

@@ -216,9 +216,9 @@ let run ~platform ~make_stencil ~configs =
           comm_time platform ~ranks ~sub_grid ~radius ~elem
             ~faces_only:(not (Distributed.needs_corners st))
         in
-        (* The overlapped engine hides the transfer behind the interior
-           sub-sweep ({!Distributed.Overlapped}); the packing/unpacking half
-           of the exchange still cannot hide. *)
+        (* The overlapped protocol hides the transfer behind the interior
+           sub-sweep ({!Distributed.step}); the packing/unpacking half of
+           the exchange still cannot hide. *)
         let overlap_residual = 0.5 in
         let time_per_step_s =
           Float.max compute_s comm_s

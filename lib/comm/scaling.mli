@@ -52,8 +52,8 @@ val comm_time :
 (** Per-step halo-exchange cost of one rank: the directions {!Halo} actually
     exchanges (faces, or all offsets for box stencils), each paying the
     congested per-message setup {e at its own payload size} plus payload
-    streaming. [depth] (default 1) prices the communication-avoiding
-    temporal engine: slabs widen to [depth * radius], corners are always
+    streaming. [depth] (default 1) prices a communication-avoiding
+    temporal block: slabs widen to [depth * radius], corners are always
     exchanged, every message carries [time_window] state slabs — and the
     whole exchange is amortised over the [depth] timesteps it feeds, so the
     alpha term drops as [alpha / depth]. [allreduces_per_step] (default 0)

@@ -165,8 +165,8 @@ module Pipeline = struct
         Error "simulate: the cpu target has no processor model (use run)"
 
   let distribute ~ranks_shape p =
-    (* The config's pool dispatches ranks, not tiles: the overlapped engine
-       runs each rank's phase concurrently. *)
+    (* The config's pool dispatches ranks, not tiles: each step runs the
+       ranks' phases concurrently. *)
     match p.graph with
     | Some g ->
         Distributed.create_graph ~config:p.config ?schedule:p.schedule

@@ -5,7 +5,7 @@
     The front door is {!Pipeline}: define a grid and kernel with {!Builder},
     wrap them once with {!Pipeline.make} (optionally with a {!Schedule}, a
     boundary condition, an execution {!Exec.Config.t} — kernel backend,
-    halo engine, worker pool — and a {!Trace} sink), then drive the same
+    temporal depth, worker pool — and a {!Trace} sink), then drive the same
     configuration through every stage —
 
     {[
@@ -55,8 +55,8 @@ module Grid = Msc_exec.Grid
 
 module Exec = Msc_exec.Exec
 (** Execution configuration: the {!Exec.Config.t} record bundling the kernel
-    backend, halo-exchange engine and worker pool that every execution stage
-    shares. *)
+    backend, distributed temporal depth and worker pool that every execution
+    stage shares. *)
 
 module Backend = Msc_exec.Backend
 (** Kernel execution backends: the tree-walking interpreter and the
@@ -133,7 +133,7 @@ module Pipeline : sig
     unit ->
     t
   (** [config] (default {!Exec.Config.default}: interpreter backend,
-      overlapped halo engine, sequential pool) carries the three execution
+      depth 1, sequential pool) carries the three execution
       knobs shared by {!run}, {!verify} and {!distribute}. The pool is
       caller-owned — build one with {!Domain_pool.create} and shut it down
       when done (a GC finaliser backstops leaks). [trace] (default
@@ -217,12 +217,12 @@ module Pipeline : sig
   val distribute : ranks_shape:int array -> t -> Distributed.t
   (** Decompose over a simulated MPI process grid with automatic halo
       exchange; each rank's runtime inherits the pipeline's trace sink with
-      its rank as [tid]. The pipeline's [config] selects the stepping
-      protocol ([config.engine]; {!Exec.Temporal_blocked} enables
-      communication-avoiding temporal blocking with one deep exchange per
-      [depth] steps), the kernel backend of every rank's local runtime
-      ([config.backend]) and the pool that dispatches ranks concurrently in
-      the overlapped and temporal engines ([config.pool]). *)
+      its rank as [tid]. The pipeline's [config] selects the temporal
+      depth of the overlapped stepping protocol ([config.depth]; depth
+      [k > 1] is communication-avoiding temporal blocking with one deep
+      exchange per [k] steps), the kernel backend of every rank's local
+      runtime ([config.backend]) and the pool that dispatches ranks
+      concurrently ([config.pool]). *)
 
   val autotune :
     ?seed:int ->

@@ -46,4 +46,4 @@ type sweep_fn =
   unit
 
 type reduce_fn =
-  int -> float array -> float array -> int array -> int array -> float
+  int -> float array -> float array -> int array -> int array -> float array -> int -> unit

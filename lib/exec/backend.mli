@@ -88,10 +88,11 @@ type sweep_fn =
     kernel and its cache key do not depend on it. *)
 
 type reduce_fn =
-  int -> float array -> float array -> int array -> int array -> float
-(** [fn op a b lo hi]: a reduction partial over the interior box
+  int -> float array -> float array -> int array -> int array -> float array -> int -> unit
+(** [fn op a b lo hi out i]: a reduction partial over the interior box
     [\[lo, hi)] of the baked geometry, JIT-compiled or the interpreter's
-    reference. [op] is {!Msc_ir.Reduce.code}; [b]
-    is read only by the binary operators (callers pass [a] again for unary
-    ops). The accumulation is strictly sequential in row-major order —
-    bit-identical to the interpreter's reference partial. *)
+    reference, stored into [out.(i)] (no boxed result). [op] is
+    {!Msc_ir.Reduce.code}; [b] is read only by the binary operators
+    (callers pass [a] again for unary ops). The accumulation is strictly
+    sequential in row-major order — bit-identical to the interpreter's
+    reference partial. *)

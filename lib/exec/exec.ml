@@ -1,25 +1,20 @@
 module Backend = Backend
 
-type engine =
-  | Bulk_synchronous
-  | Overlapped
-  | Temporal_blocked of { depth : int }
-
 module Config = struct
   type t = {
     backend : Backend.t;
-    engine : engine;
+    depth : int;
     pool : Msc_util.Domain_pool.t;
   }
 
   let default =
     {
       backend = Backend.Interp;
-      engine = Overlapped;
+      depth = 1;
       pool = Msc_util.Domain_pool.sequential;
     }
 
-  let make ?(backend = Backend.Interp) ?(engine = Overlapped)
+  let make ?(backend = Backend.Interp) ?(depth = 1)
       ?(pool = Msc_util.Domain_pool.sequential) () =
-    { backend; engine; pool }
+    { backend; depth; pool }
 end

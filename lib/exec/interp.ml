@@ -22,7 +22,7 @@ type t = {
   range_slack : int array;
       (* how far a sweep range may extend past the interior per dimension:
          halo minus the kernel's own radius, so every read stays inside the
-         padded box. The temporal-blocking engine sweeps such extended
+         padded box. A deep distributed temporal block sweeps such extended
          ranges to recompute ghost cells; zero for the common halo = radius
          geometry, negative for a geometry thinner than the kernel's
          reach. *)

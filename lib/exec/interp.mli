@@ -99,7 +99,7 @@ val compile_sweep :
     for bit. [shifts] moves each array's base as {!Backend.sweep_fn}
     describes. Each kernel term compiles as {!compile} over [geometry]; the
     range may extend past the interior by [check_range]'s slack, which the
-    deep-halo temporal-blocking engine uses to recompute ghost cells. A
+    distributed protocol's deep temporal blocks use to recompute ghost cells. A
     State-only term list needs no kernel, so every stage has a sweep.
     @raise Invalid_argument on an empty term list, or a kernel term whose
     shape or halo differs from [geometry]. *)

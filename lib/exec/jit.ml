@@ -53,8 +53,10 @@ external c_call_reduce :
   float array ->
   int array ->
   int array ->
-  float = "msc_jit_call_reduce_bytecode" "msc_jit_call_reduce_native"
-(* not [@@noalloc]: the float result is boxed on return *)
+  float array ->
+  int ->
+  unit = "msc_jit_call_reduce_bytecode" "msc_jit_call_reduce_native"
+[@@noalloc]
 
 (* Emitter-version salt, folded into *every* artifact key (fused sweeps,
    reductions) and embedded in the artifact file names: bump whenever an
@@ -1284,4 +1286,4 @@ let compile_reduce ?(trace = Msc_trace.disabled) (g : Grid.t) =
   await
     (start ~trace reduce_cache ~key ~cmd:c_cmd ~sym:"msc_reduce" ~check:ignore
        ~emit:(fun () -> emit_c_reduce ~base:key ~halo ~strides)
-       (fun fn op a b lo hi -> c_call_reduce fn op a b lo hi))
+       (fun fn op a b lo hi out i -> c_call_reduce fn op a b lo hi out i))

@@ -11,7 +11,8 @@
  *   empty shift array means no shift): a window holding a slab of the
  *   padded box is then indexed with the full geometry's flat indices.
  * - msc_jit_call_reduce: invoke a loaded reduction kernel
- *   (Backend.reduce_fn), unpacked the same way.
+ *   (Backend.reduce_fn), unpacked the same way, and store its partial
+ *   into a flat float array, so the call allocates nothing.
  */
 
 #include <caml/mlvalues.h>
@@ -93,27 +94,31 @@ typedef double (*msc_reduce_t)(long op, const double *a, const double *b,
                                const long *lo, const long *hi);
 
 CAMLprim value msc_jit_call_reduce_native(value fn, value op, value a, value b,
-                                          value lo, value hi)
+                                          value lo, value hi, value out,
+                                          value slot)
 {
   long lov[MSC_JIT_MAX], hiv[MSC_JIT_MAX];
   mlsize_t nd = Wosize_val(lo);
   mlsize_t i;
-  double r;
+  long k = Long_val(slot);
   if (nd > MSC_JIT_MAX || Wosize_val(hi) != nd)
     caml_invalid_argument("msc_jit_call_reduce: rank out of range");
+  if (k < 0 || (mlsize_t)k >= Wosize_val(out) / Double_wosize)
+    caml_invalid_argument("msc_jit_call_reduce: partial slot out of range");
   for (i = 0; i < nd; i++) {
     lov[i] = Long_val(Field(lo, i));
     hiv[i] = Long_val(Field(hi, i));
   }
-  r = ((msc_reduce_t)Nativeint_val(fn))(Long_val(op),
+  Store_double_flat_field(out, k,
+      ((msc_reduce_t)Nativeint_val(fn))(Long_val(op),
                                         (const double *)Op_val(a),
-                                        (const double *)Op_val(b), lov, hiv);
-  return caml_copy_double(r);
+                                        (const double *)Op_val(b), lov, hiv));
+  return Val_unit;
 }
 
 CAMLprim value msc_jit_call_reduce_bytecode(value *argv, int argn)
 {
   (void)argn;
   return msc_jit_call_reduce_native(argv[0], argv[1], argv[2], argv[3],
-                                    argv[4], argv[5]);
+                                    argv[4], argv[5], argv[6], argv[7]);
 }

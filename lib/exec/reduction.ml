@@ -118,8 +118,8 @@ let create ?(config = Exec.Config.default) ?(trace = Msc_trace.disabled) ?tasks
     match jit with
     | Some fn -> fn
     | None ->
-        fun code ad bd lo hi ->
-          partial_data ~op:(op_of_code code) ~halo ~strides ad bd ~lo ~hi
+        fun code ad bd lo hi out i ->
+          out.(i) <- partial_data ~op:(op_of_code code) ~halo ~strides ad bd ~lo ~hi
   in
   {
     shape;
@@ -134,6 +134,10 @@ let create ?(config = Exec.Config.default) ?(trace = Msc_trace.disabled) ?tasks
 
 let compiled t = t.compiled
 let fallback t = t.fallback
+
+let fill_partial t code ad bd i =
+  let lo, hi = t.tasks.(i) in
+  t.reduce code ad bd lo hi t.partials i
 
 let geom_ok t (g : Grid.t) = g.Grid.shape = t.shape && g.Grid.halo = t.halo
 
@@ -152,12 +156,14 @@ let run_raw t ~op ?with_ (a : Grid.t) =
   let n = Array.length t.tasks in
   if n = 0 then Reduce.identity op
   else begin
-    let fill i =
-      let lo, hi = t.tasks.(i) in
-      t.partials.(i) <- t.reduce (Reduce.code op) a.Grid.data b_data lo hi
-    in
-    if n > 1 then Msc_util.Domain_pool.parallel_for t.pool ~lo:0 ~hi:n fill
-    else fill 0;
+    (* Each kernel call stores its partial into [t.partials], which the
+       tree then folds in place: a one-task reduction allocates nothing
+       here. *)
+    let code = Reduce.code op in
+    if n > 1 then
+      Msc_util.Domain_pool.parallel_for t.pool ~lo:0 ~hi:n (fun i ->
+          fill_partial t code a.Grid.data b_data i)
+    else fill_partial t code a.Grid.data b_data 0;
     Reduce.tree_combine (Reduce.combine op) t.partials
   end
 

@@ -10,8 +10,10 @@
       {e task index}, so the result never depends on pool size or worker
       scheduling.
 
-    Workers only fill disjoint slots of the partials array in parallel;
-    the combine tree runs on the calling domain. *)
+    Workers only fill disjoint slots of the partials array in parallel
+    (each kernel call stores its partial there); the combine tree folds
+    that array in place on the calling domain, so a one-task reduction
+    allocates nothing but its boxed result. *)
 
 type t
 

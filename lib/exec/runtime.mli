@@ -111,8 +111,8 @@ val create :
     supplies the kernel {!Backend} — [Compiled_c] JITs one fused sweep
     against the plan, falling back to the interpreter (see
     {!backend_report}) — and the worker pool, which the caller owns; its
-    [engine] field concerns halo exchange and is ignored here (single
-    node). [bc] is applied to every initial state and to each
+    [depth] field concerns the distributed halo exchange and is ignored
+    here (single node). [bc] is applied to every initial state and to each
     newly produced state (default [Dirichlet 0.0], the paper's zero-halo
     convention; a constant halo is written once per window slot, see
     {b Halo ownership} above).
@@ -194,7 +194,7 @@ val finish_step : ?refresh:Bc.plan -> t -> unit
     compiled at creation runs, except on a slot whose constant
     ([Dirichlet]) halo it has already written. [refresh] replaces it with
     a precompiled {!Bc.plan} for the same grid geometry, run every time —
-    the distributed temporal engine passes each rank's physical-face
+    the distributed stepping protocol passes each rank's physical-face
     plan, so the ghost cells it recomputed into the halo survive between
     substeps (periodic domains pass an empty plan).
     @raise Invalid_argument if [refresh] was compiled for another shape

@@ -25,7 +25,7 @@ val check :
 (** Runs both executors [steps] timesteps from the same initial condition and
     compares final states. The tolerance comes from the grid's declared
     datatype ({!Msc_ir.Dtype.tolerance}). [schedule] and [config] drive the
-    optimized runtime only (backend and pool; the engine field is ignored —
+    optimized runtime only (backend and pool; the depth field is ignored —
     single node); [init], [aux_init] and [bc] apply to both. [trace]
     instruments the optimized runtime only (the oracle stays untimed). *)
 

@@ -32,17 +32,17 @@ let point op acc v =
 let point2 op acc a b =
   match op with Dot -> acc +. (a *. b) | Sum | Norm2 | Max_abs -> point op acc a
 
-let combine op a b =
-  match op with
-  | Sum | Dot | Norm2 -> a +. b
-  | Max_abs -> if b > a then b else a
+(* [combine op] returns one of two static closures, so passing it to
+   {!tree_combine} or an allreduce allocates nothing. *)
+let add a b = a +. b
+let max_of a b = if b > a then b else a
+let combine = function Sum | Dot | Norm2 -> add | Max_abs -> max_of
 
 let finalize op v = match op with Norm2 -> sqrt v | Sum | Dot | Max_abs -> v
 
-let tree_combine f partials =
-  let n = Array.length partials in
+let tree_combine f a =
+  let n = Array.length a in
   if n = 0 then invalid_arg "Reduce.tree_combine: empty partials";
-  let a = Array.copy partials in
   let stride = ref 1 in
   while !stride < n do
     let i = ref 0 in

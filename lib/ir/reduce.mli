@@ -62,5 +62,7 @@ val tree_combine : (float -> float -> float) -> float array -> float
     level [s] folds index [i] with [i+s] for [i = 0, 2s, 4s, ...] — the
     fixed tree every executor (single-node pools, the distributed
     allreduce) uses, so results never depend on worker count or message
-    arrival order.
+    arrival order. The fold runs {e in place}: it overwrites [partials]
+    (every caller owns a scratch array it refills per reduction) and
+    returns [partials.(0)], allocating nothing itself.
     @raise Invalid_argument on an empty array. *)

@@ -4,7 +4,7 @@
    vector update is a sequential row-major interior loop per rank, every
    inner product folds per-rank tile partials in tree order and rank
    partials through Mpi_sim.allreduce's rank-indexed tree — so residual
-   sequences are bit-identical across halo engines and pool sizes. *)
+   sequences are bit-identical across temporal depths and pool sizes. *)
 
 open Msc_ir
 module Builder = Msc_frontend.Builder
@@ -47,8 +47,8 @@ end
 type report = {
   method_ : method_;
   problem : string;
-  engine : Distributed.engine;
-  op_engine : Distributed.engine;
+  depth : int;
+  op_depth : int;
   backend : Msc_exec.Backend.t;
   ranks : int;
   iterations : int;
@@ -57,28 +57,21 @@ type report = {
   final_residual : float;
   rhs_norm : float;
   allreduces : int;
+  messages : int;
   tol : float;
 }
-
-let pp_engine ppf (e : Distributed.engine) =
-  match e with
-  | Distributed.Bulk_synchronous -> Format.fprintf ppf "bulk"
-  | Distributed.Overlapped -> Format.fprintf ppf "overlapped"
-  | Distributed.Temporal_blocked { depth } ->
-      Format.fprintf ppf "temporal(depth=%d)" depth
 
 let pp_report ppf r =
   Format.fprintf ppf
     "@[<v>%s on %s: %s after %d iterations@ residual %.3e (rhs norm %.3e, \
-     rel tol %.1e)@ engine %a (operator %a), backend %s, %d ranks, %d \
-     allreduces@]"
+     rel tol %.1e)@ depth %d (operator %d), backend %s, %d ranks, %d \
+     allreduces, %d messages@]"
     (method_to_string r.method_)
     r.problem
     (if r.converged then "converged" else "NOT converged")
-    r.iterations r.final_residual r.rhs_norm r.tol pp_engine r.engine
-    pp_engine r.op_engine
+    r.iterations r.final_residual r.rhs_norm r.tol r.depth r.op_depth
     (Msc_exec.Backend.to_string r.backend)
-    r.ranks r.allreduces
+    r.ranks r.allreduces r.messages
 
 (* ------------------------------------------------------------------ *)
 (* Sequential per-rank vector kernels. All operand grids of one rank
@@ -162,6 +155,10 @@ let solve ?(config = Exec.Config.default) ?net ?(trace = Msc_trace.disabled)
   if max_iters < 0 then invalid_arg "Solver.solve: max_iters must be >= 0";
   if omega <= 0.0 || omega > 1.0 then
     invalid_arg "Solver.solve: omega must be in (0, 1]";
+  if config.Exec.Config.depth < 1 then
+    invalid_arg
+      (Printf.sprintf "Solver.solve: temporal depth %d must be >= 1"
+         config.Exec.Config.depth);
   let nd = Array.length p.Problem.dims in
   let ranks_shape =
     match ranks_shape with Some rs -> rs | None -> Array.make nd 1
@@ -180,8 +177,8 @@ let solve ?(config = Exec.Config.default) ?net ?(trace = Msc_trace.disabled)
     {
       method_;
       problem = p.Problem.name;
-      engine = config.Exec.Config.engine;
-      op_engine = Distributed.effective_engine d;
+      depth = config.Exec.Config.depth;
+      op_depth = Distributed.effective_depth d;
       backend = config.Exec.Config.backend;
       ranks = Distributed.nranks d;
       iterations;
@@ -190,6 +187,7 @@ let solve ?(config = Exec.Config.default) ?net ?(trace = Msc_trace.disabled)
       final_residual = residuals.(Array.length residuals - 1);
       rhs_norm = bnorm;
       allreduces = !allreduces;
+      messages = Mpi_sim.messages_sent (Distributed.mpi d);
       tol;
     }
   in
@@ -210,8 +208,8 @@ let solve ?(config = Exec.Config.default) ?net ?(trace = Msc_trace.disabled)
   in
   match method_ with
   | Jacobi ->
-      (* A genuine stencil time iteration — every halo engine runs it
-         natively, temporal blocking included (an s-step smoother). *)
+      (* A genuine stencil time iteration — every temporal depth runs it
+         natively (at depth k, an s-step smoother). *)
       let rhs_t = Builder.coefficient_grid ~grid:u "rhs" in
       let b_k = Builder.aux_point_kernel ~name:"load_rhs" ~aux:rhs_t u in
       let w = omega /. diag in
@@ -272,15 +270,10 @@ let solve ?(config = Exec.Config.default) ?net ?(trace = Msc_trace.disabled)
       end
   | Cg | Red_black_gauss_seidel ->
       (* Operator-apply harness: a fresh operand is loaded into the state
-         before every apply, so there is no time block to deepen — a
-         temporal request degrades the operator to the bulk engine
-         (recorded via [effective_engine] / the report's [op_engine]). *)
-      let op_config =
-        match config.Exec.Config.engine with
-        | Exec.Temporal_blocked _ ->
-            { config with Exec.Config.engine = Exec.Bulk_synchronous }
-        | Exec.Bulk_synchronous | Exec.Overlapped -> config
-      in
+         before every apply, so there is no time block to deepen — the
+         operator is clamped to depth 1 (recorded via [effective_depth] /
+         the report's [op_depth]). *)
+      let op_config = { config with Exec.Config.depth = 1 } in
       let st =
         Builder.stencil ~name:("apply_" ^ p.Problem.name) ~grid:u
           Builder.(a @> 1)
@@ -304,13 +297,15 @@ let solve ?(config = Exec.Config.default) ?net ?(trace = Msc_trace.disabled)
             Grid.fill g (fun coord -> p.Problem.rhs (global_at rank coord));
             g)
       in
+      (* The depth-1 step exchanges the loaded [dt = 1] state and refreshes
+         its physical faces before the shell sweep reads them, so loading
+         the interior is all an apply needs: one exchange per apply. *)
       let apply xs outs =
         Array.iteri
           (fun rank x ->
             let rt = Distributed.rank_runtime d ~rank in
             Grid.blit_interior ~src:x ~dst:(Runtime.state rt ~dt:1))
           xs;
-        Distributed.refresh_halos d;
         Distributed.step d;
         Array.iteri
           (fun rank out ->

@@ -8,20 +8,19 @@
     {!Msc_comm.Mpi_sim.allreduce} across ranks) — so each reduction's fold
     order is fixed by tile and rank index, never by scheduling.
 
-    {b Bit-stability.} Engine choice never changes the numbers: the stepped
-    states are bit-identical across [Bulk_synchronous] / [Overlapped] /
-    [Temporal_blocked] (the distributed runtime's invariant), vector updates
-    are sequential row-major per rank, and reductions fold in index order —
-    so per-iteration residual sequences are bit-identical across engines and
-    pool sizes.
+    {b Bit-stability.} The temporal depth never changes the numbers: the
+    stepped states are bit-identical at every depth (the distributed
+    runtime's invariant), vector updates are sequential row-major per rank,
+    and reductions fold in index order — so per-iteration residual
+    sequences are bit-identical across depths and pool sizes.
 
-    {b Engines.} Jacobi is a genuine stencil time iteration
-    ([x + (omega/d)*:(b -: A x)]), so all three engines run it natively —
-    under [Temporal_blocked] the smoother advances in communication-avoiding
-    blocks. CG and red-black Gauss–Seidel load a fresh operand into the
-    state before every apply, so there is no time block to deepen: a
-    [Temporal_blocked] request degrades the {e operator} to
-    [Bulk_synchronous], recorded in the report's [op_engine]. *)
+    {b Depths.} Jacobi is a genuine stencil time iteration
+    ([x + (omega/d)*:(b -: A x)]), so it runs at any depth — at depth
+    [k > 1] the smoother advances in communication-avoiding blocks. CG and
+    red-black Gauss–Seidel load a fresh operand into the state before
+    every apply, so there is no time block to deepen: the {e operator} is
+    clamped to depth 1, recorded in the report's [op_depth]. Each apply
+    is one depth-1 step, one halo exchange. *)
 
 type method_ = Jacobi | Red_black_gauss_seidel | Cg
 
@@ -55,10 +54,11 @@ end
 type report = {
   method_ : method_;
   problem : string;
-  engine : Msc_comm.Distributed.engine;  (** requested *)
-  op_engine : Msc_comm.Distributed.engine;
-      (** the engine actually stepping the operator (CG / red-black degrade
-          [Temporal_blocked] to [Bulk_synchronous]; Jacobi never degrades) *)
+  depth : int;  (** requested temporal depth ([config.depth]) *)
+  op_depth : int;
+      (** the depth actually stepping the operator: CG and red-black clamp
+          it to 1; Jacobi runs the requested depth, clamped only by the
+          thinnest rank ({!Msc_comm.Distributed.effective_depth}) *)
   backend : Msc_exec.Backend.t;
   ranks : int;
   iterations : int;  (** update iterations performed *)
@@ -71,6 +71,9 @@ type report = {
   final_residual : float;
   rhs_norm : float;  (** [||b||], the relative-convergence scale *)
   allreduces : int;  (** scalar collectives performed, [rhs_norm] included *)
+  messages : int;
+      (** mailbox messages sent: halo exchanges (the initial fill
+          included) and every allreduce hop *)
   tol : float;  (** relative: converged when [residual <= tol * rhs_norm] *)
 }
 
@@ -93,11 +96,12 @@ val solve :
     [1e-8]) or [max_iters] (default [2000]) update iterations. [omega]
     (default [1.0]) damps the Jacobi update only. [ranks_shape] (default:
     a single rank) decomposes the grid as in {!Msc_comm.Distributed.create};
-    [config] carries the backend / engine / pool for the operator runs, and
+    [config] carries the backend / depth / pool for the operator runs, and
     [net] prices every halo message and allreduce hop. [trace] records a
     ["solver.iter"] span and a ["solver.residual"] counter per iteration.
 
     Iteration costs: Jacobi — one distributed step and one allreduce per
     iteration; CG — one operator apply and two allreduces; red-black
     Gauss–Seidel — two operator applies (one per color) and one allreduce.
-    @raise Invalid_argument on a bad decomposition or [tol <= 0]. *)
+    @raise Invalid_argument on a bad decomposition, [tol <= 0] or
+    [config.depth < 1]. *)

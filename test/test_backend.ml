@@ -1,6 +1,6 @@
 (* Tests for the compiled-kernel execution backend: bit-identity of
    Compiled_c's fused sweeps against the interpreter over the whole
-   benchmark suite (single node and every distributed engine), direct
+   benchmark suite (single node and distributed at depths 1 and 2), direct
    qcheck parity of the JIT's and the interpreter's sweep functions on
    identical arguments, the on-disk/memo kernel cache, and the interpreter fallback
    when no toolchain can be found on PATH. *)
@@ -133,14 +133,7 @@ let state_only_stencil_compiled () =
   check_bool "bit-identical to the reference" true
     ((Runtime.current rt).Grid.data = (Oracles.Reference.current reference).Grid.data)
 
-(* --- Distributed engines x backends --- *)
-
-let engines =
-  [
-    ("bulk", Exec.Bulk_synchronous);
-    ("overlapped", Exec.Overlapped);
-    ("temporal2", Exec.Temporal_blocked { depth = 2 });
-  ]
+(* --- Distributed depths x backends --- *)
 
 let distributed_matrix_exact () =
   List.iter
@@ -153,15 +146,15 @@ let distributed_matrix_exact () =
       List.iter
         (fun backend ->
           List.iter
-            (fun (ename, engine) ->
+            (fun depth ->
               check_float
-                (Printf.sprintf "%s/%s/%s" b.Suite.name
-                   (Backend.to_string backend) ename)
+                (Printf.sprintf "%s/%s/depth%d" b.Suite.name
+                   (Backend.to_string backend) depth)
                 0.0
                 (Distributed.validate
-                   ~config:(Exec.Config.make ~backend ~engine ())
+                   ~config:(Exec.Config.make ~backend ~depth ())
                    ~steps:3 ~ranks_shape st))
-            engines)
+            [ 1; 2 ])
         compiled_backends)
     Suite.all
 
@@ -174,14 +167,11 @@ let distributed_deep_uneven_periodic_exact () =
       let name = Backend.to_string backend in
       check_float (name ^ ": depth 4 on uneven 3x2 ranks") 0.0
         (Distributed.validate
-           ~config:
-             (Exec.Config.make ~backend
-                ~engine:(Exec.Temporal_blocked { depth = 4 })
-                ())
+           ~config:(Exec.Config.make ~backend ~depth:4 ())
            ~steps:5 ~ranks_shape:[| 3; 2 |] st);
-      check_float (name ^ ": periodic wrap, overlapped") 0.0
+      check_float (name ^ ": periodic wrap, depth 1") 0.0
         (Distributed.validate
-           ~config:(Exec.Config.make ~backend ~engine:Exec.Overlapped ())
+           ~config:(Exec.Config.make ~backend ())
            ~bc:Bc.Periodic ~steps:4 ~ranks_shape:[| 2; 2 |] st))
     compiled_backends
 

@@ -12,8 +12,8 @@ module Scaling = Msc_comm.Scaling
 module Grid = Msc_exec.Grid
 module Exec = Msc_exec.Exec
 
-(* [Exec.Config] now bundles the old ~engine/~pool knobs. *)
-let cfg ?backend ?engine ?pool () = Exec.Config.make ?backend ?engine ?pool ()
+(* [Exec.Config] bundles the backend, temporal depth and pool knobs. *)
+let cfg ?backend ?depth ?pool () = Exec.Config.make ?backend ?depth ?pool ()
 
 (* --- MPI simulator --- *)
 
@@ -384,7 +384,7 @@ let decomp_shape_partition_property =
 
 (* --- Halo exchange plans --- *)
 
-(* One bulk exchange through compiled plans: every rank posts, then every
+(* One whole exchange through compiled plans: every rank posts, then every
    rank completes. *)
 let exchange ?periodic mpi decomp ~grids ~width ~faces_only =
   let plans =
@@ -615,8 +615,8 @@ let distributed_property =
       Distributed.validate ~steps:2 ~ranks_shape:[| px; py |] st = 0.0)
 
 (* One differential property over the distributed configuration matrix:
-   every engine (bulk, overlapped, temporal depth 2) x boundary condition
-   (Dirichlet 1.5, Periodic, and Reflect where the engine supports it) x
+   every temporal depth (1 and 2) x boundary condition (Dirichlet 1.5,
+   Periodic, and Reflect where the depth supports it) x
    stencil shape (star: faces only; box: corners too) x decomposition (an
    uneven 13x10 on 3x2, and 1x3 whose single-rank dimension makes every
    periodic rank its own neighbour) must gather the single-grid result
@@ -645,19 +645,18 @@ let distributed_differential_matrix () =
           let single = Msc_exec.Runtime.create ~bc st in
           Msc_exec.Runtime.run single steps;
           List.iter
-            (fun (ename, engine) ->
+            (fun (ename, depth) ->
               List.iter
                 (fun ranks_shape ->
                   let label =
                     Printf.sprintf "%s %s %s %dx%d" sname bname ename ranks_shape.(0)
                       ranks_shape.(1)
                   in
-                  let config = cfg ~engine () in
+                  let config = cfg ~depth () in
                   match Distributed.create ~config ~bc ~ranks_shape st with
                   | exception Invalid_argument _ ->
                       check_bool (label ^ ": only Reflect x depth > 1 is rejected") true
-                        (bc = Msc_exec.Bc.Reflect
-                        && engine = Distributed.Temporal_blocked { depth = 2 })
+                        (bc = Msc_exec.Bc.Reflect && depth = 2)
                   | dist ->
                       Distributed.run dist steps;
                       check_bool (label ^ ": gather bit-identical") true
@@ -667,23 +666,20 @@ let distributed_differential_matrix () =
                       check_int (label ^ ": no message left over") 0
                         (Mpi.pending_messages (Distributed.mpi dist)))
                 [ [| 3; 2 |]; [| 1; 3 |] ])
-            [
-              ("bulk", Distributed.Bulk_synchronous);
-              ("overlapped", Distributed.Overlapped);
-              ("temporal2", Distributed.Temporal_blocked { depth = 2 });
-            ];
+            [ ("depth1", 1); ("depth2", 2) ];
           (* Cross-constructor parity: the one-stage graph of [st] takes the
              stencil's path — the same traffic after the initial exchange
-             and after every step, and the same gathered bits. *)
+             and after every step, and the same gathered bits. Graphs step
+             at depth 1 only. *)
           List.iter
-            (fun (ename, engine) ->
+            (fun ename ->
               List.iter
                 (fun ranks_shape ->
                   let label =
                     Printf.sprintf "%s %s %s %dx%d graph parity" sname bname ename
                       ranks_shape.(0) ranks_shape.(1)
                   in
-                  let config = cfg ~engine () in
+                  let config = cfg () in
                   let dist = Distributed.create ~config ~bc ~ranks_shape st in
                   let graph =
                     Distributed.create_graph ~config ~bc ~ranks_shape
@@ -706,10 +702,7 @@ let distributed_differential_matrix () =
                   check_bool (label ^ ": same gathered bits") true
                     (same_bits (Distributed.gather dist) (Distributed.gather graph)))
                 [ [| 3; 2 |]; [| 1; 3 |] ])
-            [
-              ("bulk", Distributed.Bulk_synchronous);
-              ("overlapped", Distributed.Overlapped);
-            ])
+            [ "depth1" ])
         [
           ("dirichlet1.5", Msc_exec.Bc.Dirichlet 1.5);
           ("periodic", Msc_exec.Bc.Periodic);
@@ -721,7 +714,7 @@ let distributed_differential_matrix () =
    channel and payload buffer exists, a step allocates (almost) nothing —
    payloads ping-pong between neighbours, the wire arrays are refilled in
    place, and the per-task checks and sweeps run closure-free. Pinned at
-   16 words per rank for every engine, payloads counted. The compiled backend sweeps without
+   16 words per rank at depths 1 and 2, payloads counted. The compiled backend sweeps without
    allocating per point; the interpreter does, so without a C toolchain
    there is nothing to pin. The sequential pool runs every rank on this
    domain, whose minor-heap counter is exact. A full major collection
@@ -736,10 +729,10 @@ let distributed_step_allocation_pinned () =
   Netmodel.set_sim_latency_scale 1e-9;
   Fun.protect ~finally:(fun () -> Netmodel.set_sim_latency_scale saved) (fun () ->
   List.iter
-    (fun (label, engine) ->
+    (fun (label, depth) ->
       let dist =
         Distributed.create
-          ~config:(cfg ~backend:Msc_exec.Backend.Compiled_c ~engine ())
+          ~config:(cfg ~backend:Msc_exec.Backend.Compiled_c ~depth ())
           ~net:Netmodel.sunway_taihulight ~ranks_shape:[| 8; 8 |] st
       in
       let report = Msc_exec.Runtime.backend_report (Distributed.rank_runtime dist ~rank:0) in
@@ -756,73 +749,73 @@ let distributed_step_allocation_pinned () =
           true
           (words <= 16.0 *. 64.0)
       end)
-    [
-      ("overlapped", Distributed.Overlapped);
-      ("bulk", Distributed.Bulk_synchronous);
-      ("temporal(2)", Distributed.Temporal_blocked { depth = 2 });
-    ])
+    [ ("depth 1", 1); ("depth 2", 2) ])
 
-(* --- Overlapped engine --- *)
+(* --- The overlapped protocol at depth 1 --- *)
 
-(* Run both engines over every stencil of the paper's suite (small grids,
-   2x2(x2) process grids) and demand bit-identical gathered states — the
-   overlapped protocol must be a pure reordering of the bulk-synchronous
-   one. *)
-let engines_bit_identical_across_suite () =
+(* The single-grid runtime after [steps] steps: the oracle every
+   distributed run is checked against. *)
+let single_grid ?bc st steps =
+  let single = Msc_exec.Runtime.create ?bc st in
+  Msc_exec.Runtime.run single steps;
+  Msc_exec.Runtime.current single
+
+(* Run depths 1 and 2 over every stencil of the paper's suite (small grids,
+   2x2(x2) process grids) and demand gathered states bit-identical to each
+   other and to the single grid — overlapping the exchange with the
+   interior sweep, and deepening the block, must not change a bit. *)
+let depths_bit_identical_across_suite () =
   List.iter
     (fun (b : Msc_benchsuite.Suite.bench) ->
       let dims = Array.make b.Msc_benchsuite.Suite.ndim (max 12 (4 * b.Msc_benchsuite.Suite.radius)) in
       let ranks_shape = Array.make b.Msc_benchsuite.Suite.ndim 2 in
       let st = Msc_benchsuite.Suite.stencil ~dims b in
-      let run engine =
-        let dist = Distributed.create ~config:(cfg ~engine ()) ~ranks_shape st in
+      let run depth =
+        let dist = Distributed.create ~config:(cfg ~depth ()) ~ranks_shape st in
         Distributed.run dist 2;
         Distributed.gather dist
       in
-      let bulk = run Distributed.Bulk_synchronous in
-      let over = run Distributed.Overlapped in
+      let depth1 = run 1 in
       check_bool
-        (b.Msc_benchsuite.Suite.name ^ ": overlapped == bulk bit-exact")
+        (b.Msc_benchsuite.Suite.name ^ ": depth 2 == depth 1 bit-exact")
         true
-        (bulk.Grid.data = over.Grid.data))
+        ((run 2).Grid.data = depth1.Grid.data);
+      check_float
+        (b.Msc_benchsuite.Suite.name ^ ": depth 1 == single grid")
+        0.0
+        (Grid.max_rel_error ~reference:(single_grid st 2) depth1))
     Msc_benchsuite.Suite.all
 
 (* Scale-out criterion: growing the process grid from 2x2 to 4x4 (thin
    ranks, corner messages everywhere, 16 mailboxes in flight) must leave
-   all three engines bit-identical to each other and to the single-rank
+   depths 1 and 2 bit-identical to each other and to the single-rank
    reference. *)
-let engines_bit_identical_4x4 () =
+let depths_bit_identical_4x4 () =
   let _, st = stencil_2d9pt_box ~m:20 ~n:24 () in
-  let run engine =
+  let run depth =
     let dist =
-      Distributed.create ~config:(cfg ~engine ()) ~ranks_shape:[| 4; 4 |] st
+      Distributed.create ~config:(cfg ~depth ()) ~ranks_shape:[| 4; 4 |] st
     in
     Distributed.run dist 3;
     Distributed.gather dist
   in
-  let bulk = run Distributed.Bulk_synchronous in
-  let over = run Distributed.Overlapped in
-  let temp = run (Distributed.Temporal_blocked { depth = 2 }) in
-  check_bool "overlapped == bulk at 4x4" true (bulk.Grid.data = over.Grid.data);
-  check_bool "temporal(2) == bulk at 4x4" true (bulk.Grid.data = temp.Grid.data);
-  let single = Msc_exec.Runtime.create st in
-  Msc_exec.Runtime.run single 3;
+  let depth1 = run 1 in
+  check_bool "depth 2 == depth 1 at 4x4" true ((run 2).Grid.data = depth1.Grid.data);
   check_float "4x4 == single grid" 0.0
-    (Grid.max_rel_error ~reference:(Msc_exec.Runtime.current single) bulk)
+    (Grid.max_rel_error ~reference:(single_grid st 3) depth1)
 
-let engines_match_single_grid () =
+let depths_match_single_grid () =
   let _, st = stencil_3d7pt ~n:12 () in
-  check_float "overlapped vs single" 0.0
-    (Distributed.validate ~config:(cfg ~engine:Distributed.Overlapped ()) ~steps:4
-       ~ranks_shape:[| 2; 2; 2 |] st);
-  check_float "bulk vs single" 0.0
-    (Distributed.validate ~config:(cfg ~engine:Distributed.Bulk_synchronous ()) ~steps:4
-       ~ranks_shape:[| 2; 2; 2 |] st)
+  List.iter
+    (fun depth ->
+      check_float (Printf.sprintf "depth %d vs single" depth) 0.0
+        (Distributed.validate ~config:(cfg ~depth ()) ~steps:4 ~ranks_shape:[| 2; 2; 2 |] st))
+    [ 1; 2 ]
 
 let overlapped_periodic_exact () =
   let st = stencil_wave2d ~n:16 () in
-  check_float "periodic wrap through the overlapped engine" 0.0
-    (Distributed.validate ~config:(cfg ~engine:Distributed.Overlapped ()) ~steps:4
+  check_float "periodic wrap through the overlapped protocol" 0.0
+    (Distributed.validate ~config:(cfg ()) ~steps:4
        ~bc:Msc_exec.Bc.Periodic ~ranks_shape:[| 2; 2 |] st)
 
 (* Ranks dispatched concurrently over a real worker pool must agree with
@@ -830,7 +823,7 @@ let overlapped_periodic_exact () =
    one contiguous block of ranks, so pools of 1, 2, 3 and 5 workers over
    6 and 9 ranks give even, uneven and single-rank blocks, and 5 workers
    over 3 ranks leave some workers an empty block. *)
-let pool_parallel_exact engines =
+let pool_parallel_exact depths =
   let _, st = stencil_2d9pt_box ~m:14 ~n:18 () in
   List.iter
     (fun workers ->
@@ -840,30 +833,26 @@ let pool_parallel_exact engines =
         (fun () ->
           List.iter
             (fun (bc_label, bc) ->
-              let single = Msc_exec.Runtime.create ~bc st in
-              Msc_exec.Runtime.run single 5;
+              let single = single_grid ~bc st 5 in
               List.iter
-                (fun (label, engine) ->
+                (fun depth ->
                   List.iter
                     (fun ranks_shape ->
                       let dist =
-                        Distributed.create ~config:(cfg ~engine ~pool ()) ~bc ~ranks_shape st
+                        Distributed.create ~config:(cfg ~depth ~pool ()) ~bc ~ranks_shape st
                       in
                       Distributed.run dist 5;
                       check_float
-                        (Printf.sprintf "%s %s, %d workers, %dx%d ranks: bit-identical"
-                           label bc_label workers ranks_shape.(0) ranks_shape.(1))
+                        (Printf.sprintf "depth %d %s, %d workers, %dx%d ranks: bit-identical"
+                           depth bc_label workers ranks_shape.(0) ranks_shape.(1))
                         0.0
-                        (Grid.max_rel_error ~reference:(Msc_exec.Runtime.current single)
-                           (Distributed.gather dist)))
+                        (Grid.max_rel_error ~reference:single (Distributed.gather dist)))
                     [ [| 2; 3 |]; [| 3; 3 |]; [| 1; 3 |] ])
-                engines)
+                depths)
             [ ("dirichlet", Msc_exec.Bc.Dirichlet 0.0); ("periodic", Msc_exec.Bc.Periodic) ]))
     [ 1; 2; 3; 5 ]
 
-let overlapped_pool_parallel_exact () =
-  pool_parallel_exact
-    [ ("overlapped", Distributed.Overlapped); ("bulk", Distributed.Bulk_synchronous) ]
+let overlapped_pool_parallel_exact () = pool_parallel_exact [ 1 ]
 
 (* Only the messages between ranks of different workers cross cores: the
    8x8 box exchange posts 420 messages a step, and contiguous rank blocks
@@ -901,8 +890,7 @@ let overlapped_thin_rank_exact () =
   let k = Msc_frontend.Builder.star_kernel ~name:"S" ~radius:3 grid in
   let st = Msc_frontend.Builder.two_step ~name:"thin" k in
   check_float "all-shell ranks" 0.0
-    (Distributed.validate ~config:(cfg ~engine:Distributed.Overlapped ()) ~steps:3
-       ~ranks_shape:[| 2; 2 |] st)
+    (Distributed.validate ~config:(cfg ()) ~steps:3 ~ranks_shape:[| 2; 2 |] st)
 
 let overlapped_traces_overlap_window () =
   let trace = Msc_trace.create () in
@@ -924,13 +912,34 @@ let overlapped_traces_overlap_window () =
   Alcotest.(check (list int)) "overlap windows tagged per rank" [ 0; 1; 2; 3 ]
     (List.sort_uniq compare (spans_named "halo.overlap"))
 
-(* --- Temporal-blocked engine --- *)
+(* --- Deeper temporal blocks --- *)
 
-(* At depth 1 the temporal engine must be a pure re-expression of the
-   overlapped protocol: one deep exchange per "block" of one step, the same
-   interior/shell split, bit-identical gathered states across all three
-   engines over the paper's whole suite. *)
-let temporal_depth1_bit_identical_across_suite () =
+(* The traffic one depth-1 exchange posts, compiled here independently of
+   the run (width = radius, corners only where a kernel access touches two
+   dimensions): one message per link of every rank's halo plan, each the
+   newest state's slab toward that neighbour. *)
+let depth1_traffic_per_step dist st =
+  let decomp = Distributed.decomp dist in
+  let mpi = Mpi.create ~nranks:(Distributed.nranks dist) () in
+  let faces_only = not (Distributed.needs_corners st) in
+  let width = Msc_ir.Stencil.radius st in
+  let messages = ref 0 and bytes = ref 0 in
+  for rank = 0 to Distributed.nranks dist - 1 do
+    let grid = Distributed.rank_state dist ~rank in
+    let plan = Halo.plan mpi decomp ~rank ~grid ~width ~faces_only in
+    messages := !messages + Array.length (Halo.peers plan);
+    List.iter
+      (fun dir ->
+        if Decomp.neighbor decomp ~rank ~dir <> None then
+          bytes := !bytes + (8 * Halo.payload_elems grid ~dir ~width))
+      (Decomp.directions ~ndim:(Array.length width) ~faces_only)
+  done;
+  (!messages, !bytes)
+
+(* Depth 1 over the paper's whole suite: one exchange of the newest state
+   per step, one message per neighbour (the count summed from every
+   rank's halo links), and the single grid's bits. *)
+let depth1_traffic_and_bits_across_suite () =
   List.iter
     (fun (b : Msc_benchsuite.Suite.bench) ->
       let dims =
@@ -939,43 +948,33 @@ let temporal_depth1_bit_identical_across_suite () =
       in
       let ranks_shape = Array.make b.Msc_benchsuite.Suite.ndim 2 in
       let st = Msc_benchsuite.Suite.stencil ~dims b in
-      let run engine =
-        let dist = Distributed.create ~config:(cfg ~engine ()) ~ranks_shape st in
-        let mpi = Distributed.mpi dist in
-        let bytes0 = Mpi.bytes_sent mpi and messages0 = Mpi.messages_sent mpi in
-        Distributed.run dist 2;
-        ( Distributed.gather dist,
-          (Mpi.messages_sent mpi - messages0, Mpi.bytes_sent mpi - bytes0) )
+      let name = b.Msc_benchsuite.Suite.name in
+      let dist = Distributed.create ~config:(cfg ~depth:1 ()) ~ranks_shape st in
+      let mpi = Distributed.mpi dist in
+      let traffic () = (Mpi.messages_sent mpi, Mpi.bytes_sent mpi) in
+      let step () =
+        let m0, b0 = traffic () in
+        Distributed.step dist;
+        let m1, b1 = traffic () in
+        (m1 - m0, b1 - b0)
       in
-      let bulk, bulk_traffic = run Distributed.Bulk_synchronous in
-      let over, over_traffic = run Distributed.Overlapped in
-      let temp, temp_traffic = run (Distributed.Temporal_blocked { depth = 1 }) in
-      check_bool
-        (b.Msc_benchsuite.Suite.name ^ ": temporal(1) == bulk bit-exact")
-        true
-        (bulk.Grid.data = temp.Grid.data);
-      check_bool
-        (b.Msc_benchsuite.Suite.name ^ ": temporal(1) == overlapped bit-exact")
-        true
-        (over.Grid.data = temp.Grid.data);
       (* Only the newest state goes on the wire: the older states' halos
          are still valid from the previous step's exchange. *)
-      check_int
-        (b.Msc_benchsuite.Suite.name ^ ": temporal(1) sends overlapped's bytes")
-        (snd over_traffic) (snd temp_traffic);
-      (* Overlapped steps as the depth-1 block, so both depth-1 engines
-         put exactly the bulk engine's messages and bytes on the wire. *)
+      let expected = depth1_traffic_per_step dist st in
       List.iter
-        (fun (name, traffic) ->
-          check_bool
-            (Printf.sprintf "%s: %s messages and bytes == bulk"
-               b.Msc_benchsuite.Suite.name name)
-            true (traffic = bulk_traffic))
-        [ ("overlapped", over_traffic); ("temporal(1)", temp_traffic) ])
+        (fun i ->
+          let messages, bytes = step () in
+          check_int (Printf.sprintf "%s: step %d messages == halo links" name i)
+            (fst expected) messages;
+          check_int (Printf.sprintf "%s: step %d bytes == newest slabs" name i)
+            (snd expected) bytes)
+        [ 1; 2 ];
+      check_float (name ^ ": depth 1 == single grid") 0.0
+        (Grid.max_rel_error ~reference:(single_grid st 2) (Distributed.gather dist)))
     Msc_benchsuite.Suite.all
 
 (* Deep blocks: 5 steps at depth 2/4 stop mid-block, so this also pins the
-   one-timestep granularity of the engine (every substep is an exact full
+   one-timestep granularity of the protocol (every substep is an exact full
    timestep). *)
 let temporal_deep_star_exact () =
   let _, st = stencil_3d7pt ~n:12 () in
@@ -985,7 +984,7 @@ let temporal_deep_star_exact () =
         (Printf.sprintf "depth %d bit-identical" depth)
         0.0
         (Distributed.validate
-           ~config:(cfg ~engine:(Distributed.Temporal_blocked { depth }) ())
+           ~config:(cfg ~depth ())
            ~steps:5 ~ranks_shape:[| 2; 2; 2 |] st))
     [ 2; 4 ]
 
@@ -997,7 +996,7 @@ let temporal_deep_box_uneven_exact () =
         (Printf.sprintf "uneven blocks, depth %d" depth)
         0.0
         (Distributed.validate
-           ~config:(cfg ~engine:(Distributed.Temporal_blocked { depth }) ())
+           ~config:(cfg ~depth ())
            ~steps:5 ~ranks_shape:[| 3; 2 |] st))
     [ 2; 4 ]
 
@@ -1009,7 +1008,7 @@ let temporal_periodic_exact () =
         (Printf.sprintf "periodic wrap, depth %d" depth)
         0.0
         (Distributed.validate
-           ~config:(cfg ~engine:(Distributed.Temporal_blocked { depth }) ())
+           ~config:(cfg ~depth ())
            ~steps:5 ~bc:Msc_exec.Bc.Periodic ~ranks_shape:[| 2; 2 |] st))
     [ 2; 4 ]
 
@@ -1019,15 +1018,15 @@ let temporal_time_window2_exact () =
   let st = stencil_wave2d ~n:16 () in
   check_float "two retained states, depth 2" 0.0
     (Distributed.validate
-       ~config:(cfg ~engine:(Distributed.Temporal_blocked { depth = 2 }) ())
+       ~config:(cfg ~depth:2 ())
        ~steps:5 ~ranks_shape:[| 2; 2 |] st);
   check_float "two retained states, depth 4" 0.0
     (Distributed.validate
-       ~config:(cfg ~engine:(Distributed.Temporal_blocked { depth = 4 }) ())
+       ~config:(cfg ~depth:4 ())
        ~steps:4 ~ranks_shape:[| 2; 2 |] st)
 
 (* A rank thinner than [depth * radius] cannot host the deep halo: the
-   engine must clamp the depth (here radius 3 over 12x8 split 2x2 ->
+   protocol must clamp the depth (here radius 3 over 12x8 split 2x2 ->
    extents 6x4 -> max depth 1) and still be exact. *)
 let temporal_thin_rank_clamps () =
   let grid =
@@ -1038,13 +1037,13 @@ let temporal_thin_rank_clamps () =
   let st = Msc_frontend.Builder.two_step ~name:"thin" k in
   let dist =
     Distributed.create
-      ~config:(cfg ~engine:(Distributed.Temporal_blocked { depth = 4 }) ())
+      ~config:(cfg ~depth:4 ())
       ~ranks_shape:[| 2; 2 |] st
   in
   check_int "depth clamped to thinnest rank" 1 (Distributed.effective_depth dist);
-  check_float "clamped engine stays exact" 0.0
+  check_float "clamped depth stays exact" 0.0
     (Distributed.validate
-       ~config:(cfg ~engine:(Distributed.Temporal_blocked { depth = 4 }) ())
+       ~config:(cfg ~depth:4 ())
        ~steps:3 ~ranks_shape:[| 2; 2 |] st)
 
 (* A rank thinner than the exchange width would read past its donor's
@@ -1082,60 +1081,57 @@ let temporal_effective_depth_reported () =
   let _, st = stencil_3d7pt ~n:12 () in
   let dist =
     Distributed.create
-      ~config:(cfg ~engine:(Distributed.Temporal_blocked { depth = 4 }) ())
+      ~config:(cfg ~depth:4 ())
       ~ranks_shape:[| 2; 2; 2 |] st
   in
   check_int "requested depth fits" 4 (Distributed.effective_depth dist);
   let over = Distributed.create ~ranks_shape:[| 2; 2; 2 |] st in
-  check_int "other engines run depth 1" 1 (Distributed.effective_depth over)
+  check_int "default depth 1" 1 (Distributed.effective_depth over)
 
 let temporal_pool_parallel_exact () =
-  pool_parallel_exact [ ("temporal(2)", Distributed.Temporal_blocked { depth = 2 }) ]
+  pool_parallel_exact [ 2 ]
 
 (* One deep exchange per block: a 2x2 grid of ranks, 3 neighbours each
-   (corners included), depth 2 -> 12 messages for two steps where the
-   per-step engines would post 24. *)
+   (corners included), depth 2 -> 12 messages for two steps where depth 1
+   posts 24. *)
 let temporal_message_savings () =
   let _, st = stencil_2d9pt_box ~m:12 ~n:12 () in
-  let run engine steps =
-    let dist = Distributed.create ~config:(cfg ~engine ()) ~ranks_shape:[| 2; 2 |] st in
+  let run depth steps =
+    let dist = Distributed.create ~config:(cfg ~depth ()) ~ranks_shape:[| 2; 2 |] st in
     let before = Mpi.messages_sent (Distributed.mpi dist) in
     Distributed.run dist steps;
     Mpi.messages_sent (Distributed.mpi dist) - before
   in
-  check_int "one deep exchange per block" 12
-    (run (Distributed.Temporal_blocked { depth = 2 }) 2);
-  check_int "overlapped exchanges every step" 24 (run Distributed.Overlapped 2)
+  check_int "one deep exchange per block" 12 (run 2 2);
+  check_int "depth 1 exchanges every step" 24 (run 1 2)
 
 let temporal_invalid_args () =
   let _, st = stencil_2d9pt_box () in
-  check_bool "depth 0 rejected" true
+  check_string "depth 0 rejected, naming the depth"
+    "Distributed: temporal block depth 0 must be >= 1"
     (try
-       ignore
-         (Distributed.create
-            ~config:(cfg ~engine:(Distributed.Temporal_blocked { depth = 0 }) ())
-            ~ranks_shape:[| 2; 2 |] st);
-       false
-     with Invalid_argument _ -> true);
+       ignore (Distributed.create ~config:(cfg ~depth:0 ()) ~ranks_shape:[| 2; 2 |] st);
+       "accepted"
+     with Invalid_argument msg -> msg);
   check_bool "Reflect at depth > 1 rejected" true
     (try
        ignore
          (Distributed.create
-            ~config:(cfg ~engine:(Distributed.Temporal_blocked { depth = 2 }) ())
+            ~config:(cfg ~depth:2 ())
             ~bc:Msc_exec.Bc.Reflect ~ranks_shape:[| 2; 2 |] st);
        false
      with Invalid_argument _ -> true)
 
 (* Property: random rank grids and depths agree bit-exactly with the single
-   grid (Dirichlet) — the cross-engine identity the deep-halo engine must
-   keep at every depth. *)
+   grid (Dirichlet) — the identity the deep-halo protocol must keep at
+   every depth. *)
 let temporal_property =
   qc ~count:10 "temporal == single for random rank shapes and depths"
     QCheck.(triple (int_range 1 3) (int_range 1 3) (int_range 1 4))
     (fun (px, py, depth) ->
       let _, st = stencil_2d9pt_box ~m:12 ~n:12 () in
       Distributed.validate
-        ~config:(cfg ~engine:(Distributed.Temporal_blocked { depth }) ())
+        ~config:(cfg ~depth ())
         ~steps:3 ~ranks_shape:[| px; py |] st
       = 0.0)
 
@@ -1399,9 +1395,9 @@ let suites =
       ] );
     ( "comm.overlapped",
       [
-        tc "suite bit-identical across engines" engines_bit_identical_across_suite;
-        tc "tri-engine bit-identical at 4x4" engines_bit_identical_4x4;
-        tc "both engines match single grid" engines_match_single_grid;
+        tc "suite bit-identical across engines" depths_bit_identical_across_suite;
+        tc "tri-engine bit-identical at 4x4" depths_bit_identical_4x4;
+        tc "both engines match single grid" depths_match_single_grid;
         tc "periodic exact" overlapped_periodic_exact;
         tc "pool-parallel exact" overlapped_pool_parallel_exact;
         tc "cross-worker messages traced" overlapped_cross_worker_messages_traced;
@@ -1410,7 +1406,7 @@ let suites =
       ] );
     ( "comm.temporal",
       [
-        tc "depth-1 tri-engine bit identity" temporal_depth1_bit_identical_across_suite;
+        tc "depth-1 tri-engine bit identity" depth1_traffic_and_bits_across_suite;
         tc "deep star exact" temporal_deep_star_exact;
         tc "deep box uneven exact" temporal_deep_box_uneven_exact;
         tc "periodic exact" temporal_periodic_exact;

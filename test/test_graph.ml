@@ -3,7 +3,7 @@
    shared-halo merging), the graph runtime's tile-local producers, and
    distributed execution. The load-bearing property throughout is
    bit-identity: the pass-optimized graph, under any inlining choice, on
-   any backend, pool size and engine, must match naive stage-at-a-time
+   any backend, pool size and rank grid, must match naive stage-at-a-time
    interpretation of the original graph exactly. *)
 
 open Helpers
@@ -59,16 +59,6 @@ let run_graph ?config ?bc ~steps g =
 
 let bit_equal name reference got =
   check_bool name true (Grid.max_rel_error ~reference got = 0.0)
-
-let engines =
-  [
-    ("bulk", Exec.Bulk_synchronous);
-    ("overlapped", Exec.Overlapped);
-    (* Graphs have no temporal block to deepen: depth 1 is accepted (and
-       recorded as bulk in [effective_engine]); depth > 1 raises — see
-       [distributed_rejects_unmerged]. *)
-    ("temporal", Exec.Temporal_blocked { depth = 1 });
-  ]
 
 (* --- Validation --- *)
 
@@ -357,28 +347,36 @@ let buffer_reuse () =
 
 (* --- Distributed --- *)
 
+(* Graphs have no temporal block to deepen, so they step at depth 1 only
+   (depth > 1 raises — see [distributed_rejects_unmerged]); the ranks run
+   on the sequential pool and on 2 workers, against the single-grid graph
+   runtime. *)
 let distributed_bit_identical () =
-  List.iter
-    (fun name ->
-      let g = optimize (Suite.pipeline ~dims:[| 18; 20 |] name) in
+  let pool = Msc_util.Domain_pool.create 2 in
+  Fun.protect
+    ~finally:(fun () -> Msc_util.Domain_pool.shutdown pool)
+    (fun () ->
       List.iter
-        (fun (ename, engine) ->
+        (fun name ->
+          let g = optimize (Suite.pipeline ~dims:[| 18; 20 |] name) in
           List.iter
-            (fun (bname, bc) ->
+            (fun (pname, pool) ->
               List.iter
-                (fun ranks_shape ->
-                  let config = Exec.Config.make ~engine () in
-                  check_bool
-                    (Printf.sprintf "%s/%s/%s ranks %dx%d" name ename bname
-                       ranks_shape.(0) ranks_shape.(1))
-                    true
-                    (Distributed.validate_graph ~config ~steps:3 ~bc
-                       ~ranks_shape g
-                    = 0.0))
-                [ [| 2; 2 |]; [| 3; 2 |] ])
-            [ ("dirichlet", Bc.Dirichlet 0.0); ("periodic", Bc.Periodic) ])
-        engines)
-    Suite.pipeline_names
+                (fun (bname, bc) ->
+                  List.iter
+                    (fun ranks_shape ->
+                      let config = Exec.Config.make ~pool () in
+                      check_bool
+                        (Printf.sprintf "%s/%s/%s ranks %dx%d" name pname bname
+                           ranks_shape.(0) ranks_shape.(1))
+                        true
+                        (Distributed.validate_graph ~config ~steps:3 ~bc
+                           ~ranks_shape g
+                        = 0.0))
+                    [ [| 2; 2 |]; [| 3; 2 |] ])
+                [ ("dirichlet", Bc.Dirichlet 0.0); ("periodic", Bc.Periodic) ])
+            [ ("sequential", Msc_util.Domain_pool.sequential); ("2 workers", pool) ])
+        Suite.pipeline_names)
 
 let distributed_rejects_unmerged () =
   let g = Suite.pipeline ~dims "unsharp_mask" in
@@ -386,11 +384,11 @@ let distributed_rejects_unmerged () =
       Distributed.create_graph ~ranks_shape:[| 2; 1 |] g);
   (* Temporal depth > 1 cannot be honored for graphs (intermediates are
      recomputed per step, not stepped) — an explicit request raises instead
-     of silently degrading to bulk. *)
+     of silently clamping to depth 1. *)
   let gm = optimize g in
   invalid "temporal depth > 1" (fun () ->
       Distributed.create_graph
-        ~config:(Exec.Config.make ~engine:(Exec.Temporal_blocked { depth = 2 }) ())
+        ~config:(Exec.Config.make ~depth:2 ())
         ~ranks_shape:[| 2; 2 |] gm);
   (* ... and a single-stage graph needs no merge. *)
   let single = Graph.single (snd (stencil_2d9pt_box ())) in
@@ -403,7 +401,7 @@ let distributed_thin_rank_rejected () =
   invalid "rank thinner than halo" (fun () ->
       Distributed.create_graph ~ranks_shape:[| 12; 1 |] g)
 
-(* --- qcheck: random DAGs, all engines --- *)
+(* --- qcheck: random DAGs, single node and distributed --- *)
 
 type stage_kind = K_star | K_deriv | K_square | K_ident | K_scaled | K_two_term
 
@@ -484,8 +482,8 @@ let random_graph_arb =
 
 (* Every DAG under each inlining choice, on both backends, at pool sizes
    1 and 2 with 4x5 tiles (which divide none of the generated extents),
-   against the raw graph on the interpreter; then the distributed
-   engines. *)
+   against the raw graph on the interpreter; then distributed over 2x2
+   ranks. *)
 let random_dag_bit_identical =
   qc ~count:12 "random DAG: passes + engines bit-identical" random_graph_arb
     (fun spec ->
@@ -516,13 +514,7 @@ let random_dag_bit_identical =
                   (Msc_exec.Backend.Compiled_c, Msc_util.Domain_pool.sequential);
                   (Msc_exec.Backend.Compiled_c, pool);
                 ]
-              && List.for_all
-                   (fun (_, engine) ->
-                     Distributed.validate_graph
-                       ~config:(Exec.Config.make ~engine ())
-                       ~steps:2 ~ranks_shape:[| 2; 2 |] go
-                     = 0.0)
-                   engines)
+              && Distributed.validate_graph ~steps:2 ~ranks_shape:[| 2; 2 |] go = 0.0)
             inlining_choices))
 
 (* Rows wide enough that one window per producer blows the per-worker

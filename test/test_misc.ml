@@ -183,7 +183,11 @@ let cli_smoke () =
          ~needle:("2d9pt_star: 5 steps on " ^ if cc then "compiled_c" else "interp")
          out);
     let rc, _ = run_cli "verify 2d9pt" in
-    check_bool "ambiguous NAME fails" true (rc <> 0)
+    check_bool "ambiguous NAME fails" true (rc <> 0);
+    (* A temporal depth below 1 is rejected with an error naming it. *)
+    let rc, out = run_cli "solve --dims 8x8 --depth 0" in
+    check_bool "solve --depth 0 fails" true (rc <> 0);
+    check_bool "the error names the depth" true (contains ~needle:"depth 0" out)
   end
 
 let suites =

@@ -180,7 +180,7 @@ let partition_prop (dims, raw_tile, perm) =
       Array.for_all (fun c -> c = 1) seen
       && Array.length p.Plan.tasks = p.Plan.tiles_count
 
-(* --- interior/shell split (the overlapped engine's phases) --- *)
+(* --- interior/shell split (the overlapped protocol's phases) --- *)
 
 let split_arb =
   let gen =

@@ -2,7 +2,7 @@
    deterministic tree combine, Plan's reduce lowering, the Reduction
    executor (interpreter reference, compiled fast path, pool/backend
    bit-identity), Mpi_sim's allreduce collective, the allreduce cost
-   model, and Distributed.reduce across every halo engine. *)
+   model, and Distributed.reduce across temporal depths. *)
 
 open Helpers
 module Reduce = Msc_ir.Reduce
@@ -49,8 +49,9 @@ let tree_combine_order () =
   let expected = (1.0 +. 2.0) +. (3.0 +. 4.0) +. 5.0 in
   check_bool "pairwise tree" true
     (Reduce.tree_combine ( +. ) a = expected);
-  (* The input array is not mutated. *)
-  check_bool "input intact" true (a = [| 1.0; 2.0; 3.0; 4.0; 5.0 |]);
+  (* The fold runs in place on the caller's array: every level writes its
+     left operand's slot, and slot 0 ends holding the result. *)
+  check_bool "folded in place" true (a = [| expected; 2.0; 3.0 +. 4.0; 4.0; 5.0 |]);
   check_float "singleton" 7.5 (Reduce.tree_combine ( +. ) [| 7.5 |]);
   (match Reduce.tree_combine ( +. ) [||] with
   | _ -> Alcotest.fail "empty must raise"
@@ -291,48 +292,40 @@ let scaling_counts_allreduces () =
 
 (* --- Distributed.reduce --- *)
 
-let engines =
-  [
-    ("bulk", Distributed.Bulk_synchronous);
-    ("overlap", Distributed.Overlapped);
-    ("temporal", Distributed.Temporal_blocked { depth = 2 });
-  ]
-
 let distributed_reduce_bit_identical () =
-  (* One reference value per op (interp, sequential, bulk), then every
-     backend x engine x rank-pool size must reproduce it bit-for-bit. *)
+  (* One reference value per op (interp, sequential, depth 1), then every
+     backend x temporal depth x rank-pool size must reproduce it
+     bit-for-bit. *)
   let _, st = stencil_2d9pt_box ~m:14 ~n:18 () in
   let unary_ops = List.filter (fun op -> Reduce.arity op = 1) all_ops in
-  let value backend engine workers op =
+  let value backend depth workers op =
     let pool = if workers = 1 then Pool.sequential else Pool.create workers in
     Fun.protect
       ~finally:(fun () -> if workers > 1 then Pool.shutdown pool)
       (fun () ->
-        let config = Exec.Config.make ~backend ~engine ~pool () in
+        let config = Exec.Config.make ~backend ~depth ~pool () in
         let d = Distributed.create ~config ~ranks_shape:[| 2; 2 |] st in
         Distributed.run d 3;
         Distributed.reduce d ~op)
   in
   List.iter
     (fun op ->
-      let reference =
-        value Backend.Interp Distributed.Bulk_synchronous 1 op
-      in
+      let reference = value Backend.Interp 1 1 op in
       check_bool "reference is finite" true (Float.is_finite reference);
       List.iter
         (fun backend ->
           if toolchain_for backend then
             List.iter
-              (fun (ename, engine) ->
+              (fun depth ->
                 List.iter
                   (fun workers ->
                     check_bool
-                      (Printf.sprintf "%s/%s/%s/pool%d" (Reduce.to_string op)
-                         (Backend.to_string backend) ename workers)
+                      (Printf.sprintf "%s/%s/depth%d/pool%d" (Reduce.to_string op)
+                         (Backend.to_string backend) depth workers)
                       true
-                      (value backend engine workers op = reference))
+                      (value backend depth workers op = reference))
                   [ 1; 2; 4 ])
-              engines)
+              [ 1; 2 ])
         backends)
     unary_ops
 
@@ -354,61 +347,80 @@ let distributed_reduce_counts_traffic () =
   check_int "allreduce hops" 6 (Mpi.messages_sent mpi);
   check_int "allreduce bytes" 48 (Mpi.bytes_sent mpi)
 
-(* --- engine accounting (satellite: explicit graph degrade) --- *)
+(* A steady-state collective allocates (almost) nothing: each rank's
+   compiled partial is stored straight into the executor's array, the
+   tree folds that array in place, and the allreduce ping-pongs
+   preallocated payloads. Pinned at 16 words per rank on 8x8 ranks with
+   one task per rank (the default schedule). The interpreter's reference
+   fold allocates per row, so there is nothing to pin without a C
+   toolchain. The sequential pool runs every rank on this domain, whose
+   minor-heap counter is exact. *)
+let distributed_reduce_allocation_pinned () =
+  let _, st = stencil_2d9pt_box ~m:64 ~n:64 () in
+  let config = Exec.Config.make ~backend:Backend.Compiled_c () in
+  let d = Distributed.create ~config ~ranks_shape:[| 8; 8 |] st in
+  Distributed.step d;
+  let first = Distributed.reduce d ~op:Reduce.Norm2 in
+  if Msc_exec.Reduction.compiled
+       (Msc_exec.Reduction.create ~config (Distributed.rank_state d ~rank:0))
+  then begin
+    let same = ref true in
+    Gc.full_major ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10 do
+      if Distributed.reduce d ~op:Reduce.Norm2 <> first then same := false
+    done;
+    let words = (Gc.minor_words () -. w0) /. 10.0 in
+    check_bool "same bits every call" true !same;
+    check_bool
+      (Printf.sprintf "%.0f words per reduce (%.2f per rank) <= 16 per rank" words
+         (words /. 64.0))
+      true
+      (words <= 16.0 *. 64.0)
+  end
+
+(* --- depth accounting --- *)
 
 let graph_temporal_depth_rejected () =
   let _, st = stencil_2d9pt_box () in
   let single = Graph.single st in
   (match
      Distributed.create_graph
-       ~config:
-         (Exec.Config.make
-            ~engine:(Distributed.Temporal_blocked { depth = 3 })
-            ())
+       ~config:(Exec.Config.make ~depth:3 ())
        ~ranks_shape:[| 2; 1 |] single
    with
   | _ -> Alcotest.fail "graph + temporal depth > 1 must raise"
   | exception Invalid_argument msg ->
-      check_bool "message names the degrade" true
+      check_bool "message names the depth" true
         (let has sub =
            let n = String.length msg and m = String.length sub in
            let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
            go 0
          in
-         has "Temporal_blocked depth 3"));
-  (* Depth 1 is bulk-equivalent: allowed, and recorded as bulk. *)
+         has "depth 3"));
+  (* Depth 1 is accepted and steps exactly. *)
   let d =
-    Distributed.create_graph
-      ~config:
-        (Exec.Config.make ~engine:(Distributed.Temporal_blocked { depth = 1 }) ())
+    Distributed.create_graph ~config:(Exec.Config.make ~depth:1 ())
       ~ranks_shape:[| 2; 1 |] single
   in
-  check_bool "requested engine preserved" true
-    (Distributed.engine d = Distributed.Temporal_blocked { depth = 1 });
-  check_bool "effective engine is bulk" true
-    (Distributed.effective_engine d = Distributed.Bulk_synchronous)
+  check_int "effective depth 1" 1 (Distributed.effective_depth d);
+  check_float "depth-1 graph == single grid" 0.0
+    (Distributed.validate_graph ~config:(Exec.Config.make ~depth:1 ()) ~steps:3
+       ~ranks_shape:[| 2; 1 |] single)
 
-let effective_engine_reports_clamp () =
-  (* A 6-wide decomposition over a 14-row grid cannot host depth 5: the
-     effective engine reports the clamped depth, not the request. *)
+let effective_depth_reports_clamp () =
+  (* A 6-wide decomposition over a 14-row grid (2-row ranks, radius 1)
+     cannot host depth 5: the effective depth reports the clamp, and the
+     clamped run stays exact. *)
   let _, st = stencil_2d9pt_box ~m:14 ~n:18 () in
-  let d =
-    Distributed.create
-      ~config:
-        (Exec.Config.make ~engine:(Distributed.Temporal_blocked { depth = 5 }) ())
-      ~ranks_shape:[| 6; 1 |] st
-  in
-  check_bool "requested preserved" true
-    (Distributed.engine d = Distributed.Temporal_blocked { depth = 5 });
-  (match Distributed.effective_engine d with
-  | Distributed.Temporal_blocked { depth } ->
-      check_int "clamped depth recorded" (Distributed.effective_depth d) depth;
-      check_bool "actually clamped" true (depth < 5)
-  | _ -> Alcotest.fail "temporal request must stay temporal");
-  (* Non-temporal engines: effective = requested. *)
+  let config = Exec.Config.make ~depth:5 () in
+  let d = Distributed.create ~config ~ranks_shape:[| 6; 1 |] st in
+  check_int "clamped to the thinnest rank" 2 (Distributed.effective_depth d);
+  check_float "clamped depth stays exact" 0.0
+    (Distributed.validate ~config ~steps:5 ~ranks_shape:[| 6; 1 |] st);
+  (* The default depth 1 needs no clamp. *)
   let d2 = Distributed.create ~ranks_shape:[| 2; 2 |] st in
-  check_bool "overlapped passthrough" true
-    (Distributed.effective_engine d2 = Distributed.Overlapped)
+  check_int "default depth 1" 1 (Distributed.effective_depth d2)
 
 let suites =
   [
@@ -441,7 +453,8 @@ let suites =
           distributed_reduce_bit_identical;
         tc "rejects dot" distributed_reduce_rejects_dot;
         tc "counts traffic" distributed_reduce_counts_traffic;
+        tc "steady-state allocation" distributed_reduce_allocation_pinned;
         tc "graph temporal depth rejected" graph_temporal_depth_rejected;
-        tc "effective engine reports clamp" effective_engine_reports_clamp;
+        tc "effective engine reports clamp" effective_depth_reports_clamp;
       ] );
   ]

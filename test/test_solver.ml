@@ -1,11 +1,11 @@
 (* Matrix-free solver tests: convergence on the Poisson model problem with
    pinned iteration counts, per-iteration residual telemetry, collective
    accounting, and the bit-stability contract — residual sequences must be
-   bit-identical across halo engines at a fixed decomposition. *)
+   bit-identical across temporal depths and pool sizes at a fixed
+   decomposition. *)
 
 open Helpers
 module Solver = Msc_solver.Solver
-module Distributed = Msc_comm.Distributed
 module Exec = Msc_exec.Exec
 module Trace = Msc_trace
 
@@ -57,8 +57,7 @@ let jacobi_converges () =
   check_converged ~iters:jacobi_iters r;
   (* ||b|| plus one residual collective per step. *)
   check_int "allreduces" (jacobi_iters + 1) r.Solver.allreduces;
-  check_bool "never degrades" true
-    (r.Solver.op_engine = r.Solver.engine);
+  check_int "never clamped" r.Solver.depth r.Solver.op_depth;
   (* The residual telemetry reaches the trace sink. *)
   let trace = Trace.create () in
   let r2 = Solver.solve ~trace ~tol ~method_:Solver.Jacobi (problem ()) in
@@ -82,6 +81,23 @@ let cg_converges () =
   check_int "allreduces" (1 + (2 * cg_iters)) r.Solver.allreduces;
   check_bool "cg far faster than jacobi" true (cg_iters * 10 < jacobi_iters)
 
+(* One CG iteration applies the operator once: one depth-1 step, whose
+   exchange already carries the loaded operand, so the iteration sends
+   one step's halo messages and its two allreduces — no separate halo
+   refresh before the step. On 2x2 ranks the 5-point operator exchanges
+   faces only: every rank has 2 neighbours, 8 messages a step; an
+   allreduce over 4 ranks is a gather and a broadcast, 6 hops. *)
+let cg_iteration_messages () =
+  let run max_iters =
+    Solver.solve ~ranks_shape:[| 2; 2 |] ~tol:1e-30 ~max_iters ~method_:Solver.Cg
+      (problem ())
+  in
+  let r1 = run 1 and r2 = run 2 in
+  check_bool "not converged" false r2.Solver.converged;
+  check_int "two allreduces per iteration" 2 (r2.Solver.allreduces - r1.Solver.allreduces);
+  check_int "one step's halo messages plus the allreduces" (8 + (2 * 6))
+    (r2.Solver.messages - r1.Solver.messages)
+
 let rbgs_converges () =
   let r =
     Solver.solve ~tol ~method_:Solver.Red_black_gauss_seidel (problem ())
@@ -100,31 +116,23 @@ let damped_jacobi_still_converges () =
     (r.Solver.iterations
     > (Solver.solve ~tol:1e-3 ~method_:Solver.Jacobi (problem ())).Solver.iterations)
 
-let engines =
-  [
-    ("bulk", Distributed.Bulk_synchronous);
-    ("overlap", Distributed.Overlapped);
-    ("temporal2", Distributed.Temporal_blocked { depth = 2 });
-  ]
-
-let residuals_bit_identical_across_engines () =
-  (* The headline solver contract: at a fixed decomposition, engine choice
-     never changes a single bit of any residual. *)
+let residuals_bit_identical_across_depths () =
+  (* The headline solver contract: at a fixed decomposition, neither the
+     temporal depth nor the pool that steps the ranks changes a single bit
+     of any residual. *)
   let p = Solver.Problem.poisson ~dims:[| 10; 12 |] in
+  let pool = Msc_util.Domain_pool.create 2 in
+  Fun.protect ~finally:(fun () -> Msc_util.Domain_pool.shutdown pool) @@ fun () ->
   List.iter
     (fun method_ ->
-      let run engine =
-        Solver.solve
-          ~config:(Exec.Config.make ~engine ())
-          ~ranks_shape:[| 2; 2 |] ~tol ~method_ p
-      in
-      let reference = run Distributed.Bulk_synchronous in
+      let run config = Solver.solve ~config ~ranks_shape:[| 2; 2 |] ~tol ~method_ p in
+      let reference = run Exec.Config.default in
       check_bool
         (Solver.method_to_string method_ ^ " reference converged")
         true reference.Solver.converged;
       List.iter
-        (fun (ename, engine) ->
-          let r = run engine in
+        (fun (ename, config) ->
+          let r = run config in
           check_int
             (Printf.sprintf "%s/%s iterations" (Solver.method_to_string method_)
                ename)
@@ -134,24 +142,23 @@ let residuals_bit_identical_across_engines () =
                (Solver.method_to_string method_) ename)
             true
             (r.Solver.residuals = reference.Solver.residuals))
-        engines)
+        [
+          ("depth2", Exec.Config.make ~depth:2 ());
+          ("depth1 on 2 workers", Exec.Config.make ~pool ());
+          ("depth2 on 2 workers", Exec.Config.make ~depth:2 ~pool ());
+        ])
     Solver.all_methods
 
 let temporal_degrade_recorded () =
   let p = problem () in
-  let temporal = Distributed.Temporal_blocked { depth = 2 } in
-  let config = Exec.Config.make ~engine:temporal () in
+  let config = Exec.Config.make ~depth:2 () in
   (* CG loads a fresh operand before every apply: no block to deepen. *)
   let r = Solver.solve ~config ~tol ~method_:Solver.Cg p in
-  check_bool "request recorded" true (r.Solver.engine = temporal);
-  check_bool "operator degraded to bulk" true
-    (r.Solver.op_engine = Distributed.Bulk_synchronous);
-  (* Jacobi is a real time iteration: the temporal engine runs it natively. *)
+  check_int "request recorded" 2 r.Solver.depth;
+  check_int "operator clamped to depth 1" 1 r.Solver.op_depth;
+  (* Jacobi is a real time iteration: it runs at the requested depth. *)
   let r2 = Solver.solve ~config ~tol ~method_:Solver.Jacobi p in
-  (match r2.Solver.op_engine with
-  | Distributed.Temporal_blocked { depth } ->
-      check_bool "depth honored" true (depth >= 1)
-  | _ -> Alcotest.fail "jacobi must keep the temporal engine");
+  check_int "depth honored" 2 r2.Solver.op_depth;
   check_int "same jacobi iterations" jacobi_iters r2.Solver.iterations
 
 let solve_validates () =
@@ -165,6 +172,12 @@ let solve_validates () =
   (match Solver.solve ~max_iters:(-1) ~method_:Solver.Cg p with
   | _ -> Alcotest.fail "negative max_iters must raise"
   | exception Invalid_argument _ -> ());
+  (* CG clamps its operator to depth 1, but a depth below 1 is still a
+     bad request, named in the error. *)
+  (match Solver.solve ~config:(Exec.Config.make ~depth:0 ()) ~method_:Solver.Cg p with
+  | _ -> Alcotest.fail "depth 0 must raise"
+  | exception Invalid_argument msg ->
+      check_string "names the depth" "Solver.solve: temporal depth 0 must be >= 1" msg);
   (* An unreachable tolerance reports non-convergence honestly. *)
   let r = Solver.solve ~tol:1e-15 ~max_iters:3 ~method_:Solver.Jacobi p in
   check_bool "not converged" false r.Solver.converged;
@@ -190,10 +203,11 @@ let suites =
         tc "poisson naming" poisson_naming;
         tc "jacobi converges (pinned)" jacobi_converges;
         tc "cg converges (pinned)" cg_converges;
+        tc "cg iteration: one exchange" cg_iteration_messages;
         tc "rbgs converges (pinned)" rbgs_converges;
         tc "damped jacobi" damped_jacobi_still_converges;
         slow "residuals bit-identical across engines"
-          residuals_bit_identical_across_engines;
+          residuals_bit_identical_across_depths;
         tc "temporal degrade recorded" temporal_degrade_recorded;
         tc "solve validates" solve_validates;
         tc "pp_report smoke" pp_report_smoke;
