@@ -17,13 +17,6 @@ let block t header body =
   t.indent <- t.indent - 1;
   emit t "}"
 
-let block_trail t header ~trailer body =
-  emit t (header ^ " {");
-  t.indent <- t.indent + 1;
-  body ();
-  t.indent <- t.indent - 1;
-  emit t ("} " ^ trailer)
-
 let raw t s =
   Buffer.add_string t.buf s;
   if String.length s = 0 || s.[String.length s - 1] <> '\n' then

@@ -11,9 +11,6 @@ val block : t -> string -> (unit -> unit) -> unit
 (** [block w header body] emits [header {], the body one level deeper,
     then [}]. *)
 
-val block_trail : t -> string -> trailer:string -> (unit -> unit) -> unit
-(** Like {!block} but closes with [} trailer] (e.g. ["} while (0);"]). *)
-
 val raw : t -> string -> unit
 (** Emit preformatted text verbatim (e.g. a pragma at column 0). *)
 

@@ -41,6 +41,9 @@ type t = {
           first-substep tasks split against the cells at least the
           stencil's reach from every face (only those read pre-exchange
           halo data) *)
+  deferred : bool array;
+      (** per rank: its halo had not fully arrived when its worker first
+          reached it this exchange, so it takes the interior/shell split *)
   sub_tasks : (int array * int array) array array array;
       (** per rank, per substep: the temporal block's shrinking task
           arrays ({!Plan.temporal}); one plain substep at depth 1 *)
@@ -248,6 +251,7 @@ let build ~config ~net ~init ~aux_init ~bc ~trace ~ranks_shape
               subs.(0))
           sub_tasks;
       sub_tasks;
+      deferred = Array.make nranks false;
       block_pos = 0;
       trace;
       steps_done = 0;
@@ -395,7 +399,7 @@ let reduce t ~op =
           Msc_exec.Reduction.run_raw reducers.(rank) ~op (Runtime.current t.runtimes.(rank))
       done);
   let combined =
-    Mpi_sim.allreduce t.mpi ~tag:reduce_tag ~combine:(Reduce.combine op) t.partials
+    Mpi_sim.allreduce t.mpi ~tag:reduce_tag ~op t.partials
   in
   Reduce.finalize op combined
 
@@ -408,19 +412,30 @@ let finish_substep t rank =
    so only the newest state goes on the wire; a deeper block sends every
    retained state. Interior cells read no halo data at all (for a graph,
    not even through the producers each task computes over its
-   ghost-extended range), so the interior sub-sweep is correct regardless
+   ghost-extended range), so an interior sub-sweep is correct regardless
    of message progress; the boundary shell waits for the completed
    exchange.
 
-   One pool region per step: each worker posts the sends of all its
-   ranks, then sweeps their interiors, then completes, refreshes, sweeps
-   the shell of and commits each of them. No rank waits on a message its
-   own worker has still to post, and every other worker posts before it
-   waits, so the protocol is deadlock-free for any pool size. All of a
-   worker's messages enter flight before its first interior sweep, so the
-   sweeps count against their latency. One region costs one wake-up and
-   one barrier per step, and the contiguous rank blocks keep most
-   neighbour traffic on one core.
+   One pool region per step, in which each worker runs three passes over
+   its contiguous block of ranks:
+   1. post the sends of every rank;
+   2. ready first: a rank whose messages have all arrived
+      ({!Halo.try_complete}) is unpacked, has its physical faces refreshed
+      and its whole first-substep task array swept in one call, and is
+      committed; any other rank is marked deferred;
+   3. only the deferred ranks run the split: all their interiors, then
+      complete, refresh, shell sweep and commit for each.
+   A worker owns many ranks, so by the time it reaches one, that rank's
+   messages have usually arrived and the split would hide nothing while
+   costing a sweep of five pieces instead of one and two more passes over
+   the rank grids. Which path a rank takes depends only on message
+   arrival, and both give the same bits.
+
+   No rank waits on a message its own worker has still to post, and every
+   other worker posts before it waits, so the protocol is deadlock-free
+   for any pool size. One region costs one wake-up and one barrier per
+   step, and the contiguous rank blocks keep most neighbour traffic on one
+   core.
 
    With no barrier between posting and completing, a worker can reach a
    wait before a peer worker has even woken to post: that receive polls
@@ -429,6 +444,12 @@ let finish_substep t rank =
    cores) is not a deadlock, so these waits get [region_timeout_s]. *)
 let region_timeout_s = 30.0
 
+let refresh_wire t rank =
+  let wire = t.wire.(rank) in
+  for i = 0 to Array.length wire - 1 do
+    refresh_bc t rank wire.(i)
+  done
+
 let overlap t =
   rank_blocks t (fun lo hi ->
       for rank = lo to hi - 1 do
@@ -436,26 +457,40 @@ let overlap t =
         Halo.post t.halo_plans.(rank) t.wire.(rank)
       done;
       for rank = lo to hi - 1 do
-        let interior, _ = t.phases.(rank) in
-        let ts = Msc_trace.begin_span t.trace in
-        Runtime.sweep_tasks t.runtimes.(rank) interior;
-        Msc_trace.end_span_on ~tid:rank t.trace "halo.overlap" ts
+        let ready = Halo.try_complete t.halo_plans.(rank) t.wire.(rank) in
+        t.deferred.(rank) <- not ready;
+        if ready then begin
+          refresh_wire t rank;
+          Runtime.sweep_tasks t.runtimes.(rank) t.sub_tasks.(rank).(0);
+          finish_substep t rank
+        end
       done;
       for rank = lo to hi - 1 do
-        let wire = t.wire.(rank) in
-        Halo.complete ~timeout_s:region_timeout_s t.halo_plans.(rank) wire;
-        for i = 0 to Array.length wire - 1 do
-          refresh_bc t rank wire.(i)
-        done;
-        let _, shell = t.phases.(rank) in
-        let ts = Msc_trace.begin_span t.trace in
-        Runtime.sweep_tasks t.runtimes.(rank) shell;
-        Msc_trace.end_span_on ~tid:rank t.trace "halo.shell" ts;
-        finish_substep t rank
+        if t.deferred.(rank) then begin
+          let interior, _ = t.phases.(rank) in
+          let ts = Msc_trace.begin_span t.trace in
+          Runtime.sweep_tasks t.runtimes.(rank) interior;
+          Msc_trace.end_span_on ~tid:rank t.trace "halo.overlap" ts
+        end
+      done;
+      for rank = lo to hi - 1 do
+        if t.deferred.(rank) then begin
+          Halo.complete ~timeout_s:region_timeout_s t.halo_plans.(rank) t.wire.(rank);
+          refresh_wire t rank;
+          let _, shell = t.phases.(rank) in
+          let ts = Msc_trace.begin_span t.trace in
+          Runtime.sweep_tasks t.runtimes.(rank) shell;
+          Msc_trace.end_span_on ~tid:rank t.trace "halo.shell" ts;
+          finish_substep t rank
+        end
       done);
-  if Msc_trace.enabled t.trace then
+  if Msc_trace.enabled t.trace then begin
     Msc_trace.add_on ~tid:0 t.trace "dist.cross_worker_messages"
-      (float_of_int t.cross_worker_messages)
+      (float_of_int t.cross_worker_messages);
+    let split = ref 0 in
+    Array.iter (fun d -> if d then incr split) t.deferred;
+    Msc_trace.add_on ~tid:0 t.trace "dist.overlapped_ranks" (float_of_int !split)
+  end
 
 (* One timestep of a block. A depth-1 block exchanges every step; a depth-k
    block pays one deep exchange ([k * radius]-wide slabs of every retained
@@ -470,9 +505,10 @@ let overlap t =
    bit-identical to the single grid's.
 
    The first substep runs the overlap protocol: pre-block halos are stale
-   (the previous block's last substep swept no extension), so only the
-   radius-deep core runs while the deep exchange is in flight; the shell
-   plus the outermost extension wait for completion. Later substeps are
+   (the previous block's last substep swept no extension), so a rank whose
+   deep exchange has already arrived sweeps the substep whole, and any
+   other runs only the radius-deep core while its exchange is in flight;
+   its shell plus the outermost extension wait for completion. Later substeps are
    pure compute. Every substep refreshes the {e physical} faces only — a
    full pass would clobber the freshly recomputed halo extensions. At depth 1
    there are none, and a full pass would write the neighbour faces of the

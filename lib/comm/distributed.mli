@@ -11,9 +11,14 @@ type t
 
     The paper's asynchronous protocol (§4.4, Figure 6c), parameterised by
     its temporal depth ([config.depth], default 1). Each block posts one
-    exchange per neighbour, sweeps every rank's halo-free interior while
-    the messages are in flight, then completes the receives, refreshes the
-    physical faces and sweeps the boundary shell. At depth 1 the exchange
+    exchange per neighbour for every rank, then goes ready first: a rank
+    whose messages have all arrived ({!Halo.try_complete}) is unpacked,
+    has its physical faces refreshed and is swept whole in one call. Only
+    a rank whose messages are still in flight takes the split: its
+    halo-free interior is swept while they fly, then it completes the
+    receives, refreshes the physical faces and sweeps the boundary shell.
+    Which path a rank takes depends on message arrival alone; both give
+    the same bits, so there is no knob. At depth 1 the exchange
     carries the newest state's slabs and a block is one step. At depth
     [k > 1] halos are widened to [k * radius], the one deep exchange
     carries every retained state's slab, and the block's later [k - 1]
@@ -67,13 +72,14 @@ val create :
     rank as [tid]), each rank's halo traffic (one ["halo.pack"],
     ["halo.exchange"] and ["halo.unpack"] span and one ["halo.bytes"]
     counter per rank per exchange, see {!Halo.post}), a ["halo.window"]
-    span over each initial exchange (one per retained state), a
-    ["halo.overlap"] span per rank over
-    the interior sub-sweep of each block (the window the exchange hides
-    behind) plus a ["halo.shell"] span over the boundary sub-sweep, and a
-    ["dist.cross_worker_messages"] counter
-    per exchange (its messages whose sender and receiver ranks belong to
-    different pool workers); a temporal block deeper than 1 adds a
+    span over each initial exchange (one per retained state; on a rank
+    swept whole, ["halo.exchange"] is empty), for each rank that took the
+    split a ["halo.overlap"] span over its interior sub-sweep (the window
+    the exchange hides behind) plus a ["halo.shell"] span over its
+    boundary sub-sweep, and per exchange a ["dist.cross_worker_messages"]
+    counter (its messages whose sender and receiver ranks belong to
+    different pool workers) and a ["dist.overlapped_ranks"] counter (the
+    ranks that took the split); a temporal block deeper than 1 adds a
     ["halo.substep"] span per rank over each communication-free substep.
     @raise Invalid_argument if the halo is thinner than the stencil radius,
     the decomposition is invalid, any rank is thinner than the exchange

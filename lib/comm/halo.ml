@@ -47,18 +47,16 @@ let runs (g : Grid.t) ranges =
   if len > 0 then go 0 0;
   Array.of_list (List.concat_map (fun (o, l) -> [ o; l ]) (List.rev !acc))
 
-(* Payloads are float64 little-endian. Sizes are checked once per payload,
-   so the per-element accesses skip the bounds check. *)
-external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+(* Payloads are float64 little-endian. Each stub copies one grid's slab
+   between its data and the payload at a byte position, one copy per run;
+   the callers check the geometry and the payload size first. *)
+external pack_runs : float array -> int array -> Bytes.t -> int -> unit
+  = "msc_halo_pack"
+[@@noalloc]
 
-let put buf pos x =
-  if Sys.big_endian then Bytes.set_int64_le buf pos (Int64.bits_of_float x)
-  else set64u buf pos (Int64.bits_of_float x)
-
-let take buf pos =
-  if Sys.big_endian then Int64.float_of_bits (Bytes.get_int64_le buf pos)
-  else Int64.float_of_bits (get64u buf pos)
+external unpack_runs : float array -> int array -> Bytes.t -> int -> unit
+  = "msc_halo_unpack"
+[@@noalloc]
 
 (* One neighbour: the resolved endpoints, both slabs as runs, and the
    per-grid payload size. The neighbour's slab toward us spans the same
@@ -76,6 +74,7 @@ type link = {
   outer : int array;
   elems : int;
   mutable buf : Bytes.t;  (* last payload received, reused by [post] *)
+  mutable arrived : bool;  (* [buf] holds this exchange's payload, not yet unpacked *)
 }
 
 type plan = {
@@ -110,6 +109,7 @@ let plan ?periodic ?(trace = Msc_trace.disabled) mpi (decomp : Decomp.t) ~rank
                 outer = runs grid (region grid ~dir ~width ~side:`Outer);
                 elems = payload_elems grid ~dir ~width;
                 buf = Bytes.empty;
+                arrived = false;
               })
       (Decomp.directions ~ndim:nd ~faces_only)
   in
@@ -132,23 +132,13 @@ let check p (grids : Grid.t array) name =
         ("Halo." ^ name ^ ": the grid's shape or halo differs from the plan's")
   done
 
-(* Plain loops throughout: a closure over the payload cursor would put it
-   on the heap. *)
 let pack l (grids : Grid.t array) =
-  let size = 8 * l.elems * Array.length grids in
+  let per = 8 * l.elems in
+  let size = per * Array.length grids in
   let buf = if Bytes.length l.buf = size then l.buf else Bytes.create size in
   l.buf <- Bytes.empty;
-  let pos = ref 0 in
   for i = 0 to Array.length grids - 1 do
-    let data = grids.(i).Grid.data in
-    for r = 0 to (Array.length l.inner / 2) - 1 do
-      let off = l.inner.(2 * r) and len = l.inner.((2 * r) + 1) in
-      let p = !pos in
-      for c = 0 to len - 1 do
-        put buf (p + (8 * c)) (Array.unsafe_get data (off + c))
-      done;
-      pos := p + (8 * len)
-    done
+    pack_runs grids.(i).Grid.data l.inner buf (i * per)
   done;
   buf
 
@@ -158,17 +148,8 @@ let unpack l (grids : Grid.t array) payload =
     invalid_arg
       (Printf.sprintf "Halo.complete: payload %d B but %d slabs of %d B"
          (Bytes.length payload) (Array.length grids) per);
-  let pos = ref 0 in
   for i = 0 to Array.length grids - 1 do
-    let data = grids.(i).Grid.data in
-    for r = 0 to (Array.length l.outer / 2) - 1 do
-      let off = l.outer.(2 * r) and len = l.outer.((2 * r) + 1) in
-      let p = !pos in
-      for c = 0 to len - 1 do
-        Array.unsafe_set data (off + c) (take payload (p + (8 * c)))
-      done;
-      pos := p + (8 * len)
-    done
+    unpack_runs grids.(i).Grid.data l.outer payload (i * per)
   done
 
 let post p grids =
@@ -189,18 +170,48 @@ let post p grids =
   if Msc_trace.enabled trace then
     Msc_trace.add_on ~tid:p.rank trace "halo.bytes" (float_of_int !bytes)
 
-let complete ?timeout_s p grids =
-  check p grids "complete";
-  let trace = p.trace in
-  let ts = Msc_trace.begin_span trace in
+(* Unpack every link's claimed payload under one ["halo.unpack"] span. *)
+let unpack_all p grids =
+  let ts = Msc_trace.begin_span p.trace in
   for i = 0 to Array.length p.links - 1 do
     let l = p.links.(i) in
-    l.buf <- Mpi_sim.slot_wait ?timeout_s l.slot
-  done;
-  Msc_trace.end_span_on ~tid:p.rank trace "halo.exchange" ts;
-  let ts = Msc_trace.begin_span trace in
-  for i = 0 to Array.length p.links - 1 do
-    let l = p.links.(i) in
+    l.arrived <- false;
     unpack l grids l.buf
   done;
-  Msc_trace.end_span_on ~tid:p.rank trace "halo.unpack" ts
+  Msc_trace.end_span_on ~tid:p.rank p.trace "halo.unpack" ts
+
+let try_complete p grids =
+  check p grids "try_complete";
+  let missing = ref 0 in
+  for i = 0 to Array.length p.links - 1 do
+    let l = p.links.(i) in
+    if not l.arrived then begin
+      let payload = Mpi_sim.slot_poll l.slot in
+      if payload == Mpi_sim.nothing then incr missing
+      else begin
+        l.buf <- payload;
+        l.arrived <- true
+      end
+    end
+  done;
+  !missing = 0
+  && begin
+       (* Nothing left to wait for: the exchange span is empty. *)
+       let ts = Msc_trace.begin_span p.trace in
+       Msc_trace.end_span_on ~tid:p.rank p.trace "halo.exchange" ts;
+       unpack_all p grids;
+       true
+     end
+
+let complete ?timeout_s p grids =
+  check p grids "complete";
+  let ts = Msc_trace.begin_span p.trace in
+  for i = 0 to Array.length p.links - 1 do
+    let l = p.links.(i) in
+    if not l.arrived then begin
+      l.buf <- Mpi_sim.slot_wait ?timeout_s l.slot;
+      l.arrived <- true
+    end
+  done;
+  Msc_trace.end_span_on ~tid:p.rank p.trace "halo.exchange" ts;
+  unpack_all p grids

@@ -12,10 +12,15 @@
     A message's tag is the {e sender's} direction index
     ({!Decomp.dir_index}), so a receiver matches on the opposite direction.
     One exchange = every rank runs {!post}, then — after any computation it
-    wants to hide behind the in-flight messages — {!complete}, which waits
-    for each neighbour's post. The distributed runtime has every worker
-    post all of its ranks before it completes any of them, so no rank
-    waits on a message its own worker has yet to send. *)
+    wants to hide behind the in-flight messages — {!try_complete} (which
+    never blocks) and/or {!complete} (which waits for each neighbour's
+    post). The distributed runtime has every worker post all of its ranks
+    before it completes any of them, so no rank waits on a message its own
+    worker has yet to send.
+
+    Each slab moves with one copy per run through a C stub, in both
+    directions; on a big-endian host the stub byte-swaps each element, so
+    payloads are float64 little-endian everywhere. *)
 
 val payload_elems : Msc_exec.Grid.t -> dir:int array -> width:int array -> int
 (** Elements of one grid's slab toward [dir] ([width] is the exchange
@@ -53,8 +58,20 @@ val post : plan -> Msc_exec.Grid.t array -> unit
     @raise Invalid_argument if a grid's shape or halo differs from the
     plan's. *)
 
+val try_complete : plan -> Msc_exec.Grid.t array -> bool
+(** Claim, without waiting, every neighbour's payload that has arrived
+    (simulated in-flight latency included), keeping each on its link. Once
+    every link holds its payload, unpack them all into [grids] as
+    {!complete} does, record the same ["halo.exchange"] span (empty: there
+    was nothing to wait for) and ["halo.unpack"] span, and return [true].
+    Otherwise record nothing and return [false]: the claimed payloads stay
+    on their links for a later [try_complete] or {!complete} of the same
+    exchange. Allocates nothing.
+    @raise Invalid_argument as {!complete} does. *)
+
 val complete : ?timeout_s:float -> plan -> Msc_exec.Grid.t array -> unit
-(** Wait out every neighbour's payload (simulated in-flight latency
+(** Wait out the payload of every neighbour whose link {!try_complete}
+    has not already claimed this exchange (simulated in-flight latency
     included), then unpack each into the outer slabs of [grids] (the same
     grids, in the same order, the neighbours posted). Records one
     ["halo.exchange"] span over the waits and one ["halo.unpack"] span,

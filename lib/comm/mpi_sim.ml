@@ -61,9 +61,16 @@ type chan = {
      each exhausted segment here and the producer reuses it instead of
      allocating, so steady-state traffic allocates nothing at all. *)
   spare : seg Atomic.t;
+  seen : float array;  (* the receiving mailbox's [seen] *)
 }
 
-type mailbox = { channels : chan Imap.t Atomic.t }
+(* [seen] holds a wall-clock reading a receive on this mailbox took. A
+   message stamped to arrive no later than that has arrived, so most
+   claims read no clock: of a rank's messages, only the first one claimed
+   in an exchange usually needs a fresh reading. Receivers on different
+   channels of one mailbox may race on it; whichever store lands, it
+   holds a reading already taken, which is all a claim relies on. *)
+type mailbox = { channels : chan Imap.t Atomic.t; seen : float array }
 
 type t = {
   nranks : int;
@@ -141,7 +148,8 @@ let create ?net ~nranks () =
   if nranks < 1 then invalid_arg "Mpi_sim.create: need at least one rank";
   {
     nranks;
-    mailboxes = Array.init nranks (fun _ -> { channels = Atomic.make Imap.empty });
+    mailboxes =
+      Array.init nranks (fun _ -> { channels = Atomic.make Imap.empty; seen = [| neg_infinity |] });
     net;
     origin = now ();
     collectives = [];
@@ -159,7 +167,7 @@ let check_rank t r name =
 let new_seg () =
   { buf = Array.make seg_cap Bytes.empty; arr = Array.make seg_cap 0.0; next = nil_seg }
 
-let new_chan ~src ~tag =
+let new_chan ~seen ~src ~tag =
   let s = new_seg () in
   {
     c_src = src;
@@ -172,6 +180,7 @@ let new_chan ~src ~tag =
     c_seg = s;
     c_idx = 0;
     spare = Atomic.make nil_seg;
+    seen;
   }
 
 (* Lock-free find-or-create: losers of the CAS race retry the lookup and
@@ -183,7 +192,7 @@ let rec chan_of t mb ~src ~tag =
   match Imap.find_opt key m with
   | Some ch -> ch
   | None ->
-      let ch = new_chan ~src ~tag in
+      let ch = new_chan ~seen:mb.seen ~src ~tag in
       if Atomic.compare_and_set mb.channels m (Imap.add key ch m) then ch
       else chan_of t mb ~src ~tag
 
@@ -237,7 +246,13 @@ let take_now ch =
   else begin
     cursor_advance ch;
     let a = ch.c_seg.arr.(ch.c_idx) in
-    if a = neg_infinity || a <= now () then begin
+    if
+      a = neg_infinity || a <= ch.seen.(0)
+      ||
+      let t = now () in
+      ch.seen.(0) <- t;
+      a <= t
+    then begin
       let payload = ch.c_seg.buf.(ch.c_idx) in
       (* Drop the ring's reference so delivered payloads are not kept alive
          until the cell is overwritten. *)
@@ -336,6 +351,7 @@ let send_port t ~src ~dst ~tag =
 (* The arrival stamp is post time + scaled modelled flight; everything
    stays in registers (a float handed to another function is boxed). *)
 let port_send_at at port payload =
+  if payload == no_msg then invalid_arg "Mpi_sim.port_send: the no-message placeholder";
   let ch = port.po_ch in
   let bytes = Bytes.length payload in
   make_room ch;
@@ -363,8 +379,11 @@ let recv_slot t ~dst ~src ~tag =
   check_rank t dst "recv_slot";
   { sl_t = t; sl_dst = dst; sl_ch = chan_of t t.mailboxes.(dst) ~src ~tag }
 
+let nothing = no_msg
+let slot_poll slot = take_now slot.sl_ch
+
 let slot_test slot =
-  let payload = take_now slot.sl_ch in
+  let payload = slot_poll slot in
   if payload == no_msg then None else Some payload
 
 let slot_wait ?timeout_s slot =
@@ -422,7 +441,7 @@ let payload c r =
    over arrival order, so the result is bit-stable. Each payload goes back
    the way it came: the root answers rank [r] in the buffer [r] sent, and
    [r] keeps it for its next contribution. *)
-let allreduce t ~tag ~combine partials =
+let allreduce t ~tag ~op partials =
   let n = nranks t in
   if Array.length partials <> n then
     invalid_arg "Mpi_sim.allreduce: need exactly one partial per rank";
@@ -442,7 +461,7 @@ let allreduce t ~tag ~combine partials =
       c.gathered.(r) <- get_float b;
       c.bufs.(r) <- b
     done;
-    let result = Msc_ir.Reduce.tree_combine combine c.gathered in
+    let result = Msc_ir.Reduce.tree_combine op c.gathered in
     let at = clock t in
     for r = 1 to n - 1 do
       let b = payload c r in

@@ -79,8 +79,8 @@ val wait_delay : waited:float -> remaining:float -> delay
     polled with naps of 0.2 ms, growing with [waited] to 2 ms. *)
 
 val allreduce :
-  t -> tag:int -> combine:(float -> float -> float) -> float array -> float
-(** [allreduce t ~tag ~combine partials] reduces one scalar per rank
+  t -> tag:int -> op:Msc_ir.Reduce.op -> float array -> float
+(** [allreduce t ~tag ~op partials] reduces one scalar per rank
     ([partials.(r)] is rank [r]'s contribution) to a single value every
     rank agrees on: gather-to-root, {!Msc_ir.Reduce.tree_combine} over
     the rank index, broadcast back. All [2 * (nranks - 1)] hops are real
@@ -109,7 +109,7 @@ type port
 
 type slot
 (** A persistent receive endpoint for one (src, dst, tag). Each
-    {!slot_wait} / successful {!slot_test} claims the channel's next
+    {!slot_wait} / successful {!slot_test} or {!slot_poll} claims the channel's next
     message in FIFO order. *)
 
 val send_port : t -> src:int -> dst:int -> tag:int -> port
@@ -120,7 +120,8 @@ val port_send : port -> Bytes.t -> unit
     arrival time (post time plus the modelled flight, which each port
     memoizes for its last payload size), and never blocks. Ownership
     transfers: the caller must not mutate the buffer afterwards (the
-    receiver gets this very buffer). *)
+    receiver gets this very buffer).
+    @raise Invalid_argument on {!nothing}. *)
 
 val port_send_at : stamp -> port -> Bytes.t -> unit
 (** {!port_send} posted at a {!clock} reading, so a batch of sends reads
@@ -132,6 +133,14 @@ val recv_slot : t -> dst:int -> src:int -> tag:int -> slot
 val slot_test : slot -> Bytes.t option
 (** Claim the next message if one has arrived (simulated latency
     included); [None] otherwise. *)
+
+val slot_poll : slot -> Bytes.t
+(** {!slot_test} without the option, so a poll allocates nothing: the
+    claimed payload, or {!nothing} when no message has arrived. *)
+
+val nothing : Bytes.t
+(** The placeholder {!slot_poll} returns: an empty buffer no message can
+    be (compare with [==]; the send functions reject it). *)
 
 val slot_wait : ?timeout_s:float -> slot -> Bytes.t
 (** Claim the next message, FIFO per (src, dst, tag), blocking until it

@@ -164,7 +164,7 @@ let run_raw t ~op ?with_ (a : Grid.t) =
       Msc_util.Domain_pool.parallel_for t.pool ~lo:0 ~hi:n (fun i ->
           fill_partial t code a.Grid.data b_data i)
     else fill_partial t code a.Grid.data b_data 0;
-    Reduce.tree_combine (Reduce.combine op) t.partials
+    Reduce.tree_combine op t.partials
   end
 
 let run t ~op ?with_ (a : Grid.t) =

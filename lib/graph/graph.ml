@@ -12,7 +12,6 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Reads and dependency edges.                                         *)
 
-let stage_names t = List.map (fun s -> s.name) t.stages
 let is_stage t name = List.exists (fun s -> String.equal s.name name) t.stages
 
 let stage t name =

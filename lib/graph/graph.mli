@@ -55,7 +55,6 @@ val with_merged : t -> bool -> t
 
 (** {1 Structure} *)
 
-val stage_names : t -> string list
 val is_stage : t -> string -> bool
 
 val stage : t -> string -> stage

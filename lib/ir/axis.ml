@@ -18,8 +18,6 @@ let extent t =
 
 let trip_count axes = List.fold_left (fun acc ax -> acc * extent ax) 1 axes
 
-let with_order t order = { t with order }
-
 let pp ppf t =
   let mode =
     match t.parallel with

@@ -25,5 +25,4 @@ val extent : t -> int
 val trip_count : t list -> int
 (** Product of extents of a loop nest. *)
 
-val with_order : t -> int -> t
 val pp : Format.formatter -> t -> unit

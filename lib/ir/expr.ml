@@ -207,11 +207,6 @@ let rename_tensor ~from ~to_ e =
       | _ -> None)
     e
 
-let map_offsets fn e =
-  map_expr
-    (function Access a -> Some (Access { a with offsets = fn a }) | _ -> None)
-    e
-
 let unop_name = function
   | Neg -> "-"
   | Abs -> "fabs"

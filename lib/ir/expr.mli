@@ -91,7 +91,6 @@ val map_expr : (t -> t option) -> t -> t
     recurses into the children. Leaves unmatched nodes untouched. *)
 
 val rename_tensor : from:string -> to_:string -> t -> t
-val map_offsets : (access -> int array) -> t -> t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

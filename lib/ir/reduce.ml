@@ -32,24 +32,30 @@ let point op acc v =
 let point2 op acc a b =
   match op with Dot -> acc +. (a *. b) | Sum | Norm2 | Max_abs -> point op acc a
 
-(* [combine op] returns one of two static closures, so passing it to
-   {!tree_combine} or an allreduce allocates nothing. *)
-let add a b = a +. b
-let max_of a b = if b > a then b else a
-let combine = function Sum | Dot | Norm2 -> add | Max_abs -> max_of
-
 let finalize op v = match op with Norm2 -> sqrt v | Sum | Dot | Max_abs -> v
 
-let tree_combine f a =
+(* One monomorphic loop per combine, so no fold calls a closure or boxes
+   a float: the additive operators add, [Max_abs] keeps the larger
+   ([if b > a then b else a], NaN operands included). *)
+let tree_combine op a =
   let n = Array.length a in
   if n = 0 then invalid_arg "Reduce.tree_combine: empty partials";
+  let max_abs = match op with Max_abs -> true | Sum | Dot | Norm2 -> false in
   let stride = ref 1 in
   while !stride < n do
+    let s = !stride in
     let i = ref 0 in
-    while !i + !stride < n do
-      a.(!i) <- f a.(!i) a.(!i + !stride);
-      i := !i + (2 * !stride)
-    done;
-    stride := 2 * !stride
+    if max_abs then
+      while !i + s < n do
+        let b = a.(!i + s) in
+        if b > a.(!i) then a.(!i) <- b;
+        i := !i + (2 * s)
+      done
+    else
+      while !i + s < n do
+        a.(!i) <- a.(!i) +. a.(!i + s);
+        i := !i + (2 * s)
+      done;
+    stride := 2 * s
   done;
   a.(0)

@@ -48,21 +48,19 @@ val point : op -> float -> float -> float
 val point2 : op -> float -> float -> float -> float
 (** [point2 op acc a b] folds one element pair; unary ops ignore [b]. *)
 
-val combine : op -> float -> float -> float
-(** Fold two {e partials}: [+.] for the additive operators, max for
-    [Max_abs]. Associative and commutative in exact arithmetic; in floats
-    only the fixed {!tree_combine} order is part of the contract. *)
-
 val finalize : op -> float -> float
 (** Applied once to the root of the combine tree: [sqrt] for [Norm2],
     identity otherwise. *)
 
-val tree_combine : (float -> float -> float) -> float array -> float
-(** [tree_combine f partials] folds pairwise with stride doubling:
-    level [s] folds index [i] with [i+s] for [i = 0, 2s, 4s, ...] — the
-    fixed tree every executor (single-node pools, the distributed
-    allreduce) uses, so results never depend on worker count or message
-    arrival order. The fold runs {e in place}: it overwrites [partials]
+val tree_combine : op -> float array -> float
+(** [tree_combine op partials] folds two {e partials} at a time, [+.] for
+    the additive operators and the larger one for [Max_abs], pairwise with
+    stride doubling: level [s] folds index [i] with [i+s] for
+    [i = 0, 2s, 4s, ...] — the fixed tree every executor (single-node
+    pools, the distributed allreduce) uses, so results never depend on
+    worker count or message arrival order. Each combine is associative and
+    commutative in exact arithmetic; in floats only this order is part of
+    the contract. The fold runs {e in place}: it overwrites [partials]
     (every caller owns a scratch array it refills per reduction) and
-    returns [partials.(0)], allocating nothing itself.
+    returns [partials.(0)], allocating nothing.
     @raise Invalid_argument on an empty array. *)

@@ -16,19 +16,6 @@ let attainable m dtype ~intensity =
 let classify m dtype ~intensity =
   if intensity < ridge_point m dtype then Memory_bound else Compute_bound
 
-let make_point m dtype ~label ~intensity ~achieved_gflops =
-  {
-    label;
-    intensity;
-    achieved_gflops;
-    attainable_gflops = attainable m dtype ~intensity;
-    bound = classify m dtype ~intensity;
-  }
-
 let bound_to_string = function
   | Memory_bound -> "memory-bound"
   | Compute_bound -> "compute-bound"
-
-let pp_point ppf p =
-  Format.fprintf ppf "%s: OI=%.2f F/B, %.2f GFlop/s (roof %.2f, %s)" p.label
-    p.intensity p.achieved_gflops p.attainable_gflops (bound_to_string p.bound)

@@ -19,9 +19,4 @@ val attainable : Machine.t -> Msc_ir.Dtype.t -> intensity:float -> float
 
 val classify : Machine.t -> Msc_ir.Dtype.t -> intensity:float -> bound
 
-val make_point :
-  Machine.t -> Msc_ir.Dtype.t -> label:string -> intensity:float ->
-  achieved_gflops:float -> point
-
 val bound_to_string : bound -> string
-val pp_point : Format.formatter -> point -> unit

@@ -203,7 +203,7 @@ let solve ?(config = Exec.Config.default) ?net ?(trace = Msc_trace.disabled)
   let global_sum mpi partials =
     incr allreduces;
     Mpi_sim.allreduce mpi ~tag:solver_tag
-      ~combine:(Reduce.combine Reduce.Sum)
+      ~op:Reduce.Sum
       partials
   in
   match method_ with

@@ -23,50 +23,6 @@ let bar_chart ?title ?(width = 50) ?(unit_label = "") entries =
 
 let series_glyphs = [| '#'; '*'; '+'; 'o'; 'x'; '@'; '%'; '=' |]
 
-let grouped_bars ?title ?(width = 50) ~series_names entries =
-  let buf = Buffer.create 1024 in
-  (match title with
-  | Some t ->
-      Buffer.add_string buf t;
-      Buffer.add_char buf '\n'
-  | None -> ());
-  let nseries = List.length series_names in
-  let pad_values vs =
-    let len = List.length vs in
-    if len >= nseries then vs else vs @ List.init (nseries - len) (fun _ -> 0.0)
-  in
-  let entries = List.map (fun (l, vs) -> (l, pad_values vs)) entries in
-  List.iteri
-    (fun i name ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %c = %s\n" series_glyphs.(i mod Array.length series_glyphs) name))
-    series_names;
-  let label_width =
-    List.fold_left (fun acc (label, _) -> max acc (String.length label)) 0 entries
-  in
-  let vmax =
-    List.fold_left
-      (fun acc (_, vs) -> List.fold_left max acc vs)
-      0.0 entries
-  in
-  let vmax = if vmax <= 0.0 then 1.0 else vmax in
-  let emit_bar label glyph v =
-    let n = int_of_float (Float.round (max v 0.0 /. vmax *. float_of_int width)) in
-    Buffer.add_string buf (Table.pad Table.Left label_width label);
-    Buffer.add_string buf " |";
-    Buffer.add_string buf (String.make n glyph);
-    Buffer.add_string buf (Printf.sprintf " %.3g\n" v)
-  in
-  List.iter
-    (fun (label, vs) ->
-      List.iteri
-        (fun i v ->
-          let glyph = series_glyphs.(i mod Array.length series_glyphs) in
-          emit_bar (if i = 0 then label else "") glyph v)
-        vs)
-    entries;
-  Buffer.contents buf
-
 let line_chart ?title ?(height = 16) ?(width = 64) ?(x_label = "x") ?(y_label = "y")
     series =
   let buf = Buffer.create 2048 in

@@ -6,12 +6,6 @@ val bar_chart :
 (** Horizontal bar chart, one labelled bar per entry, scaled to the maximum
     value. Negative values are clamped to zero. *)
 
-val grouped_bars :
-  ?title:string -> ?width:int -> series_names:string list ->
-  (string * float list) list -> string
-(** Grouped horizontal bars: each entry carries one value per series (ragged
-    groups are padded with zeros). *)
-
 val line_chart :
   ?title:string -> ?height:int -> ?width:int -> ?x_label:string ->
   ?y_label:string -> (string * (float * float) list) list -> string

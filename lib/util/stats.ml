@@ -51,7 +51,3 @@ let summarize xs =
     max = maximum xs;
     median = median xs;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4g sd=%.4g min=%.4g med=%.4g max=%.4g" s.n
-    s.mean s.stddev s.min s.median s.max

@@ -543,6 +543,66 @@ let halo_blit_matches_naive_property =
       && Array.for_all2 (fun (a : Grid.t) (b : Grid.t) -> a.Grid.data = b.Grid.data)
            fresh oracle)
 
+(* Property: the copy stubs move each slab byte for byte, both ways. A
+   single periodic rank sends every direction (faces, edges, corners) to
+   itself; extents down to one cell and a last-dimension width of one
+   make runs of a single element, and one to three states per payload
+   stand for a deeper temporal block's message. Each payload [Halo.post]
+   packs must equal the per-element little-endian encoding; sent back
+   unchanged, [Halo.complete] must unpack exactly the decoded values into
+   the outer slabs. *)
+let halo_copy_stub_roundtrip_property =
+  qc ~count:150 "copy stubs round trip == little-endian encoding"
+    QCheck.(
+      pair (int_range 1 3)
+        (list_of_size
+           Gen.(int_range 1 3)
+           (triple (int_range 1 7) (int_range 1 3) (int_range 0 1))))
+    (fun (nstates, dims) ->
+      let width = Array.of_list (List.map (fun (_, w, _) -> w) dims) in
+      let shape = Array.of_list (List.map (fun (n, w, _) -> max n w) dims) in
+      let halo = Array.of_list (List.map (fun (_, w, extra) -> w + extra) dims) in
+      let nd = Array.length shape in
+      let states =
+        Array.init nstates (fun i ->
+            let g = Grid.create ~shape ~halo in
+            Grid.fill_extended g (fun c ->
+                let h = ref (float_of_int (i + 1)) in
+                Array.iteri (fun d k -> h := (!h *. 1.618) +. sin (float_of_int ((7 * d) + k))) c;
+                !h);
+            g)
+      in
+      let mpi = Mpi.create ~nranks:1 () in
+      let p = self_plan ~faces_only:false mpi states.(0) ~width in
+      let dirs = Decomp.directions ~ndim:nd ~faces_only:false in
+      let tag dir = Decomp.dir_index ~ndim:nd dir in
+      Halo.post p states;
+      let packed = List.map (fun dir -> (dir, recv mpi ~dst:0 ~src:0 ~tag:(tag dir))) dirs in
+      let encoded dir =
+        Bytes.concat Bytes.empty
+          (List.map (fun g -> Oracles.pack_naive g ~dir ~width) (Array.to_list states))
+      in
+      let packs_ok = List.for_all (fun (dir, b) -> Bytes.equal b (encoded dir)) packed in
+      (* The payload packed toward [dir] arrives on the link facing the
+         opposite way, as a neighbour's would. *)
+      let received = Array.map Grid.copy states and oracle = Array.map Grid.copy states in
+      List.iter (fun (dir, b) -> send mpi ~src:0 ~dst:0 ~tag:(tag dir) (Bytes.copy b)) packed;
+      Halo.complete p received;
+      List.iter
+        (fun (dir, b) ->
+          let opposite = Array.map (fun v -> -v) dir in
+          let slab = Bytes.length b / nstates in
+          Array.iteri
+            (fun i g -> Oracles.unpack_naive g ~dir:opposite ~width (Bytes.sub b (i * slab) slab))
+            oracle)
+        packed;
+      let same_bits (a : Grid.t) (b : Grid.t) =
+        Array.for_all2
+          (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+          a.Grid.data b.Grid.data
+      in
+      packs_ok && Array.for_all2 same_bits received oracle)
+
 let halo_exchange_fills_outer () =
   let d = Decomp.create ~global:[| 8; 8 |] ~ranks_shape:[| 2; 2 |] in
   let mpi = Mpi.create ~nranks:4 () in
@@ -710,46 +770,79 @@ let distributed_differential_matrix () =
         ])
     [ ("star", star); ("box", box) ]
 
+(* A network that holds each message [slow] picks in flight for
+   [latency_s] of wall clock and delivers every other one at once. The
+   harness zeroes the wall-clock latency scale, so [with_wallclock_latency]
+   restores it around the run. *)
+let delay_net ?(slow = fun _ -> true) latency_s =
+  {
+    Netmodel.name = "test delay";
+    alpha_s = latency_s;
+    beta_gbs = infinity;
+    congestion_at =
+      (fun ~nranks:_ ~messages_per_rank:_ ~bytes_per_message ->
+        if slow bytes_per_message then 1.0 else 0.0);
+  }
+
+let with_wallclock_latency f =
+  let saved = Netmodel.sim_latency_scale () in
+  Netmodel.set_sim_latency_scale 1.0;
+  Fun.protect ~finally:(fun () -> Netmodel.set_sim_latency_scale saved) f
+
 (* Steady-state exchange cost: once every plan is compiled and every
    channel and payload buffer exists, a step allocates (almost) nothing —
    payloads ping-pong between neighbours, the wire arrays are refilled in
-   place, and the per-task checks and sweeps run closure-free. Pinned at
-   16 words per rank at depths 1 and 2, payloads counted. The compiled backend sweeps without
-   allocating per point; the interpreter does, so without a C toolchain
-   there is nothing to pin. The sequential pool runs every rank on this
-   domain, whose minor-heap counter is exact. A full major collection
-   first empties the minor heap, so no collection (and no finaliser left
-   by another test) runs inside the measured steps. The network model is
-   attached and the wall-clock scale (zeroed by the harness) set to a
-   tiny non-zero value, so every send reads the clock and stamps its
-   arrival through the port's flight-time memo without anyone sleeping. *)
+   place, the ready-first pass polls its messages without an option, and
+   the per-task checks and sweeps run closure-free. Pinned at 16 words per
+   rank at depths 1 and 2, payloads counted, on both paths of the
+   overlapped step. The compiled backend sweeps without allocating per
+   point; the interpreter does, so without a C toolchain there is nothing
+   to pin. The sequential pool runs every rank on this domain, whose
+   minor-heap counter is exact. A full major collection first empties the
+   minor heap, so no collection (and no finaliser left by another test)
+   runs inside the measured steps. On the ready path the network model is
+   attached and the wall-clock scale (zeroed by the harness) set to a tiny
+   non-zero value, so every send reads the clock and stamps its arrival
+   through the port's flight-time memo without anyone sleeping, and every
+   rank's messages have arrived when it is reached. On the deferred path a
+   5 ms flight keeps every message in flight, so every rank splits and
+   waits. *)
 let distributed_step_allocation_pinned () =
   let _, st = stencil_2d9pt_box ~m:64 ~n:64 () in
   let saved = Netmodel.sim_latency_scale () in
-  Netmodel.set_sim_latency_scale 1e-9;
   Fun.protect ~finally:(fun () -> Netmodel.set_sim_latency_scale saved) (fun () ->
   List.iter
-    (fun (label, depth) ->
-      let dist =
-        Distributed.create
-          ~config:(cfg ~backend:Msc_exec.Backend.Compiled_c ~depth ())
-          ~net:Netmodel.sunway_taihulight ~ranks_shape:[| 8; 8 |] st
-      in
-      let report = Msc_exec.Runtime.backend_report (Distributed.rank_runtime dist ~rank:0) in
-      if report.Msc_exec.Runtime.effective = Msc_exec.Backend.Compiled_c then begin
-        (* Warm every channel's segment ring and payload buffer. *)
-        Distributed.run dist 8;
-        Gc.full_major ();
-        let w0 = Gc.minor_words () in
-        Distributed.run dist 4;
-        let words = (Gc.minor_words () -. w0) /. 4.0 in
-        check_bool
-          (Printf.sprintf "%s: %.0f words per step (%.2f per rank) <= 16 per rank" label
-             words (words /. 64.0))
-          true
-          (words <= 16.0 *. 64.0)
-      end)
-    [ ("depth 1", 1); ("depth 2", 2) ])
+    (fun (path, net, scale) ->
+      Netmodel.set_sim_latency_scale scale;
+      List.iter
+        (fun depth ->
+          let label = Printf.sprintf "%s, depth %d" path depth in
+          let dist =
+            Distributed.create
+              ~config:(cfg ~backend:Msc_exec.Backend.Compiled_c ~depth ())
+              ~net ~ranks_shape:[| 8; 8 |] st
+          in
+          let report =
+            Msc_exec.Runtime.backend_report (Distributed.rank_runtime dist ~rank:0)
+          in
+          if report.Msc_exec.Runtime.effective = Msc_exec.Backend.Compiled_c then begin
+            (* Warm every channel's segment ring and payload buffer. *)
+            Distributed.run dist 8;
+            Gc.full_major ();
+            let w0 = Gc.minor_words () in
+            Distributed.run dist 4;
+            let words = (Gc.minor_words () -. w0) /. 4.0 in
+            check_bool
+              (Printf.sprintf "%s: %.0f words per step (%.2f per rank) <= 16 per rank"
+                 label words (words /. 64.0))
+              true
+              (words <= 16.0 *. 64.0)
+          end)
+        [ 1; 2 ])
+    [
+      ("ready", Netmodel.sunway_taihulight, 1e-9);
+      ("deferred", delay_net 5e-3, 1.0);
+    ])
 
 (* --- The overlapped protocol at depth 1 --- *)
 
@@ -892,25 +985,106 @@ let overlapped_thin_rank_exact () =
   check_float "all-shell ranks" 0.0
     (Distributed.validate ~config:(cfg ()) ~steps:3 ~ranks_shape:[| 2; 2 |] st)
 
+let spans_named trace phase =
+  List.filter_map
+    (fun (e : Msc_trace.event) ->
+      match e with
+      | Msc_trace.Span { name; tid; _ } when name = phase -> Some tid
+      | _ -> None)
+    (Msc_trace.events trace)
+
+(* The sum and the count of one trace counter. *)
+let counter_total trace name =
+  match
+    List.find_opt (fun (c : Msc_trace.total) -> c.Msc_trace.counter = name)
+      (Msc_trace.totals trace)
+  with
+  | Some c -> (c.Msc_trace.sum, c.Msc_trace.count)
+  | None -> (0.0, 0)
+
+(* A 100 ms flight keeps every message in flight while the sequential
+   pool tries the four ranks, so every rank takes the interior/shell
+   split. *)
 let overlapped_traces_overlap_window () =
-  let trace = Msc_trace.create () in
-  let _, st = stencil_3d7pt ~n:12 () in
-  let dist = Distributed.create ~trace ~ranks_shape:[| 2; 2; 1 |] st in
-  Distributed.run dist 2;
-  let events = Msc_trace.events trace in
-  let spans_named phase =
-    List.filter_map
-      (fun (e : Msc_trace.event) ->
-        match e with
-        | Msc_trace.Span { name; tid; _ } when name = phase -> Some tid
-        | _ -> None)
-      events
-  in
-  (* One overlap window and one shell sub-sweep per rank per step. *)
-  check_int "halo.overlap spans" 8 (List.length (spans_named "halo.overlap"));
-  check_int "halo.shell spans" 8 (List.length (spans_named "halo.shell"));
-  Alcotest.(check (list int)) "overlap windows tagged per rank" [ 0; 1; 2; 3 ]
-    (List.sort_uniq compare (spans_named "halo.overlap"))
+  with_wallclock_latency (fun () ->
+      let trace = Msc_trace.create () in
+      let _, st = stencil_3d7pt ~n:12 () in
+      let dist =
+        Distributed.create ~net:(delay_net 0.1) ~trace ~ranks_shape:[| 2; 2; 1 |] st
+      in
+      Distributed.run dist 2;
+      (* One overlap window and one shell sub-sweep per rank per step. *)
+      check_int "halo.overlap spans" 8 (List.length (spans_named trace "halo.overlap"));
+      check_int "halo.shell spans" 8 (List.length (spans_named trace "halo.shell"));
+      Alcotest.(check (list int)) "overlap windows tagged per rank" [ 0; 1; 2; 3 ]
+        (List.sort_uniq compare (spans_named trace "halo.overlap"));
+      check_float "dist.overlapped_ranks" 8.0
+        (fst (counter_total trace "dist.overlapped_ranks")))
+
+(* With instant delivery on the sequential pool, every rank's messages
+   have arrived by the time its worker reaches it: no rank splits, and the
+   whole-rank sweeps give the single grid's bits. *)
+let overlapped_ready_ranks_sweep_whole () =
+  let _, st = stencil_2d9pt_box ~m:14 ~n:18 () in
+  List.iter
+    (fun depth ->
+      let trace = Msc_trace.create () in
+      let dist =
+        Distributed.create ~config:(cfg ~depth ()) ~trace ~ranks_shape:[| 3; 3 |] st
+      in
+      Distributed.run dist 4;
+      let label = Printf.sprintf "depth %d" depth in
+      let split, exchanges = counter_total trace "dist.overlapped_ranks" in
+      check_int (label ^ ": one count per exchange") (4 / depth) exchanges;
+      check_float (label ^ ": no rank split") 0.0 split;
+      check_int (label ^ ": no halo.overlap span") 0
+        (List.length (spans_named trace "halo.overlap"));
+      check_int (label ^ ": no halo.shell span") 0
+        (List.length (spans_named trace "halo.shell"));
+      check_float (label ^ ": bit-identical") 0.0
+        (Grid.max_rel_error ~reference:(single_grid st 4) (Distributed.gather dist)))
+    [ 1; 2 ]
+
+(* Both paths in one exchange. 14x18 over 3x3 ranks gives rank rows of
+   5, 5 and 4 cells, so only a 5-row rank's column slabs carry a multiple
+   of 5 doubles (40 B at depth 1, 160 B at depth 2; every other slab is
+   32, 48, 64, 128 or 192 B or a corner). Holding just those in flight
+   defers the six ranks of the 5-row rows and leaves the 4-row ranks
+   ready on the sequential pool (a stall longer than the flight would
+   only make a slow rank ready); larger pools mix the paths by timing
+   too. Every run is bit-identical to the single grid. *)
+let overlapped_mixed_paths_exact () =
+  let _, st = stencil_2d9pt_box ~m:14 ~n:18 () in
+  let net = delay_net ~slow:(fun bytes -> Float.rem bytes 40.0 = 0.0) 0.05 in
+  let single = single_grid st 4 in
+  with_wallclock_latency (fun () ->
+      List.iter
+        (fun workers ->
+          let pool = Msc_util.Domain_pool.create workers in
+          Fun.protect
+            ~finally:(fun () -> Msc_util.Domain_pool.shutdown pool)
+            (fun () ->
+              List.iter
+                (fun depth ->
+                  let trace = Msc_trace.create () in
+                  let dist =
+                    Distributed.create ~config:(cfg ~depth ~pool ()) ~net ~trace
+                      ~ranks_shape:[| 3; 3 |] st
+                  in
+                  Distributed.run dist 4;
+                  let label = Printf.sprintf "depth %d, %d workers" depth workers in
+                  check_float (label ^ ": bit-identical") 0.0
+                    (Grid.max_rel_error ~reference:single (Distributed.gather dist));
+                  if workers = 1 then begin
+                    let split, exchanges = counter_total trace "dist.overlapped_ranks" in
+                    check_bool
+                      (Printf.sprintf "%s: %.0f of %d rank exchanges split, some not" label
+                         split (9 * exchanges))
+                      true
+                      (split > 0.0 && split < 9.0 *. float_of_int exchanges)
+                  end)
+                [ 1; 2 ]))
+        [ 1; 2; 3 ])
 
 (* --- Deeper temporal blocks --- *)
 
@@ -1378,6 +1552,7 @@ let suites =
         tc "plan geometry guard" halo_plan_geometry_guard;
         tc "exchange fills outer" halo_exchange_fills_outer;
         halo_blit_matches_naive_property;
+        halo_copy_stub_roundtrip_property;
       ] );
     ( "comm.distributed",
       [
@@ -1403,6 +1578,8 @@ let suites =
         tc "cross-worker messages traced" overlapped_cross_worker_messages_traced;
         tc "thin ranks all shell" overlapped_thin_rank_exact;
         tc "overlap window traced" overlapped_traces_overlap_window;
+        tc "ready ranks sweep whole" overlapped_ready_ranks_sweep_whole;
+        tc "ready and deferred ranks mixed" overlapped_mixed_paths_exact;
       ] );
     ( "comm.temporal",
       [

@@ -48,12 +48,17 @@ let tree_combine_order () =
   let a = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
   let expected = (1.0 +. 2.0) +. (3.0 +. 4.0) +. 5.0 in
   check_bool "pairwise tree" true
-    (Reduce.tree_combine ( +. ) a = expected);
+    (Reduce.tree_combine Reduce.Sum a = expected);
   (* The fold runs in place on the caller's array: every level writes its
      left operand's slot, and slot 0 ends holding the result. *)
   check_bool "folded in place" true (a = [| expected; 2.0; 3.0 +. 4.0; 4.0; 5.0 |]);
-  check_float "singleton" 7.5 (Reduce.tree_combine ( +. ) [| 7.5 |]);
-  (match Reduce.tree_combine ( +. ) [||] with
+  (* Max_abs keeps the larger partial, [if b > a then b else a]: a NaN on
+     the left of a combine survives it, one on the right is dropped. *)
+  let m = [| 2.0; 7.0; Float.nan; 3.0; 5.0 |] in
+  check_float "max fold" 7.0 (Reduce.tree_combine Reduce.Max_abs m);
+  check_bool "left NaN kept" true (Float.is_nan m.(2));
+  check_float "singleton" 7.5 (Reduce.tree_combine Reduce.Sum [| 7.5 |]);
+  (match Reduce.tree_combine Reduce.Sum [||] with
   | _ -> Alcotest.fail "empty must raise"
   | exception Invalid_argument _ -> ())
 
@@ -93,7 +98,7 @@ let plan_reduce_matches_tree () =
     (Array.iter (fun (dst, src) -> folded.(dst) <- folded.(dst) +. folded.(src)))
     rp.Plan.rp_combine;
   check_bool "levels reproduce tree_combine" true
-    (folded.(0) = Reduce.tree_combine ( +. ) partials)
+    (folded.(0) = Reduce.tree_combine Reduce.Sum partials)
 
 (* --- Reduction executor --- *)
 
@@ -223,22 +228,22 @@ let reduction_geometry_checks () =
 let allreduce_exact () =
   let mpi = Mpi.create ~nranks:4 () in
   let partials = [| 0.1; 0.2; 0.3; 0.4 |] in
-  let v = Mpi.allreduce mpi ~tag:9 ~combine:( +. ) partials in
+  let v = Mpi.allreduce mpi ~tag:9 ~op:Reduce.Sum partials in
   (* The collective folds the gathered array in tree order — exactly
      tree_combine, bits included (payloads round-trip float bits). *)
-  check_bool "tree order result" true (v = Reduce.tree_combine ( +. ) partials);
+  check_bool "tree order result" true (v = Reduce.tree_combine Reduce.Sum partials);
   check_int "2(n-1) hops" 6 (Mpi.messages_sent mpi);
   check_int "8-byte payloads" 48 (Mpi.bytes_sent mpi);
   check_int "drained" 0 (Mpi.pending_messages mpi)
 
 let allreduce_single_rank () =
   let mpi = Mpi.create ~nranks:1 () in
-  check_float "identity" 42.0 (Mpi.allreduce mpi ~tag:0 ~combine:( +. ) [| 42.0 |]);
+  check_float "identity" 42.0 (Mpi.allreduce mpi ~tag:0 ~op:Reduce.Sum [| 42.0 |]);
   check_int "no traffic" 0 (Mpi.messages_sent mpi)
 
 let allreduce_validates () =
   let mpi = Mpi.create ~nranks:3 () in
-  match Mpi.allreduce mpi ~tag:0 ~combine:( +. ) [| 1.0; 2.0 |] with
+  match Mpi.allreduce mpi ~tag:0 ~op:Reduce.Sum [| 1.0; 2.0 |] with
   | _ -> Alcotest.fail "partial count mismatch must raise"
   | exception Invalid_argument _ -> ()
 
@@ -247,12 +252,12 @@ let allreduce_validates () =
 let allreduce_rejects_stray_message () =
   let mpi = Mpi.create ~nranks:3 () in
   let partials = [| 0.5; 1.5; 2.5 |] in
-  let first = Mpi.allreduce mpi ~tag:5 ~combine:( +. ) partials in
+  let first = Mpi.allreduce mpi ~tag:5 ~op:Reduce.Sum partials in
   check_bool "same bits on reuse" true
     (Int64.equal (Int64.bits_of_float first)
-       (Int64.bits_of_float (Mpi.allreduce mpi ~tag:5 ~combine:( +. ) partials)));
+       (Int64.bits_of_float (Mpi.allreduce mpi ~tag:5 ~op:Reduce.Sum partials)));
   Mpi.port_send (Mpi.send_port mpi ~src:1 ~dst:0 ~tag:5) (Bytes.create 3);
-  match Mpi.allreduce mpi ~tag:5 ~combine:( +. ) partials with
+  match Mpi.allreduce mpi ~tag:5 ~op:Reduce.Sum partials with
   | _ -> Alcotest.fail "a 3-byte message on the collective channel must raise"
   | exception Invalid_argument _ -> ()
 
@@ -349,8 +354,9 @@ let distributed_reduce_counts_traffic () =
 
 (* A steady-state collective allocates (almost) nothing: each rank's
    compiled partial is stored straight into the executor's array, the
-   tree folds that array in place, and the allreduce ping-pongs
-   preallocated payloads. Pinned at 16 words per rank on 8x8 ranks with
+   tree folds that array in place with a monomorphic loop per operator,
+   and the allreduce ping-pongs preallocated payloads. Pinned at 6 words
+   per rank on 8x8 ranks with
    one task per rank (the default schedule). The interpreter's reference
    fold allocates per row, so there is nothing to pin without a C
    toolchain. The sequential pool runs every rank on this domain, whose
@@ -373,10 +379,10 @@ let distributed_reduce_allocation_pinned () =
     let words = (Gc.minor_words () -. w0) /. 10.0 in
     check_bool "same bits every call" true !same;
     check_bool
-      (Printf.sprintf "%.0f words per reduce (%.2f per rank) <= 16 per rank" words
+      (Printf.sprintf "%.0f words per reduce (%.2f per rank) <= 6 per rank" words
          (words /. 64.0))
       true
-      (words <= 16.0 *. 64.0)
+      (words <= 6.0 *. 64.0)
   end
 
 (* --- depth accounting --- *)
